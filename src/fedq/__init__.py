@@ -14,8 +14,9 @@ Subpackages/modules:
 - config / experiment / cli: experiment orchestration
 """
 
-from ._kernels import BACKEND as kernel_backend
-
 __version__ = "0.1.0"
+
+# The only rounding-kernel backend: fedq._kernels is numpy code.
+kernel_backend = "numpy"
 
 __all__ = ["kernel_backend", "__version__"]

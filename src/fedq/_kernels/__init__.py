@@ -1,34 +1,6 @@
-"""Backend selection for the hot quantization kernels.
-
-Prefers the compiled Cython extension and falls back to the numpy
-reference implementation when the extension was not built. Both
-backends are interchangeable: given the same inputs they produce
-bit-identical outputs (see tests/test_kernels.py).
-
-Set FEDQ_KERNEL=numpy or FEDQ_KERNEL=cython to force a backend.
-"""
-
-import os
+"""The stochastic-rounding hot kernel, implemented in numpy (``reference``)."""
 
 from . import reference
+from .reference import expected_sq_error, stochastic_round
 
-_forced = os.environ.get("FEDQ_KERNEL", "").strip().lower()
-
-if _forced == "numpy":
-    _impl = reference
-else:
-    try:
-        from . import _quantcore as _impl  # type: ignore[no-redef]
-    except ImportError:
-        if _forced == "cython":
-            raise ImportError(
-                "FEDQ_KERNEL=cython requested but the compiled extension is "
-                "not available; build it with `pip install -e .`"
-            )
-        _impl = reference
-
-BACKEND = _impl.BACKEND
-stochastic_round = _impl.stochastic_round
-expected_sq_error = _impl.expected_sq_error
-
-__all__ = ["BACKEND", "stochastic_round", "expected_sq_error", "reference"]
+__all__ = ["stochastic_round", "expected_sq_error", "reference"]

@@ -52,7 +52,7 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
-    result = run_experiment(cfg, threads=args.threads, data_dir=args.data)
+    result = run_experiment(cfg, data_dir=args.data)
     last = result.records[-1]
     print(f"completed {cfg.rounds} rounds; metrics at {result.output_dir}/metrics.csv")
     print(f"global loss: {result.records[0].global_loss:.6g} -> {last.global_loss:.6g}")
@@ -137,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an experiment")
     run.add_argument("--config", required=True)
     run.add_argument("--out", default=None, help="override output_dir")
-    run.add_argument("--threads", type=int, default=None)
+    run.add_argument("--threads", type=int, default=None,
+                     help="accepted and ignored: clients train in id order on one thread")
     run.add_argument("--data", default=None, help="load shards from a datagen directory")
     run.set_defaults(fn=_cmd_run)
 

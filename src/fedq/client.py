@@ -194,11 +194,7 @@ def init_layers(dims: list[int], rng: np.random.Generator, std: float) -> list[n
 
 def quantize_model(layers: list[np.ndarray], bits: int, rng: np.random.Generator) -> list[qk.QuantizedTensor]:
     """Quantize each layer with a fresh tanh codebook at ``bits``."""
-    out = []
-    for w in layers:
-        cb = qk.build_tanh_codebook(w, bits)
-        out.append(qk.stochastic_quantize(w, cb, rng))
-    return out
+    return [qk.fit_and_quantize(w, bits, "tanh", rng)[0] for w in layers]
 
 
 def quantized_forward(
@@ -227,16 +223,8 @@ def quantized_forward(
         preacts.append(pre)
         a = _activate(pre, cfg.activation)
         if cfg.quantize_activations:
-            cb = qk.build_tanh_codebook(a, cfg.bitwidth)
-            a = qk.dequantize(qk.stochastic_quantize(a, cb, rng))
+            _, a, _ = qk.fit_and_quantize(a, cfg.bitwidth, "tanh", rng)
     return ForwardState(np.asarray(batch, dtype=np.float64), inputs, preacts, a)
-
-
-def _quantile_pass(g: np.ndarray, bits: int, rng: np.random.Generator):
-    """Quantize a gradient tensor; returns (quantized, dequantized values)."""
-    cb = qk.build_quantile_codebook(g, bits)
-    q = qk.stochastic_quantize(g, cb, rng)
-    return q, qk.dequantize(q)
 
 
 def quantized_backward(
@@ -266,7 +254,7 @@ def quantized_backward(
     gbits = cfg.grad_bitwidth
     g_act = upstream
     if cfg.quantize_gradients:
-        _, g_act = _quantile_pass(g_act, gbits, rng)
+        _, g_act, _ = qk.fit_and_quantize(g_act, gbits, "quantile", rng)
     grads: list = [None] * n_layers
     eps_g_sq = 0.0
     grad_sq = 0.0
@@ -279,16 +267,14 @@ def quantized_backward(
         gw += 2.0 * wg
         grad_sq += float(np.sum(gw * gw))
         if cfg.quantize_gradients:
-            q, vals = _quantile_pass(gw, gbits, rng)
-            err = vals - gw
-            eps_g_sq += float(np.sum(err * err))
-            grads[l] = q
+            grads[l], _, err_sq = qk.fit_and_quantize(gw, gbits, "quantile", rng)
+            eps_g_sq += err_sq
         else:
             grads[l] = gw
         if l > 0:
             g_act = g_pre @ w
             if cfg.quantize_gradients:
-                _, g_act = _quantile_pass(g_act, gbits, rng)
+                _, g_act, _ = qk.fit_and_quantize(g_act, gbits, "quantile", rng)
     return grads, eps_g_sq, grad_sq
 
 
@@ -307,10 +293,8 @@ def local_update(state: ClientState, grads: list, lr: float) -> float:
     for layer, g in zip(state.model, grads):
         u = _values(layer) - lr * _values(g)
         if state.config.quantize_weights:
-            cb = qk.build_tanh_codebook(u, state.config.bitwidth)
-            q = qk.stochastic_quantize(u, cb, state.rng)
-            err = qk.dequantize(q) - u
-            eps_w_sq += float(np.sum(err * err))
+            q, _, err_sq = qk.fit_and_quantize(u, state.config.bitwidth, "tanh", state.rng)
+            eps_w_sq += err_sq
             new_model.append(q)
         else:
             new_model.append(u)

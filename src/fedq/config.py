@@ -190,10 +190,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     metrics = dict(raw.get("metrics", {}))
     _reject_unknown(metrics, _METRIC_KEYS, "metrics")
-    flags = MetricFlags(
-        moreau=bool(metrics.get("moreau", True)),
-        representability=bool(metrics.get("representability", True)),
-    )
+    moreau = metrics.get("moreau", True)
+    _require(isinstance(moreau, bool), "metrics.moreau must be boolean")
+    representability = metrics.get("representability", True)
+    _require(isinstance(representability, bool), "metrics.representability must be boolean")
+    flags = MetricFlags(moreau=moreau, representability=representability)
 
     try:
         gen = DataGenParams(

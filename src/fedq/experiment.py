@@ -1,7 +1,7 @@
 """Deterministic experiment execution and metrics persistence.
 
-A run is bulk-synchronous: every round, all clients train E local
-epochs in parallel (each on its own RNG stream), the server
+A run is bulk-synchronous: every round, each client in ascending id
+order trains E local epochs on its own RNG stream, the server
 de-quantizes / aggregates / re-quantizes, and one metrics record is
 computed on the full-precision aggregate. metrics.csv gains one row per
 round and is flushed immediately, so an aborted run leaves all
@@ -9,15 +9,12 @@ completed rounds on disk. Row 0 snapshots the quantized
 initialization before any training.
 
 Timing is written to a separate timings.csv: metrics.csv must be
-byte-identical across reruns and thread counts, which wall-clock
-numbers would break.
+byte-identical across reruns, which wall-clock numbers would break.
 """
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +23,7 @@ import numpy as np
 from . import client as cl
 from . import sslcore
 from .config import ExperimentConfig
-from .datagen import DataShard, generate_all_shards, read_dataset
+from .datagen import DataShard, generate_all_shards, global_covariance, read_dataset
 from .analysis import TheoryParams, moreau_grad_surrogate
 from .errors import ValidationError
 from .server import ServerState, aggregate
@@ -122,7 +119,6 @@ def resolve_lr_base(cfg: ExperimentConfig, xbar: np.ndarray) -> float:
 
 def run_experiment(
     cfg: ExperimentConfig,
-    threads: int | None = None,
     shards: list[DataShard] | None = None,
     data_dir: str | Path | None = None,
     write_artifacts: bool = True,
@@ -148,10 +144,7 @@ def run_experiment(
         raise ValidationError("expected shards for clients 1..n")
 
     covs = {s.client_id: s.covariance() for s in shards}
-    total = sum(s.size for s in shards)
-    xbar = np.zeros((cfg.data.d, cfg.data.d))
-    for s in shards:
-        xbar += (s.size / total) * covs[s.client_id]
+    xbar = global_covariance(shards)
 
     lr_base = resolve_lr_base(cfg, xbar)
     schedule = cfg.lr_schedule(lr_base)
@@ -259,21 +252,15 @@ def run_experiment(
             )
         )
 
-        n_workers = threads or min(cfg.n_clients, os.cpu_count() or 1)
         for t in range(1, cfg.rounds + 1):
             t0 = time.perf_counter()
             round_alphas.append(schedule.rate(t - 1))
-
-            def train(k: int) -> cl.QuantErrorStats:
-                return cl.run_local_epochs(
+            round_stats = {
+                k: cl.run_local_epochs(
                     states[k], shard_by_id[k], cfg.local_epochs, cfg.batch_size
                 )
-
-            if n_workers > 1 and cfg.n_clients > 1:
-                with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                    round_stats = dict(zip(client_ids, pool.map(train, client_ids)))
-            else:
-                round_stats = {k: train(k) for k in client_ids}
+                for k in client_ids
+            }
 
             local_loss = {
                 k: linear_loss(model_values(k), covs[k]) for k in client_ids

@@ -230,6 +230,27 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     return q.codebook.centers[q.indices].reshape(q.shape)
 
 
+def fit_and_quantize(
+    x: np.ndarray, rate: int, compander: str, rng: np.random.Generator
+) -> tuple[QuantizedTensor, np.ndarray, float]:
+    """Fit a tanh or quantile codebook to ``x`` and quantize ``x`` with it.
+
+    Returns (quantized tensor, dequantized values, ||values - x||^2).
+    Draws from ``rng`` exactly as the explicit sequence build codebook ->
+    stochastic_quantize -> dequantize does.
+    """
+    if compander == "tanh":
+        cb = build_tanh_codebook(x, rate)
+    elif compander == "quantile":
+        cb = build_quantile_codebook(x, rate)
+    else:
+        raise InvalidParams(f"cannot fit a {compander!r} codebook to data")
+    q = stochastic_quantize(x, cb, rng)
+    values = dequantize(q)
+    err = values - x
+    return q, values, float(np.sum(err * err))
+
+
 def empirical_mse(
     cb: Codebook,
     samples: np.ndarray,

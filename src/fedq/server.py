@@ -75,10 +75,8 @@ def requantize_for_client(
     out = []
     eps_r_sq = 0.0
     for layer in global_model:
-        cb = qk.build_tanh_codebook(layer, bits)
-        q = qk.stochastic_quantize(layer, cb, rng)
-        err = qk.dequantize(q) - layer
-        eps_r_sq += float(np.sum(err * err))
+        q, _, err_sq = qk.fit_and_quantize(layer, bits, "tanh", rng)
+        eps_r_sq += err_sq
         out.append(q)
     return out, eps_r_sq
 

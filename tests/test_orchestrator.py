@@ -52,6 +52,13 @@ class TestConfig:
         with pytest.raises(ValidationError, match="unknown key"):
             config_from_dict(minimal(lr={"speed": 0.1}))
 
+    @pytest.mark.parametrize("key", ["moreau", "representability"])
+    @pytest.mark.parametrize("value", ["false", 0, 1])
+    def test_metric_flags_must_be_boolean(self, key, value):
+        # bool("false") is True and bool(0) is False; neither may be coerced.
+        with pytest.raises(ValidationError, match=f"metrics.{key} must be boolean"):
+            config_from_dict(minimal(metrics={key: value}))
+
     def test_layer_chain_must_match_dims(self):
         with pytest.raises(ValidationError, match="model.layers"):
             config_from_dict(minimal(model={"layers": [16, 2], "m": 2}))
@@ -136,9 +143,9 @@ class TestRunExperiment:
             res2.output_dir / "metrics.csv"
         ).read_bytes()
 
-    def test_byte_identical_reruns_and_threads(self, tmp_path):
-        a = run_experiment(config_from_dict(small_run_dict(tmp_path, output_dir=str(tmp_path / "a"))), threads=1)
-        b = run_experiment(config_from_dict(small_run_dict(tmp_path, output_dir=str(tmp_path / "b"))), threads=4)
+    def test_byte_identical_reruns(self, tmp_path):
+        a = run_experiment(config_from_dict(small_run_dict(tmp_path, output_dir=str(tmp_path / "a"))))
+        b = run_experiment(config_from_dict(small_run_dict(tmp_path, output_dir=str(tmp_path / "b"))))
         ca = (a.output_dir / "metrics.csv").read_bytes()
         cb = (b.output_dir / "metrics.csv").read_bytes()
         assert ca == cb

@@ -1,5 +1,6 @@
 """Codebook builders and stochastic quantization against hand oracles."""
 
+import copy
 import math
 
 import numpy as np
@@ -160,6 +161,34 @@ class TestStochasticQuantize:
         q1 = qk.stochastic_quantize(r.normal(size=64), cb, r)
         q2 = qk.stochastic_quantize(qk.dequantize(q1), cb, r)
         np.testing.assert_array_equal(q1.indices, q2.indices)
+
+
+class TestFitAndQuantize:
+    @pytest.mark.parametrize("compander", ["tanh", "quantile"])
+    @pytest.mark.parametrize("kind", ["normal", "constant"])
+    def test_matches_explicit_sequence(self, compander, kind):
+        rng = np.random.default_rng(314)
+        x = rng.normal(size=(6, 5)) if kind == "normal" else np.full((6, 5), 0.7)
+        twin = copy.deepcopy(rng)
+        q, values, err_sq = qk.fit_and_quantize(x, 4, compander, rng)
+
+        build = qk.build_tanh_codebook if compander == "tanh" else qk.build_quantile_codebook
+        cb = build(x, 4)
+        q_ref = qk.stochastic_quantize(x, cb, twin)
+        values_ref = qk.dequantize(q_ref)
+        assert cb.is_degenerate == (kind == "constant")
+        assert q.codebook.compander == compander
+        np.testing.assert_array_equal(q.codebook.centers, cb.centers)
+        np.testing.assert_array_equal(q.indices, q_ref.indices)
+        assert q.indices.dtype == q_ref.indices.dtype
+        np.testing.assert_array_equal(values, values_ref)
+        assert err_sq == float(np.sum((values_ref - x) ** 2))
+        # Both streams consumed the same number of draws.
+        assert rng.random() == twin.random()
+
+    def test_rejects_fixed_range_compander(self, rng):
+        with pytest.raises(InvalidParams, match="identity"):
+            qk.fit_and_quantize(np.ones(3), 4, "identity", rng)
 
 
 class TestUnbiasedness:
