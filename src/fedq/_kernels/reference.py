@@ -21,15 +21,21 @@ def stochastic_round(values, centers, uniforms):
     k = centers.shape[0]
     if k == 1:
         return np.zeros(values.shape[0], dtype=np.int64)
-    j = np.searchsorted(centers, values, side="right") - 1
-    jc = np.clip(j, 0, k - 2)
-    lo = centers[jc]
-    hi = centers[jc + 1]
-    p = (values - lo) / (hi - lo)
-    out = jc + (uniforms < p)
-    out[j < 0] = 0
-    out[j >= k - 1] = k - 1
-    return out.astype(np.int64, copy=False)
+    j = np.searchsorted(centers, values, side="right")
+    j -= 1
+    out = np.maximum(j, 0)
+    np.minimum(out, k - 2, out=out)
+    lo = centers[out]
+    hi = centers[1:][out]
+    p = values - lo
+    hi -= lo
+    p /= hi
+    # Below c_0 the ratio is negative, so no draw moves the index off 0.
+    # At or above c_{k-1}, and for NaN, j is k - 1 and the maximum lifts
+    # the index there.
+    out += uniforms < p
+    np.maximum(out, j, out=out)
+    return out
 
 
 def expected_sq_error(values, centers):

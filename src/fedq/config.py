@@ -13,6 +13,7 @@ from pathlib import Path
 from .client import LrSchedule
 from .datagen import DataGenParams
 from .errors import ParseError, ValidationError
+from .quantkit import MAX_RATE
 
 _TOP_KEYS = {
     "n_clients", "d", "bitwidths", "rounds", "grad_extra_bits", "local_epochs",
@@ -140,6 +141,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     grad_extra = raw.get("grad_extra_bits", 2)
     _require(_is_int(grad_extra) and grad_extra >= 0, "grad_extra_bits must be >= 0")
+    # Gradients use rate s_k + grad_extra_bits; each rate r allocates 2^r centers.
+    _require(max(bitwidths) + grad_extra <= MAX_RATE,
+             f"max(bitwidths) + grad_extra_bits must be <= {MAX_RATE}, "
+             f"got {max(bitwidths)} + {grad_extra}")
     epochs = raw.get("local_epochs", 1)
     _require(_is_int(epochs) and epochs >= 1, "local_epochs (E) must be an integer >= 1")
     batch = raw.get("batch_size", 64)

@@ -41,6 +41,27 @@ class InvalidParams(FedqError):
     """Parameter values violate a documented precondition."""
 
 
+class NonFiniteInput(InvalidParams):
+    """A tensor handed to a quantizer holds NaN or +-inf."""
+
+
+class Diverged(FedqError):
+    """Training produced non-finite values; says where it happened.
+
+    ``phase`` is "client update" or "server requantize"; ``round`` is
+    1-based and ``client`` is the client id.
+    """
+
+    def __init__(self, round: int, client: int, phase: str):
+        self.round = round
+        self.client = client
+        self.phase = phase
+        super().__init__(
+            f"training diverged in round {round}, client {client}, during {phase}: "
+            "non-finite values reached the quantizer"
+        )
+
+
 class InvalidCoordinate(InvalidParams):
     """Coordinate index out of range."""
 

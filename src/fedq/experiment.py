@@ -25,7 +25,7 @@ from . import sslcore
 from .config import ExperimentConfig
 from .datagen import DataShard, generate_all_shards, global_covariance, read_dataset
 from .analysis import TheoryParams, moreau_grad_surrogate
-from .errors import ValidationError
+from .errors import Diverged, NonFiniteInput, ValidationError
 from .server import ServerState, aggregate
 
 AUTO_LR_COEFF = 0.05
@@ -255,12 +255,14 @@ def run_experiment(
         for t in range(1, cfg.rounds + 1):
             t0 = time.perf_counter()
             round_alphas.append(schedule.rate(t - 1))
-            round_stats = {
-                k: cl.run_local_epochs(
-                    states[k], shard_by_id[k], cfg.local_epochs, cfg.batch_size
-                )
-                for k in client_ids
-            }
+            round_stats = {}
+            for k in client_ids:
+                try:
+                    round_stats[k] = cl.run_local_epochs(
+                        states[k], shard_by_id[k], cfg.local_epochs, cfg.batch_size
+                    )
+                except NonFiniteInput as e:
+                    raise Diverged(t, k, "client update") from e
 
             local_loss = {
                 k: linear_loss(model_values(k), covs[k]) for k in client_ids

@@ -18,15 +18,19 @@ caller's RNG stream, consuming one uniform per element in row-major
 order.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateRange, InvalidParams
+from .errors import DegenerateRange, InvalidParams, NonFiniteInput
 
 # Ranges narrower than this collapse to a degenerate single-value codebook.
 RANGE_EPS = 1e-12
+
+# Largest codebook rate: 2^24 float64 centers (128 MiB), uint32 indices.
+MAX_RATE = 24
 
 COMPANDERS = ("identity", "tanh", "quantile")
 
@@ -48,11 +52,9 @@ class Codebook:
     source_range: tuple[float, float]
 
     def __post_init__(self):
-        if self.rate < 1:
-            raise InvalidParams(f"rate must be >= 1, got {self.rate}")
+        k = _codebook_size(self.rate)
         if self.compander not in COMPANDERS:
             raise InvalidParams(f"unknown compander {self.compander!r}")
-        k = 1 << self.rate
         if self.centers.shape != (k,):
             raise InvalidParams(
                 f"expected {k} centers for rate {self.rate}, got {self.centers.shape}"
@@ -82,8 +84,8 @@ class QuantizedTensor:
     codebook: Codebook
 
     def __post_init__(self):
-        self.shape = tuple(int(s) for s in self.shape)
-        n = int(np.prod(self.shape)) if self.shape else 1
+        self.shape = tuple(map(int, self.shape))
+        n = math.prod(self.shape)
         if self.indices.ndim != 1 or self.indices.shape[0] != n:
             raise InvalidParams(
                 f"index array of length {self.indices.shape} does not match shape {self.shape}"
@@ -103,11 +105,26 @@ def _index_dtype(k: int):
     return np.uint32
 
 
-def _require_finite_values(values: np.ndarray):
+def _codebook_size(rate: int) -> int:
+    """K = 2^rate, after checking 1 <= rate <= MAX_RATE."""
+    if not 1 <= rate <= MAX_RATE:
+        raise InvalidParams(f"rate must be in [1, {MAX_RATE}], got {rate}")
+    return 1 << int(rate)
+
+
+def _value_range(values: np.ndarray) -> tuple[float, float]:
+    """(min, max) of a nonempty tensor whose entries are all finite.
+
+    min and max propagate NaN and +-inf, so finite extrema prove every
+    entry finite without a separate isfinite pass.
+    """
     if values.size == 0:
         raise InvalidParams("cannot build a codebook from an empty tensor")
-    if not np.isfinite(values).all():
-        raise InvalidParams("codebook input contains non-finite values")
+    lo = float(values.min())
+    hi = float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NonFiniteInput("codebook input contains non-finite values")
+    return lo, hi
 
 
 def _repair_strictly_increasing(centers: np.ndarray) -> np.ndarray:
@@ -117,7 +134,7 @@ def _repair_strictly_increasing(centers: np.ndarray) -> np.ndarray:
     maximum on the ramp-shifted sequence (the loop-free form of that
     recurrence).
     """
-    if np.all(np.diff(centers) > 0.0):
+    if (centers[1:] > centers[:-1]).all():
         return centers
     scale = float(np.spacing(max(abs(centers[0]), abs(centers[-1]), 1.0)))
     ramp = scale * np.arange(centers.shape[0])
@@ -131,8 +148,7 @@ def degenerate_codebook(value: float, rate: int, compander: str = "identity") ->
     index 0. Constant layers occur at initialization, so builders fitted
     to data fall back to this instead of failing.
     """
-    k = 1 << rate
-    centers = np.full(k, float(value))
+    centers = np.full(_codebook_size(rate), float(value))
     return Codebook(rate, centers, compander, (float(value), float(value)))
 
 
@@ -148,8 +164,7 @@ def build_uniform_codebook(lo: float, hi: float, rate: int) -> Codebook:
         raise InvalidParams("range endpoints must be finite")
     if hi - lo < RANGE_EPS:
         raise DegenerateRange(f"range [{lo}, {hi}] narrower than {RANGE_EPS}")
-    k = 1 << int(rate)
-    centers = np.linspace(lo, hi, k)
+    centers = np.linspace(lo, hi, _codebook_size(rate))
     return Codebook(int(rate), centers, "identity", (lo, hi))
 
 
@@ -163,19 +178,28 @@ def build_tanh_codebook(values: np.ndarray, rate: int) -> Codebook:
     exactly representable. Near-constant input falls back to the
     degenerate single-value codebook.
     """
-    values = np.asarray(values, dtype=np.float64)
-    _require_finite_values(values)
-    lo = float(values.min())
-    hi = float(values.max())
+    k = _codebook_size(rate)
+    lo, hi = _value_range(np.asarray(values, dtype=np.float64))
     if hi - lo < RANGE_EPS:
         return degenerate_codebook(0.5 * (lo + hi), int(rate), "tanh")
-    k = 1 << int(rate)
-    t = np.linspace(np.tanh(lo), np.tanh(hi), k)
-    with np.errstate(divide="ignore", over="ignore"):
+    # np.linspace(t0, t1, k) spelled out: same operations, same bits.
+    t0 = float(np.tanh(lo))
+    t1 = float(np.tanh(hi))
+    t = np.arange(k, dtype=np.float64)
+    t *= (t1 - t0) / (k - 1)
+    t += t0
+    t[-1] = t1
+    if -1.0 < t0 and t1 < 1.0:
         centers = np.arctanh(t)
+    else:
+        # tanh saturates to +-1 beyond |x| ~ 19; arctanh(+-1) = +-inf.
+        with np.errstate(divide="ignore", over="ignore"):
+            centers = np.arctanh(t)
     centers[0] = lo
     centers[-1] = hi
-    np.clip(centers, lo, hi, out=centers)
+    # Scalar first: on a tie (+-0) the center is kept, as np.clip does.
+    np.maximum(lo, centers, out=centers)
+    np.minimum(hi, centers, out=centers)
     centers = _repair_strictly_increasing(centers)
     return Codebook(int(rate), centers, "tanh", (lo, hi))
 
@@ -188,16 +212,15 @@ def build_quantile_codebook(values: np.ndarray, rate: int) -> Codebook:
     restore strict increase; constant input falls back to the degenerate
     codebook (an all-zero gradient tensor is the common case).
     """
+    k = _codebook_size(rate)
     values = np.asarray(values, dtype=np.float64)
-    _require_finite_values(values)
-    lo = float(values.min())
-    hi = float(values.max())
+    lo, hi = _value_range(values)
     if hi - lo < RANGE_EPS:
         return degenerate_codebook(0.5 * (lo + hi), int(rate), "quantile")
-    k = 1 << int(rate)
-    probs = (np.arange(k) + 0.5) / k
     order_stats = np.sort(values.ravel())
-    centers = np.interp(probs * (order_stats.size - 1), np.arange(order_stats.size), order_stats)
+    n = order_stats.size
+    pos = (np.arange(k, dtype=np.float64) + 0.5) / k * (n - 1)
+    centers = np.interp(pos, np.arange(n, dtype=np.float64), order_stats)
     centers = _repair_strictly_increasing(centers)
     # The nudge can push the top center a few ulps past max(values).
     hi = max(hi, float(centers[-1]))
@@ -248,7 +271,7 @@ def fit_and_quantize(
     q = stochastic_quantize(x, cb, rng)
     values = dequantize(q)
     err = values - x
-    return q, values, float(np.sum(err * err))
+    return q, values, float((err * err).sum())
 
 
 def empirical_mse(

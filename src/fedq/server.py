@@ -18,7 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import quantkit as qk
-from .errors import EmptyInput, InvalidParams, MissingClient, ShapeMismatch
+from .errors import (
+    Diverged, EmptyInput, InvalidParams, MissingClient, NonFiniteInput, ShapeMismatch,
+)
 
 
 def dequantize_client_models(models: list[list[qk.QuantizedTensor]]) -> list[list[np.ndarray]]:
@@ -111,7 +113,8 @@ class ServerState:
 
         Full participation is assumed: every registered client must
         report, otherwise MissingClient is raised. The aggregate is kept
-        in ``global_model`` at full precision.
+        in ``global_model`` at full precision. A non-finite aggregate
+        raises Diverged naming the (1-based) round and the client.
         """
         expected = sorted(self.client_bitwidths)
         got = sorted(client_models)
@@ -128,9 +131,12 @@ class ServerState:
         out = {}
         errors = {}
         for k in expected:
-            model, eps_r_sq = requantize_for_client(
-                self.global_model, self.client_bitwidths[k], self._round_rng(k)
-            )
+            try:
+                model, eps_r_sq = requantize_for_client(
+                    self.global_model, self.client_bitwidths[k], self._round_rng(k)
+                )
+            except NonFiniteInput as e:
+                raise Diverged(self.round_counter + 1, k, "server requantize") from e
             out[k] = model
             errors[k] = eps_r_sq
         self.requant_error_log.append(errors)

@@ -30,6 +30,18 @@ def _brute_force_round(values, centers, uniforms):
     return np.array(out, dtype=np.int64)
 
 
+def _masked_clamp_round(values, centers, uniforms):
+    """The rounding rule with both range clamps as explicit masks."""
+    k = centers.shape[0]
+    j = np.searchsorted(centers, values, side="right") - 1
+    jc = np.clip(j, 0, k - 2)
+    p = (values - centers[jc]) / (centers[jc + 1] - centers[jc])
+    out = jc + (uniforms < p)
+    out[j < 0] = 0
+    out[j >= k - 1] = k - 1
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
@@ -73,3 +85,26 @@ def test_out_of_range_clamps():
     err = reference.expected_sq_error(x, centers)
     np.testing.assert_allclose(err, [25.0, 0.0, 0.0, 64.0])
 
+
+
+def test_infinities_clamp_to_end_indices():
+    centers = _centers(8, -1.0, 1.0)
+    x = np.array([-np.inf, np.inf, -np.inf, np.inf])
+    u = np.array([0.0, 0.0, 0.999, 0.999])
+    got = reference.stochastic_round(x, centers, u)
+    np.testing.assert_array_equal(got, [0, 7, 0, 7])
+    assert got.dtype == np.int64
+
+
+@pytest.mark.parametrize("k", [2, 3, 16])
+def test_matches_masked_clamp_form(rng, k):
+    centers = np.sort(rng.normal(size=k)) if k > 2 else np.array([-0.5, 0.25])
+    x = np.concatenate([
+        rng.normal(scale=2.0, size=500),
+        centers,
+        [-np.inf, np.inf, np.nan, np.nextafter(centers[0], -np.inf),
+         np.nextafter(centers[-1], np.inf)],
+    ])
+    u = rng.random(x.size)
+    got = reference.stochastic_round(x, centers, u)
+    np.testing.assert_array_equal(got, _masked_clamp_round(x, centers, u))

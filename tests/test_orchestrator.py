@@ -9,7 +9,8 @@ import pytest
 from fedq import server as sv
 from fedq.cli import cli_dispatch
 from fedq.config import config_from_dict, load_config
-from fedq.errors import ParseError, ValidationError
+from fedq.errors import Diverged, NonFiniteInput, ParseError, ValidationError
+from fedq.quantkit import MAX_RATE
 from fedq.experiment import run_experiment
 
 
@@ -58,6 +59,18 @@ class TestConfig:
         # bool("false") is True and bool(0) is False; neither may be coerced.
         with pytest.raises(ValidationError, match=f"metrics.{key} must be boolean"):
             config_from_dict(minimal(metrics={key: value}))
+
+    def test_bitwidth_above_cap_rejected(self):
+        # Validation only: a 2^32-center codebook is never built.
+        with pytest.raises(ValidationError, match="bitwidths"):
+            config_from_dict(minimal(bitwidths=[30, 4]))
+
+    def test_gradient_rate_counts_toward_cap(self):
+        cfg = config_from_dict(minimal(bitwidths=[MAX_RATE - 2, 4]))
+        assert cfg.grad_extra_bits == 2
+        config_from_dict(minimal(bitwidths=[MAX_RATE, 4], grad_extra_bits=0))
+        with pytest.raises(ValidationError, match="grad_extra_bits"):
+            config_from_dict(minimal(bitwidths=[MAX_RATE - 1, 4]))
 
     def test_layer_chain_must_match_dims(self):
         with pytest.raises(ValidationError, match="model.layers"):
@@ -195,6 +208,40 @@ class TestRunExperiment:
         # theory-path metrics are linear-model-only
         assert math.isnan(res.records[-1].global_loss)
         assert all(v >= 0.0 for v in res.records[-1].eps_w_mean.values())
+
+
+def diverging_run_dict(tmp_path):
+    return {
+        "n_clients": 2,
+        "d": 8,
+        "bitwidths": [4, 8],
+        "rounds": 3,
+        "lr": {"base": 5},
+        "output_dir": str(tmp_path / "run"),
+    }
+
+
+class TestDivergence:
+    def test_error_names_round_and_client_and_keeps_rows(self, tmp_path):
+        cfg = config_from_dict(diverging_run_dict(tmp_path))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(Diverged) as info:
+                run_experiment(cfg)
+        err = info.value
+        assert (err.round, err.client, err.phase) == (1, 1, "client update")
+        assert "round 1, client 1, during client update" in str(err)
+        assert isinstance(err.__cause__, NonFiniteInput)
+        lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("round,global_loss,")
+        assert lines[1].startswith("0,")
+
+    def test_cli_reports_location(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(diverging_run_dict(tmp_path)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_dispatch(["run", "--config", str(cfg_path)]) == 1
+        assert "error: training diverged in round 1, client 1" in capsys.readouterr().err
 
 
 class TestCli:

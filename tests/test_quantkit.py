@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedq import quantkit as qk
 from fedq._kernels import reference
-from fedq.errors import DegenerateRange, InvalidParams
+from fedq.errors import DegenerateRange, InvalidParams, NonFiniteInput
 
 
 @pytest.fixture
@@ -41,6 +41,46 @@ class TestUniformCodebook:
     def test_bad_rate(self):
         with pytest.raises(InvalidParams):
             qk.build_uniform_codebook(0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rate: qk.build_uniform_codebook(0.0, 1.0, rate),
+        lambda rate: qk.build_tanh_codebook(np.array([0.0, 1.0]), rate),
+        lambda rate: qk.build_quantile_codebook(np.array([0.0, 1.0]), rate),
+        lambda rate: qk.degenerate_codebook(0.5, rate),
+    ],
+    ids=["uniform", "tanh", "quantile", "degenerate"],
+)
+def test_builders_check_rate_cap_before_allocating(build):
+    # 2^(MAX_RATE + 1) centers would be 256 MiB; the check must come first.
+    with pytest.raises(InvalidParams, match="rate must be in"):
+        build(qk.MAX_RATE + 1)
+
+
+_FITTERS = {
+    "tanh": lambda x: qk.build_tanh_codebook(x, 4),
+    "quantile": lambda x: qk.build_quantile_codebook(x, 4),
+    "fit-tanh": lambda x: qk.fit_and_quantize(x, 4, "tanh", np.random.default_rng(0)),
+    "fit-quantile": lambda x: qk.fit_and_quantize(x, 4, "quantile", np.random.default_rng(0)),
+}
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize("fitter", list(_FITTERS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, fitter, bad):
+        x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        x[1, 2] = bad
+        with pytest.raises(InvalidParams, match="non-finite") as info:
+            _FITTERS[fitter](x)
+        assert isinstance(info.value, NonFiniteInput)
+
+    @pytest.mark.parametrize("fitter", list(_FITTERS))
+    def test_empty_input_rejected(self, fitter):
+        with pytest.raises(InvalidParams, match="empty"):
+            _FITTERS[fitter](np.zeros((0, 3)))
 
 
 class TestTanhCodebook:
@@ -74,6 +114,47 @@ class TestTanhCodebook:
         assert np.all(np.diff(cb.centers) > 0)
         assert cb.centers[0] >= cb.source_range[0]
         assert cb.centers[-1] <= cb.source_range[1]
+
+
+def _linspace_tanh_centers(lo, hi, rate):
+    """Tanh codebook centers built with np.linspace and np.clip, the
+    form build_tanh_codebook spells out; kept as its reference."""
+    t = np.linspace(np.tanh(lo), np.tanh(hi), 1 << rate)
+    with np.errstate(divide="ignore", over="ignore"):
+        centers = np.arctanh(t)
+    centers[0] = lo
+    centers[-1] = hi
+    np.clip(centers, lo, hi, out=centers)
+    if np.all(np.diff(centers) > 0.0):
+        return centers
+    scale = float(np.spacing(max(abs(centers[0]), abs(centers[-1]), 1.0)))
+    ramp = scale * np.arange(centers.shape[0])
+    return np.maximum.accumulate(centers - ramp) + ramp
+
+
+_ENDPOINTS = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(-40.0, 40.0),
+    st.floats(18.0, 40.0),  # tanh(x) == 1.0 beyond ~19.06
+    st.floats(-40.0, -18.0),
+    st.floats(-1e-6, 1e-6),
+)
+
+
+class TestTanhGridMatchesLinspace:
+    @settings(max_examples=400, deadline=None)
+    @given(a=_ENDPOINTS, b=_ENDPOINTS, rate=st.integers(1, 10))
+    @example(a=20.0, b=25.0, rate=4)
+    @example(a=-25.0, b=-19.5, rate=10)
+    @example(a=-30.0, b=30.0, rate=10)
+    @example(a=0.0, b=1e-9, rate=3)
+    @example(a=-0.0, b=0.5, rate=2)
+    def test_centers_bit_identical(self, a, b, rate):
+        lo, hi = min(a, b), max(a, b)
+        assume(hi - lo >= qk.RANGE_EPS)
+        cb = qk.build_tanh_codebook(np.array([lo, 0.5 * (lo + hi), hi]), rate)
+        ref = _linspace_tanh_centers(lo, hi, rate)
+        np.testing.assert_array_equal(cb.centers.view(np.uint64), ref.view(np.uint64))
 
 
 class TestQuantileCodebook:

@@ -6,7 +6,7 @@ import pytest
 
 from fedq import quantkit as qk
 from fedq import server as sv
-from fedq.errors import EmptyInput, MissingClient, ShapeMismatch
+from fedq.errors import Diverged, EmptyInput, MissingClient, NonFiniteInput, ShapeMismatch
 
 
 def quantized(w, bits, seed):
@@ -168,3 +168,13 @@ class TestRunRound:
         log = server.requant_error_log[-1]
         assert set(log) == {1, 2}
         assert log[1] >= 0.0 and log[2] >= 0.0
+
+    def test_non_finite_aggregate_names_round_and_client(self):
+        cb = qk.Codebook(1, np.array([0.0, np.inf]), "identity", (0.0, np.inf))
+        q = qk.QuantizedTensor((2,), np.array([0, 1], dtype=np.uint8), cb)
+        server = sv.ServerState({1: 4, 2: 4}, seed=3)
+        with pytest.raises(Diverged, match="round 1, client 1") as info:
+            server.run_round({1: [q], 2: [q]}, {1: 5, 2: 5})
+        assert (info.value.round, info.value.client, info.value.phase) == (
+            1, 1, "server requantize")
+        assert isinstance(info.value.__cause__, NonFiniteInput)
