@@ -88,20 +88,27 @@ def prox_solve(w: np.ndarray, xbar: np.ndarray, tp: TheoryParams) -> ProxResult:
     w = np.asarray(w, dtype=np.float64)
     lam1 = sslcore.spectral_norm(xbar)
     step = 1.0 / (tp.rho_bar + 16.0 * max(lam1, 0.0))
-    y = w.copy()
+    half_rho = 0.5 * tp.rho_bar
 
-    def inner(yv: np.ndarray) -> float:
+    # Each iterate's Gram residual and offset from w are formed once:
+    # the objective uses them when the iterate is proposed, the
+    # gradient reuses them after it is accepted.
+    def inner(yv: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        r = sslcore.residual(yv, xbar)
         diff = yv - w
-        return sslcore.loss(yv, xbar) + 0.5 * tp.rho_bar * float(np.sum(diff * diff))
+        return sslcore.loss(yv, xbar, r) + half_rho * float((diff * diff).sum()), r, diff
 
-    obj = inner(y)
+    y = w.copy()
+    obj, r, diff = inner(y)
     rejections = 0
     for _ in range(tp.inner_iters):
-        g = sslcore.grad(y, xbar) + tp.rho_bar * (y - w)
-        if step * float(np.linalg.norm(g)) < tp.inner_tol:
+        g = sslcore.grad(y, xbar, r)
+        g += tp.rho_bar * diff
+        gf = g.ravel()  # ||g|| exactly as np.linalg.norm forms it
+        if step * math.sqrt(gf.dot(gf)) < tp.inner_tol:
             break
         y_new = y - step * g
-        obj_new = inner(y_new)
+        obj_new, r_new, diff_new = inner(y_new)
         if obj_new > obj:
             rejections += 1
             if rejections >= 10:
@@ -109,8 +116,7 @@ def prox_solve(w: np.ndarray, xbar: np.ndarray, tp: TheoryParams) -> ProxResult:
             step *= 0.5
             continue
         rejections = 0
-        y = y_new
-        obj = obj_new
+        y, obj, r, diff = y_new, obj_new, r_new, diff_new
     surrogate = tp.rho_bar * float(np.linalg.norm(w - y))
     return ProxResult(y, obj, surrogate)
 

@@ -127,8 +127,8 @@ def run_experiment(
 
     Shards come from ``shards``/``data_dir`` when given, otherwise they
     are generated from the config. Artifacts written to the output
-    directory: config_echo.json, metrics.csv (one flushed row per
-    round), timings.csv.
+    directory: config_echo.json, metrics.csv and timings.csv (each one
+    flushed row per round).
     """
     if shards is None:
         if data_dir is not None:
@@ -209,9 +209,8 @@ def run_experiment(
     )
 
     out_dir = None
-    metrics_path = None
     mfile = None
-    timings: list[tuple[int, float]] = []
+    tfile = None
     repr_dims = cfg.n_clients if cfg.metrics.representability else 0
     if write_artifacts:
         out_dir = Path(cfg.output_dir)
@@ -219,10 +218,12 @@ def run_experiment(
         echo = cfg.to_json_dict()
         echo["lr"]["base"] = lr_base
         (out_dir / "config_echo.json").write_text(json.dumps(echo, indent=2) + "\n")
-        metrics_path = out_dir / "metrics.csv"
-        mfile = open(metrics_path, "w", newline="\n")
+        mfile = open(out_dir / "metrics.csv", "w", newline="\n")
         mfile.write(_metrics_header(client_ids, repr_dims) + "\n")
         mfile.flush()
+        tfile = open(out_dir / "timings.csv", "w", newline="\n")
+        tfile.write("round,wall_ms\n")
+        tfile.flush()
 
     records: list[MetricsRecord] = []
     client_stats = {k: cl.QuantErrorStats() for k in client_ids}
@@ -234,6 +235,9 @@ def run_experiment(
         if mfile is not None:
             mfile.write(_metrics_row(rec, client_ids, repr_dims) + "\n")
             mfile.flush()
+        if tfile is not None and rec.round > 0:
+            tfile.write(f"{rec.round},{rec.wall_ms:.3f}\n")
+            tfile.flush()
 
     try:
         gl, mo, rep = global_metrics(init_global)
@@ -256,18 +260,24 @@ def run_experiment(
             t0 = time.perf_counter()
             round_alphas.append(schedule.rate(t - 1))
             round_stats = {}
-            for k in client_ids:
-                try:
-                    round_stats[k] = cl.run_local_epochs(
-                        states[k], shard_by_id[k], cfg.local_epochs, cfg.batch_size
-                    )
-                except NonFiniteInput as e:
-                    raise Diverged(t, k, "client update") from e
+            # Overflow on the way to divergence must not surface as a
+            # numpy warning: the quantizer's finiteness check reports it
+            # as Diverged, with its round, client and phase.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in client_ids:
+                    try:
+                        round_stats[k] = cl.run_local_epochs(
+                            states[k], shard_by_id[k], cfg.local_epochs, cfg.batch_size
+                        )
+                    except NonFiniteInput as e:
+                        raise Diverged(t, k, "client update") from e
+                new_models = server.run_round(
+                    {k: states[k].model for k in client_ids}, counts
+                )
 
             local_loss = {
                 k: linear_loss(model_values(k), covs[k]) for k in client_ids
             }
-            new_models = server.run_round({k: states[k].model for k in client_ids}, counts)
             for k in client_ids:
                 states[k].model = new_models[k]
                 client_stats[k].extend(round_stats[k])
@@ -285,17 +295,11 @@ def run_experiment(
                 representability=rep,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
             )
-            timings.append((t, rec.wall_ms))
             emit(rec)
     finally:
-        if mfile is not None:
-            mfile.close()
-
-    if out_dir is not None:
-        with open(out_dir / "timings.csv", "w", newline="\n") as f:
-            f.write("round,wall_ms\n")
-            for t, ms in timings:
-                f.write(f"{t},{ms:.3f}\n")
+        for f in (mfile, tfile):
+            if f is not None:
+                f.close()
 
     return ExperimentResult(
         config=cfg,

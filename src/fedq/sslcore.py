@@ -38,17 +38,30 @@ def _check_dims(w: np.ndarray, x: np.ndarray):
         )
 
 
-def loss(w: np.ndarray, x: np.ndarray) -> float:
-    """||X - w^T w||_F^2."""
+def residual(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gram residual w^T w - X, shared by ``loss`` and ``grad``."""
     _check_dims(w, x)
-    r = x - w.T @ w
-    return float(np.sum(r * r))
+    return w.T @ w - x
 
 
-def grad(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of ``loss`` in w: 4 w (w^T w - X)."""
-    _check_dims(w, x)
-    return 4.0 * w @ (w.T @ w - x)
+def _given_residual(w: np.ndarray, x: np.ndarray, r: np.ndarray | None) -> np.ndarray:
+    if r is None:
+        return residual(w, x)
+    if r.shape != x.shape:
+        raise DimensionMismatch(f"residual shape {r.shape} does not match covariance {x.shape}")
+    return r
+
+
+def loss(w: np.ndarray, x: np.ndarray, r: np.ndarray | None = None) -> float:
+    """||X - w^T w||_F^2; ``r`` is ``residual(w, x)`` when already formed."""
+    r = _given_residual(w, x, r)
+    return float((r * r).sum())
+
+
+def grad(w: np.ndarray, x: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of ``loss`` in w: 4 w (w^T w - X); ``r`` as in ``loss``."""
+    r = _given_residual(w, x, r)
+    return 4.0 * w @ r
 
 
 def stochastic_grad(

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedq import analysis as an
 from fedq import datagen as dg
 from fedq import sslcore as ssl
-from fedq.errors import InvalidCoordinate, InvalidParams
+from fedq.errors import InvalidCoordinate, InvalidParams, NoConvergence
 
 
 def random_psd(rng, d):
@@ -60,6 +62,97 @@ class TestProxSurrogate:
         w = rng.normal(size=(3, 6))
         res = an.prox_solve(w, x, tp)
         assert res.envelope <= ssl.loss(w, x) + 1e-12
+
+
+def reference_prox_solve(w, xbar, tp):
+    """The prox loop as first written, forming y^T y twice per iterate.
+
+    Kept as the bit-for-bit reference for ``prox_solve``, with the loss
+    and gradient written out as they were then; it also returns how many
+    steps it rejected (and halved).
+    """
+    w = np.asarray(w, dtype=np.float64)
+    lam1 = ssl.spectral_norm(xbar)
+    step = 1.0 / (tp.rho_bar + 16.0 * max(lam1, 0.0))
+    y = w.copy()
+
+    def inner(yv):
+        r = xbar - yv.T @ yv
+        diff = yv - w
+        return float(np.sum(r * r)) + 0.5 * tp.rho_bar * float(np.sum(diff * diff))
+
+    obj = inner(y)
+    rejections = 0
+    halvings = 0
+    for _ in range(tp.inner_iters):
+        g = 4.0 * y @ (y.T @ y - xbar) + tp.rho_bar * (y - w)
+        if step * float(np.linalg.norm(g)) < tp.inner_tol:
+            break
+        y_new = y - step * g
+        obj_new = inner(y_new)
+        if obj_new > obj:
+            rejections += 1
+            if rejections >= 10:
+                raise NoConvergence("prox objective increased for 10 consecutive steps")
+            step *= 0.5
+            halvings += 1
+            continue
+        rejections = 0
+        y = y_new
+        obj = obj_new
+    surrogate = tp.rho_bar * float(np.linalg.norm(w - y))
+    return y, obj, surrogate, halvings
+
+
+def assert_matches_reference(w, x, tp):
+    try:
+        point, envelope, surrogate, halvings = reference_prox_solve(w, x, tp)
+    except NoConvergence:
+        with pytest.raises(NoConvergence):
+            an.prox_solve(w, x, tp)
+        return None
+    res = an.prox_solve(w, x, tp)
+    assert res.point.tobytes() == point.tobytes()
+    assert res.envelope.hex() == envelope.hex()
+    assert res.surrogate.hex() == surrogate.hex()
+    return halvings
+
+
+class TestProxSolveBitIdentical:
+    @settings(max_examples=120, deadline=None)
+    # The 16 x 64 aggregate of a full-batch run with 16 clients.
+    @example(seed=7, d=64, m_frac=0.24, x_log10=0.0, w_log10=-2.0)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 16),
+        m_frac=st.floats(0.0, 1.0),
+        x_log10=st.floats(-3.0, 1.0),
+        w_log10=st.floats(-3.0, 1.0),
+    )
+    def test_random_psd(self, seed, d, m_frac, x_log10, w_log10):
+        rng = np.random.default_rng(seed)
+        m = 1 + min(d - 1, int(m_frac * d))
+        x = 10.0**x_log10 * random_psd(rng, d)
+        w = 10.0**w_log10 * rng.normal(size=(m, d))
+        assert_matches_reference(w, x, an.TheoryParams.from_covariance(x))
+
+    def test_step_halving_branch(self, setup):
+        rng, x, tp = setup
+        w = 2.0 * rng.normal(size=(3, 6))
+        assert assert_matches_reference(w, x, tp) == 9
+
+    # The cubic term of the gradient overshoots from far out: at scale 30
+    # the longest run of rejected steps is 9, at scale 35 it is 10.
+    def test_nine_consecutive_rejections_recover(self, setup):
+        rng, x, tp = setup
+        w = 30.0 * rng.normal(size=(3, 6))
+        assert assert_matches_reference(w, x, tp) == 9
+
+    def test_ten_consecutive_rejections_raise(self, setup):
+        rng, x, tp = setup
+        w = 35.0 * rng.normal(size=(3, 6))
+        with pytest.raises(NoConvergence, match="10 consecutive"):
+            an.prox_solve(w, x, tp)
 
 
 class TestConvergenceBoundRhs:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fedq import experiment as exp
 from fedq import server as sv
 from fedq.cli import cli_dispatch
 from fedq.config import config_from_dict, load_config
@@ -222,11 +223,12 @@ def diverging_run_dict(tmp_path):
 
 
 class TestDivergence:
+    # No np.errstate here: tier-1 turns RuntimeWarnings into errors, so an
+    # overflow warning escaping the run would replace Diverged.
     def test_error_names_round_and_client_and_keeps_rows(self, tmp_path):
         cfg = config_from_dict(diverging_run_dict(tmp_path))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(Diverged) as info:
-                run_experiment(cfg)
+        with pytest.raises(Diverged) as info:
+            run_experiment(cfg)
         err = info.value
         assert (err.round, err.client, err.phase) == (1, 1, "client update")
         assert "round 1, client 1, during client update" in str(err)
@@ -235,13 +237,31 @@ class TestDivergence:
         assert len(lines) == 2
         assert lines[0].startswith("round,global_loss,")
         assert lines[1].startswith("0,")
+        assert (tmp_path / "run" / "timings.csv").read_text() == "round,wall_ms\n"
 
     def test_cli_reports_location(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(diverging_run_dict(tmp_path)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli_dispatch(["run", "--config", str(cfg_path)]) == 1
+        assert cli_dispatch(["run", "--config", str(cfg_path)]) == 1
         assert "error: training diverged in round 1, client 1" in capsys.readouterr().err
+
+    def test_failed_run_keeps_completed_timing_rows(self, tmp_path, monkeypatch):
+        real = exp.cl.run_local_epochs
+
+        def fail_in_round_2(state, *args):
+            if state.round_counter == 1:  # rounds completed so far
+                raise RuntimeError("injected failure")
+            return real(state, *args)
+
+        monkeypatch.setattr(exp.cl, "run_local_epochs", fail_in_round_2)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_experiment(config_from_dict(small_run_dict(tmp_path)))
+        lines = (tmp_path / "run" / "timings.csv").read_text().splitlines()
+        assert lines[0] == "round,wall_ms"
+        assert [line.split(",")[0] for line in lines[1:]] == ["1"]
+        assert float(lines[1].split(",")[1]) >= 0.0
+        metrics = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in metrics[1:]] == ["0", "1"]
 
 
 class TestCli:

@@ -68,6 +68,41 @@ class TestGrad:
         assert abs(dd - inner) <= 1e-5 * max(1.0, abs(inner))
 
 
+class TestResidual:
+    @pytest.fixture
+    def wx(self):
+        rng = np.random.default_rng(8)
+        return rng.normal(size=(3, 7)), random_psd(rng, 7)
+
+    def test_is_gram_minus_covariance(self, wx):
+        w, x = wx
+        np.testing.assert_array_equal(ssl.residual(w, x), w.T @ w - x)
+
+    def test_passed_residual_is_bit_identical(self, wx):
+        w, x = wx
+        r = ssl.residual(w, x)
+        assert ssl.loss(w, x, r).hex() == ssl.loss(w, x).hex()
+        assert ssl.grad(w, x, r).tobytes() == ssl.grad(w, x).tobytes()
+
+    def test_loss_matches_first_form(self, wx):
+        # x - w^T w is the exact negation of the residual: same squares.
+        w, x = wx
+        r = x - w.T @ w
+        assert ssl.loss(w, x).hex() == float(np.sum(r * r)).hex()
+
+    def test_residual_checks_dims(self):
+        with pytest.raises(DimensionMismatch):
+            ssl.residual(np.zeros((2, 3)), np.eye(4))
+        with pytest.raises(DimensionMismatch):
+            ssl.residual(np.zeros(3), np.eye(3))
+
+    @pytest.mark.parametrize("fn", [ssl.loss, ssl.grad])
+    def test_wrong_shape_residual_rejected(self, wx, fn):
+        w, x = wx
+        with pytest.raises(DimensionMismatch, match="residual shape"):
+            fn(w, x, np.zeros((6, 6)))
+
+
 class TestStochasticGrad:
     def test_noiseless_full_batch_is_algebraic(self):
         rng = np.random.default_rng(5)
