@@ -126,11 +126,6 @@ def moreau_grad_surrogate(w: np.ndarray, xbar: np.ndarray, tp: TheoryParams) -> 
     return prox_solve(w, xbar, tp).surrogate
 
 
-def moreau_envelope(w: np.ndarray, xbar: np.ndarray, tp: TheoryParams) -> float:
-    """Envelope value min_y L(y) + (rho_bar / 2) ||y - w||^2."""
-    return prox_solve(w, xbar, tp).envelope
-
-
 def convergence_bound_rhs(
     tp: TheoryParams,
     schedule: list[float],
@@ -244,17 +239,12 @@ def probe_run(rate: int, cfg: ProbeConfig, lr: float | None = None,
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.train_seed, spawn_key=(rate,)))
     init_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.train_seed, spawn_key=(0, 1)))
     layers = cl.init_layers([cfg.d, cfg.m], init_rng, 0.1 / math.sqrt(cfg.d))
-    ccfg = cl.ClientConfig(
-        bitwidth=rate,
-        grad_extra_bits=cfg.grad_extra_bits,
-        aug_sigma=cfg.aug_sigma,
-    )
-    state = cl.ClientState(
-        client_id=1,
-        config=ccfg,
-        model=cl.quantize_model(layers, rate, rng),
-        lr_schedule=cl.LrSchedule(kind="constant", base=lr if lr is not None else cfg.lr),
-        rng=rng,
+    state = cl.start_client(
+        1,
+        cl.ClientConfig(bitwidth=rate, grad_extra_bits=cfg.grad_extra_bits, aug_sigma=cfg.aug_sigma),
+        layers,
+        cl.LrSchedule(kind="constant", base=lr if lr is not None else cfg.lr),
+        rng,
     )
     return cl.run_local_epochs(state, shard, cfg.epochs, cfg.batch_size)
 

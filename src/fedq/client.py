@@ -145,14 +145,6 @@ class ClientState:
                     f"layer codebook rate {layer.codebook.rate} != bitwidth {self.config.bitwidth}"
                 )
 
-    @property
-    def bitwidth(self) -> int:
-        return self.config.bitwidth
-
-    @property
-    def grad_bitwidth(self) -> int:
-        return self.config.grad_bitwidth
-
     def layer_values(self) -> list[np.ndarray]:
         return [_values(layer) for layer in self.model]
 
@@ -195,6 +187,22 @@ def init_layers(dims: list[int], rng: np.random.Generator, std: float) -> list[n
 def quantize_model(layers: list[np.ndarray], bits: int, rng: np.random.Generator) -> list[qk.QuantizedTensor]:
     """Quantize each layer with a fresh tanh codebook at ``bits``."""
     return [qk.fit_and_quantize(w, bits, "tanh", rng)[0] for w in layers]
+
+
+def start_client(
+    client_id: int,
+    config: ClientConfig,
+    init: list[np.ndarray],
+    lr_schedule: LrSchedule,
+    rng: np.random.Generator,
+) -> ClientState:
+    """A client before its first round: ``init`` quantized at its bitwidth.
+
+    The codebooks draw from ``rng``, which then stays the client's own
+    stream for training.
+    """
+    model = quantize_model(init, config.bitwidth, rng)
+    return ClientState(client_id, config, model, lr_schedule, rng)
 
 
 def quantized_forward(

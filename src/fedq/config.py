@@ -6,13 +6,14 @@ overrides both seeds (smoke-test hook).
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .client import LrSchedule
 from .datagen import DataGenParams
-from .errors import ParseError, ValidationError
+from .errors import InvalidParams, ParseError, ValidationError
 from .quantkit import MAX_RATE
 
 _TOP_KEYS = {
@@ -113,6 +114,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    # JSON true/false and Infinity/NaN must not pass as numbers either
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _require(cond: bool, invariant: str):
     if not cond:
         raise ValidationError(invariant)
@@ -151,7 +157,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(batch is None or (_is_int(batch) and batch >= 1),
              "batch_size must be null (full batch) or an integer >= 1")
     aug_sigma = raw.get("aug_sigma", 0.1)
-    _require(isinstance(aug_sigma, (int, float)) and aug_sigma >= 0, "aug_sigma must be >= 0")
+    _require(_is_real(aug_sigma) and aug_sigma >= 0, "aug_sigma must be a real number >= 0")
     qact = raw.get("quantize_activations", False)
     _require(isinstance(qact, bool), "quantize_activations must be boolean")
 
@@ -160,8 +166,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     lr_kind = lr.get("kind", "inverse_sqrt")
     _require(lr_kind in ("constant", "inverse_sqrt"), "lr.kind must be constant or inverse_sqrt")
     lr_base = lr.get("base")
-    _require(lr_base is None or (isinstance(lr_base, (int, float)) and lr_base > 0),
-             "lr.base must be positive or null for auto")
+    _require(lr_base is None or (_is_real(lr_base) and lr_base > 0),
+             "lr.base must be a positive real number or null for auto")
     lr_const = lr.get("constant_within_round", True)
     _require(isinstance(lr_const, bool), "lr.constant_within_round must be boolean")
 
@@ -181,6 +187,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     data = dict(raw.get("data", {}))
     _reject_unknown(data, _DATA_KEYS, "data")
+    frequent_count = data.get("frequent_count", 2000)
+    _require(_is_int(frequent_count), "data.frequent_count must be an integer")
+    infrequent_exponent = data.get("infrequent_exponent", 0.3)
+    _require(_is_real(infrequent_exponent), "data.infrequent_exponent must be a real number")
     seeds = dict(raw.get("seeds", {}))
     _reject_unknown(seeds, _SEED_KEYS, "seeds")
     data_seed = seeds.get("data", 0)
@@ -205,12 +215,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         gen = DataGenParams(
             n=n,
             d=d,
-            frequent_count=data.get("frequent_count", 2000),
-            infrequent_exponent=data.get("infrequent_exponent", 0.3),
+            frequent_count=frequent_count,
+            infrequent_exponent=infrequent_exponent,
             seed=data_seed,
         )
-    except Exception as e:
+    except InvalidParams as e:
         raise ValidationError(f"data section invalid: {e}") from e
+    output_dir = raw.get("output_dir", "runs/out")
+    _require(isinstance(output_dir, str), "output_dir must be a string")
 
     return ExperimentConfig(
         n_clients=n,
@@ -231,7 +243,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         data_seed=data_seed,
         training_seed=train_seed,
         metrics=flags,
-        output_dir=str(raw.get("output_dir", "runs/out")),
+        output_dir=output_dir,
     )
 
 

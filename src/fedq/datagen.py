@@ -26,6 +26,8 @@ from .errors import DimensionMismatch, EmptyInput, InvalidParams
 _MAGIC = b"FQDS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIQQ")
+# Fields of the datagen.json sidecar that rebuild the DataGenParams.
+_SIDECAR_TYPES = {"n": int, "d": int, "frequent_count": int, "infrequent_exponent": float, "seed": int}
 
 
 @dataclass(frozen=True)
@@ -239,15 +241,23 @@ def write_dataset(out_dir: Path | str, params: DataGenParams,
 
 
 def read_dataset(in_dir: Path | str) -> tuple[DataGenParams, list[DataShard]]:
+    """Shards written by ``write_dataset``; a bad sidecar raises InvalidParams naming it."""
     in_dir = Path(in_dir)
-    meta = json.loads((in_dir / "datagen.json").read_text())
-    params = DataGenParams(
-        n=meta["n"],
-        d=meta["d"],
-        frequent_count=meta["frequent_count"],
-        infrequent_exponent=meta["infrequent_exponent"],
-        seed=meta["seed"],
-    )
+    sidecar = in_dir / "datagen.json"
+    try:
+        meta = json.loads(sidecar.read_text())
+    except (OSError, ValueError) as e:
+        raise InvalidParams(f"{sidecar}: {e}") from e
+    if not isinstance(meta, dict):
+        raise InvalidParams(f"{sidecar}: expected a JSON object")
+    for key, kind in _SIDECAR_TYPES.items():
+        value = meta.get(key)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise InvalidParams(f"{sidecar}: '{key}' must be {kind.__name__}, got {value!r}")
+    try:
+        params = DataGenParams(**{key: meta[key] for key in _SIDECAR_TYPES})
+    except InvalidParams as e:
+        raise InvalidParams(f"{sidecar}: {e}") from e
     shards = [read_shard(p) for p in sorted(in_dir.glob("client_*.fqds"))]
     if len(shards) != params.n:
         raise InvalidParams(f"expected {params.n} shard files, found {len(shards)}")

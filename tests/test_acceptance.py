@@ -20,7 +20,7 @@ from fedq import sslcore as ssl
 from fedq._kernels import reference
 from fedq.cli import cli_dispatch, clipped_gaussian_mse_sweep
 from fedq.config import config_from_dict
-from fedq.experiment import run_experiment
+from fedq.experiment import run_experiment, step_round
 from fedq.server import ServerState
 
 
@@ -115,36 +115,25 @@ def test_criterion_3_alpha_scaling_of_weight_error():
 def test_criterion_4_epoch_scaling_of_requant_error():
     t0 = time.perf_counter()
     params = dg.DataGenParams(n=2, d=8, frequent_count=128, seed=404)
-    shards = dg.generate_all_shards(params)
+    shards = {s.client_id: s for s in dg.generate_all_shards(params)}
     init = cl.init_layers([8, 2], np.random.default_rng(7), 0.1 / math.sqrt(8))
-    counts = {k: shards[k - 1].size for k in (1, 2)}
 
     def mean_eps_r(epochs: int) -> float:
-        states = {}
-        for k in (1, 2):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=505, spawn_key=(epochs, k))
+        states = {
+            k: cl.start_client(
+                k, cl.ClientConfig(bitwidth=5), init, cl.LrSchedule(kind="constant", base=0.02),
+                np.random.default_rng(np.random.SeedSequence(entropy=505, spawn_key=(epochs, k))),
             )
-            states[k] = cl.ClientState(
-                k, cl.ClientConfig(bitwidth=5), cl.quantize_model(init, 5, rng),
-                cl.LrSchedule(kind="constant", base=0.02), rng,
-            )
+            for k in (1, 2)
+        }
         server = ServerState({1: 5, 2: 5}, seed=606)
-
-        def one_round(e):
-            for k in (1, 2):
-                cl.run_local_epochs(states[k], shards[k - 1], e, 64)
-            out = server.run_round({k: states[k].model for k in (1, 2)}, counts)
-            for k in (1, 2):
-                states[k].model = out[k]
-
         # matched warm start: identical E=1 rounds reach steady state, then
         # the E under test controls the drift accumulated between aggregations
         for _ in range(20):
-            one_round(1)
+            step_round(states, server, shards, 1, 64)
         n0 = len(server.requant_error_log)
         for _ in range(8):
-            one_round(epochs)
+            step_round(states, server, shards, epochs, 64)
         logs = server.requant_error_log[n0:]
         return float(np.mean([np.mean(list(l.values())) for l in logs]))
 
@@ -167,12 +156,10 @@ def test_criterion_5_oracle_equivalence_high_rate():
     x = shard.covariance()
     floor = ssl.optimal_loss(x, 2)
     lr = 0.05 / ssl.spectral_norm(x)
-    rng = np.random.default_rng(616)
     layers = cl.init_layers([8, 2], np.random.default_rng(9), 0.1 / math.sqrt(8))
     cfg = cl.ClientConfig(bitwidth=16, grad_extra_bits=0, aug_sigma=0.0)
-    state = cl.ClientState(
-        1, cfg, cl.quantize_model(layers, 16, rng),
-        cl.LrSchedule(kind="constant", base=lr), rng,
+    state = cl.start_client(
+        1, cfg, layers, cl.LrSchedule(kind="constant", base=lr), np.random.default_rng(616)
     )
     for _ in range(2000):
         cl.run_local_epochs(state, shard, 1, batch_size=None)
@@ -189,7 +176,7 @@ def test_criterion_5_oracle_equivalence_high_rate():
 def test_criterion_6_convergence_surrogate(tmp_path):
     t0 = time.perf_counter()
     cfg = config_from_dict(reference_instance_dict(str(tmp_path / "ref")))
-    res = run_experiment(cfg, write_artifacts=False)
+    res = run_experiment(cfg)
 
     surrogates = np.array([r.moreau for r in res.records])  # rounds 0..T
     alphas = np.array([res.round_alphas[0]] + res.round_alphas)
@@ -266,29 +253,24 @@ def test_criterion_7_representability_bound():
 def test_criterion_8_heterogeneous_bitwidth_sanity():
     t0 = time.perf_counter()
     params = dg.DataGenParams(n=1, d=8, frequent_count=256, seed=808)
-    shard = dg.generate_shard(params, 1)  # identical data for both clients
+    shard = dg.generate_shard(params, 1)
+    shards = {1: shard, 2: shard}  # identical data for both clients
     init = cl.init_layers([8, 2], np.random.default_rng(13), 0.1 / math.sqrt(8))
     means = {4: [], 8: []}
     for seed in range(5):
-        states = {}
-        for k, bits in ((1, 4), (2, 8)):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=809 + seed, spawn_key=(k,))
+        states = {
+            k: cl.start_client(
+                k, cl.ClientConfig(bitwidth=bits), init, cl.LrSchedule(base=0.02),
+                np.random.default_rng(np.random.SeedSequence(entropy=809 + seed, spawn_key=(k,))),
             )
-            states[k] = cl.ClientState(
-                k, cl.ClientConfig(bitwidth=bits), cl.quantize_model(init, bits, rng),
-                cl.LrSchedule(base=0.02), rng,
-            )
+            for k, bits in ((1, 4), (2, 8))
+        }
         server = ServerState({1: 4, 2: 8}, seed=810 + seed)
         stats = {1: cl.QuantErrorStats(), 2: cl.QuantErrorStats()}
         for _ in range(20):
+            round_stats, _ = step_round(states, server, shards, 1, 64)
             for k in (1, 2):
-                stats[k].extend(cl.run_local_epochs(states[k], shard, 1, 64))
-            out = server.run_round(
-                {k: states[k].model for k in (1, 2)}, {1: shard.size, 2: shard.size}
-            )
-            for k in (1, 2):
-                states[k].model = out[k]
+                stats[k].extend(round_stats[k])
         means[4].append(stats[1].mean_weight_error())
         means[8].append(stats[2].mean_weight_error())
     m4 = float(np.mean(means[4]))

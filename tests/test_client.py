@@ -178,10 +178,9 @@ class TestLocalUpdate:
     def test_zero_lr_at_centers_is_identity(self):
         rng = np.random.default_rng(11)
         w = rng.normal(size=(2, 6))
-        cb = qk.build_tanh_codebook(w, 6)
-        qw = qk.stochastic_quantize(w, cb, rng)
         cfg = cl.ClientConfig(bitwidth=6, aug_sigma=0.0)
-        state = cl.ClientState(1, cfg, [qw], cl.LrSchedule(kind="constant", base=0.1), rng)
+        state = cl.start_client(1, cfg, [w], cl.LrSchedule(kind="constant", base=0.1), rng)
+        qw = state.model[0]
         eps_w = cl.local_update(state, [np.zeros((2, 6))], 0.0)
         assert eps_w == 0.0
         np.testing.assert_array_equal(
@@ -194,8 +193,8 @@ class TestLocalUpdate:
         w = rng.normal(size=(2, 8))
         g = rng.normal(size=(2, 8))
         cfg = cl.ClientConfig(bitwidth=16, aug_sigma=0.0)
-        qw = qk.stochastic_quantize(w, qk.build_tanh_codebook(w, 16), rng)
-        state = cl.ClientState(1, cfg, [qw], cl.LrSchedule(kind="constant", base=0.05), rng)
+        state = cl.start_client(1, cfg, [w], cl.LrSchedule(kind="constant", base=0.05), rng)
+        qw = state.model[0]
         eps_w = cl.local_update(state, [g], 0.05)
         u = qk.dequantize(qw) - 0.05 * g
         assert eps_w < 1e-4 * np.sum(u * u)
@@ -210,10 +209,7 @@ class TestLocalUpdate:
             rng = np.random.default_rng(55)
             layers = cl.init_layers([8, 2], np.random.default_rng(5), 0.1 / math.sqrt(8))
             cfg = cl.ClientConfig(bitwidth=5, grad_extra_bits=0, aug_sigma=0.1)
-            state = cl.ClientState(
-                1, cfg, cl.quantize_model(layers, 5, rng),
-                cl.LrSchedule(kind="constant", base=a), rng,
-            )
+            state = cl.start_client(1, cfg, layers, cl.LrSchedule(kind="constant", base=a), rng)
             stats = cl.run_local_epochs(state, shard, 20, 64)
             means.append(stats.mean_weight_error())
         slope = np.polyfit(np.log(alphas), np.log(means), 1)[0]
@@ -240,10 +236,7 @@ class TestRunLocalEpochs:
         rng = np.random.default_rng(29)
         layers = cl.init_layers([8, 2], rng, 0.1 / math.sqrt(8))
         cfg = cl.ClientConfig(bitwidth=8, aug_sigma=0.1)
-        state = cl.ClientState(
-            1, cfg, cl.quantize_model(layers, 8, rng),
-            cl.LrSchedule(kind="constant", base=0.02), rng,
-        )
+        state = cl.start_client(1, cfg, layers, cl.LrSchedule(kind="constant", base=0.02), rng)
         losses = []
         for _ in range(20):
             cl.run_local_epochs(state, shard, 1, 64)
@@ -257,10 +250,7 @@ class TestRunLocalEpochs:
             rng = np.random.default_rng(77)
             layers = cl.init_layers([8, 2], np.random.default_rng(1), 0.05)
             cfg = cl.ClientConfig(bitwidth=5, aug_sigma=0.1)
-            state = cl.ClientState(
-                1, cfg, cl.quantize_model(layers, 5, rng),
-                cl.LrSchedule(base=0.02), rng,
-            )
+            state = cl.start_client(1, cfg, layers, cl.LrSchedule(base=0.02), rng)
             cl.run_local_epochs(state, shard, 3, 32)
             return state.model[0].indices.copy(), state.model[0].codebook.centers.copy()
 
@@ -274,9 +264,7 @@ class TestRunLocalEpochs:
         rng = np.random.default_rng(41)
         layers = cl.init_layers([8, 2], rng, 0.05)
         cfg = cl.ClientConfig(bitwidth=4, aug_sigma=0.1)
-        state = cl.ClientState(
-            1, cfg, cl.quantize_model(layers, 4, rng), cl.LrSchedule(base=0.02), rng,
-        )
+        state = cl.start_client(1, cfg, layers, cl.LrSchedule(base=0.02), rng)
         cl.run_local_epochs(state, shard, 2, 64)
         for layer in state.model:
             assert isinstance(layer, qk.QuantizedTensor)
@@ -290,13 +278,11 @@ class TestRunLocalEpochs:
         def final_loss(quantized: bool):
             rng = np.random.default_rng(61)
             layers = cl.init_layers([8, 2], np.random.default_rng(2), 0.1 / math.sqrt(8))
+            schedule = cl.LrSchedule(base=0.03)
             if quantized:
-                cfg = cl.ClientConfig(bitwidth=12, aug_sigma=0.1)
-                model = cl.quantize_model(layers, 12, rng)
+                state = cl.start_client(1, cl.ClientConfig(bitwidth=12, aug_sigma=0.1), layers, schedule, rng)
             else:
-                cfg = plain_config(aug_sigma=0.1)
-                model = [w.copy() for w in layers]
-            state = cl.ClientState(1, cfg, model, cl.LrSchedule(base=0.03), rng)
+                state = cl.ClientState(1, plain_config(aug_sigma=0.1), layers, schedule, rng)
             for _ in range(15):
                 cl.run_local_epochs(state, shard, 2, 64)
             return ssl.loss(state.layer_values()[0], shard.covariance())
@@ -317,10 +303,7 @@ class TestRunLocalEpochs:
             rng = np.random.default_rng(83)
             layers = cl.init_layers([8, 2], np.random.default_rng(4), 0.1 / math.sqrt(8))
             cfg = cl.ClientConfig(bitwidth=r, grad_extra_bits=0, aug_sigma=0.1)
-            state = cl.ClientState(
-                1, cfg, cl.quantize_model(layers, r, rng),
-                cl.LrSchedule(kind="constant", base=0.02), rng,
-            )
+            state = cl.start_client(1, cfg, layers, cl.LrSchedule(kind="constant", base=0.02), rng)
             stats = cl.run_local_epochs(state, shard, 16, 64)
             assert len(stats) >= 200
             ratios.append(stats.mean_grad_error() / np.mean(stats.grad_norm_sq))

@@ -61,6 +61,22 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"metrics.{key} must be boolean"):
             config_from_dict(minimal(metrics={key: value}))
 
+    @pytest.mark.parametrize("over, key", [
+        ({"aug_sigma": True}, "aug_sigma"),
+        ({"aug_sigma": math.inf}, "aug_sigma"),
+        ({"lr": {"base": True}}, "lr.base"),
+        ({"lr": {"base": math.inf}}, "lr.base"),
+        ({"data": {"frequent_count": 100.5}}, "data.frequent_count"),
+        ({"data": {"infrequent_exponent": "0.3"}}, "data.infrequent_exponent"),
+        ({"data": {"infrequent_exponent": math.nan}}, "data.infrequent_exponent"),
+        ({"output_dir": 5}, "output_dir"),
+    ])
+    def test_no_silent_coercion(self, over, key):
+        # JSON true loaded as 1.0, Infinity passed, 100.5 samples and
+        # output_dir 5 reached the run; each must name its field instead.
+        with pytest.raises(ValidationError, match=f"^{key} must be"):
+            config_from_dict(minimal(**over))
+
     def test_bitwidth_above_cap_rejected(self):
         # Validation only: a 2^32-center codebook is never built.
         with pytest.raises(ValidationError, match="bitwidths"):
@@ -119,7 +135,7 @@ class TestRunExperiment:
                 data={"frequent_count": 64},
             )
         )
-        res = run_experiment(cfg, write_artifacts=False)
+        res = run_experiment(cfg)
         # single client: the aggregate IS the dequantized client model;
         # requantization at 16 bits perturbs it by a tiny relative error
         assert len(res.records) == 2
@@ -185,14 +201,14 @@ class TestRunExperiment:
 
     def test_heterogeneous_bitwidths_recorded(self, tmp_path):
         cfg = config_from_dict(small_run_dict(tmp_path, bitwidths=[4, 8], rounds=4))
-        res = run_experiment(cfg, write_artifacts=False)
+        res = run_experiment(cfg)
         e4 = np.mean([r.eps_w_mean[1] for r in res.records[1:]])
         e8 = np.mean([r.eps_w_mean[2] for r in res.records[1:]])
         assert e8 < e4
 
     def test_model_stays_quantized_between_rounds(self, tmp_path):
         cfg = config_from_dict(small_run_dict(tmp_path, rounds=2))
-        res = run_experiment(cfg, write_artifacts=False)
+        res = run_experiment(cfg)
         assert res.records[-1].round == 2
 
     def test_deep_relu_encoder_runs(self, tmp_path):
@@ -205,7 +221,7 @@ class TestRunExperiment:
                 lr={"base": 0.02},
             )
         )
-        res = run_experiment(cfg, write_artifacts=False)
+        res = run_experiment(cfg)
         # theory-path metrics are linear-model-only
         assert math.isnan(res.records[-1].global_loss)
         assert all(v >= 0.0 for v in res.records[-1].eps_w_mean.values())
@@ -263,6 +279,21 @@ class TestDivergence:
         metrics = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in metrics[1:]] == ["0", "1"]
 
+    def test_round_number_comes_from_the_server(self, tmp_path, monkeypatch):
+        real = exp.cl.run_local_epochs
+
+        def diverge_in_round_3(state, *args):
+            if state.round_counter == 2:  # rounds completed so far
+                raise NonFiniteInput("injected non-finite update")
+            return real(state, *args)
+
+        monkeypatch.setattr(exp.cl, "run_local_epochs", diverge_in_round_3)
+        with pytest.raises(Diverged) as info:
+            run_experiment(config_from_dict(small_run_dict(tmp_path, rounds=5)))
+        assert (info.value.round, info.value.client, info.value.phase) == (3, 1, "client update")
+        metrics = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in metrics[1:]] == ["0", "1", "2"]
+
 
 class TestCli:
     def test_missing_required_arg_exits_2(self, capsys):
@@ -308,6 +339,21 @@ class TestCli:
         assert (tmp_path / "fromdisk" / "metrics.csv").read_bytes() == (
             tmp_path / "gen" / "metrics.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[: len(text) // 2],
+        lambda text: text.replace('"seed"', '"sead"'),
+        lambda text: text.replace('"n": 2', '"n": "2"'),
+    ], ids=["truncated", "no seed", "string n"])
+    def test_run_rejects_bad_dataset_sidecar(self, tmp_path, capsys, damage):
+        cfg_path = write_cfg(tmp_path)
+        sidecar = tmp_path / "ds" / "datagen.json"
+        assert cli_dispatch(["datagen", "--config", str(cfg_path), "--out", str(sidecar.parent)]) == 0
+        sidecar.write_text(damage(sidecar.read_text()))
+        capsys.readouterr()
+        assert cli_dispatch(["run", "--config", str(cfg_path), "--data", str(sidecar.parent)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "datagen.json" in err
 
     def test_quantprobe_csv_format(self, tmp_path, capsys):
         out = tmp_path / "probe.csv"
