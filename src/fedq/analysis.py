@@ -45,25 +45,19 @@ class TheoryParams:
             raise InvalidParams("need rho_bar > rho > 0")
 
     @classmethod
-    def from_covariance(
-        cls,
-        xbar: np.ndarray,
-        margin: float = 0.01,
-        rho_bar_factor: float = 1.1,
-        **kwargs,
-    ) -> "TheoryParams":
-        """Set rho = 4 ||X|| (1 + margin) from a power-iteration estimate.
+    def from_covariance(cls, xbar: np.ndarray) -> "TheoryParams":
+        """Set rho = 4 ||X|| (1 + 0.01) from a power-iteration estimate.
 
-        The smoothing parameter defaults to rho_bar = 1.1 rho: any value
-        above rho is admissible, and keeping the margin small makes the
-        surrogate sharp enough to separate the near-saddle start from
-        the quantization-noise floor near the optimum.
+        The smoothing parameter is rho_bar = 1.1 rho: any value above rho
+        is admissible, and keeping the margin small makes the surrogate
+        sharp enough to separate the near-saddle start from the
+        quantization-noise floor near the optimum.
         """
         norm = sslcore.spectral_norm(xbar)
-        rho = 4.0 * norm * (1.0 + margin)
+        rho = 4.0 * norm * (1.0 + 0.01)
         if rho <= 0.0:
             raise InvalidParams("covariance has zero spectral norm")
-        return cls(rho=rho, rho_bar=rho_bar_factor * rho, **kwargs)
+        return cls(rho=rho, rho_bar=1.1 * rho)
 
 
 @dataclass(frozen=True)
@@ -305,20 +299,6 @@ def write_probe_csv(rows: list[dict], path) -> None:
                 f"{row[c]:.17g}" if isinstance(row[c], float) else str(row[c])
                 for c in cols
             ) + "\n")
-
-
-def format_probe_table(rows: list[dict]) -> str:
-    """Plain-text rendering of probe rows."""
-    if not rows:
-        raise InvalidParams("no probe rows")
-    cols = list(rows[0])
-    lines = [" ".join(f"{c:>22}" for c in cols)]
-    for row in rows:
-        lines.append(" ".join(
-            f"{row[c]:>22.6e}" if isinstance(row[c], float) else f"{row[c]:>22}"
-            for c in cols
-        ))
-    return "\n".join(lines)
 
 
 def rate_slope(rows: list[dict], key: str = "mean_grad_error_sq") -> float:

@@ -20,15 +20,23 @@ import numpy as np
 from . import analysis, quantkit, sslcore
 from .config import load_config
 from .datagen import generate_all_shards, global_covariance, write_dataset
-from .errors import FedqError
+from .errors import FedqError, InvalidParams
 from .experiment import run_experiment
 
 
+# quantprobe draws N(0,1) samples clipped to [-CLIP, CLIP].
+CLIP = 3.0
+
+
 def _parse_rates(expr: str) -> list[int]:
-    if ".." in expr:
-        lo, hi = expr.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in expr.split(",") if x]
+    """``lo..hi`` (inclusive) or a comma list; anything else is InvalidParams."""
+    try:
+        if ".." in expr:
+            lo, hi = expr.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(x) for x in expr.split(",") if x]
+    except ValueError as e:
+        raise InvalidParams(f"--rates must be lo..hi or a comma list of integers, got {expr!r}") from e
 
 
 def clipped_gaussian_mse_sweep(
@@ -36,16 +44,19 @@ def clipped_gaussian_mse_sweep(
     samples: int,
     seed: int = 0,
     draws: int = 4,
-    clip: float = 3.0,
-) -> list[tuple[int, float]]:
-    """Uniform-codebook MSE per rate on N(0,1) samples clipped to [-clip, clip]."""
+) -> list[dict]:
+    """Uniform-codebook MSE per rate on N(0,1) samples clipped to [-CLIP, CLIP].
+
+    One ``{"rate", "mse"}`` row per rate, the probe-row format of
+    ``analysis.write_probe_csv`` and ``analysis.rate_slope``.
+    """
     rng = np.random.default_rng(seed)
-    data = np.clip(rng.standard_normal(samples), -clip, clip)
-    out = []
+    data = np.clip(rng.standard_normal(samples), -CLIP, CLIP)
+    rows = []
     for rate in rates:
-        cb = quantkit.build_uniform_codebook(-clip, clip, rate)
-        out.append((rate, quantkit.empirical_mse(cb, data, rng, draws=draws)))
-    return out
+        cb = quantkit.build_uniform_codebook(-CLIP, CLIP, rate)
+        rows.append({"rate": rate, "mse": quantkit.empirical_mse(cb, data, rng, draws=draws)})
+    return rows
 
 
 def _cmd_run(args) -> int:
@@ -70,11 +81,8 @@ def _cmd_quantprobe(args) -> int:
     rates = _parse_rates(args.rates)
     rows = clipped_gaussian_mse_sweep(rates, args.samples, seed=args.seed, draws=args.draws)
     out = Path(args.out)
-    with open(out, "w", newline="\n") as f:
-        f.write("rate,mse\n")
-        for rate, mse in rows:
-            f.write(f"{rate},{mse:.17g}\n")
-    slope = analysis.fit_slope([r for r, _ in rows], [math.log2(m) for _, m in rows])
+    analysis.write_probe_csv(rows, out)
+    slope = analysis.rate_slope(rows, "mse")
     print(f"wrote {out}; log2(mse) slope per bit: {slope:.3f}")
     return 0
 

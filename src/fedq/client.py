@@ -65,8 +65,6 @@ class QuantErrorStats:
     grad_norm_sq: list[float] = field(default_factory=list)
 
     def append(self, eps_g_sq: float, eps_w_sq: float, g_sq: float):
-        if min(eps_g_sq, eps_w_sq, g_sq) < 0:
-            raise InvalidParams("error energies must be nonnegative")
         self.grad_error_sq.append(eps_g_sq)
         self.weight_error_sq.append(eps_w_sq)
         self.grad_norm_sq.append(g_sq)
@@ -125,9 +123,11 @@ class ClientState:
     """Everything one client carries across rounds.
 
     ``model`` holds one tensor per layer: QuantizedTensor at
-    ``config.bitwidth`` when weight quantization is on, otherwise a
-    plain array. The RNG stream is owned by the client, making training
-    deterministic regardless of how clients are scheduled.
+    ``config.bitwidth`` when weight quantization is on (as
+    ``start_client``, ``local_update`` and the server produce it),
+    otherwise a plain array. The RNG stream is owned by the client,
+    making training deterministic regardless of how clients are
+    scheduled.
     """
 
     client_id: int
@@ -137,13 +137,6 @@ class ClientState:
     rng: np.random.Generator
     epoch_counter: int = 0
     round_counter: int = 0
-
-    def __post_init__(self):
-        for layer in self.model:
-            if isinstance(layer, qk.QuantizedTensor) and layer.codebook.rate != self.config.bitwidth:
-                raise InvalidParams(
-                    f"layer codebook rate {layer.codebook.rate} != bitwidth {self.config.bitwidth}"
-                )
 
     def layer_values(self) -> list[np.ndarray]:
         return [_values(layer) for layer in self.model]
@@ -294,8 +287,6 @@ def local_update(state: ClientState, grads: list, lr: float) -> float:
     ||eps_w||^2 (zero when weight quantization is off); the state's
     model and epoch counter are updated.
     """
-    if len(grads) != len(state.model):
-        raise DimensionMismatch("gradient list does not match model layers")
     eps_w_sq = 0.0
     new_model = []
     for layer, g in zip(state.model, grads):
@@ -348,8 +339,6 @@ def run_local_epochs(
     stats = QuantErrorStats()
     cfg = state.config
     for _ in range(epochs):
-        if cfg.quantize_weights:
-            _check_model_rate(state)
         if full:
             batches = [x]
         else:
@@ -367,11 +356,3 @@ def run_local_epochs(
             stats.append(eps_g_sq, eps_w_sq, g_sq)
     state.round_counter += 1
     return stats
-
-
-def _check_model_rate(state: ClientState):
-    for layer in state.model:
-        if not isinstance(layer, qk.QuantizedTensor):
-            raise InvalidParams("quantize_weights is on but a layer is full precision")
-        if layer.codebook.rate != state.config.bitwidth:
-            raise InvalidParams("layer codebook rate drifted from client bitwidth")

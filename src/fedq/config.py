@@ -8,7 +8,7 @@ overrides both seeds (smoke-test hook).
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .client import LrSchedule
@@ -30,13 +30,13 @@ _METRIC_KEYS = {"moreau", "representability"}
 
 @dataclass(frozen=True)
 class MetricFlags:
-    moreau: bool = True
-    representability: bool = True
+    moreau: bool
+    representability: bool
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully-resolved run description.
+    """Fully-resolved run description, built only by ``config_from_dict``.
 
     ``lr_base`` None means auto: 0.05 / lambda_max of the global
     covariance estimate, resolved once the shards exist.
@@ -46,21 +46,21 @@ class ExperimentConfig:
     bitwidths: tuple[int, ...]
     rounds: int
     data: DataGenParams
-    grad_extra_bits: int = 2
-    local_epochs: int = 1
-    batch_size: int | None = 64
-    aug_sigma: float = 0.1
-    quantize_activations: bool = False
-    lr_kind: str = "inverse_sqrt"
-    lr_base: float | None = None
-    lr_constant_within_round: bool = True
-    model_layers: tuple[int, ...] = ()
-    activation: str = "identity"
-    m: int = 0
-    data_seed: int = 0
-    training_seed: int = 1
-    metrics: MetricFlags = field(default_factory=MetricFlags)
-    output_dir: str = "runs/out"
+    grad_extra_bits: int
+    local_epochs: int
+    batch_size: int | None
+    aug_sigma: float
+    quantize_activations: bool
+    lr_kind: str
+    lr_base: float | None
+    lr_constant_within_round: bool
+    model_layers: tuple[int, ...]
+    activation: str
+    m: int
+    data_seed: int
+    training_seed: int
+    metrics: MetricFlags
+    output_dir: str
 
     def lr_schedule(self, base: float) -> LrSchedule:
         return LrSchedule(
@@ -195,13 +195,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _reject_unknown(seeds, _SEED_KEYS, "seeds")
     data_seed = seeds.get("data", 0)
     train_seed = seeds.get("training", 1)
-    _require(_is_int(data_seed) and _is_int(train_seed), "seeds must be integers")
+    # np.random.SeedSequence takes only non-negative entropy.
+    _require(_is_int(data_seed) and data_seed >= 0, "seeds.data must be an integer >= 0")
+    _require(_is_int(train_seed) and train_seed >= 0, "seeds.training must be an integer >= 0")
     env_seed = os.environ.get("FEDQ_SEED")
     if env_seed is not None:
+        bad_env = f"FEDQ_SEED must be an integer >= 0, got {env_seed!r}"
         try:
             data_seed = train_seed = int(env_seed)
         except ValueError as e:
-            raise ValidationError(f"FEDQ_SEED must be an integer, got {env_seed!r}") from e
+            raise ValidationError(bad_env) from e
+        _require(data_seed >= 0, bad_env)
 
     metrics = dict(raw.get("metrics", {}))
     _reject_unknown(metrics, _METRIC_KEYS, "metrics")

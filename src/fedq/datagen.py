@@ -125,23 +125,18 @@ def _frequent_block(params: DataGenParams, k: int, sign: float, count: int,
     return x
 
 
-def generate_shard(
-    params: DataGenParams,
-    k: int,
-    rng: np.random.Generator | None = None,
-    noise: bool = True,
-) -> DataShard:
+def generate_shard(params: DataGenParams, k: int, noise: bool = True) -> DataShard:
     """Build client k's dataset (k is 1-based).
 
     frequent_count samples each of classes 2k-1 and 2k, plus
     infrequent_count samples of class 2i-1 for every other client i
-    (none of class 2i). ``noise=False`` disables the mu-scaled Gaussian
-    term, exposing the bare class construction for tests.
+    (none of class 2i), drawn from ``client_rng(params.seed, k)``.
+    ``noise=False`` disables the mu-scaled Gaussian term, exposing the
+    bare class construction for tests.
     """
     if not 1 <= k <= params.n:
         raise InvalidParams(f"client index {k} outside [1, {params.n}]")
-    if rng is None:
-        rng = client_rng(params.seed, k)
+    rng = client_rng(params.seed, k)
     mu = params.mu if noise else 0.0
     blocks = [
         _frequent_block(params, k, +1.0, params.frequent_count, rng, mu),
@@ -220,15 +215,12 @@ def read_shard(path: Path | str) -> DataShard:
     return DataShard(int(k), samples.reshape(rows, d).copy(), labels.astype(np.uint32))
 
 
-def write_dataset(out_dir: Path | str, params: DataGenParams,
-                  shards: list[DataShard] | None = None) -> list[Path]:
+def write_dataset(out_dir: Path | str, params: DataGenParams) -> list[Path]:
     """Write one file per client plus a params sidecar; returns the paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if shards is None:
-        shards = generate_all_shards(params)
     paths = []
-    for shard in shards:
+    for shard in generate_all_shards(params):
         p = out_dir / f"client_{shard.client_id:03d}.fqds"
         write_shard(p, shard)
         paths.append(p)

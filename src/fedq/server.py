@@ -7,13 +7,12 @@ the aggregate per client with a tanh codebook at the client's own
 bitwidth. The full-precision aggregate is retained between rounds for
 metrics; only clients are bitwidth-constrained.
 
-Aggregation weights are computed as exact rationals |D_k|/|D| before
-conversion to float, and summation runs in ascending client-id order,
-so results do not depend on the order in which clients report.
+Aggregation weights are the correctly rounded |D_k|/|D|, and summation
+runs in ascending client-id order, so results do not depend on the
+order in which clients report.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,8 +38,8 @@ def dequantize_client_models(models: list[list[qk.QuantizedTensor]]) -> list[lis
 def aggregate(models: list[list[np.ndarray]], sample_counts: list[int]) -> list[np.ndarray]:
     """Per-layer weighted mean with weights |D_k| / |D|.
 
-    Weights are exact fractions summing to one; the float conversion
-    happens per term at accumulation time.
+    Each weight is the integer quotient c / total, which Python rounds
+    correctly (the float nearest the exact ratio).
     """
     if not models:
         raise EmptyInput("no models to aggregate")
@@ -49,16 +48,14 @@ def aggregate(models: list[list[np.ndarray]], sample_counts: list[int]) -> list[
     if any(c <= 0 for c in sample_counts):
         raise InvalidParams("sample counts must be positive")
     total = sum(sample_counts)
-    weights = [Fraction(int(c), int(total)) for c in sample_counts]
-    assert sum(weights) == 1
     shapes = [layer.shape for layer in models[0]]
     agg = [np.zeros(s) for s in shapes]
-    for model, w in zip(models, weights):
+    for model, c in zip(models, sample_counts):
         if [layer.shape for layer in model] != shapes:
             raise ShapeMismatch("model layer shapes disagree")
-        fw = float(w)
+        w = c / total
         for out, layer in zip(agg, model):
-            out += fw * layer
+            out += w * layer
     return agg
 
 
@@ -72,8 +69,6 @@ def requantize_for_client(
     Returns the quantized model and the re-quantization error energy
     ||eps_r||^2 summed over layers.
     """
-    if bits < 1:
-        raise InvalidParams("bitwidth must be >= 1")
     out = []
     eps_r_sq = 0.0
     for layer in global_model:
@@ -123,10 +118,6 @@ class ServerState:
             raise MissingClient(f"round requires all clients; missing {missing or got}")
         ordered = [client_models[k] for k in expected]
         dequantized = dequantize_client_models(ordered)
-        if self.global_model is not None:
-            shapes = [layer.shape for layer in self.global_model]
-            if [layer.shape for layer in dequantized[0]] != shapes:
-                raise ShapeMismatch("layer shapes changed between rounds")
         self.global_model = aggregate(dequantized, [sample_counts[k] for k in expected])
         out = {}
         errors = {}

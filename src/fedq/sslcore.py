@@ -135,15 +135,14 @@ def sym_eig(x: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(vals, vecs * signs)
 
 
-def closed_form_optimum(x: np.ndarray, m: int, eig: EigenDecomposition | None = None) -> np.ndarray:
+def closed_form_optimum(x: np.ndarray, m: int) -> np.ndarray:
     """Eckart-Young minimizer of ``loss``: rows sqrt(lambda_i) v_i^T.
 
     ``m`` is the representation rank. Eigenvalues in [-EIG_CLAMP, 0) are
     treated as exact zeros (they arise from roundoff in PSD inputs);
     anything more negative raises NegativeEigenvalue.
     """
-    if eig is None:
-        eig = sym_eig(x)
+    eig = sym_eig(x)
     d = eig.eigenvalues.shape[0]
     if not 1 <= m <= d:
         raise InvalidParams(f"rank m={m} outside [1, {d}]")
@@ -197,19 +196,22 @@ def representability(w: np.ndarray) -> np.ndarray:
     return np.sum(basis * basis, axis=0)
 
 
-def spectral_norm(x: np.ndarray, iters: int = 100, tol: float = 1e-10) -> float:
-    """Largest eigenvalue magnitude of a symmetric matrix by power iteration."""
+def spectral_norm(x: np.ndarray) -> float:
+    """Largest eigenvalue magnitude of a symmetric matrix by power iteration.
+
+    At most 100 steps; stops once successive norms agree to 1e-10 relative.
+    """
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
     v = np.ones(d) / np.sqrt(d)
     last = 0.0
-    for _ in range(iters):
+    for _ in range(100):
         v = x @ v
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             return 0.0
         v /= norm
-        if abs(norm - last) <= tol * max(norm, 1.0):
+        if abs(norm - last) <= 1e-10 * max(norm, 1.0):
             last = norm
             break
         last = norm

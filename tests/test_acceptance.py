@@ -83,7 +83,7 @@ def test_criterion_2_rate_distortion_scaling():
     rates = [3, 4, 5, 6, 7]
     # the same sweep `fedq quantprobe` runs
     rows = clipped_gaussian_mse_sweep(rates, 1_000_000, seed=0, draws=4)
-    probe_slope = an.fit_slope(rates, [math.log2(m) for _, m in rows])
+    probe_slope = an.rate_slope(rows, "mse")
     in_training = an.rate_sweep_probe(rates)
     training_slope = an.rate_slope(in_training, "mean_grad_error_sq")
     elapsed = time.perf_counter() - t0

@@ -252,8 +252,6 @@ class TestProbes:
         lines = path.read_text().splitlines()
         assert lines[0] == "rate,mean_grad_error_sq"
         assert lines[1] == "3,0.25"
-        text = an.format_probe_table(rows)
-        assert "mean_grad_error_sq" in text and len(text.splitlines()) == 3
 
 
 class TestRepresentabilityBound:

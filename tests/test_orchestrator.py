@@ -70,10 +70,16 @@ class TestConfig:
         ({"data": {"infrequent_exponent": "0.3"}}, "data.infrequent_exponent"),
         ({"data": {"infrequent_exponent": math.nan}}, "data.infrequent_exponent"),
         ({"output_dir": 5}, "output_dir"),
+        ({"seeds": {"data": -1}}, "seeds.data"),
+        ({"seeds": {"training": -1}}, "seeds.training"),
+        ({}, "FEDQ_SEED"),
     ])
-    def test_no_silent_coercion(self, over, key):
+    def test_no_silent_coercion(self, over, key, monkeypatch):
         # JSON true loaded as 1.0, Infinity passed, 100.5 samples and
-        # output_dir 5 reached the run; each must name its field instead.
+        # output_dir 5 reached the run, and a negative seed reached
+        # np.random.SeedSequence; each must name its field instead.
+        if key == "FEDQ_SEED":
+            monkeypatch.setenv(key, "-1")
         with pytest.raises(ValidationError, match=f"^{key} must be"):
             config_from_dict(minimal(**over))
 
@@ -354,6 +360,22 @@ class TestCli:
         assert cli_dispatch(["run", "--config", str(cfg_path), "--data", str(sidecar.parent)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "datagen.json" in err
+
+    def test_run_rejects_negative_env_seed(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_cfg(tmp_path, output_dir=str(tmp_path / "run"))
+        monkeypatch.setenv("FEDQ_SEED", "-1")
+        assert cli_dispatch(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "FEDQ_SEED" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("rates", ["3..x", "a,b"])
+    def test_quantprobe_rejects_bad_rates(self, tmp_path, capsys, rates):
+        out = tmp_path / "probe.csv"
+        assert cli_dispatch(["quantprobe", "--rates", rates, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(rates) in err
+        assert not out.exists()
 
     def test_quantprobe_csv_format(self, tmp_path, capsys):
         out = tmp_path / "probe.csv"

@@ -271,6 +271,36 @@ class TestFitAndQuantize:
         with pytest.raises(InvalidParams, match="identity"):
             qk.fit_and_quantize(np.ones(3), 4, "identity", rng)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rate=st.integers(1, 10),
+        compander=st.sampled_from(["tanh", "quantile"]),
+        kind=st.sampled_from(["normal", "ties", "constant run", "constant"]),
+        log_scale=st.floats(-3.0, 2.0),
+        shape=st.sampled_from([(1,), (7,), (4, 32), (3, 5, 2), (128,)]),
+    )
+    def test_indices_fit_codebook_and_shape(self, seed, rate, compander, kind, log_scale, shape):
+        # QuantizedTensor does not re-check what its one constructor
+        # sets up; this pins those facts on every fitted path.
+        r = np.random.default_rng(seed)
+        x = r.normal(size=shape)
+        if kind == "ties":
+            x = np.round(x * 2.0) / 2.0
+        elif kind == "constant run":
+            flat = x.reshape(-1)
+            flat[: max(1, flat.size // 2)] = flat[0]
+        elif kind == "constant":
+            x = np.full(shape, x.flat[0])
+        x *= 10.0**log_scale
+        q, values, _ = qk.fit_and_quantize(x, rate, compander, r)
+        assert q.shape == x.shape
+        assert values.shape == x.shape
+        assert q.indices.ndim == 1 and q.indices.size == x.size
+        assert q.indices.dtype == qk._index_dtype(2**rate)
+        assert q.codebook.size == 2**rate
+        assert int(q.indices.min()) >= 0 and int(q.indices.max()) < 2**rate
+
 
 class TestUnbiasedness:
     @pytest.mark.parametrize("builder", ["uniform", "tanh", "quantile"])

@@ -1,8 +1,12 @@
 """Server round logic: exact de-quantization, weighted aggregation,
 per-client re-quantization, and order independence."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedq import quantkit as qk
 from fedq import server as sv
@@ -64,6 +68,17 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             sv.aggregate([], [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts=st.lists(st.integers(1, 2**40), min_size=1, max_size=12))
+    def test_weights_are_correctly_rounded_ratios(self, counts):
+        # One-hot models: entry k of the aggregate is client k's weight alone.
+        n = len(counts)
+        models = [[np.eye(n)[k]] for k in range(n)]
+        out = sv.aggregate(models, counts)[0]
+        total = sum(counts)
+        for k, c in enumerate(counts):
+            assert out[k] == float(Fraction(c, total))
 
 
 class TestRequantize:
