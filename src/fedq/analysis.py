@@ -234,13 +234,11 @@ def probe_run(rate: int, cfg: ProbeConfig, lr: float | None = None,
     init_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.train_seed, spawn_key=(0, 1)))
     layers = cl.init_layers([cfg.d, cfg.m], init_rng, 0.1 / math.sqrt(cfg.d))
     state = cl.start_client(
-        1,
         cl.ClientConfig(bitwidth=rate, grad_extra_bits=cfg.grad_extra_bits, aug_sigma=cfg.aug_sigma),
         layers,
-        cl.LrSchedule(kind="constant", base=lr if lr is not None else cfg.lr),
         rng,
     )
-    return cl.run_local_epochs(state, shard, cfg.epochs, cfg.batch_size)
+    return cl.run_local_epochs(state, shard, cfg.epochs, cfg.batch_size, lr if lr is not None else cfg.lr)
 
 
 def rate_sweep_probe(rates: list[int], cfg: ProbeConfig | None = None) -> list[dict]:

@@ -79,6 +79,8 @@ def _cmd_datagen(args) -> int:
 
 def _cmd_quantprobe(args) -> int:
     rates = _parse_rates(args.rates)
+    if args.samples < 1:
+        raise InvalidParams(f"--samples must be >= 1, got {args.samples}")
     rows = clipped_gaussian_mse_sweep(rates, args.samples, seed=args.seed, draws=args.draws)
     out = Path(args.out)
     analysis.write_probe_csv(rows, out)
@@ -88,6 +90,8 @@ def _cmd_quantprobe(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if not (math.isfinite(args.eps_scale) and args.eps_scale >= 0):
+        raise InvalidParams(f"--eps-scale must be a finite number >= 0, got {args.eps_scale}")
     cfg = load_config(args.config)
     shards = generate_all_shards(cfg.data)
     xbar = global_covariance(shards)

@@ -1,14 +1,17 @@
 """Per-client low-bitwidth local training.
 
 One client = one fully-connected encoder whose weights live as
-quantized index arrays between steps. Each SGD step dequantizes the
-weights, runs the forward/backward pass (optionally quantizing
-activations with fresh tanh codebooks and gradients with fresh quantile
-codebooks), applies the update in full precision, and immediately
-re-quantizes the result with a tanh codebook rebuilt from the updated
-tensor. The energies of the gradient- and weight-quantization errors
-are recorded per step; they are the raw material of the variance
-probes in fedq.analysis.
+quantized index arrays between steps, plus the client's own RNG stream.
+Each SGD step dequantizes the weights once, runs the forward/backward
+pass on those values (optionally quantizing activations with fresh tanh
+codebooks and gradients with fresh quantile codebooks), applies the
+update in full precision, and immediately re-quantizes the result with
+a tanh codebook rebuilt from the updated tensor. The energies of the
+gradient- and weight-quantization errors are recorded per step; they
+are the raw material of the variance probes in fedq.analysis.
+
+The client keeps no clock. The round decides the step size alpha_t and
+hands it to ``run_local_epochs``; all E local epochs use it.
 
 The linear single-layer identity model is the theory path; deeper
 encoders reuse the same loop with per-layer Gram regularization, which
@@ -29,15 +32,14 @@ ACTIVATIONS = ("identity", "relu")
 
 @dataclass(frozen=True)
 class LrSchedule:
-    """Step-size rule; inverse_sqrt decays as base / sqrt(step + 1).
+    """Per-round step size: ``rate(t - 1)`` is alpha_t of round t.
 
-    With ``constant_within_round`` the step index is the communication
-    round, so all local epochs of a round share one rate.
+    inverse_sqrt decays as base / sqrt(t); constant keeps base. Every
+    local step of every client in round t uses alpha_t.
     """
 
     kind: str = "inverse_sqrt"
     base: float = 0.05
-    constant_within_round: bool = True
 
     def __post_init__(self):
         if self.kind not in ("constant", "inverse_sqrt"):
@@ -45,10 +47,10 @@ class LrSchedule:
         if self.base <= 0:
             raise InvalidParams("base learning rate must be positive")
 
-    def rate(self, step: int) -> float:
+    def rate(self, t: int) -> float:
         if self.kind == "constant":
             return self.base
-        return self.base / math.sqrt(step + 1.0)
+        return self.base / math.sqrt(t + 1.0)
 
 
 @dataclass
@@ -120,7 +122,7 @@ class ClientConfig:
 
 @dataclass
 class ClientState:
-    """Everything one client carries across rounds.
+    """A client: its model and its own RNG stream, carried across rounds.
 
     ``model`` holds one tensor per layer: QuantizedTensor at
     ``config.bitwidth`` when weight quantization is on (as
@@ -130,32 +132,22 @@ class ClientState:
     scheduled.
     """
 
-    client_id: int
     config: ClientConfig
     model: list
-    lr_schedule: LrSchedule
     rng: np.random.Generator
-    epoch_counter: int = 0
-    round_counter: int = 0
 
     def layer_values(self) -> list[np.ndarray]:
-        return [_values(layer) for layer in self.model]
+        """The model's weights as arrays: each quantized layer decoded once."""
+        return [qk.dequantize(w) if isinstance(w, qk.QuantizedTensor) else w for w in self.model]
 
 
 @dataclass
 class ForwardState:
     """Intermediate tensors of one forward pass, kept for backprop."""
 
-    batch: np.ndarray
     layer_inputs: list[np.ndarray]
     preacts: list[np.ndarray]
     outputs: np.ndarray
-
-
-def _values(layer) -> np.ndarray:
-    if isinstance(layer, qk.QuantizedTensor):
-        return qk.dequantize(layer)
-    return layer
 
 
 def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
@@ -182,29 +174,22 @@ def quantize_model(layers: list[np.ndarray], bits: int, rng: np.random.Generator
     return [qk.fit_and_quantize(w, bits, "tanh", rng)[0] for w in layers]
 
 
-def start_client(
-    client_id: int,
-    config: ClientConfig,
-    init: list[np.ndarray],
-    lr_schedule: LrSchedule,
-    rng: np.random.Generator,
-) -> ClientState:
+def start_client(config: ClientConfig, init: list[np.ndarray], rng: np.random.Generator) -> ClientState:
     """A client before its first round: ``init`` quantized at its bitwidth.
 
     The codebooks draw from ``rng``, which then stays the client's own
     stream for training.
     """
-    model = quantize_model(init, config.bitwidth, rng)
-    return ClientState(client_id, config, model, lr_schedule, rng)
+    return ClientState(config, quantize_model(init, config.bitwidth, rng), rng)
 
 
 def quantized_forward(
-    model: list,
+    weights: list[np.ndarray],
     batch: np.ndarray,
     cfg: ClientConfig,
     rng: np.random.Generator,
 ) -> ForwardState:
-    """Layer-by-layer forward pass on dequantized weights.
+    """Layer-by-layer forward pass on the step's dequantized weights.
 
     When activation quantization is on, each layer output is passed
     through a fresh tanh codebook (one codebook per layer per step,
@@ -213,8 +198,7 @@ def quantized_forward(
     """
     a = np.asarray(batch, dtype=np.float64)
     inputs, preacts = [], []
-    for layer in model:
-        w = _values(layer)
+    for w in weights:
         if a.shape[1] != w.shape[1]:
             raise DimensionMismatch(
                 f"batch width {a.shape[1]} does not match layer input {w.shape[1]}"
@@ -225,11 +209,11 @@ def quantized_forward(
         a = _activate(pre, cfg.activation)
         if cfg.quantize_activations:
             _, a, _ = qk.fit_and_quantize(a, cfg.bitwidth, "tanh", rng)
-    return ForwardState(np.asarray(batch, dtype=np.float64), inputs, preacts, a)
+    return ForwardState(inputs, preacts, a)
 
 
 def quantized_backward(
-    model: list,
+    weights: list[np.ndarray],
     fstate: ForwardState,
     upstream: np.ndarray,
     cfg: ClientConfig,
@@ -244,10 +228,10 @@ def quantized_backward(
     each put through a fresh quantile codebook at the gradient
     bitwidth.
 
-    Returns (per-layer gradients, ||eps_g||^2 summed over layers,
+    Returns (per-layer gradient values, ||eps_g||^2 summed over layers,
     ||g||^2 summed over layers).
     """
-    n_layers = len(model)
+    n_layers = len(weights)
     if upstream.shape != fstate.outputs.shape:
         raise StateMismatch(
             f"upstream shape {upstream.shape} does not match forward output {fstate.outputs.shape}"
@@ -260,7 +244,7 @@ def quantized_backward(
     eps_g_sq = 0.0
     grad_sq = 0.0
     for l in range(n_layers - 1, -1, -1):
-        w = _values(model[l])
+        w = weights[l]
         deriv = _activate_deriv(fstate.preacts[l], cfg.activation)
         g_pre = g_act if deriv is None else g_act * deriv
         gw = g_pre.T @ fstate.layer_inputs[l]
@@ -268,7 +252,7 @@ def quantized_backward(
         gw += 2.0 * wg
         grad_sq += float(np.sum(gw * gw))
         if cfg.quantize_gradients:
-            grads[l], _, err_sq = qk.fit_and_quantize(gw, gbits, "quantile", rng)
+            _, grads[l], err_sq = qk.fit_and_quantize(gw, gbits, "quantile", rng)
             eps_g_sq += err_sq
         else:
             grads[l] = gw
@@ -279,18 +263,17 @@ def quantized_backward(
     return grads, eps_g_sq, grad_sq
 
 
-def local_update(state: ClientState, grads: list, lr: float) -> float:
-    """One SGD step: dequantize, step, re-quantize each layer in place.
+def local_update(state: ClientState, weights: list[np.ndarray], grads: list[np.ndarray], lr: float) -> float:
+    """One SGD step on the step's weight values, re-quantized into ``state.model``.
 
     The tanh codebook is rebuilt from the updated tensor every step, so
     the codebook tracks the drifting weight range. Returns the step's
-    ||eps_w||^2 (zero when weight quantization is off); the state's
-    model and epoch counter are updated.
+    ||eps_w||^2 (zero when weight quantization is off).
     """
     eps_w_sq = 0.0
     new_model = []
-    for layer, g in zip(state.model, grads):
-        u = _values(layer) - lr * _values(g)
+    for w, g in zip(weights, grads):
+        u = w - lr * g
         if state.config.quantize_weights:
             q, _, err_sq = qk.fit_and_quantize(u, state.config.bitwidth, "tanh", state.rng)
             eps_w_sq += err_sq
@@ -298,7 +281,6 @@ def local_update(state: ClientState, grads: list, lr: float) -> float:
         else:
             new_model.append(u)
     state.model = new_model
-    state.epoch_counter += 1
     return eps_w_sq
 
 
@@ -321,18 +303,19 @@ def run_local_epochs(
     state: ClientState,
     shard: DataShard,
     epochs: int,
-    batch_size: int | None = None,
+    batch_size: int | None,
+    lr: float,
 ) -> QuantErrorStats:
-    """One communication round of local training: E epochs of SGD.
+    """One communication round of local training: E epochs of SGD at step size ``lr``.
 
     Minibatches are drawn by per-epoch permutation from the client's own
     stream; ``batch_size`` None or >= |D_k| means full-batch passes in
-    natural order. The learning rate follows the client's schedule
-    (constant within the round by default). Returns the round's
-    quantization-error statistics and advances the round counter.
+    natural order. Returns the round's quantization-error statistics.
     """
     if epochs < 1:
         raise InvalidParams("epochs must be >= 1")
+    if not lr > 0:
+        raise InvalidParams(f"step size must be positive, got {lr}")
     x = shard.samples
     rows = x.shape[0]
     full = batch_size is None or batch_size >= rows
@@ -345,14 +328,10 @@ def run_local_epochs(
             order = state.rng.permutation(rows)
             batches = [x[order[i:i + batch_size]] for i in range(0, rows, batch_size)]
         for batch in batches:
-            step = state.round_counter if state.lr_schedule.constant_within_round else state.epoch_counter
-            lr = state.lr_schedule.rate(step)
-            fstate = quantized_forward(state.model, batch, cfg, state.rng)
+            weights = state.layer_values()
+            fstate = quantized_forward(weights, batch, cfg, state.rng)
             upstream = ssl_upstream(fstate.outputs, cfg, state.rng)
-            grads, eps_g_sq, g_sq = quantized_backward(
-                state.model, fstate, upstream, cfg, state.rng
-            )
-            eps_w_sq = local_update(state, grads, lr)
+            grads, eps_g_sq, g_sq = quantized_backward(weights, fstate, upstream, cfg, state.rng)
+            eps_w_sq = local_update(state, weights, grads, lr)
             stats.append(eps_g_sq, eps_w_sq, g_sq)
-    state.round_counter += 1
     return stats

@@ -21,7 +21,7 @@ _TOP_KEYS = {
     "batch_size", "aug_sigma", "quantize_activations", "lr", "model", "data",
     "seeds", "metrics", "output_dir",
 }
-_LR_KEYS = {"kind", "base", "constant_within_round"}
+_LR_KEYS = {"kind", "base"}
 _MODEL_KEYS = {"layers", "activation", "m"}
 _DATA_KEYS = {"frequent_count", "infrequent_exponent"}
 _SEED_KEYS = {"data", "training"}
@@ -53,7 +53,6 @@ class ExperimentConfig:
     quantize_activations: bool
     lr_kind: str
     lr_base: float | None
-    lr_constant_within_round: bool
     model_layers: tuple[int, ...]
     activation: str
     m: int
@@ -63,11 +62,7 @@ class ExperimentConfig:
     output_dir: str
 
     def lr_schedule(self, base: float) -> LrSchedule:
-        return LrSchedule(
-            kind=self.lr_kind,
-            base=base,
-            constant_within_round=self.lr_constant_within_round,
-        )
+        return LrSchedule(kind=self.lr_kind, base=base)
 
     def to_json_dict(self) -> dict:
         return {
@@ -80,11 +75,7 @@ class ExperimentConfig:
             "batch_size": self.batch_size,
             "aug_sigma": self.aug_sigma,
             "quantize_activations": self.quantize_activations,
-            "lr": {
-                "kind": self.lr_kind,
-                "base": self.lr_base,
-                "constant_within_round": self.lr_constant_within_round,
-            },
+            "lr": {"kind": self.lr_kind, "base": self.lr_base},
             "model": {
                 "layers": list(self.model_layers),
                 "activation": self.activation,
@@ -168,8 +159,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     lr_base = lr.get("base")
     _require(lr_base is None or (_is_real(lr_base) and lr_base > 0),
              "lr.base must be a positive real number or null for auto")
-    lr_const = lr.get("constant_within_round", True)
-    _require(isinstance(lr_const, bool), "lr.constant_within_round must be boolean")
 
     model = dict(raw.get("model", {}))
     _reject_unknown(model, _MODEL_KEYS, "model")
@@ -240,7 +229,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         quantize_activations=qact,
         lr_kind=lr_kind,
         lr_base=None if lr_base is None else float(lr_base),
-        lr_constant_within_round=lr_const,
         model_layers=tuple(layers),
         activation=activation,
         m=m,

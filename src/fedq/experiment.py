@@ -1,7 +1,8 @@
 """Deterministic experiment execution and metrics persistence.
 
-A run is bulk-synchronous: every round (``step_round``), each client in
-ascending id order trains E local epochs on its own RNG stream, the
+A run is bulk-synchronous: every round t (``step_round``), each client in
+ascending id order trains E local epochs on its own RNG stream at the
+round's one step size alpha_t (recorded in ``round_alphas``), the
 server de-quantizes / aggregates / re-quantizes, and one metrics record
 is computed on the full-precision aggregate. metrics.csv gains one row per
 round and is flushed immediately, so an aborted run leaves all
@@ -108,12 +109,14 @@ def step_round(
     shards_by_id: dict[int, DataShard],
     epochs: int,
     batch_size: int | None,
+    lr: float,
 ) -> tuple[dict[int, cl.QuantErrorStats], dict[int, list]]:
     """One communication round: the only definition of it.
 
-    Each client trains ``epochs`` local epochs in ascending id order,
-    then the server de-quantizes, aggregates by shard size and
-    re-quantizes per client, and every client takes its new model.
+    Each client trains ``epochs`` local epochs at the round's step size
+    ``lr`` in ascending id order, then the server de-quantizes,
+    aggregates by shard size and re-quantizes per client, and every
+    client takes its new model.
     Returns each client's error stats for the round and the models the
     clients sent. Both phases name the server's next round in Diverged.
     """
@@ -125,7 +128,7 @@ def step_round(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in ids:
             try:
-                stats[k] = cl.run_local_epochs(states[k], shards_by_id[k], epochs, batch_size)
+                stats[k] = cl.run_local_epochs(states[k], shards_by_id[k], epochs, batch_size, lr)
             except NonFiniteInput as e:
                 raise Diverged(server.round_counter + 1, k, "client update") from e
         sent = {k: states[k].model for k in ids}
@@ -166,11 +169,9 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | Path | None = None) ->
     )
     states = {
         k: cl.start_client(
-            k,
             cl.ClientConfig(bitwidth=bits, grad_extra_bits=cfg.grad_extra_bits, activation=cfg.activation,
                             aug_sigma=cfg.aug_sigma, quantize_activations=cfg.quantize_activations),
             init_layers,
-            schedule,
             client_rng(cfg.training_seed, k),
         )
         for k, bits in zip(client_ids, cfg.bitwidths)
@@ -244,9 +245,10 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | Path | None = None) ->
              {k: cl.QuantErrorStats() for k in client_ids}, dict.fromkeys(client_ids, 0.0))
         for t in range(1, cfg.rounds + 1):
             t0 = time.perf_counter()
-            round_alphas.append(schedule.rate(t - 1))
+            alpha = schedule.rate(t - 1)
+            round_alphas.append(alpha)
             round_stats, sent = step_round(
-                states, server, shard_by_id, cfg.local_epochs, cfg.batch_size
+                states, server, shard_by_id, cfg.local_epochs, cfg.batch_size, alpha
             )
             for k in client_ids:
                 client_stats[k].extend(round_stats[k])

@@ -121,7 +121,7 @@ def test_criterion_4_epoch_scaling_of_requant_error():
     def mean_eps_r(epochs: int) -> float:
         states = {
             k: cl.start_client(
-                k, cl.ClientConfig(bitwidth=5), init, cl.LrSchedule(kind="constant", base=0.02),
+                cl.ClientConfig(bitwidth=5), init,
                 np.random.default_rng(np.random.SeedSequence(entropy=505, spawn_key=(epochs, k))),
             )
             for k in (1, 2)
@@ -130,10 +130,10 @@ def test_criterion_4_epoch_scaling_of_requant_error():
         # matched warm start: identical E=1 rounds reach steady state, then
         # the E under test controls the drift accumulated between aggregations
         for _ in range(20):
-            step_round(states, server, shards, 1, 64)
+            step_round(states, server, shards, 1, 64, 0.02)
         n0 = len(server.requant_error_log)
         for _ in range(8):
-            step_round(states, server, shards, epochs, 64)
+            step_round(states, server, shards, epochs, 64, 0.02)
         logs = server.requant_error_log[n0:]
         return float(np.mean([np.mean(list(l.values())) for l in logs]))
 
@@ -158,11 +158,9 @@ def test_criterion_5_oracle_equivalence_high_rate():
     lr = 0.05 / ssl.spectral_norm(x)
     layers = cl.init_layers([8, 2], np.random.default_rng(9), 0.1 / math.sqrt(8))
     cfg = cl.ClientConfig(bitwidth=16, grad_extra_bits=0, aug_sigma=0.0)
-    state = cl.start_client(
-        1, cfg, layers, cl.LrSchedule(kind="constant", base=lr), np.random.default_rng(616)
-    )
+    state = cl.start_client(cfg, layers, np.random.default_rng(616))
     for _ in range(2000):
-        cl.run_local_epochs(state, shard, 1, batch_size=None)
+        cl.run_local_epochs(state, shard, 1, None, lr)
     gap = ssl.loss(state.layer_values()[0], x) - floor
     elapsed = time.perf_counter() - t0
     check(
@@ -260,15 +258,16 @@ def test_criterion_8_heterogeneous_bitwidth_sanity():
     for seed in range(5):
         states = {
             k: cl.start_client(
-                k, cl.ClientConfig(bitwidth=bits), init, cl.LrSchedule(base=0.02),
+                cl.ClientConfig(bitwidth=bits), init,
                 np.random.default_rng(np.random.SeedSequence(entropy=809 + seed, spawn_key=(k,))),
             )
             for k, bits in ((1, 4), (2, 8))
         }
         server = ServerState({1: 4, 2: 8}, seed=810 + seed)
         stats = {1: cl.QuantErrorStats(), 2: cl.QuantErrorStats()}
-        for _ in range(20):
-            round_stats, _ = step_round(states, server, shards, 1, 64)
+        schedule = cl.LrSchedule(base=0.02)
+        for t in range(20):
+            round_stats, _ = step_round(states, server, shards, 1, 64, schedule.rate(t))
             for k in (1, 2):
                 stats[k].extend(round_stats[k])
         means[4].append(stats[1].mean_weight_error())

@@ -1,5 +1,6 @@
 """Config ingestion, experiment execution, metrics persistence, CLI."""
 
+import itertools
 import json
 import math
 
@@ -53,6 +54,9 @@ class TestConfig:
             config_from_dict(minimal(typo_key=1))
         with pytest.raises(ValidationError, match="unknown key"):
             config_from_dict(minimal(lr={"speed": 0.1}))
+        # the step size is decided per round; a client has no switch for it
+        with pytest.raises(ValidationError, match="unknown key.*constant_within_round"):
+            config_from_dict(minimal(lr={"constant_within_round": True}))
 
     @pytest.mark.parametrize("key", ["moreau", "representability"])
     @pytest.mark.parametrize("value", ["false", 0, 1])
@@ -205,6 +209,33 @@ class TestRunExperiment:
         assert len(lines) == 2 + 2
         assert lines[-1].split(",")[0] == "2"
 
+    def test_every_step_uses_its_rounds_alpha(self, tmp_path, monkeypatch):
+        # One clock: run_experiment decides alpha_t once per round, and every
+        # local step of every client in round t takes exactly that value.
+        real = exp.cl.local_update
+        seen = []
+
+        def spy(state, weights, grads, lr):
+            seen.append(lr)
+            return real(state, weights, grads, lr)
+
+        monkeypatch.setattr(exp.cl, "local_update", spy)
+        cfg = config_from_dict(small_run_dict(
+            tmp_path, rounds=4, local_epochs=2, batch_size=16,
+            lr={"kind": "inverse_sqrt", "base": 0.02},
+        ))
+        res = run_experiment(cfg)
+        assert res.round_alphas == [0.02 / math.sqrt(t) for t in range(1, 5)]
+        # several minibatches per epoch, two epochs per round
+        assert all(n > 2 for steps in res.steps_per_round.values() for n in steps)
+        expected = [
+            res.round_alphas[t - 1]
+            for t in range(1, cfg.rounds + 1)
+            for k in sorted(res.steps_per_round)
+            for _ in range(res.steps_per_round[k][t - 1])
+        ]
+        assert seen == expected
+
     def test_heterogeneous_bitwidths_recorded(self, tmp_path):
         cfg = config_from_dict(small_run_dict(tmp_path, bitwidths=[4, 8], rounds=4))
         res = run_experiment(cfg)
@@ -269,9 +300,10 @@ class TestDivergence:
 
     def test_failed_run_keeps_completed_timing_rows(self, tmp_path, monkeypatch):
         real = exp.cl.run_local_epochs
+        calls = itertools.count(1)
 
         def fail_in_round_2(state, *args):
-            if state.round_counter == 1:  # rounds completed so far
+            if next(calls) == 3:  # two clients per round: round 2, client 1
                 raise RuntimeError("injected failure")
             return real(state, *args)
 
@@ -287,9 +319,10 @@ class TestDivergence:
 
     def test_round_number_comes_from_the_server(self, tmp_path, monkeypatch):
         real = exp.cl.run_local_epochs
+        calls = itertools.count(1)
 
         def diverge_in_round_3(state, *args):
-            if state.round_counter == 2:  # rounds completed so far
+            if next(calls) == 5:  # two clients per round: round 3, client 1
                 raise NonFiniteInput("injected non-finite update")
             return real(state, *args)
 
@@ -377,6 +410,15 @@ class TestCli:
         assert err.startswith("error:") and repr(rates) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_quantprobe_rejects_bad_samples(self, tmp_path, capsys, samples):
+        out = tmp_path / "probe.csv"
+        argv = ["quantprobe", "--rates", "3..4", "--samples", samples, "--out", str(out)]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--samples" in err
+        assert not out.exists()
+
     def test_quantprobe_csv_format(self, tmp_path, capsys):
         out = tmp_path / "probe.csv"
         assert cli_dispatch([
@@ -399,3 +441,11 @@ class TestCli:
         xbar = dg.global_covariance(dg.generate_all_shards(cfg.data))
         tail = ssl.sym_eig(xbar).eigenvalues[2:]
         assert reported == pytest.approx(float(np.sum(tail**2)), rel=1e-8)
+
+    @pytest.mark.parametrize("scale", ["-1", "nan", "inf"])
+    def test_oracle_rejects_bad_eps_scale(self, tmp_path, capsys, scale):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_run_dict(tmp_path, d=8)))
+        assert cli_dispatch(["oracle", "--config", str(cfg_path), "--eps-scale", scale]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--eps-scale" in err
