@@ -1,4 +1,4 @@
-"""Pure-numpy implementation of the quantization kernels.
+"""The stochastic-rounding hot kernel, in numpy.
 
 Given identical inputs (including the pre-drawn uniforms) the index
 arrays are bit-identical from run to run; experiment determinism and
@@ -11,16 +11,16 @@ import numpy as np
 def stochastic_round(values, centers, uniforms):
     """Map each value to a codebook index by randomized nearest-bracket rounding.
 
-    ``centers`` must be strictly increasing. For c_j <= x <= c_{j+1} the
-    result is j+1 when the element's uniform draw falls below
-    (x - c_j) / (c_{j+1} - c_j), else j; values outside the codebook range
-    clamp to the end indices. One uniform is consumed per element, in
-    order, so the output is reproducible regardless of schedule.
+    ``values`` is a flat float64 array and ``centers`` a strictly
+    increasing codebook of K >= 2 entries, as quantkit._draw_indices
+    passes them (degenerate codebooks never reach here). For
+    c_j <= x <= c_{j+1} the result is j+1 when the element's uniform
+    draw falls below (x - c_j) / (c_{j+1} - c_j), else j; values outside
+    the codebook range clamp to the end indices. One uniform is consumed
+    per element, in order, so the output is reproducible regardless of
+    schedule.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
     k = centers.shape[0]
-    if k == 1:
-        return np.zeros(values.shape[0], dtype=np.int64)
     j = np.searchsorted(centers, values, side="right")
     j -= 1
     out = np.maximum(j, 0)

@@ -37,8 +37,6 @@ class TheoryParams:
     rho_bar: float
     G: float = 0.0
     G_q: float = 0.0
-    inner_iters: int = 2000
-    inner_tol: float = 1e-10
 
     def __post_init__(self):
         if not (self.rho_bar > self.rho > 0.0):
@@ -74,7 +72,8 @@ def prox_solve(w: np.ndarray, xbar: np.ndarray, tp: TheoryParams) -> ProxResult:
     y = w with step 1 / (rho_bar + 16 lambda_1). Steps that would
     increase the inner objective are rejected with a halved step; ten
     consecutive rejections raise NoConvergence, so accepted iterates are
-    non-increasing by construction.
+    non-increasing by construction. At most 2000 steps; stops once a
+    step would move y by less than 1e-10.
 
     Returns the prox point, the envelope value there, and the
     near-stationarity surrogate rho_bar * ||w - prox(w)||.
@@ -95,11 +94,11 @@ def prox_solve(w: np.ndarray, xbar: np.ndarray, tp: TheoryParams) -> ProxResult:
     y = w.copy()
     obj, r, diff = inner(y)
     rejections = 0
-    for _ in range(tp.inner_iters):
+    for _ in range(2000):
         g = sslcore.grad(y, xbar, r)
         g += tp.rho_bar * diff
         gf = g.ravel()  # ||g|| exactly as np.linalg.norm forms it
-        if step * math.sqrt(gf.dot(gf)) < tp.inner_tol:
+        if step * math.sqrt(gf.dot(gf)) < 1e-10:
             break
         y_new = y - step * g
         obj_new, r_new, diff_new = inner(y_new)
@@ -376,7 +375,8 @@ def local_vs_global_representability_report(
         w_opt = sslcore.closed_form_optimum(cov, m)
         if eps_scale > 0.0:
             eps = rng.standard_normal(w_opt.shape)
-            eps *= eps_scale * float(np.linalg.norm(w_opt)) / float(np.linalg.norm(eps))
+            # numpy scalars, so an overflowing scale obeys np.errstate
+            eps *= eps_scale * np.linalg.norm(w_opt) / np.linalg.norm(eps)
         else:
             eps = np.zeros_like(w_opt)
         r = sslcore.representability(w_opt + eps)

@@ -29,22 +29,18 @@ CLIP = 3.0
 
 
 def _parse_rates(expr: str) -> list[int]:
-    """``lo..hi`` (inclusive) or a comma list; anything else is InvalidParams."""
+    """``lo..hi`` (inclusive) or a comma list, naming at least two distinct rates."""
     try:
-        if ".." in expr:
-            lo, hi = expr.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(x) for x in expr.split(",") if x]
+        lo, dots, hi = expr.partition("..")
+        rates = list(range(int(lo), int(hi) + 1)) if dots else [int(x) for x in expr.split(",") if x]
     except ValueError as e:
         raise InvalidParams(f"--rates must be lo..hi or a comma list of integers, got {expr!r}") from e
+    if len(set(rates)) < 2:
+        raise InvalidParams(f"--rates must name at least two distinct rates, got {expr!r}")
+    return rates
 
 
-def clipped_gaussian_mse_sweep(
-    rates: list[int],
-    samples: int,
-    seed: int = 0,
-    draws: int = 4,
-) -> list[dict]:
+def clipped_gaussian_mse_sweep(rates: list[int], samples: int, seed: int, draws: int) -> list[dict]:
     """Uniform-codebook MSE per rate on N(0,1) samples clipped to [-CLIP, CLIP].
 
     One ``{"rate", "mse"}`` row per rate, the probe-row format of
@@ -81,6 +77,8 @@ def _cmd_quantprobe(args) -> int:
     rates = _parse_rates(args.rates)
     if args.samples < 1:
         raise InvalidParams(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise InvalidParams(f"--seed must be >= 0, got {args.seed}")
     rows = clipped_gaussian_mse_sweep(rates, args.samples, seed=args.seed, draws=args.draws)
     out = Path(args.out)
     analysis.write_probe_csv(rows, out)
@@ -103,10 +101,15 @@ def _cmd_oracle(args) -> int:
     for s in shards:
         print(f"client {s.client_id}: optimal loss "
               f"{sslcore.optimal_loss(s.covariance(), cfg.m):.12g}")
-    records = analysis.local_vs_global_representability_report(
-        shards, cfg.m, eps_scale=args.eps_scale,
-        rng=np.random.default_rng(cfg.training_seed),
-    )
+    # An overflowing perturbation would otherwise end in a misleading rank error.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            records = analysis.local_vs_global_representability_report(
+                shards, cfg.m, eps_scale=args.eps_scale,
+                rng=np.random.default_rng(cfg.training_seed),
+            )
+    except FloatingPointError as e:
+        raise InvalidParams(f"--eps-scale {args.eps_scale} overflows float64 ({e})") from e
     print()
     print(analysis.format_repr_report(records))
     return 0
@@ -149,8 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an experiment")
     run.add_argument("--config", required=True)
     run.add_argument("--out", default=None, help="override output_dir")
-    run.add_argument("--threads", type=int, default=None,
-                     help="accepted and ignored: clients train in id order on one thread")
     run.add_argument("--data", default=None, help="load shards from a datagen directory")
     run.set_defaults(fn=_cmd_run)
 

@@ -30,29 +30,6 @@ from .errors import DimensionMismatch, InvalidParams, StateMismatch
 ACTIVATIONS = ("identity", "relu")
 
 
-@dataclass(frozen=True)
-class LrSchedule:
-    """Per-round step size: ``rate(t - 1)`` is alpha_t of round t.
-
-    inverse_sqrt decays as base / sqrt(t); constant keeps base. Every
-    local step of every client in round t uses alpha_t.
-    """
-
-    kind: str = "inverse_sqrt"
-    base: float = 0.05
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "inverse_sqrt"):
-            raise InvalidParams(f"unknown schedule kind {self.kind!r}")
-        if self.base <= 0:
-            raise InvalidParams("base learning rate must be positive")
-
-    def rate(self, t: int) -> float:
-        if self.kind == "constant":
-            return self.base
-        return self.base / math.sqrt(t + 1.0)
-
-
 @dataclass
 class QuantErrorStats:
     """Per-step quantization error energies.
@@ -169,9 +146,20 @@ def init_layers(dims: list[int], rng: np.random.Generator, std: float) -> list[n
     return [rng.normal(0.0, std, size=(dims[l + 1], dims[l])) for l in range(len(dims) - 1)]
 
 
-def quantize_model(layers: list[np.ndarray], bits: int, rng: np.random.Generator) -> list[qk.QuantizedTensor]:
-    """Quantize each layer with a fresh tanh codebook at ``bits``."""
-    return [qk.fit_and_quantize(w, bits, "tanh", rng)[0] for w in layers]
+def quantize_model(
+    layers: list[np.ndarray], bits: int, rng: np.random.Generator
+) -> tuple[list[qk.QuantizedTensor], float]:
+    """Quantize each layer with a fresh tanh codebook at ``bits``.
+
+    Returns the quantized layers and ||eps||^2 summed over them.
+    """
+    model = []
+    err_sq = 0.0
+    for w in layers:
+        q, _, layer_err_sq = qk.fit_and_quantize(w, bits, "tanh", rng)
+        model.append(q)
+        err_sq += layer_err_sq
+    return model, err_sq
 
 
 def start_client(config: ClientConfig, init: list[np.ndarray], rng: np.random.Generator) -> ClientState:
@@ -180,7 +168,7 @@ def start_client(config: ClientConfig, init: list[np.ndarray], rng: np.random.Ge
     The codebooks draw from ``rng``, which then stays the client's own
     stream for training.
     """
-    return ClientState(config, quantize_model(init, config.bitwidth, rng), rng)
+    return ClientState(config, quantize_model(init, config.bitwidth, rng)[0], rng)
 
 
 def quantized_forward(
@@ -270,17 +258,11 @@ def local_update(state: ClientState, weights: list[np.ndarray], grads: list[np.n
     the codebook tracks the drifting weight range. Returns the step's
     ||eps_w||^2 (zero when weight quantization is off).
     """
-    eps_w_sq = 0.0
-    new_model = []
-    for w, g in zip(weights, grads):
-        u = w - lr * g
-        if state.config.quantize_weights:
-            q, _, err_sq = qk.fit_and_quantize(u, state.config.bitwidth, "tanh", state.rng)
-            eps_w_sq += err_sq
-            new_model.append(q)
-        else:
-            new_model.append(u)
-    state.model = new_model
+    updated = [w - lr * g for w, g in zip(weights, grads)]
+    if not state.config.quantize_weights:
+        state.model = updated
+        return 0.0
+    state.model, eps_w_sq = quantize_model(updated, state.config.bitwidth, state.rng)
     return eps_w_sq
 
 

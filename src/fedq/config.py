@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .client import LrSchedule
+from .client import ACTIVATIONS
 from .datagen import DataGenParams
 from .errors import InvalidParams, ParseError, ValidationError
 from .quantkit import MAX_RATE
@@ -60,9 +60,6 @@ class ExperimentConfig:
     training_seed: int
     metrics: MetricFlags
     output_dir: str
-
-    def lr_schedule(self, base: float) -> LrSchedule:
-        return LrSchedule(kind=self.lr_kind, base=base)
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,7 +169,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(layers[0] == d, "model.layers must start at the data dimension d")
     _require(layers[-1] == m, "model.layers must end at the representation dim m")
     activation = model.get("activation", "identity")
-    _require(activation in ("identity", "relu"), "model.activation must be identity or relu")
+    _require(activation in ACTIVATIONS, f"model.activation must be {' or '.join(ACTIVATIONS)}")
 
     data = dict(raw.get("data", {}))
     _reject_unknown(data, _DATA_KEYS, "data")

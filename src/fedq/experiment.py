@@ -16,7 +16,7 @@ byte-identical across reruns, which wall-clock numbers would break.
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +43,9 @@ class MetricsRecord:
     eps_g_mean: dict[int, float]
     eps_w_mean: dict[int, float]
     eps_r: dict[int, float]
-    moreau: float = math.nan
-    representability: list[float] = field(default_factory=list)
-    wall_ms: float = 0.0
+    moreau: float
+    representability: list[float]
+    wall_ms: float
 
 
 @dataclass
@@ -79,16 +79,15 @@ def _metrics_header(client_ids: list[int], repr_dims: int) -> str:
     return ",".join(cols)
 
 
-def _metrics_row(rec: MetricsRecord, client_ids: list[int], repr_dims: int) -> str:
+def _metrics_row(rec: MetricsRecord, client_ids: list[int]) -> str:
     vals = [str(rec.round), _csv_num(rec.global_loss), _csv_num(rec.moreau)]
-    reps = list(rec.representability) + [math.nan] * repr_dims
-    vals += [_csv_num(v) for v in reps[:repr_dims]]
+    vals += [_csv_num(v) for v in rec.representability]
     for k in client_ids:
         vals += [
-            _csv_num(rec.local_loss.get(k, math.nan)),
-            _csv_num(rec.eps_g_mean.get(k, math.nan)),
-            _csv_num(rec.eps_w_mean.get(k, math.nan)),
-            _csv_num(rec.eps_r.get(k, math.nan)),
+            _csv_num(rec.local_loss[k]),
+            _csv_num(rec.eps_g_mean[k]),
+            _csv_num(rec.eps_w_mean[k]),
+            _csv_num(rec.eps_r[k]),
         ]
     return ",".join(vals)
 
@@ -160,7 +159,6 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | Path | None = None) ->
     xbar = global_covariance(shards)
 
     lr_base = resolve_lr_base(cfg, xbar)
-    schedule = cfg.lr_schedule(lr_base)
     tp = TheoryParams.from_covariance(xbar) if cfg.metrics.moreau else None
 
     # Shared full-precision init, then per-client quantization at s_k.
@@ -234,7 +232,7 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | Path | None = None) ->
                 wall_ms=0.0 if t0 is None else (time.perf_counter() - t0) * 1e3,
             )
             records.append(rec)
-            mfile.write(_metrics_row(rec, client_ids, repr_dims) + "\n")
+            mfile.write(_metrics_row(rec, client_ids) + "\n")
             mfile.flush()
             if t > 0:
                 tfile.write(f"{t},{rec.wall_ms:.3f}\n")
@@ -245,7 +243,7 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | Path | None = None) ->
              {k: cl.QuantErrorStats() for k in client_ids}, dict.fromkeys(client_ids, 0.0))
         for t in range(1, cfg.rounds + 1):
             t0 = time.perf_counter()
-            alpha = schedule.rate(t - 1)
+            alpha = lr_base if cfg.lr_kind == "constant" else lr_base / math.sqrt(t)
             round_alphas.append(alpha)
             round_stats, sent = step_round(
                 states, server, shard_by_id, cfg.local_epochs, cfg.batch_size, alpha

@@ -35,20 +35,17 @@ MAX_RATE = 24
 
 @dataclass(frozen=True)
 class Codebook:
-    """Sorted quantization centers plus the compander that produced them.
+    """Sorted quantization centers at a rate.
 
     ``centers`` has length 2^rate and is strictly increasing, except for
     the degenerate fallback built from (near-)constant input where every
     center holds the same value and quantization maps everything to
-    index 0. ``source_range`` records the span of the data the codebook
-    was built from; centers always lie inside it. The builders below
-    establish these facts, so construction only freezes ``centers``.
+    index 0. The builders below establish these facts, so construction
+    only freezes ``centers``.
     """
 
     rate: int
     centers: np.ndarray
-    compander: str
-    source_range: tuple[float, float]
 
     def __post_init__(self):
         self.centers.setflags(write=False)
@@ -121,15 +118,14 @@ def _repair_strictly_increasing(centers: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(centers - ramp) + ramp
 
 
-def degenerate_codebook(value: float, rate: int, compander: str = "identity") -> Codebook:
+def degenerate_codebook(value: float, rate: int) -> Codebook:
     """Fallback codebook for constant input: K copies of one center.
 
     Strict-increase is waived; stochastic_quantize maps every element to
     index 0. Constant layers occur at initialization, so builders fitted
     to data fall back to this instead of failing.
     """
-    centers = np.full(_codebook_size(rate), float(value))
-    return Codebook(rate, centers, compander, (float(value), float(value)))
+    return Codebook(rate, np.full(_codebook_size(rate), float(value)))
 
 
 def build_uniform_codebook(lo: float, hi: float, rate: int) -> Codebook:
@@ -145,7 +141,7 @@ def build_uniform_codebook(lo: float, hi: float, rate: int) -> Codebook:
     if hi - lo < RANGE_EPS:
         raise DegenerateRange(f"range [{lo}, {hi}] narrower than {RANGE_EPS}")
     centers = np.linspace(lo, hi, _codebook_size(rate))
-    return Codebook(int(rate), centers, "identity", (lo, hi))
+    return Codebook(int(rate), centers)
 
 
 def build_tanh_codebook(values: np.ndarray, rate: int) -> Codebook:
@@ -161,7 +157,7 @@ def build_tanh_codebook(values: np.ndarray, rate: int) -> Codebook:
     k = _codebook_size(rate)
     lo, hi = _value_range(np.asarray(values, dtype=np.float64))
     if hi - lo < RANGE_EPS:
-        return degenerate_codebook(0.5 * (lo + hi), int(rate), "tanh")
+        return degenerate_codebook(0.5 * (lo + hi), int(rate))
     # np.linspace(t0, t1, k) spelled out: same operations, same bits.
     t0 = float(np.tanh(lo))
     t1 = float(np.tanh(hi))
@@ -180,8 +176,7 @@ def build_tanh_codebook(values: np.ndarray, rate: int) -> Codebook:
     # Scalar first: on a tie (+-0) the center is kept, as np.clip does.
     np.maximum(lo, centers, out=centers)
     np.minimum(hi, centers, out=centers)
-    centers = _repair_strictly_increasing(centers)
-    return Codebook(int(rate), centers, "tanh", (lo, hi))
+    return Codebook(int(rate), _repair_strictly_increasing(centers))
 
 
 def build_quantile_codebook(values: np.ndarray, rate: int) -> Codebook:
@@ -196,15 +191,12 @@ def build_quantile_codebook(values: np.ndarray, rate: int) -> Codebook:
     values = np.asarray(values, dtype=np.float64)
     lo, hi = _value_range(values)
     if hi - lo < RANGE_EPS:
-        return degenerate_codebook(0.5 * (lo + hi), int(rate), "quantile")
+        return degenerate_codebook(0.5 * (lo + hi), int(rate))
     order_stats = np.sort(values.ravel())
     n = order_stats.size
     pos = (np.arange(k, dtype=np.float64) + 0.5) / k * (n - 1)
     centers = np.interp(pos, np.arange(n, dtype=np.float64), order_stats)
-    centers = _repair_strictly_increasing(centers)
-    # The nudge can push the top center a few ulps past max(values).
-    hi = max(hi, float(centers[-1]))
-    return Codebook(int(rate), centers, "quantile", (lo, hi))
+    return Codebook(int(rate), _repair_strictly_increasing(centers))
 
 
 def _draw_indices(values: np.ndarray, cb: Codebook, rng: np.random.Generator) -> np.ndarray:
@@ -254,18 +246,13 @@ def fit_and_quantize(
     return q, values, float((err * err).sum())
 
 
-def empirical_mse(
-    cb: Codebook,
-    samples: np.ndarray,
-    rng: np.random.Generator,
-    draws: int = 8,
-) -> float:
+def empirical_mse(cb: Codebook, samples: np.ndarray, rng: np.random.Generator, draws: int) -> float:
     """Monte-Carlo estimate of the mean squared quantization error.
 
     Quantizes ``samples`` ``draws`` times with fresh randomness and
-    averages the squared reconstruction error. Samples outside
-    ``cb.source_range`` incur deterministic clamping bias on top of the
-    rounding variance.
+    averages the squared reconstruction error. Samples beyond the end
+    centers incur deterministic clamping bias on top of the rounding
+    variance.
     """
     if draws < 1:
         raise InvalidParams("draws must be >= 1")

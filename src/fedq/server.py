@@ -89,7 +89,7 @@ class ServerState:
     """
 
     client_bitwidths: dict[int, int]
-    seed: int = 0
+    seed: int
     global_model: list[np.ndarray] | None = None
     round_counter: int = 0
     requant_error_log: list[dict[int, float]] = field(default_factory=list)

@@ -84,9 +84,9 @@ def reference_prox_solve(w, xbar, tp):
     obj = inner(y)
     rejections = 0
     halvings = 0
-    for _ in range(tp.inner_iters):
+    for _ in range(2000):
         g = 4.0 * y @ (y.T @ y - xbar) + tp.rho_bar * (y - w)
-        if step * float(np.linalg.norm(g)) < tp.inner_tol:
+        if step * float(np.linalg.norm(g)) < 1e-10:
             break
         y_new = y - step * g
         obj_new = inner(y_new)

@@ -29,23 +29,6 @@ def plain_config(**kw):
     return cl.ClientConfig(**defaults)
 
 
-class TestLrSchedule:
-    def test_constant(self):
-        s = cl.LrSchedule(kind="constant", base=0.1)
-        assert s.rate(0) == s.rate(9) == 0.1
-
-    def test_inverse_sqrt_decay(self):
-        s = cl.LrSchedule(kind="inverse_sqrt", base=0.2)
-        rates = [s.rate(t) for t in range(10)]
-        assert rates[0] == pytest.approx(0.2)
-        assert rates[3] == pytest.approx(0.2 / 2.0)
-        assert all(a >= b for a, b in zip(rates, rates[1:]))
-
-    def test_invalid(self):
-        with pytest.raises(InvalidParams):
-            cl.LrSchedule(kind="linear", base=0.1)
-
-
 class TestForward:
     def test_identity_unquantized_is_matmul(self):
         rng = np.random.default_rng(1)
@@ -127,8 +110,8 @@ class TestBackward:
         for _ in range(n):
             acc += qk.dequantize(qk.stochastic_quantize(raw, cb, rng))
         acc /= n
-        from fedq._kernels import reference
-        var = reference.expected_sq_error(raw, cb.centers).reshape(raw.shape)
+        from fedq import _kernels as kernels
+        var = kernels.expected_sq_error(raw, cb.centers).reshape(raw.shape)
         in_range = (raw >= cb.centers[0]) & (raw <= cb.centers[-1])
         tol = 3.0 * np.sqrt(var / n) + 1e-12
         assert np.all(np.abs(acc - raw)[in_range] <= tol[in_range])
@@ -278,13 +261,12 @@ class TestRunLocalEpochs:
         def final_loss(quantized: bool):
             rng = np.random.default_rng(61)
             layers = cl.init_layers([8, 2], np.random.default_rng(2), 0.1 / math.sqrt(8))
-            schedule = cl.LrSchedule(base=0.03)
             if quantized:
                 state = cl.start_client(cl.ClientConfig(bitwidth=12, aug_sigma=0.1), layers, rng)
             else:
                 state = cl.ClientState(plain_config(aug_sigma=0.1), layers, rng)
             for i in range(15):
-                cl.run_local_epochs(state, shard, 2, 64, schedule.rate(i))
+                cl.run_local_epochs(state, shard, 2, 64, 0.03 / math.sqrt(i + 1))
             return ssl.loss(state.layer_values()[0], shard.covariance())
 
     # identical seeds and schedule; rng streams diverge once quantization

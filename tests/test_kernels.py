@@ -4,7 +4,7 @@ determinism is defined over kernel outputs."""
 import numpy as np
 import pytest
 
-from fedq._kernels import reference
+from fedq import _kernels as kernels
 
 
 def _centers(k=16, lo=-2.0, hi=3.0):
@@ -51,26 +51,26 @@ def test_reference_matches_brute_force(rng):
     centers = _centers()
     x = rng.uniform(-3.0, 4.0, size=2000)
     u = rng.random(2000)
-    got = reference.stochastic_round(x, centers, u)
+    got = kernels.stochastic_round(x, centers, u)
     np.testing.assert_array_equal(got, _brute_force_round(x, centers, u))
 
 
 def test_reference_handles_exact_centers(rng):
     centers = _centers()
     u = rng.random(centers.size)
-    got = reference.stochastic_round(centers, centers, u)
+    got = kernels.stochastic_round(centers, centers, u)
     np.testing.assert_array_equal(got, np.arange(centers.size))
 
 
 def test_expected_sq_error_is_bernoulli_variance(rng):
     centers = _centers(8, 0.0, 1.0)
     x = rng.uniform(0.0, 1.0, size=50)
-    expect = reference.expected_sq_error(x, centers)
+    expect = kernels.expected_sq_error(x, centers)
     # Monte-Carlo check of E[(x - Q(x))^2] per element.
     draws = 40000
     acc = np.zeros_like(x)
     for _ in range(draws):
-        idx = reference.stochastic_round(x, centers, rng.random(x.size))
+        idx = kernels.stochastic_round(x, centers, rng.random(x.size))
         acc += (x - centers[idx]) ** 2
     acc /= draws
     np.testing.assert_allclose(acc, expect, atol=4e-4)
@@ -80,9 +80,9 @@ def test_out_of_range_clamps():
     centers = _centers(4, 0.0, 1.0)
     x = np.array([-5.0, 0.0, 1.0, 9.0])
     u = np.array([0.999, 0.999, 0.0, 0.0])
-    got = reference.stochastic_round(x, centers, u)
+    got = kernels.stochastic_round(x, centers, u)
     np.testing.assert_array_equal(got, [0, 0, 3, 3])
-    err = reference.expected_sq_error(x, centers)
+    err = kernels.expected_sq_error(x, centers)
     np.testing.assert_allclose(err, [25.0, 0.0, 0.0, 64.0])
 
 
@@ -91,7 +91,7 @@ def test_infinities_clamp_to_end_indices():
     centers = _centers(8, -1.0, 1.0)
     x = np.array([-np.inf, np.inf, -np.inf, np.inf])
     u = np.array([0.0, 0.0, 0.999, 0.999])
-    got = reference.stochastic_round(x, centers, u)
+    got = kernels.stochastic_round(x, centers, u)
     np.testing.assert_array_equal(got, [0, 7, 0, 7])
     assert got.dtype == np.int64
 
@@ -106,5 +106,5 @@ def test_matches_masked_clamp_form(rng, k):
          np.nextafter(centers[-1], np.inf)],
     ])
     u = rng.random(x.size)
-    got = reference.stochastic_round(x, centers, u)
+    got = kernels.stochastic_round(x, centers, u)
     np.testing.assert_array_equal(got, _masked_clamp_round(x, centers, u))

@@ -77,11 +77,14 @@ class TestConfig:
         ({"seeds": {"data": -1}}, "seeds.data"),
         ({"seeds": {"training": -1}}, "seeds.training"),
         ({}, "FEDQ_SEED"),
+        ({"lr": {"kind": "linear"}}, "lr.kind"),
+        ({"model": {"activation": "tanh"}}, "model.activation"),
     ])
     def test_no_silent_coercion(self, over, key, monkeypatch):
         # JSON true loaded as 1.0, Infinity passed, 100.5 samples and
         # output_dir 5 reached the run, and a negative seed reached
-        # np.random.SeedSequence; each must name its field instead.
+        # np.random.SeedSequence; each must name its field instead. Config
+        # is also the only check of lr.kind and model.activation.
         if key == "FEDQ_SEED":
             monkeypatch.setenv(key, "-1")
         with pytest.raises(ValidationError, match=f"^{key} must be"):
@@ -209,7 +212,8 @@ class TestRunExperiment:
         assert len(lines) == 2 + 2
         assert lines[-1].split(",")[0] == "2"
 
-    def test_every_step_uses_its_rounds_alpha(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("kind", ["inverse_sqrt", "constant"])
+    def test_every_step_uses_its_rounds_alpha(self, tmp_path, monkeypatch, kind):
         # One clock: run_experiment decides alpha_t once per round, and every
         # local step of every client in round t takes exactly that value.
         real = exp.cl.local_update
@@ -222,10 +226,13 @@ class TestRunExperiment:
         monkeypatch.setattr(exp.cl, "local_update", spy)
         cfg = config_from_dict(small_run_dict(
             tmp_path, rounds=4, local_epochs=2, batch_size=16,
-            lr={"kind": "inverse_sqrt", "base": 0.02},
+            lr={"kind": kind, "base": 0.02},
         ))
         res = run_experiment(cfg)
-        assert res.round_alphas == [0.02 / math.sqrt(t) for t in range(1, 5)]
+        assert res.round_alphas == {
+            "inverse_sqrt": [0.02 / math.sqrt(t) for t in range(1, 5)],
+            "constant": [0.02] * 4,
+        }[kind]
         # several minibatches per epoch, two epochs per round
         assert all(n > 2 for steps in res.steps_per_round.values() for n in steps)
         expected = [
@@ -356,12 +363,17 @@ class TestCli:
         long_csv = tmp_path / "run" / "metrics_long.csv"
         assert long_csv.read_text().splitlines()[0] == "round,metric,value"
 
-    def test_run_threads_flag_deterministic(self, tmp_path):
+    def test_run_threads_flag_deterministic(self, tmp_path, capsys):
+        # Clients train in id order on one thread: CLI reruns are
+        # byte-identical, and there is no thread-count flag to vary.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_run_dict(tmp_path)))
-        assert cli_dispatch(["run", "--config", str(cfg_path), "--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
-        assert cli_dispatch(["run", "--config", str(cfg_path), "--out", str(tmp_path / "t2"), "--threads", "3"]) == 0
+        assert cli_dispatch(["run", "--config", str(cfg_path), "--out", str(tmp_path / "t1")]) == 0
+        assert cli_dispatch(["run", "--config", str(cfg_path), "--out", str(tmp_path / "t2")]) == 0
         assert (tmp_path / "t1" / "metrics.csv").read_bytes() == (tmp_path / "t2" / "metrics.csv").read_bytes()
+        capsys.readouterr()
+        assert cli_dispatch(["run", "--config", str(cfg_path), "--threads", "1"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_datagen_then_run_from_disk(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -402,12 +414,21 @@ class TestCli:
         assert err.startswith("error:") and "FEDQ_SEED" in err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("rates", ["3..x", "a,b"])
+    @pytest.mark.parametrize("rates", ["3..x", "a,b", "5", "8..3"])
     def test_quantprobe_rejects_bad_rates(self, tmp_path, capsys, rates):
+        # A slope needs two distinct rates; fewer fail before any work.
         out = tmp_path / "probe.csv"
         assert cli_dispatch(["quantprobe", "--rates", rates, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and repr(rates) in err
+        assert err.startswith("error:") and "--rates" in err and repr(rates) in err
+        assert not out.exists()
+
+    def test_quantprobe_rejects_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "probe.csv"
+        argv = ["quantprobe", "--rates", "3..4", "--seed", "-1", "--out", str(out)]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seed" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("samples", ["-1", "0"])
@@ -442,8 +463,10 @@ class TestCli:
         tail = ssl.sym_eig(xbar).eigenvalues[2:]
         assert reported == pytest.approx(float(np.sum(tail**2)), rel=1e-8)
 
-    @pytest.mark.parametrize("scale", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("scale", ["-1", "nan", "inf", "1e300", "1.7e308"])
     def test_oracle_rejects_bad_eps_scale(self, tmp_path, capsys, scale):
+        # 1e300 and 1.7e308 are finite, but the perturbations they ask for
+        # overflow float64 (in the arithmetic, and in the scale itself).
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_run_dict(tmp_path, d=8)))
         assert cli_dispatch(["oracle", "--config", str(cfg_path), "--eps-scale", scale]) == 1

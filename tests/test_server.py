@@ -112,8 +112,8 @@ class TestRequantize:
             acc += qk.dequantize(model[0])
         acc /= n
         cb = qk.build_tanh_codebook(w, 5)
-        from fedq._kernels import reference
-        var = reference.expected_sq_error(w, cb.centers).reshape(w.shape)
+        from fedq import _kernels as kernels
+        var = kernels.expected_sq_error(w, cb.centers).reshape(w.shape)
         tol = 3.0 * np.sqrt(var / n) + 1e-12
         assert np.all(np.abs(acc - w) <= tol)
 
@@ -185,7 +185,7 @@ class TestRunRound:
         assert log[1] >= 0.0 and log[2] >= 0.0
 
     def test_non_finite_aggregate_names_round_and_client(self):
-        cb = qk.Codebook(1, np.array([0.0, np.inf]), "identity", (0.0, np.inf))
+        cb = qk.Codebook(1, np.array([0.0, np.inf]))
         q = qk.QuantizedTensor((2,), np.array([0, 1], dtype=np.uint8), cb)
         server = sv.ServerState({1: 4, 2: 4}, seed=3)
         with pytest.raises(Diverged, match="round 1, client 1") as info:
