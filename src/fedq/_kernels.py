@@ -3,12 +3,17 @@
 Given identical inputs (including the pre-drawn uniforms) the index
 arrays are bit-identical from run to run; experiment determinism and
 the golden digests of tests/test_golden.py are defined over them.
+
+Each element's bracket is ``n_le``, the number of centers <= the value.
+Callers that already know it pass it in (``quantkit.fit_and_quantize``
+works it out from the tanh grid or the quantile sort of a fitted
+tensor); otherwise the kernel finds it by binary search.
 """
 
 import numpy as np
 
 
-def stochastic_round(values, centers, uniforms):
+def stochastic_round(values, centers, uniforms, n_le=None):
     """Map each value to a codebook index by randomized nearest-bracket rounding.
 
     ``values`` is a flat float64 array and ``centers`` a strictly
@@ -19,10 +24,17 @@ def stochastic_round(values, centers, uniforms):
     the codebook range clamp to the end indices. One uniform is consumed
     per element, in order, so the output is reproducible regardless of
     schedule.
+
+    ``n_le``, when given, must equal
+    ``centers.searchsorted(values, side="right")`` exactly; the kernel
+    then skips that search. It is read, not modified.
     """
     k = centers.shape[0]
-    j = np.searchsorted(centers, values, side="right")
-    j -= 1
+    if n_le is None:
+        j = np.searchsorted(centers, values, side="right")
+        j -= 1
+    else:
+        j = n_le - 1
     out = np.maximum(j, 0)
     np.minimum(out, k - 2, out=out)
     lo = centers[out]
@@ -35,27 +47,4 @@ def stochastic_round(values, centers, uniforms):
     # the index there.
     out += uniforms < p
     np.maximum(out, j, out=out)
-    return out
-
-
-def expected_sq_error(values, centers):
-    """Per-element variance of the stochastic rounding error.
-
-    For x bracketed by (c_j, c_{j+1}) the rounding is a Bernoulli draw and
-    the mean squared error is (x - c_j)(c_{j+1} - x); clamped values incur
-    the deterministic squared distance to the end center.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    k = centers.shape[0]
-    if k == 1:
-        return (values - centers[0]) ** 2
-    j = np.searchsorted(centers, values, side="right") - 1
-    jc = np.clip(j, 0, k - 2)
-    lo = centers[jc]
-    hi = centers[jc + 1]
-    out = (values - lo) * (hi - values)
-    below = j < 0
-    above = j >= k - 1
-    out[below] = (values[below] - centers[0]) ** 2
-    out[above] = (values[above] - centers[k - 1]) ** 2
     return out

@@ -29,7 +29,7 @@ CLIP = 3.0
 
 
 def _parse_rates(expr: str) -> list[int]:
-    """``lo..hi`` (inclusive) or a comma list, naming at least two distinct rates."""
+    """``lo..hi`` (inclusive) or a comma list of at least two distinct rates in [1, MAX_RATE]."""
     try:
         lo, dots, hi = expr.partition("..")
         rates = list(range(int(lo), int(hi) + 1)) if dots else [int(x) for x in expr.split(",") if x]
@@ -37,6 +37,9 @@ def _parse_rates(expr: str) -> list[int]:
         raise InvalidParams(f"--rates must be lo..hi or a comma list of integers, got {expr!r}") from e
     if len(set(rates)) < 2:
         raise InvalidParams(f"--rates must name at least two distinct rates, got {expr!r}")
+    bad = [r for r in rates if not 1 <= r <= quantkit.MAX_RATE]
+    if bad:
+        raise InvalidParams(f"--rates must lie in [1, {quantkit.MAX_RATE}], got {bad[0]} in {expr!r}")
     return rates
 
 
@@ -79,6 +82,8 @@ def _cmd_quantprobe(args) -> int:
         raise InvalidParams(f"--samples must be >= 1, got {args.samples}")
     if args.seed < 0:
         raise InvalidParams(f"--seed must be >= 0, got {args.seed}")
+    if args.draws < 1:
+        raise InvalidParams(f"--draws must be >= 1, got {args.draws}")
     rows = clipped_gaussian_mse_sweep(rates, args.samples, seed=args.seed, draws=args.draws)
     out = Path(args.out)
     analysis.write_probe_csv(rows, out)

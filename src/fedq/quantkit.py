@@ -16,6 +16,14 @@ Three builders cover the schemes used in training:
 Codebooks are immutable and shareable; quantization is pure given the
 caller's RNG stream, consuming one uniform per element in row-major
 order.
+
+Rounding needs each element's bracket: ``n_le``, the number of centers
+<= the value. ``stochastic_quantize`` with a foreign codebook leaves it
+to the kernel's binary search. ``fit_and_quantize`` works it out from
+the fit instead, for tensors of at least DIRECT_BRACKET_MIN elements:
+from the uniform tanh-space grid for a tanh codebook, and from a sort
+of the tensor for a quantile codebook. Either way ``n_le`` is exactly
+what the search returns, so the indices are the same.
 """
 
 import math
@@ -31,6 +39,13 @@ RANGE_EPS = 1e-12
 
 # Largest codebook rate: 2^24 float64 centers (128 MiB), uint32 indices.
 MAX_RATE = 24
+
+# fit_and_quantize brackets tensors of at least this many elements from
+# the fit; smaller ones keep the kernel's binary search, which costs less
+# there. On workload tensors cut to n elements, the fit's brackets break
+# even near n = 512 for tanh and n = 256 for quantile codebooks, and take
+# 18% off a 1024-element call (numpy 2.4, AVX-512 x86-64, one thread).
+DIRECT_BRACKET_MIN = 512
 
 
 @dataclass(frozen=True)
@@ -199,24 +214,32 @@ def build_quantile_codebook(values: np.ndarray, rate: int) -> Codebook:
     return Codebook(int(rate), _repair_strictly_increasing(centers))
 
 
-def _draw_indices(values: np.ndarray, cb: Codebook, rng: np.random.Generator) -> np.ndarray:
+def _draw_indices(
+    values: np.ndarray, cb: Codebook, rng: np.random.Generator, n_le: np.ndarray | None = None
+) -> np.ndarray:
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
     if cb.is_degenerate:
         return np.zeros(flat.shape[0], dtype=np.int64)
     uniforms = rng.random(flat.shape[0])
-    return _kernels.stochastic_round(flat, cb.centers, uniforms)
+    return _kernels.stochastic_round(flat, cb.centers, uniforms, n_le)
 
 
-def stochastic_quantize(x: np.ndarray, cb: Codebook, rng: np.random.Generator) -> QuantizedTensor:
+def stochastic_quantize(
+    x: np.ndarray, cb: Codebook, rng: np.random.Generator, n_le: np.ndarray | None = None
+) -> QuantizedTensor:
     """Quantize a tensor with randomized rounding to bracketing centers.
 
     Elements at or beyond the end centers clamp deterministically; for
     interior x with c_j <= x <= c_{j+1} the result is c_{j+1} with
     probability (x - c_j)/(c_{j+1} - c_j) and c_j otherwise, which makes
     the in-range quantization error zero-mean.
+
+    ``n_le``, when given, is each element's count of centers <= it in
+    row-major order, exactly ``cb.centers.searchsorted(x.ravel(),
+    side="right")``; the kernel then skips its search.
     """
     x = np.asarray(x, dtype=np.float64)
-    idx = _draw_indices(x, cb, rng)
+    idx = _draw_indices(x, cb, rng, n_le)
     return QuantizedTensor(x.shape, idx.astype(_index_dtype(cb.size)), cb)
 
 
@@ -225,22 +248,84 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     return q.codebook.centers[q.indices].reshape(q.shape)
 
 
+def tanh_n_le(flat: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Count of centers <= x per element, for a tanh codebook fitted to ``flat``.
+
+    The fitted grid is uniform in tanh space between tanh(c[0]) and
+    tanh(c[-1]), so the guess is floor((tanh(x) - tanh(c[0])) / step) + 1,
+    kept in [1, K]. Each guess is checked against the real centers, which
+    makes the count exact for any non-decreasing codebook; the elements
+    it misses (saturated tanh beyond |x| ~ 19, repaired duplicate
+    centers, ulp boundaries) are searched.
+    """
+    k = centers.shape[0]
+    t0 = np.tanh(centers[0])
+    t1 = np.tanh(centers[-1])
+    if not t1 > t0:
+        return centers.searchsorted(flat, side="right")
+    est = np.tanh(flat)
+    est -= t0
+    est *= (k - 1) / (t1 - t0)
+    # Truncation is the floor for est >= 0; the clamps keep a guess that
+    # rounding (or a value outside the codebook) pushed out of range a
+    # valid index, for the check to correct.
+    n_le = est.astype(np.int64)
+    n_le += 1
+    np.maximum(n_le, 1, out=n_le)
+    np.minimum(n_le, k, out=n_le)
+    # The guess is right when c[n_le - 1] <= x < c[n_le], taking c[K] = +inf;
+    # the padded copy reads both ends with n_le itself as the index.
+    ends = np.empty(k + 2)
+    ends[0] = -np.inf
+    ends[1:-1] = centers
+    ends[-1] = np.inf
+    miss = ends[:-1][n_le] > flat
+    miss |= ends[1:][n_le] <= flat
+    if miss.any():
+        miss = np.flatnonzero(miss)
+        n_le[miss] = centers.searchsorted(flat[miss], side="right")
+    return n_le
+
+
+def quantile_n_le(flat: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Count of centers <= x per element, from a sort of ``flat``.
+
+    With s = sorted(flat) and q_m = #{s < c_m}, c_m <= s_i holds exactly
+    when i >= q_m, so the count for s_i is #{m : q_m <= i}: a histogram
+    of q, summed, then scattered back to the original order. This is
+    exact for any codebook, with K searches on sorted keys in place of n.
+    """
+    n = flat.shape[0]
+    order = np.argsort(flat)
+    q = flat[order].searchsorted(centers, side="left")
+    n_le = np.empty(n, dtype=np.int64)
+    n_le[order] = np.bincount(q, minlength=n + 1)[:n].cumsum()
+    return n_le
+
+
 def fit_and_quantize(
     x: np.ndarray, rate: int, compander: str, rng: np.random.Generator
 ) -> tuple[QuantizedTensor, np.ndarray, float]:
     """Fit a tanh or quantile codebook to ``x`` and quantize ``x`` with it.
 
     Returns (quantized tensor, dequantized values, ||values - x||^2).
-    Draws from ``rng`` exactly as the explicit sequence build codebook ->
-    stochastic_quantize -> dequantize does.
+    Draws from ``rng`` and returns exactly what the explicit sequence
+    build codebook -> stochastic_quantize -> dequantize does; for
+    tensors of at least DIRECT_BRACKET_MIN elements the brackets come
+    from the fit (tanh_n_le, quantile_n_le) rather than a search.
     """
     if compander == "tanh":
         cb = build_tanh_codebook(x, rate)
+        bracket = tanh_n_le
     elif compander == "quantile":
         cb = build_quantile_codebook(x, rate)
+        bracket = quantile_n_le
     else:
         raise InvalidParams(f"cannot fit a {compander!r} codebook to data")
-    q = stochastic_quantize(x, cb, rng)
+    n_le = None
+    if np.size(x) >= DIRECT_BRACKET_MIN and not cb.is_degenerate:
+        n_le = bracket(np.ascontiguousarray(x, dtype=np.float64).ravel(), cb.centers)
+    q = stochastic_quantize(x, cb, rng, n_le)
     values = dequantize(q)
     err = values - x
     return q, values, float((err * err).sum())

@@ -17,11 +17,12 @@ from fedq import client as cl
 from fedq import datagen as dg
 from fedq import quantkit as qk
 from fedq import sslcore as ssl
-from fedq import _kernels as kernels
 from fedq.cli import cli_dispatch, clipped_gaussian_mse_sweep
 from fedq.config import config_from_dict
 from fedq.experiment import run_experiment, step_round
 from fedq.server import ServerState
+
+from oracle import expected_sq_error
 
 
 def check(criterion: int, label: str, ok: bool, detail: str = ""):
@@ -61,7 +62,7 @@ def test_criterion_1_quantizer_unbiasedness():
         lo, hi = cb.centers[0], cb.centers[-1]
         xs = rng.uniform(lo, hi, size=100)
         for x in xs:
-            var = float(kernels.expected_sq_error(np.array([x]), cb.centers)[0])
+            var = float(expected_sq_error(np.array([x]), cb.centers)[0])
             q = qk.stochastic_quantize(np.full(draws, x), cb, rng)
             mean = qk.dequantize(q).mean()
             if var == 0.0:

@@ -12,6 +12,8 @@ from fedq import quantkit as qk
 from fedq import sslcore as ssl
 from fedq.errors import InvalidParams, StateMismatch
 
+from oracle import expected_sq_error
+
 
 def make_shard(n=1, d=8, count=200, seed=21, k=1):
     return dg.generate_shard(dg.DataGenParams(n=n, d=d, frequent_count=count, seed=seed), k)
@@ -110,8 +112,7 @@ class TestBackward:
         for _ in range(n):
             acc += qk.dequantize(qk.stochastic_quantize(raw, cb, rng))
         acc /= n
-        from fedq import _kernels as kernels
-        var = kernels.expected_sq_error(raw, cb.centers).reshape(raw.shape)
+        var = expected_sq_error(raw, cb.centers).reshape(raw.shape)
         in_range = (raw >= cb.centers[0]) & (raw <= cb.centers[-1])
         tol = 3.0 * np.sqrt(var / n) + 1e-12
         assert np.all(np.abs(acc - raw)[in_range] <= tol[in_range])

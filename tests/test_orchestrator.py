@@ -414,9 +414,10 @@ class TestCli:
         assert err.startswith("error:") and "FEDQ_SEED" in err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("rates", ["3..x", "a,b", "5", "8..3"])
+    @pytest.mark.parametrize("rates", ["3..x", "a,b", "5", "8..3", "0,3", "3..30"])
     def test_quantprobe_rejects_bad_rates(self, tmp_path, capsys, rates):
-        # A slope needs two distinct rates; fewer fail before any work.
+        # A slope needs two distinct rates, each a valid codebook rate;
+        # anything else fails before any work.
         out = tmp_path / "probe.csv"
         assert cli_dispatch(["quantprobe", "--rates", rates, "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -429,6 +430,15 @@ class TestCli:
         assert cli_dispatch(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--seed" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("draws", ["-1", "0"])
+    def test_quantprobe_rejects_bad_draws(self, tmp_path, capsys, draws):
+        out = tmp_path / "probe.csv"
+        argv = ["quantprobe", "--rates", "3..4", "--draws", draws, "--out", str(out)]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--draws" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("samples", ["-1", "0"])

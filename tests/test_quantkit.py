@@ -9,8 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedq import quantkit as qk
-from fedq import _kernels as kernels
 from fedq.errors import DegenerateRange, InvalidParams, NonFiniteInput
+
+from oracle import expected_sq_error, reference_n_le
 
 
 @pytest.fixture
@@ -299,6 +300,106 @@ class TestFitAndQuantize:
         assert int(q.indices.min()) >= 0 and int(q.indices.max()) < 2**rate
 
 
+_BUILD = {"tanh": qk.build_tanh_codebook, "quantile": qk.build_quantile_codebook}
+_N_LE = {"tanh": qk.tanh_n_le, "quantile": qk.quantile_n_le}
+
+
+def _bracket_input(seed, kind, n, log_scale):
+    """n elements that are hard to bracket without a search."""
+    r = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    if kind == "normal":
+        x = r.normal(size=n) * scale
+    elif kind == "cauchy":
+        x = r.standard_cauchy(size=n) * scale
+    elif kind == "ties":
+        x = np.round(r.normal(size=n) * 2.0) / 2.0 * scale
+    elif kind == "signed zeros":
+        x = r.choice([-0.0, 0.0, 0.0, -0.0, 1.0, -0.5], size=n) * scale
+    elif kind == "saturated":
+        # tanh(x) rounds to +-1 beyond |x| ~ 19.06.
+        x = r.uniform(-40.0, 40.0, size=n)
+    elif kind == "saturated high":
+        x = r.uniform(18.0, 40.0, size=n)
+    elif kind == "constant run":
+        x = r.normal(size=n) * scale
+        x[: max(1, n // 2)] = x[0]
+    else:  # "near-constant": collapsed centers that get repaired
+        x = (5.0 + r.normal(size=n) * 1e-13) * scale
+    return x.reshape(2, n // 2) if n % 2 == 0 else x
+
+
+_BRACKET_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    rate=st.integers(1, 10),
+    compander=st.sampled_from(["tanh", "quantile"]),
+    kind=st.sampled_from(["normal", "cauchy", "ties", "signed zeros", "saturated",
+                          "saturated high", "constant run", "near-constant"]),
+    n=st.sampled_from([1, 7, 128, qk.DIRECT_BRACKET_MIN - 1, qk.DIRECT_BRACKET_MIN, 1500]),
+    log_scale=st.floats(-3.0, 2.0),
+)
+
+
+class TestFittedBrackets:
+    """fit_and_quantize takes each element's bracket from the fit rather
+    than the kernel's search; the two must agree exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**_BRACKET_CASES)
+    @example(seed=0, rate=10, compander="tanh", kind="saturated high", n=2048, log_scale=0.0)
+    @example(seed=1, rate=10, compander="tanh", kind="near-constant", n=2048, log_scale=2.0)
+    @example(seed=2, rate=10, compander="quantile", kind="ties", n=2048, log_scale=0.0)
+    def test_n_le_matches_search(self, seed, rate, compander, kind, n, log_scale):
+        x = _bracket_input(seed, kind, n, log_scale)
+        cb = _BUILD[compander](x, rate)
+        assume(not cb.is_degenerate)
+        flat = x.ravel()
+        got = _N_LE[compander](flat, cb.centers)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, reference_n_le(cb.centers, flat))
+
+    @pytest.mark.parametrize("compander", ["tanh", "quantile"])
+    def test_exact_for_a_codebook_fitted_elsewhere(self, compander):
+        # Values far outside the codebook push the tanh guess out of [1, K].
+        centers = _BUILD[compander](np.linspace(-0.05, 0.05, 9), 3).centers
+        x = np.linspace(-5.0, 5.0, 101)
+        np.testing.assert_array_equal(_N_LE[compander](x, centers), reference_n_le(centers, x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(**_BRACKET_CASES)
+    def test_fit_matches_searched_sequence(self, seed, rate, compander, kind, n, log_scale):
+        x = _bracket_input(seed, kind, n, log_scale)
+        rng = np.random.default_rng(seed)
+        twin = copy.deepcopy(rng)
+        q, values, err_sq = qk.fit_and_quantize(x, rate, compander, rng)
+        cb = _BUILD[compander](x, rate)
+        q_ref = qk.stochastic_quantize(x, cb, twin)
+        values_ref = qk.dequantize(q_ref)
+        np.testing.assert_array_equal(q.codebook.centers, cb.centers)
+        np.testing.assert_array_equal(q.indices, q_ref.indices)
+        assert q.indices.dtype == q_ref.indices.dtype
+        np.testing.assert_array_equal(values, values_ref)
+        assert err_sq == float(np.sum((values_ref - x) ** 2))
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("compander", ["tanh", "quantile"])
+    def test_search_skipped_from_threshold_on(self, compander, monkeypatch):
+        seen = []
+        kernel = qk._kernels.stochastic_round
+
+        def spy(values, centers, uniforms, n_le=None):
+            seen.append(n_le is not None)
+            return kernel(values, centers, uniforms, n_le)
+
+        monkeypatch.setattr(qk._kernels, "stochastic_round", spy)
+        rng = np.random.default_rng(5)
+        for n in (qk.DIRECT_BRACKET_MIN - 1, qk.DIRECT_BRACKET_MIN):
+            qk.fit_and_quantize(rng.normal(size=n), 4, compander, rng)
+        qk.stochastic_quantize(rng.normal(size=qk.DIRECT_BRACKET_MIN),
+                               qk.build_uniform_codebook(-1.0, 1.0, 4), rng)
+        assert seen == [False, True, False]
+
+
 class TestUnbiasedness:
     @pytest.mark.parametrize("builder", ["uniform", "tanh", "quantile"])
     def test_in_range_mean_recovers_input(self, builder):
@@ -314,7 +415,7 @@ class TestUnbiasedness:
         xs = rng.uniform(lo, hi, size=20)
         n = 100_000
         for x in xs:
-            var = float(kernels.expected_sq_error(np.array([x]), cb.centers)[0])
+            var = float(expected_sq_error(np.array([x]), cb.centers)[0])
             q = qk.stochastic_quantize(np.full(n, x), cb, rng)
             mean = qk.dequantize(q).mean()
             tol = 3.0 * math.sqrt(var / n) + 1e-12
@@ -335,7 +436,7 @@ class TestEmpiricalMse:
     def test_matches_analytic_variance(self, rng):
         cb = qk.build_uniform_codebook(-2.0, 2.0, 4)
         x = rng.uniform(-2, 2, size=2000)
-        analytic = kernels.expected_sq_error(x, cb.centers).mean()
+        analytic = expected_sq_error(x, cb.centers).mean()
         mse = qk.empirical_mse(cb, x, rng, draws=300)
         np.testing.assert_allclose(mse, analytic, rtol=0.02)
 
