@@ -5,9 +5,13 @@ arrays are bit-identical from run to run; experiment determinism and
 the golden digests of tests/test_golden.py are defined over them.
 
 Each element's bracket is ``n_le``, the number of centers <= the value.
-Callers that already know it pass it in (``quantkit.fit_and_quantize``
-works it out from the tanh grid or the quantile sort of a fitted
-tensor); otherwise the kernel finds it by binary search.
+Callers that already know it pass it in (``quantkit.fit_codebook``
+works it out from the fit); otherwise the kernel finds it by binary
+search. ``centers`` may also concatenate several codebooks, one per
+row of a batch; then ``n_le`` is required and holds each element's
+count within its own codebook, kept in [1, K - 1], plus that codebook's
+offset, so every lookup stays inside the element's codebook, and the
+result indexes the concatenation.
 """
 
 import numpy as np
@@ -26,8 +30,9 @@ def stochastic_round(values, centers, uniforms, n_le=None):
     schedule.
 
     ``n_le``, when given, must equal
-    ``centers.searchsorted(values, side="right")`` exactly; the kernel
-    then skips that search. It is read, not modified.
+    ``centers.searchsorted(values, side="right")`` exactly, or that count
+    kept in [1, K - 1], which rounds the same; the kernel then skips the
+    search. It is read, not modified.
     """
     k = centers.shape[0]
     if n_le is None:

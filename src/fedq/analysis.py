@@ -237,7 +237,8 @@ def probe_run(rate: int, cfg: ProbeConfig, lr: float | None = None,
         layers,
         rng,
     )
-    return cl.run_local_epochs(state, shard, cfg.epochs, cfg.batch_size, lr if lr is not None else cfg.lr)
+    return cl.run_local_epochs([state], [shard], cfg.epochs, cfg.batch_size,
+                               lr if lr is not None else cfg.lr)[0]
 
 
 def rate_sweep_probe(rates: list[int], cfg: ProbeConfig | None = None) -> list[dict]:

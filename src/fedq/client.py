@@ -1,14 +1,20 @@
-"""Per-client low-bitwidth local training.
+"""Low-bitwidth local training, for clients in lockstep.
 
 One client = one fully-connected encoder whose weights live as
 quantized index arrays between steps, plus the client's own RNG stream.
+Clients that share every setting but the bitwidth, and whose shards
+hold the same number of rows, train as one ``Cohort``: the client is
+the leading axis of every weight, minibatch, activation and gradient,
+and each quantizer fit is one call over the clients' ragged codebooks.
 Each SGD step dequantizes the weights once, runs the forward/backward
 pass on those values (optionally quantizing activations with fresh tanh
 codebooks and gradients with fresh quantile codebooks), applies the
 update in full precision, and immediately re-quantizes the result with
-a tanh codebook rebuilt from the updated tensor. The energies of the
-gradient- and weight-quantization errors are recorded per step; they
-are the raw material of the variance probes in fedq.analysis.
+tanh codebooks rebuilt from the updated tensors. Every client draws
+from its own stream exactly what it would draw training alone, so a
+cohort of one trains the same bytes. The energies of the gradient- and
+weight-quantization errors are recorded per step; they are the raw
+material of the variance probes in fedq.analysis.
 
 The client keeps no clock. The round decides the step size alpha_t and
 hands it to ``run_local_epochs``; all E local epochs use it.
@@ -19,7 +25,7 @@ reduces to the linear objective at one layer.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,34 +42,34 @@ class QuantErrorStats:
 
     One entry per local update: total ||eps_g||^2 over layers, total
     ||eps_w||^2, and the squared norm of the unquantized weight
-    gradient.
+    gradient. Clients trained in lockstep share one record of
+    (clients, steps) arrays; ``stats[i]`` is client i's.
     """
 
-    grad_error_sq: list[float] = field(default_factory=list)
-    weight_error_sq: list[float] = field(default_factory=list)
-    grad_norm_sq: list[float] = field(default_factory=list)
+    grad_error_sq: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    weight_error_sq: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    grad_norm_sq: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
-    def append(self, eps_g_sq: float, eps_w_sq: float, g_sq: float):
-        self.grad_error_sq.append(eps_g_sq)
-        self.weight_error_sq.append(eps_w_sq)
-        self.grad_norm_sq.append(g_sq)
+    def __getitem__(self, i: int) -> "QuantErrorStats":
+        return QuantErrorStats(self.grad_error_sq[i], self.weight_error_sq[i], self.grad_norm_sq[i])
 
     def extend(self, other: "QuantErrorStats"):
-        self.grad_error_sq.extend(other.grad_error_sq)
-        self.weight_error_sq.extend(other.weight_error_sq)
-        self.grad_norm_sq.extend(other.grad_norm_sq)
+        self.grad_error_sq = np.concatenate((self.grad_error_sq, other.grad_error_sq), axis=-1)
+        self.weight_error_sq = np.concatenate((self.weight_error_sq, other.weight_error_sq), axis=-1)
+        self.grad_norm_sq = np.concatenate((self.grad_norm_sq, other.grad_norm_sq), axis=-1)
 
     def __len__(self) -> int:
-        return len(self.grad_error_sq)
+        """Local steps, summed over the clients."""
+        return self.grad_error_sq.size
 
     def mean_grad_error(self) -> float:
-        return float(np.mean(self.grad_error_sq)) if self.grad_error_sq else 0.0
+        return float(np.mean(self.grad_error_sq)) if len(self) else 0.0
 
     def mean_weight_error(self) -> float:
-        return float(np.mean(self.weight_error_sq)) if self.weight_error_sq else 0.0
+        return float(np.mean(self.weight_error_sq)) if len(self) else 0.0
 
     def max_grad_norm(self) -> float:
-        return math.sqrt(max(self.grad_norm_sq)) if self.grad_norm_sq else 0.0
+        return math.sqrt(self.grad_norm_sq.max()) if len(self) else 0.0
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,7 @@ class ClientState:
 
     ``model`` holds one tensor per layer: QuantizedTensor at
     ``config.bitwidth`` when weight quantization is on (as
-    ``start_client``, ``local_update`` and the server produce it),
+    ``start_clients``, ``run_local_epochs`` and the server produce it),
     otherwise a plain array. The RNG stream is owned by the client,
     making training deterministic regardless of how clients are
     scheduled.
@@ -116,6 +122,42 @@ class ClientState:
     def layer_values(self) -> list[np.ndarray]:
         """The model's weights as arrays: each quantized layer decoded once."""
         return [qk.dequantize(w) if isinstance(w, qk.QuantizedTensor) else w for w in self.model]
+
+
+@dataclass
+class Cohort:
+    """Clients that train in lockstep, as one batch.
+
+    Row r of every batched tensor (weights, minibatch, activations,
+    gradients, codebooks) belongs to client r. The clients share every
+    setting but the bitwidth; ``bits`` and ``grad_bits`` hold one per
+    row, ``rngs`` each client's own stream. ``model`` holds one batched
+    layer per layer: values while the round starts, then the quantized
+    batch that ``local_update`` leaves.
+    """
+
+    config: ClientConfig
+    bits: tuple[int, ...]
+    grad_bits: tuple[int, ...]
+    rngs: list[np.random.Generator]
+    model: list = field(default_factory=list)
+
+    @classmethod
+    def of(cls, states: list[ClientState]) -> "Cohort":
+        cfg = states[0].config
+        if any(replace(s.config, bitwidth=cfg.bitwidth) != cfg for s in states):
+            raise InvalidParams("clients in lockstep may differ only in bitwidth")
+        model = [np.stack(layer) for layer in zip(*(s.layer_values() for s in states))]
+        return cls(cfg, tuple(s.config.bitwidth for s in states),
+                   tuple(s.config.grad_bitwidth for s in states), [s.rng for s in states], model)
+
+    layer_values = ClientState.layer_values
+
+    def scatter(self, states: list[ClientState]):
+        """Hand each client its row of the model."""
+        layers = [qk.unstack(w) if isinstance(w, qk.QuantizedTensor) else w for w in self.model]
+        for r, state in enumerate(states):
+            state.model = [layer[r] for layer in layers]
 
 
 @dataclass
@@ -139,6 +181,10 @@ def _activate_deriv(pre: np.ndarray, kind: str) -> np.ndarray | None:
     return None
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    return x.reshape(x.shape[0], -1).sum(axis=1)
+
+
 def init_layers(dims: list[int], rng: np.random.Generator, std: float) -> list[np.ndarray]:
     """Full-precision Gaussian layers for the width chain ``dims``."""
     if len(dims) < 2:
@@ -147,56 +193,63 @@ def init_layers(dims: list[int], rng: np.random.Generator, std: float) -> list[n
 
 
 def quantize_model(
-    layers: list[np.ndarray], bits: int, rng: np.random.Generator
-) -> tuple[list[qk.QuantizedTensor], float]:
-    """Quantize each layer with a fresh tanh codebook at ``bits``.
+    layers: list[np.ndarray], bits: tuple[int, ...], rngs: list[np.random.Generator]
+) -> tuple[list[qk.QuantizedTensor], np.ndarray]:
+    """Quantize each batched layer with fresh tanh codebooks, row r at ``bits[r]``.
 
-    Returns the quantized layers and ||eps||^2 summed over them.
+    Returns the quantized layers and each row's ||eps||^2 summed over them.
     """
     model = []
-    err_sq = 0.0
+    err_sq = np.zeros(len(bits))
     for w in layers:
-        q, _, layer_err_sq = qk.fit_and_quantize(w, bits, "tanh", rng)
+        q, _, layer_err_sq = qk.fit_and_quantize(w, bits, "tanh", rngs)
         model.append(q)
         err_sq += layer_err_sq
     return model, err_sq
 
 
-def start_client(config: ClientConfig, init: list[np.ndarray], rng: np.random.Generator) -> ClientState:
-    """A client before its first round: ``init`` quantized at its bitwidth.
+def start_clients(configs: list[ClientConfig], init: list[np.ndarray],
+                  rngs: list[np.random.Generator]) -> list[ClientState]:
+    """Clients before their first round: the shared ``init`` quantized at
+    each one's bitwidth, as one batch.
 
-    The codebooks draw from ``rng``, which then stays the client's own
-    stream for training.
+    The codebooks draw from each client's ``rng``, which then stays its
+    own stream for training.
     """
-    return ClientState(config, quantize_model(init, config.bitwidth, rng)[0], rng)
+    layers = [np.broadcast_to(w, (len(configs),) + w.shape) for w in init]
+    model, _ = quantize_model(layers, tuple(c.bitwidth for c in configs), rngs)
+    rows = zip(*(qk.unstack(q) for q in model))
+    return [ClientState(c, list(m), rng) for c, m, rng in zip(configs, rows, rngs)]
 
 
-def quantized_forward(
-    weights: list[np.ndarray],
-    batch: np.ndarray,
-    cfg: ClientConfig,
-    rng: np.random.Generator,
-) -> ForwardState:
+def start_client(config: ClientConfig, init: list[np.ndarray], rng: np.random.Generator) -> ClientState:
+    """One client before its first round: ``start_clients`` of one."""
+    return start_clients([config], init, [rng])[0]
+
+
+def quantized_forward(weights: list[np.ndarray], batch: np.ndarray, cohort: Cohort) -> ForwardState:
     """Layer-by-layer forward pass on the step's dequantized weights.
 
-    When activation quantization is on, each layer output is passed
-    through a fresh tanh codebook (one codebook per layer per step,
-    built over the whole batch tensor) and downstream layers see the
+    ``weights`` and ``batch`` carry the cohort's client axis first. When
+    activation quantization is on, each layer output is passed through a
+    fresh tanh codebook per client (one per layer per step, built over
+    the client's whole batch tensor) and downstream layers see the
     dequantized values.
     """
+    cfg = cohort.config
     a = np.asarray(batch, dtype=np.float64)
     inputs, preacts = [], []
     for w in weights:
-        if a.shape[1] != w.shape[1]:
+        if a.shape[-1] != w.shape[-1]:
             raise DimensionMismatch(
-                f"batch width {a.shape[1]} does not match layer input {w.shape[1]}"
+                f"batch width {a.shape[-1]} does not match layer input {w.shape[-1]}"
             )
         inputs.append(a)
-        pre = a @ w.T
+        pre = a @ w.mT
         preacts.append(pre)
         a = _activate(pre, cfg.activation)
         if cfg.quantize_activations:
-            _, a, _ = qk.fit_and_quantize(a, cfg.bitwidth, "tanh", rng)
+            _, a, _ = qk.fit_and_quantize(a, cohort.bits, "tanh", cohort.rngs)
     return ForwardState(inputs, preacts, a)
 
 
@@ -204,8 +257,7 @@ def quantized_backward(
     weights: list[np.ndarray],
     fstate: ForwardState,
     upstream: np.ndarray,
-    cfg: ClientConfig,
-    rng: np.random.Generator,
+    cohort: Cohort,
 ):
     """Backpropagate and quantize gradients layer by layer.
 
@@ -213,107 +265,124 @@ def quantized_backward(
     compressed first; each layer then consumes the quantized activation
     gradient, producing a weight gradient (plus the per-layer Gram
     regularization term 2 W W^T W) and the next activation gradient,
-    each put through a fresh quantile codebook at the gradient
-    bitwidth.
+    each put through a fresh quantile codebook per client at the
+    client's gradient bitwidth.
 
     Returns (per-layer gradient values, ||eps_g||^2 summed over layers,
-    ||g||^2 summed over layers).
+    ||g||^2 summed over layers), the energies one per client.
     """
+    cfg = cohort.config
     n_layers = len(weights)
     if upstream.shape != fstate.outputs.shape:
         raise StateMismatch(
             f"upstream shape {upstream.shape} does not match forward output {fstate.outputs.shape}"
         )
-    gbits = cfg.grad_bitwidth
+    gbits = cohort.grad_bits
     g_act = upstream
     if cfg.quantize_gradients:
-        _, g_act, _ = qk.fit_and_quantize(g_act, gbits, "quantile", rng)
+        _, g_act, _ = qk.fit_and_quantize(g_act, gbits, "quantile", cohort.rngs)
     grads: list = [None] * n_layers
-    eps_g_sq = 0.0
-    grad_sq = 0.0
+    eps_g_sq = np.zeros(len(gbits))
+    grad_sq = np.zeros(len(gbits))
     for l in range(n_layers - 1, -1, -1):
         w = weights[l]
         deriv = _activate_deriv(fstate.preacts[l], cfg.activation)
         g_pre = g_act if deriv is None else g_act * deriv
-        gw = g_pre.T @ fstate.layer_inputs[l]
-        wg = w @ (w.T @ w)
+        gw = g_pre.mT @ fstate.layer_inputs[l]
+        wg = w @ (w.mT @ w)
         gw += 2.0 * wg
-        grad_sq += float(np.sum(gw * gw))
+        grad_sq += _row_sums(gw * gw)
         if cfg.quantize_gradients:
-            _, grads[l], err_sq = qk.fit_and_quantize(gw, gbits, "quantile", rng)
+            _, grads[l], err_sq = qk.fit_and_quantize(gw, gbits, "quantile", cohort.rngs)
             eps_g_sq += err_sq
         else:
             grads[l] = gw
         if l > 0:
             g_act = g_pre @ w
             if cfg.quantize_gradients:
-                _, g_act, _ = qk.fit_and_quantize(g_act, gbits, "quantile", rng)
+                _, g_act, _ = qk.fit_and_quantize(g_act, gbits, "quantile", cohort.rngs)
     return grads, eps_g_sq, grad_sq
 
 
-def local_update(state: ClientState, weights: list[np.ndarray], grads: list[np.ndarray], lr: float) -> float:
-    """One SGD step on the step's weight values, re-quantized into ``state.model``.
+def local_update(cohort: Cohort, weights: list[np.ndarray], grads: list[np.ndarray], lr: float) -> np.ndarray:
+    """One SGD step on the step's weight values, re-quantized into ``cohort.model``.
 
-    The tanh codebook is rebuilt from the updated tensor every step, so
-    the codebook tracks the drifting weight range. Returns the step's
+    The tanh codebooks are rebuilt from the updated tensors every step,
+    so they track the drifting weight range. Returns each client's
     ||eps_w||^2 (zero when weight quantization is off).
     """
     updated = [w - lr * g for w, g in zip(weights, grads)]
-    if not state.config.quantize_weights:
-        state.model = updated
-        return 0.0
-    state.model, eps_w_sq = quantize_model(updated, state.config.bitwidth, state.rng)
+    if not cohort.config.quantize_weights:
+        cohort.model = updated
+        return np.zeros(len(cohort.bits))
+    cohort.model, eps_w_sq = quantize_model(updated, cohort.bits, cohort.rngs)
     return eps_w_sq
 
 
-def ssl_upstream(outputs: np.ndarray, cfg: ClientConfig, rng: np.random.Generator) -> np.ndarray:
+def ssl_upstream(outputs: np.ndarray, cohort: Cohort) -> np.ndarray:
     """Gradient of the sampled SSL data term at the network output.
 
     For features z_i the data term is -(1/B) sum_i (z_i + xi_i)^T
     (z_i + xi'_i), giving -(2 z + xi + xi') / B. Noise is drawn fresh
-    per sample; the Gram regularizer enters in the backward pass.
+    per sample from each client's stream; the Gram regularizer enters in
+    the backward pass.
     """
-    b = outputs.shape[0]
+    sigma = cohort.config.aug_sigma
+    b = outputs.shape[1]
     g = 2.0 * outputs
-    if cfg.aug_sigma > 0.0:
-        g = g + rng.normal(0.0, cfg.aug_sigma, size=outputs.shape)
-        g = g + rng.normal(0.0, cfg.aug_sigma, size=outputs.shape)
+    if sigma > 0.0:
+        for g_r, rng in zip(g, cohort.rngs):
+            xi = rng.normal(0.0, sigma, size=(2,) + g_r.shape)  # both draws, in order
+            g_r += xi[0]
+            g_r += xi[1]
     return -g / b
 
 
 def run_local_epochs(
-    state: ClientState,
-    shard: DataShard,
+    states: list[ClientState],
+    shards: list[DataShard],
     epochs: int,
     batch_size: int | None,
     lr: float,
 ) -> QuantErrorStats:
-    """One communication round of local training: E epochs of SGD at step size ``lr``.
+    """One communication round of local training, for clients in lockstep.
 
-    Minibatches are drawn by per-epoch permutation from the client's own
-    stream; ``batch_size`` None or >= |D_k| means full-batch passes in
-    natural order. Returns the round's quantization-error statistics.
+    Each client trains E epochs of SGD at step size ``lr`` on its own
+    shard; all shards hold the same number of rows, so every client
+    takes the same steps and each step runs as one batch over the
+    clients. Minibatches are drawn by per-epoch permutation from each
+    client's own stream; ``batch_size`` None or >= |D_k| means full-batch
+    passes in natural order. Returns the round's quantization-error
+    statistics, (clients, steps) arrays.
     """
     if epochs < 1:
         raise InvalidParams("epochs must be >= 1")
     if not lr > 0:
         raise InvalidParams(f"step size must be positive, got {lr}")
-    x = shard.samples
-    rows = x.shape[0]
-    full = batch_size is None or batch_size >= rows
-    stats = QuantErrorStats()
-    cfg = state.config
+    xs = [shard.samples for shard in shards]
+    rows = xs[0].shape[0]
+    if any(x.shape[0] != rows for x in xs):
+        raise InvalidParams("clients in lockstep need shards of equal size")
+    cohort = Cohort.of(states)
+    size = rows if batch_size is None else min(batch_size, rows)
+    # Each step's rows are gathered into a reused buffer, one row block per client.
+    buffers = {n: np.empty((len(xs), n, xs[0].shape[1])) for n in {size, rows % size or size}}
+    if size == rows:
+        for x, block in zip(xs, buffers[rows]):
+            block[...] = x
+    steps = []
     for _ in range(epochs):
-        if full:
-            batches = [x]
-        else:
-            order = state.rng.permutation(rows)
-            batches = [x[order[i:i + batch_size]] for i in range(0, rows, batch_size)]
-        for batch in batches:
-            weights = state.layer_values()
-            fstate = quantized_forward(weights, batch, cfg, state.rng)
-            upstream = ssl_upstream(fstate.outputs, cfg, state.rng)
-            grads, eps_g_sq, g_sq = quantized_backward(weights, fstate, upstream, cfg, state.rng)
-            eps_w_sq = local_update(state, weights, grads, lr)
-            stats.append(eps_g_sq, eps_w_sq, g_sq)
-    return stats
+        orders = None if size == rows else [rng.permutation(rows) for rng in cohort.rngs]
+        for i in range(0, rows, size):
+            batch = buffers[min(size, rows - i)]
+            if orders is not None:
+                for x, order, block in zip(xs, orders, batch):
+                    np.take(x, order[i:i + size], axis=0, out=block)
+            weights = cohort.layer_values()
+            fstate = quantized_forward(weights, batch, cohort)
+            upstream = ssl_upstream(fstate.outputs, cohort)
+            grads, eps_g_sq, g_sq = quantized_backward(weights, fstate, upstream, cohort)
+            eps_w_sq = local_update(cohort, weights, grads, lr)
+            steps.append((eps_g_sq, eps_w_sq, g_sq))
+    cohort.scatter(states)
+    return QuantErrorStats(*(np.stack(column, axis=1) for column in zip(*steps)))

@@ -42,7 +42,14 @@ class InvalidParams(FedqError):
 
 
 class NonFiniteInput(InvalidParams):
-    """A tensor handed to a quantizer holds NaN or +-inf."""
+    """A tensor handed to a quantizer holds NaN or +-inf.
+
+    ``row`` is the first such row of a batch (0 for a single tensor).
+    """
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 class Diverged(FedqError):

@@ -17,17 +17,22 @@ Codebooks are immutable and shareable; quantization is pure given the
 caller's RNG stream, consuming one uniform per element in row-major
 order.
 
+The fitted builders also take a batch: a tuple of rates, one per row of
+the leading axis. Clients training in lockstep each own a row at their
+own rate, so the batch's ``Codebooks`` are ragged, concatenated at the
+offsets of a ``FitPlan``; each row draws from its own Generator exactly
+what it would draw alone, and one kernel call rounds every row.
+
 Rounding needs each element's bracket: ``n_le``, the number of centers
 <= the value. ``stochastic_quantize`` with a foreign codebook leaves it
-to the kernel's binary search. ``fit_and_quantize`` works it out from
-the fit instead, for tensors of at least DIRECT_BRACKET_MIN elements:
-from the uniform tanh-space grid for a tanh codebook, and from a sort
-of the tensor for a quantile codebook. Either way ``n_le`` is exactly
-what the search returns, so the indices are the same.
+to the kernel's binary search. ``fit_codebook`` guesses it from the fit
+instead, from the tanh-space grid (``tanh_n_le``) or the element's rank
+(``quantile_n_le``), checks each guess against the centers and searches
+the misses, so the indices are the same.
 """
 
-import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,11 +45,15 @@ RANGE_EPS = 1e-12
 # Largest codebook rate: 2^24 float64 centers (128 MiB), uint32 indices.
 MAX_RATE = 24
 
-# fit_and_quantize brackets tensors of at least this many elements from
-# the fit; smaller ones keep the kernel's binary search, which costs less
-# there. On workload tensors cut to n elements, the fit's brackets break
-# even near n = 512 for tanh and n = 256 for quantile codebooks, and take
-# 18% off a 1024-element call (numpy 2.4, AVX-512 x86-64, one thread).
+# A single tensor below this size keeps the kernel's binary search, which
+# costs less there; larger tensors are bracketed from the fit. The kernel
+# cannot search the ragged codebooks of a batch of several rows: a batch
+# is bracketed from the fit, except that a tanh fit below this many
+# elements per row searches each row instead. On workload tensors cut
+# to n elements, the fit's brackets break even near n = 512 for tanh and
+# n = 256 for quantile codebooks; batched, near 512 per row for tanh and
+# 64-128 per row for quantile (4 rows, numpy 2.4, AVX-512 x86-64, one
+# thread).
 DIRECT_BRACKET_MIN = 512
 
 
@@ -74,6 +83,74 @@ class Codebook:
         return bool(self.centers[-1] - self.centers[0] < RANGE_EPS)
 
 
+class FitPlan:
+    """Layout of C ragged codebooks fitted to C rows of n elements.
+
+    Row r's K_r centers are ``first[r]:last[r] + 1`` of the concatenated
+    centers. ``ends`` lays each row's centers out between -inf and +inf,
+    for checking guessed brackets. It all depends on (n, rates) alone.
+    """
+
+    def __init__(self, n: int, rates: tuple[int, ...]):
+        c = len(rates)
+        self.n, self.rates, self.ks = n, rates, np.array([_codebook_size(r) for r in rates])
+        self.offsets = np.concatenate(([0], np.cumsum(self.ks)))
+        self.first, self.last = self.offsets[:-1], self.offsets[1:] - 1
+        self.row_of = np.repeat(np.arange(c), self.ks)
+        self.row_start, self.top, self.k_col = self.first[:, None], (self.ks - 1)[:, None], self.ks[:, None]
+        self.elem_base = (np.arange(c) * n)[:, None]
+        self.ends_start = (self.first + 2 * np.arange(c))[:, None]
+        self.ends = np.full(self.offsets[-1] + 2 * c, np.inf)
+        self.ends[self.ends_start] = -np.inf
+        self.ends_slots = np.arange(self.offsets[-1]) + 2 * self.row_of + 1
+
+    @cached_property
+    def tanh_grid(self) -> np.ndarray:
+        """Each row's grid index 0..K-1."""
+        return np.concatenate([np.arange(k, dtype=np.float64) for k in self.ks])
+
+    @cached_property
+    def quantile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Where each center sits in its row's order statistics.
+
+        Center m of a rate-K row interpolates at p = (m + 0.5)/K * (n - 1)
+        between s[j] and s[j + 1], j = floor(p) capped at n - 2. Returns
+        the flat index of s[j], frac = p - j, the centers whose p is a
+        sample (np.interp returns s[j] itself there), and per rank i the
+        count of positions <= i: the bracket of the element of rank i in
+        the tensor the codebook was fitted to, up to ties and repairs.
+        """
+        ps = [(np.arange(k, dtype=np.float64) + 0.5) / k * (self.n - 1) for k in self.ks]
+        pos = np.concatenate(ps)
+        j = np.minimum(pos.astype(np.intp), max(self.n - 2, 0))
+        rank = np.arange(self.n, dtype=np.float64)
+        guess = np.stack([p.searchsorted(rank, side="right") for p in ps])
+        return j + self.row_of * self.n, pos - j, np.flatnonzero(pos == j), guess
+
+
+@lru_cache(maxsize=256)
+def fit_plan(n: int, rates: tuple[int, ...]) -> FitPlan:
+    return FitPlan(n, rates)
+
+
+@dataclass(frozen=True)
+class Codebooks:
+    """A batch's ragged codebooks, one per row, concatenated in ``centers``
+    at ``plan.offsets``; ``degenerate[r]`` marks a constant row's fallback."""
+
+    plan: FitPlan
+    centers: np.ndarray
+    degenerate: np.ndarray
+
+    @property
+    def is_degenerate(self) -> bool:
+        """Whether any row's codebook is degenerate."""
+        return bool(self.degenerate.any())
+
+    def row(self, r: int) -> Codebook:
+        return Codebook(self.plan.rates[r], self.centers[self.plan.first[r]:self.plan.last[r] + 1])
+
+
 @dataclass
 class QuantizedTensor:
     """Low-bitwidth tensor: a flat index array plus its codebook.
@@ -81,12 +158,14 @@ class QuantizedTensor:
     ``indices`` is row-major over ``shape`` and stored in the smallest
     unsigned dtype that fits the codebook, so a rate-R tensor really is
     an R-bit-per-entry representation (modulo byte alignment).
-    ``stochastic_quantize`` builds it with in-range indices.
+    ``stochastic_quantize`` builds it with in-range indices. A batch
+    (``Codebooks``) holds intp indices into the concatenated centers
+    until ``unstack`` splits it.
     """
 
     shape: tuple[int, ...]
     indices: np.ndarray
-    codebook: Codebook
+    codebook: Codebook | Codebooks
 
 
 def _index_dtype(k: int):
@@ -104,18 +183,30 @@ def _codebook_size(rate: int) -> int:
     return 1 << int(rate)
 
 
-def _value_range(values: np.ndarray) -> tuple[float, float]:
-    """(min, max) of a nonempty tensor whose entries are all finite.
+def _rows(values, rate) -> tuple[np.ndarray, FitPlan]:
+    """``values`` as (C, n) float64 rows and their plan: an int ``rate``
+    makes the tensor one row, a tuple holds a rate per leading row."""
+    rates = rate if isinstance(rate, tuple) else (int(rate),)
+    for r in rates:
+        _codebook_size(r)
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        raise InvalidParams("cannot build a codebook from an empty tensor")
+    rows = np.ascontiguousarray(values.reshape(len(rates), -1))
+    return rows, fit_plan(rows.shape[1], rates)
+
+
+def _row_ranges(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (min, max), after checking every entry is finite.
 
     min and max propagate NaN and +-inf, so finite extrema prove every
     entry finite without a separate isfinite pass.
     """
-    if values.size == 0:
-        raise InvalidParams("cannot build a codebook from an empty tensor")
-    lo = float(values.min())
-    hi = float(values.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise NonFiniteInput("codebook input contains non-finite values")
+    lo = rows.min(axis=1)
+    hi = rows.max(axis=1)
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    if np.count_nonzero(finite) < finite.size:
+        raise NonFiniteInput("codebook input contains non-finite values", row=int(np.argmin(finite)))
     return lo, hi
 
 
@@ -131,6 +222,25 @@ def _repair_strictly_increasing(centers: np.ndarray) -> np.ndarray:
     scale = float(np.spacing(max(abs(centers[0]), abs(centers[-1]), 1.0)))
     ramp = scale * np.arange(centers.shape[0])
     return np.maximum.accumulate(centers - ramp) + ramp
+
+
+def _finish(plan: FitPlan, centers: np.ndarray, lo, hi, rate) -> Codebook | Codebooks:
+    """Collapse (near-)constant rows to the degenerate codebook, repair
+    rows with duplicate centers, and wrap the result for ``rate``."""
+    degenerate = hi - lo < RANGE_EPS
+    if np.count_nonzero(degenerate):
+        collapsed = degenerate[plan.row_of]
+        centers[collapsed] = (0.5 * (lo + hi))[plan.row_of[collapsed]]
+    increasing = centers[1:] > centers[:-1]
+    increasing[plan.last[:-1]] = True
+    if np.count_nonzero(increasing) < increasing.size:
+        for r in sorted(set(plan.row_of[np.flatnonzero(~increasing)].tolist())):
+            if not degenerate[r]:
+                part = slice(plan.first[r], plan.last[r] + 1)
+                centers[part] = _repair_strictly_increasing(centers[part])
+    centers.setflags(write=False)
+    cbs = Codebooks(plan, centers, degenerate)
+    return cbs if isinstance(rate, tuple) else cbs.row(0)
 
 
 def degenerate_codebook(value: float, rate: int) -> Codebook:
@@ -159,7 +269,7 @@ def build_uniform_codebook(lo: float, hi: float, rate: int) -> Codebook:
     return Codebook(int(rate), centers)
 
 
-def build_tanh_codebook(values: np.ndarray, rate: int) -> Codebook:
+def build_tanh_codebook(values: np.ndarray, rate) -> Codebook | Codebooks:
     """Companding codebook: uniform levels in tanh space, mapped back.
 
     The tensor is transformed by tanh, a uniform grid is laid over the
@@ -167,51 +277,55 @@ def build_tanh_codebook(values: np.ndarray, rate: int) -> Codebook:
     center spacing widens with |x|. The range endpoints are pinned to
     the exact extrema of ``values`` so the largest-magnitude entries stay
     exactly representable. Near-constant input falls back to the
-    degenerate single-value codebook.
+    degenerate single-value codebook. A tuple ``rate`` fits each row.
     """
-    k = _codebook_size(rate)
-    lo, hi = _value_range(np.asarray(values, dtype=np.float64))
-    if hi - lo < RANGE_EPS:
-        return degenerate_codebook(0.5 * (lo + hi), int(rate))
-    # np.linspace(t0, t1, k) spelled out: same operations, same bits.
-    t0 = float(np.tanh(lo))
-    t1 = float(np.tanh(hi))
-    t = np.arange(k, dtype=np.float64)
-    t *= (t1 - t0) / (k - 1)
-    t += t0
-    t[-1] = t1
-    if -1.0 < t0 and t1 < 1.0:
+    rows, plan = _rows(values, rate)
+    lo, hi = _row_ranges(rows)
+    # np.linspace(t0, t1, k) spelled out per row: same operations, same bits.
+    t0 = np.tanh(lo)
+    t1 = np.tanh(hi)
+    t = plan.tanh_grid * ((t1 - t0) / (plan.ks - 1))[plan.row_of]
+    t += t0[plan.row_of]
+    t[plan.last] = t1
+    if np.count_nonzero((-1.0 < t0) & (t1 < 1.0)) == t0.size:
         centers = np.arctanh(t)
     else:
         # tanh saturates to +-1 beyond |x| ~ 19; arctanh(+-1) = +-inf.
         with np.errstate(divide="ignore", over="ignore"):
             centers = np.arctanh(t)
-    centers[0] = lo
-    centers[-1] = hi
-    # Scalar first: on a tie (+-0) the center is kept, as np.clip does.
-    np.maximum(lo, centers, out=centers)
-    np.minimum(hi, centers, out=centers)
-    return Codebook(int(rate), _repair_strictly_increasing(centers))
+    centers[plan.first] = lo
+    centers[plan.last] = hi
+    # Bound first: on a tie (+-0) the center is kept, as np.clip does.
+    np.maximum(lo[plan.row_of], centers, out=centers)
+    np.minimum(hi[plan.row_of], centers, out=centers)
+    return _finish(plan, centers, lo, hi, rate)
 
 
-def build_quantile_codebook(values: np.ndarray, rate: int) -> Codebook:
+def build_quantile_codebook(values: np.ndarray, rate, sorted_rows=None) -> Codebook | Codebooks:
     """Centers at the empirical quantiles p_i = (i + 0.5)/K of ``values``.
 
     Quantiles use linear interpolation between order statistics. Heavy
     ties produce duplicate centers, repaired by ulp-scale nudges to
     restore strict increase; constant input falls back to the degenerate
-    codebook (an all-zero gradient tensor is the common case).
+    codebook (an all-zero gradient tensor is the common case). A tuple
+    ``rate`` fits each row; ``sorted_rows`` may hold the rows argsorted.
     """
-    k = _codebook_size(rate)
-    values = np.asarray(values, dtype=np.float64)
-    lo, hi = _value_range(values)
-    if hi - lo < RANGE_EPS:
-        return degenerate_codebook(0.5 * (lo + hi), int(rate))
-    order_stats = np.sort(values.ravel())
-    n = order_stats.size
-    pos = (np.arange(k, dtype=np.float64) + 0.5) / k * (n - 1)
-    centers = np.interp(pos, np.arange(n, dtype=np.float64), order_stats)
-    return Codebook(int(rate), _repair_strictly_increasing(centers))
+    rows, plan = _rows(values, rate)
+    lo, hi = _row_ranges(rows)
+    if plan.n == 1:  # constant, so degenerate
+        return _finish(plan, np.empty(plan.offsets[-1]), lo, hi, rate)
+    if sorted_rows is None:
+        sorted_rows = np.take_along_axis(rows, np.argsort(rows, axis=1), axis=1)
+    # np.interp spelled out: (s[j+1] - s[j]) * frac + s[j], same bits.
+    lower, frac, at_sample, _ = plan.quantile
+    s = sorted_rows.reshape(-1)
+    below = s.take(lower)
+    centers = s.take(lower + 1)
+    centers -= below
+    centers *= frac
+    centers += below
+    centers[at_sample] = below[at_sample]
+    return _finish(plan, centers, lo, hi, rate)
 
 
 def _draw_indices(
@@ -224,9 +338,24 @@ def _draw_indices(
     return _kernels.stochastic_round(flat, cb.centers, uniforms, n_le)
 
 
-def stochastic_quantize(
-    x: np.ndarray, cb: Codebook, rng: np.random.Generator, n_le: np.ndarray | None = None
-) -> QuantizedTensor:
+def _draw_rows(rows: np.ndarray, cb: Codebooks, rngs: list, n_le: np.ndarray | None) -> np.ndarray:
+    """Indices into ``cb.centers``; a degenerate row draws nothing and maps to its index 0."""
+    live = np.flatnonzero(~cb.degenerate)
+    if live.size < len(rngs):
+        idx = np.repeat(cb.plan.first, rows.shape[1]).reshape(rows.shape)
+        if live.size:
+            idx[live] = _draw_rows(rows[live], Codebooks(cb.plan, cb.centers, cb.degenerate[live]),
+                                   [rngs[r] for r in live], n_le[live]).reshape(live.size, -1)
+        return idx.ravel()
+    uniforms = np.empty(rows.shape)
+    for u, rng in zip(uniforms, rngs):
+        rng.random(out=u)
+    return _kernels.stochastic_round(rows.ravel(), cb.centers, uniforms.ravel(),
+                                     None if n_le is None else n_le.ravel())
+
+
+def stochastic_quantize(x: np.ndarray, cb: Codebook | Codebooks, rng, n_le: np.ndarray | None = None
+                        ) -> QuantizedTensor:
     """Quantize a tensor with randomized rounding to bracketing centers.
 
     Elements at or beyond the end centers clamp deterministically; for
@@ -234,101 +363,163 @@ def stochastic_quantize(
     probability (x - c_j)/(c_{j+1} - c_j) and c_j otherwise, which makes
     the in-range quantization error zero-mean.
 
-    ``n_le``, when given, is each element's count of centers <= it in
-    row-major order, exactly ``cb.centers.searchsorted(x.ravel(),
-    side="right")``; the kernel then skips its search.
+    ``n_le``, when given, is each element's kernel bracket in row-major
+    order (``_kernels.stochastic_round``); the kernel then skips its
+    search. With ``Codebooks``, ``rng`` holds one Generator per row and
+    ``n_le`` is required for more than one row.
     """
     x = np.asarray(x, dtype=np.float64)
+    if isinstance(cb, Codebooks):
+        return QuantizedTensor(x.shape, _draw_rows(x.reshape(len(rng), -1), cb, rng, n_le), cb)
     idx = _draw_indices(x, cb, rng, n_le)
     return QuantizedTensor(x.shape, idx.astype(_index_dtype(cb.size)), cb)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Exact codebook lookup; no noise is added."""
-    return q.codebook.centers[q.indices].reshape(q.shape)
+    return q.codebook.centers.take(q.indices).reshape(q.shape)
 
 
-def tanh_n_le(flat: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Count of centers <= x per element, for a tanh codebook fitted to ``flat``.
+def unstack(q: QuantizedTensor) -> list[QuantizedTensor]:
+    """A quantized batch as one tensor per row, in its compact dtype."""
+    plan = q.codebook.plan
+    local = q.indices.reshape(len(plan.rates), -1) - plan.row_start
+    return [QuantizedTensor(q.shape[1:], local[r].astype(_index_dtype(k)), q.codebook.row(r))
+            for r, k in enumerate(plan.ks.tolist())]
+
+
+def _as_rows(values, centers, plan):
+    """Without a plan, ``values`` is one row and ``centers`` its codebook."""
+    if plan is not None:
+        return values, plan
+    rows = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    return rows, fit_plan(rows.shape[1], (centers.shape[0].bit_length() - 1,))
+
+
+def _verified(values, n_le, centers, plan, skip) -> np.ndarray:
+    """Correct guessed counts of centers <= x, row by row.
+
+    A guess in [0, K] is right when c[n_le - 1] <= x < c[n_le], taking
+    c[-1] = -inf and c[K] = +inf; the elements it misses are searched.
+    Rows flagged in ``skip`` keep their guess.
+    """
+    ends = plan.ends.copy()
+    ends[plan.ends_slots] = centers
+    at = n_le + plan.ends_start
+    miss = ends.take(at) > values
+    miss |= ends[1:].take(at) <= values
+    if skip is not None:
+        miss[skip] = False
+    if np.count_nonzero(miss):
+        for r in np.flatnonzero(miss.any(axis=1)):
+            m = np.flatnonzero(miss[r])
+            n_le[r, m] = centers[plan.first[r]:plan.last[r] + 1].searchsorted(values[r, m], side="right")
+    return n_le
+
+
+def tanh_n_le(values, centers, plan=None, skip=None) -> np.ndarray:
+    """Count of centers <= x per element, for tanh codebooks fitted to the rows.
 
     The fitted grid is uniform in tanh space between tanh(c[0]) and
     tanh(c[-1]), so the guess is floor((tanh(x) - tanh(c[0])) / step) + 1,
-    kept in [1, K]. Each guess is checked against the real centers, which
-    makes the count exact for any non-decreasing codebook; the elements
-    it misses (saturated tanh beyond |x| ~ 19, repaired duplicate
-    centers, ulp boundaries) are searched.
+    kept in [1, K]; a row whose tanh range collapsed (saturation) guesses
+    1. Checked and searched where missed, the count is exact for any
+    non-decreasing codebook. Without a ``plan``, ``values`` is one tensor.
     """
-    k = centers.shape[0]
-    t0 = np.tanh(centers[0])
-    t1 = np.tanh(centers[-1])
-    if not t1 > t0:
-        return centers.searchsorted(flat, side="right")
-    est = np.tanh(flat)
+    rows, plan = _as_rows(values, centers, plan)
+    t0 = np.tanh(centers[plan.first])[:, None]
+    span = np.tanh(centers[plan.last])[:, None] - t0
+    span[~(span > 0.0)] = np.inf
+    est = np.tanh(rows)
     est -= t0
-    est *= (k - 1) / (t1 - t0)
+    est *= plan.top / span
     # Truncation is the floor for est >= 0; the clamps keep a guess that
     # rounding (or a value outside the codebook) pushed out of range a
-    # valid index, for the check to correct.
-    n_le = est.astype(np.int64)
+    # valid count, for the check to correct.
+    n_le = est.astype(np.intp)
     n_le += 1
     np.maximum(n_le, 1, out=n_le)
-    np.minimum(n_le, k, out=n_le)
-    # The guess is right when c[n_le - 1] <= x < c[n_le], taking c[K] = +inf;
-    # the padded copy reads both ends with n_le itself as the index.
-    ends = np.empty(k + 2)
-    ends[0] = -np.inf
-    ends[1:-1] = centers
-    ends[-1] = np.inf
-    miss = ends[:-1][n_le] > flat
-    miss |= ends[1:][n_le] <= flat
-    if miss.any():
-        miss = np.flatnonzero(miss)
-        n_le[miss] = centers.searchsorted(flat[miss], side="right")
-    return n_le
+    np.minimum(n_le, plan.k_col, out=n_le)
+    return _verified(rows, n_le, centers, plan, skip).reshape(np.shape(values))
 
 
-def quantile_n_le(flat: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Count of centers <= x per element, from a sort of ``flat``.
+def quantile_n_le(values, centers, plan=None, order=None, skip=None) -> np.ndarray:
+    """Count of centers <= x per element, for quantile codebooks fitted to the rows.
 
-    With s = sorted(flat) and q_m = #{s < c_m}, c_m <= s_i holds exactly
-    when i >= q_m, so the count for s_i is #{m : q_m <= i}: a histogram
-    of q, summed, then scattered back to the original order. This is
-    exact for any codebook, with K searches on sorted keys in place of n.
+    ``order`` is the rows' argsort as flat indices. The element of rank i
+    lies just above the centers interpolated at positions <= i, so that
+    count is its guess; checked, searched where missed (ties, repairs, a
+    foreign codebook) and scattered back, the count is exact. Without a
+    ``plan``, ``values`` is one tensor.
     """
-    n = flat.shape[0]
-    order = np.argsort(flat)
-    q = flat[order].searchsorted(centers, side="left")
-    n_le = np.empty(n, dtype=np.int64)
-    n_le[order] = np.bincount(q, minlength=n + 1)[:n].cumsum()
-    return n_le
+    rows, plan = _as_rows(values, centers, plan)
+    if order is None:
+        order = np.argsort(rows, axis=1) + plan.elem_base
+    counts = _verified(rows.reshape(-1).take(order), plan.quantile[3].copy(), centers, plan, skip)
+    n_le = np.empty(rows.size, dtype=np.intp)
+    n_le[order] = counts
+    return n_le.reshape(np.shape(values))
 
 
-def fit_and_quantize(
-    x: np.ndarray, rate: int, compander: str, rng: np.random.Generator
-) -> tuple[QuantizedTensor, np.ndarray, float]:
+def fit_codebook(x: np.ndarray, rate, compander: str) -> tuple[Codebook | Codebooks, np.ndarray | None]:
+    """Fit a tanh or quantile codebook to ``x`` and bracket its elements.
+
+    An int ``rate`` fits one codebook to the tensor, a tuple one per row
+    of the leading axis. Returns the codebook and each element's kernel
+    bracket, or None where the kernel searches instead (a single tensor
+    below DIRECT_BRACKET_MIN elements, or nothing but constant rows).
+    Brackets come from the fit, or, where that costs more (see
+    DIRECT_BRACKET_MIN), from a search of each row.
+    """
+    rows, plan = _rows(x, rate)
+    if compander == "tanh":
+        cbs = build_tanh_codebook(rows, plan.rates)
+    elif compander == "quantile":
+        order = np.argsort(rows, axis=1)
+        order += plan.elem_base
+        cbs = build_quantile_codebook(rows, plan.rates, rows.reshape(-1).take(order))
+    else:
+        raise InvalidParams(f"cannot fit a {compander!r} codebook to data")
+    n_le = None
+    constant = np.count_nonzero(cbs.degenerate)
+    if (len(plan.rates) > 1 or rows.size >= DIRECT_BRACKET_MIN) and constant < len(plan.rates):
+        skip = cbs.degenerate if constant else None
+        if compander == "quantile":
+            n_le = quantile_n_le(rows, cbs.centers, plan, order, skip)
+        elif plan.n >= DIRECT_BRACKET_MIN:
+            n_le = tanh_n_le(rows, cbs.centers, plan, skip)
+        else:
+            n_le = np.stack([cbs.centers[a:b + 1].searchsorted(row, side="right")
+                             for a, b, row in zip(plan.first, plan.last, rows)])
+        # The kernel's bracket: the count kept in [1, K - 1], which rounds a
+        # value at or beyond an end center to it, plus the row's offset.
+        np.maximum(n_le, 1, out=n_le)
+        np.minimum(n_le, plan.top, out=n_le)
+        n_le += plan.row_start
+    if isinstance(rate, tuple):
+        return cbs, n_le
+    return cbs.row(0), None if n_le is None else n_le.ravel()
+
+
+def fit_and_quantize(x: np.ndarray, rate, compander: str, rng):
     """Fit a tanh or quantile codebook to ``x`` and quantize ``x`` with it.
 
     Returns (quantized tensor, dequantized values, ||values - x||^2).
     Draws from ``rng`` and returns exactly what the explicit sequence
-    build codebook -> stochastic_quantize -> dequantize does; for
-    tensors of at least DIRECT_BRACKET_MIN elements the brackets come
-    from the fit (tanh_n_le, quantile_n_le) rather than a search.
+    build codebook -> stochastic_quantize -> dequantize does. With a
+    tuple ``rate``, ``rng`` holds a Generator per row and the error
+    energy is one value per row; each row gets the indices, values,
+    error and draws of fitting it alone.
     """
-    if compander == "tanh":
-        cb = build_tanh_codebook(x, rate)
-        bracket = tanh_n_le
-    elif compander == "quantile":
-        cb = build_quantile_codebook(x, rate)
-        bracket = quantile_n_le
-    else:
-        raise InvalidParams(f"cannot fit a {compander!r} codebook to data")
-    n_le = None
-    if np.size(x) >= DIRECT_BRACKET_MIN and not cb.is_degenerate:
-        n_le = bracket(np.ascontiguousarray(x, dtype=np.float64).ravel(), cb.centers)
+    x = np.asarray(x, dtype=np.float64)
+    cb, n_le = fit_codebook(x, rate, compander)
     q = stochastic_quantize(x, cb, rng, n_le)
     values = dequantize(q)
     err = values - x
-    return q, values, float((err * err).sum())
+    err *= err
+    if isinstance(rate, tuple):
+        return q, values, err.reshape(len(rate), -1).sum(axis=1)
+    return q, values, float(err.sum())
 
 
 def empirical_mse(cb: Codebook, samples: np.ndarray, rng: np.random.Generator, draws: int) -> float:
@@ -347,6 +538,6 @@ def empirical_mse(cb: Codebook, samples: np.ndarray, rng: np.random.Generator, d
     total = 0.0
     for _ in range(draws):
         idx = _draw_indices(flat, cb, rng)
-        err = flat - cb.centers[idx]
+        err = flat - cb.centers.take(idx)
         total += float(np.mean(err * err))
     return total / draws

@@ -63,17 +63,22 @@ def requantize_for_client(
     global_model: list[np.ndarray],
     bits: int,
     rng: np.random.Generator,
+    fitted: list | None = None,
 ) -> tuple[list[qk.QuantizedTensor], float]:
     """Quantize the aggregate at a client's bitwidth (fresh tanh codebooks).
 
-    Returns the quantized model and the re-quantization error energy
-    ||eps_r||^2 summed over layers.
+    ``fitted`` holds each layer's ``qk.fit_codebook`` at ``bits`` when
+    clients of one bitwidth share them. Returns the quantized model and
+    the re-quantization error energy ||eps_r||^2 summed over layers.
     """
+    if fitted is None:
+        fitted = [qk.fit_codebook(layer, bits, "tanh") for layer in global_model]
     out = []
     eps_r_sq = 0.0
-    for layer in global_model:
-        q, _, err_sq = qk.fit_and_quantize(layer, bits, "tanh", rng)
-        eps_r_sq += err_sq
+    for layer, (cb, n_le) in zip(global_model, fitted):
+        q = qk.stochastic_quantize(layer, cb, rng, n_le)
+        err = qk.dequantize(q) - layer
+        eps_r_sq += float((err * err).sum())
         out.append(q)
     return out, eps_r_sq
 
@@ -121,11 +126,14 @@ class ServerState:
         self.global_model = aggregate(dequantized, [sample_counts[k] for k in expected])
         out = {}
         errors = {}
+        # The codebooks depend only on the aggregate and the bitwidth.
+        fitted = {}
         for k in expected:
+            bits = self.client_bitwidths[k]
             try:
-                model, eps_r_sq = requantize_for_client(
-                    self.global_model, self.client_bitwidths[k], self._round_rng(k)
-                )
+                if bits not in fitted:
+                    fitted[bits] = [qk.fit_codebook(layer, bits, "tanh") for layer in self.global_model]
+                model, eps_r_sq = requantize_for_client(self.global_model, bits, self._round_rng(k), fitted[bits])
             except NonFiniteInput as e:
                 raise Diverged(self.round_counter + 1, k, "server requantize") from e
             out[k] = model

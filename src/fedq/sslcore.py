@@ -64,47 +64,12 @@ def grad(w: np.ndarray, x: np.ndarray, r: np.ndarray | None = None) -> np.ndarra
     return 4.0 * w @ r
 
 
-def stochastic_grad(
-    w: np.ndarray,
-    batch: np.ndarray,
-    aug_sigma: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Minibatch gradient of the sampled SSL objective.
-
-    The objective is -(1/B) sum_i (w x_i + xi_i)^T (w x_i + xi'_i)
-    + 0.5 ||w^T w||^2 with fresh N(0, aug_sigma^2 I_m) noise per sample.
-    With aug_sigma = 0 and the full dataset as batch this equals
-    2 w (w^T w - X_B), half of ``grad`` at the batch covariance; the
-    noise contributes zero-mean cross terms.
-    """
-    if batch.ndim != 2 or batch.shape[0] == 0:
-        raise InvalidParams("batch must be a nonempty 2-D matrix")
-    if batch.shape[1] != w.shape[1]:
-        raise DimensionMismatch(
-            f"batch dim {batch.shape[1]} does not match features {w.shape}"
-        )
-    b = batch.shape[0]
-    m = w.shape[0]
-    xb = batch.T @ batch / b
-    g = 2.0 * w @ (w.T @ w - xb)
-    if aug_sigma > 0.0:
-        xi = rng.normal(0.0, aug_sigma, size=(b, m))
-        xi2 = rng.normal(0.0, aug_sigma, size=(b, m))
-        g -= (xi + xi2).T @ batch / b
-    return g
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Full spectral decomposition, eigenvalues descending, columns orthonormal."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
 
 
 def sym_eig(x: np.ndarray) -> EigenDecomposition:

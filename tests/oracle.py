@@ -1,4 +1,5 @@
-"""Reference formulas the tests check the quantizer against."""
+"""Reference formulas the tests check the quantizer, the client and the
+eigensolver against."""
 
 import numpy as np
 
@@ -29,3 +30,29 @@ def expected_sq_error(values, centers):
     out[below] = (values[below] - centers[0]) ** 2
     out[above] = (values[above] - centers[k - 1]) ** 2
     return out
+
+
+def stochastic_grad(w, batch, aug_sigma, rng):
+    """Minibatch gradient of the sampled SSL objective.
+
+    The objective is -(1/B) sum_i (w x_i + xi_i)^T (w x_i + xi'_i)
+    + 0.5 ||w^T w||^2 with fresh N(0, aug_sigma^2 I_m) noise per sample.
+    With aug_sigma = 0 and the full dataset as batch this equals
+    2 w (w^T w - X_B), half of ``sslcore.grad`` at the batch covariance;
+    the noise contributes zero-mean cross terms.
+    """
+    b = batch.shape[0]
+    m = w.shape[0]
+    xb = batch.T @ batch / b
+    g = 2.0 * w @ (w.T @ w - xb)
+    if aug_sigma > 0.0:
+        xi = rng.normal(0.0, aug_sigma, size=(b, m))
+        xi2 = rng.normal(0.0, aug_sigma, size=(b, m))
+        g -= (xi + xi2).T @ batch / b
+    return g
+
+
+def reconstruct(eig):
+    """The matrix an EigenDecomposition came from: V diag(lambda) V^T."""
+    v = eig.eigenvectors
+    return (v * eig.eigenvalues) @ v.T

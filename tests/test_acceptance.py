@@ -161,7 +161,7 @@ def test_criterion_5_oracle_equivalence_high_rate():
     cfg = cl.ClientConfig(bitwidth=16, grad_extra_bits=0, aug_sigma=0.0)
     state = cl.start_client(cfg, layers, np.random.default_rng(616))
     for _ in range(2000):
-        cl.run_local_epochs(state, shard, 1, None, lr)
+        cl.run_local_epochs([state], [shard], 1, None, lr)
     gap = ssl.loss(state.layer_values()[0], x) - floor
     elapsed = time.perf_counter() - t0
     check(

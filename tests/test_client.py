@@ -12,7 +12,12 @@ from fedq import quantkit as qk
 from fedq import sslcore as ssl
 from fedq.errors import InvalidParams, StateMismatch
 
-from oracle import expected_sq_error
+from oracle import expected_sq_error, stochastic_grad
+
+
+def alone(cfg, rng):
+    """One client as a lockstep cohort of one: tensors gain a leading axis of 1."""
+    return cl.Cohort.of([cl.ClientState(cfg, [], rng)])
 
 
 def make_shard(n=1, d=8, count=200, seed=21, k=1):
@@ -36,16 +41,16 @@ class TestForward:
         rng = np.random.default_rng(1)
         w = rng.normal(size=(2, 8))
         batch = rng.normal(size=(16, 8))
-        fs = cl.quantized_forward([w], batch, plain_config(), rng)
-        np.testing.assert_array_equal(fs.outputs, batch @ w.T)
+        fs = cl.quantized_forward([w[None]], batch[None], alone(plain_config(), rng))
+        np.testing.assert_array_equal(fs.outputs[0], batch @ w.T)
 
     def test_identity_rows_reproduce_weight_rows(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(3, 4))
         cb = qk.build_tanh_codebook(w, 8)
         qw = qk.stochastic_quantize(w, cb, rng)
-        fs = cl.quantized_forward([qk.dequantize(qw)], np.eye(4), plain_config(bitwidth=8), rng)
-        np.testing.assert_allclose(fs.outputs.T, qk.dequantize(qw), atol=1e-12)
+        fs = cl.quantized_forward([qk.dequantize(qw)[None]], np.eye(4)[None], alone(plain_config(bitwidth=8), rng))
+        np.testing.assert_allclose(fs.outputs[0].T, qk.dequantize(qw), atol=1e-12)
 
     def test_high_rate_shadows_unquantized(self):
         # tight codebooks: activations kept in the tanh compander's
@@ -55,18 +60,18 @@ class TestForward:
         batch = rng.normal(size=(64, 8))
         cfg = cl.ClientConfig(bitwidth=16, quantize_activations=True, aug_sigma=0.0)
         qw = qk.stochastic_quantize(w, qk.build_tanh_codebook(w, 16), rng)
-        fs = cl.quantized_forward([qk.dequantize(qw)], batch, cfg, rng)
+        fs = cl.quantized_forward([qk.dequantize(qw)[None]], batch[None], alone(cfg, rng))
         ref = batch @ w.T
-        rel = np.linalg.norm(fs.outputs - ref) / np.linalg.norm(ref)
+        rel = np.linalg.norm(fs.outputs[0] - ref) / np.linalg.norm(ref)
         assert rel < 1e-2
 
     def test_relu_layers_chain(self):
         rng = np.random.default_rng(4)
         layers = cl.init_layers([6, 5, 3], rng, 0.3)
         batch = rng.normal(size=(10, 6))
-        fs = cl.quantized_forward(layers, batch, plain_config(activation="relu"), rng)
+        fs = cl.quantized_forward([w[None] for w in layers], batch[None], alone(plain_config(activation="relu"), rng))
         h1 = np.maximum(batch @ layers[0].T, 0.0)
-        np.testing.assert_allclose(fs.outputs, np.maximum(h1 @ layers[1].T, 0.0))
+        np.testing.assert_allclose(fs.outputs[0], np.maximum(h1 @ layers[1].T, 0.0))
 
 
 class TestBackward:
@@ -76,11 +81,12 @@ class TestBackward:
         shard = make_shard()
         w = np.random.default_rng(7).normal(size=(2, 8)) * 0.2
         cfg = plain_config(aug_sigma=0.1)
-        fs = cl.quantized_forward([w], shard.samples, cfg, rng_client)
-        upstream = cl.ssl_upstream(fs.outputs, cfg, rng_client)
-        grads, eps_g, g_sq = cl.quantized_backward([w], fs, upstream, cfg, rng_client)
-        oracle = ssl.stochastic_grad(w, shard.samples, 0.1, rng_oracle)
-        np.testing.assert_allclose(grads[0], oracle, rtol=1e-10, atol=1e-12)
+        team = alone(cfg, rng_client)
+        fs = cl.quantized_forward([w[None]], shard.samples[None], team)
+        upstream = cl.ssl_upstream(fs.outputs, team)
+        grads, eps_g, g_sq = cl.quantized_backward([w[None]], fs, upstream, team)
+        oracle = stochastic_grad(w, shard.samples, 0.1, rng_oracle)
+        np.testing.assert_allclose(grads[0][0], oracle, rtol=1e-10, atol=1e-12)
         assert eps_g == 0.0
         assert g_sq == pytest.approx(np.sum(oracle**2), rel=1e-10)
 
@@ -90,9 +96,10 @@ class TestBackward:
         cfg = cl.ClientConfig(bitwidth=4, aug_sigma=0.0, quantize_gradients=True,
                               quantize_weights=False)
         batch = np.zeros((6, 4))
-        fs = cl.quantized_forward([w], batch, cfg, rng)
-        grads, eps_g, _ = cl.quantized_backward([w], fs, np.zeros((6, 2)), cfg, rng)
-        np.testing.assert_array_equal(grads[0], np.zeros((2, 4)))
+        team = alone(cfg, rng)
+        fs = cl.quantized_forward([w[None]], batch[None], team)
+        grads, eps_g, _ = cl.quantized_backward([w[None]], fs, np.zeros((1, 6, 2)), team)
+        np.testing.assert_array_equal(grads[0][0], np.zeros((2, 4)))
         assert eps_g == 0.0
 
     def test_quantized_gradient_unbiased_in_range(self):
@@ -101,11 +108,11 @@ class TestBackward:
         w = np.random.default_rng(9).normal(size=(2, 8)) * 0.3
         cfg = cl.ClientConfig(bitwidth=4, grad_extra_bits=2, aug_sigma=0.0,
                               quantize_weights=False)
-        fs = cl.quantized_forward([w], shard.samples, cfg, rng)
+        fs = cl.quantized_forward([w[None]], shard.samples[None], alone(cfg, rng))
         raw_grads, _, _ = cl.quantized_backward(
-            [w], fs, cl.ssl_upstream(fs.outputs, cfg, rng), plain_config(), rng
+            [w[None]], fs, cl.ssl_upstream(fs.outputs, alone(cfg, rng)), alone(plain_config(), rng)
         )
-        raw = raw_grads[0]
+        raw = raw_grads[0][0]
         n = 10_000
         acc = np.zeros_like(raw)
         cb = qk.build_quantile_codebook(raw, cfg.grad_bitwidth)
@@ -133,9 +140,11 @@ class TestBackward:
             reg = sum(0.5 * np.sum((w.T @ w) ** 2) for w in ws)
             return data + reg
 
-        fs = cl.quantized_forward(layers, batch, cfg, rng)
-        upstream = cl.ssl_upstream(fs.outputs, cfg, rng)
-        grads, _, _ = cl.quantized_backward(layers, fs, upstream, cfg, rng)
+        team = alone(cfg, rng)
+        fs = cl.quantized_forward([w[None] for w in layers], batch[None], team)
+        upstream = cl.ssl_upstream(fs.outputs, team)
+        grads, _, _ = cl.quantized_backward([w[None] for w in layers], fs, upstream, team)
+        grads = [g[0] for g in grads]
 
         h = 1e-6
         for li, w in enumerate(layers):
@@ -152,9 +161,9 @@ class TestBackward:
     def test_state_mismatch(self):
         rng = np.random.default_rng(10)
         w = rng.normal(size=(2, 4))
-        fs = cl.quantized_forward([w], rng.normal(size=(6, 4)), plain_config(), rng)
+        fs = cl.quantized_forward([w[None]], rng.normal(size=(1, 6, 4)), alone(plain_config(), rng))
         with pytest.raises(StateMismatch):
-            cl.quantized_backward([w], fs, np.zeros((5, 2)), plain_config(), rng)
+            cl.quantized_backward([w[None]], fs, np.zeros((1, 5, 2)), alone(plain_config(), rng))
 
 
 class TestLocalUpdate:
@@ -164,7 +173,9 @@ class TestLocalUpdate:
         cfg = cl.ClientConfig(bitwidth=6, aug_sigma=0.0)
         state = cl.start_client(cfg, [w], rng)
         qw = state.model[0]
-        eps_w = cl.local_update(state, state.layer_values(), [np.zeros((2, 6))], 0.0)
+        team = cl.Cohort.of([state])
+        eps_w = cl.local_update(team, team.layer_values(), [np.zeros((1, 2, 6))], 0.0)
+        team.scatter([state])
         assert eps_w == 0.0
         np.testing.assert_array_equal(
             qk.dequantize(state.model[0]), qk.dequantize(qw)
@@ -177,7 +188,8 @@ class TestLocalUpdate:
         cfg = cl.ClientConfig(bitwidth=16, aug_sigma=0.0)
         state = cl.start_client(cfg, [w], rng)
         qw = state.model[0]
-        eps_w = cl.local_update(state, state.layer_values(), [g], 0.05)
+        team = cl.Cohort.of([state])
+        eps_w = cl.local_update(team, team.layer_values(), [g[None]], 0.05)[0]
         u = qk.dequantize(qw) - 0.05 * g
         assert eps_w < 1e-4 * np.sum(u * u)
 
@@ -192,7 +204,7 @@ class TestLocalUpdate:
             layers = cl.init_layers([8, 2], np.random.default_rng(5), 0.1 / math.sqrt(8))
             cfg = cl.ClientConfig(bitwidth=5, grad_extra_bits=0, aug_sigma=0.1)
             state = cl.start_client(cfg, layers, rng)
-            stats = cl.run_local_epochs(state, shard, 20, 64, a)
+            stats = cl.run_local_epochs([state], [shard], 20, 64, a)
             means.append(stats.mean_weight_error())
         slope = np.polyfit(np.log(alphas), np.log(means), 1)[0]
         assert 0.5 <= slope <= 1.5, (alphas, means, slope)
@@ -204,8 +216,8 @@ class TestRunLocalEpochs:
         w0 = np.random.default_rng(3).normal(size=(2, 8)) * 0.2
         cfg = plain_config(aug_sigma=0.0)
         state = cl.ClientState(cfg, [w0.copy()], np.random.default_rng(0))
-        stats = cl.run_local_epochs(state, shard, 1, None, 0.03)
-        oracle = ssl.stochastic_grad(w0, shard.samples, 0.0, np.random.default_rng(1))
+        stats = cl.run_local_epochs([state], [shard], 1, None, 0.03)
+        oracle = stochastic_grad(w0, shard.samples, 0.0, np.random.default_rng(1))
         np.testing.assert_allclose(state.model[0], w0 - 0.03 * oracle, rtol=1e-12)
         assert len(stats) == 1
 
@@ -213,7 +225,7 @@ class TestRunLocalEpochs:
     def test_step_size_must_be_positive(self, lr):
         state = cl.start_client(plain_config(), [np.zeros((2, 8))], np.random.default_rng(0))
         with pytest.raises(InvalidParams, match="step size"):
-            cl.run_local_epochs(state, make_shard(), 1, None, lr)
+            cl.run_local_epochs([state], [make_shard()], 1, None, lr)
 
     def test_loss_trend_downward(self):
         shard = make_shard(count=600, seed=23)
@@ -223,7 +235,7 @@ class TestRunLocalEpochs:
         state = cl.start_client(cfg, layers, rng)
         losses = []
         for _ in range(20):
-            cl.run_local_epochs(state, shard, 1, 64, 0.02)
+            cl.run_local_epochs([state], [shard], 1, 64, 0.02)
             losses.append(ssl.loss(state.layer_values()[0], shard.covariance()))
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
@@ -235,7 +247,7 @@ class TestRunLocalEpochs:
             layers = cl.init_layers([8, 2], np.random.default_rng(1), 0.05)
             cfg = cl.ClientConfig(bitwidth=5, aug_sigma=0.1)
             state = cl.start_client(cfg, layers, rng)
-            cl.run_local_epochs(state, shard, 3, 32, 0.02)
+            cl.run_local_epochs([state], [shard], 3, 32, 0.02)
             return state.model[0].indices.copy(), state.model[0].codebook.centers.copy()
 
         i1, c1 = run()
@@ -249,7 +261,7 @@ class TestRunLocalEpochs:
         layers = cl.init_layers([8, 2], rng, 0.05)
         cfg = cl.ClientConfig(bitwidth=4, aug_sigma=0.1)
         state = cl.start_client(cfg, layers, rng)
-        cl.run_local_epochs(state, shard, 2, 64, 0.02)
+        cl.run_local_epochs([state], [shard], 2, 64, 0.02)
         for layer in state.model:
             assert isinstance(layer, qk.QuantizedTensor)
             assert layer.codebook.rate == 4
@@ -267,7 +279,7 @@ class TestRunLocalEpochs:
             else:
                 state = cl.ClientState(plain_config(aug_sigma=0.1), layers, rng)
             for i in range(15):
-                cl.run_local_epochs(state, shard, 2, 64, 0.03 / math.sqrt(i + 1))
+                cl.run_local_epochs([state], [shard], 2, 64, 0.03 / math.sqrt(i + 1))
             return ssl.loss(state.layer_values()[0], shard.covariance())
 
     # identical seeds and schedule; rng streams diverge once quantization
@@ -287,7 +299,7 @@ class TestRunLocalEpochs:
             layers = cl.init_layers([8, 2], np.random.default_rng(4), 0.1 / math.sqrt(8))
             cfg = cl.ClientConfig(bitwidth=r, grad_extra_bits=0, aug_sigma=0.1)
             state = cl.start_client(cfg, layers, rng)
-            stats = cl.run_local_epochs(state, shard, 16, 64, 0.02)
+            stats = cl.run_local_epochs([state], [shard], 16, 64, 0.02)
             assert len(stats) >= 200
             ratios.append(stats.mean_grad_error() / np.mean(stats.grad_norm_sq))
         per_bit = 2.0 ** (-np.polyfit(rates, np.log2(ratios), 1)[0])

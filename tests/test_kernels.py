@@ -110,3 +110,23 @@ def test_matches_masked_clamp_form(rng, k):
     u = rng.random(x.size)
     got = kernels.stochastic_round(x, centers, u)
     np.testing.assert_array_equal(got, _masked_clamp_round(x, centers, u))
+
+
+def test_ragged_codebooks_with_clamped_offset_brackets():
+    # Several codebooks concatenated: each element's bracket is its count
+    # within its own codebook kept in [1, K - 1], plus that codebook's
+    # offset; the result indexes the concatenation, row by row the same
+    # draws as rounding each row alone.
+    rng = np.random.default_rng(11)
+    books = [np.sort(rng.normal(size=k)) for k in (2, 5, 16)]
+    offsets = np.cumsum([0] + [b.size for b in books])
+    rows = [rng.normal(scale=2.0, size=40) for _ in books]
+    rows[1][:3] = books[1][[0, -1, 2]]  # exactly on centers, including both ends
+    uniforms = [rng.random(40) for _ in books]
+    n_le = [np.clip(b.searchsorted(x, side="right"), 1, b.size - 1) + o
+            for b, x, o in zip(books, rows, offsets)]
+    got = kernels.stochastic_round(np.concatenate(rows), np.concatenate(books),
+                                   np.concatenate(uniforms), np.concatenate(n_le))
+    want = np.concatenate([kernels.stochastic_round(x, b, u) + o
+                           for b, x, u, o in zip(books, rows, uniforms, offsets)])
+    np.testing.assert_array_equal(got, want)

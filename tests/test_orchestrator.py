@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from fedq import client as cl
 from fedq import experiment as exp
 from fedq import server as sv
 from fedq.cli import cli_dispatch
 from fedq.config import config_from_dict, load_config
+from fedq.datagen import DataShard
 from fedq.errors import Diverged, NonFiniteInput, ParseError, ValidationError
 from fedq.quantkit import MAX_RATE
 from fedq.experiment import run_experiment
@@ -219,9 +221,9 @@ class TestRunExperiment:
         real = exp.cl.local_update
         seen = []
 
-        def spy(state, weights, grads, lr):
-            seen.append(lr)
-            return real(state, weights, grads, lr)
+        def spy(cohort, weights, grads, lr):
+            seen.extend([lr] * len(cohort.rngs))  # one step per client in the cohort
+            return real(cohort, weights, grads, lr)
 
         monkeypatch.setattr(exp.cl, "local_update", spy)
         cfg = config_from_dict(small_run_dict(
@@ -285,6 +287,20 @@ def diverging_run_dict(tmp_path):
 class TestDivergence:
     # No np.errstate here: tier-1 turns RuntimeWarnings into errors, so an
     # overflow warning escaping the run would replace Diverged.
+    def test_names_the_client_whose_shard_holds_inf(self):
+        init = cl.init_layers([6, 3], np.random.default_rng(4), 0.3)
+        shards = {}
+        for k in (1, 2, 3):
+            x = np.random.default_rng(k).normal(size=(20, 6))
+            if k == 2:
+                x[5, 1] = np.inf
+            shards[k] = DataShard(k, x, np.zeros(20, dtype=np.uint32))
+        states = {k: cl.start_client(cl.ClientConfig(bitwidth=4), init, np.random.default_rng(k)) for k in shards}
+        with pytest.raises(Diverged) as info:
+            exp.step_round(states, sv.ServerState(dict.fromkeys(shards, 4), seed=0), shards, 1, 8, 0.05)
+        assert (info.value.round, info.value.client, info.value.phase) == (1, 2, "client update")
+        assert isinstance(info.value.__cause__, NonFiniteInput)
+
     def test_error_names_round_and_client_and_keeps_rows(self, tmp_path):
         cfg = config_from_dict(diverging_run_dict(tmp_path))
         with pytest.raises(Diverged) as info:
@@ -309,10 +325,10 @@ class TestDivergence:
         real = exp.cl.run_local_epochs
         calls = itertools.count(1)
 
-        def fail_in_round_2(state, *args):
-            if next(calls) == 3:  # two clients per round: round 2, client 1
+        def fail_in_round_2(states, *args):
+            if next(calls) == 2:  # both clients train in one lockstep call per round
                 raise RuntimeError("injected failure")
-            return real(state, *args)
+            return real(states, *args)
 
         monkeypatch.setattr(exp.cl, "run_local_epochs", fail_in_round_2)
         with pytest.raises(RuntimeError, match="injected failure"):
@@ -328,10 +344,10 @@ class TestDivergence:
         real = exp.cl.run_local_epochs
         calls = itertools.count(1)
 
-        def diverge_in_round_3(state, *args):
-            if next(calls) == 5:  # two clients per round: round 3, client 1
+        def diverge_in_round_3(states, *args):
+            if next(calls) == 3:  # both clients train in one lockstep call per round
                 raise NonFiniteInput("injected non-finite update")
-            return real(state, *args)
+            return real(states, *args)
 
         monkeypatch.setattr(exp.cl, "run_local_epochs", diverge_in_round_3)
         with pytest.raises(Diverged) as info:

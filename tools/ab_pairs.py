@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Interleaved A/B pairs of the fedq benchmark between two source trees.
+
+    python3 tools/ab_pairs.py --parent DIR --change DIR --workload W --seed S --pairs N
+                              [--seconds 30] [--out BENCH.json]
+
+Each pair runs ``perfbench/run.py --trace 0`` once in each tree (each
+tree's own benchmark, from its root), the parent first in even pairs
+and the change first in odd ones, so drift of the machine's speed hits
+both sides alike. One invocation gives one sample per end-to-end
+metric: the median of its runs. The script prints, per metric, the
+median and quartiles of each side and the pairs the change won, and
+writes every pair plus that summary as JSON to ``--out`` under the key
+"<workload>@seed<S>" (other keys in the file are kept). Metric names
+and directions come from the change tree's ``BENCHMARK.json``. It only
+reads ``perfbench/``.
+"""
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+
+def invoke(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if proc.returncode != 0 or not result["correct"]:
+        raise SystemExit(f"error: benchmark failed in {tree}: {proc.stderr.strip()[-500:]}")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--parent", required=True, type=Path)
+    ap.add_argument("--change", required=True, type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=None, help="run length (default: BENCHMARK.json's)")
+    ap.add_argument("--out", type=Path, default=None)
+    args = ap.parse_args()
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+    pairs = []
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = invoke(getattr(args, side), args.workload, args.seed, seconds)
+        pairs.append(pair)
+        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): "
+              + "  ".join(f"{m} {pair['parent'][m]:.4g} -> {pair['change'][m]:.4g}" for m in better),
+              flush=True)
+
+    summary = {}
+    for name, direction in better.items():
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        won = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(parent, change))
+        summary[name] = {"better": direction, "parent": quartiles(parent), "change": quartiles(change),
+                         "change_won": won, "pairs": len(pairs)}
+        s = summary[name]
+        print(f"{name:<16} parent {s['parent']['median']:.4g} [{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]"
+              f"  change {s['change']['median']:.4g} [{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]"
+              f"  ratio {s['change']['median'] / s['parent']['median']:.3f}  change won {won}/{len(pairs)}")
+
+    if args.out is not None:
+        data = json.loads(args.out.read_text()) if args.out.exists() else {}
+        data[f"{args.workload}@seed{args.seed}"] = {
+            "workload": args.workload, "seed": args.seed, "seconds": seconds,
+            "machine": {"platform": platform.platform(), "python": platform.python_version()},
+            "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "summary": summary, "pairs": pairs,
+        }
+        args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
