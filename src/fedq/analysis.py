@@ -232,11 +232,8 @@ def probe_run(rate: int, cfg: ProbeConfig, lr: float | None = None,
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.train_seed, spawn_key=(rate,)))
     init_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.train_seed, spawn_key=(0, 1)))
     layers = cl.init_layers([cfg.d, cfg.m], init_rng, 0.1 / math.sqrt(cfg.d))
-    state = cl.start_client(
-        cl.ClientConfig(bitwidth=rate, grad_extra_bits=cfg.grad_extra_bits, aug_sigma=cfg.aug_sigma),
-        layers,
-        rng,
-    )
+    config = cl.ClientConfig(bitwidth=rate, grad_extra_bits=cfg.grad_extra_bits, aug_sigma=cfg.aug_sigma)
+    state = cl.start_clients([config], layers, [rng])[0]
     return cl.run_local_epochs([state], [shard], cfg.epochs, cfg.batch_size,
                                lr if lr is not None else cfg.lr)[0]
 

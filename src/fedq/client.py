@@ -43,24 +43,25 @@ class QuantErrorStats:
     One entry per local update: total ||eps_g||^2 over layers, total
     ||eps_w||^2, and the squared norm of the unquantized weight
     gradient. Clients trained in lockstep share one record of
-    (clients, steps) arrays; ``stats[i]`` is client i's.
+    (clients, steps) arrays; ``stats[i]`` is client i's, as lists.
     """
 
-    grad_error_sq: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    weight_error_sq: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    grad_norm_sq: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    grad_error_sq: list[float] = field(default_factory=list)
+    weight_error_sq: list[float] = field(default_factory=list)
+    grad_norm_sq: list[float] = field(default_factory=list)
 
     def __getitem__(self, i: int) -> "QuantErrorStats":
-        return QuantErrorStats(self.grad_error_sq[i], self.weight_error_sq[i], self.grad_norm_sq[i])
+        return QuantErrorStats(self.grad_error_sq[i].tolist(), self.weight_error_sq[i].tolist(),
+                               self.grad_norm_sq[i].tolist())
 
     def extend(self, other: "QuantErrorStats"):
-        self.grad_error_sq = np.concatenate((self.grad_error_sq, other.grad_error_sq), axis=-1)
-        self.weight_error_sq = np.concatenate((self.weight_error_sq, other.weight_error_sq), axis=-1)
-        self.grad_norm_sq = np.concatenate((self.grad_norm_sq, other.grad_norm_sq), axis=-1)
+        self.grad_error_sq.extend(other.grad_error_sq)
+        self.weight_error_sq.extend(other.weight_error_sq)
+        self.grad_norm_sq.extend(other.grad_norm_sq)
 
     def __len__(self) -> int:
         """Local steps, summed over the clients."""
-        return self.grad_error_sq.size
+        return np.size(self.grad_error_sq)
 
     def mean_grad_error(self) -> float:
         return float(np.mean(self.grad_error_sq)) if len(self) else 0.0
@@ -69,7 +70,7 @@ class QuantErrorStats:
         return float(np.mean(self.weight_error_sq)) if len(self) else 0.0
 
     def max_grad_norm(self) -> float:
-        return math.sqrt(self.grad_norm_sq.max()) if len(self) else 0.0
+        return math.sqrt(max(self.grad_norm_sq)) if len(self) else 0.0
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ class Cohort:
     @classmethod
     def of(cls, states: list[ClientState]) -> "Cohort":
         cfg = states[0].config
-        if any(replace(s.config, bitwidth=cfg.bitwidth) != cfg for s in states):
+        if any(replace(s.config, bitwidth=cfg.bitwidth) != cfg for s in states[1:]):
             raise InvalidParams("clients in lockstep may differ only in bitwidth")
         model = [np.stack(layer) for layer in zip(*(s.layer_values() for s in states))]
         return cls(cfg, tuple(s.config.bitwidth for s in states),
@@ -179,10 +180,6 @@ def _activate_deriv(pre: np.ndarray, kind: str) -> np.ndarray | None:
     if kind == "relu":
         return (pre > 0.0).astype(np.float64)
     return None
-
-
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    return x.reshape(x.shape[0], -1).sum(axis=1)
 
 
 def init_layers(dims: list[int], rng: np.random.Generator, std: float) -> list[np.ndarray]:
@@ -220,11 +217,6 @@ def start_clients(configs: list[ClientConfig], init: list[np.ndarray],
     model, _ = quantize_model(layers, tuple(c.bitwidth for c in configs), rngs)
     rows = zip(*(qk.unstack(q) for q in model))
     return [ClientState(c, list(m), rng) for c, m, rng in zip(configs, rows, rngs)]
-
-
-def start_client(config: ClientConfig, init: list[np.ndarray], rng: np.random.Generator) -> ClientState:
-    """One client before its first round: ``start_clients`` of one."""
-    return start_clients([config], init, [rng])[0]
 
 
 def quantized_forward(weights: list[np.ndarray], batch: np.ndarray, cohort: Cohort) -> ForwardState:
@@ -291,7 +283,7 @@ def quantized_backward(
         gw = g_pre.mT @ fstate.layer_inputs[l]
         wg = w @ (w.mT @ w)
         gw += 2.0 * wg
-        grad_sq += _row_sums(gw * gw)
+        grad_sq += (gw * gw).reshape(len(gbits), -1).sum(axis=1)
         if cfg.quantize_gradients:
             _, grads[l], err_sq = qk.fit_and_quantize(gw, gbits, "quantile", cohort.rngs)
             eps_g_sq += err_sq
@@ -385,4 +377,4 @@ def run_local_epochs(
             eps_w_sq = local_update(cohort, weights, grads, lr)
             steps.append((eps_g_sq, eps_w_sq, g_sq))
     cohort.scatter(states)
-    return QuantErrorStats(*(np.stack(column, axis=1) for column in zip(*steps)))
+    return QuantErrorStats(*np.array(steps).transpose(1, 2, 0))

@@ -32,13 +32,16 @@ from .server import ServerState, aggregate
 
 AUTO_LR_COEFF = 0.05
 
-# A lockstep group holds at most this many minibatch elements (clients x
-# rows x features), or one client. Every tensor of a step grows with the
-# group; past this size batching saves little per-call overhead but
-# raises peak memory. On linear-fullbatch-16c (188 x 64 per client) it
-# makes groups of 4: peak RSS +1.3 MiB over one client at a time, where
-# one group of 16 took +6.7 MiB.
-LOCKSTEP_ELEMENTS = 49152
+# A lockstep group's widest activation batch (clients x minibatch rows x
+# widest layer) holds at most this many elements, or the group is one
+# client. Every temporary of a step grows with the group, and so does
+# peak memory, while the per-call overhead that batching saves shrinks
+# as tensors grow. Measured on the benchmark workloads (peak RSS over the
+# per-client loop, 4 runs each): groups of 4 x 64 x 64 cost +1.6 MiB and
+# of 4 x 188 x 64 +1.3 MiB, the latter with no measurable speed-up;
+# groups of 2 x 64 x 64 cost +0.6 MiB and 4 x 64 x 32 +0.1 MiB. Any cap
+# in [8192, 12287] gives those last two and leaves 188 x 64 alone.
+LOCKSTEP_ELEMENTS = 8192
 
 
 @dataclass
@@ -121,11 +124,10 @@ def step_round(
     """One communication round: the only definition of it.
 
     Clients whose shards hold the same number of rows train in lockstep,
-    as one batch (``cl.run_local_epochs``) of at most LOCKSTEP_ELEMENTS
-    minibatch elements: ``epochs`` local epochs at the round's step
-    size ``lr``. Then the server de-quantizes,
-    aggregates by shard size and re-quantizes per client, and every
-    client takes its new model.
+    in batches (``cl.run_local_epochs``) sized by LOCKSTEP_ELEMENTS:
+    ``epochs`` local epochs at the round's step size ``lr``. Then the
+    server de-quantizes, aggregates by shard size and re-quantizes per
+    client, and every client takes its new model.
     Returns each client's error stats for the round and the models the
     clients sent. Both phases name the server's next round in Diverged;
     a client update names the lowest client id whose values were
@@ -137,7 +139,8 @@ def step_round(
         by_size.setdefault(shards_by_id[k].size, []).append(k)
     groups = []
     for rows, same in by_size.items():
-        n = max(1, LOCKSTEP_ELEMENTS // (min(batch_size or rows, rows) * shards_by_id[same[0]].dim))
+        widest = max(shards_by_id[same[0]].dim, *(w.shape[0] for w in states[same[0]].model))
+        n = max(1, LOCKSTEP_ELEMENTS // (min(batch_size or rows, rows) * widest))
         groups += [same[i:i + n] for i in range(0, len(same), n)]
     stats = {}
     # Overflow on the way to divergence must not surface as a numpy

@@ -17,18 +17,20 @@ Codebooks are immutable and shareable; quantization is pure given the
 caller's RNG stream, consuming one uniform per element in row-major
 order.
 
-The fitted builders also take a batch: a tuple of rates, one per row of
-the leading axis. Clients training in lockstep each own a row at their
-own rate, so the batch's ``Codebooks`` are ragged, concatenated at the
-offsets of a ``FitPlan``; each row draws from its own Generator exactly
-what it would draw alone, and one kernel call rounds every row.
+The fitted builders work on a batch: a tuple of rates, one per row of
+the leading axis, and a single tensor is a batch of one. Clients
+training in lockstep each own a row at their own rate, so the batch's
+``Codebooks`` are ragged, concatenated at the offsets of a ``FitPlan``;
+each row draws from its own Generator exactly what it would draw alone,
+and one kernel call rounds every row. ``Codebooks.row`` is one row's
+``Codebook``.
 
 Rounding needs each element's bracket: ``n_le``, the number of centers
-<= the value. ``stochastic_quantize`` with a foreign codebook leaves it
-to the kernel's binary search. ``fit_codebook`` guesses it from the fit
-instead, from the tanh-space grid (``tanh_n_le``) or the element's rank
-(``quantile_n_le``), checks each guess against the centers and searches
-the misses, so the indices are the same.
+<= the value. ``stochastic_quantize`` with a foreign ``Codebook`` leaves
+it to the kernel's binary search. ``fit_codebook`` guesses it from the
+fit instead, from the tanh-space grid (``tanh_n_le``) or the element's
+rank (``quantile_n_le``), checks each guess against the centers and
+searches the misses, so the indices are the same.
 """
 
 from dataclasses import dataclass
@@ -45,12 +47,12 @@ RANGE_EPS = 1e-12
 # Largest codebook rate: 2^24 float64 centers (128 MiB), uint32 indices.
 MAX_RATE = 24
 
-# A single tensor below this size keeps the kernel's binary search, which
-# costs less there; larger tensors are bracketed from the fit. The kernel
-# cannot search the ragged codebooks of a batch of several rows: a batch
-# is bracketed from the fit, except that a tanh fit below this many
-# elements per row searches each row instead. On workload tensors cut
-# to n elements, the fit's brackets break even near n = 512 for tanh and
+# A batch of one row below this size keeps the kernel's binary search,
+# which costs less there; larger rows are bracketed from the fit. The
+# kernel cannot search the ragged codebooks of several rows: they are
+# bracketed from the fit, except that a tanh fit below this many elements
+# per row searches each row instead. On workload tensors cut to n
+# elements, the fit's brackets break even near n = 512 for tanh and
 # n = 256 for quantile codebooks; batched, near 512 per row for tanh and
 # 64-128 per row for quantile (4 rows, numpy 2.4, AVX-512 x86-64, one
 # thread).
@@ -98,7 +100,6 @@ class FitPlan:
         self.first, self.last = self.offsets[:-1], self.offsets[1:] - 1
         self.row_of = np.repeat(np.arange(c), self.ks)
         self.row_start, self.top, self.k_col = self.first[:, None], (self.ks - 1)[:, None], self.ks[:, None]
-        self.elem_base = (np.arange(c) * n)[:, None]
         self.ends_start = (self.first + 2 * np.arange(c))[:, None]
         self.ends = np.full(self.offsets[-1] + 2 * c, np.inf)
         self.ends[self.ends_start] = -np.inf
@@ -136,7 +137,9 @@ def fit_plan(n: int, rates: tuple[int, ...]) -> FitPlan:
 @dataclass(frozen=True)
 class Codebooks:
     """A batch's ragged codebooks, one per row, concatenated in ``centers``
-    at ``plan.offsets``; ``degenerate[r]`` marks a constant row's fallback."""
+    at ``plan.offsets``. ``degenerate[r]`` marks a row whose centers span
+    less than RANGE_EPS (``Codebook.is_degenerate``): it draws nothing
+    and maps every element to its index 0."""
 
     plan: FitPlan
     centers: np.ndarray
@@ -183,10 +186,8 @@ def _codebook_size(rate: int) -> int:
     return 1 << int(rate)
 
 
-def _rows(values, rate) -> tuple[np.ndarray, FitPlan]:
-    """``values`` as (C, n) float64 rows and their plan: an int ``rate``
-    makes the tensor one row, a tuple holds a rate per leading row."""
-    rates = rate if isinstance(rate, tuple) else (int(rate),)
+def _rows(values, rates: tuple[int, ...]) -> tuple[np.ndarray, FitPlan]:
+    """``values`` as (C, n) float64 rows, one per rate, and their plan."""
     for r in rates:
         _codebook_size(r)
     values = np.asarray(values, dtype=np.float64)
@@ -224,23 +225,24 @@ def _repair_strictly_increasing(centers: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(centers - ramp) + ramp
 
 
-def _finish(plan: FitPlan, centers: np.ndarray, lo, hi, rate) -> Codebook | Codebooks:
-    """Collapse (near-)constant rows to the degenerate codebook, repair
-    rows with duplicate centers, and wrap the result for ``rate``."""
-    degenerate = hi - lo < RANGE_EPS
-    if np.count_nonzero(degenerate):
-        collapsed = degenerate[plan.row_of]
+def _finish(plan: FitPlan, centers: np.ndarray, lo, hi) -> Codebooks:
+    """Collapse (near-)constant rows to the degenerate codebook and repair
+    rows with duplicate centers. A row is degenerate when its centers
+    span less than RANGE_EPS: a constant row, or one whose quantiles
+    collapsed (all but a few values equal)."""
+    constant = hi - lo < RANGE_EPS
+    if np.count_nonzero(constant):
+        collapsed = constant[plan.row_of]
         centers[collapsed] = (0.5 * (lo + hi))[plan.row_of[collapsed]]
     increasing = centers[1:] > centers[:-1]
     increasing[plan.last[:-1]] = True
     if np.count_nonzero(increasing) < increasing.size:
         for r in sorted(set(plan.row_of[np.flatnonzero(~increasing)].tolist())):
-            if not degenerate[r]:
+            if not constant[r]:
                 part = slice(plan.first[r], plan.last[r] + 1)
                 centers[part] = _repair_strictly_increasing(centers[part])
     centers.setflags(write=False)
-    cbs = Codebooks(plan, centers, degenerate)
-    return cbs if isinstance(rate, tuple) else cbs.row(0)
+    return Codebooks(plan, centers, centers[plan.last] - centers[plan.first] < RANGE_EPS)
 
 
 def degenerate_codebook(value: float, rate: int) -> Codebook:
@@ -269,7 +271,7 @@ def build_uniform_codebook(lo: float, hi: float, rate: int) -> Codebook:
     return Codebook(int(rate), centers)
 
 
-def build_tanh_codebook(values: np.ndarray, rate) -> Codebook | Codebooks:
+def build_tanh_codebook(values: np.ndarray, rates: tuple[int, ...]) -> Codebooks:
     """Companding codebook: uniform levels in tanh space, mapped back.
 
     The tensor is transformed by tanh, a uniform grid is laid over the
@@ -277,9 +279,9 @@ def build_tanh_codebook(values: np.ndarray, rate) -> Codebook | Codebooks:
     center spacing widens with |x|. The range endpoints are pinned to
     the exact extrema of ``values`` so the largest-magnitude entries stay
     exactly representable. Near-constant input falls back to the
-    degenerate single-value codebook. A tuple ``rate`` fits each row.
+    degenerate single-value codebook. Row r is fitted at ``rates[r]``.
     """
-    rows, plan = _rows(values, rate)
+    rows, plan = _rows(values, rates)
     lo, hi = _row_ranges(rows)
     # np.linspace(t0, t1, k) spelled out per row: same operations, same bits.
     t0 = np.tanh(lo)
@@ -298,44 +300,47 @@ def build_tanh_codebook(values: np.ndarray, rate) -> Codebook | Codebooks:
     # Bound first: on a tie (+-0) the center is kept, as np.clip does.
     np.maximum(lo[plan.row_of], centers, out=centers)
     np.minimum(hi[plan.row_of], centers, out=centers)
-    return _finish(plan, centers, lo, hi, rate)
+    return _finish(plan, centers, lo, hi)
 
 
-def build_quantile_codebook(values: np.ndarray, rate, sorted_rows=None) -> Codebook | Codebooks:
+def build_quantile_codebook(values: np.ndarray, rates: tuple[int, ...], order: np.ndarray) -> Codebooks:
     """Centers at the empirical quantiles p_i = (i + 0.5)/K of ``values``.
 
     Quantiles use linear interpolation between order statistics. Heavy
     ties produce duplicate centers, repaired by ulp-scale nudges to
     restore strict increase; constant input falls back to the degenerate
-    codebook (an all-zero gradient tensor is the common case). A tuple
-    ``rate`` fits each row; ``sorted_rows`` may hold the rows argsorted.
+    codebook (an all-zero gradient tensor is the common case). Row r is
+    fitted at ``rates[r]``; ``order`` is the rows' argsort as indices into
+    the flattened rows (``argsort_rows``), which the brackets reuse.
     """
-    rows, plan = _rows(values, rate)
+    rows, plan = _rows(values, rates)
     lo, hi = _row_ranges(rows)
     if plan.n == 1:  # constant, so degenerate
-        return _finish(plan, np.empty(plan.offsets[-1]), lo, hi, rate)
-    if sorted_rows is None:
-        sorted_rows = np.take_along_axis(rows, np.argsort(rows, axis=1), axis=1)
+        return _finish(plan, np.empty(plan.offsets[-1]), lo, hi)
     # np.interp spelled out: (s[j+1] - s[j]) * frac + s[j], same bits.
     lower, frac, at_sample, _ = plan.quantile
-    s = sorted_rows.reshape(-1)
+    s = rows.reshape(-1).take(order.reshape(-1))
     below = s.take(lower)
     centers = s.take(lower + 1)
     centers -= below
     centers *= frac
     centers += below
     centers[at_sample] = below[at_sample]
-    return _finish(plan, centers, lo, hi, rate)
+    return _finish(plan, centers, lo, hi)
 
 
-def _draw_indices(
-    values: np.ndarray, cb: Codebook, rng: np.random.Generator, n_le: np.ndarray | None = None
-) -> np.ndarray:
+def argsort_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row's argsort, as indices into the flattened (C, n) ``rows``."""
+    order = np.argsort(rows, axis=1)
+    order += (np.arange(rows.shape[0]) * rows.shape[1])[:, None]
+    return order
+
+
+def _draw_indices(values: np.ndarray, cb: Codebook, rng: np.random.Generator) -> np.ndarray:
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
     if cb.is_degenerate:
         return np.zeros(flat.shape[0], dtype=np.int64)
-    uniforms = rng.random(flat.shape[0])
-    return _kernels.stochastic_round(flat, cb.centers, uniforms, n_le)
+    return _kernels.stochastic_round(flat, cb.centers, rng.random(flat.shape[0]))
 
 
 def _draw_rows(rows: np.ndarray, cb: Codebooks, rngs: list, n_le: np.ndarray | None) -> np.ndarray:
@@ -363,15 +368,15 @@ def stochastic_quantize(x: np.ndarray, cb: Codebook | Codebooks, rng, n_le: np.n
     probability (x - c_j)/(c_{j+1} - c_j) and c_j otherwise, which makes
     the in-range quantization error zero-mean.
 
-    ``n_le``, when given, is each element's kernel bracket in row-major
-    order (``_kernels.stochastic_round``); the kernel then skips its
-    search. With ``Codebooks``, ``rng`` holds one Generator per row and
-    ``n_le`` is required for more than one row.
+    A ``Codebook`` is searched by the kernel. ``Codebooks`` quantize a
+    batch: ``rng`` holds one Generator per row, and ``n_le`` each
+    element's kernel bracket from ``fit_codebook`` (required for more
+    than one row).
     """
     x = np.asarray(x, dtype=np.float64)
     if isinstance(cb, Codebooks):
         return QuantizedTensor(x.shape, _draw_rows(x.reshape(len(rng), -1), cb, rng, n_le), cb)
-    idx = _draw_indices(x, cb, rng, n_le)
+    idx = _draw_indices(x, cb, rng)
     return QuantizedTensor(x.shape, idx.astype(_index_dtype(cb.size)), cb)
 
 
@@ -388,47 +393,40 @@ def unstack(q: QuantizedTensor) -> list[QuantizedTensor]:
             for r, k in enumerate(plan.ks.tolist())]
 
 
-def _as_rows(values, centers, plan):
-    """Without a plan, ``values`` is one row and ``centers`` its codebook."""
-    if plan is not None:
-        return values, plan
-    rows = np.asarray(values, dtype=np.float64).reshape(1, -1)
-    return rows, fit_plan(rows.shape[1], (centers.shape[0].bit_length() - 1,))
-
-
-def _verified(values, n_le, centers, plan, skip) -> np.ndarray:
+def _verified(rows, n_le, cbs: Codebooks) -> np.ndarray:
     """Correct guessed counts of centers <= x, row by row.
 
     A guess in [0, K] is right when c[n_le - 1] <= x < c[n_le], taking
     c[-1] = -inf and c[K] = +inf; the elements it misses are searched.
-    Rows flagged in ``skip`` keep their guess.
+    Degenerate rows keep their guess: they draw no bracket.
     """
+    plan, centers = cbs.plan, cbs.centers
     ends = plan.ends.copy()
     ends[plan.ends_slots] = centers
     at = n_le + plan.ends_start
-    miss = ends.take(at) > values
-    miss |= ends[1:].take(at) <= values
-    if skip is not None:
-        miss[skip] = False
+    miss = ends.take(at) > rows
+    miss |= ends[1:].take(at) <= rows
+    miss[cbs.degenerate] = False
     if np.count_nonzero(miss):
         for r in np.flatnonzero(miss.any(axis=1)):
             m = np.flatnonzero(miss[r])
-            n_le[r, m] = centers[plan.first[r]:plan.last[r] + 1].searchsorted(values[r, m], side="right")
+            n_le[r, m] = centers[plan.first[r]:plan.last[r] + 1].searchsorted(rows[r, m], side="right")
     return n_le
 
 
-def tanh_n_le(values, centers, plan=None, skip=None) -> np.ndarray:
-    """Count of centers <= x per element, for tanh codebooks fitted to the rows.
+def tanh_n_le(rows: np.ndarray, cbs: Codebooks) -> np.ndarray:
+    """Count of centers <= x per element of the (C, n) ``rows``, for tanh
+    codebooks fitted to them.
 
     The fitted grid is uniform in tanh space between tanh(c[0]) and
     tanh(c[-1]), so the guess is floor((tanh(x) - tanh(c[0])) / step) + 1,
     kept in [1, K]; a row whose tanh range collapsed (saturation) guesses
     1. Checked and searched where missed, the count is exact for any
-    non-decreasing codebook. Without a ``plan``, ``values`` is one tensor.
+    non-decreasing codebooks.
     """
-    rows, plan = _as_rows(values, centers, plan)
-    t0 = np.tanh(centers[plan.first])[:, None]
-    span = np.tanh(centers[plan.last])[:, None] - t0
+    plan = cbs.plan
+    t0 = np.tanh(cbs.centers[plan.first])[:, None]
+    span = np.tanh(cbs.centers[plan.last])[:, None] - t0
     span[~(span > 0.0)] = np.inf
     est = np.tanh(rows)
     est -= t0
@@ -440,86 +438,75 @@ def tanh_n_le(values, centers, plan=None, skip=None) -> np.ndarray:
     n_le += 1
     np.maximum(n_le, 1, out=n_le)
     np.minimum(n_le, plan.k_col, out=n_le)
-    return _verified(rows, n_le, centers, plan, skip).reshape(np.shape(values))
+    return _verified(rows, n_le, cbs)
 
 
-def quantile_n_le(values, centers, plan=None, order=None, skip=None) -> np.ndarray:
-    """Count of centers <= x per element, for quantile codebooks fitted to the rows.
+def quantile_n_le(rows: np.ndarray, cbs: Codebooks, order: np.ndarray) -> np.ndarray:
+    """Count of centers <= x per element of the (C, n) ``rows``, for
+    quantile codebooks fitted to them.
 
-    ``order`` is the rows' argsort as flat indices. The element of rank i
-    lies just above the centers interpolated at positions <= i, so that
-    count is its guess; checked, searched where missed (ties, repairs, a
-    foreign codebook) and scattered back, the count is exact. Without a
-    ``plan``, ``values`` is one tensor.
+    ``order`` is ``argsort_rows(rows)``. The element of rank i lies just
+    above the centers interpolated at positions <= i, so that count is
+    its guess; checked, searched where missed (ties, repairs, a foreign
+    codebook) and scattered back, the count is exact.
     """
-    rows, plan = _as_rows(values, centers, plan)
-    if order is None:
-        order = np.argsort(rows, axis=1) + plan.elem_base
-    counts = _verified(rows.reshape(-1).take(order), plan.quantile[3].copy(), centers, plan, skip)
-    n_le = np.empty(rows.size, dtype=np.intp)
-    n_le[order] = counts
-    return n_le.reshape(np.shape(values))
+    counts = _verified(rows.reshape(-1).take(order), cbs.plan.quantile[3].copy(), cbs)
+    n_le = np.empty(rows.shape, dtype=np.intp)
+    n_le.reshape(-1)[order] = counts
+    return n_le
 
 
-def fit_codebook(x: np.ndarray, rate, compander: str) -> tuple[Codebook | Codebooks, np.ndarray | None]:
-    """Fit a tanh or quantile codebook to ``x`` and bracket its elements.
+def fit_codebook(x: np.ndarray, rates: tuple[int, ...], compander: str) -> tuple[Codebooks, np.ndarray | None]:
+    """Fit a tanh or quantile codebook to each row of ``x`` and bracket its elements.
 
-    An int ``rate`` fits one codebook to the tensor, a tuple one per row
-    of the leading axis. Returns the codebook and each element's kernel
-    bracket, or None where the kernel searches instead (a single tensor
-    below DIRECT_BRACKET_MIN elements, or nothing but constant rows).
-    Brackets come from the fit, or, where that costs more (see
-    DIRECT_BRACKET_MIN), from a search of each row.
+    Row r of the leading axis is fitted at ``rates[r]``. Returns the
+    codebooks and each element's kernel bracket, or None where the
+    kernel searches instead (one row below DIRECT_BRACKET_MIN elements,
+    or nothing but degenerate rows). Brackets come from the fit, or,
+    where that costs more (see DIRECT_BRACKET_MIN), from a search of
+    each row.
     """
-    rows, plan = _rows(x, rate)
+    rows, plan = _rows(x, rates)
     if compander == "tanh":
-        cbs = build_tanh_codebook(rows, plan.rates)
+        cbs = build_tanh_codebook(rows, rates)
     elif compander == "quantile":
-        order = np.argsort(rows, axis=1)
-        order += plan.elem_base
-        cbs = build_quantile_codebook(rows, plan.rates, rows.reshape(-1).take(order))
+        order = argsort_rows(rows)
+        cbs = build_quantile_codebook(rows, rates, order)
     else:
         raise InvalidParams(f"cannot fit a {compander!r} codebook to data")
-    n_le = None
-    constant = np.count_nonzero(cbs.degenerate)
-    if (len(plan.rates) > 1 or rows.size >= DIRECT_BRACKET_MIN) and constant < len(plan.rates):
-        skip = cbs.degenerate if constant else None
-        if compander == "quantile":
-            n_le = quantile_n_le(rows, cbs.centers, plan, order, skip)
-        elif plan.n >= DIRECT_BRACKET_MIN:
-            n_le = tanh_n_le(rows, cbs.centers, plan, skip)
-        else:
-            n_le = np.stack([cbs.centers[a:b + 1].searchsorted(row, side="right")
-                             for a, b, row in zip(plan.first, plan.last, rows)])
-        # The kernel's bracket: the count kept in [1, K - 1], which rounds a
-        # value at or beyond an end center to it, plus the row's offset.
-        np.maximum(n_le, 1, out=n_le)
-        np.minimum(n_le, plan.top, out=n_le)
-        n_le += plan.row_start
-    if isinstance(rate, tuple):
-        return cbs, n_le
-    return cbs.row(0), None if n_le is None else n_le.ravel()
+    if np.count_nonzero(cbs.degenerate) == len(rates) or (len(rates) == 1 and plan.n < DIRECT_BRACKET_MIN):
+        return cbs, None
+    if compander == "quantile":
+        n_le = quantile_n_le(rows, cbs, order)
+    elif plan.n >= DIRECT_BRACKET_MIN:
+        n_le = tanh_n_le(rows, cbs)
+    else:
+        n_le = np.stack([cbs.centers[a:b + 1].searchsorted(row, side="right")
+                         for a, b, row in zip(plan.first, plan.last, rows)])
+    # The kernel's bracket: the count kept in [1, K - 1], which rounds a
+    # value at or beyond an end center to it, plus the row's offset.
+    np.maximum(n_le, 1, out=n_le)
+    np.minimum(n_le, plan.top, out=n_le)
+    n_le += plan.row_start
+    return cbs, n_le
 
 
-def fit_and_quantize(x: np.ndarray, rate, compander: str, rng):
-    """Fit a tanh or quantile codebook to ``x`` and quantize ``x`` with it.
+def fit_and_quantize(x: np.ndarray, rates: tuple[int, ...], compander: str, rngs: list):
+    """Fit a tanh or quantile codebook to each row of ``x`` and quantize
+    the row with it, drawing from ``rngs[r]``.
 
-    Returns (quantized tensor, dequantized values, ||values - x||^2).
-    Draws from ``rng`` and returns exactly what the explicit sequence
-    build codebook -> stochastic_quantize -> dequantize does. With a
-    tuple ``rate``, ``rng`` holds a Generator per row and the error
-    energy is one value per row; each row gets the indices, values,
-    error and draws of fitting it alone.
+    Returns (quantized batch, dequantized values, ||values - x||^2 per
+    row). Each row gets exactly the indices, values, error and draws of
+    the explicit sequence build codebook -> stochastic_quantize ->
+    dequantize on that row alone.
     """
     x = np.asarray(x, dtype=np.float64)
-    cb, n_le = fit_codebook(x, rate, compander)
-    q = stochastic_quantize(x, cb, rng, n_le)
+    cbs, n_le = fit_codebook(x, rates, compander)
+    q = stochastic_quantize(x, cbs, rngs, n_le)
     values = dequantize(q)
     err = values - x
     err *= err
-    if isinstance(rate, tuple):
-        return q, values, err.reshape(len(rate), -1).sum(axis=1)
-    return q, values, float(err.sum())
+    return q, values, err.reshape(len(rates), -1).sum(axis=1)
 
 
 def empirical_mse(cb: Codebook, samples: np.ndarray, rng: np.random.Generator, draws: int) -> float:

@@ -59,24 +59,26 @@ def aggregate(models: list[list[np.ndarray]], sample_counts: list[int]) -> list[
     return agg
 
 
+def fit_layers(global_model: list[np.ndarray], bits: int) -> list[tuple[qk.Codebooks, np.ndarray | None]]:
+    """Each layer's fresh tanh codebook at ``bits`` and its brackets,
+    shared by every client of that bitwidth."""
+    return [qk.fit_codebook(layer[None], (bits,), "tanh") for layer in global_model]
+
+
 def requantize_for_client(
     global_model: list[np.ndarray],
-    bits: int,
+    fitted: list[tuple[qk.Codebooks, np.ndarray | None]],
     rng: np.random.Generator,
-    fitted: list | None = None,
 ) -> tuple[list[qk.QuantizedTensor], float]:
-    """Quantize the aggregate at a client's bitwidth (fresh tanh codebooks).
+    """Quantize the aggregate on a client's ``fit_layers`` codebooks.
 
-    ``fitted`` holds each layer's ``qk.fit_codebook`` at ``bits`` when
-    clients of one bitwidth share them. Returns the quantized model and
-    the re-quantization error energy ||eps_r||^2 summed over layers.
+    Returns the quantized model and the re-quantization error energy
+    ||eps_r||^2 summed over layers.
     """
-    if fitted is None:
-        fitted = [qk.fit_codebook(layer, bits, "tanh") for layer in global_model]
     out = []
     eps_r_sq = 0.0
-    for layer, (cb, n_le) in zip(global_model, fitted):
-        q = qk.stochastic_quantize(layer, cb, rng, n_le)
+    for layer, (cbs, n_le) in zip(global_model, fitted):
+        q = qk.unstack(qk.stochastic_quantize(layer[None], cbs, [rng], n_le))[0]
         err = qk.dequantize(q) - layer
         eps_r_sq += float((err * err).sum())
         out.append(q)
@@ -132,8 +134,8 @@ class ServerState:
             bits = self.client_bitwidths[k]
             try:
                 if bits not in fitted:
-                    fitted[bits] = [qk.fit_codebook(layer, bits, "tanh") for layer in self.global_model]
-                model, eps_r_sq = requantize_for_client(self.global_model, bits, self._round_rng(k), fitted[bits])
+                    fitted[bits] = fit_layers(self.global_model, bits)
+                model, eps_r_sq = requantize_for_client(self.global_model, fitted[bits], self._round_rng(k))
             except NonFiniteInput as e:
                 raise Diverged(self.round_counter + 1, k, "server requantize") from e
             out[k] = model

@@ -1,7 +1,33 @@
 """Reference formulas the tests check the quantizer, the client and the
-eigensolver against."""
+eigensolver against, and single-tensor shorthands for the batched APIs."""
 
 import numpy as np
+
+from fedq import client as cl
+from fedq import quantkit as qk
+
+
+def tanh_codebook(x, rate):
+    """The tanh codebook fitted to one tensor: a batch of one."""
+    return qk.build_tanh_codebook(np.reshape(x, (1, -1)), (rate,)).row(0)
+
+
+def quantile_codebook(x, rate):
+    """The quantile codebook fitted to one tensor: a batch of one."""
+    rows = np.reshape(np.asarray(x, dtype=np.float64), (1, -1))
+    return qk.build_quantile_codebook(rows, (rate,), qk.argsort_rows(rows)).row(0)
+
+
+def fit_and_quantize_one(x, rate, compander, rng):
+    """``qk.fit_and_quantize`` of one tensor, a batch of one: (quantized
+    tensor, values, ||values - x||^2)."""
+    q, values, err_sq = qk.fit_and_quantize(np.asarray(x, dtype=np.float64)[None], (rate,), compander, [rng])
+    return qk.unstack(q)[0], values[0], float(err_sq[0])
+
+
+def start_client(config, init, rng):
+    """``cl.start_clients`` of one client."""
+    return cl.start_clients([config], init, [rng])[0]
 
 
 def reference_n_le(centers, x):

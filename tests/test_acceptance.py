@@ -22,7 +22,7 @@ from fedq.config import config_from_dict
 from fedq.experiment import run_experiment, step_round
 from fedq.server import ServerState
 
-from oracle import expected_sq_error
+from oracle import expected_sq_error, quantile_codebook, start_client, tanh_codebook
 
 
 def check(criterion: int, label: str, ok: bool, detail: str = ""):
@@ -53,8 +53,8 @@ def test_criterion_1_quantizer_unbiasedness():
     data = rng.normal(size=20_000)
     books = {
         "uniform": qk.build_uniform_codebook(-3.0, 3.0, 4),
-        "tanh": qk.build_tanh_codebook(data, 4),
-        "quantile": qk.build_quantile_codebook(data, 4),
+        "tanh": tanh_codebook(data, 4),
+        "quantile": quantile_codebook(data, 4),
     }
     draws = 100_000
     worst = 0.0
@@ -121,7 +121,7 @@ def test_criterion_4_epoch_scaling_of_requant_error():
 
     def mean_eps_r(epochs: int) -> float:
         states = {
-            k: cl.start_client(
+            k: start_client(
                 cl.ClientConfig(bitwidth=5), init,
                 np.random.default_rng(np.random.SeedSequence(entropy=505, spawn_key=(epochs, k))),
             )
@@ -159,7 +159,7 @@ def test_criterion_5_oracle_equivalence_high_rate():
     lr = 0.05 / ssl.spectral_norm(x)
     layers = cl.init_layers([8, 2], np.random.default_rng(9), 0.1 / math.sqrt(8))
     cfg = cl.ClientConfig(bitwidth=16, grad_extra_bits=0, aug_sigma=0.0)
-    state = cl.start_client(cfg, layers, np.random.default_rng(616))
+    state = start_client(cfg, layers, np.random.default_rng(616))
     for _ in range(2000):
         cl.run_local_epochs([state], [shard], 1, None, lr)
     gap = ssl.loss(state.layer_values()[0], x) - floor
@@ -258,7 +258,7 @@ def test_criterion_8_heterogeneous_bitwidth_sanity():
     means = {4: [], 8: []}
     for seed in range(5):
         states = {
-            k: cl.start_client(
+            k: start_client(
                 cl.ClientConfig(bitwidth=bits), init,
                 np.random.default_rng(np.random.SeedSequence(entropy=809 + seed, spawn_key=(k,))),
             )
@@ -313,9 +313,9 @@ def test_criterion_10_aggregation_correctness():
     rng = np.random.default_rng(1010)
     w = rng.normal(size=(3, 5))
     models = {
-        1: [qk.stochastic_quantize(w + 0.1, qk.build_tanh_codebook(w + 0.1, 4), rng)],
-        2: [qk.stochastic_quantize(w - 0.2, qk.build_tanh_codebook(w - 0.2, 6), rng)],
-        3: [qk.stochastic_quantize(w, qk.build_tanh_codebook(w, 5), rng)],
+        1: [qk.stochastic_quantize(w + 0.1, tanh_codebook(w + 0.1, 4), rng)],
+        2: [qk.stochastic_quantize(w - 0.2, tanh_codebook(w - 0.2, 6), rng)],
+        3: [qk.stochastic_quantize(w, tanh_codebook(w, 5), rng)],
     }
     counts = {1: 10, 2: 30, 3: 60}
     s1 = ServerState({1: 4, 2: 6, 3: 5}, seed=7)

@@ -12,7 +12,7 @@ from fedq import quantkit as qk
 from fedq import sslcore as ssl
 from fedq.errors import InvalidParams, StateMismatch
 
-from oracle import expected_sq_error, stochastic_grad
+from oracle import expected_sq_error, quantile_codebook, start_client, stochastic_grad, tanh_codebook
 
 
 def alone(cfg, rng):
@@ -47,7 +47,7 @@ class TestForward:
     def test_identity_rows_reproduce_weight_rows(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(3, 4))
-        cb = qk.build_tanh_codebook(w, 8)
+        cb = tanh_codebook(w, 8)
         qw = qk.stochastic_quantize(w, cb, rng)
         fs = cl.quantized_forward([qk.dequantize(qw)[None]], np.eye(4)[None], alone(plain_config(bitwidth=8), rng))
         np.testing.assert_allclose(fs.outputs[0].T, qk.dequantize(qw), atol=1e-12)
@@ -59,7 +59,7 @@ class TestForward:
         w = 0.3 * rng.normal(size=(2, 8))
         batch = rng.normal(size=(64, 8))
         cfg = cl.ClientConfig(bitwidth=16, quantize_activations=True, aug_sigma=0.0)
-        qw = qk.stochastic_quantize(w, qk.build_tanh_codebook(w, 16), rng)
+        qw = qk.stochastic_quantize(w, tanh_codebook(w, 16), rng)
         fs = cl.quantized_forward([qk.dequantize(qw)[None]], batch[None], alone(cfg, rng))
         ref = batch @ w.T
         rel = np.linalg.norm(fs.outputs[0] - ref) / np.linalg.norm(ref)
@@ -115,7 +115,7 @@ class TestBackward:
         raw = raw_grads[0][0]
         n = 10_000
         acc = np.zeros_like(raw)
-        cb = qk.build_quantile_codebook(raw, cfg.grad_bitwidth)
+        cb = quantile_codebook(raw, cfg.grad_bitwidth)
         for _ in range(n):
             acc += qk.dequantize(qk.stochastic_quantize(raw, cb, rng))
         acc /= n
@@ -171,7 +171,7 @@ class TestLocalUpdate:
         rng = np.random.default_rng(11)
         w = rng.normal(size=(2, 6))
         cfg = cl.ClientConfig(bitwidth=6, aug_sigma=0.0)
-        state = cl.start_client(cfg, [w], rng)
+        state = start_client(cfg, [w], rng)
         qw = state.model[0]
         team = cl.Cohort.of([state])
         eps_w = cl.local_update(team, team.layer_values(), [np.zeros((1, 2, 6))], 0.0)
@@ -186,7 +186,7 @@ class TestLocalUpdate:
         w = rng.normal(size=(2, 8))
         g = rng.normal(size=(2, 8))
         cfg = cl.ClientConfig(bitwidth=16, aug_sigma=0.0)
-        state = cl.start_client(cfg, [w], rng)
+        state = start_client(cfg, [w], rng)
         qw = state.model[0]
         team = cl.Cohort.of([state])
         eps_w = cl.local_update(team, team.layer_values(), [g[None]], 0.05)[0]
@@ -203,7 +203,7 @@ class TestLocalUpdate:
             rng = np.random.default_rng(55)
             layers = cl.init_layers([8, 2], np.random.default_rng(5), 0.1 / math.sqrt(8))
             cfg = cl.ClientConfig(bitwidth=5, grad_extra_bits=0, aug_sigma=0.1)
-            state = cl.start_client(cfg, layers, rng)
+            state = start_client(cfg, layers, rng)
             stats = cl.run_local_epochs([state], [shard], 20, 64, a)
             means.append(stats.mean_weight_error())
         slope = np.polyfit(np.log(alphas), np.log(means), 1)[0]
@@ -223,7 +223,7 @@ class TestRunLocalEpochs:
 
     @pytest.mark.parametrize("lr", [0.0, -0.01, math.nan])
     def test_step_size_must_be_positive(self, lr):
-        state = cl.start_client(plain_config(), [np.zeros((2, 8))], np.random.default_rng(0))
+        state = start_client(plain_config(), [np.zeros((2, 8))], np.random.default_rng(0))
         with pytest.raises(InvalidParams, match="step size"):
             cl.run_local_epochs([state], [make_shard()], 1, None, lr)
 
@@ -232,7 +232,7 @@ class TestRunLocalEpochs:
         rng = np.random.default_rng(29)
         layers = cl.init_layers([8, 2], rng, 0.1 / math.sqrt(8))
         cfg = cl.ClientConfig(bitwidth=8, aug_sigma=0.1)
-        state = cl.start_client(cfg, layers, rng)
+        state = start_client(cfg, layers, rng)
         losses = []
         for _ in range(20):
             cl.run_local_epochs([state], [shard], 1, 64, 0.02)
@@ -246,7 +246,7 @@ class TestRunLocalEpochs:
             rng = np.random.default_rng(77)
             layers = cl.init_layers([8, 2], np.random.default_rng(1), 0.05)
             cfg = cl.ClientConfig(bitwidth=5, aug_sigma=0.1)
-            state = cl.start_client(cfg, layers, rng)
+            state = start_client(cfg, layers, rng)
             cl.run_local_epochs([state], [shard], 3, 32, 0.02)
             return state.model[0].indices.copy(), state.model[0].codebook.centers.copy()
 
@@ -260,7 +260,7 @@ class TestRunLocalEpochs:
         rng = np.random.default_rng(41)
         layers = cl.init_layers([8, 2], rng, 0.05)
         cfg = cl.ClientConfig(bitwidth=4, aug_sigma=0.1)
-        state = cl.start_client(cfg, layers, rng)
+        state = start_client(cfg, layers, rng)
         cl.run_local_epochs([state], [shard], 2, 64, 0.02)
         for layer in state.model:
             assert isinstance(layer, qk.QuantizedTensor)
@@ -275,7 +275,7 @@ class TestRunLocalEpochs:
             rng = np.random.default_rng(61)
             layers = cl.init_layers([8, 2], np.random.default_rng(2), 0.1 / math.sqrt(8))
             if quantized:
-                state = cl.start_client(cl.ClientConfig(bitwidth=12, aug_sigma=0.1), layers, rng)
+                state = start_client(cl.ClientConfig(bitwidth=12, aug_sigma=0.1), layers, rng)
             else:
                 state = cl.ClientState(plain_config(aug_sigma=0.1), layers, rng)
             for i in range(15):
@@ -298,7 +298,7 @@ class TestRunLocalEpochs:
             rng = np.random.default_rng(83)
             layers = cl.init_layers([8, 2], np.random.default_rng(4), 0.1 / math.sqrt(8))
             cfg = cl.ClientConfig(bitwidth=r, grad_extra_bits=0, aug_sigma=0.1)
-            state = cl.start_client(cfg, layers, rng)
+            state = start_client(cfg, layers, rng)
             stats = cl.run_local_epochs([state], [shard], 16, 64, 0.02)
             assert len(stats) >= 200
             ratios.append(stats.mean_grad_error() / np.mean(stats.grad_norm_sq))

@@ -17,6 +17,8 @@ from fedq.errors import Diverged, NonFiniteInput, ParseError, ValidationError
 from fedq.quantkit import MAX_RATE
 from fedq.experiment import run_experiment
 
+from oracle import start_client
+
 
 def minimal(**over):
     raw = {"n_clients": 2, "d": 32, "bitwidths": [4, 8], "rounds": 10}
@@ -295,7 +297,7 @@ class TestDivergence:
             if k == 2:
                 x[5, 1] = np.inf
             shards[k] = DataShard(k, x, np.zeros(20, dtype=np.uint32))
-        states = {k: cl.start_client(cl.ClientConfig(bitwidth=4), init, np.random.default_rng(k)) for k in shards}
+        states = {k: start_client(cl.ClientConfig(bitwidth=4), init, np.random.default_rng(k)) for k in shards}
         with pytest.raises(Diverged) as info:
             exp.step_round(states, sv.ServerState(dict.fromkeys(shards, 4), seed=0), shards, 1, 8, 0.05)
         assert (info.value.round, info.value.client, info.value.phase) == (1, 2, "client update")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fedq import quantkit as qk
 from fedq.errors import DegenerateRange, InvalidParams, NonFiniteInput
 
-from oracle import expected_sq_error, reference_n_le
+from oracle import expected_sq_error, fit_and_quantize_one, quantile_codebook, reference_n_le, tanh_codebook
 
 
 @pytest.fixture
@@ -46,8 +46,8 @@ class TestUniformCodebook:
     "build",
     [
         lambda rate: qk.build_uniform_codebook(0.0, 1.0, rate),
-        lambda rate: qk.build_tanh_codebook(np.array([0.0, 1.0]), rate),
-        lambda rate: qk.build_quantile_codebook(np.array([0.0, 1.0]), rate),
+        lambda rate: tanh_codebook(np.array([0.0, 1.0]), rate),
+        lambda rate: quantile_codebook(np.array([0.0, 1.0]), rate),
         lambda rate: qk.degenerate_codebook(0.5, rate),
     ],
     ids=["uniform", "tanh", "quantile", "degenerate"],
@@ -59,10 +59,10 @@ def test_builders_check_rate_cap_before_allocating(build):
 
 
 _FITTERS = {
-    "tanh": lambda x: qk.build_tanh_codebook(x, 4),
-    "quantile": lambda x: qk.build_quantile_codebook(x, 4),
-    "fit-tanh": lambda x: qk.fit_and_quantize(x, 4, "tanh", np.random.default_rng(0)),
-    "fit-quantile": lambda x: qk.fit_and_quantize(x, 4, "quantile", np.random.default_rng(0)),
+    "tanh": lambda x: tanh_codebook(x, 4),
+    "quantile": lambda x: quantile_codebook(x, 4),
+    "fit-tanh": lambda x: fit_and_quantize_one(x, 4, "tanh", np.random.default_rng(0)),
+    "fit-quantile": lambda x: fit_and_quantize_one(x, 4, "quantile", np.random.default_rng(0)),
 }
 
 
@@ -85,23 +85,23 @@ class TestInputGuards:
 class TestTanhCodebook:
     def test_symmetric_pair_exact_endpoints(self):
         a = 0.7
-        cb = qk.build_tanh_codebook(np.array([-a, a]), 1)
+        cb = tanh_codebook(np.array([-a, a]), 1)
         np.testing.assert_array_equal(cb.centers, [-a, a])
 
     def test_constant_input_falls_back(self):
-        cb = qk.build_tanh_codebook(np.zeros(5), 3)
+        cb = tanh_codebook(np.zeros(5), 3)
         assert cb.is_degenerate
         np.testing.assert_array_equal(cb.centers, np.zeros(8))
 
     def test_transformed_domain_equispaced(self, rng):
         values = rng.normal(size=4096)
-        cb = qk.build_tanh_codebook(values, 4)
+        cb = tanh_codebook(values, 4)
         t = np.tanh(cb.centers)
         steps = np.diff(t)
         np.testing.assert_allclose(steps, steps[0], atol=1e-12)
 
     def test_spacing_widens_away_from_zero(self, rng):
-        cb = qk.build_tanh_codebook(rng.normal(size=4096), 4)
+        cb = tanh_codebook(rng.normal(size=4096), 4)
         gaps = np.diff(cb.centers)
         mid = len(gaps) // 2
         assert gaps[0] > gaps[mid]
@@ -109,7 +109,7 @@ class TestTanhCodebook:
 
     def test_centers_strictly_increasing_and_in_range(self, rng):
         values = rng.normal(size=1000) * 3.0
-        cb = qk.build_tanh_codebook(values, 5)
+        cb = tanh_codebook(values, 5)
         assert np.all(np.diff(cb.centers) > 0)
         assert cb.centers[0] >= values.min()
         assert cb.centers[-1] <= values.max()
@@ -151,36 +151,36 @@ class TestTanhGridMatchesLinspace:
     def test_centers_bit_identical(self, a, b, rate):
         lo, hi = min(a, b), max(a, b)
         assume(hi - lo >= qk.RANGE_EPS)
-        cb = qk.build_tanh_codebook(np.array([lo, 0.5 * (lo + hi), hi]), rate)
+        cb = tanh_codebook(np.array([lo, 0.5 * (lo + hi), hi]), rate)
         ref = _linspace_tanh_centers(lo, hi, rate)
         np.testing.assert_array_equal(cb.centers.view(np.uint64), ref.view(np.uint64))
 
 
 class TestQuantileCodebook:
     def test_interpolated_quantiles_1_to_8(self):
-        cb = qk.build_quantile_codebook(np.arange(1.0, 9.0), 2)
+        cb = quantile_codebook(np.arange(1.0, 9.0), 2)
         np.testing.assert_allclose(cb.centers, [1.875, 3.625, 5.375, 7.125])
 
     def test_matches_numpy_quantile(self, rng):
         values = rng.normal(size=501)
-        cb = qk.build_quantile_codebook(values, 4)
+        cb = quantile_codebook(values, 4)
         probs = (np.arange(16) + 0.5) / 16
         np.testing.assert_allclose(cb.centers, np.quantile(values, probs), rtol=1e-12)
 
     def test_uniform_large_sample(self, rng):
         values = rng.random(1_000_000)
-        cb = qk.build_quantile_codebook(values, 3)
+        cb = quantile_codebook(values, 3)
         expected = (2 * np.arange(8) + 1) / 16.0
         np.testing.assert_allclose(cb.centers, expected, atol=0.02)
 
     def test_constant_input_falls_back(self):
-        cb = qk.build_quantile_codebook(np.full(10, 2.5), 2)
+        cb = quantile_codebook(np.full(10, 2.5), 2)
         assert cb.is_degenerate
         np.testing.assert_array_equal(cb.centers, np.full(4, 2.5))
 
     def test_heavy_ties_repaired(self):
         values = np.array([0.0] * 50 + [1.0])
-        cb = qk.build_quantile_codebook(values, 4)
+        cb = quantile_codebook(values, 4)
         assert np.all(np.diff(cb.centers) > 0)
         assert cb.centers[-1] <= values.max()
 
@@ -217,7 +217,7 @@ class TestStochasticQuantize:
         np.testing.assert_array_equal(qk.dequantize(q), [0.0, 1.0])
 
     def test_center_round_trip_exact(self, rng):
-        cb = qk.build_tanh_codebook(rng.normal(size=100), 4)
+        cb = tanh_codebook(rng.normal(size=100), 4)
         q = qk.stochastic_quantize(cb.centers.copy(), cb, rng)
         np.testing.assert_array_equal(qk.dequantize(q), cb.centers)
 
@@ -237,7 +237,7 @@ class TestStochasticQuantize:
     @given(seed=st.integers(0, 2**32 - 1), rate=st.integers(1, 6))
     def test_requantize_is_idempotent(self, seed, rate):
         r = np.random.default_rng(seed)
-        cb = qk.build_tanh_codebook(r.normal(size=64), rate)
+        cb = tanh_codebook(r.normal(size=64), rate)
         q1 = qk.stochastic_quantize(r.normal(size=64), cb, r)
         q2 = qk.stochastic_quantize(qk.dequantize(q1), cb, r)
         np.testing.assert_array_equal(q1.indices, q2.indices)
@@ -250,9 +250,9 @@ class TestFitAndQuantize:
         rng = np.random.default_rng(314)
         x = rng.normal(size=(6, 5)) if kind == "normal" else np.full((6, 5), 0.7)
         twin = copy.deepcopy(rng)
-        q, values, err_sq = qk.fit_and_quantize(x, 4, compander, rng)
+        q, values, err_sq = fit_and_quantize_one(x, 4, compander, rng)
 
-        build = qk.build_tanh_codebook if compander == "tanh" else qk.build_quantile_codebook
+        build = tanh_codebook if compander == "tanh" else quantile_codebook
         cb = build(x, 4)
         q_ref = qk.stochastic_quantize(x, cb, twin)
         values_ref = qk.dequantize(q_ref)
@@ -267,7 +267,7 @@ class TestFitAndQuantize:
 
     def test_rejects_fixed_range_compander(self, rng):
         with pytest.raises(InvalidParams, match="identity"):
-            qk.fit_and_quantize(np.ones(3), 4, "identity", rng)
+            fit_and_quantize_one(np.ones(3), 4, "identity", rng)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -291,7 +291,7 @@ class TestFitAndQuantize:
         elif kind == "constant":
             x = np.full(shape, x.flat[0])
         x *= 10.0**log_scale
-        q, values, _ = qk.fit_and_quantize(x, rate, compander, r)
+        q, values, _ = fit_and_quantize_one(x, rate, compander, r)
         assert q.shape == x.shape
         assert values.shape == x.shape
         assert q.indices.ndim == 1 and q.indices.size == x.size
@@ -300,8 +300,16 @@ class TestFitAndQuantize:
         assert int(q.indices.min()) >= 0 and int(q.indices.max()) < 2**rate
 
 
-_BUILD = {"tanh": qk.build_tanh_codebook, "quantile": qk.build_quantile_codebook}
-_N_LE = {"tanh": qk.tanh_n_le, "quantile": qk.quantile_n_le}
+_BUILD = {"tanh": tanh_codebook, "quantile": quantile_codebook}
+
+
+def _n_le(compander, x, centers):
+    """The fit's count of ``centers`` <= each element of ``x``, as one row."""
+    rows = np.reshape(x, (1, -1))
+    cbs = qk.Codebooks(qk.fit_plan(rows.shape[1], (centers.size.bit_length() - 1,)), centers, np.array([False]))
+    if compander == "tanh":
+        return qk.tanh_n_le(rows, cbs)[0]
+    return qk.quantile_n_le(rows, cbs, qk.argsort_rows(rows))[0]
 
 
 def _bracket_input(seed, kind, n, log_scale):
@@ -354,7 +362,7 @@ class TestFittedBrackets:
         cb = _BUILD[compander](x, rate)
         assume(not cb.is_degenerate)
         flat = x.ravel()
-        got = _N_LE[compander](flat, cb.centers)
+        got = _n_le(compander, flat, cb.centers)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, reference_n_le(cb.centers, flat))
 
@@ -363,7 +371,7 @@ class TestFittedBrackets:
         # Values far outside the codebook push the tanh guess out of [1, K].
         centers = _BUILD[compander](np.linspace(-0.05, 0.05, 9), 3).centers
         x = np.linspace(-5.0, 5.0, 101)
-        np.testing.assert_array_equal(_N_LE[compander](x, centers), reference_n_le(centers, x))
+        np.testing.assert_array_equal(_n_le(compander, x, centers), reference_n_le(centers, x))
 
     @settings(max_examples=200, deadline=None)
     @given(**_BRACKET_CASES)
@@ -371,7 +379,7 @@ class TestFittedBrackets:
         x = _bracket_input(seed, kind, n, log_scale)
         rng = np.random.default_rng(seed)
         twin = copy.deepcopy(rng)
-        q, values, err_sq = qk.fit_and_quantize(x, rate, compander, rng)
+        q, values, err_sq = fit_and_quantize_one(x, rate, compander, rng)
         cb = _BUILD[compander](x, rate)
         q_ref = qk.stochastic_quantize(x, cb, twin)
         values_ref = qk.dequantize(q_ref)
@@ -394,7 +402,7 @@ class TestFittedBrackets:
         monkeypatch.setattr(qk._kernels, "stochastic_round", spy)
         rng = np.random.default_rng(5)
         for n in (qk.DIRECT_BRACKET_MIN - 1, qk.DIRECT_BRACKET_MIN):
-            qk.fit_and_quantize(rng.normal(size=n), 4, compander, rng)
+            fit_and_quantize_one(rng.normal(size=n), 4, compander, rng)
         qk.stochastic_quantize(rng.normal(size=qk.DIRECT_BRACKET_MIN),
                                qk.build_uniform_codebook(-1.0, 1.0, 4), rng)
         assert seen == [False, True, False]
@@ -408,9 +416,9 @@ class TestUnbiasedness:
         if builder == "uniform":
             cb = qk.build_uniform_codebook(-3.0, 3.0, 4)
         elif builder == "tanh":
-            cb = qk.build_tanh_codebook(data, 4)
+            cb = tanh_codebook(data, 4)
         else:
-            cb = qk.build_quantile_codebook(data, 4)
+            cb = quantile_codebook(data, 4)
         lo, hi = cb.centers[0], cb.centers[-1]
         xs = rng.uniform(lo, hi, size=20)
         n = 100_000

@@ -12,12 +12,12 @@ from fedq import quantkit as qk
 from fedq import server as sv
 from fedq.errors import Diverged, EmptyInput, MissingClient, NonFiniteInput, ShapeMismatch
 
-from oracle import expected_sq_error
+from oracle import expected_sq_error, tanh_codebook
 
 
 def quantized(w, bits, seed):
     rng = np.random.default_rng(seed)
-    return qk.stochastic_quantize(w, qk.build_tanh_codebook(w, bits), rng)
+    return qk.stochastic_quantize(w, tanh_codebook(w, bits), rng)
 
 
 class TestDequantize:
@@ -38,10 +38,9 @@ class TestDequantize:
     def test_requantize_round_trip_on_centers(self):
         rng = np.random.default_rng(6)
         w = rng.normal(size=(3, 3))
-        model, eps = sv.requantize_for_client([w], 6, rng)
-        again, eps2 = sv.requantize_for_client(
-            [qk.dequantize(model[0])], 6, np.random.default_rng(7)
-        )
+        model, eps = sv.requantize_for_client([w], sv.fit_layers([w], 6), rng)
+        w2 = [qk.dequantize(model[0])]
+        again, eps2 = sv.requantize_for_client(w2, sv.fit_layers(w2, 6), np.random.default_rng(7))
         assert eps2 == 0.0
         np.testing.assert_array_equal(qk.dequantize(again[0]), qk.dequantize(model[0]))
 
@@ -87,21 +86,22 @@ class TestRequantize:
     def test_error_zero_at_codebook_centers(self):
         rng = np.random.default_rng(9)
         w = rng.normal(size=(2, 6))
-        model, _ = sv.requantize_for_client([w], 5, rng)
-        again, eps = sv.requantize_for_client([qk.dequantize(model[0])], 5, rng)
+        model, _ = sv.requantize_for_client([w], sv.fit_layers([w], 5), rng)
+        w2 = [qk.dequantize(model[0])]
+        again, eps = sv.requantize_for_client(w2, sv.fit_layers(w2, 5), rng)
         assert eps == 0.0
 
     def test_high_rate_relative_error(self):
         rng = np.random.default_rng(10)
         w = rng.normal(size=(4, 8))
-        _, eps = sv.requantize_for_client([w], 16, rng)
+        _, eps = sv.requantize_for_client([w], sv.fit_layers([w], 16), rng)
         assert eps < 1e-4 * np.sum(w * w)
 
     def test_more_bits_less_error(self):
         rng = np.random.default_rng(11)
         w = rng.normal(size=(4, 8))
-        e4 = np.mean([sv.requantize_for_client([w], 4, rng)[1] for _ in range(100)])
-        e8 = np.mean([sv.requantize_for_client([w], 8, rng)[1] for _ in range(100)])
+        e4 = np.mean([sv.requantize_for_client([w], sv.fit_layers([w], 4), rng)[1] for _ in range(100)])
+        e8 = np.mean([sv.requantize_for_client([w], sv.fit_layers([w], 8), rng)[1] for _ in range(100)])
         assert e8 < e4
 
     def test_unbiased_over_draws(self):
@@ -110,10 +110,10 @@ class TestRequantize:
         n = 10_000
         acc = np.zeros_like(w)
         for _ in range(n):
-            model, _ = sv.requantize_for_client([w], 5, rng)
+            model, _ = sv.requantize_for_client([w], sv.fit_layers([w], 5), rng)
             acc += qk.dequantize(model[0])
         acc /= n
-        cb = qk.build_tanh_codebook(w, 5)
+        cb = tanh_codebook(w, 5)
         var = expected_sq_error(w, cb.centers).reshape(w.shape)
         tol = 3.0 * np.sqrt(var / n) + 1e-12
         assert np.all(np.abs(acc - w) <= tol)
