@@ -14,6 +14,7 @@ Three families of checks live here:
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -82,26 +83,29 @@ def prox_solve(w: np.ndarray, xbar: np.ndarray, tp: TheoryParams) -> ProxResult:
     lam1 = sslcore.spectral_norm(xbar)
     step = 1.0 / (tp.rho_bar + 16.0 * max(lam1, 0.0))
     half_rho = 0.5 * tp.rho_bar
+    add_all = partial(np.add.reduce, axis=None)  # ndarray.sum, less its Python wrapper
+    r_sq = sslcore.residual(w, xbar)  # checks the shapes; a buffer from here on
+    r, r_new = np.empty_like(r_sq), np.empty_like(r_sq)
+    y, diff, y_new, diff_new, g, scaled, diff_sq = w.copy(), *(np.empty_like(w) for _ in range(6))
 
-    # Each iterate's Gram residual and offset from w are formed once:
-    # the objective uses them when the iterate is proposed, the
-    # gradient reuses them after it is accepted.
-    def inner(yv: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        r = sslcore.residual(yv, xbar)
-        diff = yv - w
-        return sslcore.loss(yv, xbar, r) + half_rho * float((diff * diff).sum()), r, diff
+    # Each iterate's Gram residual and offset from w go into its slot's buffers, by the
+    # operations of the unbuffered formulas; the gradient reuses them once it is accepted.
+    def inner(yv: np.ndarray, r: np.ndarray, diff: np.ndarray) -> float:
+        np.subtract(np.matmul(yv.T, yv, out=r), xbar, out=r)
+        np.subtract(yv, w, out=diff)
+        return (float(add_all(np.multiply(r, r, out=r_sq)))
+                + half_rho * float(add_all(np.multiply(diff, diff, out=diff_sq))))
 
-    y = w.copy()
-    obj, r, diff = inner(y)
+    obj = inner(y, r, diff)
     rejections = 0
     for _ in range(2000):
-        g = sslcore.grad(y, xbar, r)
-        g += tp.rho_bar * diff
+        sslcore.grad(y, xbar, r, out=g)
+        g += np.multiply(diff, tp.rho_bar, out=scaled)
         gf = g.ravel()  # ||g|| exactly as np.linalg.norm forms it
         if step * math.sqrt(gf.dot(gf)) < 1e-10:
             break
-        y_new = y - step * g
-        obj_new, r_new, diff_new = inner(y_new)
+        np.subtract(y, np.multiply(g, step, out=scaled), out=y_new)
+        obj_new = inner(y_new, r_new, diff_new)
         if obj_new > obj:
             rejections += 1
             if rejections >= 10:
@@ -109,7 +113,8 @@ def prox_solve(w: np.ndarray, xbar: np.ndarray, tp: TheoryParams) -> ProxResult:
             step *= 0.5
             continue
         rejections = 0
-        y, obj, r, diff = y_new, obj_new, r_new, diff_new
+        obj = obj_new
+        y, r, diff, y_new, r_new, diff_new = y_new, r_new, diff_new, y, r, diff
     surrogate = tp.rho_bar * float(np.linalg.norm(w - y))
     return ProxResult(y, obj, surrogate)
 

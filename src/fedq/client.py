@@ -24,7 +24,6 @@ encoders reuse the same loop with per-layer Gram regularization, which
 reduces to the linear objective at one layer.
 """
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,9 +67,6 @@ class QuantErrorStats:
 
     def mean_weight_error(self) -> float:
         return float(np.mean(self.weight_error_sq)) if len(self) else 0.0
-
-    def max_grad_norm(self) -> float:
-        return math.sqrt(max(self.grad_norm_sq)) if len(self) else 0.0
 
 
 @dataclass(frozen=True)
@@ -148,7 +144,7 @@ class Cohort:
         cfg = states[0].config
         if any(replace(s.config, bitwidth=cfg.bitwidth) != cfg for s in states[1:]):
             raise InvalidParams("clients in lockstep may differ only in bitwidth")
-        model = [np.stack(layer) for layer in zip(*(s.layer_values() for s in states))]
+        model = [np.array(layer) for layer in zip(*(s.layer_values() for s in states))]
         return cls(cfg, tuple(s.config.bitwidth for s in states),
                    tuple(s.config.grad_bitwidth for s in states), [s.rng for s in states], model)
 
@@ -324,10 +320,13 @@ def ssl_upstream(outputs: np.ndarray, cohort: Cohort) -> np.ndarray:
     g = 2.0 * outputs
     if sigma > 0.0:
         for g_r, rng in zip(g, cohort.rngs):
-            xi = rng.normal(0.0, sigma, size=(2,) + g_r.shape)  # both draws, in order
+            xi = rng.standard_normal(size=(2,) + g_r.shape)  # both draws, in order
+            xi *= sigma
+            xi += 0.0  # the bits of rng.normal(0.0, sigma), which is 0.0 + sigma * z
             g_r += xi[0]
             g_r += xi[1]
-    return -g / b
+    g /= -b  # the bits of -g / b
+    return g
 
 
 def run_local_epochs(
@@ -357,15 +356,14 @@ def run_local_epochs(
         raise InvalidParams("clients in lockstep need shards of equal size")
     cohort = Cohort.of(states)
     size = rows if batch_size is None else min(batch_size, rows)
-    # Each step's rows are gathered into a reused buffer, one row block per client.
-    buffers = {n: np.empty((len(xs), n, xs[0].shape[1])) for n in {size, rows % size or size}}
-    if size == rows:
-        for x, block in zip(xs, buffers[rows]):
-            block[...] = x
-    steps = []
-    for _ in range(epochs):
+    per_epoch = -(-rows // size)
+    stats = np.empty((3, len(xs), epochs * per_epoch))  # (eps_g_sq, eps_w_sq, g_sq), client, step
+    # Minibatch rows are gathered into a reused buffer, one row block per client.
+    buffers = ({rows: np.array(xs, dtype=np.float64)} if size == rows else
+               {n: np.empty((len(xs), n, xs[0].shape[1])) for n in {size, rows % size or size}})
+    for e in range(epochs):
         orders = None if size == rows else [rng.permutation(rows) for rng in cohort.rngs]
-        for i in range(0, rows, size):
+        for step, i in enumerate(range(0, rows, size), start=e * per_epoch):
             batch = buffers[min(size, rows - i)]
             if orders is not None:
                 for x, order, block in zip(xs, orders, batch):
@@ -374,7 +372,8 @@ def run_local_epochs(
             fstate = quantized_forward(weights, batch, cohort)
             upstream = ssl_upstream(fstate.outputs, cohort)
             grads, eps_g_sq, g_sq = quantized_backward(weights, fstate, upstream, cohort)
-            eps_w_sq = local_update(cohort, weights, grads, lr)
-            steps.append((eps_g_sq, eps_w_sq, g_sq))
+            stats[0, :, step] = eps_g_sq
+            stats[1, :, step] = local_update(cohort, weights, grads, lr)
+            stats[2, :, step] = g_sq
     cohort.scatter(states)
-    return QuantErrorStats(*np.array(steps).transpose(1, 2, 0))
+    return QuantErrorStats(*stats)

@@ -25,14 +25,17 @@ each row draws from its own Generator exactly what it would draw alone,
 and one kernel call rounds every row. ``Codebooks.row`` is one row's
 ``Codebook``.
 
-Rounding needs each element's bracket: ``n_le``, the number of centers
-<= the value. ``stochastic_quantize`` with a foreign ``Codebook`` leaves
-it to the kernel's binary search. ``fit_codebook`` guesses it from the
-fit instead, from the tanh-space grid (``tanh_n_le``) or the element's
-rank (``quantile_n_le``), checks each guess against the centers and
-searches the misses, so the indices are the same.
+Rounding needs each element's bracket ``n_le``: the number of centers
+<= the value, kept in [1, K - 1]. ``stochastic_quantize`` with a foreign
+``Codebook`` leaves it to the kernel's binary search. ``fit_codebook``
+guesses it from the fit instead, from the tanh-space grid
+(``tanh_n_le``) or the element's rank (``quantile_n_le``), checks each
+guess against the centers with the row's ends opened to -inf and +inf
+and searches the misses, so every bracket lies in its row and the
+indices are the same.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -47,16 +50,16 @@ RANGE_EPS = 1e-12
 # Largest codebook rate: 2^24 float64 centers (128 MiB), uint32 indices.
 MAX_RATE = 24
 
-# A batch of one row below this size keeps the kernel's binary search,
-# which costs less there; larger rows are bracketed from the fit. The
-# kernel cannot search the ragged codebooks of several rows: they are
-# bracketed from the fit, except that a tanh fit below this many elements
-# per row searches each row instead. On workload tensors cut to n
-# elements, the fit's brackets break even near n = 512 for tanh and
-# n = 256 for quantile codebooks; batched, near 512 per row for tanh and
-# 64-128 per row for quantile (4 rows, numpy 2.4, AVX-512 x86-64, one
-# thread).
+# A batch of one row below DIRECT_BRACKET_MIN elements keeps the kernel's
+# binary search; the ragged codebooks of several rows need the fit's
+# brackets. Quantile fits guess them from the ranks; tanh fits from the
+# grid for rows of TANH_GUESS_MIN elements or more, else they search each
+# row. Per row, guess against search (numpy 2.4, 2-vCPU AVX-512 x86-64,
+# one thread): 1024 elements 34-40 against 16-19 us; 2048 elements 47-55
+# against 35-38 us at rate 5, 49-65 against 110 us at rate 8; 4096
+# elements 56 against 106 us.
 DIRECT_BRACKET_MIN = 512
+TANH_GUESS_MIN = 2048
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,8 @@ class FitPlan:
     """Layout of C ragged codebooks fitted to C rows of n elements.
 
     Row r's K_r centers are ``first[r]:last[r] + 1`` of the concatenated
-    centers. ``ends`` lays each row's centers out between -inf and +inf,
-    for checking guessed brackets. It all depends on (n, rates) alone.
+    centers. It all depends on (n, rates) alone; building it checks the
+    rates.
     """
 
     def __init__(self, n: int, rates: tuple[int, ...]):
@@ -99,34 +102,34 @@ class FitPlan:
         self.offsets = np.concatenate(([0], np.cumsum(self.ks)))
         self.first, self.last = self.offsets[:-1], self.offsets[1:] - 1
         self.row_of = np.repeat(np.arange(c), self.ks)
-        self.row_start, self.top, self.k_col = self.first[:, None], (self.ks - 1)[:, None], self.ks[:, None]
-        self.ends_start = (self.first + 2 * np.arange(c))[:, None]
-        self.ends = np.full(self.offsets[-1] + 2 * c, np.inf)
-        self.ends[self.ends_start] = -np.inf
-        self.ends_slots = np.arange(self.offsets[-1]) + 2 * self.row_of + 1
+        self.tanh_grid = np.concatenate([np.arange(k, dtype=np.float64) for k in self.ks])  # 0..K-1 per row
+        self.first_last = list(zip(self.first.tolist(), self.last.tolist()))
+        self.index_dtypes = [_index_dtype(k) for k in self.ks.tolist()]
+        self.intervals = (self.ks - 1).astype(np.float64)
+        self.row_start, self.row_last, self.top = self.first[:, None], self.last[:, None], (self.ks - 1)[:, None]
+        self.lowest, self.row_base = self.row_start + 1, (np.arange(c) * n)[:, None]
+        self.end_pairs = np.stack((self.row_start, self.row_last))
+        self.across = np.isin(np.arange(self.offsets[-1] - 1), self.last)  # pairs that straddle two rows
+        self.end_slots, self.end_values = np.append(self.first, self.last) + 1, np.repeat([-np.inf, np.inf], c)
 
     @cached_property
-    def tanh_grid(self) -> np.ndarray:
-        """Each row's grid index 0..K-1."""
-        return np.concatenate([np.arange(k, dtype=np.float64) for k in self.ks])
-
-    @cached_property
-    def quantile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def quantile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Where each center sits in its row's order statistics.
 
         Center m of a rate-K row interpolates at p = (m + 0.5)/K * (n - 1)
         between s[j] and s[j + 1], j = floor(p) capped at n - 2. Returns
-        the flat index of s[j], frac = p - j, the centers whose p is a
-        sample (np.interp returns s[j] itself there), and per rank i the
-        count of positions <= i: the bracket of the element of rank i in
-        the tensor the codebook was fitted to, up to ties and repairs.
+        the flat indices of s[j] and s[j + 1], frac = p - j, the centers
+        whose p is a sample (np.interp returns s[j] itself there), and per
+        rank i the kernel bracket of the count of positions <= i.
         """
         ps = [(np.arange(k, dtype=np.float64) + 0.5) / k * (self.n - 1) for k in self.ks]
         pos = np.concatenate(ps)
         j = np.minimum(pos.astype(np.intp), max(self.n - 2, 0))
         rank = np.arange(self.n, dtype=np.float64)
-        guess = np.stack([p.searchsorted(rank, side="right") for p in ps])
-        return j + self.row_of * self.n, pos - j, np.flatnonzero(pos == j), guess
+        guess = np.clip([p.searchsorted(rank, side="right") for p in ps], 1, self.top) + self.row_start
+        guess.setflags(write=False)
+        lower = j + self.row_of * self.n
+        return lower, lower + 1, pos - j, np.flatnonzero(pos == j), guess
 
 
 @lru_cache(maxsize=256)
@@ -145,13 +148,17 @@ class Codebooks:
     centers: np.ndarray
     degenerate: np.ndarray
 
+    @cached_property
+    def degenerate_rows(self) -> int:
+        return int(np.count_nonzero(self.degenerate))
+
     @property
-    def is_degenerate(self) -> bool:
-        """Whether any row's codebook is degenerate."""
-        return bool(self.degenerate.any())
+    def is_degenerate(self) -> bool:  # any row
+        return self.degenerate_rows > 0
 
     def row(self, r: int) -> Codebook:
-        return Codebook(self.plan.rates[r], self.centers[self.plan.first[r]:self.plan.last[r] + 1])
+        a, b = self.plan.first_last[r]
+        return Codebook(self.plan.rates[r], self.centers[a:b + 1])
 
 
 @dataclass
@@ -186,10 +193,8 @@ def _codebook_size(rate: int) -> int:
     return 1 << int(rate)
 
 
-def _rows(values, rates: tuple[int, ...]) -> tuple[np.ndarray, FitPlan]:
+def as_rows(values, rates: tuple[int, ...]) -> tuple[np.ndarray, FitPlan]:
     """``values`` as (C, n) float64 rows, one per rate, and their plan."""
-    for r in rates:
-        _codebook_size(r)
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise InvalidParams("cannot build a codebook from an empty tensor")
@@ -197,18 +202,14 @@ def _rows(values, rates: tuple[int, ...]) -> tuple[np.ndarray, FitPlan]:
     return rows, fit_plan(rows.shape[1], rates)
 
 
-def _row_ranges(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (min, max), after checking every entry is finite.
-
-    min and max propagate NaN and +-inf, so finite extrema prove every
-    entry finite without a separate isfinite pass.
-    """
-    lo = rows.min(axis=1)
-    hi = rows.max(axis=1)
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    if np.count_nonzero(finite) < finite.size:
-        raise NonFiniteInput("codebook input contains non-finite values", row=int(np.argmin(finite)))
-    return lo, hi
+def _spans(lo: np.ndarray, hi: np.ndarray) -> list[float]:
+    """Each row's max - min, after checking every entry is finite: a NaN
+    or infinite entry is an extremum and makes their sum non-finite."""
+    if not math.isfinite(sum(lo.tolist()) + sum(hi.tolist())):
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        if np.count_nonzero(finite) < finite.size:
+            raise NonFiniteInput("codebook input contains non-finite values", row=int(np.argmin(finite)))
+    return (hi - lo).tolist()
 
 
 def _repair_strictly_increasing(centers: np.ndarray) -> np.ndarray:
@@ -225,24 +226,25 @@ def _repair_strictly_increasing(centers: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(centers - ramp) + ramp
 
 
-def _finish(plan: FitPlan, centers: np.ndarray, lo, hi) -> Codebooks:
-    """Collapse (near-)constant rows to the degenerate codebook and repair
-    rows with duplicate centers. A row is degenerate when its centers
-    span less than RANGE_EPS: a constant row, or one whose quantiles
-    collapsed (all but a few values equal)."""
-    constant = hi - lo < RANGE_EPS
-    if np.count_nonzero(constant):
-        collapsed = constant[plan.row_of]
-        centers[collapsed] = (0.5 * (lo + hi))[plan.row_of[collapsed]]
+def _finish(plan: FitPlan, rows: np.ndarray, centers: np.ndarray, spans: list[float]) -> Codebooks:
+    """Collapse (near-)constant rows to their midpoint, repair rows with
+    duplicate centers, and flag degenerate rows. A row is degenerate when
+    its centers span less than RANGE_EPS: a constant row, or one whose
+    quantiles collapsed (all but a few values equal)."""
+    constant = [span < RANGE_EPS for span in spans]
+    if any(constant):
+        collapsed = np.array(constant)[plan.row_of]
+        centers[collapsed] = (0.5 * (rows.min(axis=1) + rows.max(axis=1)))[plan.row_of[collapsed]]
     increasing = centers[1:] > centers[:-1]
-    increasing[plan.last[:-1]] = True
+    increasing |= plan.across
     if np.count_nonzero(increasing) < increasing.size:
         for r in sorted(set(plan.row_of[np.flatnonzero(~increasing)].tolist())):
             if not constant[r]:
                 part = slice(plan.first[r], plan.last[r] + 1)
                 centers[part] = _repair_strictly_increasing(centers[part])
     centers.setflags(write=False)
-    return Codebooks(plan, centers, centers[plan.last] - centers[plan.first] < RANGE_EPS)
+    ends = centers.take(plan.end_pairs)
+    return Codebooks(plan, centers, (ends[1] - ends[0] < RANGE_EPS).ravel())
 
 
 def degenerate_codebook(value: float, rate: int) -> Codebook:
@@ -271,25 +273,27 @@ def build_uniform_codebook(lo: float, hi: float, rate: int) -> Codebook:
     return Codebook(int(rate), centers)
 
 
-def build_tanh_codebook(values: np.ndarray, rates: tuple[int, ...]) -> Codebooks:
+def build_tanh_codebook(rows: np.ndarray, plan: FitPlan) -> Codebooks:
     """Companding codebook: uniform levels in tanh space, mapped back.
 
     The tensor is transformed by tanh, a uniform grid is laid over the
     transformed range, and the grid is pulled back through arctanh, so
     center spacing widens with |x|. The range endpoints are pinned to
-    the exact extrema of ``values`` so the largest-magnitude entries stay
+    the exact extrema of the row so the largest-magnitude entries stay
     exactly representable. Near-constant input falls back to the
-    degenerate single-value codebook. Row r is fitted at ``rates[r]``.
+    degenerate single-value codebook. Row r of the (C, n) float64
+    ``rows`` is fitted at ``plan.rates[r]``.
     """
-    rows, plan = _rows(values, rates)
-    lo, hi = _row_ranges(rows)
+    lo = rows.min(axis=1)
+    hi = rows.max(axis=1)
+    spans = _spans(lo, hi)
     # np.linspace(t0, t1, k) spelled out per row: same operations, same bits.
     t0 = np.tanh(lo)
     t1 = np.tanh(hi)
-    t = plan.tanh_grid * ((t1 - t0) / (plan.ks - 1))[plan.row_of]
+    t = plan.tanh_grid * ((t1 - t0) / plan.intervals)[plan.row_of]
     t += t0[plan.row_of]
     t[plan.last] = t1
-    if np.count_nonzero((-1.0 < t0) & (t1 < 1.0)) == t0.size:
+    if -1.0 < min(t0.tolist()) and max(t1.tolist()) < 1.0:
         centers = np.arctanh(t)
     else:
         # tanh saturates to +-1 beyond |x| ~ 19; arctanh(+-1) = +-inf.
@@ -300,40 +304,41 @@ def build_tanh_codebook(values: np.ndarray, rates: tuple[int, ...]) -> Codebooks
     # Bound first: on a tie (+-0) the center is kept, as np.clip does.
     np.maximum(lo[plan.row_of], centers, out=centers)
     np.minimum(hi[plan.row_of], centers, out=centers)
-    return _finish(plan, centers, lo, hi)
+    return _finish(plan, rows, centers, spans)
 
 
-def build_quantile_codebook(values: np.ndarray, rates: tuple[int, ...], order: np.ndarray) -> Codebooks:
-    """Centers at the empirical quantiles p_i = (i + 0.5)/K of ``values``.
+def sort_rows(rows: np.ndarray, plan: FitPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The (C, n) ``rows`` sorted, and their argsort into the flat rows."""
+    order = rows.argsort(axis=1)
+    order += plan.row_base
+    return rows.reshape(-1).take(order), order
+
+
+def build_quantile_codebook(rows: np.ndarray, sorted_rows: np.ndarray, plan: FitPlan) -> Codebooks:
+    """Centers at the empirical quantiles p_i = (i + 0.5)/K of each row.
 
     Quantiles use linear interpolation between order statistics. Heavy
     ties produce duplicate centers, repaired by ulp-scale nudges to
     restore strict increase; constant input falls back to the degenerate
-    codebook (an all-zero gradient tensor is the common case). Row r is
-    fitted at ``rates[r]``; ``order`` is the rows' argsort as indices into
-    the flattened rows (``argsort_rows``), which the brackets reuse.
+    codebook (an all-zero gradient tensor is the common case). Row r of
+    the (C, n) ``rows`` is fitted at ``plan.rates[r]``; ``sorted_rows``
+    is ``sort_rows(rows, plan)[0]``.
     """
-    rows, plan = _rows(values, rates)
-    lo, hi = _row_ranges(rows)
+    spans = _spans(sorted_rows[:, 0], sorted_rows[:, -1])
     if plan.n == 1:  # constant, so degenerate
-        return _finish(plan, np.empty(plan.offsets[-1]), lo, hi)
-    # np.interp spelled out: (s[j+1] - s[j]) * frac + s[j], same bits.
-    lower, frac, at_sample, _ = plan.quantile
-    s = rows.reshape(-1).take(order.reshape(-1))
-    below = s.take(lower)
-    centers = s.take(lower + 1)
-    centers -= below
-    centers *= frac
-    centers += below
-    centers[at_sample] = below[at_sample]
-    return _finish(plan, centers, lo, hi)
-
-
-def argsort_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row's argsort, as indices into the flattened (C, n) ``rows``."""
-    order = np.argsort(rows, axis=1)
-    order += (np.arange(rows.shape[0]) * rows.shape[1])[:, None]
-    return order
+        centers = np.empty(plan.offsets[-1])
+    else:
+        # np.interp spelled out: (s[j+1] - s[j]) * frac + s[j], same bits.
+        lower, upper, frac, at_sample, _ = plan.quantile
+        s = sorted_rows.reshape(-1)
+        below = s.take(lower)
+        centers = s.take(upper)
+        centers -= below
+        centers *= frac
+        centers += below
+        if at_sample.size:
+            centers[at_sample] = below[at_sample]
+    return _finish(plan, rows, centers, spans)
 
 
 def _draw_indices(values: np.ndarray, cb: Codebook, rng: np.random.Generator) -> np.ndarray:
@@ -345,8 +350,8 @@ def _draw_indices(values: np.ndarray, cb: Codebook, rng: np.random.Generator) ->
 
 def _draw_rows(rows: np.ndarray, cb: Codebooks, rngs: list, n_le: np.ndarray | None) -> np.ndarray:
     """Indices into ``cb.centers``; a degenerate row draws nothing and maps to its index 0."""
-    live = np.flatnonzero(~cb.degenerate)
-    if live.size < len(rngs):
+    if cb.degenerate_rows:
+        live = np.flatnonzero(~cb.degenerate)
         idx = np.repeat(cb.plan.first, rows.shape[1]).reshape(rows.shape)
         if live.size:
             idx[live] = _draw_rows(rows[live], Codebooks(cb.plan, cb.centers, cb.degenerate[live]),
@@ -387,71 +392,79 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
 
 def unstack(q: QuantizedTensor) -> list[QuantizedTensor]:
     """A quantized batch as one tensor per row, in its compact dtype."""
-    plan = q.codebook.plan
-    local = q.indices.reshape(len(plan.rates), -1) - plan.row_start
-    return [QuantizedTensor(q.shape[1:], local[r].astype(_index_dtype(k)), q.codebook.row(r))
-            for r, k in enumerate(plan.ks.tolist())]
+    cbs = q.codebook
+    local = q.indices.reshape(len(cbs.plan.rates), -1) - cbs.plan.row_start
+    return [QuantizedTensor(q.shape[1:], local[r].astype(dtype), cbs.row(r))
+            for r, dtype in enumerate(cbs.plan.index_dtypes)]
 
 
 def _verified(rows, n_le, cbs: Codebooks) -> np.ndarray:
-    """Correct guessed counts of centers <= x, row by row.
+    """Correct guessed kernel brackets of the (C, n) ``rows``, row by row.
 
-    A guess in [0, K] is right when c[n_le - 1] <= x < c[n_le], taking
-    c[-1] = -inf and c[K] = +inf; the elements it misses are searched.
-    Degenerate rows keep their guess: they draw no bracket.
+    The concatenated centers one slot in, each row's ends opened to -inf
+    and +inf, are ``bounds``: x's bracket is b exactly when bounds[b] <=
+    x < bounds[b + 1]. Misses are searched; ``n_le`` is not modified.
     """
-    plan, centers = cbs.plan, cbs.centers
-    ends = plan.ends.copy()
-    ends[plan.ends_slots] = centers
-    at = n_le + plan.ends_start
-    miss = ends.take(at) > rows
-    miss |= ends[1:].take(at) <= rows
-    miss[cbs.degenerate] = False
+    plan = cbs.plan
+    bounds = np.empty(plan.offsets[-1] + 1)
+    bounds[1:] = cbs.centers
+    bounds[plan.end_slots] = plan.end_values
+    miss = bounds.take(n_le) > rows
+    miss |= bounds[1:].take(n_le) <= rows
     if np.count_nonzero(miss):
+        n_le = n_le.copy()
         for r in np.flatnonzero(miss.any(axis=1)):
             m = np.flatnonzero(miss[r])
-            n_le[r, m] = centers[plan.first[r]:plan.last[r] + 1].searchsorted(rows[r, m], side="right")
+            n_le[r, m] = _searched(cbs, r, rows[r, m])
+    return n_le
+
+
+def _searched(cbs: Codebooks, r: int, values: np.ndarray) -> np.ndarray:
+    """Kernel bracket of ``values`` in row r's codebook: one plus the
+    count of its interior centers <= x, plus the row's offset."""
+    a, b = cbs.plan.first_last[r]
+    n_le = cbs.centers[a + 1:b].searchsorted(values, side="right")
+    n_le += a + 1
     return n_le
 
 
 def tanh_n_le(rows: np.ndarray, cbs: Codebooks) -> np.ndarray:
-    """Count of centers <= x per element of the (C, n) ``rows``, for tanh
-    codebooks fitted to them.
+    """Kernel bracket of each element of the (C, n) ``rows``, for tanh
+    codebooks fitted to them: the count of centers <= x kept in
+    [1, K - 1], plus the row's offset.
 
     The fitted grid is uniform in tanh space between tanh(c[0]) and
-    tanh(c[-1]), so the guess is floor((tanh(x) - tanh(c[0])) / step) + 1,
-    kept in [1, K]; a row whose tanh range collapsed (saturation) guesses
-    1. Checked and searched where missed, the count is exact for any
-    non-decreasing codebooks.
+    tanh(c[-1]), so the guess is floor((tanh(x) - tanh(c[0])) / step) + 1;
+    a row whose tanh range collapsed (saturation) guesses 1. Checked and
+    searched where missed, it is exact for any non-decreasing codebooks.
     """
     plan = cbs.plan
-    t0 = np.tanh(cbs.centers[plan.first])[:, None]
-    span = np.tanh(cbs.centers[plan.last])[:, None] - t0
+    t0, t1 = np.tanh(cbs.centers.take(plan.end_pairs))
+    span = t1 - t0
     span[~(span > 0.0)] = np.inf
     est = np.tanh(rows)
     est -= t0
     est *= plan.top / span
     # Truncation is the floor for est >= 0; the clamps keep a guess that
     # rounding (or a value outside the codebook) pushed out of range a
-    # valid count, for the check to correct.
+    # valid bracket, for the check to correct.
     n_le = est.astype(np.intp)
-    n_le += 1
-    np.maximum(n_le, 1, out=n_le)
-    np.minimum(n_le, plan.k_col, out=n_le)
+    n_le += plan.lowest
+    np.maximum(n_le, plan.lowest, out=n_le)
+    np.minimum(n_le, plan.row_last, out=n_le)
     return _verified(rows, n_le, cbs)
 
 
-def quantile_n_le(rows: np.ndarray, cbs: Codebooks, order: np.ndarray) -> np.ndarray:
-    """Count of centers <= x per element of the (C, n) ``rows``, for
-    quantile codebooks fitted to them.
-
-    ``order`` is ``argsort_rows(rows)``. The element of rank i lies just
-    above the centers interpolated at positions <= i, so that count is
-    its guess; checked, searched where missed (ties, repairs, a foreign
-    codebook) and scattered back, the count is exact.
+def quantile_n_le(sorted_rows: np.ndarray, cbs: Codebooks, order: np.ndarray) -> np.ndarray:
+    """Kernel bracket of each element of the rows, as in ``tanh_n_le``,
+    for quantile codebooks fitted to them; ``sorted_rows, order`` are
+    ``sort_rows(rows, plan)``. The element of rank i lies just above the
+    centers interpolated at positions <= i, so that count is its guess;
+    checked, searched where missed (ties, repairs, a foreign codebook)
+    and scattered back, it is exact.
     """
-    counts = _verified(rows.reshape(-1).take(order), cbs.plan.quantile[3].copy(), cbs)
-    n_le = np.empty(rows.shape, dtype=np.intp)
+    counts = _verified(sorted_rows, cbs.plan.quantile[4], cbs)
+    n_le = np.empty(sorted_rows.shape, dtype=np.intp)
     n_le.reshape(-1)[order] = counts
     return n_le
 
@@ -460,35 +473,26 @@ def fit_codebook(x: np.ndarray, rates: tuple[int, ...], compander: str) -> tuple
     """Fit a tanh or quantile codebook to each row of ``x`` and bracket its elements.
 
     Row r of the leading axis is fitted at ``rates[r]``. Returns the
-    codebooks and each element's kernel bracket, or None where the
-    kernel searches instead (one row below DIRECT_BRACKET_MIN elements,
-    or nothing but degenerate rows). Brackets come from the fit, or,
-    where that costs more (see DIRECT_BRACKET_MIN), from a search of
-    each row.
+    codebooks and each element's kernel bracket (the count of centers
+    <= the element kept in [1, K - 1], plus the row's offset), or None
+    where the kernel searches instead (one row below DIRECT_BRACKET_MIN
+    elements, or nothing but degenerate rows).
     """
-    rows, plan = _rows(x, rates)
+    rows, plan = as_rows(x, rates)
     if compander == "tanh":
-        cbs = build_tanh_codebook(rows, rates)
+        cbs = build_tanh_codebook(rows, plan)
     elif compander == "quantile":
-        order = argsort_rows(rows)
-        cbs = build_quantile_codebook(rows, rates, order)
+        sorted_rows, order = sort_rows(rows, plan)
+        cbs = build_quantile_codebook(rows, sorted_rows, plan)
     else:
         raise InvalidParams(f"cannot fit a {compander!r} codebook to data")
-    if np.count_nonzero(cbs.degenerate) == len(rates) or (len(rates) == 1 and plan.n < DIRECT_BRACKET_MIN):
+    if cbs.degenerate_rows == len(rates) or (len(rates) == 1 and plan.n < DIRECT_BRACKET_MIN):
         return cbs, None
     if compander == "quantile":
-        n_le = quantile_n_le(rows, cbs, order)
-    elif plan.n >= DIRECT_BRACKET_MIN:
-        n_le = tanh_n_le(rows, cbs)
-    else:
-        n_le = np.stack([cbs.centers[a:b + 1].searchsorted(row, side="right")
-                         for a, b, row in zip(plan.first, plan.last, rows)])
-    # The kernel's bracket: the count kept in [1, K - 1], which rounds a
-    # value at or beyond an end center to it, plus the row's offset.
-    np.maximum(n_le, 1, out=n_le)
-    np.minimum(n_le, plan.top, out=n_le)
-    n_le += plan.row_start
-    return cbs, n_le
+        return cbs, quantile_n_le(sorted_rows, cbs, order)
+    if plan.n >= TANH_GUESS_MIN:
+        return cbs, tanh_n_le(rows, cbs)
+    return cbs, np.array([_searched(cbs, r, row) for r, row in enumerate(rows)])
 
 
 def fit_and_quantize(x: np.ndarray, rates: tuple[int, ...], compander: str, rngs: list):

@@ -58,10 +58,10 @@ def loss(w: np.ndarray, x: np.ndarray, r: np.ndarray | None = None) -> float:
     return float((r * r).sum())
 
 
-def grad(w: np.ndarray, x: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of ``loss`` in w: 4 w (w^T w - X); ``r`` as in ``loss``."""
+def grad(w: np.ndarray, x: np.ndarray, r: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of ``loss`` in w, 4 w (w^T w - X), into ``out`` if given; ``r`` as in ``loss``."""
     r = _given_residual(w, x, r)
-    return 4.0 * w @ r
+    return np.matmul(4.0 * w, r, out=out)
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,14 @@ from fedq import quantkit as qk
 
 def tanh_codebook(x, rate):
     """The tanh codebook fitted to one tensor: a batch of one."""
-    return qk.build_tanh_codebook(np.reshape(x, (1, -1)), (rate,)).row(0)
+    rows, plan = qk.as_rows(np.reshape(x, (1, -1)), (rate,))
+    return qk.build_tanh_codebook(rows, plan).row(0)
 
 
 def quantile_codebook(x, rate):
     """The quantile codebook fitted to one tensor: a batch of one."""
-    rows = np.reshape(np.asarray(x, dtype=np.float64), (1, -1))
-    return qk.build_quantile_codebook(rows, (rate,), qk.argsort_rows(rows)).row(0)
+    rows, plan = qk.as_rows(np.reshape(x, (1, -1)), (rate,))
+    return qk.build_quantile_codebook(rows, qk.sort_rows(rows, plan)[0], plan).row(0)
 
 
 def fit_and_quantize_one(x, rate, compander, rng):
@@ -30,9 +31,10 @@ def start_client(config, init, rng):
     return cl.start_clients([config], init, [rng])[0]
 
 
-def reference_n_le(centers, x):
-    """Number of centers <= each element of ``x``: the kernel's bracket."""
-    return centers.searchsorted(x, side="right")
+def reference_bracket(centers, x):
+    """The kernel's bracket of each element of ``x``: the number of
+    centers <= it, kept in [1, K - 1]."""
+    return np.clip(centers.searchsorted(x, side="right"), 1, centers.size - 1)
 
 
 def expected_sq_error(values, centers):

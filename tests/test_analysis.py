@@ -1,6 +1,7 @@
 """Moreau surrogate, bound evaluation, variance probes, representability bounds."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,17 +65,19 @@ class TestProxSurrogate:
         assert res.envelope <= ssl.loss(w, x) + 1e-12
 
 
-def reference_prox_solve(w, xbar, tp):
+def reference_prox_solve(w, xbar, tp, counts):
     """The prox loop as first written, forming y^T y twice per iterate.
 
     Kept as the bit-for-bit reference for ``prox_solve``, with the loss
-    and gradient written out as they were then; it also returns how many
-    steps it rejected (and halved).
+    and gradient written out as they were then. It counts into
+    ``counts`` how many steps it rejected (and halved) and how many
+    gradients it evaluated, also when it raises.
     """
     w = np.asarray(w, dtype=np.float64)
     lam1 = ssl.spectral_norm(xbar)
     step = 1.0 / (tp.rho_bar + 16.0 * max(lam1, 0.0))
     y = w.copy()
+    counts.update(halvings=0, grad_evals=0)
 
     def inner(yv):
         r = xbar - yv.T @ yv
@@ -83,9 +86,9 @@ def reference_prox_solve(w, xbar, tp):
 
     obj = inner(y)
     rejections = 0
-    halvings = 0
     for _ in range(2000):
         g = 4.0 * y @ (y.T @ y - xbar) + tp.rho_bar * (y - w)
+        counts["grad_evals"] += 1
         if step * float(np.linalg.norm(g)) < 1e-10:
             break
         y_new = y - step * g
@@ -95,33 +98,45 @@ def reference_prox_solve(w, xbar, tp):
             if rejections >= 10:
                 raise NoConvergence("prox objective increased for 10 consecutive steps")
             step *= 0.5
-            halvings += 1
+            counts["halvings"] += 1
             continue
         rejections = 0
         y = y_new
         obj = obj_new
     surrogate = tp.rho_bar * float(np.linalg.norm(w - y))
-    return y, obj, surrogate, halvings
+    return y, obj, surrogate
 
 
 def assert_matches_reference(w, x, tp):
-    try:
-        point, envelope, surrogate, halvings = reference_prox_solve(w, x, tp)
-    except NoConvergence:
-        with pytest.raises(NoConvergence):
-            an.prox_solve(w, x, tp)
-        return None
-    res = an.prox_solve(w, x, tp)
+    """``prox_solve`` gives the reference's bits and calls ``sslcore.grad``
+    once per gradient the reference evaluates (the benchmark counts those
+    calls as the solver's iterates). Returns the reference's halvings, or
+    None when both raise."""
+    counts = {}
+    with mock.patch.object(ssl, "grad", wraps=ssl.grad) as grad:
+        try:
+            point, envelope, surrogate = reference_prox_solve(w, x, tp, counts)
+        except NoConvergence:
+            with pytest.raises(NoConvergence):
+                an.prox_solve(w, x, tp)
+            assert grad.call_count == counts["grad_evals"]
+            return None
+        res = an.prox_solve(w, x, tp)
+    assert grad.call_count == counts["grad_evals"]
     assert res.point.tobytes() == point.tobytes()
     assert res.envelope.hex() == envelope.hex()
     assert res.surrogate.hex() == surrogate.hex()
-    return halvings
+    return counts["halvings"]
 
 
 class TestProxSolveBitIdentical:
     @settings(max_examples=120, deadline=None)
     # The 16 x 64 aggregate of a full-batch run with 16 clients.
     @example(seed=7, d=64, m_frac=0.24, x_log10=0.0, w_log10=-2.0)
+    # The 4 x 32 aggregate of a minibatch run with 4 clients.
+    @example(seed=3, d=32, m_frac=0.1, x_log10=0.0, w_log10=-1.75)
+    # A far start whose cubic term overshoots: the step is halved 16 times.
+    @example(seed=55, d=12, m_frac=0.5, x_log10=0.0, w_log10=1.0)
     @given(
         seed=st.integers(0, 2**32 - 1),
         d=st.integers(2, 16),

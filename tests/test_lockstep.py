@@ -16,7 +16,7 @@ from fedq.errors import InvalidParams
 from fedq.experiment import step_round
 from fedq.server import ServerState
 
-from oracle import quantile_codebook, start_client, tanh_codebook
+from oracle import quantile_codebook, reference_bracket, start_client, tanh_codebook
 
 D = 6
 
@@ -147,13 +147,41 @@ def test_ragged_fit_matches_each_row_searched(seed, compander, rates, kinds, n):
         assert rngs[r].random() == twins[r].random()
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    compander=st.sampled_from(["tanh", "quantile"]),
+    rates=st.lists(st.integers(1, 10), min_size=1, max_size=4),
+    kinds=st.lists(st.sampled_from(["normal", "cauchy", "ties", "saturated", "collapsed", "constant"]),
+                   min_size=4, max_size=4),
+    n=st.sampled_from([7, 128, qk.DIRECT_BRACKET_MIN, qk.TANH_GUESS_MIN]),
+)
+def test_fitted_brackets_stay_in_their_row(seed, compander, rates, kinds, n):
+    # The kernel reads c[b - 1] and c[b] for bracket b without clamping
+    # it, so every fitted bracket must be its row's count of centers <= x
+    # kept in [1, K - 1], plus the row's offset.
+    x = np.stack([_row(seed + r, kinds[r], n) for r in range(len(rates))])
+    cbs, n_le = qk.fit_codebook(x, tuple(rates), compander)
+    if n_le is None:  # the kernel searches a lone short row itself
+        assert (len(rates) == 1 and n < qk.DIRECT_BRACKET_MIN) or cbs.degenerate.all()
+        return
+    plan = cbs.plan
+    assert n_le.dtype == np.intp and n_le.shape == x.shape
+    assert (n_le >= plan.row_start + 1).all()
+    assert (n_le <= plan.row_start + plan.ks[:, None] - 1).all()
+    for r in range(len(rates)):
+        if not cbs.degenerate[r]:
+            assert (n_le[r] - plan.first[r]).tobytes() == reference_bracket(cbs.row(r).centers, x[r]).tobytes()
+
+
 @pytest.mark.parametrize("rates", [(1,), (1, 2), (3, 1)])
 def test_quantile_centers_match_np_interp_at_sample_positions(rates):
     # n - 1 = 128: rates 1-6 put centers exactly on samples, where np.interp
     # returns the sample itself; here one of them is -0.0.
     row = np.concatenate([-np.arange(32.0, 0.0, -1.0), [-0.0], np.arange(1.0, 97.0)])
     x = np.stack([np.random.default_rng(r).permutation(row) for r in range(len(rates))])
-    cbs = qk.build_quantile_codebook(x, rates, qk.argsort_rows(x))
+    plan = qk.fit_plan(x.shape[1], rates)
+    cbs = qk.build_quantile_codebook(x, qk.sort_rows(x, plan)[0], plan)
     for r, rate in enumerate(rates):
         k = 2**rate
         ref = np.interp((np.arange(k) + 0.5) / k * 128, np.arange(129.0), np.sort(x[r]))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fedq import quantkit as qk
 from fedq.errors import DegenerateRange, InvalidParams, NonFiniteInput
 
-from oracle import expected_sq_error, fit_and_quantize_one, quantile_codebook, reference_n_le, tanh_codebook
+from oracle import expected_sq_error, fit_and_quantize_one, quantile_codebook, reference_bracket, tanh_codebook
 
 
 @pytest.fixture
@@ -304,12 +304,14 @@ _BUILD = {"tanh": tanh_codebook, "quantile": quantile_codebook}
 
 
 def _n_le(compander, x, centers):
-    """The fit's count of ``centers`` <= each element of ``x``, as one row."""
+    """The fit's kernel bracket of each element of ``x`` in ``centers``, as one row."""
     rows = np.reshape(x, (1, -1))
-    cbs = qk.Codebooks(qk.fit_plan(rows.shape[1], (centers.size.bit_length() - 1,)), centers, np.array([False]))
+    plan = qk.fit_plan(rows.shape[1], (centers.size.bit_length() - 1,))
+    cbs = qk.Codebooks(plan, centers, np.array([False]))
     if compander == "tanh":
         return qk.tanh_n_le(rows, cbs)[0]
-    return qk.quantile_n_le(rows, cbs, qk.argsort_rows(rows))[0]
+    sorted_rows, order = qk.sort_rows(rows, plan)
+    return qk.quantile_n_le(sorted_rows, cbs, order)[0]
 
 
 def _bracket_input(seed, kind, n, log_scale):
@@ -364,14 +366,14 @@ class TestFittedBrackets:
         flat = x.ravel()
         got = _n_le(compander, flat, cb.centers)
         assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, reference_n_le(cb.centers, flat))
+        np.testing.assert_array_equal(got, reference_bracket(cb.centers, flat))
 
     @pytest.mark.parametrize("compander", ["tanh", "quantile"])
     def test_exact_for_a_codebook_fitted_elsewhere(self, compander):
-        # Values far outside the codebook push the tanh guess out of [1, K].
+        # Values far outside the codebook push the tanh guess out of [1, K - 1].
         centers = _BUILD[compander](np.linspace(-0.05, 0.05, 9), 3).centers
         x = np.linspace(-5.0, 5.0, 101)
-        np.testing.assert_array_equal(_n_le(compander, x, centers), reference_n_le(centers, x))
+        np.testing.assert_array_equal(_n_le(compander, x, centers), reference_bracket(centers, x))
 
     @settings(max_examples=200, deadline=None)
     @given(**_BRACKET_CASES)

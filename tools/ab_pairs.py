@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Interleaved A/B pairs of the fedq benchmark between two source trees.
 
-    python3 tools/ab_pairs.py --parent DIR --change DIR --workload W --seed S --pairs N
+    python3 tools/ab_pairs.py --parent DIR --change DIR --workload W[,W...] --seed S --pairs N
                               [--seconds 30] [--out BENCH.json]
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each tree (each
@@ -11,19 +11,25 @@ both sides alike. One invocation gives one sample per end-to-end
 metric: the median of its runs. The script prints, per metric, the
 median and quartiles of each side and the pairs the change won, and
 writes every pair plus that summary as JSON to ``--out`` under the key
-"<workload>@seed<S>" (other keys in the file are kept). Metric names
-and directions come from the change tree's ``BENCHMARK.json``. It only
-reads ``perfbench/``.
+"<workload>@seed<S>" (other keys in the file are kept), with the
+machine: platform, Python, CPU count, numpy version and the BLAS numpy
+was built against. A comma-separated ``--workload`` list runs the
+workloads one after another, all pairs of one before the next. Metric
+names and directions come from the change tree's ``BENCHMARK.json``. It
+only reads ``perfbench/``.
 """
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 
 def invoke(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -41,28 +47,23 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--parent", required=True, type=Path)
-    ap.add_argument("--change", required=True, type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=None, help="run length (default: BENCHMARK.json's)")
-    ap.add_argument("--out", type=Path, default=None)
-    args = ap.parse_args()
-    bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+def machine() -> dict:
+    """Where the pairs ran: the children use this interpreter and its numpy."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"platform": platform.platform(), "python": platform.python_version(),
+            "cpu_count": os.cpu_count(), "numpy": np.__version__,
+            "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")}}
 
+
+def run_pairs(args, workload: str, seconds: float, better: dict) -> dict:
     pairs = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"first": order[0]}
         for side in order:
-            pair[side] = invoke(getattr(args, side), args.workload, args.seed, seconds)
+            pair[side] = invoke(getattr(args, side), workload, args.seed, seconds)
         pairs.append(pair)
-        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): "
+        print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): "
               + "  ".join(f"{m} {pair['parent'][m]:.4g} -> {pair['change'][m]:.4g}" for m in better),
               flush=True)
 
@@ -74,19 +75,35 @@ def main() -> int:
         summary[name] = {"better": direction, "parent": quartiles(parent), "change": quartiles(change),
                          "change_won": won, "pairs": len(pairs)}
         s = summary[name]
-        print(f"{name:<16} parent {s['parent']['median']:.4g} [{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]"
-              f"  change {s['change']['median']:.4g} [{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]"
-              f"  ratio {s['change']['median'] / s['parent']['median']:.3f}  change won {won}/{len(pairs)}")
-
-    if args.out is not None:
-        data = json.loads(args.out.read_text()) if args.out.exists() else {}
-        data[f"{args.workload}@seed{args.seed}"] = {
-            "workload": args.workload, "seed": args.seed, "seconds": seconds,
-            "machine": {"platform": platform.platform(), "python": platform.python_version()},
+        print(f"{workload} {name:<16} parent {s['parent']['median']:.4g} [{s['parent']['q1']:.4g}, "
+              f"{s['parent']['q3']:.4g}]  change {s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
+              f"{s['change']['q3']:.4g}]  ratio {s['change']['median'] / s['parent']['median']:.3f}"
+              f"  change won {won}/{len(pairs)}", flush=True)
+    return {"workload": workload, "seed": args.seed, "seconds": seconds, "machine": machine(),
             "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "summary": summary, "pairs": pairs,
-        }
-        args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+            "summary": summary, "pairs": pairs}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--parent", required=True, type=Path)
+    ap.add_argument("--change", required=True, type=Path)
+    ap.add_argument("--workload", required=True, help="one workload or a comma-separated list")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=None, help="run length (default: BENCHMARK.json's)")
+    ap.add_argument("--out", type=Path, default=None)
+    args = ap.parse_args()
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+    for workload in args.workload.split(","):
+        result = run_pairs(args, workload, seconds, better)
+        if args.out is not None:
+            data = json.loads(args.out.read_text()) if args.out.exists() else {}
+            data[f"{workload}@seed{args.seed}"] = result
+            args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     return 0
 
 
