@@ -26,13 +26,15 @@ and one kernel call rounds every row. ``Codebooks.row`` is one row's
 ``Codebook``.
 
 Rounding needs each element's bracket ``n_le``: the number of centers
-<= the value, kept in [1, K - 1]. ``stochastic_quantize`` with a foreign
-``Codebook`` leaves it to the kernel's binary search. ``fit_codebook``
-guesses it from the fit instead, from the tanh-space grid
-(``tanh_n_le``) or the element's rank (``quantile_n_le``), checks each
-guess against the centers with the row's ends opened to -inf and +inf
-and searches the misses, so every bracket lies in its row and the
-indices are the same.
+<= the value, kept in [1, K - 1]. ``fit_codebook`` guesses it from the
+fit, from the tanh-space grid (``tanh_n_le``) or the element's rank
+(``quantile_n_le``), checks each guess against the centers with the
+row's ends opened to -inf and +inf and searches the misses; short tanh
+rows are searched outright. ``stochastic_quantize`` searches the
+brackets of a foreign ``Codebook`` (a uniform one, or one kept from an
+earlier quantization) the same way. Either way every bracket lies in its
+row, the kernel rounds with it and never searches, and the indices are
+those of a search.
 """
 
 import math
@@ -50,15 +52,12 @@ RANGE_EPS = 1e-12
 # Largest codebook rate: 2^24 float64 centers (128 MiB), uint32 indices.
 MAX_RATE = 24
 
-# A batch of one row below DIRECT_BRACKET_MIN elements keeps the kernel's
-# binary search; the ragged codebooks of several rows need the fit's
-# brackets. Quantile fits guess them from the ranks; tanh fits from the
-# grid for rows of TANH_GUESS_MIN elements or more, else they search each
-# row. Per row, guess against search (numpy 2.4, 2-vCPU AVX-512 x86-64,
-# one thread): 1024 elements 34-40 against 16-19 us; 2048 elements 47-55
-# against 35-38 us at rate 5, 49-65 against 110 us at rate 8; 4096
+# Fitted tanh rows of TANH_GUESS_MIN elements or more guess their brackets
+# from the grid, shorter ones search them; quantile rows always guess them
+# from the ranks. Per row, guess against search (numpy 2.4, 2-vCPU AVX-512
+# x86-64, one thread): 1024 elements 34-40 against 16-19 us; 2048 elements
+# 47-55 against 35-38 us at rate 5, 49-65 against 110 us at rate 8; 4096
 # elements 56 against 106 us.
-DIRECT_BRACKET_MIN = 512
 TANH_GUESS_MIN = 2048
 
 
@@ -247,16 +246,6 @@ def _finish(plan: FitPlan, rows: np.ndarray, centers: np.ndarray, spans: list[fl
     return Codebooks(plan, centers, (ends[1] - ends[0] < RANGE_EPS).ravel())
 
 
-def degenerate_codebook(value: float, rate: int) -> Codebook:
-    """Fallback codebook for constant input: K copies of one center.
-
-    Strict-increase is waived; stochastic_quantize maps every element to
-    index 0. Constant layers occur at initialization, so builders fitted
-    to data fall back to this instead of failing.
-    """
-    return Codebook(rate, np.full(_codebook_size(rate), float(value)))
-
-
 def build_uniform_codebook(lo: float, hi: float, rate: int) -> Codebook:
     """K = 2^rate equispaced centers over [lo, hi], endpoints included.
 
@@ -341,14 +330,7 @@ def build_quantile_codebook(rows: np.ndarray, sorted_rows: np.ndarray, plan: Fit
     return _finish(plan, rows, centers, spans)
 
 
-def _draw_indices(values: np.ndarray, cb: Codebook, rng: np.random.Generator) -> np.ndarray:
-    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if cb.is_degenerate:
-        return np.zeros(flat.shape[0], dtype=np.int64)
-    return _kernels.stochastic_round(flat, cb.centers, rng.random(flat.shape[0]))
-
-
-def _draw_rows(rows: np.ndarray, cb: Codebooks, rngs: list, n_le: np.ndarray | None) -> np.ndarray:
+def _draw_rows(rows: np.ndarray, cb: Codebooks, rngs: list, n_le: np.ndarray) -> np.ndarray:
     """Indices into ``cb.centers``; a degenerate row draws nothing and maps to its index 0."""
     if cb.degenerate_rows:
         live = np.flatnonzero(~cb.degenerate)
@@ -360,12 +342,10 @@ def _draw_rows(rows: np.ndarray, cb: Codebooks, rngs: list, n_le: np.ndarray | N
     uniforms = np.empty(rows.shape)
     for u, rng in zip(uniforms, rngs):
         rng.random(out=u)
-    return _kernels.stochastic_round(rows.ravel(), cb.centers, uniforms.ravel(),
-                                     None if n_le is None else n_le.ravel())
+    return _kernels.stochastic_round(rows.ravel(), cb.centers, uniforms.ravel(), n_le.ravel())
 
 
-def stochastic_quantize(x: np.ndarray, cb: Codebook | Codebooks, rng, n_le: np.ndarray | None = None
-                        ) -> QuantizedTensor:
+def stochastic_quantize(x: np.ndarray, cb: Codebook | tuple[Codebooks, np.ndarray], rng) -> QuantizedTensor:
     """Quantize a tensor with randomized rounding to bracketing centers.
 
     Elements at or beyond the end centers clamp deterministically; for
@@ -373,15 +353,23 @@ def stochastic_quantize(x: np.ndarray, cb: Codebook | Codebooks, rng, n_le: np.n
     probability (x - c_j)/(c_{j+1} - c_j) and c_j otherwise, which makes
     the in-range quantization error zero-mean.
 
-    A ``Codebook`` is searched by the kernel. ``Codebooks`` quantize a
-    batch: ``rng`` holds one Generator per row, and ``n_le`` each
-    element's kernel bracket from ``fit_codebook`` (required for more
-    than one row).
+    A foreign ``Codebook`` draws from the Generator ``rng`` and has its
+    brackets searched here; NaN has no bracket and raises
+    NonFiniteInput. A fit ``(Codebooks, n_le)`` from ``fit_codebook``
+    quantizes a batch with its brackets: ``rng`` holds one Generator per
+    row.
     """
     x = np.asarray(x, dtype=np.float64)
-    if isinstance(cb, Codebooks):
-        return QuantizedTensor(x.shape, _draw_rows(x.reshape(len(rng), -1), cb, rng, n_le), cb)
-    idx = _draw_indices(x, cb, rng)
+    if not isinstance(cb, Codebook):
+        cbs, n_le = cb
+        return QuantizedTensor(x.shape, _draw_rows(x.reshape(len(rng), -1), cbs, rng, n_le), cbs)
+    flat = x.ravel()
+    if np.isnan(flat).any():
+        raise NonFiniteInput("cannot quantize NaN")
+    if cb.is_degenerate:
+        idx = np.zeros(flat.shape[0], dtype=np.intp)
+    else:
+        idx = _kernels.stochastic_round(flat, cb.centers, rng.random(flat.shape[0]), _searched(cb.centers, flat))
     return QuantizedTensor(x.shape, idx.astype(_index_dtype(cb.size)), cb)
 
 
@@ -414,17 +402,18 @@ def _verified(rows, n_le, cbs: Codebooks) -> np.ndarray:
     if np.count_nonzero(miss):
         n_le = n_le.copy()
         for r in np.flatnonzero(miss.any(axis=1)):
+            a, b = plan.first_last[r]
             m = np.flatnonzero(miss[r])
-            n_le[r, m] = _searched(cbs, r, rows[r, m])
+            n_le[r, m] = _searched(cbs.centers[a:b + 1], rows[r, m], a)
     return n_le
 
 
-def _searched(cbs: Codebooks, r: int, values: np.ndarray) -> np.ndarray:
-    """Kernel bracket of ``values`` in row r's codebook: one plus the
-    count of its interior centers <= x, plus the row's offset."""
-    a, b = cbs.plan.first_last[r]
-    n_le = cbs.centers[a + 1:b].searchsorted(values, side="right")
-    n_le += a + 1
+def _searched(centers: np.ndarray, values: np.ndarray, start: int = 0) -> np.ndarray:
+    """Kernel bracket of ``values`` in the codebook ``centers``: one plus
+    the count of its interior centers <= x, plus ``start``, the
+    codebook's offset in a batch's concatenated centers."""
+    n_le = centers[1:-1].searchsorted(values, side="right")
+    n_le += start + 1
     return n_le
 
 
@@ -469,30 +458,28 @@ def quantile_n_le(sorted_rows: np.ndarray, cbs: Codebooks, order: np.ndarray) ->
     return n_le
 
 
-def fit_codebook(x: np.ndarray, rates: tuple[int, ...], compander: str) -> tuple[Codebooks, np.ndarray | None]:
+def fit_codebook(x: np.ndarray, rates: tuple[int, ...], compander: str) -> tuple[Codebooks, np.ndarray]:
     """Fit a tanh or quantile codebook to each row of ``x`` and bracket its elements.
 
     Row r of the leading axis is fitted at ``rates[r]``. Returns the
     codebooks and each element's kernel bracket (the count of centers
-    <= the element kept in [1, K - 1], plus the row's offset), or None
-    where the kernel searches instead (one row below DIRECT_BRACKET_MIN
-    elements, or nothing but degenerate rows).
+    <= the element kept in [1, K - 1], plus the row's offset): guessed
+    from the ranks in quantile rows and from the grid in tanh rows of
+    TANH_GUESS_MIN elements or more, searched in shorter tanh rows. A
+    degenerate row's brackets lie in its row but are never read.
     """
     rows, plan = as_rows(x, rates)
     if compander == "tanh":
         cbs = build_tanh_codebook(rows, plan)
-    elif compander == "quantile":
+        if plan.n >= TANH_GUESS_MIN:
+            return cbs, tanh_n_le(rows, cbs)
+        return cbs, np.array([_searched(cbs.centers[a:b + 1], row, a)
+                              for (a, b), row in zip(plan.first_last, rows)])
+    if compander == "quantile":
         sorted_rows, order = sort_rows(rows, plan)
         cbs = build_quantile_codebook(rows, sorted_rows, plan)
-    else:
-        raise InvalidParams(f"cannot fit a {compander!r} codebook to data")
-    if cbs.degenerate_rows == len(rates) or (len(rates) == 1 and plan.n < DIRECT_BRACKET_MIN):
-        return cbs, None
-    if compander == "quantile":
         return cbs, quantile_n_le(sorted_rows, cbs, order)
-    if plan.n >= TANH_GUESS_MIN:
-        return cbs, tanh_n_le(rows, cbs)
-    return cbs, np.array([_searched(cbs, r, row) for r, row in enumerate(rows)])
+    raise InvalidParams(f"cannot fit a {compander!r} codebook to data")
 
 
 def fit_and_quantize(x: np.ndarray, rates: tuple[int, ...], compander: str, rngs: list):
@@ -505,8 +492,7 @@ def fit_and_quantize(x: np.ndarray, rates: tuple[int, ...], compander: str, rngs
     dequantize on that row alone.
     """
     x = np.asarray(x, dtype=np.float64)
-    cbs, n_le = fit_codebook(x, rates, compander)
-    q = stochastic_quantize(x, cbs, rngs, n_le)
+    q = stochastic_quantize(x, fit_codebook(x, rates, compander), rngs)
     values = dequantize(q)
     err = values - x
     err *= err
@@ -528,7 +514,6 @@ def empirical_mse(cb: Codebook, samples: np.ndarray, rng: np.random.Generator, d
         raise InvalidParams("samples must be nonempty")
     total = 0.0
     for _ in range(draws):
-        idx = _draw_indices(flat, cb, rng)
-        err = flat - cb.centers.take(idx)
+        err = dequantize(stochastic_quantize(flat, cb, rng)) - flat
         total += float(np.mean(err * err))
     return total / draws

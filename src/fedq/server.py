@@ -59,7 +59,7 @@ def aggregate(models: list[list[np.ndarray]], sample_counts: list[int]) -> list[
     return agg
 
 
-def fit_layers(global_model: list[np.ndarray], bits: int) -> list[tuple[qk.Codebooks, np.ndarray | None]]:
+def fit_layers(global_model: list[np.ndarray], bits: int) -> list[tuple[qk.Codebooks, np.ndarray]]:
     """Each layer's fresh tanh codebook at ``bits`` and its brackets,
     shared by every client of that bitwidth."""
     return [qk.fit_codebook(layer[None], (bits,), "tanh") for layer in global_model]
@@ -67,7 +67,7 @@ def fit_layers(global_model: list[np.ndarray], bits: int) -> list[tuple[qk.Codeb
 
 def requantize_for_client(
     global_model: list[np.ndarray],
-    fitted: list[tuple[qk.Codebooks, np.ndarray | None]],
+    fitted: list[tuple[qk.Codebooks, np.ndarray]],
     rng: np.random.Generator,
 ) -> tuple[list[qk.QuantizedTensor], float]:
     """Quantize the aggregate on a client's ``fit_layers`` codebooks.
@@ -77,8 +77,8 @@ def requantize_for_client(
     """
     out = []
     eps_r_sq = 0.0
-    for layer, (cbs, n_le) in zip(global_model, fitted):
-        q = qk.unstack(qk.stochastic_quantize(layer[None], cbs, [rng], n_le))[0]
+    for layer, fit in zip(global_model, fitted):
+        q = qk.unstack(qk.stochastic_quantize(layer[None], fit, [rng]))[0]
         err = qk.dequantize(q) - layer
         eps_r_sq += float((err * err).sum())
         out.append(q)

@@ -44,23 +44,19 @@ def residual(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return w.T @ w - x
 
 
-def _given_residual(w: np.ndarray, x: np.ndarray, r: np.ndarray | None) -> np.ndarray:
-    if r is None:
-        return residual(w, x)
-    if r.shape != x.shape:
-        raise DimensionMismatch(f"residual shape {r.shape} does not match covariance {x.shape}")
-    return r
-
-
-def loss(w: np.ndarray, x: np.ndarray, r: np.ndarray | None = None) -> float:
-    """||X - w^T w||_F^2; ``r`` is ``residual(w, x)`` when already formed."""
-    r = _given_residual(w, x, r)
+def loss(w: np.ndarray, x: np.ndarray) -> float:
+    """||X - w^T w||_F^2."""
+    r = residual(w, x)
     return float((r * r).sum())
 
 
 def grad(w: np.ndarray, x: np.ndarray, r: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of ``loss`` in w, 4 w (w^T w - X), into ``out`` if given; ``r`` as in ``loss``."""
-    r = _given_residual(w, x, r)
+    """Gradient of ``loss`` in w, 4 w (w^T w - X), into ``out`` if given;
+    ``r`` is ``residual(w, x)`` when already formed."""
+    if r is None:
+        r = residual(w, x)
+    elif r.shape != x.shape:
+        raise DimensionMismatch(f"residual shape {r.shape} does not match covariance {x.shape}")
     return np.matmul(4.0 * w, r, out=out)
 
 

@@ -19,6 +19,12 @@ def quantile_codebook(x, rate):
     return qk.build_quantile_codebook(rows, qk.sort_rows(rows, plan)[0], plan).row(0)
 
 
+def degenerate_codebook(value, rate):
+    """K copies of one center: what a fit to constant input holds.
+    Strict increase is waived; quantization maps every element to index 0."""
+    return qk.Codebook(rate, np.full(qk._codebook_size(rate), float(value)))
+
+
 def fit_and_quantize_one(x, rate, compander, rng):
     """``qk.fit_and_quantize`` of one tensor, a batch of one: (quantized
     tensor, values, ||values - x||^2)."""

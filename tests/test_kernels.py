@@ -1,16 +1,21 @@
 """The rounding kernel against a scalar oracle, since experiment
-determinism is defined over kernel outputs."""
+determinism is defined over kernel outputs. The kernel is handed each
+element's bracket, here ``reference_bracket``'s search."""
 
 import numpy as np
 import pytest
 
 from fedq import _kernels as kernels
 
-from oracle import expected_sq_error
+from oracle import expected_sq_error, reference_bracket
 
 
 def _centers(k=16, lo=-2.0, hi=3.0):
     return np.linspace(lo, hi, k)
+
+
+def _round(values, centers, uniforms):
+    return kernels.stochastic_round(values, centers, uniforms, reference_bracket(centers, values))
 
 
 def _brute_force_round(values, centers, uniforms):
@@ -53,14 +58,14 @@ def test_reference_matches_brute_force(rng):
     centers = _centers()
     x = rng.uniform(-3.0, 4.0, size=2000)
     u = rng.random(2000)
-    got = kernels.stochastic_round(x, centers, u)
+    got = _round(x, centers, u)
     np.testing.assert_array_equal(got, _brute_force_round(x, centers, u))
 
 
 def test_reference_handles_exact_centers(rng):
     centers = _centers()
     u = rng.random(centers.size)
-    got = kernels.stochastic_round(centers, centers, u)
+    got = _round(centers, centers, u)
     np.testing.assert_array_equal(got, np.arange(centers.size))
 
 
@@ -72,7 +77,7 @@ def test_expected_sq_error_is_bernoulli_variance(rng):
     draws = 40000
     acc = np.zeros_like(x)
     for _ in range(draws):
-        idx = kernels.stochastic_round(x, centers, rng.random(x.size))
+        idx = _round(x, centers, rng.random(x.size))
         acc += (x - centers[idx]) ** 2
     acc /= draws
     np.testing.assert_allclose(acc, expect, atol=4e-4)
@@ -82,7 +87,7 @@ def test_out_of_range_clamps():
     centers = _centers(4, 0.0, 1.0)
     x = np.array([-5.0, 0.0, 1.0, 9.0])
     u = np.array([0.999, 0.999, 0.0, 0.0])
-    got = kernels.stochastic_round(x, centers, u)
+    got = _round(x, centers, u)
     np.testing.assert_array_equal(got, [0, 0, 3, 3])
     err = expected_sq_error(x, centers)
     np.testing.assert_allclose(err, [25.0, 0.0, 0.0, 64.0])
@@ -93,7 +98,7 @@ def test_infinities_clamp_to_end_indices():
     centers = _centers(8, -1.0, 1.0)
     x = np.array([-np.inf, np.inf, -np.inf, np.inf])
     u = np.array([0.0, 0.0, 0.999, 0.999])
-    got = kernels.stochastic_round(x, centers, u)
+    got = _round(x, centers, u)
     np.testing.assert_array_equal(got, [0, 7, 0, 7])
     assert got.dtype == np.int64
 
@@ -104,11 +109,11 @@ def test_matches_masked_clamp_form(rng, k):
     x = np.concatenate([
         rng.normal(scale=2.0, size=500),
         centers,
-        [-np.inf, np.inf, np.nan, np.nextafter(centers[0], -np.inf),
+        [-np.inf, np.inf, np.nextafter(centers[0], -np.inf),
          np.nextafter(centers[-1], np.inf)],
     ])
     u = rng.random(x.size)
-    got = kernels.stochastic_round(x, centers, u)
+    got = _round(x, centers, u)
     np.testing.assert_array_equal(got, _masked_clamp_round(x, centers, u))
 
 
@@ -123,10 +128,8 @@ def test_ragged_codebooks_with_clamped_offset_brackets():
     rows = [rng.normal(scale=2.0, size=40) for _ in books]
     rows[1][:3] = books[1][[0, -1, 2]]  # exactly on centers, including both ends
     uniforms = [rng.random(40) for _ in books]
-    n_le = [np.clip(b.searchsorted(x, side="right"), 1, b.size - 1) + o
-            for b, x, o in zip(books, rows, offsets)]
+    n_le = [reference_bracket(b, x) + o for b, x, o in zip(books, rows, offsets)]
     got = kernels.stochastic_round(np.concatenate(rows), np.concatenate(books),
                                    np.concatenate(uniforms), np.concatenate(n_le))
-    want = np.concatenate([kernels.stochastic_round(x, b, u) + o
-                           for b, x, u, o in zip(books, rows, uniforms, offsets)])
+    want = np.concatenate([_masked_clamp_round(x, b, u) + o for b, x, u, o in zip(books, rows, uniforms, offsets)])
     np.testing.assert_array_equal(got, want)

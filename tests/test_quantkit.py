@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from fedq import quantkit as qk
 from fedq.errors import DegenerateRange, InvalidParams, NonFiniteInput
 
-from oracle import expected_sq_error, fit_and_quantize_one, quantile_codebook, reference_bracket, tanh_codebook
+from oracle import (degenerate_codebook, expected_sq_error, fit_and_quantize_one, quantile_codebook,
+                    reference_bracket, tanh_codebook)
 
 
 @pytest.fixture
@@ -48,7 +49,7 @@ class TestUniformCodebook:
         lambda rate: qk.build_uniform_codebook(0.0, 1.0, rate),
         lambda rate: tanh_codebook(np.array([0.0, 1.0]), rate),
         lambda rate: quantile_codebook(np.array([0.0, 1.0]), rate),
-        lambda rate: qk.degenerate_codebook(0.5, rate),
+        lambda rate: degenerate_codebook(0.5, rate),
     ],
     ids=["uniform", "tanh", "quantile", "degenerate"],
 )
@@ -228,10 +229,20 @@ class TestStochasticQuantize:
             assert qk.stochastic_quantize(x, cb, rng).indices.dtype == dtype
 
     def test_degenerate_maps_to_index_zero(self, rng):
-        cb = qk.degenerate_codebook(0.0, 4)
+        cb = degenerate_codebook(0.0, 4)
         q = qk.stochastic_quantize(np.array([-1.0, 0.0, 2.0]), cb, rng)
         assert np.all(q.indices == 0)
         np.testing.assert_array_equal(qk.dequantize(q), np.zeros(3))
+
+    @pytest.mark.parametrize("build", [lambda: qk.build_uniform_codebook(-1.0, 1.0, 3),
+                                       lambda: degenerate_codebook(0.0, 3)], ids=["uniform", "degenerate"])
+    def test_nan_raises_on_a_foreign_codebook(self, rng, build):
+        # A foreign codebook's brackets are searched, and NaN has none;
+        # +-inf still clamps to the end indices.
+        with pytest.raises(NonFiniteInput):
+            qk.stochastic_quantize(np.array([0.5, np.nan]), build(), rng)
+        q = qk.stochastic_quantize(np.array([-np.inf, np.inf]), qk.build_uniform_codebook(-1.0, 1.0, 3), rng)
+        np.testing.assert_array_equal(q.indices, [0, 7])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rate=st.integers(1, 6))
@@ -345,14 +356,14 @@ _BRACKET_CASES = dict(
     compander=st.sampled_from(["tanh", "quantile"]),
     kind=st.sampled_from(["normal", "cauchy", "ties", "signed zeros", "saturated",
                           "saturated high", "constant run", "near-constant"]),
-    n=st.sampled_from([1, 7, 128, qk.DIRECT_BRACKET_MIN - 1, qk.DIRECT_BRACKET_MIN, 1500]),
+    n=st.sampled_from([1, 7, 128, 511, 512, 1500, qk.TANH_GUESS_MIN - 1, qk.TANH_GUESS_MIN]),
     log_scale=st.floats(-3.0, 2.0),
 )
 
 
 class TestFittedBrackets:
     """fit_and_quantize takes each element's bracket from the fit rather
-    than the kernel's search; the two must agree exactly."""
+    than a search; the two must agree exactly."""
 
     @settings(max_examples=300, deadline=None)
     @given(**_BRACKET_CASES)
@@ -393,21 +404,21 @@ class TestFittedBrackets:
         assert rng.random() == twin.random()
 
     @pytest.mark.parametrize("compander", ["tanh", "quantile"])
-    def test_search_skipped_from_threshold_on(self, compander, monkeypatch):
+    def test_every_kernel_call_receives_brackets(self, compander, monkeypatch):
         seen = []
         kernel = qk._kernels.stochastic_round
 
-        def spy(values, centers, uniforms, n_le=None):
-            seen.append(n_le is not None)
+        def spy(values, centers, uniforms, n_le):
+            seen.append((n_le.shape, n_le.dtype))
             return kernel(values, centers, uniforms, n_le)
 
         monkeypatch.setattr(qk._kernels, "stochastic_round", spy)
         rng = np.random.default_rng(5)
-        for n in (qk.DIRECT_BRACKET_MIN - 1, qk.DIRECT_BRACKET_MIN):
+        for n in (511, 512):
             fit_and_quantize_one(rng.normal(size=n), 4, compander, rng)
-        qk.stochastic_quantize(rng.normal(size=qk.DIRECT_BRACKET_MIN),
-                               qk.build_uniform_codebook(-1.0, 1.0, 4), rng)
-        assert seen == [False, True, False]
+        qk.fit_and_quantize(rng.normal(size=(3, 40)), (2, 4, 6), compander, [rng] * 3)
+        qk.stochastic_quantize(rng.normal(size=512), qk.build_uniform_codebook(-1.0, 1.0, 4), rng)
+        assert seen == [((511,), np.intp), ((512,), np.intp), ((120,), np.intp), ((512,), np.intp)]
 
 
 class TestUnbiasedness:

@@ -36,8 +36,13 @@ def invoke(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    if proc.returncode != 0 or not result["correct"]:
+    result = None
+    if proc.returncode == 0:
+        try:
+            result = json.loads(proc.stdout.strip().splitlines()[-1])
+        except (IndexError, ValueError):  # no output, or a last line that is not JSON
+            pass
+    if result is None or not result["correct"]:
         raise SystemExit(f"error: benchmark failed in {tree}: {proc.stderr.strip()[-500:]}")
     return {name: m["value"] for name, m in result["metrics"].items()}
 
