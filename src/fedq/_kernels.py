@@ -20,19 +20,20 @@ def stochastic_round(values, centers, uniforms, n_le):
     reproducible regardless of schedule.
 
     ``n_le`` is each element's bracket: the count of centers <= x kept in
-    [1, K - 1], as ``quantkit`` works it out. The kernel trusts it: no
-    search, no clamp. At either end bracket the ratio is <= 0 below c_0
-    and >= 1 at or above c_{K-1} (+-inf included), so such values round
-    to that end; NaN has no bracket and must not reach here. ``centers``
-    may concatenate several codebooks, one per row of a batch, with each
-    element's bracket offset by its codebook's start; the result indexes
-    the concatenation.
+    [1, K - 1], as ``quantkit`` works it out. The kernel trusts it (no
+    search, no clamp) and never writes to it, since one fit's brackets may
+    serve several quantizations. At either end bracket the ratio is <= 0
+    below c_0 and >= 1 at or above c_{K-1} (+-inf included), so such
+    values round to that end; NaN has no bracket and must not reach here.
+    ``centers`` may concatenate several codebooks, one per row of a batch,
+    with each element's bracket offset by its codebook's start; the result
+    indexes the concatenation.
     """
     out = n_le - 1
     lo = centers.take(out)
     hi = centers[1:].take(out)
-    p = values - lo
     hi -= lo
+    p = np.subtract(values, lo, out=lo)
     p /= hi
     out += uniforms < p
     return out

@@ -159,23 +159,13 @@ class Cohort:
 
 @dataclass
 class ForwardState:
-    """Intermediate tensors of one forward pass, kept for backprop."""
+    """Intermediate tensors of one forward pass, kept for backprop: each
+    layer's input and, for relu, its mask ``pre > 0`` (None for identity).
+    The backward pass pops both lists, freeing each layer's tensors once used."""
 
     layer_inputs: list[np.ndarray]
-    preacts: list[np.ndarray]
+    masks: list[np.ndarray | None]
     outputs: np.ndarray
-
-
-def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(pre, 0.0)
-    return pre
-
-
-def _activate_deriv(pre: np.ndarray, kind: str) -> np.ndarray | None:
-    if kind == "relu":
-        return (pre > 0.0).astype(np.float64)
-    return None
 
 
 def init_layers(dims: list[int], rng: np.random.Generator, std: float) -> list[np.ndarray]:
@@ -195,9 +185,9 @@ def quantize_model(
     model = []
     err_sq = np.zeros(len(bits))
     for w in layers:
-        q, _, layer_err_sq = qk.fit_and_quantize(w, bits, "tanh", rngs)
+        q, values = qk.fit_and_quantize(w, bits, "tanh", rngs)
         model.append(q)
-        err_sq += layer_err_sq
+        err_sq += qk.error_energy(values, w)
     return model, err_sq
 
 
@@ -226,19 +216,20 @@ def quantized_forward(weights: list[np.ndarray], batch: np.ndarray, cohort: Coho
     """
     cfg = cohort.config
     a = np.asarray(batch, dtype=np.float64)
-    inputs, preacts = [], []
+    inputs, masks = [], []
     for w in weights:
         if a.shape[-1] != w.shape[-1]:
             raise DimensionMismatch(
                 f"batch width {a.shape[-1]} does not match layer input {w.shape[-1]}"
             )
         inputs.append(a)
-        pre = a @ w.mT
-        preacts.append(pre)
-        a = _activate(pre, cfg.activation)
+        a = a @ w.mT
+        masks.append(a > 0.0 if cfg.activation == "relu" else None)
+        if masks[-1] is not None:
+            np.maximum(a, 0.0, out=a)  # relu, in place
         if cfg.quantize_activations:
-            _, a, _ = qk.fit_and_quantize(a, cohort.bits, "tanh", cohort.rngs)
-    return ForwardState(inputs, preacts, a)
+            _, a = qk.fit_and_quantize(a, cohort.bits, "tanh", cohort.rngs)
+    return ForwardState(inputs, masks, a)
 
 
 def quantized_backward(
@@ -254,7 +245,7 @@ def quantized_backward(
     gradient, producing a weight gradient (plus the per-layer Gram
     regularization term 2 W W^T W) and the next activation gradient,
     each put through a fresh quantile codebook per client at the
-    client's gradient bitwidth.
+    client's gradient bitwidth. ``fstate`` is used up: its lists end empty.
 
     Returns (per-layer gradient values, ||eps_g||^2 summed over layers,
     ||g||^2 summed over layers), the energies one per client.
@@ -268,27 +259,28 @@ def quantized_backward(
     gbits = cohort.grad_bits
     g_act = upstream
     if cfg.quantize_gradients:
-        _, g_act, _ = qk.fit_and_quantize(g_act, gbits, "quantile", cohort.rngs)
+        _, g_act = qk.fit_and_quantize(g_act, gbits, "quantile", cohort.rngs)
     grads: list = [None] * n_layers
     eps_g_sq = np.zeros(len(gbits))
     grad_sq = np.zeros(len(gbits))
     for l in range(n_layers - 1, -1, -1):
         w = weights[l]
-        deriv = _activate_deriv(fstate.preacts[l], cfg.activation)
-        g_pre = g_act if deriv is None else g_act * deriv
-        gw = g_pre.mT @ fstate.layer_inputs[l]
+        mask = fstate.masks.pop()
+        if mask is not None:  # to the pre-activation; a bool multiplies as 1.0 or 0.0
+            g_act = g_act * mask
+        gw = g_act.mT @ fstate.layer_inputs.pop()
         wg = w @ (w.mT @ w)
         gw += 2.0 * wg
         grad_sq += (gw * gw).reshape(len(gbits), -1).sum(axis=1)
         if cfg.quantize_gradients:
-            _, grads[l], err_sq = qk.fit_and_quantize(gw, gbits, "quantile", cohort.rngs)
-            eps_g_sq += err_sq
+            _, grads[l] = qk.fit_and_quantize(gw, gbits, "quantile", cohort.rngs)
+            eps_g_sq += qk.error_energy(grads[l], gw)
         else:
             grads[l] = gw
         if l > 0:
-            g_act = g_pre @ w
+            g_act = g_act @ w
             if cfg.quantize_gradients:
-                _, g_act, _ = qk.fit_and_quantize(g_act, gbits, "quantile", cohort.rngs)
+                _, g_act = qk.fit_and_quantize(g_act, gbits, "quantile", cohort.rngs)
     return grads, eps_g_sq, grad_sq
 
 
@@ -319,12 +311,13 @@ def ssl_upstream(outputs: np.ndarray, cohort: Cohort) -> np.ndarray:
     b = outputs.shape[1]
     g = 2.0 * outputs
     if sigma > 0.0:
-        for g_r, rng in zip(g, cohort.rngs):
-            xi = rng.standard_normal(size=(2,) + g_r.shape)  # both draws, in order
-            xi *= sigma
-            xi += 0.0  # the bits of rng.normal(0.0, sigma), which is 0.0 + sigma * z
-            g_r += xi[0]
-            g_r += xi[1]
+        xi = np.empty((len(g), 2) + g.shape[1:])
+        for xi_r, rng in zip(xi, cohort.rngs):
+            rng.standard_normal(out=xi_r)  # both draws of the client, in order
+        xi *= sigma
+        xi += 0.0  # the bits of rng.normal(0.0, sigma), which is 0.0 + sigma * z
+        g += xi[:, 0]
+        g += xi[:, 1]
     g /= -b  # the bits of -g / b
     return g
 

@@ -34,14 +34,16 @@ AUTO_LR_COEFF = 0.05
 
 # A lockstep group's widest activation batch (clients x minibatch rows x
 # widest layer) holds at most this many elements, or the group is one
-# client. Every temporary of a step grows with the group, and so does
-# peak memory, while the per-call overhead that batching saves shrinks
-# as tensors grow. Measured on the benchmark workloads (peak RSS over the
-# per-client loop, 4 runs each): groups of 4 x 64 x 64 cost +1.6 MiB and
-# of 4 x 188 x 64 +1.3 MiB, the latter with no measurable speed-up;
-# groups of 2 x 64 x 64 cost +0.6 MiB and 4 x 64 x 32 +0.1 MiB. Any cap
-# in [8192, 12287] gives those last two and leaves 188 x 64 alone.
-LOCKSTEP_ELEMENTS = 8192
+# client. Every temporary of a step grows with the group, while the
+# per-call overhead that batching saves shrinks as tensors grow. At seed 0
+# (tools/step_memory.py, the most one call adds to traced memory) relu-actq
+# in cohorts of 4 x 64 x 64 adds 880 KiB in quantized_forward and 1071 KiB
+# in quantized_backward, against 477 and 615 KiB in cohorts of 2, and its
+# peak RSS is 0.6-0.7 MiB higher. linear-fullbatch-16c in cohorts of
+# 4 x 188 x 64 would add 728 against 252 KiB in quantized_backward and
+# 0.9 MiB of peak RSS. Any cap in [16384, 24063] gives cohorts of 4 on
+# relu-actq and linear-minibatch (4 x 64 x 32) and leaves 188 x 64 alone.
+LOCKSTEP_ELEMENTS = 16384
 
 
 @dataclass

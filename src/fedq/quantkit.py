@@ -486,17 +486,19 @@ def fit_and_quantize(x: np.ndarray, rates: tuple[int, ...], compander: str, rngs
     """Fit a tanh or quantile codebook to each row of ``x`` and quantize
     the row with it, drawing from ``rngs[r]``.
 
-    Returns (quantized batch, dequantized values, ||values - x||^2 per
-    row). Each row gets exactly the indices, values, error and draws of
-    the explicit sequence build codebook -> stochastic_quantize ->
-    dequantize on that row alone.
+    Returns (quantized batch, dequantized values). Each row gets exactly
+    the indices, values and draws of the explicit sequence build
+    codebook -> stochastic_quantize -> dequantize on that row alone.
     """
-    x = np.asarray(x, dtype=np.float64)
     q = stochastic_quantize(x, fit_codebook(x, rates, compander), rngs)
-    values = dequantize(q)
+    return q, dequantize(q)
+
+
+def error_energy(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """||values - x||^2 of each row of the leading axis."""
     err = values - x
     err *= err
-    return q, values, err.reshape(len(rates), -1).sum(axis=1)
+    return err.reshape(len(err), -1).sum(axis=1)
 
 
 def empirical_mse(cb: Codebook, samples: np.ndarray, rng: np.random.Generator, draws: int) -> float:

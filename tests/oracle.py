@@ -28,8 +28,9 @@ def degenerate_codebook(value, rate):
 def fit_and_quantize_one(x, rate, compander, rng):
     """``qk.fit_and_quantize`` of one tensor, a batch of one: (quantized
     tensor, values, ||values - x||^2)."""
-    q, values, err_sq = qk.fit_and_quantize(np.asarray(x, dtype=np.float64)[None], (rate,), compander, [rng])
-    return qk.unstack(q)[0], values[0], float(err_sq[0])
+    x = np.asarray(x, dtype=np.float64)[None]
+    q, values = qk.fit_and_quantize(x, (rate,), compander, [rng])
+    return qk.unstack(q)[0], values[0], float(qk.error_energy(values, x)[0])
 
 
 def start_client(config, init, rng):

@@ -133,3 +133,15 @@ def test_ragged_codebooks_with_clamped_offset_brackets():
                                    np.concatenate(uniforms), np.concatenate(n_le))
     want = np.concatenate([_masked_clamp_round(x, b, u) + o for b, x, u, o in zip(books, rows, uniforms, offsets)])
     np.testing.assert_array_equal(got, want)
+
+
+def test_leaves_its_brackets_unchanged(rng):
+    # One fit's brackets may serve several quantizations (the server shares
+    # a fit between the clients of a bitwidth), so the kernel must not
+    # write to them.
+    centers = _centers()
+    x = rng.normal(scale=2.0, size=200)
+    n_le = reference_bracket(centers, x)
+    kept = n_le.copy()
+    kernels.stochastic_round(x, centers, rng.random(x.size), n_le)
+    np.testing.assert_array_equal(n_le, kept)

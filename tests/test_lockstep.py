@@ -2,6 +2,8 @@
 codebooks must get exactly the bytes each gets training alone."""
 
 import copy
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from fedq import client as cl
 from fedq import experiment as exp
 from fedq import quantkit as qk
+from fedq.config import config_from_dict
 from fedq.datagen import DataShard
 from fedq.errors import InvalidParams
 from fedq.experiment import step_round
@@ -103,6 +106,29 @@ def test_lockstep_needs_equal_shards_and_settings():
         cl.Cohort.of([a, c])
 
 
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+
+@pytest.mark.parametrize("workload, size", [("linear-minibatch", 4), ("linear-fullbatch-16c", 1), ("relu-actq", 4)])
+def test_benchmark_workloads_train_in_cohorts_of(workload, size, monkeypatch, tmp_path):
+    # LOCKSTEP_ELEMENTS sets these: 4 x 64 x 32 and 4 x 64 x 64 fit under
+    # it, two clients of 188 x 64 do not. One round at full shapes.
+    raw = dict(workloads.make_config(workload, workloads.DEFAULT_SEED), rounds=1, output_dir=str(tmp_path))
+    sizes = []
+    train = cl.run_local_epochs
+
+    def spy(states, *args):
+        sizes.append(len(states))
+        return train(states, *args)
+
+    monkeypatch.setattr(cl, "run_local_epochs", spy)
+    exp.run_experiment(config_from_dict(raw))
+    assert set(sizes) == {size} and sum(sizes) == raw["n_clients"]
+
+
 _BUILD = {"tanh": tanh_codebook, "quantile": quantile_codebook}
 
 
@@ -134,7 +160,8 @@ def test_ragged_fit_matches_each_row_searched(seed, compander, rates, kinds, n):
     x = np.stack([_row(seed + r, kinds[r], n) for r in range(len(rates))])
     rngs = [np.random.default_rng([seed, r]) for r in range(len(rates))]
     twins = copy.deepcopy(rngs)
-    q, values, err_sq = qk.fit_and_quantize(x, tuple(rates), compander, rngs)
+    q, values = qk.fit_and_quantize(x, tuple(rates), compander, rngs)
+    err_sq = qk.error_energy(values, x)
     for r, (rate, row) in enumerate(zip(rates, qk.unstack(q))):
         cb = _BUILD[compander](x[r], rate)
         ref = qk.stochastic_quantize(x[r], cb, twins[r])  # brackets searched, not fitted

@@ -20,6 +20,20 @@ def quantized(w, bits, seed):
     return qk.stochastic_quantize(w, tanh_codebook(w, bits), rng)
 
 
+@pytest.mark.parametrize("shape", [(8, 32), (64, 64)], ids=["searched", "guessed"])
+def test_one_fit_serves_many_clients(shape):
+    # run_round fits each layer once per bitwidth and quantizes every
+    # client of that bitwidth with it: each must get what a fit of its own
+    # gives, so no quantization may consume the shared brackets.
+    w = np.random.default_rng(3).normal(size=shape)
+    (shared,) = sv.fit_layers([w], 5)
+    for seed in (1, 2):
+        (fresh,) = sv.fit_layers([w], 5)
+        got = qk.stochastic_quantize(w[None], shared, [np.random.default_rng(seed)])
+        want = qk.stochastic_quantize(w[None], fresh, [np.random.default_rng(seed)])
+        assert got.indices.tobytes() == want.indices.tobytes()
+
+
 class TestDequantize:
     def test_single_client_matches_quantkit(self):
         rng = np.random.default_rng(1)
