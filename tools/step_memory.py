@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Traced memory of each stage of a client step, per benchmark workload.
 
-    python3 tools/step_memory.py [--workload W[,W...]] [--seed 0] [--tiny]
+    python3 tools/step_memory.py [--workload W[,W...]] [--tiny]
 
-Runs each workload's ``fedq run`` config, as ``perfbench/workloads.py``
-builds it (the file is only read), in this process under
+Runs each workload's ``fedq run`` config at the benchmark's default
+seed, as ``perfbench/workloads.py`` builds it (the file is only read), in this process under
 ``tracemalloc``, with ``client.quantized_forward``, ``ssl_upstream``,
 ``quantized_backward`` and ``local_update`` wrapped. Per stage it prints
 the calls, the highest traced memory of the process while a call ran
 (``peak_kib``) and the most one call held above what was traced when it
-began (``added_kib``: the stage's working set), then the sizes of the
-lockstep cohorts the run trained. Tracing restarts, and the fit-plan
+began (``added_kib``: the stage's working set). Tracing restarts, and the fit-plan
 cache empties, before each workload, so every workload counts as in a
 fresh process. numpy reports its array buffers to ``tracemalloc``;
 memory that bypasses it (BLAS scratch, the interpreter) is not counted,
@@ -35,14 +34,12 @@ def load_workloads():
     return module
 
 
-def measure(raw: dict) -> tuple[dict[str, list[int]], list[int]]:
-    """Run the config ``raw``; per stage [calls, peak, added] in bytes,
-    and the size of every cohort ``run_local_epochs`` trained."""
+def measure(raw: dict) -> dict[str, list[int]]:
+    """Run the config ``raw``; per stage [calls, peak, added] in bytes."""
     from fedq import client, config, experiment, quantkit
 
     stats = {name: [0, 0, 0] for name in STAGES}
-    cohorts = []
-    originals = {name: getattr(client, name) for name in STAGES + ("run_local_epochs",)}
+    originals = {name: getattr(client, name) for name in STAGES}
 
     def wrapped(name):
         fn, s = originals[name], stats[name]
@@ -60,15 +57,10 @@ def measure(raw: dict) -> tuple[dict[str, list[int]], list[int]]:
 
         return call
 
-    def counted(states, *args, **kwargs):
-        cohorts.append(len(states))
-        return originals["run_local_epochs"](states, *args, **kwargs)
-
     with tempfile.TemporaryDirectory() as out:
         cfg = config.config_from_dict(dict(raw, output_dir=out))
         for name in STAGES:
             setattr(client, name, wrapped(name))
-        client.run_local_epochs = counted
         quantkit.fit_plan.cache_clear()
         tracemalloc.start()
         try:
@@ -77,13 +69,12 @@ def measure(raw: dict) -> tuple[dict[str, list[int]], list[int]]:
             tracemalloc.stop()
             for name, fn in originals.items():
                 setattr(client, name, fn)
-    return stats, sorted(set(cohorts), reverse=True)
+    return stats
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", default="all", help="one workload, a comma-separated list, or all")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--tiny", action="store_true")
     args = ap.parse_args()
     sys.path.insert(0, str(ROOT / "src"))
@@ -92,10 +83,9 @@ def main() -> int:
 
     print(f"{'workload':<22} {'stage':<20} {'calls':>6} {'peak_kib':>9} {'added_kib':>9}")
     for w in names:
-        stats, cohorts = measure(workloads.make_config(w, args.seed, tiny=args.tiny))
+        stats = measure(workloads.make_config(w, workloads.DEFAULT_SEED, tiny=args.tiny))
         for name, (calls, peak, added) in stats.items():
             print(f"{w:<22} {name:<20} {calls:>6} {peak / 1024:>9.0f} {added / 1024:>9.0f}")
-        print(f"{w:<22} {'cohorts':<20} {' '.join(map(str, cohorts)):>6}")
     return 0
 
 
