@@ -21,10 +21,12 @@ def stochastic_round(values, centers, uniforms, n_le):
 
     ``n_le`` is each element's bracket: the count of centers <= x kept in
     [1, K - 1], as ``quantkit`` works it out. The kernel trusts it (no
-    search, no clamp) and never writes to it, since one fit's brackets may
-    serve several quantizations. At either end bracket the ratio is <= 0
-    below c_0 and >= 1 at or above c_{K-1} (+-inf included), so such
-    values round to that end; NaN has no bracket and must not reach here.
+    search, no clamp) and never writes to it: a fit ``(Codebooks, n_le)``
+    is a value that ``stochastic_quantize`` may be handed again, and
+    brackets used up in place would then round to wrong indices without
+    any error. At either end bracket the ratio is <= 0 below c_0 and >= 1
+    at or above c_{K-1} (+-inf included), so such values round to that
+    end; NaN has no bracket and must not reach here.
     ``centers`` may concatenate several codebooks, one per row of a batch,
     with each element's bracket offset by its codebook's start; the result
     indexes the concatenation.

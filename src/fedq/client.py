@@ -152,9 +152,8 @@ class Cohort:
 
     def scatter(self, states: list[ClientState]):
         """Hand each client its row of the model."""
-        layers = [qk.unstack(w) if isinstance(w, qk.QuantizedTensor) else w for w in self.model]
-        for r, state in enumerate(states):
-            state.model = [layer[r] for layer in layers]
+        for state, model in zip(states, split_model(self.model)):
+            state.model = model
 
 
 @dataclass
@@ -191,6 +190,12 @@ def quantize_model(
     return model, err_sq
 
 
+def split_model(model: list) -> list[list]:
+    """A batched model as one model per row (client): each quantized layer
+    as the row's own tensor in its compact dtype, each array layer as its row."""
+    return [list(m) for m in zip(*(qk.unstack(w) if isinstance(w, qk.QuantizedTensor) else w for w in model))]
+
+
 def start_clients(configs: list[ClientConfig], init: list[np.ndarray],
                   rngs: list[np.random.Generator]) -> list[ClientState]:
     """Clients before their first round: the shared ``init`` quantized at
@@ -201,8 +206,7 @@ def start_clients(configs: list[ClientConfig], init: list[np.ndarray],
     """
     layers = [np.broadcast_to(w, (len(configs),) + w.shape) for w in init]
     model, _ = quantize_model(layers, tuple(c.bitwidth for c in configs), rngs)
-    rows = zip(*(qk.unstack(q) for q in model))
-    return [ClientState(c, list(m), rng) for c, m, rng in zip(configs, rows, rngs)]
+    return [ClientState(c, m, rng) for c, m, rng in zip(configs, split_model(model), rngs)]
 
 
 def quantized_forward(weights: list[np.ndarray], batch: np.ndarray, cohort: Cohort) -> ForwardState:

@@ -29,12 +29,12 @@ Rounding needs each element's bracket ``n_le``: the number of centers
 <= the value, kept in [1, K - 1]. ``fit_codebook`` guesses it from the
 fit, from the tanh-space grid (``tanh_n_le``) or the element's rank
 (``quantile_n_le``), checks each guess against the centers with the
-row's ends opened to -inf and +inf and searches the misses; short tanh
-rows are searched outright. ``stochastic_quantize`` searches the
-brackets of a foreign ``Codebook`` (a uniform one, or one kept from an
-earlier quantization) the same way. Either way every bracket lies in its
-row, the kernel rounds with it and never searches, and the indices are
-those of a search.
+row's ends opened to -inf and +inf and searches the misses; small tanh
+batches are searched outright, row by row. ``stochastic_quantize``
+searches the brackets of a foreign ``Codebook`` (a uniform one, or one
+kept from an earlier quantization) the same way. Either way every
+bracket lies in its row, the kernel rounds with it and never searches,
+and the indices are those of a search.
 """
 
 import math
@@ -52,12 +52,13 @@ RANGE_EPS = 1e-12
 # Largest codebook rate: 2^24 float64 centers (128 MiB), uint32 indices.
 MAX_RATE = 24
 
-# Fitted tanh rows of TANH_GUESS_MIN elements or more guess their brackets
-# from the grid, shorter ones search them; quantile rows always guess them
-# from the ranks. Per row, guess against search (numpy 2.4, 2-vCPU AVX-512
-# x86-64, one thread): 1024 elements 34-40 against 16-19 us; 2048 elements
-# 47-55 against 35-38 us at rate 5, 49-65 against 110 us at rate 8; 4096
-# elements 56 against 106 us.
+# Fitted tanh batches of TANH_GUESS_MIN elements or more guess their
+# brackets from the grid in one pass, smaller ones search them row by row;
+# quantile rows always guess them from the ranks. Guess against search
+# (numpy 2.4, 2-vCPU AVX-512 x86-64, one thread): a row of 1024 elements
+# 34-40 against 16-19 us; of 2048, 47-55 against 35-38 us at rate 5, 49-65
+# against 110 us at rate 8; of 4096, 56 against 106 us; 16 rows of 1024 at
+# rates 4-8, 178 against 943 us.
 TANH_GUESS_MIN = 2048
 
 
@@ -464,14 +465,14 @@ def fit_codebook(x: np.ndarray, rates: tuple[int, ...], compander: str) -> tuple
     Row r of the leading axis is fitted at ``rates[r]``. Returns the
     codebooks and each element's kernel bracket (the count of centers
     <= the element kept in [1, K - 1], plus the row's offset): guessed
-    from the ranks in quantile rows and from the grid in tanh rows of
-    TANH_GUESS_MIN elements or more, searched in shorter tanh rows. A
+    from the ranks in quantile rows and from the grid in tanh batches of
+    TANH_GUESS_MIN elements or more, searched in smaller tanh batches. A
     degenerate row's brackets lie in its row but are never read.
     """
     rows, plan = as_rows(x, rates)
     if compander == "tanh":
         cbs = build_tanh_codebook(rows, plan)
-        if plan.n >= TANH_GUESS_MIN:
+        if rows.size >= TANH_GUESS_MIN:
             return cbs, tanh_n_le(rows, cbs)
         return cbs, np.array([_searched(cbs.centers[a:b + 1], row, a)
                               for (a, b), row in zip(plan.first_last, rows)])

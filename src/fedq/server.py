@@ -3,9 +3,10 @@
 The server maps each client's low-bitwidth indices back to floats
 through that client's codebooks (an exact lookup, no learned
 transform), forms the data-size-weighted FedAvg mean, and re-quantizes
-the aggregate per client with a tanh codebook at the client's own
-bitwidth. The full-precision aggregate is retained between rounds for
-metrics; only clients are bitwidth-constrained.
+the aggregate for every client with a tanh codebook at the client's own
+bitwidth, in one batch through ``client.quantize_model`` as a cohort's
+weight update does. The full-precision aggregate is retained between
+rounds for metrics; only clients are bitwidth-constrained.
 
 Aggregation weights are the correctly rounded |D_k|/|D|, and summation
 runs in ascending client-id order, so results do not depend on the
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import client as cl
 from . import quantkit as qk
 from .errors import (
     Diverged, EmptyInput, InvalidParams, MissingClient, NonFiniteInput, ShapeMismatch,
@@ -59,30 +61,19 @@ def aggregate(models: list[list[np.ndarray]], sample_counts: list[int]) -> list[
     return agg
 
 
-def fit_layers(global_model: list[np.ndarray], bits: int) -> list[tuple[qk.Codebooks, np.ndarray]]:
-    """Each layer's fresh tanh codebook at ``bits`` and its brackets,
-    shared by every client of that bitwidth."""
-    return [qk.fit_codebook(layer[None], (bits,), "tanh") for layer in global_model]
-
-
 def requantize_for_client(
-    global_model: list[np.ndarray],
-    fitted: list[tuple[qk.Codebooks, np.ndarray]],
-    rng: np.random.Generator,
-) -> tuple[list[qk.QuantizedTensor], float]:
-    """Quantize the aggregate on a client's ``fit_layers`` codebooks.
+    global_model: list[np.ndarray], bits: tuple[int, ...], rngs: list[np.random.Generator]
+) -> tuple[list[list[qk.QuantizedTensor]], np.ndarray]:
+    """Quantize the aggregate for every client, as one batch.
 
-    Returns the quantized model and the re-quantization error energy
-    ||eps_r||^2 summed over layers.
+    Client r gets each layer quantized with a fresh tanh codebook at
+    ``bits[r]``, drawing from ``rngs[r]``. Returns the clients' models
+    and each one's re-quantization error energy ||eps_r||^2 summed over
+    layers.
     """
-    out = []
-    eps_r_sq = 0.0
-    for layer, fit in zip(global_model, fitted):
-        q = qk.unstack(qk.stochastic_quantize(layer[None], fit, [rng]))[0]
-        err = qk.dequantize(q) - layer
-        eps_r_sq += float((err * err).sum())
-        out.append(q)
-    return out, eps_r_sq
+    layers = [np.broadcast_to(w, (len(bits),) + w.shape) for w in global_model]
+    model, eps_r_sq = cl.quantize_model(layers, bits, rngs)
+    return cl.split_model(model), eps_r_sq
 
 
 @dataclass
@@ -113,33 +104,28 @@ class ServerState:
     ) -> dict[int, list[qk.QuantizedTensor]]:
         """Dequantize, aggregate, and re-quantize for every client.
 
-        Full participation is assumed: every registered client must
-        report, otherwise MissingClient is raised. The aggregate is kept
-        in ``global_model`` at full precision. A non-finite aggregate
+        Full participation is assumed: every registered client and no
+        other must report, otherwise MissingClient names the missing and
+        unexpected ids of the models and of the counts. The aggregate is
+        kept in ``global_model`` at full precision. A non-finite aggregate
         raises Diverged naming the (1-based) round and the client.
         """
         expected = sorted(self.client_bitwidths)
-        got = sorted(client_models)
-        if got != expected or sorted(sample_counts) != expected:
-            missing = sorted(set(expected) - set(client_models))
-            raise MissingClient(f"round requires all clients; missing {missing or got}")
-        ordered = [client_models[k] for k in expected]
-        dequantized = dequantize_client_models(ordered)
-        self.global_model = aggregate(dequantized, [sample_counts[k] for k in expected])
-        out = {}
-        errors = {}
-        # The codebooks depend only on the aggregate and the bitwidth.
-        fitted = {}
-        for k in expected:
-            bits = self.client_bitwidths[k]
-            try:
-                if bits not in fitted:
-                    fitted[bits] = fit_layers(self.global_model, bits)
-                model, eps_r_sq = requantize_for_client(self.global_model, fitted[bits], self._round_rng(k))
-            except NonFiniteInput as e:
-                raise Diverged(self.round_counter + 1, k, "server requantize") from e
-            out[k] = model
-            errors[k] = eps_r_sq
-        self.requant_error_log.append(errors)
+        wrong = []
+        for what, ids in (("models", client_models), ("sample counts", sample_counts)):
+            for label, bad in (("missing", set(expected) - set(ids)), ("unexpected", set(ids) - set(expected))):
+                if bad:
+                    wrong.append(f"{label} {what} of clients {sorted(bad)}")
+        if wrong:
+            raise MissingClient(f"round requires all clients and no others; {', '.join(wrong)}")
+        self.global_model = aggregate(dequantize_client_models([client_models[k] for k in expected]),
+                                      [sample_counts[k] for k in expected])
+        try:
+            models, eps_r_sq = requantize_for_client(
+                self.global_model, tuple(self.client_bitwidths[k] for k in expected),
+                [self._round_rng(k) for k in expected])
+        except NonFiniteInput as e:
+            raise Diverged(self.round_counter + 1, expected[e.row], "server requantize") from e
+        self.requant_error_log.append(dict(zip(expected, eps_r_sq.tolist())))
         self.round_counter += 1
-        return out
+        return dict(zip(expected, models))

@@ -136,9 +136,9 @@ def test_ragged_codebooks_with_clamped_offset_brackets():
 
 
 def test_leaves_its_brackets_unchanged(rng):
-    # One fit's brackets may serve several quantizations (the server shares
-    # a fit between the clients of a bitwidth), so the kernel must not
-    # write to them.
+    # A fit's brackets are an input like the others: quantizing with the
+    # same fit again must give right indices, so the kernel must not write
+    # to them.
     centers = _centers()
     x = rng.normal(scale=2.0, size=200)
     n_le = reference_bracket(centers, x)

@@ -12,7 +12,7 @@ from fedq import quantkit as qk
 from fedq import server as sv
 from fedq.errors import Diverged, EmptyInput, MissingClient, NonFiniteInput, ShapeMismatch
 
-from oracle import expected_sq_error, tanh_codebook
+from oracle import expected_sq_error, fit_and_quantize_one, tanh_codebook
 
 
 def quantized(w, bits, seed):
@@ -20,18 +20,10 @@ def quantized(w, bits, seed):
     return qk.stochastic_quantize(w, tanh_codebook(w, bits), rng)
 
 
-@pytest.mark.parametrize("shape", [(8, 32), (64, 64)], ids=["searched", "guessed"])
-def test_one_fit_serves_many_clients(shape):
-    # run_round fits each layer once per bitwidth and quantizes every
-    # client of that bitwidth with it: each must get what a fit of its own
-    # gives, so no quantization may consume the shared brackets.
-    w = np.random.default_rng(3).normal(size=shape)
-    (shared,) = sv.fit_layers([w], 5)
-    for seed in (1, 2):
-        (fresh,) = sv.fit_layers([w], 5)
-        got = qk.stochastic_quantize(w[None], shared, [np.random.default_rng(seed)])
-        want = qk.stochastic_quantize(w[None], fresh, [np.random.default_rng(seed)])
-        assert got.indices.tobytes() == want.indices.tobytes()
+def requantize(layers, bits, rng):
+    """``requantize_for_client`` of one client: (model, ||eps_r||^2)."""
+    (model,), eps_r_sq = sv.requantize_for_client(layers, (bits,), [rng])
+    return model, float(eps_r_sq[0])
 
 
 class TestDequantize:
@@ -52,9 +44,9 @@ class TestDequantize:
     def test_requantize_round_trip_on_centers(self):
         rng = np.random.default_rng(6)
         w = rng.normal(size=(3, 3))
-        model, eps = sv.requantize_for_client([w], sv.fit_layers([w], 6), rng)
+        model, eps = requantize([w], 6, rng)
         w2 = [qk.dequantize(model[0])]
-        again, eps2 = sv.requantize_for_client(w2, sv.fit_layers(w2, 6), np.random.default_rng(7))
+        again, eps2 = requantize(w2, 6, np.random.default_rng(7))
         assert eps2 == 0.0
         np.testing.assert_array_equal(qk.dequantize(again[0]), qk.dequantize(model[0]))
 
@@ -100,22 +92,22 @@ class TestRequantize:
     def test_error_zero_at_codebook_centers(self):
         rng = np.random.default_rng(9)
         w = rng.normal(size=(2, 6))
-        model, _ = sv.requantize_for_client([w], sv.fit_layers([w], 5), rng)
+        model, _ = requantize([w], 5, rng)
         w2 = [qk.dequantize(model[0])]
-        again, eps = sv.requantize_for_client(w2, sv.fit_layers(w2, 5), rng)
+        again, eps = requantize(w2, 5, rng)
         assert eps == 0.0
 
     def test_high_rate_relative_error(self):
         rng = np.random.default_rng(10)
         w = rng.normal(size=(4, 8))
-        _, eps = sv.requantize_for_client([w], sv.fit_layers([w], 16), rng)
+        _, eps = requantize([w], 16, rng)
         assert eps < 1e-4 * np.sum(w * w)
 
     def test_more_bits_less_error(self):
         rng = np.random.default_rng(11)
         w = rng.normal(size=(4, 8))
-        e4 = np.mean([sv.requantize_for_client([w], sv.fit_layers([w], 4), rng)[1] for _ in range(100)])
-        e8 = np.mean([sv.requantize_for_client([w], sv.fit_layers([w], 8), rng)[1] for _ in range(100)])
+        e4 = np.mean([requantize([w], 4, rng)[1] for _ in range(100)])
+        e8 = np.mean([requantize([w], 8, rng)[1] for _ in range(100)])
         assert e8 < e4
 
     def test_unbiased_over_draws(self):
@@ -124,7 +116,7 @@ class TestRequantize:
         n = 10_000
         acc = np.zeros_like(w)
         for _ in range(n):
-            model, _ = sv.requantize_for_client([w], sv.fit_layers([w], 5), rng)
+            model, _ = requantize([w], 5, rng)
             acc += qk.dequantize(model[0])
         acc /= n
         cb = tanh_codebook(w, 5)
@@ -153,6 +145,42 @@ class TestRunRound:
         server = self.make_server([6, 6])
         with pytest.raises(MissingClient):
             server.run_round({1: [q]}, {1: 50})
+
+    @pytest.mark.parametrize("ids, message", [
+        (([1, 2], [1]), "missing sample counts of clients [2]"),
+        (([1, 2, 3], [1, 2, 3]), "unexpected models of clients [3], unexpected sample counts of clients [3]"),
+    ], ids=["missing", "unexpected"])
+    def test_names_the_wrong_ids_of_each_kind(self, ids, message):
+        q = quantized(np.random.default_rng(15).normal(size=(2, 4)), 6, 16)
+        server = self.make_server([6, 6])
+        with pytest.raises(MissingClient) as info:
+            server.run_round({k: [q] for k in ids[0]}, {k: 50 for k in ids[1]})
+        assert str(info.value) == f"round requires all clients and no others; {message}"
+        assert server.round_counter == 0 and server.global_model is None
+
+    def test_each_client_gets_a_fit_of_its_own(self):
+        # The batched re-quantization gives every client, whatever its
+        # bitwidth, exactly what a batch of one gives on its own stream:
+        # same indices, centers and ||eps_r||^2, on a layer whose tanh
+        # brackets are searched and on one where they are guessed.
+        bitwidths = {2: 4, 3: 8, 5: 4, 9: 6}
+        shapes = [(8, 32), (64, 64)]
+        assert 4 * 8 * 32 < qk.TANH_GUESS_MIN <= 4 * 64 * 64  # a batch of 4 rows
+        rng = np.random.default_rng(29)
+        models = {k: [quantized(rng.normal(size=s), b, k) for s in shapes] for k, b in bitwidths.items()}
+        server = sv.ServerState(bitwidths, seed=5)
+        streams = {k: server._round_rng(k) for k in bitwidths}
+        out = server.run_round(models, {2: 7, 3: 9, 5: 11, 9: 13})
+        assert list(out) == sorted(bitwidths)
+        for k, b in bitwidths.items():
+            eps_r_sq = 0.0
+            for layer, got in zip(server.global_model, out[k]):
+                want, _, err = fit_and_quantize_one(layer, b, "tanh", streams[k])
+                assert got.indices.dtype == want.indices.dtype
+                assert got.indices.tobytes() == want.indices.tobytes()
+                assert got.codebook.centers.tobytes() == want.codebook.centers.tobytes()
+                eps_r_sq += err
+            assert server.requant_error_log[-1][k] == eps_r_sq
 
     def test_report_order_invariance(self):
         rng = np.random.default_rng(17)
@@ -200,11 +228,12 @@ class TestRunRound:
         assert log[1] >= 0.0 and log[2] >= 0.0
 
     def test_non_finite_aggregate_names_round_and_client(self):
+        # Ids 3 and 7 at two bitwidths: the client is id 3, not row 0 + 1.
         cb = qk.Codebook(1, np.array([0.0, np.inf]))
         q = qk.QuantizedTensor((2,), np.array([0, 1], dtype=np.uint8), cb)
-        server = sv.ServerState({1: 4, 2: 4}, seed=3)
-        with pytest.raises(Diverged, match="round 1, client 1") as info:
-            server.run_round({1: [q], 2: [q]}, {1: 5, 2: 5})
+        server = sv.ServerState({3: 4, 7: 8}, seed=3)
+        with pytest.raises(Diverged, match="round 1, client 3") as info:
+            server.run_round({7: [q], 3: [q]}, {3: 5, 7: 5})
         assert (info.value.round, info.value.client, info.value.phase) == (
-            1, 1, "server requantize")
+            1, 3, "server requantize")
         assert isinstance(info.value.__cause__, NonFiniteInput)

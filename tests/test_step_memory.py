@@ -1,12 +1,13 @@
 """tools/step_memory.py runs every benchmark workload at smoke-test size
-and reports each traced stage of a client step."""
+and reports each traced stage of a client step and the server's
+re-quantization."""
 
 import subprocess
 import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "step_memory.py"
-STAGES = ("quantized_forward", "ssl_upstream", "quantized_backward", "local_update")
+STAGES = ("quantized_forward", "ssl_upstream", "quantized_backward", "local_update", "requantize_for_client")
 
 
 def test_reports_every_stage_of_every_workload():

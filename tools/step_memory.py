@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Traced memory of each stage of a client step, per benchmark workload.
+"""Traced memory of each stage of a client step, and of the server's
+re-quantization, per benchmark workload.
 
     python3 tools/step_memory.py [--workload W[,W...]] [--tiny]
 
 Runs each workload's ``fedq run`` config at the benchmark's default
 seed, as ``perfbench/workloads.py`` builds it (the file is only read), in this process under
 ``tracemalloc``, with ``client.quantized_forward``, ``ssl_upstream``,
-``quantized_backward`` and ``local_update`` wrapped. Per stage it prints
+``quantized_backward``, ``local_update`` and
+``server.requantize_for_client`` wrapped. Per stage it prints
 the calls, the highest traced memory of the process while a call ran
 (``peak_kib``) and the most one call held above what was traced when it
 began (``added_kib``: the stage's working set). Tracing restarts, and the fit-plan
@@ -24,7 +26,8 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-STAGES = ("quantized_forward", "ssl_upstream", "quantized_backward", "local_update")
+STAGES = (("client", "quantized_forward"), ("client", "ssl_upstream"), ("client", "quantized_backward"),
+          ("client", "local_update"), ("server", "requantize_for_client"))
 
 
 def load_workloads():
@@ -36,10 +39,11 @@ def load_workloads():
 
 def measure(raw: dict) -> dict[str, list[int]]:
     """Run the config ``raw``; per stage [calls, peak, added] in bytes."""
-    from fedq import client, config, experiment, quantkit
+    from fedq import client, config, experiment, quantkit, server
 
-    stats = {name: [0, 0, 0] for name in STAGES}
-    originals = {name: getattr(client, name) for name in STAGES}
+    modules = {"client": client, "server": server}
+    stats = {name: [0, 0, 0] for _, name in STAGES}
+    originals = {name: getattr(modules[m], name) for m, name in STAGES}
 
     def wrapped(name):
         fn, s = originals[name], stats[name]
@@ -59,16 +63,16 @@ def measure(raw: dict) -> dict[str, list[int]]:
 
     with tempfile.TemporaryDirectory() as out:
         cfg = config.config_from_dict(dict(raw, output_dir=out))
-        for name in STAGES:
-            setattr(client, name, wrapped(name))
+        for m, name in STAGES:
+            setattr(modules[m], name, wrapped(name))
         quantkit.fit_plan.cache_clear()
         tracemalloc.start()
         try:
             experiment.run_experiment(cfg)
         finally:
             tracemalloc.stop()
-            for name, fn in originals.items():
-                setattr(client, name, fn)
+            for m, name in STAGES:
+                setattr(modules[m], name, originals[name])
     return stats
 
 
@@ -81,11 +85,11 @@ def main() -> int:
     workloads = load_workloads()
     names = sorted(workloads.WORKLOADS) if args.workload == "all" else args.workload.split(",")
 
-    print(f"{'workload':<22} {'stage':<20} {'calls':>6} {'peak_kib':>9} {'added_kib':>9}")
+    print(f"{'workload':<22} {'stage':<22} {'calls':>6} {'peak_kib':>9} {'added_kib':>9}")
     for w in names:
         stats = measure(workloads.make_config(w, workloads.DEFAULT_SEED, tiny=args.tiny))
         for name, (calls, peak, added) in stats.items():
-            print(f"{w:<22} {name:<20} {calls:>6} {peak / 1024:>9.0f} {added / 1024:>9.0f}")
+            print(f"{w:<22} {name:<22} {calls:>6} {peak / 1024:>9.0f} {added / 1024:>9.0f}")
     return 0
 
 
