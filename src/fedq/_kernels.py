@@ -30,12 +30,19 @@ def stochastic_round(values, centers, uniforms, n_le):
     ``centers`` may concatenate several codebooks, one per row of a batch,
     with each element's bracket offset by its codebook's start; the result
     indexes the concatenation.
+
+    At most two n-sized temporaries live at once: both bracket ends come
+    from ``n_le`` itself and are freed before the indices are formed.
     """
+    shifted = np.empty(centers.size + 1)  # slot 0 is never read: n_le >= 1
+    shifted[1:] = centers
+    lo = shifted.take(n_le)
+    p = centers.take(n_le)
+    p -= lo  # the bracket's width
+    np.divide(np.subtract(values, lo, out=lo), p, out=p)  # x's chance of rounding up
+    del lo
+    up = uniforms < p
+    del p
     out = n_le - 1
-    lo = centers.take(out)
-    hi = centers[1:].take(out)
-    hi -= lo
-    p = np.subtract(values, lo, out=lo)
-    p /= hi
-    out += uniforms < p
+    out += up
     return out

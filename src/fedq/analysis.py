@@ -99,10 +99,12 @@ def prox_solve(w: np.ndarray, xbar: np.ndarray, tp: TheoryParams) -> ProxResult:
     obj = inner(y, r, diff)
     rejections = 0
     for _ in range(2000):
-        sslcore.grad(y, xbar, r, out=g)
-        g += np.multiply(diff, tp.rho_bar, out=scaled)
-        gf = g.ravel()  # ||g|| exactly as np.linalg.norm forms it
-        if step * math.sqrt(gf.dot(gf)) < 1e-10:
+        if not rejections:  # a rejected step leaves y, r and diff, so g and ||g|| stand
+            sslcore.grad(y, xbar, r, out=g)
+            g += np.multiply(diff, tp.rho_bar, out=scaled)
+            gf = g.ravel()  # ||g|| exactly as np.linalg.norm forms it
+            g_norm = math.sqrt(gf.dot(gf))
+        if step * g_norm < 1e-10:
             break
         np.subtract(y, np.multiply(g, step, out=scaled), out=y_new)
         obj_new = inner(y_new, r_new, diff_new)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import quantkit as qk
 from .datagen import DataShard
-from .errors import DimensionMismatch, InvalidParams, StateMismatch
+from .errors import DimensionMismatch, InvalidParams, NonFiniteInput, StateMismatch
 
 ACTIVATIONS = ("identity", "relu")
 
@@ -196,17 +196,40 @@ def split_model(model: list) -> list[list]:
     return [list(m) for m in zip(*(qk.unstack(w) if isinstance(w, qk.QuantizedTensor) else w for w in model))]
 
 
+def quantize_for_clients(layers: list[np.ndarray], bits: tuple[int, ...],
+                         rngs: list[np.random.Generator]) -> tuple[list[list], np.ndarray]:
+    """``layers`` quantized for each client r at ``bits[r]``, drawing from
+    ``rngs[r]``: each client's model and its ||eps||^2 summed over layers.
+
+    Rows are independent, so chunks of clients give the bytes of one
+    batch of all and bound the working set. The one rule: a chunk holds
+    about 2 * TANH_GUESS_MIN elements of the smallest layer, in whole
+    clients split evenly, so a layer whose whole batch guesses its tanh
+    brackets guesses them in every chunk. NonFiniteInput counts its row
+    over all clients.
+    """
+    n = len(bits)
+    chunks = -(-n // (2 * -(-qk.TANH_GUESS_MIN // min(w.size for w in layers))))
+    cuts = [n * c // chunks for c in range(chunks + 1)]
+    models, err_sq = [], np.empty(n)
+    for a, b in zip(cuts, cuts[1:]):
+        try:
+            model, err_sq[a:b] = quantize_model([np.broadcast_to(w, (b - a,) + w.shape) for w in layers],
+                                                bits[a:b], rngs[a:b])
+        except NonFiniteInput as e:
+            e.row += a
+            raise
+        models += split_model(model)
+    return models, err_sq
+
+
 def start_clients(configs: list[ClientConfig], init: list[np.ndarray],
                   rngs: list[np.random.Generator]) -> list[ClientState]:
     """Clients before their first round: the shared ``init`` quantized at
-    each one's bitwidth, as one batch.
-
-    The codebooks draw from each client's ``rng``, which then stays its
-    own stream for training.
-    """
-    layers = [np.broadcast_to(w, (len(configs),) + w.shape) for w in init]
-    model, _ = quantize_model(layers, tuple(c.bitwidth for c in configs), rngs)
-    return [ClientState(c, m, rng) for c, m, rng in zip(configs, split_model(model), rngs)]
+    each one's bitwidth from its ``rng``, which then stays its own stream
+    for training."""
+    models, _ = quantize_for_clients(init, tuple(c.bitwidth for c in configs), rngs)
+    return [ClientState(c, m, rng) for c, m, rng in zip(configs, models, rngs)]
 
 
 def quantized_forward(weights: list[np.ndarray], batch: np.ndarray, cohort: Cohort) -> ForwardState:

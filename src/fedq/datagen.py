@@ -111,50 +111,36 @@ def client_rng(seed: int, client_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(client_id,)))
 
 
-def _frequent_block(params: DataGenParams, k: int, sign: float, count: int,
-                    rng: np.random.Generator, noise_scale: float) -> np.ndarray:
-    """Samples of class 2k-1 (sign +1) or 2k (sign -1)."""
-    n, d = params.n, params.d
-    x = np.zeros((count, d))
-    x[:, k - 1] = sign
-    if n > 1:
-        q = rng.integers(0, 2, size=(count, n)).astype(np.float64)
-        q[:, k - 1] = 0.0
-        x[:, :n] -= params.tau * q
-    x += noise_scale * rng.standard_normal((count, d))
-    return x
-
-
 def generate_shard(params: DataGenParams, k: int, noise: bool = True) -> DataShard:
     """Build client k's dataset (k is 1-based).
 
     frequent_count samples each of classes 2k-1 and 2k, plus
     infrequent_count samples of class 2i-1 for every other client i
-    (none of class 2i), drawn from ``client_rng(params.seed, k)``.
-    ``noise=False`` disables the mu-scaled Gaussian term, exposing the
-    bare class construction for tests.
+    (none of class 2i), drawn from ``client_rng(params.seed, k)`` class
+    by class into one preallocated sample matrix. ``noise=False``
+    disables the mu-scaled Gaussian term, exposing the bare class
+    construction for tests.
     """
     if not 1 <= k <= params.n:
         raise InvalidParams(f"client index {k} outside [1, {params.n}]")
     rng = client_rng(params.seed, k)
     mu = params.mu if noise else 0.0
-    blocks = [
-        _frequent_block(params, k, +1.0, params.frequent_count, rng, mu),
-        _frequent_block(params, k, -1.0, params.frequent_count, rng, mu),
-    ]
-    labels = [
-        np.full(params.frequent_count, 2 * k - 1, dtype=np.uint32),
-        np.full(params.frequent_count, 2 * k, dtype=np.uint32),
-    ]
-    for i in range(1, params.n + 1):
-        if i == k:
-            continue
-        x = np.zeros((params.infrequent_count, params.d))
-        x[:, i - 1] = 1.0
-        x += mu * rng.standard_normal((params.infrequent_count, params.d))
-        blocks.append(x)
-        labels.append(np.full(params.infrequent_count, 2 * i - 1, dtype=np.uint32))
-    return DataShard(k, np.vstack(blocks), np.concatenate(labels))
+    classes = [2 * k - 1, 2 * k] + [2 * i - 1 for i in range(1, params.n + 1) if i != k]
+    counts = [params.frequent_count] * 2 + [params.infrequent_count] * (params.n - 1)
+    samples = np.zeros((sum(counts), params.d))
+    for x, c in zip(np.split(samples, np.cumsum(counts)[:-1]), classes):
+        i = (c + 1) // 2  # class 2i-1 sits at +e_i, class 2i at -e_i
+        x[:, i - 1] = 1.0 if c % 2 else -1.0
+        if i == k and params.n > 1:  # tau-scaled interference on the other support coordinates
+            q = rng.integers(0, 2, size=(len(x), params.n)).astype(np.float64)
+            q[:, k - 1] = 0.0
+            q *= params.tau
+            x[:, :params.n] -= q
+        z = rng.standard_normal(x.shape)
+        z *= mu  # the rounding of x += mu * z
+        x += z
+        del z  # before the next class draws its own
+    return DataShard(k, samples, np.repeat(np.array(classes, dtype=np.uint32), counts))
 
 
 def generate_all_shards(params: DataGenParams) -> list[DataShard]:

@@ -37,10 +37,10 @@ AUTO_LR_COEFF = 0.05
 # client. Every temporary of a step grows with the group, while the
 # per-call overhead that batching saves shrinks as tensors grow. At seed 0
 # (tools/step_memory.py, the most one call adds to traced memory) relu-actq
-# in cohorts of 4 x 64 x 64 adds 880 KiB in quantized_forward and 1071 KiB
-# in quantized_backward, against 477 and 615 KiB in cohorts of 2, and its
+# in cohorts of 4 x 64 x 64 adds 671 KiB in quantized_forward and 1005 KiB
+# in quantized_backward, against 349 and 586 KiB in cohorts of 2, and its
 # peak RSS is 0.6-0.7 MiB higher. linear-fullbatch-16c in cohorts of
-# 4 x 188 x 64 would add 728 against 252 KiB in quantized_backward and
+# 4 x 188 x 64 would add 689 against 251 KiB in quantized_backward and
 # 0.9 MiB of peak RSS. Any cap in [16384, 24063] gives cohorts of 4 on
 # relu-actq and linear-minibatch (4 x 64 x 32) and leaves 188 x 64 alone.
 LOCKSTEP_ELEMENTS = 16384

@@ -439,6 +439,7 @@ def tanh_n_le(rows: np.ndarray, cbs: Codebooks) -> np.ndarray:
     # rounding (or a value outside the codebook) pushed out of range a
     # valid bracket, for the check to correct.
     n_le = est.astype(np.intp)
+    del est  # not held through the check
     n_le += plan.lowest
     np.maximum(n_le, plan.lowest, out=n_le)
     np.minimum(n_le, plan.row_last, out=n_le)

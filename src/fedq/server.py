@@ -4,9 +4,11 @@ The server maps each client's low-bitwidth indices back to floats
 through that client's codebooks (an exact lookup, no learned
 transform), forms the data-size-weighted FedAvg mean, and re-quantizes
 the aggregate for every client with a tanh codebook at the client's own
-bitwidth, in one batch through ``client.quantize_model`` as a cohort's
-weight update does. The full-precision aggregate is retained between
-rounds for metrics; only clients are bitwidth-constrained.
+bitwidth, through ``client.quantize_model`` as a cohort's weight update
+does, in the chunks of clients that ``client.quantize_for_clients``
+sizes to bound the working set. The full-precision aggregate is
+retained between rounds for metrics; only clients are
+bitwidth-constrained.
 
 Aggregation weights are the correctly rounded |D_k|/|D|, and summation
 runs in ascending client-id order, so results do not depend on the
@@ -64,16 +66,10 @@ def aggregate(models: list[list[np.ndarray]], sample_counts: list[int]) -> list[
 def requantize_for_client(
     global_model: list[np.ndarray], bits: tuple[int, ...], rngs: list[np.random.Generator]
 ) -> tuple[list[list[qk.QuantizedTensor]], np.ndarray]:
-    """Quantize the aggregate for every client, as one batch.
-
-    Client r gets each layer quantized with a fresh tanh codebook at
-    ``bits[r]``, drawing from ``rngs[r]``. Returns the clients' models
-    and each one's re-quantization error energy ||eps_r||^2 summed over
-    layers.
-    """
-    layers = [np.broadcast_to(w, (len(bits),) + w.shape) for w in global_model]
-    model, eps_r_sq = cl.quantize_model(layers, bits, rngs)
-    return cl.split_model(model), eps_r_sq
+    """The aggregate quantized for every client (``client.quantize_for_clients``):
+    client r's layers get fresh tanh codebooks at ``bits[r]``, drawn from
+    ``rngs[r]``. Returns the clients' models and each one's ||eps_r||^2."""
+    return cl.quantize_for_clients(global_model, bits, rngs)
 
 
 @dataclass

@@ -70,8 +70,9 @@ def reference_prox_solve(w, xbar, tp, counts):
 
     Kept as the bit-for-bit reference for ``prox_solve``, with the loss
     and gradient written out as they were then. It counts into
-    ``counts`` how many steps it rejected (and halved) and how many
-    gradients it evaluated, also when it raises.
+    ``counts`` how many steps it rejected (and halved) and at how many
+    distinct iterates it evaluated the gradient, also when it raises: a
+    rejected step keeps y, so the gradient after it is not a new one.
     """
     w = np.asarray(w, dtype=np.float64)
     lam1 = ssl.spectral_norm(xbar)
@@ -88,7 +89,7 @@ def reference_prox_solve(w, xbar, tp, counts):
     rejections = 0
     for _ in range(2000):
         g = 4.0 * y @ (y.T @ y - xbar) + tp.rho_bar * (y - w)
-        counts["grad_evals"] += 1
+        counts["grad_evals"] += not rejections
         if step * float(np.linalg.norm(g)) < 1e-10:
             break
         y_new = y - step * g
@@ -109,8 +110,8 @@ def reference_prox_solve(w, xbar, tp, counts):
 
 def assert_matches_reference(w, x, tp):
     """``prox_solve`` gives the reference's bits and calls ``sslcore.grad``
-    once per gradient the reference evaluates (the benchmark counts those
-    calls as the solver's iterates). Returns the reference's halvings, or
+    once per iterate the reference evaluates a gradient at (the benchmark
+    counts those calls). Returns the reference's halvings, or
     None when both raise."""
     counts = {}
     with mock.patch.object(ssl, "grad", wraps=ssl.grad) as grad:

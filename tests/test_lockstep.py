@@ -15,11 +15,11 @@ from fedq import experiment as exp
 from fedq import quantkit as qk
 from fedq.config import config_from_dict
 from fedq.datagen import DataShard
-from fedq.errors import InvalidParams
+from fedq.errors import InvalidParams, NonFiniteInput
 from fedq.experiment import step_round
 from fedq.server import ServerState
 
-from oracle import quantile_codebook, reference_bracket, start_client, tanh_codebook
+from oracle import fit_and_quantize_one, quantile_codebook, reference_bracket, start_client, tanh_codebook
 
 D = 6
 
@@ -127,6 +127,71 @@ def test_benchmark_workloads_train_in_cohorts_of(workload, size, monkeypatch, tm
     monkeypatch.setattr(cl, "run_local_epochs", spy)
     exp.run_experiment(config_from_dict(raw))
     assert set(sizes) == {size} and sum(sizes) == raw["n_clients"]
+
+
+@pytest.mark.parametrize("clients, shapes, chunks", [
+    (1, [(16, 64)], [1]),
+    (4, [(16, 64)], [4]),
+    (5, [(16, 64)], [2, 3]),
+    (9, [(32, 32)], [3, 3, 3]),
+    (16, [(16, 64)], [4, 4, 4, 4]),
+    (17, [(16, 64), (32, 64)], [3, 3, 4, 3, 4]),
+    (6, [(64, 64), (4, 64)], [6]),
+    (40, [(8, 32)], [13, 13, 14]),
+    (3, [(8, 32)], [3]),
+], ids=["one", "one-chunk", "ragged", "even", "benchmark-16c", "ragged-two-layers", "small-layer", "small-rows",
+        "searched"])
+def test_chunked_quantization_equals_each_client_alone(clients, shapes, chunks, monkeypatch):
+    # Chunks of clients: each client gets the bytes of a batch of one on its
+    # own stream, whichever chunk it lands in, and a layer whose whole batch
+    # guesses its tanh brackets (TANH_GUESS_MIN) guesses them in every chunk.
+    rng = np.random.default_rng(clients)
+    layers = [rng.normal(size=s) for s in shapes]
+    bits = tuple(int(b) for b in rng.choice([2, 3, 5, 8], size=clients))
+    rngs = [np.random.default_rng([clients, r]) for r in range(clients)]
+    twins = copy.deepcopy(rngs)
+    sizes = []
+    quantize = cl.quantize_model
+
+    def spy(batch, *args):
+        sizes.append(len(batch[0]))
+        return quantize(batch, *args)
+
+    monkeypatch.setattr(cl, "quantize_model", spy)
+    models, err_sq = cl.quantize_for_clients(layers, bits, rngs)
+    assert sizes == chunks
+    for w in layers:
+        if clients * w.size >= qk.TANH_GUESS_MIN:
+            assert min(sizes) * w.size >= qk.TANH_GUESS_MIN
+    for r, (model, b) in enumerate(zip(models, bits)):
+        eps = 0.0
+        for got, w in zip(model, layers):
+            want, _, err = fit_and_quantize_one(w, b, "tanh", twins[r])
+            assert got.indices.dtype == want.indices.dtype
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.codebook.centers.tobytes() == want.codebook.centers.tobytes()
+            eps += err
+        assert err_sq[r] == eps
+        assert rngs[r].random() == twins[r].random()
+
+
+def test_chunked_quantization_counts_a_failing_row_over_all_clients(monkeypatch):
+    # Nine clients of a 1024-element layer quantize in chunks of 3; a
+    # failure at row 1 of the second chunk is client 4.
+    quantize = cl.quantize_model
+
+    def fails_in_chunk_two(batch, bits, rngs):
+        if fails_in_chunk_two.calls == 1:
+            raise NonFiniteInput("non-finite", row=1)
+        fails_in_chunk_two.calls += 1
+        return quantize(batch, bits, rngs)
+
+    fails_in_chunk_two.calls = 0
+    monkeypatch.setattr(cl, "quantize_model", fails_in_chunk_two)
+    rngs = [np.random.default_rng(r) for r in range(9)]
+    with pytest.raises(NonFiniteInput) as info:
+        cl.quantize_for_clients([np.ones((32, 32))], (4,) * 9, rngs)
+    assert info.value.row == 4
 
 
 _BUILD = {"tanh": tanh_codebook, "quantile": quantile_codebook}

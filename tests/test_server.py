@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedq import client as cl
 from fedq import quantkit as qk
 from fedq import server as sv
 from fedq.errors import Diverged, EmptyInput, MissingClient, NonFiniteInput, ShapeMismatch
@@ -158,19 +159,15 @@ class TestRunRound:
         assert str(info.value) == f"round requires all clients and no others; {message}"
         assert server.round_counter == 0 and server.global_model is None
 
-    def test_each_client_gets_a_fit_of_its_own(self):
-        # The batched re-quantization gives every client, whatever its
-        # bitwidth, exactly what a batch of one gives on its own stream:
-        # same indices, centers and ||eps_r||^2, on a layer whose tanh
-        # brackets are searched and on one where they are guessed.
-        bitwidths = {2: 4, 3: 8, 5: 4, 9: 6}
-        shapes = [(8, 32), (64, 64)]
-        assert 4 * 8 * 32 < qk.TANH_GUESS_MIN <= 4 * 64 * 64  # a batch of 4 rows
-        rng = np.random.default_rng(29)
+    def assert_each_client_fit_alone(self, bitwidths, shapes, seed):
+        # The re-quantization gives every client, whatever its bitwidth,
+        # exactly what a batch of one gives on its own stream: same
+        # indices, centers and ||eps_r||^2.
+        rng = np.random.default_rng(seed)
         models = {k: [quantized(rng.normal(size=s), b, k) for s in shapes] for k, b in bitwidths.items()}
         server = sv.ServerState(bitwidths, seed=5)
         streams = {k: server._round_rng(k) for k in bitwidths}
-        out = server.run_round(models, {2: 7, 3: 9, 5: 11, 9: 13})
+        out = server.run_round(models, {k: 7 + 2 * i for i, k in enumerate(bitwidths)})
         assert list(out) == sorted(bitwidths)
         for k, b in bitwidths.items():
             eps_r_sq = 0.0
@@ -181,6 +178,26 @@ class TestRunRound:
                 assert got.codebook.centers.tobytes() == want.codebook.centers.tobytes()
                 eps_r_sq += err
             assert server.requant_error_log[-1][k] == eps_r_sq
+
+    def test_each_client_gets_a_fit_of_its_own(self):
+        # One chunk, on a layer whose tanh brackets are searched and on one
+        # where they are guessed.
+        assert 4 * 8 * 32 < qk.TANH_GUESS_MIN <= 4 * 64 * 64  # a batch of 4 rows
+        self.assert_each_client_fit_alone({2: 4, 3: 8, 5: 4, 9: 6}, [(8, 32), (64, 64)], 29)
+
+    def test_clients_beyond_one_chunk_each_get_a_fit_of_their_own(self, monkeypatch):
+        # Eleven clients of 1024-element layers: chunks of 3, 4 and 4 rows.
+        chunks = []
+        quantize = cl.quantize_model
+
+        def spy(batch, *args):
+            chunks.append(len(batch[0]))
+            return quantize(batch, *args)
+
+        monkeypatch.setattr(cl, "quantize_model", spy)
+        bitwidths = {k: b for k, b in zip((1, 2, 4, 6, 7, 10, 11, 13, 20, 21, 30), (4, 5, 6, 8, 3) * 3)}
+        self.assert_each_client_fit_alone(bitwidths, [(16, 64), (32, 32)], 31)
+        assert chunks == [3, 4, 4]
 
     def test_report_order_invariance(self):
         rng = np.random.default_rng(17)
@@ -237,3 +254,13 @@ class TestRunRound:
         assert (info.value.round, info.value.client, info.value.phase) == (
             1, 3, "server requantize")
         assert isinstance(info.value.__cause__, NonFiniteInput)
+
+    def test_non_finite_aggregate_past_one_chunk_names_the_lowest_client(self):
+        # Nine clients of a 1024-element layer re-quantize in chunks of 3.
+        cb = qk.Codebook(1, np.array([0.0, np.inf]))
+        q = qk.QuantizedTensor((32, 32), np.tile(np.array([0, 1], dtype=np.uint8), 512), cb)
+        ids = (4, 6, 9, 12, 15, 17, 23, 25, 31)
+        server = sv.ServerState(dict(zip(ids, (8, 5, 4) * 3)), seed=3)
+        with pytest.raises(Diverged, match="round 1, client 4") as info:
+            server.run_round({k: [q] for k in reversed(ids)}, dict.fromkeys(ids, 5))
+        assert (info.value.client, info.value.phase) == (4, "server requantize")

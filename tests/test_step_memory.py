@@ -1,20 +1,54 @@
 """tools/step_memory.py runs every benchmark workload at smoke-test size
-and reports each traced stage of a client step and the server's
-re-quantization."""
+and reports each traced set-up stage, each stage of a client step, the
+server's re-quantization and its whole round; each stage's working set
+stays within its committed budget."""
 
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "step_memory.py"
-STAGES = ("quantized_forward", "ssl_upstream", "quantized_backward", "local_update", "requantize_for_client")
+WORKLOADS = ("linear-fullbatch-16c", "linear-minibatch", "relu-actq")
+STAGES = ("generate_all_shards", "start_clients", "quantized_forward", "ssl_upstream", "quantized_backward",
+          "local_update", "requantize_for_client", "run_round")
+
+# The most one call of each stage adds to traced memory at --tiny, in KiB
+# (numpy 2.4, CPython 3.11), per workload in the order of STAGES. Tiny
+# sizes cut rounds, which leaves every step and server stage's column equal
+# to the full-size one; on linear-minibatch and relu-actq they also cut the
+# shards to a tenth, so generate_all_shards reads 474 there against 4623 at
+# full size. A change that raises a budget says so, and why, in CHANGES.md;
+# one that lowers a stage's working set lowers its budget with it.
+BUDGET_KIB = {
+    "linear-fullbatch-16c": (1571, 249, 24, 71, 251, 47, 232, 254),
+    "linear-minibatch": (474, 38, 9, 34, 232, 28, 29, 34),
+    "relu-actq": (474, 346, 674, 34, 1005, 344, 336, 358),
+}
 
 
-def test_reports_every_stage_of_every_workload():
+def allowed_kib(budget: int) -> float:
+    """A budget and its tolerance: 5%, at least 4 KiB."""
+    return budget + max(4.0, 0.05 * budget)
+
+
+@pytest.fixture(scope="module")
+def rows():
     proc = subprocess.run([sys.executable, str(TOOL), "--tiny"], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
-    workloads = ("linear-fullbatch-16c", "linear-minibatch", "relu-actq")
-    assert [r[:2] for r in rows] == [[w, name] for w in workloads for name in STAGES]
+    return [line.split() for line in proc.stdout.splitlines()[1:]]
+
+
+def test_reports_every_stage_of_every_workload(rows):
+    assert [r[:2] for r in rows] == [[w, name] for w in WORKLOADS for name in STAGES]
     for _, _, calls, peak, added in rows:
         assert int(calls) > 0 and int(peak) >= int(added) > 0
+
+
+def test_every_stage_stays_within_its_budget(rows):
+    added = {(w, stage): int(kib) for w, stage, _, _, kib in rows}
+    over = [f"{w} {stage}: {added[w, stage]} KiB against a budget of {budget} KiB"
+            for w in WORKLOADS for stage, budget in zip(STAGES, BUDGET_KIB[w])
+            if added[w, stage] > allowed_kib(budget)]
+    assert not over, "; ".join(over)

@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Traced memory of each stage of a client step, and of the server's
-re-quantization, per benchmark workload.
+"""Traced memory of each set-up stage, each stage of a client step, and
+the server's re-quantization and round, per benchmark workload.
 
     python3 tools/step_memory.py [--workload W[,W...]] [--tiny]
 
 Runs each workload's ``fedq run`` config at the benchmark's default
 seed, as ``perfbench/workloads.py`` builds it (the file is only read), in this process under
-``tracemalloc``, with ``client.quantized_forward``, ``ssl_upstream``,
-``quantized_backward``, ``local_update`` and
-``server.requantize_for_client`` wrapped. Per stage it prints
+``tracemalloc``, with the set-up stages ``generate_all_shards`` (as
+``experiment`` calls it) and ``client.start_clients``, the step stages
+``client.quantized_forward``, ``ssl_upstream``, ``quantized_backward``
+and ``local_update``, and the server's ``requantize_for_client`` and
+whole ``ServerState.run_round`` (which holds the client models it
+de-quantizes) wrapped. Per stage it prints
 the calls, the highest traced memory of the process while a call ran
 (``peak_kib``) and the most one call held above what was traced when it
 began (``added_kib``: the stage's working set). Tracing restarts, and the fit-plan
@@ -26,8 +29,9 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-STAGES = (("client", "quantized_forward"), ("client", "ssl_upstream"), ("client", "quantized_backward"),
-          ("client", "local_update"), ("server", "requantize_for_client"))
+STAGES = (("experiment", "generate_all_shards"), ("client", "start_clients"), ("client", "quantized_forward"),
+          ("client", "ssl_upstream"), ("client", "quantized_backward"), ("client", "local_update"),
+          ("server", "requantize_for_client"), ("ServerState", "run_round"))
 
 
 def load_workloads():
@@ -41,23 +45,28 @@ def measure(raw: dict) -> dict[str, list[int]]:
     """Run the config ``raw``; per stage [calls, peak, added] in bytes."""
     from fedq import client, config, experiment, quantkit, server
 
-    modules = {"client": client, "server": server}
+    modules = {"experiment": experiment, "client": client, "server": server, "ServerState": server.ServerState}
     stats = {name: [0, 0, 0] for _, name in STAGES}
     originals = {name: getattr(modules[m], name) for m, name in STAGES}
+    running = []  # [traced at entry, highest peak so far] of each stage call under way, outermost first
 
     def wrapped(name):
         fn, s = originals[name], stats[name]
 
         def call(*args, **kwargs):
-            before = tracemalloc.get_traced_memory()[0]
+            traced, peak = tracemalloc.get_traced_memory()
+            for outer in running:  # the reset below would lose their peak so far
+                outer[1] = max(outer[1], peak)
             tracemalloc.reset_peak()
+            running.append(mine := [traced, 0])
             try:
                 return fn(*args, **kwargs)
             finally:
-                peak = tracemalloc.get_traced_memory()[1]
+                running.pop()
+                peak = max(mine[1], tracemalloc.get_traced_memory()[1])
                 s[0] += 1
                 s[1] = max(s[1], peak)
-                s[2] = max(s[2], peak - before)
+                s[2] = max(s[2], peak - traced)
 
         return call
 
