@@ -17,24 +17,23 @@ Codebooks are immutable and shareable; quantization is pure given the
 caller's RNG stream, consuming one uniform per element in row-major
 order.
 
-The fitted builders work on a batch: a tuple of rates, one per row of
-the leading axis, and a single tensor is a batch of one. Clients
-training in lockstep each own a row at their own rate, so the batch's
-``Codebooks`` are ragged, concatenated at the offsets of a ``FitPlan``;
-each row draws from its own Generator exactly what it would draw alone,
-and one kernel call rounds every row. ``Codebooks.row`` is one row's
-``Codebook``.
+``Codebooks`` is the one codebook type: ragged codebooks, one per row
+of a batch's leading axis, concatenated at the offsets of a ``FitPlan``.
+Clients training in lockstep each own a row at their own rate; each row
+draws from its own Generator exactly what it would draw alone, and one
+kernel call rounds every row. A single tensor's codebook, uniform or
+stored with a client's tensor, is a batch of one row.
 
 Rounding needs each element's bracket ``n_le``: the number of centers
-<= the value, kept in [1, K - 1]. ``fit_codebook`` guesses it from the
+<= the value, kept in [1, K - 1]. ``stochastic_quantize`` takes a fit
+``(Codebooks, n_le)``. ``fit_codebook`` guesses the brackets from the
 fit, from the tanh-space grid (``tanh_n_le``) or the element's rank
 (``quantile_n_le``), checks each guess against the centers with the
 row's ends opened to -inf and +inf and searches the misses; small tanh
-batches are searched outright, row by row. ``stochastic_quantize``
-searches the brackets of a foreign ``Codebook`` (a uniform one, or one
-kept from an earlier quantization) the same way. Either way every
-bracket lies in its row, the kernel rounds with it and never searches,
-and the indices are those of a search.
+batches are searched outright, row by row. ``bracket`` searches them for
+codebooks not fitted to the values. Either way every bracket lies in its
+row, the kernel rounds with it and never searches, and the indices are
+those of a search.
 """
 
 import math
@@ -62,38 +61,13 @@ MAX_RATE = 24
 TANH_GUESS_MIN = 2048
 
 
-@dataclass(frozen=True)
-class Codebook:
-    """Sorted quantization centers at a rate.
-
-    ``centers`` has length 2^rate and is strictly increasing, except for
-    the degenerate fallback built from (near-)constant input where every
-    center holds the same value and quantization maps everything to
-    index 0. The builders below establish these facts, so construction
-    only freezes ``centers``.
-    """
-
-    rate: int
-    centers: np.ndarray
-
-    def __post_init__(self):
-        self.centers.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return self.centers.shape[0]
-
-    @property
-    def is_degenerate(self) -> bool:
-        return bool(self.centers[-1] - self.centers[0] < RANGE_EPS)
-
-
 class FitPlan:
     """Layout of C ragged codebooks fitted to C rows of n elements.
 
     Row r's K_r centers are ``first[r]:last[r] + 1`` of the concatenated
     centers. It all depends on (n, rates) alone; building it checks the
-    rates.
+    rates. Only a fit reads n: a uniform codebook, fitted to nothing,
+    has n = 0.
     """
 
     def __init__(self, n: int, rates: tuple[int, ...]):
@@ -139,14 +113,22 @@ def fit_plan(n: int, rates: tuple[int, ...]) -> FitPlan:
 
 @dataclass(frozen=True)
 class Codebooks:
-    """A batch's ragged codebooks, one per row, concatenated in ``centers``
-    at ``plan.offsets``. ``degenerate[r]`` marks a row whose centers span
-    less than RANGE_EPS (``Codebook.is_degenerate``): it draws nothing
-    and maps every element to its index 0."""
+    """Sorted quantization centers, one codebook per row of a batch,
+    concatenated in ``centers`` at ``plan.offsets``; construction freezes
+    ``centers``.
+
+    Row r holds 2^rates[r] strictly increasing centers, except where
+    ``degenerate[r]`` marks a row whose centers span less than RANGE_EPS,
+    the fallback built from (near-)constant input: it draws nothing and
+    maps every element to its index 0. The builders establish these facts.
+    """
 
     plan: FitPlan
     centers: np.ndarray
     degenerate: np.ndarray
+
+    def __post_init__(self):
+        self.centers.setflags(write=False)
 
     @cached_property
     def degenerate_rows(self) -> int:
@@ -156,26 +138,21 @@ class Codebooks:
     def is_degenerate(self) -> bool:  # any row
         return self.degenerate_rows > 0
 
-    def row(self, r: int) -> Codebook:
-        a, b = self.plan.first_last[r]
-        return Codebook(self.plan.rates[r], self.centers[a:b + 1])
-
 
 @dataclass
 class QuantizedTensor:
-    """Low-bitwidth tensor: a flat index array plus its codebook.
+    """Low-bitwidth tensor: a flat index array plus its codebooks.
 
-    ``indices`` is row-major over ``shape`` and stored in the smallest
-    unsigned dtype that fits the codebook, so a rate-R tensor really is
-    an R-bit-per-entry representation (modulo byte alignment).
-    ``stochastic_quantize`` builds it with in-range indices. A batch
-    (``Codebooks``) holds intp indices into the concatenated centers
-    until ``unstack`` splits it.
+    ``indices`` is row-major over ``shape``. ``stochastic_quantize``
+    gives intp indices into the concatenated centers; ``unstack`` splits
+    a batch into one tensor per row, whose indices are stored in the
+    smallest unsigned dtype that fits its codebook, so a rate-R tensor
+    really is an R-bit-per-entry representation (modulo byte alignment).
     """
 
     shape: tuple[int, ...]
     indices: np.ndarray
-    codebook: Codebook | Codebooks
+    codebook: Codebooks
 
 
 def _index_dtype(k: int):
@@ -242,13 +219,13 @@ def _finish(plan: FitPlan, rows: np.ndarray, centers: np.ndarray, spans: list[fl
             if not constant[r]:
                 part = slice(plan.first[r], plan.last[r] + 1)
                 centers[part] = _repair_strictly_increasing(centers[part])
-    centers.setflags(write=False)
     ends = centers.take(plan.end_pairs)
     return Codebooks(plan, centers, (ends[1] - ends[0] < RANGE_EPS).ravel())
 
 
-def build_uniform_codebook(lo: float, hi: float, rate: int) -> Codebook:
-    """K = 2^rate equispaced centers over [lo, hi], endpoints included.
+def build_uniform_codebook(lo: float, hi: float, rate: int) -> Codebooks:
+    """K = 2^rate equispaced centers over [lo, hi], endpoints included,
+    as one row.
 
     Raises DegenerateRange when the requested range is narrower than
     RANGE_EPS; an explicit range that narrow is a caller error.
@@ -259,8 +236,8 @@ def build_uniform_codebook(lo: float, hi: float, rate: int) -> Codebook:
         raise InvalidParams("range endpoints must be finite")
     if hi - lo < RANGE_EPS:
         raise DegenerateRange(f"range [{lo}, {hi}] narrower than {RANGE_EPS}")
-    centers = np.linspace(lo, hi, _codebook_size(rate))
-    return Codebook(int(rate), centers)
+    plan = fit_plan(0, (int(rate),))
+    return Codebooks(plan, np.linspace(lo, hi, plan.offsets[-1]), np.array([False]))
 
 
 def build_tanh_codebook(rows: np.ndarray, plan: FitPlan) -> Codebooks:
@@ -346,32 +323,21 @@ def _draw_rows(rows: np.ndarray, cb: Codebooks, rngs: list, n_le: np.ndarray) ->
     return _kernels.stochastic_round(rows.ravel(), cb.centers, uniforms.ravel(), n_le.ravel())
 
 
-def stochastic_quantize(x: np.ndarray, cb: Codebook | tuple[Codebooks, np.ndarray], rng) -> QuantizedTensor:
-    """Quantize a tensor with randomized rounding to bracketing centers.
+def stochastic_quantize(x: np.ndarray, fit: tuple[Codebooks, np.ndarray], rngs: list) -> QuantizedTensor:
+    """Quantize a batch with randomized rounding to bracketing centers.
 
     Elements at or beyond the end centers clamp deterministically; for
     interior x with c_j <= x <= c_{j+1} the result is c_{j+1} with
     probability (x - c_j)/(c_{j+1} - c_j) and c_j otherwise, which makes
     the in-range quantization error zero-mean.
 
-    A foreign ``Codebook`` draws from the Generator ``rng`` and has its
-    brackets searched here; NaN has no bracket and raises
-    NonFiniteInput. A fit ``(Codebooks, n_le)`` from ``fit_codebook``
-    quantizes a batch with its brackets: ``rng`` holds one Generator per
-    row.
+    ``fit`` is ``(Codebooks, n_le)`` from ``fit_codebook``, or from
+    ``bracket`` for codebooks not fitted to ``x``. Row r of the leading
+    axis draws from ``rngs[r]``.
     """
+    cbs, n_le = fit
     x = np.asarray(x, dtype=np.float64)
-    if not isinstance(cb, Codebook):
-        cbs, n_le = cb
-        return QuantizedTensor(x.shape, _draw_rows(x.reshape(len(rng), -1), cbs, rng, n_le), cbs)
-    flat = x.ravel()
-    if np.isnan(flat).any():
-        raise NonFiniteInput("cannot quantize NaN")
-    if cb.is_degenerate:
-        idx = np.zeros(flat.shape[0], dtype=np.intp)
-    else:
-        idx = _kernels.stochastic_round(flat, cb.centers, rng.random(flat.shape[0]), _searched(cb.centers, flat))
-    return QuantizedTensor(x.shape, idx.astype(_index_dtype(cb.size)), cb)
+    return QuantizedTensor(x.shape, _draw_rows(x.reshape(len(rngs), -1), cbs, rngs, n_le), cbs)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
@@ -380,11 +346,24 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
 
 
 def unstack(q: QuantizedTensor) -> list[QuantizedTensor]:
-    """A quantized batch as one tensor per row, in its compact dtype."""
-    cbs = q.codebook
-    local = q.indices.reshape(len(cbs.plan.rates), -1) - cbs.plan.row_start
-    return [QuantizedTensor(q.shape[1:], local[r].astype(dtype), cbs.row(r))
-            for r, dtype in enumerate(cbs.plan.index_dtypes)]
+    """A quantized batch as one tensor per row, in its compact dtype, with
+    its row of the codebooks: a view of the batch's centers."""
+    cbs, plan = q.codebook, q.codebook.plan
+    local = q.indices.reshape(len(plan.rates), -1) - plan.row_start
+    return [QuantizedTensor(q.shape[1:], local[r].astype(dtype), Codebooks(
+                fit_plan(plan.n, (rate,)), cbs.centers[a:b + 1], cbs.degenerate[r:r + 1]))
+            for r, (rate, dtype, (a, b)) in enumerate(zip(plan.rates, plan.index_dtypes, plan.first_last))]
+
+
+def bracket(x: np.ndarray, cbs: Codebooks) -> tuple[Codebooks, np.ndarray]:
+    """The fit of codebooks not fitted to ``x``: each row's brackets,
+    searched. NaN has no bracket and raises NonFiniteInput naming its
+    row; +-inf brackets at an end."""
+    rows = np.asarray(x, dtype=np.float64).reshape(len(cbs.plan.rates), -1)
+    nan = np.isnan(rows).any(axis=1)
+    if nan.any():
+        raise NonFiniteInput("cannot quantize NaN", row=int(nan.argmax()))
+    return cbs, _searched_rows(rows, cbs)
 
 
 def _verified(rows, n_le, cbs: Codebooks) -> np.ndarray:
@@ -416,6 +395,11 @@ def _searched(centers: np.ndarray, values: np.ndarray, start: int = 0) -> np.nda
     n_le = centers[1:-1].searchsorted(values, side="right")
     n_le += start + 1
     return n_le
+
+
+def _searched_rows(rows: np.ndarray, cbs: Codebooks) -> np.ndarray:
+    """Kernel bracket of each element of the (C, n) ``rows``, searched row by row."""
+    return np.array([_searched(cbs.centers[a:b + 1], row, a) for (a, b), row in zip(cbs.plan.first_last, rows)])
 
 
 def tanh_n_le(rows: np.ndarray, cbs: Codebooks) -> np.ndarray:
@@ -451,7 +435,7 @@ def quantile_n_le(sorted_rows: np.ndarray, cbs: Codebooks, order: np.ndarray) ->
     for quantile codebooks fitted to them; ``sorted_rows, order`` are
     ``sort_rows(rows, plan)``. The element of rank i lies just above the
     centers interpolated at positions <= i, so that count is its guess;
-    checked, searched where missed (ties, repairs, a foreign codebook)
+    checked, searched where missed (ties, repairs, a codebook fitted elsewhere)
     and scattered back, it is exact.
     """
     counts = _verified(sorted_rows, cbs.plan.quantile[4], cbs)
@@ -473,10 +457,7 @@ def fit_codebook(x: np.ndarray, rates: tuple[int, ...], compander: str) -> tuple
     rows, plan = as_rows(x, rates)
     if compander == "tanh":
         cbs = build_tanh_codebook(rows, plan)
-        if rows.size >= TANH_GUESS_MIN:
-            return cbs, tanh_n_le(rows, cbs)
-        return cbs, np.array([_searched(cbs.centers[a:b + 1], row, a)
-                              for (a, b), row in zip(plan.first_last, rows)])
+        return cbs, tanh_n_le(rows, cbs) if rows.size >= TANH_GUESS_MIN else _searched_rows(rows, cbs)
     if compander == "quantile":
         sorted_rows, order = sort_rows(rows, plan)
         cbs = build_quantile_codebook(rows, sorted_rows, plan)
@@ -503,21 +484,23 @@ def error_energy(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return err.reshape(len(err), -1).sum(axis=1)
 
 
-def empirical_mse(cb: Codebook, samples: np.ndarray, rng: np.random.Generator, draws: int) -> float:
-    """Monte-Carlo estimate of the mean squared quantization error.
+def empirical_mse(cb: Codebooks, samples: np.ndarray, rng: np.random.Generator, draws: int) -> float:
+    """Monte-Carlo estimate of the mean squared quantization error of the
+    one-row codebook ``cb``.
 
-    Quantizes ``samples`` ``draws`` times with fresh randomness and
-    averages the squared reconstruction error. Samples beyond the end
-    centers incur deterministic clamping bias on top of the rounding
-    variance.
+    Brackets ``samples`` once, quantizes them ``draws`` times with fresh
+    randomness and averages the squared reconstruction error. Samples
+    beyond the end centers incur deterministic clamping bias on top of
+    the rounding variance.
     """
     if draws < 1:
         raise InvalidParams("draws must be >= 1")
     flat = np.ascontiguousarray(samples, dtype=np.float64).ravel()
     if flat.size == 0:
         raise InvalidParams("samples must be nonempty")
+    fit = bracket(flat, cb)  # the kernel never writes to its brackets
     total = 0.0
     for _ in range(draws):
-        err = dequantize(stochastic_quantize(flat, cb, rng)) - flat
+        err = dequantize(stochastic_quantize(flat, fit, [rng])) - flat
         total += float(np.mean(err * err))
     return total / draws

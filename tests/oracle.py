@@ -10,19 +10,29 @@ from fedq import quantkit as qk
 def tanh_codebook(x, rate):
     """The tanh codebook fitted to one tensor: a batch of one."""
     rows, plan = qk.as_rows(np.reshape(x, (1, -1)), (rate,))
-    return qk.build_tanh_codebook(rows, plan).row(0)
+    return qk.build_tanh_codebook(rows, plan)
 
 
 def quantile_codebook(x, rate):
     """The quantile codebook fitted to one tensor: a batch of one."""
     rows, plan = qk.as_rows(np.reshape(x, (1, -1)), (rate,))
-    return qk.build_quantile_codebook(rows, qk.sort_rows(rows, plan)[0], plan).row(0)
+    return qk.build_quantile_codebook(rows, qk.sort_rows(rows, plan)[0], plan)
 
 
 def degenerate_codebook(value, rate):
-    """K copies of one center: what a fit to constant input holds.
-    Strict increase is waived; quantization maps every element to index 0."""
-    return qk.Codebook(rate, np.full(qk._codebook_size(rate), float(value)))
+    """K copies of one center in one row: what a fit to constant input
+    holds. Strict increase is waived; quantization maps every element to
+    index 0."""
+    plan = qk.fit_plan(0, (rate,))
+    return qk.Codebooks(plan, np.full(plan.offsets[-1], float(value)), np.array([True]))
+
+
+def quantize_one(x, cb, rng):
+    """``qk.stochastic_quantize`` of one tensor with a one-row codebook not
+    fitted to it, its brackets searched by ``qk.bracket``: the tensor as a
+    client stores it."""
+    x = np.asarray(x, dtype=np.float64)[None]
+    return qk.unstack(qk.stochastic_quantize(x, qk.bracket(x, cb), [rng]))[0]
 
 
 def fit_and_quantize_one(x, rate, compander, rng):

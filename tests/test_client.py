@@ -12,7 +12,7 @@ from fedq import quantkit as qk
 from fedq import sslcore as ssl
 from fedq.errors import InvalidParams, StateMismatch
 
-from oracle import expected_sq_error, quantile_codebook, start_client, stochastic_grad, tanh_codebook
+from oracle import expected_sq_error, quantile_codebook, quantize_one, start_client, stochastic_grad, tanh_codebook
 
 
 def alone(cfg, rng):
@@ -48,7 +48,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         w = rng.normal(size=(3, 4))
         cb = tanh_codebook(w, 8)
-        qw = qk.stochastic_quantize(w, cb, rng)
+        qw = quantize_one(w, cb, rng)
         fs = cl.quantized_forward([qk.dequantize(qw)[None]], np.eye(4)[None], alone(plain_config(bitwidth=8), rng))
         np.testing.assert_allclose(fs.outputs[0].T, qk.dequantize(qw), atol=1e-12)
 
@@ -59,7 +59,7 @@ class TestForward:
         w = 0.3 * rng.normal(size=(2, 8))
         batch = rng.normal(size=(64, 8))
         cfg = cl.ClientConfig(bitwidth=16, quantize_activations=True, aug_sigma=0.0)
-        qw = qk.stochastic_quantize(w, tanh_codebook(w, 16), rng)
+        qw = quantize_one(w, tanh_codebook(w, 16), rng)
         fs = cl.quantized_forward([qk.dequantize(qw)[None]], batch[None], alone(cfg, rng))
         ref = batch @ w.T
         rel = np.linalg.norm(fs.outputs[0] - ref) / np.linalg.norm(ref)
@@ -117,7 +117,7 @@ class TestBackward:
         acc = np.zeros_like(raw)
         cb = quantile_codebook(raw, cfg.grad_bitwidth)
         for _ in range(n):
-            acc += qk.dequantize(qk.stochastic_quantize(raw, cb, rng))
+            acc += qk.dequantize(quantize_one(raw, cb, rng))
         acc /= n
         var = expected_sq_error(raw, cb.centers).reshape(raw.shape)
         in_range = (raw >= cb.centers[0]) & (raw <= cb.centers[-1])
@@ -264,7 +264,7 @@ class TestRunLocalEpochs:
         cl.run_local_epochs([state], [shard], 2, 64, 0.02)
         for layer in state.model:
             assert isinstance(layer, qk.QuantizedTensor)
-            assert layer.codebook.rate == 4
+            assert layer.codebook.plan.rates == (4,)
             assert layer.indices.dtype == np.uint8
             assert layer.indices.max() < 16
 

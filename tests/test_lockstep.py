@@ -39,7 +39,7 @@ def _assert_same_client(a: cl.ClientState, b: cl.ClientState):
     for la, lb in zip(a.model, b.model):
         assert la.indices.dtype == lb.indices.dtype
         assert la.indices.tobytes() == lb.indices.tobytes()
-        assert la.codebook.rate == lb.codebook.rate
+        assert la.codebook.plan.rates == lb.codebook.plan.rates
         assert la.codebook.centers.tobytes() == lb.codebook.centers.tobytes()
     assert a.rng.random() == b.rng.random()
 
@@ -166,10 +166,16 @@ def test_chunked_quantization_equals_each_client_alone(clients, shapes, chunks, 
     for r, (model, b) in enumerate(zip(models, bits)):
         eps = 0.0
         for got, w in zip(model, layers):
-            want, _, err = fit_and_quantize_one(w, b, "tanh", twins[r])
-            assert got.indices.dtype == want.indices.dtype
+            want, values, err = fit_and_quantize_one(w, b, "tanh", twins[r])
+            # The stored tensor: compact indices and a one-row codebook whose
+            # read-only centers and degenerate flag are its row of the batch.
+            cb = got.codebook
+            assert got.indices.dtype == want.indices.dtype == np.uint8
             assert got.indices.tobytes() == want.indices.tobytes()
-            assert got.codebook.centers.tobytes() == want.codebook.centers.tobytes()
+            assert cb.plan.rates == (b,) and cb.centers.size == 2**b and not cb.centers.flags.writeable
+            assert cb.centers.tobytes() == want.codebook.centers.tobytes()
+            assert cb.degenerate.tolist() == [bool(cb.centers[-1] - cb.centers[0] < qk.RANGE_EPS)]
+            assert qk.dequantize(got).tobytes() == values.tobytes()
             eps += err
         assert err_sq[r] == eps
         assert rngs[r].random() == twins[r].random()
@@ -229,9 +235,12 @@ def test_ragged_fit_matches_each_row_searched(seed, compander, rates, kinds, n):
     err_sq = qk.error_energy(values, x)
     for r, (rate, row) in enumerate(zip(rates, qk.unstack(q))):
         cb = _BUILD[compander](x[r], rate)
-        ref = qk.stochastic_quantize(x[r], cb, twins[r])  # brackets searched, not fitted
+        searched = qk.bracket(x[r], cb)  # brackets searched, not fitted
+        np.testing.assert_array_equal(searched[1][0], reference_bracket(cb.centers, x[r]))
+        (ref,) = qk.unstack(qk.stochastic_quantize(x[r][None], searched, [twins[r]]))
         ref_values = qk.dequantize(ref)
         assert row.codebook.centers.tobytes() == cb.centers.tobytes()
+        assert row.codebook.degenerate.tolist() == cb.degenerate.tolist()
         assert row.indices.dtype == ref.indices.dtype
         assert row.indices.tobytes() == ref.indices.tobytes()
         assert values[r].tobytes() == ref_values.tobytes()
@@ -260,7 +269,8 @@ def test_fitted_brackets_stay_in_their_row(seed, compander, rates, kinds, n):
     assert (n_le <= plan.row_start + plan.ks[:, None] - 1).all()
     for r in range(len(rates)):
         if not cbs.degenerate[r]:
-            assert (n_le[r] - plan.first[r]).tobytes() == reference_bracket(cbs.row(r).centers, x[r]).tobytes()
+            centers = cbs.centers[plan.first[r]:plan.last[r] + 1]
+            assert (n_le[r] - plan.first[r]).tobytes() == reference_bracket(centers, x[r]).tobytes()
 
 
 @pytest.mark.parametrize("rates", [(1,), (1, 2), (3, 1)])
@@ -274,4 +284,4 @@ def test_quantile_centers_match_np_interp_at_sample_positions(rates):
     for r, rate in enumerate(rates):
         k = 2**rate
         ref = np.interp((np.arange(k) + 0.5) / k * 128, np.arange(129.0), np.sort(x[r]))
-        assert cbs.row(r).centers.tobytes() == ref.tobytes()
+        assert cbs.centers[plan.first[r]:plan.last[r] + 1].tobytes() == ref.tobytes()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fedq import quantkit as qk
 from fedq.errors import DegenerateRange, InvalidParams, NonFiniteInput
 
-from oracle import (degenerate_codebook, expected_sq_error, fit_and_quantize_one, quantile_codebook,
+from oracle import (degenerate_codebook, expected_sq_error, fit_and_quantize_one, quantile_codebook, quantize_one,
                     reference_bracket, tanh_codebook)
 
 
@@ -31,7 +31,7 @@ class TestUniformCodebook:
 
     def test_rate3_step(self):
         cb = qk.build_uniform_codebook(0.0, 6.0, 3)
-        assert cb.size == 8
+        assert cb.centers.size == 8
         np.testing.assert_allclose(np.diff(cb.centers), 6.0 / 7.0)
 
     def test_degenerate_range_raises(self):
@@ -190,25 +190,25 @@ class TestStochasticQuantize:
     def test_probability_split(self, rng):
         cb = qk.build_uniform_codebook(0.0, 1.0, 1)
         n = 100_000
-        q = qk.stochastic_quantize(np.full(n, 0.25), cb, rng)
+        q = quantize_one(np.full(n, 0.25), cb, rng)
         mean = qk.dequantize(q).mean()
         sigma = math.sqrt(0.25 * 0.75)  # Bernoulli std of the dequantized draw
         assert abs(mean - 0.25) < 3 * sigma / math.sqrt(n)
 
     def test_center_is_fixed_point(self, rng):
         cb = qk.build_uniform_codebook(0.0, 1.0, 2)
-        q = qk.stochastic_quantize(np.full(1000, 1 / 3), cb, rng)
+        q = quantize_one(np.full(1000, 1 / 3), cb, rng)
         assert np.all(q.indices == 1)
 
     def test_below_range_clamps(self, rng):
         cb = qk.build_uniform_codebook(0.0, 1.0, 2)
-        q = qk.stochastic_quantize(np.full(100, -3.0), cb, rng)
+        q = quantize_one(np.full(100, -3.0), cb, rng)
         assert np.all(q.indices == 0)
 
     def test_shape_round_trip(self, rng):
         cb = qk.build_uniform_codebook(-1.0, 1.0, 3)
         x = rng.uniform(-1, 1, size=(4, 5))
-        q = qk.stochastic_quantize(x, cb, rng)
+        q = quantize_one(x, cb, rng)
         assert q.shape == (4, 5)
         assert qk.dequantize(q).shape == (4, 5)
 
@@ -219,38 +219,44 @@ class TestStochasticQuantize:
 
     def test_center_round_trip_exact(self, rng):
         cb = tanh_codebook(rng.normal(size=100), 4)
-        q = qk.stochastic_quantize(cb.centers.copy(), cb, rng)
+        q = quantize_one(cb.centers.copy(), cb, rng)
         np.testing.assert_array_equal(qk.dequantize(q), cb.centers)
 
     def test_index_dtype_tracks_rate(self, rng):
         x = rng.uniform(-1, 1, size=64)
         for rate, dtype in [(4, np.uint8), (12, np.uint16), (17, np.uint32)]:
             cb = qk.build_uniform_codebook(-1.0, 1.0, rate)
-            assert qk.stochastic_quantize(x, cb, rng).indices.dtype == dtype
+            assert quantize_one(x, cb, rng).indices.dtype == dtype
 
     def test_degenerate_maps_to_index_zero(self, rng):
         cb = degenerate_codebook(0.0, 4)
-        q = qk.stochastic_quantize(np.array([-1.0, 0.0, 2.0]), cb, rng)
+        q = quantize_one(np.array([-1.0, 0.0, 2.0]), cb, rng)
         assert np.all(q.indices == 0)
         np.testing.assert_array_equal(qk.dequantize(q), np.zeros(3))
 
     @pytest.mark.parametrize("build", [lambda: qk.build_uniform_codebook(-1.0, 1.0, 3),
                                        lambda: degenerate_codebook(0.0, 3)], ids=["uniform", "degenerate"])
     def test_nan_raises_on_a_foreign_codebook(self, rng, build):
-        # A foreign codebook's brackets are searched, and NaN has none;
-        # +-inf still clamps to the end indices.
+        # A codebook not fitted to the values has its brackets searched
+        # (qk.bracket), and NaN has none; +-inf still clamps to the end indices.
         with pytest.raises(NonFiniteInput):
-            qk.stochastic_quantize(np.array([0.5, np.nan]), build(), rng)
-        q = qk.stochastic_quantize(np.array([-np.inf, np.inf]), qk.build_uniform_codebook(-1.0, 1.0, 3), rng)
+            quantize_one(np.array([0.5, np.nan]), build(), rng)
+        q = quantize_one(np.array([-np.inf, np.inf]), qk.build_uniform_codebook(-1.0, 1.0, 3), rng)
         np.testing.assert_array_equal(q.indices, [0, 7])
+        # Every row is checked, and the error names the row.
+        cb = build()
+        two = qk.Codebooks(qk.fit_plan(0, (3, 3)), np.tile(cb.centers, 2), np.tile(cb.degenerate, 2))
+        with pytest.raises(NonFiniteInput) as info:
+            qk.bracket(np.array([[0.5, -0.5], [0.25, np.nan]]), two)
+        assert info.value.row == 1
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rate=st.integers(1, 6))
     def test_requantize_is_idempotent(self, seed, rate):
         r = np.random.default_rng(seed)
         cb = tanh_codebook(r.normal(size=64), rate)
-        q1 = qk.stochastic_quantize(r.normal(size=64), cb, r)
-        q2 = qk.stochastic_quantize(qk.dequantize(q1), cb, r)
+        q1 = quantize_one(r.normal(size=64), cb, r)
+        q2 = quantize_one(qk.dequantize(q1), cb, r)
         np.testing.assert_array_equal(q1.indices, q2.indices)
 
 
@@ -265,7 +271,7 @@ class TestFitAndQuantize:
 
         build = tanh_codebook if compander == "tanh" else quantile_codebook
         cb = build(x, 4)
-        q_ref = qk.stochastic_quantize(x, cb, twin)
+        q_ref = quantize_one(x, cb, twin)
         values_ref = qk.dequantize(q_ref)
         assert cb.is_degenerate == (kind == "constant")
         np.testing.assert_array_equal(q.codebook.centers, cb.centers)
@@ -307,7 +313,7 @@ class TestFitAndQuantize:
         assert values.shape == x.shape
         assert q.indices.ndim == 1 and q.indices.size == x.size
         assert q.indices.dtype == qk._index_dtype(2**rate)
-        assert q.codebook.size == 2**rate
+        assert q.codebook.centers.size == 2**rate
         assert int(q.indices.min()) >= 0 and int(q.indices.max()) < 2**rate
 
 
@@ -382,9 +388,10 @@ class TestFittedBrackets:
     @pytest.mark.parametrize("compander", ["tanh", "quantile"])
     def test_exact_for_a_codebook_fitted_elsewhere(self, compander):
         # Values far outside the codebook push the tanh guess out of [1, K - 1].
-        centers = _BUILD[compander](np.linspace(-0.05, 0.05, 9), 3).centers
+        cb = _BUILD[compander](np.linspace(-0.05, 0.05, 9), 3)
         x = np.linspace(-5.0, 5.0, 101)
-        np.testing.assert_array_equal(_n_le(compander, x, centers), reference_bracket(centers, x))
+        np.testing.assert_array_equal(_n_le(compander, x, cb.centers), reference_bracket(cb.centers, x))
+        np.testing.assert_array_equal(qk.bracket(x, cb)[1][0], reference_bracket(cb.centers, x))
 
     @settings(max_examples=200, deadline=None)
     @given(**_BRACKET_CASES)
@@ -394,7 +401,7 @@ class TestFittedBrackets:
         twin = copy.deepcopy(rng)
         q, values, err_sq = fit_and_quantize_one(x, rate, compander, rng)
         cb = _BUILD[compander](x, rate)
-        q_ref = qk.stochastic_quantize(x, cb, twin)
+        q_ref = quantize_one(x, cb, twin)
         values_ref = qk.dequantize(q_ref)
         np.testing.assert_array_equal(q.codebook.centers, cb.centers)
         np.testing.assert_array_equal(q.indices, q_ref.indices)
@@ -417,7 +424,7 @@ class TestFittedBrackets:
         for n in (511, 512):
             fit_and_quantize_one(rng.normal(size=n), 4, compander, rng)
         qk.fit_and_quantize(rng.normal(size=(3, 40)), (2, 4, 6), compander, [rng] * 3)
-        qk.stochastic_quantize(rng.normal(size=512), qk.build_uniform_codebook(-1.0, 1.0, 4), rng)
+        quantize_one(rng.normal(size=512), qk.build_uniform_codebook(-1.0, 1.0, 4), rng)
         assert seen == [((511,), np.intp), ((512,), np.intp), ((120,), np.intp), ((512,), np.intp)]
 
 
@@ -437,7 +444,7 @@ class TestUnbiasedness:
         n = 100_000
         for x in xs:
             var = float(expected_sq_error(np.array([x]), cb.centers)[0])
-            q = qk.stochastic_quantize(np.full(n, x), cb, rng)
+            q = quantize_one(np.full(n, x), cb, rng)
             mean = qk.dequantize(q).mean()
             tol = 3.0 * math.sqrt(var / n) + 1e-12
             assert abs(mean - x) < tol, f"{builder}: x={x} mean={mean} tol={tol}"

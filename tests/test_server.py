@@ -13,12 +13,12 @@ from fedq import quantkit as qk
 from fedq import server as sv
 from fedq.errors import Diverged, EmptyInput, MissingClient, NonFiniteInput, ShapeMismatch
 
-from oracle import expected_sq_error, fit_and_quantize_one, tanh_codebook
+from oracle import expected_sq_error, fit_and_quantize_one, quantize_one, tanh_codebook
 
 
 def quantized(w, bits, seed):
     rng = np.random.default_rng(seed)
-    return qk.stochastic_quantize(w, tanh_codebook(w, bits), rng)
+    return quantize_one(w, tanh_codebook(w, bits), rng)
 
 
 def requantize(layers, bits, rng):
@@ -137,7 +137,7 @@ class TestRunRound:
         out = server.run_round({1: [q]}, {1: 50})
         np.testing.assert_array_equal(server.global_model[0], qk.dequantize(q))
         # dequantized output lives on a tanh codebook over the same range
-        assert out[1][0].codebook.rate == 6
+        assert out[1][0].codebook.plan.rates == (6,)
         assert server.round_counter == 1
 
     def test_missing_client(self):
@@ -246,7 +246,7 @@ class TestRunRound:
 
     def test_non_finite_aggregate_names_round_and_client(self):
         # Ids 3 and 7 at two bitwidths: the client is id 3, not row 0 + 1.
-        cb = qk.Codebook(1, np.array([0.0, np.inf]))
+        cb = qk.Codebooks(qk.fit_plan(0, (1,)), np.array([0.0, np.inf]), np.array([False]))
         q = qk.QuantizedTensor((2,), np.array([0, 1], dtype=np.uint8), cb)
         server = sv.ServerState({3: 4, 7: 8}, seed=3)
         with pytest.raises(Diverged, match="round 1, client 3") as info:
@@ -257,7 +257,7 @@ class TestRunRound:
 
     def test_non_finite_aggregate_past_one_chunk_names_the_lowest_client(self):
         # Nine clients of a 1024-element layer re-quantize in chunks of 3.
-        cb = qk.Codebook(1, np.array([0.0, np.inf]))
+        cb = qk.Codebooks(qk.fit_plan(0, (1,)), np.array([0.0, np.inf]), np.array([False]))
         q = qk.QuantizedTensor((32, 32), np.tile(np.array([0, 1], dtype=np.uint8), 512), cb)
         ids = (4, 6, 9, 12, 15, 17, 23, 25, 31)
         server = sv.ServerState(dict(zip(ids, (8, 5, 4) * 3)), seed=3)

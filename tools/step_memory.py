@@ -16,7 +16,10 @@ the calls, the highest traced memory of the process while a call ran
 (``peak_kib``) and the most one call held above what was traced when it
 began (``added_kib``: the stage's working set). Tracing restarts, and the fit-plan
 cache empties, before each workload, so every workload counts as in a
-fresh process. numpy reports its array buffers to ``tracemalloc``;
+fresh process. The first call of a stage also fills that cache, so
+``warm_kib`` is ``added_kib`` of a second run of the same config in the
+same process, with the cache left warm: the working set without the
+one-time fill. numpy reports its array buffers to ``tracemalloc``;
 memory that bypasses it (BLAS scratch, the interpreter) is not counted,
 so these are not RSS. ``--tiny`` runs the smoke-test sizes.
 """
@@ -42,8 +45,19 @@ def load_workloads():
 
 
 def measure(raw: dict) -> dict[str, list[int]]:
+    """Run the config ``raw`` cold, then warm; per stage [calls, peak,
+    added] of the cold run and the warm run's added, in bytes."""
+    from fedq import quantkit
+
+    quantkit.fit_plan.cache_clear()
+    cold = traced_run(raw)
+    warm = traced_run(raw)
+    return {name: stats + [warm[name][2]] for name, stats in cold.items()}
+
+
+def traced_run(raw: dict) -> dict[str, list[int]]:
     """Run the config ``raw``; per stage [calls, peak, added] in bytes."""
-    from fedq import client, config, experiment, quantkit, server
+    from fedq import client, config, experiment, server
 
     modules = {"experiment": experiment, "client": client, "server": server, "ServerState": server.ServerState}
     stats = {name: [0, 0, 0] for _, name in STAGES}
@@ -74,7 +88,6 @@ def measure(raw: dict) -> dict[str, list[int]]:
         cfg = config.config_from_dict(dict(raw, output_dir=out))
         for m, name in STAGES:
             setattr(modules[m], name, wrapped(name))
-        quantkit.fit_plan.cache_clear()
         tracemalloc.start()
         try:
             experiment.run_experiment(cfg)
@@ -94,11 +107,11 @@ def main() -> int:
     workloads = load_workloads()
     names = sorted(workloads.WORKLOADS) if args.workload == "all" else args.workload.split(",")
 
-    print(f"{'workload':<22} {'stage':<22} {'calls':>6} {'peak_kib':>9} {'added_kib':>9}")
+    print(f"{'workload':<22} {'stage':<22} {'calls':>6} {'peak_kib':>9} {'added_kib':>9} {'warm_kib':>9}")
     for w in names:
         stats = measure(workloads.make_config(w, workloads.DEFAULT_SEED, tiny=args.tiny))
-        for name, (calls, peak, added) in stats.items():
-            print(f"{w:<22} {name:<22} {calls:>6} {peak / 1024:>9.0f} {added / 1024:>9.0f}")
+        for name, (calls, peak, added, warm) in stats.items():
+            print(f"{w:<22} {name:<22} {calls:>6} {peak / 1024:>9.0f} {added / 1024:>9.0f} {warm / 1024:>9.0f}")
     return 0
 
 
