@@ -6,13 +6,14 @@ Clients that share every setting but the bitwidth, and whose shards
 hold the same number of rows, train as one ``Cohort``: the client is
 the leading axis of every weight, minibatch, activation and gradient,
 and each quantizer fit is one call over the clients' ragged codebooks.
-Each SGD step dequantizes the weights once, runs the forward/backward
-pass on those values (optionally quantizing activations with fresh tanh
-codebooks and gradients with fresh quantile codebooks), applies the
+Each SGD step runs the forward/backward pass on the values of the
+quantized weights (quantizing gradients with fresh quantile codebooks,
+and optionally activations with fresh tanh codebooks), applies the
 update in full precision, and immediately re-quantizes the result with
-tanh codebooks rebuilt from the updated tensors. Every client draws
-from its own stream exactly what it would draw training alone, so a
-cohort of one trains the same bytes. The energies of the gradient- and
+tanh codebooks rebuilt from the updated tensors; the re-quantization's
+values are the next step's weights. Every client draws from its own
+stream exactly what it would draw training alone, so a cohort of one
+trains the same bytes. The energies of the gradient- and
 weight-quantization errors are recorded per step; they are the raw
 material of the variance probes in fedq.analysis.
 
@@ -41,13 +42,13 @@ class QuantErrorStats:
 
     One entry per local update: total ||eps_g||^2 over layers, total
     ||eps_w||^2, and the squared norm of the unquantized weight
-    gradient. Clients trained in lockstep share one record of
-    (clients, steps) arrays; ``stats[i]`` is client i's, as lists.
+    gradient. ``run_local_epochs`` returns (clients, steps) arrays;
+    ``stats[i]`` is client i's record, as lists, which ``extend`` grows.
     """
 
-    grad_error_sq: list[float] = field(default_factory=list)
-    weight_error_sq: list[float] = field(default_factory=list)
-    grad_norm_sq: list[float] = field(default_factory=list)
+    grad_error_sq: np.ndarray | list[float] = field(default_factory=list)
+    weight_error_sq: np.ndarray | list[float] = field(default_factory=list)
+    grad_norm_sq: np.ndarray | list[float] = field(default_factory=list)
 
     def __getitem__(self, i: int) -> "QuantErrorStats":
         return QuantErrorStats(self.grad_error_sq[i].tolist(), self.weight_error_sq[i].tolist(),
@@ -71,20 +72,18 @@ class QuantErrorStats:
 
 @dataclass(frozen=True)
 class ClientConfig:
-    """Bitwidths and toggles for one client's training loop.
+    """Bitwidths and settings of one client's training loop.
 
-    Weights and activations share ``bitwidth``; gradients get
-    ``bitwidth + grad_extra_bits``. The quantize_* switches exist for
-    oracle comparisons; production runs keep them on (activation
-    quantization stays off for the linear theory path).
+    Weights are always quantized at ``bitwidth`` and gradients at
+    ``bitwidth + grad_extra_bits``. Activations are quantized at
+    ``bitwidth`` only when ``quantize_activations`` is on; it stays off
+    for the linear theory path.
     """
 
     bitwidth: int
     grad_extra_bits: int = 2
     activation: str = "identity"
     aug_sigma: float = 0.1
-    quantize_weights: bool = True
-    quantize_gradients: bool = True
     quantize_activations: bool = False
 
     def __post_init__(self):
@@ -102,23 +101,21 @@ class ClientConfig:
 
 @dataclass
 class ClientState:
-    """A client: its model and its own RNG stream, carried across rounds.
+    """A client: its quantized model and its own RNG stream, carried across rounds.
 
-    ``model`` holds one tensor per layer: QuantizedTensor at
-    ``config.bitwidth`` when weight quantization is on (as
-    ``start_clients``, ``run_local_epochs`` and the server produce it),
-    otherwise a plain array. The RNG stream is owned by the client,
-    making training deterministic regardless of how clients are
-    scheduled.
+    ``model`` holds one QuantizedTensor per layer at ``config.bitwidth``,
+    as ``start_clients``, ``run_local_epochs`` and the server produce it.
+    The RNG stream is owned by the client, making training deterministic
+    regardless of how clients are scheduled.
     """
 
     config: ClientConfig
-    model: list
+    model: list[qk.QuantizedTensor]
     rng: np.random.Generator
 
     def layer_values(self) -> list[np.ndarray]:
-        """The model's weights as arrays: each quantized layer decoded once."""
-        return [qk.dequantize(w) if isinstance(w, qk.QuantizedTensor) else w for w in self.model]
+        """The model's weights as arrays: each layer decoded once."""
+        return [qk.dequantize(w) for w in self.model]
 
 
 @dataclass
@@ -128,27 +125,27 @@ class Cohort:
     Row r of every batched tensor (weights, minibatch, activations,
     gradients, codebooks) belongs to client r. The clients share every
     setting but the bitwidth; ``bits`` and ``grad_bits`` hold one per
-    row, ``rngs`` each client's own stream. ``model`` holds one batched
-    layer per layer: values while the round starts, then the quantized
-    batch that ``local_update`` leaves.
+    row, ``rngs`` each client's own stream. ``weights`` holds the next
+    step's weight values, one batched array per layer: the clients'
+    decoded models, then those of the batch ``local_update`` quantizes
+    into ``model``.
     """
 
     config: ClientConfig
     bits: tuple[int, ...]
     grad_bits: tuple[int, ...]
     rngs: list[np.random.Generator]
-    model: list = field(default_factory=list)
+    weights: list[np.ndarray] = field(default_factory=list)
+    model: list[qk.QuantizedTensor] = field(default_factory=list)
 
     @classmethod
     def of(cls, states: list[ClientState]) -> "Cohort":
         cfg = states[0].config
         if any(replace(s.config, bitwidth=cfg.bitwidth) != cfg for s in states[1:]):
             raise InvalidParams("clients in lockstep may differ only in bitwidth")
-        model = [np.array(layer) for layer in zip(*(s.layer_values() for s in states))]
+        weights = [np.array(layer) for layer in zip(*(s.layer_values() for s in states))]
         return cls(cfg, tuple(s.config.bitwidth for s in states),
-                   tuple(s.config.grad_bitwidth for s in states), [s.rng for s in states], model)
-
-    layer_values = ClientState.layer_values
+                   tuple(s.config.grad_bitwidth for s in states), [s.rng for s in states], weights)
 
     def scatter(self, states: list[ClientState]):
         """Hand each client its row of the model."""
@@ -176,24 +173,26 @@ def init_layers(dims: list[int], rng: np.random.Generator, std: float) -> list[n
 
 def quantize_model(
     layers: list[np.ndarray], bits: tuple[int, ...], rngs: list[np.random.Generator]
-) -> tuple[list[qk.QuantizedTensor], np.ndarray]:
+) -> tuple[list[qk.QuantizedTensor], list[np.ndarray], np.ndarray]:
     """Quantize each batched layer with fresh tanh codebooks, row r at ``bits[r]``.
 
-    Returns the quantized layers and each row's ||eps||^2 summed over them.
+    Returns the quantized layers, their dequantized values, and each
+    row's ||eps||^2 summed over the layers.
     """
-    model = []
+    model, values = [], []
     err_sq = np.zeros(len(bits))
     for w in layers:
-        q, values = qk.fit_and_quantize(w, bits, "tanh", rngs)
+        q, v = qk.fit_and_quantize(w, bits, "tanh", rngs)
         model.append(q)
-        err_sq += qk.error_energy(values, w)
-    return model, err_sq
+        values.append(v)
+        err_sq += qk.error_energy(v, w)
+    return model, values, err_sq
 
 
-def split_model(model: list) -> list[list]:
-    """A batched model as one model per row (client): each quantized layer
-    as the row's own tensor in its compact dtype, each array layer as its row."""
-    return [list(m) for m in zip(*(qk.unstack(w) if isinstance(w, qk.QuantizedTensor) else w for w in model))]
+def split_model(model: list[qk.QuantizedTensor]) -> list[list[qk.QuantizedTensor]]:
+    """A batched model as one model per row (client), each layer the
+    row's own tensor in its compact dtype."""
+    return [list(m) for m in zip(*map(qk.unstack, model))]
 
 
 def quantize_for_clients(layers: list[np.ndarray], bits: tuple[int, ...],
@@ -214,11 +213,12 @@ def quantize_for_clients(layers: list[np.ndarray], bits: tuple[int, ...],
     models, err_sq = [], np.empty(n)
     for a, b in zip(cuts, cuts[1:]):
         try:
-            model, err_sq[a:b] = quantize_model([np.broadcast_to(w, (b - a,) + w.shape) for w in layers],
-                                                bits[a:b], rngs[a:b])
+            model, values, err_sq[a:b] = quantize_model(
+                [np.broadcast_to(w, (b - a,) + w.shape) for w in layers], bits[a:b], rngs[a:b])
         except NonFiniteInput as e:
             e.row += a
             raise
+        del values  # not held through the split: it would add a chunk's values to the working set
         models += split_model(model)
     return models, err_sq
 
@@ -267,6 +267,7 @@ def quantized_backward(
 ):
     """Backpropagate and quantize gradients layer by layer.
 
+    ``weights`` are the step's weight values (``cohort.weights``).
     ``upstream`` is the loss gradient at the network output. It is
     compressed first; each layer then consumes the quantized activation
     gradient, producing a weight gradient (plus the per-layer Gram
@@ -277,16 +278,13 @@ def quantized_backward(
     Returns (per-layer gradient values, ||eps_g||^2 summed over layers,
     ||g||^2 summed over layers), the energies one per client.
     """
-    cfg = cohort.config
     n_layers = len(weights)
     if upstream.shape != fstate.outputs.shape:
         raise StateMismatch(
             f"upstream shape {upstream.shape} does not match forward output {fstate.outputs.shape}"
         )
     gbits = cohort.grad_bits
-    g_act = upstream
-    if cfg.quantize_gradients:
-        _, g_act = qk.fit_and_quantize(g_act, gbits, "quantile", cohort.rngs)
+    _, g_act = qk.fit_and_quantize(upstream, gbits, "quantile", cohort.rngs)
     grads: list = [None] * n_layers
     eps_g_sq = np.zeros(len(gbits))
     grad_sq = np.zeros(len(gbits))
@@ -299,30 +297,24 @@ def quantized_backward(
         wg = w @ (w.mT @ w)
         gw += 2.0 * wg
         grad_sq += (gw * gw).reshape(len(gbits), -1).sum(axis=1)
-        if cfg.quantize_gradients:
-            _, grads[l] = qk.fit_and_quantize(gw, gbits, "quantile", cohort.rngs)
-            eps_g_sq += qk.error_energy(grads[l], gw)
-        else:
-            grads[l] = gw
+        _, grads[l] = qk.fit_and_quantize(gw, gbits, "quantile", cohort.rngs)
+        eps_g_sq += qk.error_energy(grads[l], gw)
         if l > 0:
             g_act = g_act @ w
-            if cfg.quantize_gradients:
-                _, g_act = qk.fit_and_quantize(g_act, gbits, "quantile", cohort.rngs)
+            _, g_act = qk.fit_and_quantize(g_act, gbits, "quantile", cohort.rngs)
     return grads, eps_g_sq, grad_sq
 
 
-def local_update(cohort: Cohort, weights: list[np.ndarray], grads: list[np.ndarray], lr: float) -> np.ndarray:
-    """One SGD step on the step's weight values, re-quantized into ``cohort.model``.
+def local_update(cohort: Cohort, grads: list[np.ndarray], lr: float) -> np.ndarray:
+    """One SGD step on ``cohort.weights``, re-quantized into ``cohort.model``.
 
     The tanh codebooks are rebuilt from the updated tensors every step,
-    so they track the drifting weight range. Returns each client's
-    ||eps_w||^2 (zero when weight quantization is off).
+    so they track the drifting weight range; the quantized batch's
+    values become ``cohort.weights``, the next step's. Returns each
+    client's ||eps_w||^2.
     """
-    updated = [w - lr * g for w, g in zip(weights, grads)]
-    if not cohort.config.quantize_weights:
-        cohort.model = updated
-        return np.zeros(len(cohort.bits))
-    cohort.model, eps_w_sq = quantize_model(updated, cohort.bits, cohort.rngs)
+    updated = [w - lr * g for w, g in zip(cohort.weights, grads)]
+    cohort.model, cohort.weights, eps_w_sq = quantize_model(updated, cohort.bits, cohort.rngs)
     return eps_w_sq
 
 
@@ -388,12 +380,11 @@ def run_local_epochs(
             if orders is not None:
                 for x, order, block in zip(xs, orders, batch):
                     np.take(x, order[i:i + size], axis=0, out=block)
-            weights = cohort.layer_values()
-            fstate = quantized_forward(weights, batch, cohort)
+            fstate = quantized_forward(cohort.weights, batch, cohort)
             upstream = ssl_upstream(fstate.outputs, cohort)
-            grads, eps_g_sq, g_sq = quantized_backward(weights, fstate, upstream, cohort)
+            grads, eps_g_sq, g_sq = quantized_backward(cohort.weights, fstate, upstream, cohort)
             stats[0, :, step] = eps_g_sq
-            stats[1, :, step] = local_update(cohort, weights, grads, lr)
+            stats[1, :, step] = local_update(cohort, grads, lr)
             stats[2, :, step] = g_sq
     cohort.scatter(states)
     return QuantErrorStats(*stats)

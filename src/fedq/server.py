@@ -27,16 +27,8 @@ from .errors import (
 
 
 def dequantize_client_models(models: list[list[qk.QuantizedTensor]]) -> list[list[np.ndarray]]:
-    """Codebook lookup per layer per client; checks layer shapes agree."""
-    if not models:
-        raise EmptyInput("no client models")
-    shapes = [layer.shape for layer in models[0]]
-    out = []
-    for model in models:
-        if [layer.shape for layer in model] != shapes:
-            raise ShapeMismatch("client models have inconsistent layer shapes")
-        out.append([qk.dequantize(layer) for layer in model])
-    return out
+    """Codebook lookup per layer per client; ``aggregate`` checks the shapes."""
+    return [[qk.dequantize(layer) for layer in model] for model in models]
 
 
 def aggregate(models: list[list[np.ndarray]], sample_counts: list[int]) -> list[np.ndarray]:

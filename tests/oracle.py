@@ -97,6 +97,20 @@ def stochastic_grad(w, batch, aug_sigma, rng):
     return g
 
 
+def sgd(w, samples, epochs, batch_size, lr, aug_sigma, rng):
+    """Plain SGD on the sampled SSL objective of the linear model ``w``,
+    sampled as a client samples: per epoch a permutation of the rows from
+    ``rng`` (natural order when one batch holds them all), then each
+    minibatch's noise from the same stream, in ``stochastic_grad``."""
+    rows = samples.shape[0]
+    size = rows if batch_size is None else min(batch_size, rows)
+    for _ in range(epochs):
+        order = np.arange(rows) if size == rows else rng.permutation(rows)
+        for i in range(0, rows, size):
+            w = w - lr * stochastic_grad(w, samples[order[i:i + size]], aug_sigma, rng)
+    return w
+
+
 def reconstruct(eig):
     """The matrix an EigenDecomposition came from: V diag(lambda) V^T."""
     v = eig.eigenvectors

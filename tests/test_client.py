@@ -12,7 +12,9 @@ from fedq import quantkit as qk
 from fedq import sslcore as ssl
 from fedq.errors import InvalidParams, StateMismatch
 
-from oracle import expected_sq_error, quantile_codebook, quantize_one, start_client, stochastic_grad, tanh_codebook
+from oracle import (
+    expected_sq_error, quantile_codebook, quantize_one, sgd, start_client, stochastic_grad, tanh_codebook,
+)
 
 
 def alone(cfg, rng):
@@ -25,15 +27,21 @@ def make_shard(n=1, d=8, count=200, seed=21, k=1):
 
 
 def plain_config(**kw):
-    defaults = dict(
-        bitwidth=6,
-        quantize_weights=False,
-        quantize_gradients=False,
-        quantize_activations=False,
-        aug_sigma=0.0,
-    )
+    defaults = dict(bitwidth=6, quantize_activations=False, aug_sigma=0.0)
     defaults.update(kw)
     return cl.ClientConfig(**defaults)
+
+
+def pass_through(x, rates, compander, rngs):
+    """``qk.fit_and_quantize`` without quantization: each tensor is its own
+    values, with no quantized batch and no draws."""
+    return None, x
+
+
+@pytest.fixture
+def unquantized(monkeypatch):
+    """The client's arithmetic in full precision: every fit passes through."""
+    monkeypatch.setattr(qk, "fit_and_quantize", pass_through)
 
 
 class TestForward:
@@ -75,7 +83,7 @@ class TestForward:
 
 
 class TestBackward:
-    def test_matches_sslcore_oracle(self):
+    def test_matches_sslcore_oracle(self, unquantized):
         rng_client = np.random.default_rng(42)
         rng_oracle = np.random.default_rng(42)
         shard = make_shard()
@@ -93,8 +101,7 @@ class TestBackward:
     def test_zero_upstream_quantile_collapse(self):
         rng = np.random.default_rng(8)
         w = np.zeros((2, 4))
-        cfg = cl.ClientConfig(bitwidth=4, aug_sigma=0.0, quantize_gradients=True,
-                              quantize_weights=False)
+        cfg = cl.ClientConfig(bitwidth=4, aug_sigma=0.0)
         batch = np.zeros((6, 4))
         team = alone(cfg, rng)
         fs = cl.quantized_forward([w[None]], batch[None], team)
@@ -106,13 +113,8 @@ class TestBackward:
         rng = np.random.default_rng(123)
         shard = make_shard(seed=5)
         w = np.random.default_rng(9).normal(size=(2, 8)) * 0.3
-        cfg = cl.ClientConfig(bitwidth=4, grad_extra_bits=2, aug_sigma=0.0,
-                              quantize_weights=False)
-        fs = cl.quantized_forward([w[None]], shard.samples[None], alone(cfg, rng))
-        raw_grads, _, _ = cl.quantized_backward(
-            [w[None]], fs, cl.ssl_upstream(fs.outputs, alone(cfg, rng)), alone(plain_config(), rng)
-        )
-        raw = raw_grads[0][0]
+        cfg = cl.ClientConfig(bitwidth=4, grad_extra_bits=2, aug_sigma=0.0)
+        raw = stochastic_grad(w, shard.samples, cfg.aug_sigma, rng)  # sigma 0: draws nothing
         n = 10_000
         acc = np.zeros_like(raw)
         cb = quantile_codebook(raw, cfg.grad_bitwidth)
@@ -124,7 +126,7 @@ class TestBackward:
         tol = 3.0 * np.sqrt(var / n) + 1e-12
         assert np.all(np.abs(acc - raw)[in_range] <= tol[in_range])
 
-    def test_two_layer_relu_matches_finite_differences(self):
+    def test_two_layer_relu_matches_finite_differences(self, unquantized):
         # composite objective: data term on the end-to-end features plus
         # the per-layer Gram regularizer, no noise, no quantization
         rng = np.random.default_rng(77)
@@ -174,7 +176,7 @@ class TestLocalUpdate:
         state = start_client(cfg, [w], rng)
         qw = state.model[0]
         team = cl.Cohort.of([state])
-        eps_w = cl.local_update(team, team.layer_values(), [np.zeros((1, 2, 6))], 0.0)
+        eps_w = cl.local_update(team, [np.zeros((1, 2, 6))], 0.0)
         team.scatter([state])
         assert eps_w == 0.0
         np.testing.assert_array_equal(
@@ -189,7 +191,7 @@ class TestLocalUpdate:
         state = start_client(cfg, [w], rng)
         qw = state.model[0]
         team = cl.Cohort.of([state])
-        eps_w = cl.local_update(team, team.layer_values(), [g[None]], 0.05)[0]
+        eps_w = cl.local_update(team, [g[None]], 0.05)[0]
         u = qk.dequantize(qw) - 0.05 * g
         assert eps_w < 1e-4 * np.sum(u * u)
 
@@ -211,15 +213,21 @@ class TestLocalUpdate:
 
 
 class TestRunLocalEpochs:
-    def test_single_plain_gradient_step(self):
+    def test_single_plain_gradient_step(self, monkeypatch):
         shard = make_shard(seed=17)
         w0 = np.random.default_rng(3).normal(size=(2, 8)) * 0.2
         cfg = plain_config(aug_sigma=0.0)
-        state = cl.ClientState(cfg, [w0.copy()], np.random.default_rng(0))
-        stats = cl.run_local_epochs([state], [shard], 1, None, 0.03)
+        state = start_client(cfg, [w0], np.random.default_rng(0))
+        assert len(cl.run_local_epochs([state], [shard], 1, None, 0.03)) == 1
+        # the same full-batch step of a cohort, every fit passing through
+        monkeypatch.setattr(qk, "fit_and_quantize", pass_through)
+        team = alone(cfg, np.random.default_rng(0))
+        team.weights = [w0[None]]
+        fs = cl.quantized_forward(team.weights, shard.samples[None], team)
+        grads, _, _ = cl.quantized_backward(team.weights, fs, cl.ssl_upstream(fs.outputs, team), team)
+        cl.local_update(team, grads, 0.03)
         oracle = stochastic_grad(w0, shard.samples, 0.0, np.random.default_rng(1))
-        np.testing.assert_allclose(state.model[0], w0 - 0.03 * oracle, rtol=1e-12)
-        assert len(stats) == 1
+        np.testing.assert_allclose(team.weights[0][0], w0 - 0.03 * oracle, rtol=1e-12)
 
     @pytest.mark.parametrize("lr", [0.0, -0.01, math.nan])
     def test_step_size_must_be_positive(self, lr):
@@ -274,10 +282,12 @@ class TestRunLocalEpochs:
         def final_loss(quantized: bool):
             rng = np.random.default_rng(61)
             layers = cl.init_layers([8, 2], np.random.default_rng(2), 0.1 / math.sqrt(8))
-            if quantized:
-                state = start_client(cl.ClientConfig(bitwidth=12, aug_sigma=0.1), layers, rng)
-            else:
-                state = cl.ClientState(plain_config(aug_sigma=0.1), layers, rng)
+            if not quantized:  # the same schedule and sampling in plain SGD
+                w = layers[0]
+                for i in range(15):
+                    w = sgd(w, shard.samples, 2, 64, 0.03 / math.sqrt(i + 1), 0.1, rng)
+                return ssl.loss(w, shard.covariance())
+            state = start_client(cl.ClientConfig(bitwidth=12, aug_sigma=0.1), layers, rng)
             for i in range(15):
                 cl.run_local_epochs([state], [shard], 2, 64, 0.03 / math.sqrt(i + 1))
             return ssl.loss(state.layer_values()[0], shard.covariance())

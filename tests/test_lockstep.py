@@ -1,5 +1,6 @@
 """Lockstep training: clients trained together as one batch over ragged
-codebooks must get exactly the bytes each gets training alone."""
+codebooks must get exactly the bytes each gets training alone, and a
+cohort's step weights are always its quantized model's values."""
 
 import copy
 import importlib.util
@@ -44,6 +45,19 @@ def _assert_same_client(a: cl.ClientState, b: cl.ClientState):
     assert a.rng.random() == b.rng.random()
 
 
+_local_update = cl.local_update
+
+
+def _checked_update(cohort: cl.Cohort, grads, lr):
+    """``cl.local_update``, after which each layer of the next step's weights
+    is its quantized layer's values, byte for byte."""
+    eps_w_sq = _local_update(cohort, grads, lr)
+    for w, q in zip(cohort.weights, cohort.model, strict=True):
+        values = qk.dequantize(q)
+        assert w.shape == values.shape and w.tobytes() == values.tobytes()
+    return eps_w_sq
+
+
 def _assert_same_stats(a: cl.QuantErrorStats, b: cl.QuantErrorStats):
     for field in ("grad_error_sq", "weight_error_sq", "grad_norm_sq"):
         assert np.asarray(getattr(a, field)).tobytes() == np.asarray(getattr(b, field)).tobytes()
@@ -73,16 +87,16 @@ def test_lockstep_round_matches_each_client_alone(seed, bits, kinds, sizes, batc
     alone = copy.deepcopy(states)
 
     saved = exp.LOCKSTEP_ELEMENTS
-    exp.LOCKSTEP_ELEMENTS = group_cap
+    exp.LOCKSTEP_ELEMENTS, cl.local_update = group_cap, _checked_update
     try:
         stats, sent = step_round(states, ServerState(dict(zip(ids, bits)), seed=seed), shards, 2, batch_size, 0.05)
+        owns = {k: cl.run_local_epochs([alone[k]], [shards[k]], 2, batch_size, 0.05) for k in ids}
     finally:
-        exp.LOCKSTEP_ELEMENTS = saved
+        exp.LOCKSTEP_ELEMENTS, cl.local_update = saved, _local_update
 
     for k in ids:
-        own = cl.run_local_epochs([alone[k]], [shards[k]], 2, batch_size, 0.05)
-        assert len(own) == len(stats[k])
-        _assert_same_stats(stats[k], own[0])
+        assert len(owns[k]) == len(stats[k])
+        _assert_same_stats(stats[k], owns[k][0])
         _assert_same_client(cl.ClientState(cfgs[k], sent[k], states[k].rng), alone[k])
 
 

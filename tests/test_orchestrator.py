@@ -223,9 +223,9 @@ class TestRunExperiment:
         real = exp.cl.local_update
         seen = []
 
-        def spy(cohort, weights, grads, lr):
+        def spy(cohort, grads, lr):
             seen.extend([lr] * len(cohort.rngs))  # one step per client in the cohort
-            return real(cohort, weights, grads, lr)
+            return real(cohort, grads, lr)
 
         monkeypatch.setattr(exp.cl, "local_update", spy)
         cfg = config_from_dict(small_run_dict(

@@ -52,11 +52,13 @@ class TestDequantize:
         np.testing.assert_array_equal(qk.dequantize(again[0]), qk.dequantize(model[0]))
 
     def test_shape_mismatch(self):
+        # the lookup takes any shapes; the round's aggregate rejects them
         rng = np.random.default_rng(8)
         a = quantized(rng.normal(size=(2, 4)), 4, 1)
         b = quantized(rng.normal(size=(2, 5)), 4, 1)
+        server = sv.ServerState({1: 4, 2: 4}, seed=0)
         with pytest.raises(ShapeMismatch):
-            sv.dequantize_client_models([[a], [b]])
+            server.run_round({1: [a], 2: [b]}, {1: 10, 2: 10})
 
 
 class TestAggregate:
