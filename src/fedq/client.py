@@ -38,30 +38,24 @@ ACTIVATIONS = ("identity", "relu")
 
 @dataclass
 class QuantErrorStats:
-    """Per-step quantization error energies.
+    """Per-step quantization error energies, as arrays.
 
     One entry per local update: total ||eps_g||^2 over layers, total
     ||eps_w||^2, and the squared norm of the unquantized weight
     gradient. ``run_local_epochs`` returns (clients, steps) arrays;
-    ``stats[i]`` is client i's record, as lists, which ``extend`` grows.
+    ``stats[i]`` is client i's row of each, a view.
     """
 
-    grad_error_sq: np.ndarray | list[float] = field(default_factory=list)
-    weight_error_sq: np.ndarray | list[float] = field(default_factory=list)
-    grad_norm_sq: np.ndarray | list[float] = field(default_factory=list)
+    grad_error_sq: np.ndarray
+    weight_error_sq: np.ndarray
+    grad_norm_sq: np.ndarray
 
     def __getitem__(self, i: int) -> "QuantErrorStats":
-        return QuantErrorStats(self.grad_error_sq[i].tolist(), self.weight_error_sq[i].tolist(),
-                               self.grad_norm_sq[i].tolist())
-
-    def extend(self, other: "QuantErrorStats"):
-        self.grad_error_sq.extend(other.grad_error_sq)
-        self.weight_error_sq.extend(other.weight_error_sq)
-        self.grad_norm_sq.extend(other.grad_norm_sq)
+        return QuantErrorStats(self.grad_error_sq[i], self.weight_error_sq[i], self.grad_norm_sq[i])
 
     def __len__(self) -> int:
         """Local steps, summed over the clients."""
-        return np.size(self.grad_error_sq)
+        return self.grad_error_sq.size
 
     def mean_grad_error(self) -> float:
         return float(np.mean(self.grad_error_sq)) if len(self) else 0.0
@@ -232,19 +226,19 @@ def start_clients(configs: list[ClientConfig], init: list[np.ndarray],
     return [ClientState(c, m, rng) for c, m, rng in zip(configs, models, rngs)]
 
 
-def quantized_forward(weights: list[np.ndarray], batch: np.ndarray, cohort: Cohort) -> ForwardState:
-    """Layer-by-layer forward pass on the step's dequantized weights.
+def quantized_forward(batch: np.ndarray, cohort: Cohort) -> ForwardState:
+    """Layer-by-layer forward pass on the step's weight values, ``cohort.weights``.
 
-    ``weights`` and ``batch`` carry the cohort's client axis first. When
-    activation quantization is on, each layer output is passed through a
-    fresh tanh codebook per client (one per layer per step, built over
-    the client's whole batch tensor) and downstream layers see the
-    dequantized values.
+    ``batch`` carries the cohort's client axis first, as the weights do.
+    When activation quantization is on, each layer output is passed
+    through a fresh tanh codebook per client (one per layer per step,
+    built over the client's whole batch tensor) and downstream layers
+    see the dequantized values.
     """
     cfg = cohort.config
     a = np.asarray(batch, dtype=np.float64)
     inputs, masks = [], []
-    for w in weights:
+    for w in cohort.weights:
         if a.shape[-1] != w.shape[-1]:
             raise DimensionMismatch(
                 f"batch width {a.shape[-1]} does not match layer input {w.shape[-1]}"
@@ -259,37 +253,31 @@ def quantized_forward(weights: list[np.ndarray], batch: np.ndarray, cohort: Coho
     return ForwardState(inputs, masks, a)
 
 
-def quantized_backward(
-    weights: list[np.ndarray],
-    fstate: ForwardState,
-    upstream: np.ndarray,
-    cohort: Cohort,
-):
+def quantized_backward(fstate: ForwardState, upstream: np.ndarray, cohort: Cohort):
     """Backpropagate and quantize gradients layer by layer.
 
-    ``weights`` are the step's weight values (``cohort.weights``).
-    ``upstream`` is the loss gradient at the network output. It is
-    compressed first; each layer then consumes the quantized activation
-    gradient, producing a weight gradient (plus the per-layer Gram
-    regularization term 2 W W^T W) and the next activation gradient,
-    each put through a fresh quantile codebook per client at the
-    client's gradient bitwidth. ``fstate`` is used up: its lists end empty.
+    The weights are the step's values, ``cohort.weights``. ``upstream``
+    is the loss gradient at the network output. It is compressed first;
+    each layer then consumes the quantized activation gradient,
+    producing a weight gradient (plus the per-layer Gram regularization
+    term 2 W W^T W) and the next activation gradient, each put through
+    a fresh quantile codebook per client at the client's gradient
+    bitwidth. ``fstate`` is used up: its lists end empty.
 
     Returns (per-layer gradient values, ||eps_g||^2 summed over layers,
     ||g||^2 summed over layers), the energies one per client.
     """
-    n_layers = len(weights)
     if upstream.shape != fstate.outputs.shape:
         raise StateMismatch(
             f"upstream shape {upstream.shape} does not match forward output {fstate.outputs.shape}"
         )
     gbits = cohort.grad_bits
     _, g_act = qk.fit_and_quantize(upstream, gbits, "quantile", cohort.rngs)
-    grads: list = [None] * n_layers
+    grads: list = [None] * len(cohort.weights)
     eps_g_sq = np.zeros(len(gbits))
     grad_sq = np.zeros(len(gbits))
-    for l in range(n_layers - 1, -1, -1):
-        w = weights[l]
+    for l in range(len(grads) - 1, -1, -1):
+        w = cohort.weights[l]
         mask = fstate.masks.pop()
         if mask is not None:  # to the pre-activation; a bool multiplies as 1.0 or 0.0
             g_act = g_act * mask
@@ -380,9 +368,9 @@ def run_local_epochs(
             if orders is not None:
                 for x, order, block in zip(xs, orders, batch):
                     np.take(x, order[i:i + size], axis=0, out=block)
-            fstate = quantized_forward(cohort.weights, batch, cohort)
+            fstate = quantized_forward(batch, cohort)
             upstream = ssl_upstream(fstate.outputs, cohort)
-            grads, eps_g_sq, g_sq = quantized_backward(cohort.weights, fstate, upstream, cohort)
+            grads, eps_g_sq, g_sq = quantized_backward(fstate, upstream, cohort)
             stats[0, :, step] = eps_g_sq
             stats[1, :, step] = local_update(cohort, grads, lr)
             stats[2, :, step] = g_sq

@@ -1,13 +1,11 @@
 """Experiment configuration: JSON schema, defaults, validation.
 
-The config file is flat JSON with a few nested sections; unknown keys
-are rejected so typos fail loudly. FEDQ_SEED in the environment
-overrides both seeds (smoke-test hook).
+The config file is flat JSON with a few nested sections, each a JSON
+object; unknown keys are rejected so typos fail loudly.
 """
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,10 +89,12 @@ class ExperimentConfig:
         }
 
 
-def _reject_unknown(section: dict, allowed: set, where: str):
+def _object(section, allowed: set, where: str) -> dict:
+    """``section`` itself, once it is a JSON object with only ``allowed`` keys."""
+    _require(isinstance(section, dict), f"{where} must be a JSON object")
     unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ValidationError(f"unknown key(s) {unknown} in {where}")
+    _require(not unknown, f"unknown key(s) {unknown} in {where}")
+    return section
 
 
 def _is_int(x) -> bool:
@@ -114,9 +114,7 @@ def _require(cond: bool, invariant: str):
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a parsed config dict and fill defaults."""
-    if not isinstance(raw, dict):
-        raise ValidationError("config root must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config root")
+    _object(raw, _TOP_KEYS, "config root")
     for key in ("n_clients", "d", "bitwidths", "rounds"):
         _require(key in raw, f"missing required key '{key}'")
 
@@ -149,16 +147,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     qact = raw.get("quantize_activations", False)
     _require(isinstance(qact, bool), "quantize_activations must be boolean")
 
-    lr = dict(raw.get("lr", {}))
-    _reject_unknown(lr, _LR_KEYS, "lr")
+    lr = _object(raw.get("lr", {}), _LR_KEYS, "lr")
     lr_kind = lr.get("kind", "inverse_sqrt")
     _require(lr_kind in ("constant", "inverse_sqrt"), "lr.kind must be constant or inverse_sqrt")
     lr_base = lr.get("base")
     _require(lr_base is None or (_is_real(lr_base) and lr_base > 0),
              "lr.base must be a positive real number or null for auto")
 
-    model = dict(raw.get("model", {}))
-    _reject_unknown(model, _MODEL_KEYS, "model")
+    model = _object(raw.get("model", {}), _MODEL_KEYS, "model")
     m = model.get("m", n)
     _require(_is_int(m) and 1 <= m <= d, "model.m must be an integer in [1, d]")
     layers = model.get("layers")
@@ -171,30 +167,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     activation = model.get("activation", "identity")
     _require(activation in ACTIVATIONS, f"model.activation must be {' or '.join(ACTIVATIONS)}")
 
-    data = dict(raw.get("data", {}))
-    _reject_unknown(data, _DATA_KEYS, "data")
+    data = _object(raw.get("data", {}), _DATA_KEYS, "data")
     frequent_count = data.get("frequent_count", 2000)
     _require(_is_int(frequent_count), "data.frequent_count must be an integer")
     infrequent_exponent = data.get("infrequent_exponent", 0.3)
     _require(_is_real(infrequent_exponent), "data.infrequent_exponent must be a real number")
-    seeds = dict(raw.get("seeds", {}))
-    _reject_unknown(seeds, _SEED_KEYS, "seeds")
+    seeds = _object(raw.get("seeds", {}), _SEED_KEYS, "seeds")
     data_seed = seeds.get("data", 0)
     train_seed = seeds.get("training", 1)
     # np.random.SeedSequence takes only non-negative entropy.
     _require(_is_int(data_seed) and data_seed >= 0, "seeds.data must be an integer >= 0")
     _require(_is_int(train_seed) and train_seed >= 0, "seeds.training must be an integer >= 0")
-    env_seed = os.environ.get("FEDQ_SEED")
-    if env_seed is not None:
-        bad_env = f"FEDQ_SEED must be an integer >= 0, got {env_seed!r}"
-        try:
-            data_seed = train_seed = int(env_seed)
-        except ValueError as e:
-            raise ValidationError(bad_env) from e
-        _require(data_seed >= 0, bad_env)
 
-    metrics = dict(raw.get("metrics", {}))
-    _reject_unknown(metrics, _METRIC_KEYS, "metrics")
+    metrics = _object(raw.get("metrics", {}), _METRIC_KEYS, "metrics")
     moreau = metrics.get("moreau", True)
     _require(isinstance(moreau, bool), "metrics.moreau must be boolean")
     representability = metrics.get("representability", True)

@@ -2,12 +2,14 @@
 
 A run is bulk-synchronous: every round t (``step_round``), every client
 trains E local epochs on its own RNG stream at the round's one step
-size alpha_t (recorded in ``round_alphas``), clients with equal shard
-sizes in lockstep, the server de-quantizes / aggregates / re-quantizes,
-and one metrics record is computed on the full-precision aggregate.
-metrics.csv gains one row per round and is flushed immediately, so an
-aborted run leaves all completed rounds on disk. Row 0 snapshots the
-quantized initialization before any training.
+size alpha_t, clients with equal shard sizes in lockstep, the server
+de-quantizes / aggregates / re-quantizes, and one ``MetricsRecord`` is
+computed on the full-precision aggregate. The records are the run's
+only per-round history: each holds its round's alpha_t and the
+clients' per-step error energies next to the metrics. metrics.csv
+gains one row per record and is flushed immediately, so an aborted run
+leaves all completed rounds on disk. Row 0 snapshots the quantized
+initialization before any training.
 
 Timing is written to a separate timings.csv: metrics.csv must be
 byte-identical across reruns, which wall-clock numbers would break.
@@ -48,13 +50,20 @@ LOCKSTEP_ELEMENTS = 16384
 
 @dataclass
 class MetricsRecord:
-    """One round's metrics; round 0 is the initialization snapshot."""
+    """One round: its step size, its clients' error energies and its metrics.
+
+    ``alpha`` is the step size alpha_t that every local step of the
+    round took. ``stats[k]`` holds client k's ||eps_g||^2, ||eps_w||^2
+    and ||g||^2 of each of those steps, and ``eps_r[k]`` its ||eps_r||^2
+    of the server's re-quantization. Round 0 is the initialization
+    snapshot: no step, so ``alpha`` is NaN and every ``stats[k]`` empty.
+    """
 
     round: int
+    alpha: float
     global_loss: float
     local_loss: dict[int, float]
-    eps_g_mean: dict[int, float]
-    eps_w_mean: dict[int, float]
+    stats: dict[int, cl.QuantErrorStats]
     eps_r: dict[int, float]
     moreau: float
     representability: list[float]
@@ -66,9 +75,6 @@ class ExperimentResult:
     """Everything a diagnostic needs after a run."""
 
     records: list[MetricsRecord]
-    client_stats: dict[int, cl.QuantErrorStats]
-    steps_per_round: dict[int, list[int]]
-    round_alphas: list[float]
     xbar: np.ndarray
     init_global: list[np.ndarray]
     final_global: list[np.ndarray]
@@ -98,8 +104,8 @@ def _metrics_row(rec: MetricsRecord, client_ids: list[int]) -> str:
     for k in client_ids:
         vals += [
             _csv_num(rec.local_loss[k]),
-            _csv_num(rec.eps_g_mean[k]),
-            _csv_num(rec.eps_w_mean[k]),
+            _csv_num(rec.stats[k].mean_grad_error()),
+            _csv_num(rec.stats[k].mean_weight_error()),
             _csv_num(rec.eps_r[k]),
         ]
     return ",".join(vals)
@@ -164,7 +170,7 @@ def step_round(
 
 
 def run_experiment(cfg: ExperimentConfig, data_dir: str | Path | None = None) -> ExperimentResult:
-    """Execute a full run; returns records plus probe-grade raw stats.
+    """Execute a full run; returns its per-round records, raw stats included.
 
     Shards are read from ``data_dir`` when given, otherwise generated
     from the config. Artifacts written to ``cfg.output_dir``:
@@ -223,9 +229,6 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | Path | None = None) ->
     (out_dir / "config_echo.json").write_text(json.dumps(echo, indent=2) + "\n")
 
     records: list[MetricsRecord] = []
-    client_stats = {k: cl.QuantErrorStats() for k in client_ids}
-    steps_per_round = {k: [] for k in client_ids}
-    round_alphas: list[float] = []
 
     with (
         open(out_dir / "metrics.csv", "w", newline="\n") as mfile,
@@ -236,18 +239,18 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | Path | None = None) ->
         tfile.write("round,wall_ms\n")
         tfile.flush()
 
-        def emit(t, global_model, models, stats, eps_r, t0=None):
+        def emit(t, alpha, global_model, models, stats, eps_r, t0=None):
             gl, mo, rep = global_metrics(global_model)
             rec = MetricsRecord(
                 round=t,
+                alpha=alpha,
                 global_loss=gl,
                 local_loss={
                     k: sslcore.loss(qk.dequantize(m[0]), shard_by_id[k].covariance())
                     if len(m) == 1 else math.nan
                     for k, m in models.items()
                 },
-                eps_g_mean={k: st.mean_grad_error() for k, st in stats.items()},
-                eps_w_mean={k: st.mean_weight_error() for k, st in stats.items()},
+                stats=stats,
                 eps_r=eps_r,
                 moreau=mo,
                 representability=rep,
@@ -261,25 +264,16 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | Path | None = None) ->
                 tfile.flush()
 
         # Row 0: the quantized init, before any training.
-        emit(0, init_global, {k: states[k].model for k in client_ids},
-             {k: cl.QuantErrorStats() for k in client_ids}, dict.fromkeys(client_ids, 0.0))
+        emit(0, math.nan, init_global, {k: states[k].model for k in client_ids},
+             dict.fromkeys(client_ids, cl.QuantErrorStats(*np.empty((3, 0)))), dict.fromkeys(client_ids, 0.0))
         for t in range(1, cfg.rounds + 1):
             t0 = time.perf_counter()
             alpha = lr_base if cfg.lr_kind == "constant" else lr_base / math.sqrt(t)
-            round_alphas.append(alpha)
-            round_stats, sent = step_round(
-                states, server, shard_by_id, cfg.local_epochs, cfg.batch_size, alpha
-            )
-            for k in client_ids:
-                client_stats[k].extend(round_stats[k])
-                steps_per_round[k].append(len(round_stats[k]))
-            emit(t, server.global_model, sent, round_stats, dict(server.requant_error_log[-1]), t0)
+            stats, sent = step_round(states, server, shard_by_id, cfg.local_epochs, cfg.batch_size, alpha)
+            emit(t, alpha, server.global_model, sent, stats, server.requant_error, t0)
 
     return ExperimentResult(
         records=records,
-        client_stats=client_stats,
-        steps_per_round=steps_per_round,
-        round_alphas=round_alphas,
         xbar=xbar,
         init_global=init_global,
         final_global=[layer.copy() for layer in server.global_model],

@@ -15,7 +15,7 @@ runs in ascending client-id order, so results do not depend on the
 order in which clients report.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,8 +68,8 @@ def requantize_for_client(
 class ServerState:
     """Aggregation state across rounds.
 
-    ``requant_error_log`` holds one {client_id: ||eps_r||^2} dict per
-    completed round. Per-client re-quantization draws come from streams
+    ``requant_error`` holds the last completed round's {client_id:
+    ||eps_r||^2}. Per-client re-quantization draws come from streams
     derived from (seed, round, client), so rounds are reproducible no
     matter how the surrounding harness schedules work.
     """
@@ -78,7 +78,7 @@ class ServerState:
     seed: int
     global_model: list[np.ndarray] | None = None
     round_counter: int = 0
-    requant_error_log: list[dict[int, float]] = field(default_factory=list)
+    requant_error: dict[int, float] | None = None
 
     def _round_rng(self, client_id: int) -> np.random.Generator:
         return np.random.default_rng(
@@ -114,6 +114,6 @@ class ServerState:
                 [self._round_rng(k) for k in expected])
         except NonFiniteInput as e:
             raise Diverged(self.round_counter + 1, expected[e.row], "server requantize") from e
-        self.requant_error_log.append(dict(zip(expected, eps_r_sq.tolist())))
+        self.requant_error = dict(zip(expected, eps_r_sq.tolist()))
         self.round_counter += 1
         return dict(zip(expected, models))

@@ -132,10 +132,10 @@ def test_criterion_4_epoch_scaling_of_requant_error():
         # the E under test controls the drift accumulated between aggregations
         for _ in range(20):
             step_round(states, server, shards, 1, 64, 0.02)
-        n0 = len(server.requant_error_log)
+        logs = []
         for _ in range(8):
             step_round(states, server, shards, epochs, 64, 0.02)
-        logs = server.requant_error_log[n0:]
+            logs.append(server.requant_error)
         return float(np.mean([np.mean(list(l.values())) for l in logs]))
 
     sweep = [1, 2, 4, 8]
@@ -178,21 +178,19 @@ def test_criterion_6_convergence_surrogate(tmp_path):
     res = run_experiment(cfg)
 
     surrogates = np.array([r.moreau for r in res.records])  # rounds 0..T
-    alphas = np.array([res.round_alphas[0]] + res.round_alphas)
+    rounds = res.records[1:]
+    alphas = np.array([rounds[0].alpha] + [r.alpha for r in rounds])  # round 0 weighs as round 1
     avg = an.weighted_running_average(surrogates**2, alphas)
     decreasing = bool(np.all(np.diff(avg) <= 1e-12))
     ratio = avg[-1] / avg[0]
 
     tp = an.TheoryParams.from_covariance(res.xbar)
-    g_est = math.sqrt(max(max(stats.grad_norm_sq) for stats in res.client_stats.values()))
-    w_alphas, w_errs = [], []
-    for k, stats in res.client_stats.items():
-        steps = res.steps_per_round[k]
-        for n_steps, a in zip(steps, res.round_alphas):
-            w_alphas.extend([a] * n_steps)
-        w_errs.extend(stats.weight_error_sq)
-    r_errs = [r.eps_r[k] for r in res.records[1:] for k in sorted(r.eps_r)]
-    r_alphas = [a for a in res.round_alphas for _ in range(cfg.n_clients)]
+    # each local step's ||eps_w||^2 and each re-quantization's ||eps_r||^2, with its round's alpha_t
+    g_est = math.sqrt(max(st.grad_norm_sq.max() for r in rounds for st in r.stats.values()))
+    w_errs = np.concatenate([st.weight_error_sq for r in rounds for st in r.stats.values()])
+    w_alphas = [r.alpha for r in rounds for st in r.stats.values() for _ in range(len(st))]
+    r_errs = [r.eps_r[k] for r in rounds for k in sorted(r.eps_r)]
+    r_alphas = [r.alpha for r in rounds for _ in r.eps_r]
     gq = an.gq_estimate(w_errs, w_alphas, r_errs, r_alphas)
     tp.G = g_est
     tp.G_q = gq
@@ -265,13 +263,13 @@ def test_criterion_8_heterogeneous_bitwidth_sanity():
             for k, bits in ((1, 4), (2, 8))
         }
         server = ServerState({1: 4, 2: 8}, seed=810 + seed)
-        stats = {1: cl.QuantErrorStats(), 2: cl.QuantErrorStats()}
+        errs = {1: [], 2: []}
         for t in range(20):
             round_stats, _ = step_round(states, server, shards, 1, 64, 0.02 / math.sqrt(t + 1))
             for k in (1, 2):
-                stats[k].extend(round_stats[k])
-        means[4].append(stats[1].mean_weight_error())
-        means[8].append(stats[2].mean_weight_error())
+                errs[k].append(round_stats[k].weight_error_sq)
+        means[4].append(float(np.mean(np.concatenate(errs[1]))))
+        means[8].append(float(np.mean(np.concatenate(errs[2]))))
     m4 = float(np.mean(means[4]))
     m8 = float(np.mean(means[8]))
     elapsed = time.perf_counter() - t0

@@ -17,9 +17,12 @@ from oracle import (
 )
 
 
-def alone(cfg, rng):
-    """One client as a lockstep cohort of one: tensors gain a leading axis of 1."""
-    return cl.Cohort.of([cl.ClientState(cfg, [], rng)])
+def alone(cfg, rng, layers=()):
+    """One client as a lockstep cohort of one, whose step trains ``layers``:
+    tensors gain a leading axis of 1."""
+    cohort = cl.Cohort.of([cl.ClientState(cfg, [], rng)])
+    cohort.weights = [w[None] for w in layers]
+    return cohort
 
 
 def make_shard(n=1, d=8, count=200, seed=21, k=1):
@@ -49,7 +52,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         w = rng.normal(size=(2, 8))
         batch = rng.normal(size=(16, 8))
-        fs = cl.quantized_forward([w[None]], batch[None], alone(plain_config(), rng))
+        fs = cl.quantized_forward(batch[None], alone(plain_config(), rng, [w]))
         np.testing.assert_array_equal(fs.outputs[0], batch @ w.T)
 
     def test_identity_rows_reproduce_weight_rows(self):
@@ -57,7 +60,7 @@ class TestForward:
         w = rng.normal(size=(3, 4))
         cb = tanh_codebook(w, 8)
         qw = quantize_one(w, cb, rng)
-        fs = cl.quantized_forward([qk.dequantize(qw)[None]], np.eye(4)[None], alone(plain_config(bitwidth=8), rng))
+        fs = cl.quantized_forward(np.eye(4)[None], alone(plain_config(bitwidth=8), rng, [qk.dequantize(qw)]))
         np.testing.assert_allclose(fs.outputs[0].T, qk.dequantize(qw), atol=1e-12)
 
     def test_high_rate_shadows_unquantized(self):
@@ -68,7 +71,7 @@ class TestForward:
         batch = rng.normal(size=(64, 8))
         cfg = cl.ClientConfig(bitwidth=16, quantize_activations=True, aug_sigma=0.0)
         qw = quantize_one(w, tanh_codebook(w, 16), rng)
-        fs = cl.quantized_forward([qk.dequantize(qw)[None]], batch[None], alone(cfg, rng))
+        fs = cl.quantized_forward(batch[None], alone(cfg, rng, [qk.dequantize(qw)]))
         ref = batch @ w.T
         rel = np.linalg.norm(fs.outputs[0] - ref) / np.linalg.norm(ref)
         assert rel < 1e-2
@@ -77,7 +80,7 @@ class TestForward:
         rng = np.random.default_rng(4)
         layers = cl.init_layers([6, 5, 3], rng, 0.3)
         batch = rng.normal(size=(10, 6))
-        fs = cl.quantized_forward([w[None] for w in layers], batch[None], alone(plain_config(activation="relu"), rng))
+        fs = cl.quantized_forward(batch[None], alone(plain_config(activation="relu"), rng, layers))
         h1 = np.maximum(batch @ layers[0].T, 0.0)
         np.testing.assert_allclose(fs.outputs[0], np.maximum(h1 @ layers[1].T, 0.0))
 
@@ -89,10 +92,10 @@ class TestBackward:
         shard = make_shard()
         w = np.random.default_rng(7).normal(size=(2, 8)) * 0.2
         cfg = plain_config(aug_sigma=0.1)
-        team = alone(cfg, rng_client)
-        fs = cl.quantized_forward([w[None]], shard.samples[None], team)
+        team = alone(cfg, rng_client, [w])
+        fs = cl.quantized_forward(shard.samples[None], team)
         upstream = cl.ssl_upstream(fs.outputs, team)
-        grads, eps_g, g_sq = cl.quantized_backward([w[None]], fs, upstream, team)
+        grads, eps_g, g_sq = cl.quantized_backward(fs, upstream, team)
         oracle = stochastic_grad(w, shard.samples, 0.1, rng_oracle)
         np.testing.assert_allclose(grads[0][0], oracle, rtol=1e-10, atol=1e-12)
         assert eps_g == 0.0
@@ -103,9 +106,9 @@ class TestBackward:
         w = np.zeros((2, 4))
         cfg = cl.ClientConfig(bitwidth=4, aug_sigma=0.0)
         batch = np.zeros((6, 4))
-        team = alone(cfg, rng)
-        fs = cl.quantized_forward([w[None]], batch[None], team)
-        grads, eps_g, _ = cl.quantized_backward([w[None]], fs, np.zeros((1, 6, 2)), team)
+        team = alone(cfg, rng, [w])
+        fs = cl.quantized_forward(batch[None], team)
+        grads, eps_g, _ = cl.quantized_backward(fs, np.zeros((1, 6, 2)), team)
         np.testing.assert_array_equal(grads[0][0], np.zeros((2, 4)))
         assert eps_g == 0.0
 
@@ -142,10 +145,10 @@ class TestBackward:
             reg = sum(0.5 * np.sum((w.T @ w) ** 2) for w in ws)
             return data + reg
 
-        team = alone(cfg, rng)
-        fs = cl.quantized_forward([w[None] for w in layers], batch[None], team)
+        team = alone(cfg, rng, layers)
+        fs = cl.quantized_forward(batch[None], team)
         upstream = cl.ssl_upstream(fs.outputs, team)
-        grads, _, _ = cl.quantized_backward([w[None] for w in layers], fs, upstream, team)
+        grads, _, _ = cl.quantized_backward(fs, upstream, team)
         grads = [g[0] for g in grads]
 
         h = 1e-6
@@ -163,9 +166,9 @@ class TestBackward:
     def test_state_mismatch(self):
         rng = np.random.default_rng(10)
         w = rng.normal(size=(2, 4))
-        fs = cl.quantized_forward([w[None]], rng.normal(size=(1, 6, 4)), alone(plain_config(), rng))
+        fs = cl.quantized_forward(rng.normal(size=(1, 6, 4)), alone(plain_config(), rng, [w]))
         with pytest.raises(StateMismatch):
-            cl.quantized_backward([w[None]], fs, np.zeros((1, 5, 2)), alone(plain_config(), rng))
+            cl.quantized_backward(fs, np.zeros((1, 5, 2)), alone(plain_config(), rng, [w]))
 
 
 class TestLocalUpdate:
@@ -221,10 +224,9 @@ class TestRunLocalEpochs:
         assert len(cl.run_local_epochs([state], [shard], 1, None, 0.03)) == 1
         # the same full-batch step of a cohort, every fit passing through
         monkeypatch.setattr(qk, "fit_and_quantize", pass_through)
-        team = alone(cfg, np.random.default_rng(0))
-        team.weights = [w0[None]]
-        fs = cl.quantized_forward(team.weights, shard.samples[None], team)
-        grads, _, _ = cl.quantized_backward(team.weights, fs, cl.ssl_upstream(fs.outputs, team), team)
+        team = alone(cfg, np.random.default_rng(0), [w0])
+        fs = cl.quantized_forward(shard.samples[None], team)
+        grads, _, _ = cl.quantized_backward(fs, cl.ssl_upstream(fs.outputs, team), team)
         cl.local_update(team, grads, 0.03)
         oracle = stochastic_grad(w0, shard.samples, 0.0, np.random.default_rng(1))
         np.testing.assert_allclose(team.weights[0][0], w0 - 0.03 * oracle, rtol=1e-12)

@@ -48,11 +48,6 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.fixture(autouse=True)
-def _no_seed_override(monkeypatch):
-    monkeypatch.delenv("FEDQ_SEED", raising=False)
-
-
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_metrics_csv_digest(name, tmp_path):
     raw = dict(RUNS[name], seeds=SEEDS, output_dir=str(tmp_path / name))

@@ -60,7 +60,7 @@ def _checked_update(cohort: cl.Cohort, grads, lr):
 
 def _assert_same_stats(a: cl.QuantErrorStats, b: cl.QuantErrorStats):
     for field in ("grad_error_sq", "weight_error_sq", "grad_norm_sq"):
-        assert np.asarray(getattr(a, field)).tobytes() == np.asarray(getattr(b, field)).tobytes()
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
 @settings(max_examples=25, deadline=None)

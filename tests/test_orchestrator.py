@@ -80,17 +80,23 @@ class TestConfig:
         ({"output_dir": 5}, "output_dir"),
         ({"seeds": {"data": -1}}, "seeds.data"),
         ({"seeds": {"training": -1}}, "seeds.training"),
-        ({}, "FEDQ_SEED"),
+        ({"seeds": None}, "seeds"),
         ({"lr": {"kind": "linear"}}, "lr.kind"),
         ({"model": {"activation": "tanh"}}, "model.activation"),
+        ({"seeds": [["data", 3]]}, "seeds"),
+        ({"seeds": 5}, "seeds"),
+        *[({section: value}, section)
+          for section, pairs in (("lr", [["kind", "constant"]]), ("model", []),
+                                 ("data", [["frequent_count", 300]]), ("metrics", [["moreau", False]]))
+          for value in (None, pairs, 5)],
     ])
-    def test_no_silent_coercion(self, over, key, monkeypatch):
+    def test_no_silent_coercion(self, over, key):
         # JSON true loaded as 1.0, Infinity passed, 100.5 samples and
         # output_dir 5 reached the run, and a negative seed reached
         # np.random.SeedSequence; each must name its field instead. Config
-        # is also the only check of lr.kind and model.activation.
-        if key == "FEDQ_SEED":
-            monkeypatch.setenv(key, "-1")
+        # is also the only check of lr.kind and model.activation. A section
+        # that is not a JSON object must not become one: dict() raised
+        # TypeError on null or a number and took a list of pairs.
         with pytest.raises(ValidationError, match=f"^{key} must be"):
             config_from_dict(minimal(**over))
 
@@ -115,13 +121,6 @@ class TestConfig:
         path.write_text('{"n_clients": 2,\n  "oops"\n}')
         with pytest.raises(ParseError, match=r"bad\.json:\d+:\d+"):
             load_config(path)
-
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        path = write_cfg(tmp_path, seeds={"data": 5, "training": 6})
-        monkeypatch.setenv("FEDQ_SEED", "99")
-        cfg = load_config(path)
-        assert cfg.data_seed == cfg.training_seed == 99
-        assert cfg.data.seed == 99
 
 
 def small_run_dict(tmp_path, **over):
@@ -233,25 +232,21 @@ class TestRunExperiment:
             lr={"kind": kind, "base": 0.02},
         ))
         res = run_experiment(cfg)
-        assert res.round_alphas == {
+        assert math.isnan(res.records[0].alpha)
+        assert [r.alpha for r in res.records[1:]] == {
             "inverse_sqrt": [0.02 / math.sqrt(t) for t in range(1, 5)],
             "constant": [0.02] * 4,
         }[kind]
         # several minibatches per epoch, two epochs per round
-        assert all(n > 2 for steps in res.steps_per_round.values() for n in steps)
-        expected = [
-            res.round_alphas[t - 1]
-            for t in range(1, cfg.rounds + 1)
-            for k in sorted(res.steps_per_round)
-            for _ in range(res.steps_per_round[k][t - 1])
-        ]
+        assert all(len(st) > 2 for r in res.records[1:] for st in r.stats.values())
+        expected = [r.alpha for r in res.records[1:] for st in r.stats.values() for _ in range(len(st))]
         assert seen == expected
 
     def test_heterogeneous_bitwidths_recorded(self, tmp_path):
         cfg = config_from_dict(small_run_dict(tmp_path, bitwidths=[4, 8], rounds=4))
         res = run_experiment(cfg)
-        e4 = np.mean([r.eps_w_mean[1] for r in res.records[1:]])
-        e8 = np.mean([r.eps_w_mean[2] for r in res.records[1:]])
+        e4 = np.mean([r.stats[1].mean_weight_error() for r in res.records[1:]])
+        e8 = np.mean([r.stats[2].mean_weight_error() for r in res.records[1:]])
         assert e8 < e4
 
     def test_model_stays_quantized_between_rounds(self, tmp_path):
@@ -272,7 +267,7 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         # theory-path metrics are linear-model-only
         assert math.isnan(res.records[-1].global_loss)
-        assert all(v >= 0.0 for v in res.records[-1].eps_w_mean.values())
+        assert all(st.mean_weight_error() >= 0.0 for st in res.records[-1].stats.values())
 
 
 def diverging_run_dict(tmp_path):
@@ -424,12 +419,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "datagen.json" in err
 
-    def test_run_rejects_negative_env_seed(self, tmp_path, capsys, monkeypatch):
-        cfg_path = write_cfg(tmp_path, output_dir=str(tmp_path / "run"))
-        monkeypatch.setenv("FEDQ_SEED", "-1")
+    def test_run_rejects_a_section_that_is_not_an_object(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, seeds=None, output_dir=str(tmp_path / "run"))
         assert cli_dispatch(["run", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "FEDQ_SEED" in err
+        assert err.startswith("error:") and "seeds must be a JSON object" in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("rates", ["3..x", "a,b", "5", "8..3", "0,3", "3..30"])

@@ -14,8 +14,7 @@ from fedq.config import config_from_dict
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_config_examples_load_and_defaults_match(monkeypatch):
-    monkeypatch.delenv("FEDQ_SEED", raising=False)
+def test_config_examples_load_and_defaults_match():
     blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 2
     minimal, full = (json.loads(b) for b in blocks)

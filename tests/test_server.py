@@ -179,7 +179,7 @@ class TestRunRound:
                 assert got.indices.tobytes() == want.indices.tobytes()
                 assert got.codebook.centers.tobytes() == want.codebook.centers.tobytes()
                 eps_r_sq += err
-            assert server.requant_error_log[-1][k] == eps_r_sq
+            assert server.requant_error[k] == eps_r_sq
 
     def test_each_client_gets_a_fit_of_its_own(self):
         # One chunk, on a layer whose tanh brackets are searched and on one
@@ -231,7 +231,7 @@ class TestRunRound:
             2: [quantized(vals, 5, 28)],
         }
         out = server.run_round(models, {1: 10, 2: 10})
-        assert server.requant_error_log[-1] == {1: 0.0, 2: 0.0}
+        assert server.requant_error == {1: 0.0, 2: 0.0}
         for k in (1, 2):
             np.testing.assert_array_equal(qk.dequantize(out[k][0]), vals)
 
@@ -242,7 +242,7 @@ class TestRunRound:
         server.run_round(
             {1: [quantized(w, 4, 22)], 2: [quantized(w, 8, 23)]}, {1: 5, 2: 5}
         )
-        log = server.requant_error_log[-1]
+        log = server.requant_error
         assert set(log) == {1, 2}
         assert log[1] >= 0.0 and log[2] >= 0.0
 

@@ -9,6 +9,7 @@ from fedq import sslcore as ssl
 from fedq.errors import (
     DimensionMismatch,
     InvalidParams,
+    NegativeEigenvalue,
     NotSymmetric,
     ZeroMatrix,
 )
@@ -210,6 +211,12 @@ class TestClosedFormOptimum:
         x = np.diag([1.0, -1e-12])
         w = ssl.closed_form_optimum(x, 2)
         assert np.all(np.isfinite(w))
+        np.testing.assert_array_equal(w[1], 0.0)  # roundoff below EIG_CLAMP counts as an exact zero
+
+    def test_negative_eigenvalue_beyond_clamp_raises(self):
+        # -1e-6 is not roundoff of a PSD input: the covariance is wrong
+        with pytest.raises(NegativeEigenvalue, match="below"):
+            ssl.closed_form_optimum(np.diag([1.0, -1e-6]), 2)
 
     def test_rank_bounds(self):
         with pytest.raises(InvalidParams):
