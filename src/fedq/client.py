@@ -2,10 +2,13 @@
 
 One client = one fully-connected encoder whose weights live as
 quantized index arrays between steps, plus the client's own RNG stream.
-Clients that share every setting but the bitwidth, and whose shards
-hold the same number of rows, train as one ``Cohort``: the client is
-the leading axis of every weight, minibatch, activation and gradient,
-and each quantizer fit is one call over the clients' ragged codebooks.
+Clients differ only in their shards and bitwidths; every other setting
+is the run's one ``ClientConfig``. ``start_clients`` forms the run's
+cohorts once: clients whose shards hold the same number of rows train
+as one ``Cohort``, where the client is the leading axis of every
+weight, minibatch, activation and gradient, and each quantizer fit is
+one call over the clients' ragged codebooks. A cohort holds its
+clients' streams, shards and stored models for the whole run.
 Each SGD step runs the forward/backward pass on the values of the
 quantized weights (quantizing gradients with fresh quantile codebooks,
 and optionally activations with fresh tanh codebooks), applies the
@@ -25,7 +28,7 @@ encoders reuse the same loop with per-layer Gram regularization, which
 reduces to the linear objective at one layer.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,26 +39,43 @@ from .errors import DimensionMismatch, InvalidParams, NonFiniteInput, StateMisma
 ACTIVATIONS = ("identity", "relu")
 
 
-@dataclass
+# A cohort's widest activation batch (clients x minibatch rows x widest
+# layer) holds at most this many elements, or the cohort is one client.
+# Every temporary of a step grows with the cohort, while the per-call
+# overhead that batching saves shrinks as tensors grow. At seed 0
+# (tools/step_memory.py, the most one call adds to traced memory) relu-actq
+# in cohorts of 4 x 64 x 64 adds 671 KiB in quantized_forward and 1005 KiB
+# in quantized_backward, against 349 and 586 KiB in cohorts of 2, and its
+# peak RSS is 0.6-0.7 MiB higher. linear-fullbatch-16c in cohorts of
+# 4 x 188 x 64 would add 689 against 251 KiB in quantized_backward and
+# 0.9 MiB of peak RSS. Any cap in [16384, 24063] gives cohorts of 4 on
+# relu-actq and linear-minibatch (4 x 64 x 32) and leaves 188 x 64 alone.
+LOCKSTEP_ELEMENTS = 16384
+
+
+@dataclass(slots=True)
 class QuantErrorStats:
-    """Per-step quantization error energies, as arrays.
+    """Per-step quantization error energies, as one array.
 
     One entry per local update: total ||eps_g||^2 over layers, total
     ||eps_w||^2, and the squared norm of the unquantized weight
-    gradient. ``run_local_epochs`` returns (clients, steps) arrays;
-    ``stats[i]`` is client i's row of each, a view.
+    gradient, stacked along the first axis of ``energies``.
+    ``run_local_epochs`` returns a (3, clients, steps) array;
+    ``stats[i]`` is client i's (3, steps) slice, a view.
     """
 
-    grad_error_sq: np.ndarray
-    weight_error_sq: np.ndarray
-    grad_norm_sq: np.ndarray
+    energies: np.ndarray
+
+    grad_error_sq = property(lambda self: self.energies[0])
+    weight_error_sq = property(lambda self: self.energies[1])
+    grad_norm_sq = property(lambda self: self.energies[2])
 
     def __getitem__(self, i: int) -> "QuantErrorStats":
-        return QuantErrorStats(self.grad_error_sq[i], self.weight_error_sq[i], self.grad_norm_sq[i])
+        return QuantErrorStats(self.energies[:, i])
 
     def __len__(self) -> int:
         """Local steps, summed over the clients."""
-        return self.grad_error_sq.size
+        return self.energies[0].size
 
     def mean_grad_error(self) -> float:
         return float(np.mean(self.grad_error_sq)) if len(self) else 0.0
@@ -66,85 +86,53 @@ class QuantErrorStats:
 
 @dataclass(frozen=True)
 class ClientConfig:
-    """Bitwidths and settings of one client's training loop.
+    """The training settings that every client of a run shares.
 
-    Weights are always quantized at ``bitwidth`` and gradients at
-    ``bitwidth + grad_extra_bits``. Activations are quantized at
-    ``bitwidth`` only when ``quantize_activations`` is on; it stays off
-    for the linear theory path.
+    A client's weights are always quantized at its own bitwidth s_k and
+    its gradients at s_k + ``grad_extra_bits``. Activations are
+    quantized at s_k only when ``quantize_activations`` is on; it stays
+    off for the linear theory path.
     """
 
-    bitwidth: int
     grad_extra_bits: int = 2
     activation: str = "identity"
     aug_sigma: float = 0.1
     quantize_activations: bool = False
 
     def __post_init__(self):
-        if self.bitwidth < 1:
-            raise InvalidParams("bitwidth must be >= 1")
         if self.grad_extra_bits < 0:
             raise InvalidParams("grad_extra_bits must be >= 0")
         if self.activation not in ACTIVATIONS:
             raise InvalidParams(f"unknown activation {self.activation!r}")
 
-    @property
-    def grad_bitwidth(self) -> int:
-        return self.bitwidth + self.grad_extra_bits
-
-
-@dataclass
-class ClientState:
-    """A client: its quantized model and its own RNG stream, carried across rounds.
-
-    ``model`` holds one QuantizedTensor per layer at ``config.bitwidth``,
-    as ``start_clients``, ``run_local_epochs`` and the server produce it.
-    The RNG stream is owned by the client, making training deterministic
-    regardless of how clients are scheduled.
-    """
-
-    config: ClientConfig
-    model: list[qk.QuantizedTensor]
-    rng: np.random.Generator
-
-    def layer_values(self) -> list[np.ndarray]:
-        """The model's weights as arrays: each layer decoded once."""
-        return [qk.dequantize(w) for w in self.model]
-
 
 @dataclass
 class Cohort:
-    """Clients that train in lockstep, as one batch.
+    """Clients that train in lockstep, as one batch, for the whole run.
 
     Row r of every batched tensor (weights, minibatch, activations,
-    gradients, codebooks) belongs to client r. The clients share every
-    setting but the bitwidth; ``bits`` and ``grad_bits`` hold one per
-    row, ``rngs`` each client's own stream. ``weights`` holds the next
-    step's weight values, one batched array per layer: the clients'
+    gradients, codebooks) belongs to client ``ids[r]``, whose bitwidth
+    is ``bits[r]``, stream ``rngs[r]`` and shard ``shards[r]``; the
+    shards hold the same number of rows. ``models[r]`` is the client's
+    stored model between rounds, one QuantizedTensor per layer in its
+    compact dtype. During ``run_local_epochs`` only, ``weights`` holds
+    the next step's weight values, one batched array per layer (the
     decoded models, then those of the batch ``local_update`` quantizes
-    into ``model``.
+    into ``model``).
     """
 
     config: ClientConfig
+    ids: tuple[int, ...]
     bits: tuple[int, ...]
-    grad_bits: tuple[int, ...]
     rngs: list[np.random.Generator]
+    shards: list[DataShard]
+    models: list[list[qk.QuantizedTensor]]
     weights: list[np.ndarray] = field(default_factory=list)
     model: list[qk.QuantizedTensor] = field(default_factory=list)
 
-    @classmethod
-    def of(cls, states: list[ClientState]) -> "Cohort":
-        cfg = states[0].config
-        if any(replace(s.config, bitwidth=cfg.bitwidth) != cfg for s in states[1:]):
-            raise InvalidParams("clients in lockstep may differ only in bitwidth")
-        weights = [np.array(layer) for layer in zip(*(s.layer_values() for s in states))]
-        return cls(cfg, tuple(s.config.bitwidth for s in states),
-                   tuple(s.config.grad_bitwidth for s in states), [s.rng for s in states], weights)
-
-    def scatter(self, states: list[ClientState]):
-        """Hand each client its row of the model."""
-        for state, model in zip(states, split_model(self.model)):
-            state.model = model
+    @property
+    def grad_bits(self) -> tuple[int, ...]:
+        return tuple(b + self.config.grad_extra_bits for b in self.bits)
 
 
 @dataclass
@@ -217,13 +205,29 @@ def quantize_for_clients(layers: list[np.ndarray], bits: tuple[int, ...],
     return models, err_sq
 
 
-def start_clients(configs: list[ClientConfig], init: list[np.ndarray],
-                  rngs: list[np.random.Generator]) -> list[ClientState]:
-    """Clients before their first round: the shared ``init`` quantized at
-    each one's bitwidth from its ``rng``, which then stays its own stream
-    for training."""
-    models, _ = quantize_for_clients(init, tuple(c.bitwidth for c in configs), rngs)
-    return [ClientState(c, m, rng) for c, m, rng in zip(configs, models, rngs)]
+def start_clients(config: ClientConfig, init: list[np.ndarray], bits: dict[int, int],
+                  rngs: dict[int, np.random.Generator], shards: dict[int, DataShard],
+                  batch_size: int | None) -> list[Cohort]:
+    """The run's cohorts before their first round, keyed by client id in
+    ``bits``, ``rngs`` and ``shards``: the shared ``init`` is quantized at
+    each client's bitwidth from its stream, which then stays its own for
+    training. Clients whose shards hold the same number of rows form
+    cohorts in ascending id, as many per cohort as LOCKSTEP_ELEMENTS
+    allows at ``batch_size``."""
+    ids = sorted(bits)
+    models, _ = quantize_for_clients(init, tuple(bits[k] for k in ids), [rngs[k] for k in ids])
+    model_of = dict(zip(ids, models))
+    by_size: dict[int, list[int]] = {}
+    for k in ids:
+        by_size.setdefault(shards[k].size, []).append(k)
+    widest = max(max(w.shape) for w in init)
+    cohorts = []
+    for rows, same in by_size.items():
+        n = max(1, LOCKSTEP_ELEMENTS // (min(batch_size or rows, rows) * widest))
+        for g in (same[i:i + n] for i in range(0, len(same), n)):
+            cohorts.append(Cohort(config, tuple(g), tuple(bits[k] for k in g), [rngs[k] for k in g],
+                                  [shards[k] for k in g], [model_of[k] for k in g]))
+    return cohorts
 
 
 def quantized_forward(batch: np.ndarray, cohort: Cohort) -> ForwardState:
@@ -329,32 +333,25 @@ def ssl_upstream(outputs: np.ndarray, cohort: Cohort) -> np.ndarray:
     return g
 
 
-def run_local_epochs(
-    states: list[ClientState],
-    shards: list[DataShard],
-    epochs: int,
-    batch_size: int | None,
-    lr: float,
-) -> QuantErrorStats:
-    """One communication round of local training, for clients in lockstep.
+def run_local_epochs(cohort: Cohort, epochs: int, batch_size: int | None, lr: float) -> QuantErrorStats:
+    """One communication round of local training, for a cohort in lockstep.
 
     Each client trains E epochs of SGD at step size ``lr`` on its own
-    shard; all shards hold the same number of rows, so every client
-    takes the same steps and each step runs as one batch over the
-    clients. Minibatches are drawn by per-epoch permutation from each
-    client's own stream; ``batch_size`` None or >= |D_k| means full-batch
-    passes in natural order. Returns the round's quantization-error
-    statistics, (clients, steps) arrays.
+    shard, starting from its stored model; every client takes the same
+    steps and each step runs as one batch over the clients. Minibatches
+    are drawn by per-epoch permutation from each client's own stream;
+    ``batch_size`` None or >= |D_k| means full-batch passes in natural
+    order. The trained models become ``cohort.models``, and the round's
+    weights and batched model are dropped. Returns the round's
+    quantization-error statistics, a (3, clients, steps) array.
     """
     if epochs < 1:
         raise InvalidParams("epochs must be >= 1")
     if not lr > 0:
         raise InvalidParams(f"step size must be positive, got {lr}")
-    xs = [shard.samples for shard in shards]
+    xs = [shard.samples for shard in cohort.shards]
     rows = xs[0].shape[0]
-    if any(x.shape[0] != rows for x in xs):
-        raise InvalidParams("clients in lockstep need shards of equal size")
-    cohort = Cohort.of(states)
+    cohort.weights = [np.array(layer) for layer in zip(*([qk.dequantize(w) for w in m] for m in cohort.models))]
     size = rows if batch_size is None else min(batch_size, rows)
     per_epoch = -(-rows // size)
     stats = np.empty((3, len(xs), epochs * per_epoch))  # (eps_g_sq, eps_w_sq, g_sq), client, step
@@ -374,5 +371,6 @@ def run_local_epochs(
             stats[0, :, step] = eps_g_sq
             stats[1, :, step] = local_update(cohort, grads, lr)
             stats[2, :, step] = g_sq
-    cohort.scatter(states)
-    return QuantErrorStats(*stats)
+    cohort.models = split_model(cohort.model)
+    cohort.weights, cohort.model = [], []
+    return QuantErrorStats(stats)

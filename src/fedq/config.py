@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .client import ACTIVATIONS
+from .client import ACTIVATIONS, ClientConfig
 from .datagen import DataGenParams
 from .errors import InvalidParams, ParseError, ValidationError
 from .quantkit import MAX_RATE
@@ -37,22 +37,21 @@ class ExperimentConfig:
     """Fully-resolved run description, built only by ``config_from_dict``.
 
     ``lr_base`` None means auto: 0.05 / lambda_max of the global
-    covariance estimate, resolved once the shards exist.
+    covariance estimate, resolved once the shards exist. ``client``
+    holds the training settings that every client shares; clients
+    differ only in ``bitwidths`` and their shards.
     """
 
     n_clients: int
     bitwidths: tuple[int, ...]
     rounds: int
     data: DataGenParams
-    grad_extra_bits: int
+    client: ClientConfig
     local_epochs: int
     batch_size: int | None
-    aug_sigma: float
-    quantize_activations: bool
     lr_kind: str
     lr_base: float | None
     model_layers: tuple[int, ...]
-    activation: str
     m: int
     data_seed: int
     training_seed: int
@@ -65,15 +64,15 @@ class ExperimentConfig:
             "d": self.data.d,
             "bitwidths": list(self.bitwidths),
             "rounds": self.rounds,
-            "grad_extra_bits": self.grad_extra_bits,
+            "grad_extra_bits": self.client.grad_extra_bits,
             "local_epochs": self.local_epochs,
             "batch_size": self.batch_size,
-            "aug_sigma": self.aug_sigma,
-            "quantize_activations": self.quantize_activations,
+            "aug_sigma": self.client.aug_sigma,
+            "quantize_activations": self.client.quantize_activations,
             "lr": {"kind": self.lr_kind, "base": self.lr_base},
             "model": {
                 "layers": list(self.model_layers),
-                "activation": self.activation,
+                "activation": self.client.activation,
                 "m": self.m,
             },
             "data": {
@@ -204,15 +203,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         bitwidths=tuple(bitwidths),
         rounds=rounds,
         data=gen,
-        grad_extra_bits=grad_extra,
+        client=ClientConfig(grad_extra_bits=grad_extra, activation=activation, aug_sigma=float(aug_sigma),
+                            quantize_activations=qact),
         local_epochs=epochs,
         batch_size=batch,
-        aug_sigma=float(aug_sigma),
-        quantize_activations=qact,
         lr_kind=lr_kind,
         lr_base=None if lr_base is None else float(lr_base),
         model_layers=tuple(layers),
-        activation=activation,
         m=m,
         data_seed=data_seed,
         training_seed=train_seed,

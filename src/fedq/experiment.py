@@ -2,7 +2,7 @@
 
 A run is bulk-synchronous: every round t (``step_round``), every client
 trains E local epochs on its own RNG stream at the round's one step
-size alpha_t, clients with equal shard sizes in lockstep, the server
+size alpha_t, in the cohorts ``client.start_clients`` formed, the server
 de-quantizes / aggregates / re-quantizes, and one ``MetricsRecord`` is
 computed on the full-precision aggregate. The records are the run's
 only per-round history: each holds its round's alpha_t and the
@@ -27,25 +27,12 @@ from . import client as cl
 from . import quantkit as qk
 from . import sslcore
 from .config import ExperimentConfig
-from .datagen import DataShard, client_rng, generate_all_shards, global_covariance, read_dataset
+from .datagen import client_rng, generate_all_shards, global_covariance, read_dataset
 from .analysis import TheoryParams, moreau_grad_surrogate
 from .errors import Diverged, NonFiniteInput, ValidationError
 from .server import ServerState, aggregate
 
 AUTO_LR_COEFF = 0.05
-
-# A lockstep group's widest activation batch (clients x minibatch rows x
-# widest layer) holds at most this many elements, or the group is one
-# client. Every temporary of a step grows with the group, while the
-# per-call overhead that batching saves shrinks as tensors grow. At seed 0
-# (tools/step_memory.py, the most one call adds to traced memory) relu-actq
-# in cohorts of 4 x 64 x 64 adds 671 KiB in quantized_forward and 1005 KiB
-# in quantized_backward, against 349 and 586 KiB in cohorts of 2, and its
-# peak RSS is 0.6-0.7 MiB higher. linear-fullbatch-16c in cohorts of
-# 4 x 188 x 64 would add 689 against 251 KiB in quantized_backward and
-# 0.9 MiB of peak RSS. Any cap in [16384, 24063] gives cohorts of 4 on
-# relu-actq and linear-minibatch (4 x 64 x 32) and leaves 188 x 64 alone.
-LOCKSTEP_ELEMENTS = 16384
 
 
 @dataclass
@@ -121,51 +108,44 @@ def resolve_lr_base(cfg: ExperimentConfig, xbar: np.ndarray) -> float:
     return AUTO_LR_COEFF / lam
 
 
+def stored_models(cohorts: list[cl.Cohort]) -> dict[int, list[qk.QuantizedTensor]]:
+    """Each client's stored model, in ascending client id."""
+    return dict(sorted((k, m) for c in cohorts for k, m in zip(c.ids, c.models)))
+
+
 def step_round(
-    states: dict[int, cl.ClientState],
+    cohorts: list[cl.Cohort],
     server: ServerState,
-    shards_by_id: dict[int, DataShard],
     epochs: int,
     batch_size: int | None,
     lr: float,
 ) -> tuple[dict[int, cl.QuantErrorStats], dict[int, list]]:
     """One communication round: the only definition of it.
 
-    Clients whose shards hold the same number of rows train in lockstep,
-    in batches (``cl.run_local_epochs``) sized by LOCKSTEP_ELEMENTS:
-    ``epochs`` local epochs at the round's step size ``lr``. Then the
-    server de-quantizes, aggregates by shard size and re-quantizes per
-    client, and every client takes its new model.
+    Each cohort trains in lockstep (``cl.run_local_epochs``): ``epochs``
+    local epochs at the round's step size ``lr``. Then the server
+    de-quantizes, aggregates by shard size and re-quantizes per client,
+    and every cohort takes its clients' new models.
     Returns each client's error stats for the round and the models the
     clients sent. Both phases name the server's next round in Diverged;
     a client update names the lowest client id whose values were
     non-finite at the first quantization that failed.
     """
-    ids = sorted(states)
-    by_size: dict[int, list[int]] = {}
-    for k in ids:
-        by_size.setdefault(shards_by_id[k].size, []).append(k)
-    groups = []
-    for rows, same in by_size.items():
-        widest = max(shards_by_id[same[0]].dim, *(w.shape[0] for w in states[same[0]].model))
-        n = max(1, LOCKSTEP_ELEMENTS // (min(batch_size or rows, rows) * widest))
-        groups += [same[i:i + n] for i in range(0, len(same), n)]
     stats = {}
     # Overflow on the way to divergence must not surface as a numpy
     # warning: the quantizer's finiteness check reports it as Diverged,
     # with its round, client and phase.
     with np.errstate(over="ignore", invalid="ignore"):
-        for group in groups:
+        for cohort in cohorts:
             try:
-                batch = cl.run_local_epochs([states[k] for k in group], [shards_by_id[k] for k in group],
-                                            epochs, batch_size, lr)
+                batch = cl.run_local_epochs(cohort, epochs, batch_size, lr)
             except NonFiniteInput as e:
-                raise Diverged(server.round_counter + 1, group[e.row], "client update") from e
-            stats.update((k, batch[r]) for r, k in enumerate(group))
-        sent = {k: states[k].model for k in ids}
-        received = server.run_round(sent, {k: shards_by_id[k].size for k in ids})
-    for k in ids:
-        states[k].model = received[k]
+                raise Diverged(server.round_counter + 1, cohort.ids[e.row], "client update") from e
+            stats.update((k, batch[r]) for r, k in enumerate(cohort.ids))
+        sent = stored_models(cohorts)
+        received = server.run_round(sent, {k: s.size for c in cohorts for k, s in zip(c.ids, c.shards)})
+    for cohort in cohorts:
+        cohort.models = [received[k] for k in cohort.ids]
     return stats, sent
 
 
@@ -179,8 +159,8 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | Path | None = None) ->
     """
     if data_dir is not None:
         params, shards = read_dataset(data_dir)
-        if params.n != cfg.n_clients or params.d != cfg.data.d:
-            raise ValidationError("dataset on disk does not match config (n_clients/d differ)")
+        if params != cfg.data:
+            raise ValidationError(f"dataset on disk was made with {params}, but the config has {cfg.data}")
     else:
         shards = generate_all_shards(cfg.data)
     client_ids = sorted(s.client_id for s in shards)
@@ -197,13 +177,12 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | Path | None = None) ->
     init_layers = cl.init_layers(
         list(cfg.model_layers), client_rng(cfg.training_seed, 0), 0.1 / math.sqrt(cfg.data.d)
     )
-    configs = [cl.ClientConfig(bitwidth=bits, grad_extra_bits=cfg.grad_extra_bits, activation=cfg.activation,
-                               aug_sigma=cfg.aug_sigma, quantize_activations=cfg.quantize_activations)
-               for bits in cfg.bitwidths]
-    rngs = [client_rng(cfg.training_seed, k) for k in client_ids]
-    states = dict(zip(client_ids, cl.start_clients(configs, init_layers, rngs)))
-    server = ServerState(dict(zip(client_ids, cfg.bitwidths)), seed=cfg.training_seed)
-    init_global = aggregate([states[k].layer_values() for k in client_ids],
+    bits = dict(zip(client_ids, cfg.bitwidths))
+    cohorts = cl.start_clients(cfg.client, init_layers, bits,
+                               {k: client_rng(cfg.training_seed, k) for k in client_ids},
+                               shard_by_id, cfg.batch_size)
+    server = ServerState(bits, seed=cfg.training_seed)
+    init_global = aggregate([[qk.dequantize(w) for w in m] for m in stored_models(cohorts).values()],
                             [shard_by_id[k].size for k in client_ids])
     repr_dims = cfg.n_clients if cfg.metrics.representability else 0
 
@@ -264,12 +243,12 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | Path | None = None) ->
                 tfile.flush()
 
         # Row 0: the quantized init, before any training.
-        emit(0, math.nan, init_global, {k: states[k].model for k in client_ids},
-             dict.fromkeys(client_ids, cl.QuantErrorStats(*np.empty((3, 0)))), dict.fromkeys(client_ids, 0.0))
+        emit(0, math.nan, init_global, stored_models(cohorts),
+             dict.fromkeys(client_ids, cl.QuantErrorStats(np.empty((3, 0)))), dict.fromkeys(client_ids, 0.0))
         for t in range(1, cfg.rounds + 1):
             t0 = time.perf_counter()
             alpha = lr_base if cfg.lr_kind == "constant" else lr_base / math.sqrt(t)
-            stats, sent = step_round(states, server, shard_by_id, cfg.local_epochs, cfg.batch_size, alpha)
+            stats, sent = step_round(cohorts, server, cfg.local_epochs, cfg.batch_size, alpha)
             emit(t, alpha, server.global_model, sent, stats, server.requant_error, t0)
 
     return ExperimentResult(

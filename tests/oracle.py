@@ -43,9 +43,10 @@ def fit_and_quantize_one(x, rate, compander, rng):
     return qk.unstack(q)[0], values[0], float(qk.error_energy(values, x)[0])
 
 
-def start_client(config, init, rng):
-    """``cl.start_clients`` of one client."""
-    return cl.start_clients([config], init, [rng])[0]
+def start_client(config, bits, init, rng, shard):
+    """``cl.start_clients`` of one client, id 1: its cohort of one."""
+    (cohort,) = cl.start_clients(config, init, {1: bits}, {1: rng}, {1: shard}, None)
+    return cohort
 
 
 def reference_bracket(centers, x):

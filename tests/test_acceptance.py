@@ -120,21 +120,16 @@ def test_criterion_4_epoch_scaling_of_requant_error():
     init = cl.init_layers([8, 2], np.random.default_rng(7), 0.1 / math.sqrt(8))
 
     def mean_eps_r(epochs: int) -> float:
-        states = {
-            k: start_client(
-                cl.ClientConfig(bitwidth=5), init,
-                np.random.default_rng(np.random.SeedSequence(entropy=505, spawn_key=(epochs, k))),
-            )
-            for k in (1, 2)
-        }
+        rngs = {k: np.random.default_rng(np.random.SeedSequence(entropy=505, spawn_key=(epochs, k))) for k in (1, 2)}
+        cohorts = cl.start_clients(cl.ClientConfig(), init, {1: 5, 2: 5}, rngs, shards, 64)
         server = ServerState({1: 5, 2: 5}, seed=606)
         # matched warm start: identical E=1 rounds reach steady state, then
         # the E under test controls the drift accumulated between aggregations
         for _ in range(20):
-            step_round(states, server, shards, 1, 64, 0.02)
+            step_round(cohorts, server, 1, 64, 0.02)
         logs = []
         for _ in range(8):
-            step_round(states, server, shards, epochs, 64, 0.02)
+            step_round(cohorts, server, epochs, 64, 0.02)
             logs.append(server.requant_error)
         return float(np.mean([np.mean(list(l.values())) for l in logs]))
 
@@ -158,11 +153,11 @@ def test_criterion_5_oracle_equivalence_high_rate():
     floor = ssl.optimal_loss(x, 2)
     lr = 0.05 / ssl.spectral_norm(x)
     layers = cl.init_layers([8, 2], np.random.default_rng(9), 0.1 / math.sqrt(8))
-    cfg = cl.ClientConfig(bitwidth=16, grad_extra_bits=0, aug_sigma=0.0)
-    state = start_client(cfg, layers, np.random.default_rng(616))
+    cfg = cl.ClientConfig(grad_extra_bits=0, aug_sigma=0.0)
+    cohort = start_client(cfg, 16, layers, np.random.default_rng(616), shard)
     for _ in range(2000):
-        cl.run_local_epochs([state], [shard], 1, None, lr)
-    gap = ssl.loss(state.layer_values()[0], x) - floor
+        cl.run_local_epochs(cohort, 1, None, lr)
+    gap = ssl.loss(qk.dequantize(cohort.models[0][0]), x) - floor
     elapsed = time.perf_counter() - t0
     check(
         5,
@@ -255,17 +250,12 @@ def test_criterion_8_heterogeneous_bitwidth_sanity():
     init = cl.init_layers([8, 2], np.random.default_rng(13), 0.1 / math.sqrt(8))
     means = {4: [], 8: []}
     for seed in range(5):
-        states = {
-            k: start_client(
-                cl.ClientConfig(bitwidth=bits), init,
-                np.random.default_rng(np.random.SeedSequence(entropy=809 + seed, spawn_key=(k,))),
-            )
-            for k, bits in ((1, 4), (2, 8))
-        }
+        rngs = {k: np.random.default_rng(np.random.SeedSequence(entropy=809 + seed, spawn_key=(k,))) for k in (1, 2)}
+        cohorts = cl.start_clients(cl.ClientConfig(), init, {1: 4, 2: 8}, rngs, shards, 64)
         server = ServerState({1: 4, 2: 8}, seed=810 + seed)
         errs = {1: [], 2: []}
         for t in range(20):
-            round_stats, _ = step_round(states, server, shards, 1, 64, 0.02 / math.sqrt(t + 1))
+            round_stats, _ = step_round(cohorts, server, 1, 64, 0.02 / math.sqrt(t + 1))
             for k in (1, 2):
                 errs[k].append(round_stats[k].weight_error_sq)
         means[4].append(float(np.mean(np.concatenate(errs[1]))))

@@ -13,16 +13,20 @@ from fedq import sslcore as ssl
 from fedq.errors import InvalidParams, StateMismatch
 
 from oracle import (
-    expected_sq_error, quantile_codebook, quantize_one, sgd, start_client, stochastic_grad, tanh_codebook,
+    expected_sq_error, fit_and_quantize_one, quantile_codebook, quantize_one, sgd, start_client, stochastic_grad,
+    tanh_codebook,
 )
 
 
-def alone(cfg, rng, layers=()):
-    """One client as a lockstep cohort of one, whose step trains ``layers``:
-    tensors gain a leading axis of 1."""
-    cohort = cl.Cohort.of([cl.ClientState(cfg, [], rng)])
-    cohort.weights = [w[None] for w in layers]
-    return cohort
+def alone(cfg, rng, layers=(), bits=6):
+    """One client at ``bits`` as a lockstep cohort of one, whose step trains
+    ``layers``: tensors gain a leading axis of 1."""
+    return cl.Cohort(cfg, (1,), (bits,), [rng], [], [], [w[None] for w in layers])
+
+
+def values(cohort):
+    """The layers of a cohort of one's stored model, decoded."""
+    return [qk.dequantize(w) for w in cohort.models[0]]
 
 
 def make_shard(n=1, d=8, count=200, seed=21, k=1):
@@ -30,7 +34,7 @@ def make_shard(n=1, d=8, count=200, seed=21, k=1):
 
 
 def plain_config(**kw):
-    defaults = dict(bitwidth=6, quantize_activations=False, aug_sigma=0.0)
+    defaults = dict(quantize_activations=False, aug_sigma=0.0)
     defaults.update(kw)
     return cl.ClientConfig(**defaults)
 
@@ -60,7 +64,7 @@ class TestForward:
         w = rng.normal(size=(3, 4))
         cb = tanh_codebook(w, 8)
         qw = quantize_one(w, cb, rng)
-        fs = cl.quantized_forward(np.eye(4)[None], alone(plain_config(bitwidth=8), rng, [qk.dequantize(qw)]))
+        fs = cl.quantized_forward(np.eye(4)[None], alone(plain_config(), rng, [qk.dequantize(qw)], bits=8))
         np.testing.assert_allclose(fs.outputs[0].T, qk.dequantize(qw), atol=1e-12)
 
     def test_high_rate_shadows_unquantized(self):
@@ -69,9 +73,9 @@ class TestForward:
         rng = np.random.default_rng(3)
         w = 0.3 * rng.normal(size=(2, 8))
         batch = rng.normal(size=(64, 8))
-        cfg = cl.ClientConfig(bitwidth=16, quantize_activations=True, aug_sigma=0.0)
+        cfg = cl.ClientConfig(quantize_activations=True, aug_sigma=0.0)
         qw = quantize_one(w, tanh_codebook(w, 16), rng)
-        fs = cl.quantized_forward(batch[None], alone(cfg, rng, [qk.dequantize(qw)]))
+        fs = cl.quantized_forward(batch[None], alone(cfg, rng, [qk.dequantize(qw)], bits=16))
         ref = batch @ w.T
         rel = np.linalg.norm(fs.outputs[0] - ref) / np.linalg.norm(ref)
         assert rel < 1e-2
@@ -104,9 +108,9 @@ class TestBackward:
     def test_zero_upstream_quantile_collapse(self):
         rng = np.random.default_rng(8)
         w = np.zeros((2, 4))
-        cfg = cl.ClientConfig(bitwidth=4, aug_sigma=0.0)
+        cfg = cl.ClientConfig(aug_sigma=0.0)
         batch = np.zeros((6, 4))
-        team = alone(cfg, rng, [w])
+        team = alone(cfg, rng, [w], bits=4)
         fs = cl.quantized_forward(batch[None], team)
         grads, eps_g, _ = cl.quantized_backward(fs, np.zeros((1, 6, 2)), team)
         np.testing.assert_array_equal(grads[0][0], np.zeros((2, 4)))
@@ -116,11 +120,13 @@ class TestBackward:
         rng = np.random.default_rng(123)
         shard = make_shard(seed=5)
         w = np.random.default_rng(9).normal(size=(2, 8)) * 0.3
-        cfg = cl.ClientConfig(bitwidth=4, grad_extra_bits=2, aug_sigma=0.0)
-        raw = stochastic_grad(w, shard.samples, cfg.aug_sigma, rng)  # sigma 0: draws nothing
+        team = alone(cl.ClientConfig(grad_extra_bits=2, aug_sigma=0.0), rng, bits=4)
+        raw = stochastic_grad(w, shard.samples, 0.0, rng)  # sigma 0: draws nothing
         n = 10_000
         acc = np.zeros_like(raw)
-        cb = quantile_codebook(raw, cfg.grad_bitwidth)
+        (grad_bits,) = team.grad_bits
+        assert grad_bits == 6
+        cb = quantile_codebook(raw, grad_bits)
         for _ in range(n):
             acc += qk.dequantize(quantize_one(raw, cb, rng))
         acc /= n
@@ -175,25 +181,20 @@ class TestLocalUpdate:
     def test_zero_lr_at_centers_is_identity(self):
         rng = np.random.default_rng(11)
         w = rng.normal(size=(2, 6))
-        cfg = cl.ClientConfig(bitwidth=6, aug_sigma=0.0)
-        state = start_client(cfg, [w], rng)
-        qw = state.model[0]
-        team = cl.Cohort.of([state])
+        qw = fit_and_quantize_one(w, 6, "tanh", rng)[0]
+        team = alone(cl.ClientConfig(aug_sigma=0.0), rng, [qk.dequantize(qw)])
         eps_w = cl.local_update(team, [np.zeros((1, 2, 6))], 0.0)
-        team.scatter([state])
         assert eps_w == 0.0
         np.testing.assert_array_equal(
-            qk.dequantize(state.model[0]), qk.dequantize(qw)
+            qk.dequantize(cl.split_model(team.model)[0][0]), qk.dequantize(qw)
         )
 
     def test_high_rate_error_is_tiny(self):
         rng = np.random.default_rng(12)
         w = rng.normal(size=(2, 8))
         g = rng.normal(size=(2, 8))
-        cfg = cl.ClientConfig(bitwidth=16, aug_sigma=0.0)
-        state = start_client(cfg, [w], rng)
-        qw = state.model[0]
-        team = cl.Cohort.of([state])
+        qw = fit_and_quantize_one(w, 16, "tanh", rng)[0]
+        team = alone(cl.ClientConfig(aug_sigma=0.0), rng, [qk.dequantize(qw)], bits=16)
         eps_w = cl.local_update(team, [g[None]], 0.05)[0]
         u = qk.dequantize(qw) - 0.05 * g
         assert eps_w < 1e-4 * np.sum(u * u)
@@ -207,9 +208,9 @@ class TestLocalUpdate:
         for a in alphas:
             rng = np.random.default_rng(55)
             layers = cl.init_layers([8, 2], np.random.default_rng(5), 0.1 / math.sqrt(8))
-            cfg = cl.ClientConfig(bitwidth=5, grad_extra_bits=0, aug_sigma=0.1)
-            state = start_client(cfg, layers, rng)
-            stats = cl.run_local_epochs([state], [shard], 20, 64, a)
+            cfg = cl.ClientConfig(grad_extra_bits=0, aug_sigma=0.1)
+            cohort = start_client(cfg, 5, layers, rng, shard)
+            stats = cl.run_local_epochs(cohort, 20, 64, a)
             means.append(stats.mean_weight_error())
         slope = np.polyfit(np.log(alphas), np.log(means), 1)[0]
         assert 0.5 <= slope <= 1.5, (alphas, means, slope)
@@ -220,8 +221,8 @@ class TestRunLocalEpochs:
         shard = make_shard(seed=17)
         w0 = np.random.default_rng(3).normal(size=(2, 8)) * 0.2
         cfg = plain_config(aug_sigma=0.0)
-        state = start_client(cfg, [w0], np.random.default_rng(0))
-        assert len(cl.run_local_epochs([state], [shard], 1, None, 0.03)) == 1
+        cohort = start_client(cfg, 6, [w0], np.random.default_rng(0), shard)
+        assert len(cl.run_local_epochs(cohort, 1, None, 0.03)) == 1
         # the same full-batch step of a cohort, every fit passing through
         monkeypatch.setattr(qk, "fit_and_quantize", pass_through)
         team = alone(cfg, np.random.default_rng(0), [w0])
@@ -233,20 +234,19 @@ class TestRunLocalEpochs:
 
     @pytest.mark.parametrize("lr", [0.0, -0.01, math.nan])
     def test_step_size_must_be_positive(self, lr):
-        state = start_client(plain_config(), [np.zeros((2, 8))], np.random.default_rng(0))
+        cohort = start_client(plain_config(), 6, [np.zeros((2, 8))], np.random.default_rng(0), make_shard())
         with pytest.raises(InvalidParams, match="step size"):
-            cl.run_local_epochs([state], [make_shard()], 1, None, lr)
+            cl.run_local_epochs(cohort, 1, None, lr)
 
     def test_loss_trend_downward(self):
         shard = make_shard(count=600, seed=23)
         rng = np.random.default_rng(29)
         layers = cl.init_layers([8, 2], rng, 0.1 / math.sqrt(8))
-        cfg = cl.ClientConfig(bitwidth=8, aug_sigma=0.1)
-        state = start_client(cfg, layers, rng)
+        cohort = start_client(cl.ClientConfig(aug_sigma=0.1), 8, layers, rng, shard)
         losses = []
         for _ in range(20):
-            cl.run_local_epochs([state], [shard], 1, 64, 0.02)
-            losses.append(ssl.loss(state.layer_values()[0], shard.covariance()))
+            cl.run_local_epochs(cohort, 1, 64, 0.02)
+            losses.append(ssl.loss(values(cohort)[0], shard.covariance()))
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
     def test_deterministic_under_reseed(self):
@@ -255,10 +255,10 @@ class TestRunLocalEpochs:
         def run():
             rng = np.random.default_rng(77)
             layers = cl.init_layers([8, 2], np.random.default_rng(1), 0.05)
-            cfg = cl.ClientConfig(bitwidth=5, aug_sigma=0.1)
-            state = start_client(cfg, layers, rng)
-            cl.run_local_epochs([state], [shard], 3, 32, 0.02)
-            return state.model[0].indices.copy(), state.model[0].codebook.centers.copy()
+            cohort = start_client(cl.ClientConfig(aug_sigma=0.1), 5, layers, rng, shard)
+            cl.run_local_epochs(cohort, 3, 32, 0.02)
+            (layer,) = cohort.models[0]
+            return layer.indices.copy(), layer.codebook.centers.copy()
 
         i1, c1 = run()
         i2, c2 = run()
@@ -269,10 +269,9 @@ class TestRunLocalEpochs:
         shard = make_shard(seed=33)
         rng = np.random.default_rng(41)
         layers = cl.init_layers([8, 2], rng, 0.05)
-        cfg = cl.ClientConfig(bitwidth=4, aug_sigma=0.1)
-        state = start_client(cfg, layers, rng)
-        cl.run_local_epochs([state], [shard], 2, 64, 0.02)
-        for layer in state.model:
+        cohort = start_client(cl.ClientConfig(aug_sigma=0.1), 4, layers, rng, shard)
+        cl.run_local_epochs(cohort, 2, 64, 0.02)
+        for layer in cohort.models[0]:
             assert isinstance(layer, qk.QuantizedTensor)
             assert layer.codebook.plan.rates == (4,)
             assert layer.indices.dtype == np.uint8
@@ -289,10 +288,10 @@ class TestRunLocalEpochs:
                 for i in range(15):
                     w = sgd(w, shard.samples, 2, 64, 0.03 / math.sqrt(i + 1), 0.1, rng)
                 return ssl.loss(w, shard.covariance())
-            state = start_client(cl.ClientConfig(bitwidth=12, aug_sigma=0.1), layers, rng)
+            cohort = start_client(cl.ClientConfig(aug_sigma=0.1), 12, layers, rng, shard)
             for i in range(15):
-                cl.run_local_epochs([state], [shard], 2, 64, 0.03 / math.sqrt(i + 1))
-            return ssl.loss(state.layer_values()[0], shard.covariance())
+                cl.run_local_epochs(cohort, 2, 64, 0.03 / math.sqrt(i + 1))
+            return ssl.loss(values(cohort)[0], shard.covariance())
 
     # identical seeds and schedule; rng streams diverge once quantization
     # draws enter, so the comparison is loss-level
@@ -309,9 +308,9 @@ class TestRunLocalEpochs:
         for r in rates:
             rng = np.random.default_rng(83)
             layers = cl.init_layers([8, 2], np.random.default_rng(4), 0.1 / math.sqrt(8))
-            cfg = cl.ClientConfig(bitwidth=r, grad_extra_bits=0, aug_sigma=0.1)
-            state = start_client(cfg, layers, rng)
-            stats = cl.run_local_epochs([state], [shard], 16, 64, 0.02)
+            cfg = cl.ClientConfig(grad_extra_bits=0, aug_sigma=0.1)
+            cohort = start_client(cfg, r, layers, rng, shard)
+            stats = cl.run_local_epochs(cohort, 16, 64, 0.02)
             assert len(stats) >= 200
             ratios.append(stats.mean_grad_error() / np.mean(stats.grad_norm_sq))
         per_bit = 2.0 ** (-np.polyfit(rates, np.log2(ratios), 1)[0])

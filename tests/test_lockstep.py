@@ -16,7 +16,7 @@ from fedq import experiment as exp
 from fedq import quantkit as qk
 from fedq.config import config_from_dict
 from fedq.datagen import DataShard
-from fedq.errors import InvalidParams, NonFiniteInput
+from fedq.errors import NonFiniteInput
 from fedq.experiment import step_round
 from fedq.server import ServerState
 
@@ -36,13 +36,12 @@ def _shard(k, rows, kind, seed):
     return DataShard(k, x, np.zeros(rows, dtype=np.uint32))
 
 
-def _assert_same_client(a: cl.ClientState, b: cl.ClientState):
-    for la, lb in zip(a.model, b.model):
+def _assert_same_model(a: list[qk.QuantizedTensor], b: list[qk.QuantizedTensor]):
+    for la, lb in zip(a, b, strict=True):
         assert la.indices.dtype == lb.indices.dtype
         assert la.indices.tobytes() == lb.indices.tobytes()
         assert la.codebook.plan.rates == lb.codebook.plan.rates
         assert la.codebook.centers.tobytes() == lb.codebook.centers.tobytes()
-    assert a.rng.random() == b.rng.random()
 
 
 _local_update = cl.local_update
@@ -72,7 +71,7 @@ def _assert_same_stats(a: cl.QuantErrorStats, b: cl.QuantErrorStats):
     batch_size=st.sampled_from([None, 8]),
     model=st.sampled_from(["linear", "relu-actq"]),
     sigma=st.sampled_from([0.0, 0.1]),
-    group_cap=st.sampled_from([exp.LOCKSTEP_ELEMENTS, 2 * 8 * D]),
+    group_cap=st.sampled_from([cl.LOCKSTEP_ELEMENTS, 2 * 8 * D]),
 )
 def test_lockstep_round_matches_each_client_alone(seed, bits, kinds, sizes, batch_size, model, sigma,
                                                  group_cap):
@@ -81,43 +80,92 @@ def test_lockstep_round_matches_each_client_alone(seed, bits, kinds, sizes, batc
     shards = {k: _shard(k, rows[k], kinds[k - 1], seed + k) for k in ids}
     dims = [D, 3] if model == "linear" else [D, 5, 3]
     init = cl.init_layers(dims, np.random.default_rng(seed), 0.3)
-    cfgs = {k: cl.ClientConfig(bitwidth=b, aug_sigma=sigma, activation="identity" if model == "linear" else "relu",
-                               quantize_activations=model != "linear") for k, b in zip(ids, bits)}
-    states = {k: start_client(cfgs[k], init, np.random.default_rng([seed, k])) for k in ids}
-    alone = copy.deepcopy(states)
+    cfg = cl.ClientConfig(aug_sigma=sigma, activation="identity" if model == "linear" else "relu",
+                          quantize_activations=model != "linear")
+    bits = dict(zip(ids, bits))
+    alone = {k: start_client(cfg, bits[k], init, np.random.default_rng([seed, k]), shards[k]) for k in ids}
 
-    saved = exp.LOCKSTEP_ELEMENTS
-    exp.LOCKSTEP_ELEMENTS, cl.local_update = group_cap, _checked_update
+    saved = cl.LOCKSTEP_ELEMENTS
+    cl.LOCKSTEP_ELEMENTS, cl.local_update = group_cap, _checked_update
     try:
-        stats, sent = step_round(states, ServerState(dict(zip(ids, bits)), seed=seed), shards, 2, batch_size, 0.05)
-        owns = {k: cl.run_local_epochs([alone[k]], [shards[k]], 2, batch_size, 0.05) for k in ids}
+        cohorts = cl.start_clients(cfg, init, bits, {k: np.random.default_rng([seed, k]) for k in ids}, shards,
+                                   batch_size)
+        stats, sent = step_round(cohorts, ServerState(bits, seed=seed), 2, batch_size, 0.05)
+        owns = {k: cl.run_local_epochs(alone[k], 2, batch_size, 0.05) for k in ids}
     finally:
-        exp.LOCKSTEP_ELEMENTS, cl.local_update = saved, _local_update
+        cl.LOCKSTEP_ELEMENTS, cl.local_update = saved, _local_update
 
+    rngs = {k: rng for c in cohorts for k, rng in zip(c.ids, c.rngs)}
     for k in ids:
         assert len(owns[k]) == len(stats[k])
         _assert_same_stats(stats[k], owns[k][0])
-        _assert_same_client(cl.ClientState(cfgs[k], sent[k], states[k].rng), alone[k])
+        _assert_same_model(sent[k], alone[k].models[0])
+        assert rngs[k].random() == alone[k].rngs[0].random()
 
 
 def test_lockstep_returns_client_steps_summed():
-    shards = [_shard(k, 20, "normal", k) for k in (1, 2, 3)]
+    shards = {k: _shard(k, 20, "normal", k) for k in (1, 2, 3)}
     init = cl.init_layers([D, 3], np.random.default_rng(0), 0.3)
-    states = [start_client(cl.ClientConfig(bitwidth=b), init, np.random.default_rng(b)) for b in (3, 3, 6)]
-    stats = cl.run_local_epochs(states, shards, 2, 8, 0.05)
+    bits = {1: 3, 2: 3, 3: 6}
+    (cohort,) = cl.start_clients(cl.ClientConfig(), init, bits, {k: np.random.default_rng(b) for k, b in bits.items()},
+                                 shards, 8)
+    stats = cl.run_local_epochs(cohort, 2, 8, 0.05)
     assert stats.grad_error_sq.shape == (3, 6)  # three clients, 2 epochs of 3 batches
     assert len(stats) == 18
 
 
-def test_lockstep_needs_equal_shards_and_settings():
+def test_start_clients_forms_cohorts_by_shard_size_in_id_order(monkeypatch):
+    # Sizes 20, 21, 20, 20, 21: the 20-row shards form cohorts first (client
+    # 1 has the lowest id), then the 21-row ones; a cap of two 20 x 6
+    # activation batches splits 1, 3, 4 after two clients and leaves each
+    # 21-row client alone.
+    sizes = {1: 20, 2: 21, 3: 20, 4: 20, 5: 21}
+    shards = {k: _shard(k, n, "normal", k) for k, n in sizes.items()}
     init = cl.init_layers([D, 3], np.random.default_rng(0), 0.3)
-    a = start_client(cl.ClientConfig(bitwidth=4), init, np.random.default_rng(1))
-    b = start_client(cl.ClientConfig(bitwidth=5), init, np.random.default_rng(2))
-    with pytest.raises(InvalidParams, match="equal size"):
-        cl.run_local_epochs([a, b], [_shard(1, 20, "normal", 1), _shard(2, 21, "normal", 2)], 1, 8, 0.05)
-    c = start_client(cl.ClientConfig(bitwidth=5, aug_sigma=0.0), init, np.random.default_rng(3))
-    with pytest.raises(InvalidParams, match="only in bitwidth"):
-        cl.Cohort.of([a, c])
+    bits = {1: 2, 2: 3, 3: 4, 4: 5, 5: 6}
+
+    def start(cap):
+        monkeypatch.setattr(cl, "LOCKSTEP_ELEMENTS", cap)
+        return cl.start_clients(cl.ClientConfig(), init, bits, {k: np.random.default_rng(k) for k in bits}, shards,
+                                None)
+
+    assert [c.ids for c in start(cl.LOCKSTEP_ELEMENTS)] == [(1, 3, 4), (2, 5)]
+    cohorts = start(2 * 20 * D)
+    assert [c.ids for c in cohorts] == [(1, 3), (4,), (2,), (5,)]
+    for c in cohorts:
+        assert c.bits == tuple(bits[k] for k in c.ids)
+        assert c.shards == [shards[k] for k in c.ids]
+        assert c.grad_bits == tuple(bits[k] + 2 for k in c.ids)
+        assert c.weights == [] and c.model == []
+        for k, model, rng in zip(c.ids, c.models, c.rngs, strict=True):
+            own = start_client(cl.ClientConfig(), bits[k], init, np.random.default_rng(k), shards[k])
+            _assert_same_model(model, own.models[0])
+            assert rng.random() == own.rngs[0].random()
+
+
+def test_a_trained_cohort_keeps_only_its_clients_compact_models(monkeypatch):
+    shards = {k: _shard(k, 20, "normal", k) for k in (1, 2, 3)}
+    init = cl.init_layers([D, 5, 3], np.random.default_rng(0), 0.3)
+    bits = {1: 3, 2: 9, 3: 6}
+    (cohort,) = cl.start_clients(cl.ClientConfig(), init, bits, {k: np.random.default_rng(k) for k in bits}, shards,
+                                 8)
+    last = []
+
+    def spy(cohort, grads, lr):
+        eps_w_sq = _local_update(cohort, grads, lr)
+        last[:] = cohort.weights
+        return eps_w_sq
+
+    monkeypatch.setattr(cl, "local_update", spy)
+    cl.run_local_epochs(cohort, 2, 8, 0.05)
+    assert cohort.weights == [] and cohort.model == []
+    assert len(cohort.models) == 3
+    for r, (b, model) in enumerate(zip(cohort.bits, cohort.models)):
+        # Row r of the last step's batch, in the dtype its bitwidth needs.
+        for q, values, w in zip(model, last, init, strict=True):
+            assert q.indices.dtype == (np.uint8 if b <= 8 else np.uint16)
+            assert q.shape == w.shape and q.codebook.plan.rates == (b,)
+            assert qk.dequantize(q).tobytes() == values[r].tobytes()
 
 
 _spec = importlib.util.spec_from_file_location(
@@ -128,15 +176,15 @@ _spec.loader.exec_module(workloads)
 
 @pytest.mark.parametrize("workload, size", [("linear-minibatch", 4), ("linear-fullbatch-16c", 1), ("relu-actq", 4)])
 def test_benchmark_workloads_train_in_cohorts_of(workload, size, monkeypatch, tmp_path):
-    # LOCKSTEP_ELEMENTS sets these: 4 x 64 x 32 and 4 x 64 x 64 fit under
+    # cl.LOCKSTEP_ELEMENTS sets these: 4 x 64 x 32 and 4 x 64 x 64 fit under
     # it, two clients of 188 x 64 do not. One round at full shapes.
     raw = dict(workloads.make_config(workload, workloads.DEFAULT_SEED), rounds=1, output_dir=str(tmp_path))
     sizes = []
     train = cl.run_local_epochs
 
-    def spy(states, *args):
-        sizes.append(len(states))
-        return train(states, *args)
+    def spy(cohort, *args):
+        sizes.append(len(cohort.ids))
+        return train(cohort, *args)
 
     monkeypatch.setattr(cl, "run_local_epochs", spy)
     exp.run_experiment(config_from_dict(raw))

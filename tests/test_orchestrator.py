@@ -17,8 +17,6 @@ from fedq.errors import Diverged, NonFiniteInput, ParseError, ValidationError
 from fedq.quantkit import MAX_RATE
 from fedq.experiment import run_experiment
 
-from oracle import start_client
-
 
 def minimal(**over):
     raw = {"n_clients": 2, "d": 32, "bitwidths": [4, 8], "rounds": 10}
@@ -35,7 +33,8 @@ def write_cfg(tmp_path, name="cfg.json", **over):
 class TestConfig:
     def test_minimal_defaults(self):
         cfg = config_from_dict(minimal())
-        assert cfg.grad_extra_bits == 2
+        assert cfg.client == cl.ClientConfig(grad_extra_bits=2, activation="identity", aug_sigma=0.1,
+                                             quantize_activations=False)
         assert cfg.local_epochs == 1
         assert cfg.batch_size == 64
         assert cfg.m == 2  # defaults to n_clients
@@ -107,7 +106,7 @@ class TestConfig:
 
     def test_gradient_rate_counts_toward_cap(self):
         cfg = config_from_dict(minimal(bitwidths=[MAX_RATE - 2, 4]))
-        assert cfg.grad_extra_bits == 2
+        assert cfg.client.grad_extra_bits == 2
         config_from_dict(minimal(bitwidths=[MAX_RATE, 4], grad_extra_bits=0))
         with pytest.raises(ValidationError, match="grad_extra_bits"):
             config_from_dict(minimal(bitwidths=[MAX_RATE - 1, 4]))
@@ -292,9 +291,11 @@ class TestDivergence:
             if k == 2:
                 x[5, 1] = np.inf
             shards[k] = DataShard(k, x, np.zeros(20, dtype=np.uint32))
-        states = {k: start_client(cl.ClientConfig(bitwidth=4), init, np.random.default_rng(k)) for k in shards}
+        bits = dict.fromkeys(shards, 4)
+        cohorts = cl.start_clients(cl.ClientConfig(), init, bits, {k: np.random.default_rng(k) for k in shards},
+                                   shards, 8)
         with pytest.raises(Diverged) as info:
-            exp.step_round(states, sv.ServerState(dict.fromkeys(shards, 4), seed=0), shards, 1, 8, 0.05)
+            exp.step_round(cohorts, sv.ServerState(bits, seed=0), 1, 8, 0.05)
         assert (info.value.round, info.value.client, info.value.phase) == (1, 2, "client update")
         assert isinstance(info.value.__cause__, NonFiniteInput)
 
@@ -322,10 +323,10 @@ class TestDivergence:
         real = exp.cl.run_local_epochs
         calls = itertools.count(1)
 
-        def fail_in_round_2(states, *args):
+        def fail_in_round_2(cohort, *args):
             if next(calls) == 2:  # both clients train in one lockstep call per round
                 raise RuntimeError("injected failure")
-            return real(states, *args)
+            return real(cohort, *args)
 
         monkeypatch.setattr(exp.cl, "run_local_epochs", fail_in_round_2)
         with pytest.raises(RuntimeError, match="injected failure"):
@@ -341,10 +342,10 @@ class TestDivergence:
         real = exp.cl.run_local_epochs
         calls = itertools.count(1)
 
-        def diverge_in_round_3(states, *args):
+        def diverge_in_round_3(cohort, *args):
             if next(calls) == 3:  # both clients train in one lockstep call per round
                 raise NonFiniteInput("injected non-finite update")
-            return real(states, *args)
+            return real(cohort, *args)
 
         monkeypatch.setattr(exp.cl, "run_local_epochs", diverge_in_round_3)
         with pytest.raises(Diverged) as info:
@@ -418,6 +419,23 @@ class TestCli:
         assert cli_dispatch(["run", "--config", str(cfg_path), "--data", str(sidecar.parent)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "datagen.json" in err
+
+    @pytest.mark.parametrize("made_with", [
+        {"seeds": {"data": 5}, "data": {"frequent_count": 300}},
+        {"seeds": {"data": 5}},
+        {"data": {"infrequent_exponent": 0.4}},
+    ], ids=["seed and count", "seed", "exponent"])
+    def test_run_rejects_a_dataset_made_from_other_data_parameters(self, tmp_path, capsys, made_with):
+        # Same n and d, other data: config_echo.json would describe another run.
+        made = write_cfg(tmp_path, "made.json", **made_with)
+        assert cli_dispatch(["datagen", "--config", str(made), "--out", str(tmp_path / "ds")]) == 0
+        cfg_path = write_cfg(tmp_path, output_dir=str(tmp_path / "run"))
+        capsys.readouterr()
+        assert cli_dispatch(["run", "--config", str(cfg_path), "--data", str(tmp_path / "ds")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset on disk was made with ")
+        assert repr(load_config(made).data) in err and repr(load_config(cfg_path).data) in err
+        assert not (tmp_path / "run").exists()
 
     def test_run_rejects_a_section_that_is_not_an_object(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, seeds=None, output_dir=str(tmp_path / "run"))

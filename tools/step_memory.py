@@ -7,7 +7,8 @@ the server's re-quantization and round, per benchmark workload.
 Runs each workload's ``fedq run`` config at the benchmark's default
 seed, as ``perfbench/workloads.py`` builds it (the file is only read), in this process under
 ``tracemalloc``, with the set-up stages ``generate_all_shards`` (as
-``experiment`` calls it) and ``client.start_clients``, the step stages
+``experiment`` calls it) and ``client.start_clients`` (which quantizes
+the shared init for every client and forms the run's cohorts), the step stages
 ``client.quantized_forward``, ``ssl_upstream``, ``quantized_backward``
 and ``local_update``, and the server's ``requantize_for_client`` and
 whole ``ServerState.run_round`` (which holds the client models it
