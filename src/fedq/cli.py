@@ -2,7 +2,7 @@
 
 Subcommands:
     run        execute a configured experiment, writing metrics.csv
-    datagen    write the synthetic shards of a config to disk
+    datagen    export the synthetic shards of a config to disk
     quantprobe rate-distortion sweep on clipped-Gaussian data
     oracle     closed-form optimum, loss floor, representability report
     report     summarize a metrics.csv and emit a long-format copy
@@ -62,7 +62,7 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
-    result = run_experiment(cfg, data_dir=args.data)
+    result = run_experiment(cfg)
     last = result.records[-1]
     print(f"completed {cfg.rounds} rounds; metrics at {result.output_dir}/metrics.csv")
     print(f"global loss: {result.records[0].global_loss:.6g} -> {last.global_loss:.6g}")
@@ -157,10 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an experiment")
     run.add_argument("--config", required=True)
     run.add_argument("--out", default=None, help="override output_dir")
-    run.add_argument("--data", default=None, help="load shards from a datagen directory")
     run.set_defaults(fn=_cmd_run)
 
-    dg = sub.add_parser("datagen", help="write shard files")
+    dg = sub.add_parser("datagen", help="export shard files")
     dg.add_argument("--config", required=True)
     dg.add_argument("--out", required=True)
     dg.set_defaults(fn=_cmd_datagen)

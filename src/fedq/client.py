@@ -29,6 +29,7 @@ reduces to the linear objective at one layer.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -130,7 +131,7 @@ class Cohort:
     weights: list[np.ndarray] = field(default_factory=list)
     model: list[qk.QuantizedTensor] = field(default_factory=list)
 
-    @property
+    @cached_property
     def grad_bits(self) -> tuple[int, ...]:
         return tuple(b + self.config.grad_extra_bits for b in self.bits)
 

@@ -10,7 +10,8 @@ noise shrinks with d.
 
 Shard generation is deterministic per (params, client, seed): each
 client draws from its own RNG stream derived from the base seed, so
-shards can be generated in parallel in any order.
+shards can be generated in parallel in any order. ``write_dataset``
+exports them for outside tools; nothing in fedq reads them back.
 """
 
 import json
@@ -26,8 +27,6 @@ from .errors import DimensionMismatch, EmptyInput, InvalidParams
 _MAGIC = b"FQDS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIQQ")
-# Fields of the datagen.json sidecar that rebuild the DataGenParams.
-_SIDECAR_TYPES = {"n": int, "d": int, "frequent_count": int, "infrequent_exponent": float, "seed": int}
 
 
 @dataclass(frozen=True)
@@ -183,24 +182,6 @@ def write_shard(path: Path | str, shard: DataShard) -> None:
         f.write(np.ascontiguousarray(shard.labels, dtype="<u4").tobytes())
 
 
-def read_shard(path: Path | str) -> DataShard:
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise InvalidParams(f"{path}: truncated header")
-    magic, version, k, rows, d = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise InvalidParams(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise InvalidParams(f"{path}: unsupported version {version}")
-    need = _HEADER.size + rows * d * 8 + rows * 4
-    if len(raw) != need:
-        raise InvalidParams(f"{path}: expected {need} bytes, found {len(raw)}")
-    samples = np.frombuffer(raw, dtype="<f8", count=rows * d, offset=_HEADER.size)
-    labels = np.frombuffer(raw, dtype="<u4", count=rows, offset=_HEADER.size + rows * d * 8)
-    return DataShard(int(k), samples.reshape(rows, d).copy(), labels.astype(np.uint32))
-
-
 def write_dataset(out_dir: Path | str, params: DataGenParams) -> list[Path]:
     """Write one file per client plus a params sidecar; returns the paths."""
     out_dir = Path(out_dir)
@@ -216,27 +197,3 @@ def write_dataset(out_dir: Path | str, params: DataGenParams) -> list[Path]:
     meta["mu"] = params.mu
     (out_dir / "datagen.json").write_text(json.dumps(meta, indent=2) + "\n")
     return paths
-
-
-def read_dataset(in_dir: Path | str) -> tuple[DataGenParams, list[DataShard]]:
-    """Shards written by ``write_dataset``; a bad sidecar raises InvalidParams naming it."""
-    in_dir = Path(in_dir)
-    sidecar = in_dir / "datagen.json"
-    try:
-        meta = json.loads(sidecar.read_text())
-    except (OSError, ValueError) as e:
-        raise InvalidParams(f"{sidecar}: {e}") from e
-    if not isinstance(meta, dict):
-        raise InvalidParams(f"{sidecar}: expected a JSON object")
-    for key, kind in _SIDECAR_TYPES.items():
-        value = meta.get(key)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise InvalidParams(f"{sidecar}: '{key}' must be {kind.__name__}, got {value!r}")
-    try:
-        params = DataGenParams(**{key: meta[key] for key in _SIDECAR_TYPES})
-    except InvalidParams as e:
-        raise InvalidParams(f"{sidecar}: {e}") from e
-    shards = [read_shard(p) for p in sorted(in_dir.glob("client_*.fqds"))]
-    if len(shards) != params.n:
-        raise InvalidParams(f"expected {params.n} shard files, found {len(shards)}")
-    return params, shards

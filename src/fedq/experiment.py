@@ -27,7 +27,7 @@ from . import client as cl
 from . import quantkit as qk
 from . import sslcore
 from .config import ExperimentConfig
-from .datagen import client_rng, generate_all_shards, global_covariance, read_dataset
+from .datagen import client_rng, generate_all_shards, global_covariance
 from .analysis import TheoryParams, moreau_grad_surrogate
 from .errors import Diverged, NonFiniteInput, ValidationError
 from .server import ServerState, aggregate
@@ -149,24 +149,16 @@ def step_round(
     return stats, sent
 
 
-def run_experiment(cfg: ExperimentConfig, data_dir: str | Path | None = None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute a full run; returns its per-round records, raw stats included.
 
-    Shards are read from ``data_dir`` when given, otherwise generated
-    from the config. Artifacts written to ``cfg.output_dir``:
+    The config alone defines the run: shards are always generated from
+    its data parameters. Artifacts written to ``cfg.output_dir``:
     config_echo.json, metrics.csv and timings.csv (each one flushed row
     per round).
     """
-    if data_dir is not None:
-        params, shards = read_dataset(data_dir)
-        if params != cfg.data:
-            raise ValidationError(f"dataset on disk was made with {params}, but the config has {cfg.data}")
-    else:
-        shards = generate_all_shards(cfg.data)
-    client_ids = sorted(s.client_id for s in shards)
-    if client_ids != list(range(1, cfg.n_clients + 1)):
-        raise ValidationError("expected shards for clients 1..n")
-
+    shards = generate_all_shards(cfg.data)
+    client_ids = [s.client_id for s in shards]
     shard_by_id = {s.client_id: s for s in shards}
     xbar = global_covariance(shards)
 

@@ -75,16 +75,26 @@ class FitPlan:
         self.n, self.rates, self.ks = n, rates, np.array([_codebook_size(r) for r in rates])
         self.offsets = np.concatenate(([0], np.cumsum(self.ks)))
         self.first, self.last = self.offsets[:-1], self.offsets[1:] - 1
-        self.row_of = np.repeat(np.arange(c), self.ks)
-        self.tanh_grid = np.concatenate([np.arange(k, dtype=np.float64) for k in self.ks])  # 0..K-1 per row
         self.first_last = list(zip(self.first.tolist(), self.last.tolist()))
         self.index_dtypes = [_index_dtype(k) for k in self.ks.tolist()]
         self.intervals = (self.ks - 1).astype(np.float64)
         self.row_start, self.row_last, self.top = self.first[:, None], self.last[:, None], (self.ks - 1)[:, None]
         self.lowest, self.row_base = self.row_start + 1, (np.arange(c) * n)[:, None]
         self.end_pairs = np.stack((self.row_start, self.row_last))
-        self.across = np.isin(np.arange(self.offsets[-1] - 1), self.last)  # pairs that straddle two rows
         self.end_slots, self.end_values = np.append(self.first, self.last) + 1, np.repeat([-np.inf, np.inf], c)
+
+    # Fit-only layouts, built on first use: stored tensors' plans are never fitted with.
+    @cached_property
+    def row_of(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.rates)), self.ks)
+
+    @cached_property
+    def tanh_grid(self) -> np.ndarray:  # 0..K-1 per row
+        return np.concatenate([np.arange(k, dtype=np.float64) for k in self.ks])
+
+    @cached_property
+    def across(self) -> np.ndarray:  # pairs that straddle two rows
+        return np.isin(np.arange(self.offsets[-1] - 1), self.last)
 
     @cached_property
     def quantile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -1,10 +1,36 @@
 """Synthetic-data construction, covariances, and the shard file format."""
 
+import dataclasses
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from fedq import datagen as dg
+from fedq.cli import cli_dispatch
+from fedq.config import load_config
 from fedq.errors import DimensionMismatch, InvalidParams
+
+# README's FQDS header: magic, version u32, client u32, rows u64, d u64, little-endian.
+FQDS_HEADER = struct.Struct("<4sIIQQ")
+
+
+def read_fqds(path):
+    """(client, samples, labels) of one exported shard file, parsed by README's layout."""
+    raw = path.read_bytes()
+    magic, version, k, rows, d = FQDS_HEADER.unpack_from(raw)
+    assert (magic, version, len(raw)) == (b"FQDS", 1, FQDS_HEADER.size + rows * d * 8 + rows * 4)
+    samples = np.frombuffer(raw, "<f8", rows * d, FQDS_HEADER.size).reshape(rows, d)
+    return k, samples, np.frombuffer(raw, "<u4", rows, FQDS_HEADER.size + samples.nbytes)
+
+
+def read_export(in_dir):
+    """The DataGenParams that datagen.json rebuilds, and each client file read, in file order."""
+    meta = json.loads((in_dir / "datagen.json").read_text())
+    params = dg.DataGenParams(**{f.name: meta[f.name] for f in dataclasses.fields(dg.DataGenParams)})
+    assert (meta["infrequent_count"], meta["tau"], meta["mu"]) == (params.infrequent_count, params.tau, params.mu)
+    return params, [read_fqds(p) for p in sorted(in_dir.glob("client_*.fqds"))]
 
 
 def test_scales_for_d32():
@@ -158,10 +184,10 @@ class TestShardIO:
         shard = dg.generate_shard(p, 2)
         path = tmp_path / "c2.fqds"
         dg.write_shard(path, shard)
-        back = dg.read_shard(path)
-        assert back.client_id == 2
-        np.testing.assert_array_equal(back.samples, shard.samples)
-        np.testing.assert_array_equal(back.labels, shard.labels)
+        k, samples, labels = read_fqds(path)
+        assert k == 2
+        np.testing.assert_array_equal(samples, shard.samples)
+        np.testing.assert_array_equal(labels, shard.labels)
 
     def test_header_layout(self, tmp_path):
         p = dg.DataGenParams(n=1, d=4, frequent_count=5, seed=0)
@@ -178,13 +204,22 @@ class TestShardIO:
     def test_dataset_round_trip(self, tmp_path):
         p = dg.DataGenParams(n=2, d=8, frequent_count=20, seed=3)
         dg.write_dataset(tmp_path / "ds", p)
-        params, shards = dg.read_dataset(tmp_path / "ds")
+        params, files = read_export(tmp_path / "ds")
         assert params == p
-        assert [s.client_id for s in shards] == [1, 2]
-        np.testing.assert_array_equal(shards[1].samples, dg.generate_shard(p, 2).samples)
+        assert [k for k, _, _ in files] == [1, 2]
+        np.testing.assert_array_equal(files[1][1], dg.generate_shard(p, 2).samples)
 
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.fqds"
-        path.write_bytes(b"FQDS" + b"\x00" * 10)
-        with pytest.raises(InvalidParams):
-            dg.read_shard(path)
+
+def test_datagen_command_exports_the_shards_a_run_generates(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_clients": 3, "d": 8, "bitwidths": [4, 5, 6], "rounds": 1,
+                                    "data": {"frequent_count": 40}, "seeds": {"data": 11}}))
+    cfg = load_config(cfg_path)
+    assert cli_dispatch(["datagen", "--config", str(cfg_path), "--out", str(tmp_path / "ds")]) == 0
+    params, files = read_export(tmp_path / "ds")
+    assert params == cfg.data
+    shards = dg.generate_all_shards(cfg.data)
+    assert [k for k, _, _ in files] == [s.client_id for s in shards]
+    for (_, samples, labels), shard in zip(files, shards):
+        np.testing.assert_array_equal(samples, shard.samples)
+        np.testing.assert_array_equal(labels, shard.labels)

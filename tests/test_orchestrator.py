@@ -385,57 +385,11 @@ class TestCli:
         assert cli_dispatch(["run", "--config", str(cfg_path), "--out", str(tmp_path / "t1")]) == 0
         assert cli_dispatch(["run", "--config", str(cfg_path), "--out", str(tmp_path / "t2")]) == 0
         assert (tmp_path / "t1" / "metrics.csv").read_bytes() == (tmp_path / "t2" / "metrics.csv").read_bytes()
-        capsys.readouterr()
-        assert cli_dispatch(["run", "--config", str(cfg_path), "--threads", "1"]) == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_datagen_then_run_from_disk(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(small_run_dict(tmp_path)))
-        assert cli_dispatch(["datagen", "--config", str(cfg_path), "--out", str(tmp_path / "ds")]) == 0
-        assert (tmp_path / "ds" / "client_001.fqds").exists()
-        assert (tmp_path / "ds" / "datagen.json").exists()
-        assert cli_dispatch([
-            "run", "--config", str(cfg_path), "--out", str(tmp_path / "fromdisk"),
-            "--data", str(tmp_path / "ds"),
-        ]) == 0
-        # same shards on disk as generated: byte-identical metrics
-        assert cli_dispatch(["run", "--config", str(cfg_path), "--out", str(tmp_path / "gen")]) == 0
-        assert (tmp_path / "fromdisk" / "metrics.csv").read_bytes() == (
-            tmp_path / "gen" / "metrics.csv"
-        ).read_bytes()
-
-    @pytest.mark.parametrize("damage", [
-        lambda text: text[: len(text) // 2],
-        lambda text: text.replace('"seed"', '"sead"'),
-        lambda text: text.replace('"n": 2', '"n": "2"'),
-    ], ids=["truncated", "no seed", "string n"])
-    def test_run_rejects_bad_dataset_sidecar(self, tmp_path, capsys, damage):
-        cfg_path = write_cfg(tmp_path)
-        sidecar = tmp_path / "ds" / "datagen.json"
-        assert cli_dispatch(["datagen", "--config", str(cfg_path), "--out", str(sidecar.parent)]) == 0
-        sidecar.write_text(damage(sidecar.read_text()))
-        capsys.readouterr()
-        assert cli_dispatch(["run", "--config", str(cfg_path), "--data", str(sidecar.parent)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "datagen.json" in err
-
-    @pytest.mark.parametrize("made_with", [
-        {"seeds": {"data": 5}, "data": {"frequent_count": 300}},
-        {"seeds": {"data": 5}},
-        {"data": {"infrequent_exponent": 0.4}},
-    ], ids=["seed and count", "seed", "exponent"])
-    def test_run_rejects_a_dataset_made_from_other_data_parameters(self, tmp_path, capsys, made_with):
-        # Same n and d, other data: config_echo.json would describe another run.
-        made = write_cfg(tmp_path, "made.json", **made_with)
-        assert cli_dispatch(["datagen", "--config", str(made), "--out", str(tmp_path / "ds")]) == 0
-        cfg_path = write_cfg(tmp_path, output_dir=str(tmp_path / "run"))
-        capsys.readouterr()
-        assert cli_dispatch(["run", "--config", str(cfg_path), "--data", str(tmp_path / "ds")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: dataset on disk was made with ")
-        assert repr(load_config(made).data) in err and repr(load_config(cfg_path).data) in err
-        assert not (tmp_path / "run").exists()
+        # Nor a second source of shards: the config alone defines the run.
+        for flag in (["--threads", "1"], ["--data", str(tmp_path)]):
+            capsys.readouterr()
+            assert cli_dispatch(["run", "--config", str(cfg_path), *flag]) == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_run_rejects_a_section_that_is_not_an_object(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, seeds=None, output_dir=str(tmp_path / "run"))

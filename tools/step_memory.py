@@ -5,7 +5,7 @@ the server's re-quantization and round, per benchmark workload.
     python3 tools/step_memory.py [--workload W[,W...]] [--tiny]
 
 Runs each workload's ``fedq run`` config at the benchmark's default
-seed, as ``perfbench/workloads.py`` builds it (the file is only read), in this process under
+seed, as ``perfbench/workloads.py`` builds it (the file is only read), in a process of its own under
 ``tracemalloc``, with the set-up stages ``generate_all_shards`` (as
 ``experiment`` calls it) and ``client.start_clients`` (which quantizes
 the shared init for every client and forms the run's cohorts), the step stages
@@ -15,18 +15,20 @@ whole ``ServerState.run_round`` (which holds the client models it
 de-quantizes) wrapped. Per stage it prints
 the calls, the highest traced memory of the process while a call ran
 (``peak_kib``) and the most one call held above what was traced when it
-began (``added_kib``: the stage's working set). Tracing restarts, and the fit-plan
-cache empties, before each workload, so every workload counts as in a
-fresh process. The first call of a stage also fills that cache, so
-``warm_kib`` is ``added_kib`` of a second run of the same config in the
-same process, with the cache left warm: the working set without the
-one-time fill. numpy reports its array buffers to ``tracemalloc``;
-memory that bypasses it (BLAS scratch, the interpreter) is not counted,
-so these are not RSS. ``--tiny`` runs the smoke-test sizes.
+began (``added_kib``: the stage's working set). Each workload of a
+multi-workload call runs in a fresh process of its own, so its rows are
+the ones ``--workload W`` alone prints, whatever ran before it. The
+first call of a stage also fills the fit-plan cache, so ``warm_kib`` is
+``added_kib`` of a second run of the same config in the same process,
+with the cache left warm: the working set without the one-time fill.
+numpy reports its array buffers to ``tracemalloc``; memory that
+bypasses it (BLAS scratch, the interpreter) is not counted, so these
+are not RSS. ``--tiny`` runs the smoke-test sizes.
 """
 
 import argparse
 import importlib.util
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -48,9 +50,6 @@ def load_workloads():
 def measure(raw: dict) -> dict[str, list[int]]:
     """Run the config ``raw`` cold, then warm; per stage [calls, peak,
     added] of the cold run and the warm run's added, in bytes."""
-    from fedq import quantkit
-
-    quantkit.fit_plan.cache_clear()
     cold = traced_run(raw)
     warm = traced_run(raw)
     return {name: stats + [warm[name][2]] for name, stats in cold.items()}
@@ -109,10 +108,16 @@ def main() -> int:
     names = sorted(workloads.WORKLOADS) if args.workload == "all" else args.workload.split(",")
 
     print(f"{'workload':<22} {'stage':<22} {'calls':>6} {'peak_kib':>9} {'added_kib':>9} {'warm_kib':>9}")
-    for w in names:
-        stats = measure(workloads.make_config(w, workloads.DEFAULT_SEED, tiny=args.tiny))
-        for name, (calls, peak, added, warm) in stats.items():
-            print(f"{w:<22} {name:<22} {calls:>6} {peak / 1024:>9.0f} {added / 1024:>9.0f} {warm / 1024:>9.0f}")
+    if len(names) > 1:  # each workload in a fresh process: its rows without the header
+        for w in names:
+            child = subprocess.run([sys.executable, __file__, "--workload", w] + ["--tiny"] * args.tiny,
+                                   stdout=subprocess.PIPE, text=True, check=True)
+            print(child.stdout.split("\n", 1)[1], end="")
+        return 0
+    (w,) = names
+    stats = measure(workloads.make_config(w, workloads.DEFAULT_SEED, tiny=args.tiny))
+    for name, (calls, peak, added, warm) in stats.items():
+        print(f"{w:<22} {name:<22} {calls:>6} {peak / 1024:>9.0f} {added / 1024:>9.0f} {warm / 1024:>9.0f}")
     return 0
 
 
