@@ -44,14 +44,15 @@ ACTIVATIONS = ("identity", "relu")
 # layer) holds at most this many elements, or the cohort is one client.
 # Every temporary of a step grows with the cohort, while the per-call
 # overhead that batching saves shrinks as tensors grow. At seed 0
-# (tools/step_memory.py, the most one call adds to traced memory) relu-actq
-# in cohorts of 4 x 64 x 64 adds 671 KiB in quantized_forward and 1005 KiB
-# in quantized_backward, against 349 and 586 KiB in cohorts of 2, and its
-# peak RSS is 0.6-0.7 MiB higher. linear-fullbatch-16c in cohorts of
-# 4 x 188 x 64 would add 689 against 251 KiB in quantized_backward and
-# 0.9 MiB of peak RSS. Any cap in [16384, 24063] gives cohorts of 4 on
-# relu-actq and linear-minibatch (4 x 64 x 32) and leaves 188 x 64 alone.
-LOCKSTEP_ELEMENTS = 16384
+# (tools/step_memory.py: the most one call adds to traced memory, cold)
+# linear-fullbatch-16c in cohorts of 4 x 188 x 64 adds 488 KiB in
+# quantized_backward and 331 in ssl_upstream, against 295 and 190 in
+# cohorts of 2 and 234 and 71 alone; its run peaks at 3190 KiB traced
+# against 3029 alone, and 0.24 MiB more RSS. relu-actq in cohorts of
+# 4 x 64 x 64 adds 674 KiB in quantized_forward and 949 in
+# quantized_backward, against 352 and 541 in cohorts of 2. Any cap in
+# [48128, 60159] trains all three benchmark workloads in cohorts of 4.
+LOCKSTEP_ELEMENTS = 49152
 
 
 @dataclass(slots=True)
@@ -114,12 +115,14 @@ class Cohort:
     Row r of every batched tensor (weights, minibatch, activations,
     gradients, codebooks) belongs to client ``ids[r]``, whose bitwidth
     is ``bits[r]``, stream ``rngs[r]`` and shard ``shards[r]``; the
-    shards hold the same number of rows. ``models[r]`` is the client's
-    stored model between rounds, one QuantizedTensor per layer in its
-    compact dtype. During ``run_local_epochs`` only, ``weights`` holds
-    the next step's weight values, one batched array per layer (the
-    decoded models, then those of the batch ``local_update`` quantizes
-    into ``model``).
+    shards hold the same number of rows. A full-batch cohort's samples
+    live in ``samples``, one (clients, rows, d) array, every step's batch,
+    with each shard's ``samples`` a view of its row; else it is None.
+    ``models[r]`` is the client's stored model between rounds, one
+    QuantizedTensor per layer in its compact dtype. During
+    ``run_local_epochs`` only, ``weights`` holds the next step's weight
+    values, one batched array per layer (the decoded models, then those
+    of the batch ``local_update`` quantizes into ``model``).
     """
 
     config: ClientConfig
@@ -130,6 +133,7 @@ class Cohort:
     models: list[list[qk.QuantizedTensor]]
     weights: list[np.ndarray] = field(default_factory=list)
     model: list[qk.QuantizedTensor] = field(default_factory=list)
+    samples: np.ndarray | None = None
 
     @cached_property
     def grad_bits(self) -> tuple[int, ...]:
@@ -140,11 +144,11 @@ class Cohort:
 class ForwardState:
     """Intermediate tensors of one forward pass, kept for backprop: each
     layer's input and, for relu, its mask ``pre > 0`` (None for identity).
-    The backward pass pops both lists, freeing each layer's tensors once used."""
+    The backward pass drops ``outputs`` and pops both lists as it goes."""
 
     layer_inputs: list[np.ndarray]
     masks: list[np.ndarray | None]
-    outputs: np.ndarray
+    outputs: np.ndarray | None
 
 
 def init_layers(dims: list[int], rng: np.random.Generator, std: float) -> list[np.ndarray]:
@@ -206,6 +210,17 @@ def quantize_for_clients(layers: list[np.ndarray], bits: tuple[int, ...],
     return models, err_sq
 
 
+def stack_samples(shards: list[DataShard]) -> np.ndarray:
+    """The shards' samples as one (C, rows, d) float64 array, copied in one
+    shard at a time; each shard's ``samples`` becomes its row of the stack,
+    so no moment holds two copies of the data."""
+    stack = np.empty((len(shards),) + shards[0].samples.shape)
+    for row, shard in zip(stack, shards):
+        row[...] = shard.samples
+        shard.samples = row
+    return stack
+
+
 def start_clients(config: ClientConfig, init: list[np.ndarray], bits: dict[int, int],
                   rngs: dict[int, np.random.Generator], shards: dict[int, DataShard],
                   batch_size: int | None) -> list[Cohort]:
@@ -214,7 +229,7 @@ def start_clients(config: ClientConfig, init: list[np.ndarray], bits: dict[int, 
     each client's bitwidth from its stream, which then stays its own for
     training. Clients whose shards hold the same number of rows form
     cohorts in ascending id, as many per cohort as LOCKSTEP_ELEMENTS
-    allows at ``batch_size``."""
+    allows at ``batch_size``; a full-batch cohort stacks its samples."""
     ids = sorted(bits)
     models, _ = quantize_for_clients(init, tuple(bits[k] for k in ids), [rngs[k] for k in ids])
     model_of = dict(zip(ids, models))
@@ -224,10 +239,12 @@ def start_clients(config: ClientConfig, init: list[np.ndarray], bits: dict[int, 
     widest = max(max(w.shape) for w in init)
     cohorts = []
     for rows, same in by_size.items():
-        n = max(1, LOCKSTEP_ELEMENTS // (min(batch_size or rows, rows) * widest))
+        size = min(batch_size or rows, rows)
+        n = max(1, LOCKSTEP_ELEMENTS // (size * widest))
         for g in (same[i:i + n] for i in range(0, len(same), n)):
-            cohorts.append(Cohort(config, tuple(g), tuple(bits[k] for k in g), [rngs[k] for k in g],
-                                  [shards[k] for k in g], [model_of[k] for k in g]))
+            own = [shards[k] for k in g]
+            cohorts.append(Cohort(config, tuple(g), tuple(bits[k] for k in g), [rngs[k] for k in g], own,
+                                  [model_of[k] for k in g], samples=stack_samples(own) if size == rows else None))
     return cohorts
 
 
@@ -267,7 +284,8 @@ def quantized_backward(fstate: ForwardState, upstream: np.ndarray, cohort: Cohor
     producing a weight gradient (plus the per-layer Gram regularization
     term 2 W W^T W) and the next activation gradient, each put through
     a fresh quantile codebook per client at the client's gradient
-    bitwidth. ``fstate`` is used up: its lists end empty.
+    bitwidth. ``fstate`` is used up: its outputs end None and its lists
+    empty, and the raw ``upstream`` is dropped once quantized.
 
     Returns (per-layer gradient values, ||eps_g||^2 summed over layers,
     ||g||^2 summed over layers), the energies one per client.
@@ -276,8 +294,10 @@ def quantized_backward(fstate: ForwardState, upstream: np.ndarray, cohort: Cohor
         raise StateMismatch(
             f"upstream shape {upstream.shape} does not match forward output {fstate.outputs.shape}"
         )
+    fstate.outputs = None
     gbits = cohort.grad_bits
-    _, g_act = qk.fit_and_quantize(upstream, gbits, "quantile", cohort.rngs)
+    g_act = qk.fit_and_quantize(upstream, gbits, "quantile", cohort.rngs)[1]
+    del upstream
     grads: list = [None] * len(cohort.weights)
     eps_g_sq = np.zeros(len(gbits))
     grad_sq = np.zeros(len(gbits))
@@ -342,9 +362,10 @@ def run_local_epochs(cohort: Cohort, epochs: int, batch_size: int | None, lr: fl
     steps and each step runs as one batch over the clients. Minibatches
     are drawn by per-epoch permutation from each client's own stream;
     ``batch_size`` None or >= |D_k| means full-batch passes in natural
-    order. The trained models become ``cohort.models``, and the round's
-    weights and batched model are dropped. Returns the round's
-    quantization-error statistics, a (3, clients, steps) array.
+    order, on the cohort's stacked ``samples`` in place. The trained
+    models become ``cohort.models``, and the round's weights and batched
+    model are dropped. Returns the round's quantization-error
+    statistics, a (3, clients, steps) array.
     """
     if epochs < 1:
         raise InvalidParams("epochs must be >= 1")
@@ -356,8 +377,10 @@ def run_local_epochs(cohort: Cohort, epochs: int, batch_size: int | None, lr: fl
     size = rows if batch_size is None else min(batch_size, rows)
     per_epoch = -(-rows // size)
     stats = np.empty((3, len(xs), epochs * per_epoch))  # (eps_g_sq, eps_w_sq, g_sq), client, step
+    if size == rows and cohort.samples is None:  # formed for minibatches
+        cohort.samples = stack_samples(cohort.shards)
     # Minibatch rows are gathered into a reused buffer, one row block per client.
-    buffers = ({rows: np.array(xs, dtype=np.float64)} if size == rows else
+    buffers = ({rows: cohort.samples} if size == rows else
                {n: np.empty((len(xs), n, xs[0].shape[1])) for n in {size, rows % size or size}})
     for e in range(epochs):
         orders = None if size == rows else [rng.permutation(rows) for rng in cohort.rngs]
@@ -367,8 +390,7 @@ def run_local_epochs(cohort: Cohort, epochs: int, batch_size: int | None, lr: fl
                 for x, order, block in zip(xs, orders, batch):
                     np.take(x, order[i:i + size], axis=0, out=block)
             fstate = quantized_forward(batch, cohort)
-            upstream = ssl_upstream(fstate.outputs, cohort)
-            grads, eps_g_sq, g_sq = quantized_backward(fstate, upstream, cohort)
+            grads, eps_g_sq, g_sq = quantized_backward(fstate, ssl_upstream(fstate.outputs, cohort), cohort)
             stats[0, :, step] = eps_g_sq
             stats[1, :, step] = local_update(cohort, grads, lr)
             stats[2, :, step] = g_sq

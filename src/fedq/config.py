@@ -6,7 +6,7 @@ object; unknown keys are rejected so typos fail loudly.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .client import ACTIVATIONS, ClientConfig
@@ -70,20 +70,13 @@ class ExperimentConfig:
             "aug_sigma": self.client.aug_sigma,
             "quantize_activations": self.client.quantize_activations,
             "lr": {"kind": self.lr_kind, "base": self.lr_base},
-            "model": {
-                "layers": list(self.model_layers),
-                "activation": self.client.activation,
-                "m": self.m,
-            },
+            "model": {"layers": list(self.model_layers), "activation": self.client.activation, "m": self.m},
             "data": {
                 "frequent_count": self.data.frequent_count,
                 "infrequent_exponent": self.data.infrequent_exponent,
             },
             "seeds": {"data": self.data_seed, "training": self.training_seed},
-            "metrics": {
-                "moreau": self.metrics.moreau,
-                "representability": self.metrics.representability,
-            },
+            "metrics": asdict(self.metrics),
             "output_dir": self.output_dir,
         }
 

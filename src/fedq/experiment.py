@@ -75,13 +75,7 @@ def _csv_num(x: float) -> str:
 def _metrics_header(client_ids: list[int], repr_dims: int) -> str:
     cols = ["round", "global_loss", "moreau"]
     cols += [f"repr_{i + 1}" for i in range(repr_dims)]
-    for k in client_ids:
-        cols += [
-            f"client{k}_loss",
-            f"client{k}_eps_g",
-            f"client{k}_eps_w",
-            f"client{k}_eps_r",
-        ]
+    cols += [f"client{k}_{c}" for k in client_ids for c in ("loss", "eps_g", "eps_w", "eps_r")]
     return ",".join(cols)
 
 
@@ -89,12 +83,8 @@ def _metrics_row(rec: MetricsRecord, client_ids: list[int]) -> str:
     vals = [str(rec.round), _csv_num(rec.global_loss), _csv_num(rec.moreau)]
     vals += [_csv_num(v) for v in rec.representability]
     for k in client_ids:
-        vals += [
-            _csv_num(rec.local_loss[k]),
-            _csv_num(rec.stats[k].mean_grad_error()),
-            _csv_num(rec.stats[k].mean_weight_error()),
-            _csv_num(rec.eps_r[k]),
-        ]
+        s = rec.stats[k]
+        vals += map(_csv_num, (rec.local_loss[k], s.mean_grad_error(), s.mean_weight_error(), rec.eps_r[k]))
     return ",".join(vals)
 
 

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParams,
-    NegativeEigenvalue,
-    NoConvergence,
-    NotSymmetric,
-    ZeroMatrix,
-)
+from .errors import DimensionMismatch, InvalidParams, NegativeEigenvalue, NoConvergence, NotSymmetric, ZeroMatrix
 
 SYMMETRY_TOL = 1e-9
 EIG_CLAMP = 1e-9

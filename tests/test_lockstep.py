@@ -143,6 +143,67 @@ def test_start_clients_forms_cohorts_by_shard_size_in_id_order(monkeypatch):
             assert rng.random() == own.rngs[0].random()
 
 
+def _mixed_shards():
+    """Clients 1, 3, 4 hold 20 rows, clients 2 and 5 hold 21: two cohorts."""
+    return {k: _shard(k, n, "normal", k) for k, n in {1: 20, 2: 21, 3: 20, 4: 20, 5: 21}.items()}
+
+
+def _start(shards, batch_size):
+    init = cl.init_layers([D, 3], np.random.default_rng(0), 0.3)
+    bits = {k: 2 + k for k in shards}
+    return cl.start_clients(cl.ClientConfig(), init, bits, {k: np.random.default_rng(k) for k in bits}, shards,
+                            batch_size)
+
+
+def test_a_full_batch_cohort_holds_its_shards_samples_in_one_stack():
+    shards = _mixed_shards()
+    twins = {k: DataShard(k, s.samples.copy(), s.labels) for k, s in shards.items()}
+    cohorts = _start(shards, None)
+    assert [c.ids for c in cohorts] == [(1, 3, 4), (2, 5)]
+    for c in cohorts:
+        assert c.samples.shape == (len(c.ids),) + c.shards[0].samples.shape and c.samples.dtype == np.float64
+        for r, (k, shard) in enumerate(zip(c.ids, c.shards, strict=True)):
+            # Each shard's samples is its row of the stack, with the bytes and
+            # covariance it had as an array of its own.
+            assert shard is shards[k] and np.shares_memory(shard.samples, c.samples)
+            assert shard.samples.tobytes() == c.samples[r].tobytes() == twins[k].samples.tobytes()
+            assert shard.covariance().tobytes() == twins[k].covariance().tobytes()
+
+
+def test_a_minibatch_cohort_keeps_its_shards_arrays():
+    shards = _mixed_shards()
+    arrays = {k: s.samples for k, s in shards.items()}
+    for c in _start(shards, 8):
+        assert c.samples is None
+        for k, shard in zip(c.ids, c.shards, strict=True):
+            assert shard.samples is arrays[k]
+
+
+@pytest.mark.parametrize("formed_for", [None, 8])
+def test_a_full_batch_step_trains_on_the_stack_in_place(formed_for, monkeypatch):
+    # Every step's batch is the cohort's stack itself, not a copy, and no
+    # step writes to it; a cohort formed for minibatches stacks its shards
+    # at its first full-batch round.
+    cohorts = _start(_mixed_shards(), formed_for)
+    batches = []
+    forward = cl.quantized_forward
+
+    def spy(batch, cohort):
+        batches.append((batch, cohort))
+        return forward(batch, cohort)
+
+    monkeypatch.setattr(cl, "quantized_forward", spy)
+    for c in cohorts:
+        cl.run_local_epochs(c, 2, None, 0.05)
+        assert c.samples is not None
+        assert all(np.shares_memory(shard.samples, c.samples) for shard in c.shards)
+    assert len(batches) == 2 * len(cohorts)
+    for batch, cohort in batches:
+        assert batch is cohort.samples
+        for row, shard in zip(batch, cohort.shards, strict=True):
+            assert row.tobytes() == _shard(shard.client_id, shard.size, "normal", shard.client_id).samples.tobytes()
+
+
 def test_a_trained_cohort_keeps_only_its_clients_compact_models(monkeypatch):
     shards = {k: _shard(k, 20, "normal", k) for k in (1, 2, 3)}
     init = cl.init_layers([D, 5, 3], np.random.default_rng(0), 0.3)
@@ -174,10 +235,11 @@ workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
 
-@pytest.mark.parametrize("workload, size", [("linear-minibatch", 4), ("linear-fullbatch-16c", 1), ("relu-actq", 4)])
+@pytest.mark.parametrize("workload, size", [("linear-minibatch", 4), ("linear-fullbatch-16c", 4), ("relu-actq", 4)])
 def test_benchmark_workloads_train_in_cohorts_of(workload, size, monkeypatch, tmp_path):
-    # cl.LOCKSTEP_ELEMENTS sets these: 4 x 64 x 32 and 4 x 64 x 64 fit under
-    # it, two clients of 188 x 64 do not. One round at full shapes.
+    # cl.LOCKSTEP_ELEMENTS sets these: 4 x 64 x 32, 4 x 64 x 64 and four
+    # full batches of 188 x 64 fit under it, five of 188 x 64 do not; each
+    # workload has 4 or 16 clients. One round at full shapes.
     raw = dict(workloads.make_config(workload, workloads.DEFAULT_SEED), rounds=1, output_dir=str(tmp_path))
     sizes = []
     train = cl.run_local_epochs

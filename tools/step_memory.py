@@ -2,7 +2,7 @@
 """Traced memory of each set-up stage, each stage of a client step, and
 the server's re-quantization and round, per benchmark workload.
 
-    python3 tools/step_memory.py [--workload W[,W...]] [--tiny]
+    python3 tools/step_memory.py [--workload W[,W...]] [--tiny] [--calls]
 
 Runs each workload's ``fedq run`` config at the benchmark's default
 seed, as ``perfbench/workloads.py`` builds it (the file is only read), in a process of its own under
@@ -24,10 +24,16 @@ with the cache left warm: the working set without the one-time fill.
 numpy reports its array buffers to ``tracemalloc``; memory that
 bypasses it (BLAS scratch, the interpreter) is not counted, so these
 are not RSS. ``--tiny`` runs the smoke-test sizes.
+
+``--calls`` counts calls instead: per workload, the Python ``call`` and
+C ``c_call`` events that ``sys.setprofile`` sees over the second of two
+runs in a fresh process (caches warm, nothing traced), with the Python
+version that ran them, since the counts depend on the interpreter.
 """
 
 import argparse
 import importlib.util
+import platform
 import subprocess
 import sys
 import tempfile
@@ -98,24 +104,54 @@ def traced_run(raw: dict) -> dict[str, list[int]]:
     return stats
 
 
+def count_calls(raw: dict) -> tuple[int, int]:
+    """Run the config ``raw`` twice; the Python and C calls of the second run."""
+    from fedq import config, experiment
+
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    with tempfile.TemporaryDirectory() as out:
+        cfg = config.config_from_dict(dict(raw, output_dir=out))
+        experiment.run_experiment(cfg)
+        sys.setprofile(profile)
+        try:
+            experiment.run_experiment(cfg)
+        finally:
+            sys.setprofile(None)
+    return counts["call"], counts["c_call"]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", default="all", help="one workload, a comma-separated list, or all")
     ap.add_argument("--tiny", action="store_true")
+    ap.add_argument("--calls", action="store_true", help="count the calls of a warm run instead")
     args = ap.parse_args()
     sys.path.insert(0, str(ROOT / "src"))
     workloads = load_workloads()
     names = sorted(workloads.WORKLOADS) if args.workload == "all" else args.workload.split(",")
 
-    print(f"{'workload':<22} {'stage':<22} {'calls':>6} {'peak_kib':>9} {'added_kib':>9} {'warm_kib':>9}")
+    if args.calls:
+        print(f"{'workload':<22} {'calls':>9} {'c_calls':>9} {'python':>8}")
+    else:
+        print(f"{'workload':<22} {'stage':<22} {'calls':>6} {'peak_kib':>9} {'added_kib':>9} {'warm_kib':>9}")
     if len(names) > 1:  # each workload in a fresh process: its rows without the header
         for w in names:
-            child = subprocess.run([sys.executable, __file__, "--workload", w] + ["--tiny"] * args.tiny,
-                                   stdout=subprocess.PIPE, text=True, check=True)
+            child = subprocess.run([sys.executable, __file__, "--workload", w] + ["--tiny"] * args.tiny
+                                   + ["--calls"] * args.calls, stdout=subprocess.PIPE, text=True, check=True)
             print(child.stdout.split("\n", 1)[1], end="")
         return 0
     (w,) = names
-    stats = measure(workloads.make_config(w, workloads.DEFAULT_SEED, tiny=args.tiny))
+    raw = workloads.make_config(w, workloads.DEFAULT_SEED, tiny=args.tiny)
+    if args.calls:
+        calls, c_calls = count_calls(raw)
+        print(f"{w:<22} {calls:>9} {c_calls:>9} {platform.python_version():>8}")
+        return 0
+    stats = measure(raw)
     for name, (calls, peak, added, warm) in stats.items():
         print(f"{w:<22} {name:<22} {calls:>6} {peak / 1024:>9.0f} {added / 1024:>9.0f} {warm / 1024:>9.0f}")
     return 0
