@@ -239,9 +239,10 @@ def probe_run(rate: int, cfg: ProbeConfig, lr: float | None = None,
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.train_seed, spawn_key=(rate,)))
     init_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.train_seed, spawn_key=(0, 1)))
     layers = cl.init_layers([cfg.d, cfg.m], init_rng, 0.1 / math.sqrt(cfg.d))
-    (cohort,) = cl.start_clients(cl.ClientConfig(grad_extra_bits=cfg.grad_extra_bits, aug_sigma=cfg.aug_sigma),
-                                 layers, {1: rate}, {1: rng}, {1: shard}, cfg.batch_size)
-    return cl.run_local_epochs(cohort, cfg.epochs, cfg.batch_size, lr if lr is not None else cfg.lr)[0]
+    client = cl.ClientConfig(grad_extra_bits=cfg.grad_extra_bits, aug_sigma=cfg.aug_sigma,
+                             local_epochs=cfg.epochs, batch_size=cfg.batch_size)
+    (cohort,) = cl.start_clients(client, layers, {1: rate}, {1: rng}, {1: shard})
+    return cl.run_local_epochs(cohort, lr if lr is not None else cfg.lr)[0]
 
 
 def rate_sweep_probe(rates: list[int], cfg: ProbeConfig | None = None) -> list[dict]:

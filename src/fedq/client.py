@@ -2,13 +2,15 @@
 
 One client = one fully-connected encoder whose weights live as
 quantized index arrays between steps, plus the client's own RNG stream.
-Clients differ only in their shards and bitwidths; every other setting
-is the run's one ``ClientConfig``. ``start_clients`` forms the run's
-cohorts once: clients whose shards hold the same number of rows train
-as one ``Cohort``, where the client is the leading axis of every
-weight, minibatch, activation and gradient, and each quantizer fit is
-one call over the clients' ragged codebooks. A cohort holds its
-clients' streams, shards and stored models for the whole run.
+Clients differ only in their shards and bitwidths; every other setting,
+the local recipe of E epochs on B-row minibatches included, is the
+run's one ``ClientConfig``. ``start_clients`` forms the run's cohorts
+once, for that batch size: clients whose shards hold the same number of
+rows train as one ``Cohort``, where the client is the leading axis of
+every weight, minibatch, activation and gradient, and each quantizer
+fit is one call over the clients' ragged codebooks. A cohort holds only
+what lasts the run: its clients' streams, shards and stored models; a
+round's weight values stay local to ``run_local_epochs``.
 Each SGD step runs the forward/backward pass on the values of the
 quantized weights (quantizing gradients with fresh quantile codebooks,
 and optionally activations with fresh tanh codebooks), applies the
@@ -28,7 +30,7 @@ encoders reuse the same loop with per-layer Gram regularization, which
 reduces to the linear objective at one layer.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -93,19 +95,27 @@ class ClientConfig:
     A client's weights are always quantized at its own bitwidth s_k and
     its gradients at s_k + ``grad_extra_bits``. Activations are
     quantized at s_k only when ``quantize_activations`` is on; it stays
-    off for the linear theory path.
+    off for the linear theory path. Each round, every client trains
+    ``local_epochs`` epochs on minibatches of ``batch_size`` rows; None,
+    or a size of at least the shard's rows, means full-batch steps.
     """
 
     grad_extra_bits: int = 2
     activation: str = "identity"
     aug_sigma: float = 0.1
     quantize_activations: bool = False
+    local_epochs: int = 1
+    batch_size: int | None = 64
 
     def __post_init__(self):
         if self.grad_extra_bits < 0:
             raise InvalidParams("grad_extra_bits must be >= 0")
         if self.activation not in ACTIVATIONS:
             raise InvalidParams(f"unknown activation {self.activation!r}")
+        if self.local_epochs < 1:
+            raise InvalidParams("local_epochs must be >= 1")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise InvalidParams("batch_size must be None (full batch) or >= 1")
 
 
 @dataclass
@@ -119,10 +129,7 @@ class Cohort:
     live in ``samples``, one (clients, rows, d) array, every step's batch,
     with each shard's ``samples`` a view of its row; else it is None.
     ``models[r]`` is the client's stored model between rounds, one
-    QuantizedTensor per layer in its compact dtype. During
-    ``run_local_epochs`` only, ``weights`` holds the next step's weight
-    values, one batched array per layer (the decoded models, then those
-    of the batch ``local_update`` quantizes into ``model``).
+    QuantizedTensor per layer in its compact dtype.
     """
 
     config: ClientConfig
@@ -131,8 +138,6 @@ class Cohort:
     rngs: list[np.random.Generator]
     shards: list[DataShard]
     models: list[list[qk.QuantizedTensor]]
-    weights: list[np.ndarray] = field(default_factory=list)
-    model: list[qk.QuantizedTensor] = field(default_factory=list)
     samples: np.ndarray | None = None
 
     @cached_property
@@ -222,14 +227,14 @@ def stack_samples(shards: list[DataShard]) -> np.ndarray:
 
 
 def start_clients(config: ClientConfig, init: list[np.ndarray], bits: dict[int, int],
-                  rngs: dict[int, np.random.Generator], shards: dict[int, DataShard],
-                  batch_size: int | None) -> list[Cohort]:
+                  rngs: dict[int, np.random.Generator], shards: dict[int, DataShard]) -> list[Cohort]:
     """The run's cohorts before their first round, keyed by client id in
     ``bits``, ``rngs`` and ``shards``: the shared ``init`` is quantized at
     each client's bitwidth from its stream, which then stays its own for
     training. Clients whose shards hold the same number of rows form
     cohorts in ascending id, as many per cohort as LOCKSTEP_ELEMENTS
-    allows at ``batch_size``; a full-batch cohort stacks its samples."""
+    allows at ``config.batch_size``, the one batch size they ever train
+    at; a full-batch cohort stacks its samples."""
     ids = sorted(bits)
     models, _ = quantize_for_clients(init, tuple(bits[k] for k in ids), [rngs[k] for k in ids])
     model_of = dict(zip(ids, models))
@@ -239,7 +244,7 @@ def start_clients(config: ClientConfig, init: list[np.ndarray], bits: dict[int, 
     widest = max(max(w.shape) for w in init)
     cohorts = []
     for rows, same in by_size.items():
-        size = min(batch_size or rows, rows)
+        size = min(config.batch_size or rows, rows)
         n = max(1, LOCKSTEP_ELEMENTS // (size * widest))
         for g in (same[i:i + n] for i in range(0, len(same), n)):
             own = [shards[k] for k in g]
@@ -248,10 +253,11 @@ def start_clients(config: ClientConfig, init: list[np.ndarray], bits: dict[int, 
     return cohorts
 
 
-def quantized_forward(batch: np.ndarray, cohort: Cohort) -> ForwardState:
-    """Layer-by-layer forward pass on the step's weight values, ``cohort.weights``.
+def quantized_forward(batch: np.ndarray, weights: list[np.ndarray], cohort: Cohort) -> ForwardState:
+    """Layer-by-layer forward pass on the step's weight values ``weights``.
 
-    ``batch`` carries the cohort's client axis first, as the weights do.
+    ``batch`` carries the cohort's client axis first, as each batched
+    layer of ``weights`` does.
     When activation quantization is on, each layer output is passed
     through a fresh tanh codebook per client (one per layer per step,
     built over the client's whole batch tensor) and downstream layers
@@ -260,7 +266,7 @@ def quantized_forward(batch: np.ndarray, cohort: Cohort) -> ForwardState:
     cfg = cohort.config
     a = np.asarray(batch, dtype=np.float64)
     inputs, masks = [], []
-    for w in cohort.weights:
+    for w in weights:
         if a.shape[-1] != w.shape[-1]:
             raise DimensionMismatch(
                 f"batch width {a.shape[-1]} does not match layer input {w.shape[-1]}"
@@ -275,16 +281,16 @@ def quantized_forward(batch: np.ndarray, cohort: Cohort) -> ForwardState:
     return ForwardState(inputs, masks, a)
 
 
-def quantized_backward(fstate: ForwardState, upstream: np.ndarray, cohort: Cohort):
+def quantized_backward(fstate: ForwardState, upstream: np.ndarray, weights: list[np.ndarray], cohort: Cohort):
     """Backpropagate and quantize gradients layer by layer.
 
-    The weights are the step's values, ``cohort.weights``. ``upstream``
-    is the loss gradient at the network output. It is compressed first;
-    each layer then consumes the quantized activation gradient,
-    producing a weight gradient (plus the per-layer Gram regularization
-    term 2 W W^T W) and the next activation gradient, each put through
-    a fresh quantile codebook per client at the client's gradient
-    bitwidth. ``fstate`` is used up: its outputs end None and its lists
+    ``weights`` are the step's values, as the forward pass saw them.
+    ``upstream`` is the loss gradient at the network output. It is
+    compressed first; each layer then consumes the quantized activation
+    gradient, producing a weight gradient (plus the per-layer Gram
+    regularization term 2 W W^T W) and the next activation gradient,
+    each put through a fresh quantile codebook per client at the
+    client's gradient bitwidth. ``fstate`` is used up: its outputs end None and its lists
     empty, and the raw ``upstream`` is dropped once quantized.
 
     Returns (per-layer gradient values, ||eps_g||^2 summed over layers,
@@ -298,11 +304,11 @@ def quantized_backward(fstate: ForwardState, upstream: np.ndarray, cohort: Cohor
     gbits = cohort.grad_bits
     g_act = qk.fit_and_quantize(upstream, gbits, "quantile", cohort.rngs)[1]
     del upstream
-    grads: list = [None] * len(cohort.weights)
+    grads: list = [None] * len(weights)
     eps_g_sq = np.zeros(len(gbits))
     grad_sq = np.zeros(len(gbits))
     for l in range(len(grads) - 1, -1, -1):
-        w = cohort.weights[l]
+        w = weights[l]
         mask = fstate.masks.pop()
         if mask is not None:  # to the pre-activation; a bool multiplies as 1.0 or 0.0
             g_act = g_act * mask
@@ -318,17 +324,16 @@ def quantized_backward(fstate: ForwardState, upstream: np.ndarray, cohort: Cohor
     return grads, eps_g_sq, grad_sq
 
 
-def local_update(cohort: Cohort, grads: list[np.ndarray], lr: float) -> np.ndarray:
-    """One SGD step on ``cohort.weights``, re-quantized into ``cohort.model``.
+def local_update(weights: list[np.ndarray], grads: list[np.ndarray], lr: float,
+                 cohort: Cohort) -> tuple[list[qk.QuantizedTensor], list[np.ndarray], np.ndarray]:
+    """One SGD step on the step's weight values ``weights``, re-quantized.
 
     The tanh codebooks are rebuilt from the updated tensors every step,
-    so they track the drifting weight range; the quantized batch's
-    values become ``cohort.weights``, the next step's. Returns each
+    so they track the drifting weight range. Returns the quantized
+    batched model, its values (the next step's weights) and each
     client's ||eps_w||^2.
     """
-    updated = [w - lr * g for w, g in zip(cohort.weights, grads)]
-    cohort.model, cohort.weights, eps_w_sq = quantize_model(updated, cohort.bits, cohort.rngs)
-    return eps_w_sq
+    return quantize_model([w - lr * g for w, g in zip(weights, grads)], cohort.bits, cohort.rngs)
 
 
 def ssl_upstream(outputs: np.ndarray, cohort: Cohort) -> np.ndarray:
@@ -354,46 +359,43 @@ def ssl_upstream(outputs: np.ndarray, cohort: Cohort) -> np.ndarray:
     return g
 
 
-def run_local_epochs(cohort: Cohort, epochs: int, batch_size: int | None, lr: float) -> QuantErrorStats:
+def run_local_epochs(cohort: Cohort, lr: float) -> QuantErrorStats:
     """One communication round of local training, for a cohort in lockstep.
 
-    Each client trains E epochs of SGD at step size ``lr`` on its own
-    shard, starting from its stored model; every client takes the same
-    steps and each step runs as one batch over the clients. Minibatches
-    are drawn by per-epoch permutation from each client's own stream;
-    ``batch_size`` None or >= |D_k| means full-batch passes in natural
-    order, on the cohort's stacked ``samples`` in place. The trained
-    models become ``cohort.models``, and the round's weights and batched
-    model are dropped. Returns the round's quantization-error
-    statistics, a (3, clients, steps) array.
+    Each client trains the config's E epochs of SGD at step size ``lr``
+    on its own shard, starting from its stored model; every client takes
+    the same steps and each step runs as one batch over the clients.
+    Minibatches of the config's B rows are drawn by per-epoch
+    permutation from each client's own stream; B None or >= |D_k| means
+    full-batch passes in natural order, on the cohort's stacked
+    ``samples`` in place. Each step's weight values and batched model
+    live only here; the trained models become ``cohort.models``.
+    Returns the round's quantization-error statistics, a (3, clients,
+    steps) array.
     """
-    if epochs < 1:
-        raise InvalidParams("epochs must be >= 1")
     if not lr > 0:
         raise InvalidParams(f"step size must be positive, got {lr}")
+    cfg = cohort.config
     xs = [shard.samples for shard in cohort.shards]
     rows = xs[0].shape[0]
-    cohort.weights = [np.array(layer) for layer in zip(*([qk.dequantize(w) for w in m] for m in cohort.models))]
-    size = rows if batch_size is None else min(batch_size, rows)
+    weights = [np.array(layer) for layer in zip(*([qk.dequantize(w) for w in m] for m in cohort.models))]
+    size = min(cfg.batch_size or rows, rows)
     per_epoch = -(-rows // size)
-    stats = np.empty((3, len(xs), epochs * per_epoch))  # (eps_g_sq, eps_w_sq, g_sq), client, step
-    if size == rows and cohort.samples is None:  # formed for minibatches
-        cohort.samples = stack_samples(cohort.shards)
+    stats = np.empty((3, len(xs), cfg.local_epochs * per_epoch))  # (eps_g_sq, eps_w_sq, g_sq), client, step
     # Minibatch rows are gathered into a reused buffer, one row block per client.
     buffers = ({rows: cohort.samples} if size == rows else
                {n: np.empty((len(xs), n, xs[0].shape[1])) for n in {size, rows % size or size}})
-    for e in range(epochs):
+    for e in range(cfg.local_epochs):
         orders = None if size == rows else [rng.permutation(rows) for rng in cohort.rngs]
         for step, i in enumerate(range(0, rows, size), start=e * per_epoch):
             batch = buffers[min(size, rows - i)]
             if orders is not None:
                 for x, order, block in zip(xs, orders, batch):
                     np.take(x, order[i:i + size], axis=0, out=block)
-            fstate = quantized_forward(batch, cohort)
-            grads, eps_g_sq, g_sq = quantized_backward(fstate, ssl_upstream(fstate.outputs, cohort), cohort)
+            fstate = quantized_forward(batch, weights, cohort)
+            grads, eps_g_sq, g_sq = quantized_backward(fstate, ssl_upstream(fstate.outputs, cohort), weights, cohort)
             stats[0, :, step] = eps_g_sq
-            stats[1, :, step] = local_update(cohort, grads, lr)
+            model, weights, stats[1, :, step] = local_update(weights, grads, lr, cohort)
             stats[2, :, step] = g_sq
-    cohort.models = split_model(cohort.model)
-    cohort.weights, cohort.model = [], []
+    cohort.models = split_model(model)
     return QuantErrorStats(stats)

@@ -38,8 +38,9 @@ class ExperimentConfig:
 
     ``lr_base`` None means auto: 0.05 / lambda_max of the global
     covariance estimate, resolved once the shards exist. ``client``
-    holds the training settings that every client shares; clients
-    differ only in ``bitwidths`` and their shards.
+    holds the training settings that every client shares, the local
+    epochs and batch size included; clients differ only in
+    ``bitwidths`` and their shards.
     """
 
     n_clients: int
@@ -47,8 +48,6 @@ class ExperimentConfig:
     rounds: int
     data: DataGenParams
     client: ClientConfig
-    local_epochs: int
-    batch_size: int | None
     lr_kind: str
     lr_base: float | None
     model_layers: tuple[int, ...]
@@ -65,8 +64,8 @@ class ExperimentConfig:
             "bitwidths": list(self.bitwidths),
             "rounds": self.rounds,
             "grad_extra_bits": self.client.grad_extra_bits,
-            "local_epochs": self.local_epochs,
-            "batch_size": self.batch_size,
+            "local_epochs": self.client.local_epochs,
+            "batch_size": self.client.batch_size,
             "aug_sigma": self.client.aug_sigma,
             "quantize_activations": self.client.quantize_activations,
             "lr": {"kind": self.lr_kind, "base": self.lr_base},
@@ -197,9 +196,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         rounds=rounds,
         data=gen,
         client=ClientConfig(grad_extra_bits=grad_extra, activation=activation, aug_sigma=float(aug_sigma),
-                            quantize_activations=qact),
-        local_epochs=epochs,
-        batch_size=batch,
+                            quantize_activations=qact, local_epochs=epochs, batch_size=batch),
         lr_kind=lr_kind,
         lr_base=None if lr_base is None else float(lr_base),
         model_layers=tuple(layers),

@@ -1,14 +1,14 @@
 """Deterministic experiment execution and metrics persistence.
 
 A run is bulk-synchronous: every round t (``step_round``), every client
-trains E local epochs on its own RNG stream at the round's one step
-size alpha_t, in the cohorts ``client.start_clients`` formed, the server
-de-quantizes / aggregates / re-quantizes, and one ``MetricsRecord`` is
-computed on the full-precision aggregate. The records are the run's
-only per-round history: each holds its round's alpha_t and the
-clients' per-step error energies next to the metrics. metrics.csv
-gains one row per record and is flushed immediately, so an aborted run
-leaves all completed rounds on disk. Row 0 snapshots the quantized
+trains its config's E local epochs on its own RNG stream at the round's
+one step size alpha_t, in the cohorts ``client.start_clients`` formed,
+the server de-quantizes / aggregates / re-quantizes, and one
+``MetricsRecord`` is computed on the full-precision aggregate. The
+records are the run's only per-round history: each holds its round's
+alpha_t and the clients' per-step error energies next to the metrics.
+metrics.csv gains one row per record and is flushed immediately, so an
+aborted run leaves all completed rounds on disk. Row 0 snapshots the quantized
 initialization before any training.
 
 Timing is written to a separate timings.csv: metrics.csv must be
@@ -103,19 +103,14 @@ def stored_models(cohorts: list[cl.Cohort]) -> dict[int, list[qk.QuantizedTensor
     return dict(sorted((k, m) for c in cohorts for k, m in zip(c.ids, c.models)))
 
 
-def step_round(
-    cohorts: list[cl.Cohort],
-    server: ServerState,
-    epochs: int,
-    batch_size: int | None,
-    lr: float,
-) -> tuple[dict[int, cl.QuantErrorStats], dict[int, list]]:
+def step_round(cohorts: list[cl.Cohort], server: ServerState,
+               lr: float) -> tuple[dict[int, cl.QuantErrorStats], dict[int, list]]:
     """One communication round: the only definition of it.
 
-    Each cohort trains in lockstep (``cl.run_local_epochs``): ``epochs``
-    local epochs at the round's step size ``lr``. Then the server
-    de-quantizes, aggregates by shard size and re-quantizes per client,
-    and every cohort takes its clients' new models.
+    Each cohort trains in lockstep (``cl.run_local_epochs``): its
+    config's local epochs at the round's step size ``lr``. Then the
+    server de-quantizes, aggregates by shard size and re-quantizes per
+    client, and every cohort takes its clients' new models.
     Returns each client's error stats for the round and the models the
     clients sent. Both phases name the server's next round in Diverged;
     a client update names the lowest client id whose values were
@@ -128,7 +123,7 @@ def step_round(
     with np.errstate(over="ignore", invalid="ignore"):
         for cohort in cohorts:
             try:
-                batch = cl.run_local_epochs(cohort, epochs, batch_size, lr)
+                batch = cl.run_local_epochs(cohort, lr)
             except NonFiniteInput as e:
                 raise Diverged(server.round_counter + 1, cohort.ids[e.row], "client update") from e
             stats.update((k, batch[r]) for r, k in enumerate(cohort.ids))
@@ -161,8 +156,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     )
     bits = dict(zip(client_ids, cfg.bitwidths))
     cohorts = cl.start_clients(cfg.client, init_layers, bits,
-                               {k: client_rng(cfg.training_seed, k) for k in client_ids},
-                               shard_by_id, cfg.batch_size)
+                               {k: client_rng(cfg.training_seed, k) for k in client_ids}, shard_by_id)
     server = ServerState(bits, seed=cfg.training_seed)
     init_global = aggregate([[qk.dequantize(w) for w in m] for m in stored_models(cohorts).values()],
                             [shard_by_id[k].size for k in client_ids])
@@ -230,7 +224,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for t in range(1, cfg.rounds + 1):
             t0 = time.perf_counter()
             alpha = lr_base if cfg.lr_kind == "constant" else lr_base / math.sqrt(t)
-            stats, sent = step_round(cohorts, server, cfg.local_epochs, cfg.batch_size, alpha)
+            stats, sent = step_round(cohorts, server, alpha)
             emit(t, alpha, server.global_model, sent, stats, server.requant_error, t0)
 
     return ExperimentResult(

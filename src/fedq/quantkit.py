@@ -140,13 +140,9 @@ class Codebooks:
     def __post_init__(self):
         self.centers.setflags(write=False)
 
-    @cached_property
-    def degenerate_rows(self) -> int:
-        return int(np.count_nonzero(self.degenerate))
-
     @property
     def is_degenerate(self) -> bool:  # any row
-        return self.degenerate_rows > 0
+        return np.count_nonzero(self.degenerate) > 0
 
 
 @dataclass
@@ -320,7 +316,7 @@ def build_quantile_codebook(rows: np.ndarray, sorted_rows: np.ndarray, plan: Fit
 
 def _draw_rows(rows: np.ndarray, cb: Codebooks, rngs: list, n_le: np.ndarray) -> np.ndarray:
     """Indices into ``cb.centers``; a degenerate row draws nothing and maps to its index 0."""
-    if cb.degenerate_rows:
+    if np.count_nonzero(cb.degenerate):
         live = np.flatnonzero(~cb.degenerate)
         idx = np.repeat(cb.plan.first, rows.shape[1]).reshape(rows.shape)
         if live.size:

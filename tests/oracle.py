@@ -45,7 +45,7 @@ def fit_and_quantize_one(x, rate, compander, rng):
 
 def start_client(config, bits, init, rng, shard):
     """``cl.start_clients`` of one client, id 1: its cohort of one."""
-    (cohort,) = cl.start_clients(config, init, {1: bits}, {1: rng}, {1: shard}, None)
+    (cohort,) = cl.start_clients(config, init, {1: bits}, {1: rng}, {1: shard})
     return cohort
 
 

@@ -8,6 +8,7 @@ frozen seeds.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,15 +122,17 @@ def test_criterion_4_epoch_scaling_of_requant_error():
 
     def mean_eps_r(epochs: int) -> float:
         rngs = {k: np.random.default_rng(np.random.SeedSequence(entropy=505, spawn_key=(epochs, k))) for k in (1, 2)}
-        cohorts = cl.start_clients(cl.ClientConfig(), init, {1: 5, 2: 5}, rngs, shards, 64)
+        cohorts = cl.start_clients(cl.ClientConfig(), init, {1: 5, 2: 5}, rngs, shards)
         server = ServerState({1: 5, 2: 5}, seed=606)
         # matched warm start: identical E=1 rounds reach steady state, then
         # the E under test controls the drift accumulated between aggregations
         for _ in range(20):
-            step_round(cohorts, server, 1, 64, 0.02)
+            step_round(cohorts, server, 0.02)
+        for cohort in cohorts:
+            cohort.config = replace(cohort.config, local_epochs=epochs)
         logs = []
         for _ in range(8):
-            step_round(cohorts, server, epochs, 64, 0.02)
+            step_round(cohorts, server, 0.02)
             logs.append(server.requant_error)
         return float(np.mean([np.mean(list(l.values())) for l in logs]))
 
@@ -153,10 +156,10 @@ def test_criterion_5_oracle_equivalence_high_rate():
     floor = ssl.optimal_loss(x, 2)
     lr = 0.05 / ssl.spectral_norm(x)
     layers = cl.init_layers([8, 2], np.random.default_rng(9), 0.1 / math.sqrt(8))
-    cfg = cl.ClientConfig(grad_extra_bits=0, aug_sigma=0.0)
+    cfg = cl.ClientConfig(grad_extra_bits=0, aug_sigma=0.0, batch_size=None)
     cohort = start_client(cfg, 16, layers, np.random.default_rng(616), shard)
     for _ in range(2000):
-        cl.run_local_epochs(cohort, 1, None, lr)
+        cl.run_local_epochs(cohort, lr)
     gap = ssl.loss(qk.dequantize(cohort.models[0][0]), x) - floor
     elapsed = time.perf_counter() - t0
     check(
@@ -193,7 +196,7 @@ def test_criterion_6_convergence_surrogate(tmp_path):
     phi0 = an.prox_solve(res.init_global[0], res.xbar, tp).envelope
     w_star = ssl.closed_form_optimum(res.xbar, cfg.m)
     phi_min = an.prox_solve(w_star, res.xbar, tp).envelope
-    rhs = an.convergence_bound_rhs(tp, list(alphas), cfg.local_epochs, phi0, max(phi_min, 0.0))
+    rhs = an.convergence_bound_rhs(tp, list(alphas), cfg.client.local_epochs, phi0, max(phi_min, 0.0))
 
     # golden trend pinned alongside: the reference run's loss drops 4x
     loss_ratio = res.records[-1].global_loss / res.records[0].global_loss
@@ -251,11 +254,11 @@ def test_criterion_8_heterogeneous_bitwidth_sanity():
     means = {4: [], 8: []}
     for seed in range(5):
         rngs = {k: np.random.default_rng(np.random.SeedSequence(entropy=809 + seed, spawn_key=(k,))) for k in (1, 2)}
-        cohorts = cl.start_clients(cl.ClientConfig(), init, {1: 4, 2: 8}, rngs, shards, 64)
+        cohorts = cl.start_clients(cl.ClientConfig(), init, {1: 4, 2: 8}, rngs, shards)
         server = ServerState({1: 4, 2: 8}, seed=810 + seed)
         errs = {1: [], 2: []}
         for t in range(20):
-            round_stats, _ = step_round(cohorts, server, 1, 64, 0.02 / math.sqrt(t + 1))
+            round_stats, _ = step_round(cohorts, server, 0.02 / math.sqrt(t + 1))
             for k in (1, 2):
                 errs[k].append(round_stats[k].weight_error_sq)
         means[4].append(float(np.mean(np.concatenate(errs[1]))))

@@ -18,10 +18,14 @@ from oracle import (
 )
 
 
-def alone(cfg, rng, layers=(), bits=6):
-    """One client at ``bits`` as a lockstep cohort of one, whose step trains
-    ``layers``: tensors gain a leading axis of 1."""
-    return cl.Cohort(cfg, (1,), (bits,), [rng], [], [], [w[None] for w in layers])
+def alone(cfg, rng, bits=6):
+    """One client at ``bits`` as a lockstep cohort of one."""
+    return cl.Cohort(cfg, (1,), (bits,), [rng], [], [])
+
+
+def batched(layers):
+    """A cohort of one's step weights: each layer gains a leading axis of 1."""
+    return [w[None] for w in layers]
 
 
 def values(cohort):
@@ -51,12 +55,25 @@ def unquantized(monkeypatch):
     monkeypatch.setattr(qk, "fit_and_quantize", pass_through)
 
 
+class TestClientConfig:
+    @pytest.mark.parametrize("over, message", [
+        ({"local_epochs": 0}, "local_epochs must be >= 1"),
+        ({"batch_size": 0}, "batch_size must be None"),
+        ({"grad_extra_bits": -1}, "grad_extra_bits must be >= 0"),
+        ({"activation": "tanh"}, "unknown activation"),
+    ], ids=["local_epochs", "batch_size", "grad_extra_bits", "activation"])
+    def test_rejects_a_setting_no_client_can_train_with(self, over, message):
+        # Checked once, here: a round never checks its cohort's recipe again.
+        with pytest.raises(InvalidParams, match=message):
+            cl.ClientConfig(**over)
+
+
 class TestForward:
     def test_identity_unquantized_is_matmul(self):
         rng = np.random.default_rng(1)
         w = rng.normal(size=(2, 8))
         batch = rng.normal(size=(16, 8))
-        fs = cl.quantized_forward(batch[None], alone(plain_config(), rng, [w]))
+        fs = cl.quantized_forward(batch[None], batched([w]), alone(plain_config(), rng))
         np.testing.assert_array_equal(fs.outputs[0], batch @ w.T)
 
     def test_identity_rows_reproduce_weight_rows(self):
@@ -64,7 +81,7 @@ class TestForward:
         w = rng.normal(size=(3, 4))
         cb = tanh_codebook(w, 8)
         qw = quantize_one(w, cb, rng)
-        fs = cl.quantized_forward(np.eye(4)[None], alone(plain_config(), rng, [qk.dequantize(qw)], bits=8))
+        fs = cl.quantized_forward(np.eye(4)[None], batched([qk.dequantize(qw)]), alone(plain_config(), rng, bits=8))
         np.testing.assert_allclose(fs.outputs[0].T, qk.dequantize(qw), atol=1e-12)
 
     def test_high_rate_shadows_unquantized(self):
@@ -75,7 +92,7 @@ class TestForward:
         batch = rng.normal(size=(64, 8))
         cfg = cl.ClientConfig(quantize_activations=True, aug_sigma=0.0)
         qw = quantize_one(w, tanh_codebook(w, 16), rng)
-        fs = cl.quantized_forward(batch[None], alone(cfg, rng, [qk.dequantize(qw)], bits=16))
+        fs = cl.quantized_forward(batch[None], batched([qk.dequantize(qw)]), alone(cfg, rng, bits=16))
         ref = batch @ w.T
         rel = np.linalg.norm(fs.outputs[0] - ref) / np.linalg.norm(ref)
         assert rel < 1e-2
@@ -84,7 +101,7 @@ class TestForward:
         rng = np.random.default_rng(4)
         layers = cl.init_layers([6, 5, 3], rng, 0.3)
         batch = rng.normal(size=(10, 6))
-        fs = cl.quantized_forward(batch[None], alone(plain_config(activation="relu"), rng, layers))
+        fs = cl.quantized_forward(batch[None], batched(layers), alone(plain_config(activation="relu"), rng))
         h1 = np.maximum(batch @ layers[0].T, 0.0)
         np.testing.assert_allclose(fs.outputs[0], np.maximum(h1 @ layers[1].T, 0.0))
 
@@ -96,10 +113,10 @@ class TestBackward:
         shard = make_shard()
         w = np.random.default_rng(7).normal(size=(2, 8)) * 0.2
         cfg = plain_config(aug_sigma=0.1)
-        team = alone(cfg, rng_client, [w])
-        fs = cl.quantized_forward(shard.samples[None], team)
+        team, weights = alone(cfg, rng_client), batched([w])
+        fs = cl.quantized_forward(shard.samples[None], weights, team)
         upstream = cl.ssl_upstream(fs.outputs, team)
-        grads, eps_g, g_sq = cl.quantized_backward(fs, upstream, team)
+        grads, eps_g, g_sq = cl.quantized_backward(fs, upstream, weights, team)
         oracle = stochastic_grad(w, shard.samples, 0.1, rng_oracle)
         np.testing.assert_allclose(grads[0][0], oracle, rtol=1e-10, atol=1e-12)
         assert eps_g == 0.0
@@ -110,9 +127,9 @@ class TestBackward:
         w = np.zeros((2, 4))
         cfg = cl.ClientConfig(aug_sigma=0.0)
         batch = np.zeros((6, 4))
-        team = alone(cfg, rng, [w], bits=4)
-        fs = cl.quantized_forward(batch[None], team)
-        grads, eps_g, _ = cl.quantized_backward(fs, np.zeros((1, 6, 2)), team)
+        team, weights = alone(cfg, rng, bits=4), batched([w])
+        fs = cl.quantized_forward(batch[None], weights, team)
+        grads, eps_g, _ = cl.quantized_backward(fs, np.zeros((1, 6, 2)), weights, team)
         np.testing.assert_array_equal(grads[0][0], np.zeros((2, 4)))
         assert eps_g == 0.0
 
@@ -151,10 +168,10 @@ class TestBackward:
             reg = sum(0.5 * np.sum((w.T @ w) ** 2) for w in ws)
             return data + reg
 
-        team = alone(cfg, rng, layers)
-        fs = cl.quantized_forward(batch[None], team)
+        team, weights = alone(cfg, rng), batched(layers)
+        fs = cl.quantized_forward(batch[None], weights, team)
         upstream = cl.ssl_upstream(fs.outputs, team)
-        grads, _, _ = cl.quantized_backward(fs, upstream, team)
+        grads, _, _ = cl.quantized_backward(fs, upstream, weights, team)
         grads = [g[0] for g in grads]
 
         h = 1e-6
@@ -172,9 +189,9 @@ class TestBackward:
     def test_state_mismatch(self):
         rng = np.random.default_rng(10)
         w = rng.normal(size=(2, 4))
-        fs = cl.quantized_forward(rng.normal(size=(1, 6, 4)), alone(plain_config(), rng, [w]))
+        fs = cl.quantized_forward(rng.normal(size=(1, 6, 4)), batched([w]), alone(plain_config(), rng))
         with pytest.raises(StateMismatch):
-            cl.quantized_backward(fs, np.zeros((1, 5, 2)), alone(plain_config(), rng, [w]))
+            cl.quantized_backward(fs, np.zeros((1, 5, 2)), batched([w]), alone(plain_config(), rng))
 
 
 class TestLocalUpdate:
@@ -182,20 +199,19 @@ class TestLocalUpdate:
         rng = np.random.default_rng(11)
         w = rng.normal(size=(2, 6))
         qw = fit_and_quantize_one(w, 6, "tanh", rng)[0]
-        team = alone(cl.ClientConfig(aug_sigma=0.0), rng, [qk.dequantize(qw)])
-        eps_w = cl.local_update(team, [np.zeros((1, 2, 6))], 0.0)
+        model, values, eps_w = cl.local_update(batched([qk.dequantize(qw)]), [np.zeros((1, 2, 6))], 0.0,
+                                               alone(cl.ClientConfig(aug_sigma=0.0), rng))
         assert eps_w == 0.0
-        np.testing.assert_array_equal(
-            qk.dequantize(cl.split_model(team.model)[0][0]), qk.dequantize(qw)
-        )
+        np.testing.assert_array_equal(qk.dequantize(cl.split_model(model)[0][0]), qk.dequantize(qw))
+        assert values[0].tobytes() == qk.dequantize(model[0]).tobytes()
 
     def test_high_rate_error_is_tiny(self):
         rng = np.random.default_rng(12)
         w = rng.normal(size=(2, 8))
         g = rng.normal(size=(2, 8))
         qw = fit_and_quantize_one(w, 16, "tanh", rng)[0]
-        team = alone(cl.ClientConfig(aug_sigma=0.0), rng, [qk.dequantize(qw)], bits=16)
-        eps_w = cl.local_update(team, [g[None]], 0.05)[0]
+        team = alone(cl.ClientConfig(aug_sigma=0.0), rng, bits=16)
+        eps_w = cl.local_update(batched([qk.dequantize(qw)]), [g[None]], 0.05, team)[2][0]
         u = qk.dequantize(qw) - 0.05 * g
         assert eps_w < 1e-4 * np.sum(u * u)
 
@@ -208,9 +224,9 @@ class TestLocalUpdate:
         for a in alphas:
             rng = np.random.default_rng(55)
             layers = cl.init_layers([8, 2], np.random.default_rng(5), 0.1 / math.sqrt(8))
-            cfg = cl.ClientConfig(grad_extra_bits=0, aug_sigma=0.1)
+            cfg = cl.ClientConfig(grad_extra_bits=0, aug_sigma=0.1, local_epochs=20)
             cohort = start_client(cfg, 5, layers, rng, shard)
-            stats = cl.run_local_epochs(cohort, 20, 64, a)
+            stats = cl.run_local_epochs(cohort, a)
             means.append(stats.mean_weight_error())
         slope = np.polyfit(np.log(alphas), np.log(means), 1)[0]
         assert 0.5 <= slope <= 1.5, (alphas, means, slope)
@@ -220,23 +236,23 @@ class TestRunLocalEpochs:
     def test_single_plain_gradient_step(self, monkeypatch):
         shard = make_shard(seed=17)
         w0 = np.random.default_rng(3).normal(size=(2, 8)) * 0.2
-        cfg = plain_config(aug_sigma=0.0)
+        cfg = plain_config(aug_sigma=0.0, batch_size=None)
         cohort = start_client(cfg, 6, [w0], np.random.default_rng(0), shard)
-        assert len(cl.run_local_epochs(cohort, 1, None, 0.03)) == 1
+        assert len(cl.run_local_epochs(cohort, 0.03)) == 1
         # the same full-batch step of a cohort, every fit passing through
         monkeypatch.setattr(qk, "fit_and_quantize", pass_through)
-        team = alone(cfg, np.random.default_rng(0), [w0])
-        fs = cl.quantized_forward(shard.samples[None], team)
-        grads, _, _ = cl.quantized_backward(fs, cl.ssl_upstream(fs.outputs, team), team)
-        cl.local_update(team, grads, 0.03)
+        team, weights = alone(cfg, np.random.default_rng(0)), batched([w0])
+        fs = cl.quantized_forward(shard.samples[None], weights, team)
+        grads, _, _ = cl.quantized_backward(fs, cl.ssl_upstream(fs.outputs, team), weights, team)
+        _, weights, _ = cl.local_update(weights, grads, 0.03, team)
         oracle = stochastic_grad(w0, shard.samples, 0.0, np.random.default_rng(1))
-        np.testing.assert_allclose(team.weights[0][0], w0 - 0.03 * oracle, rtol=1e-12)
+        np.testing.assert_allclose(weights[0][0], w0 - 0.03 * oracle, rtol=1e-12)
 
     @pytest.mark.parametrize("lr", [0.0, -0.01, math.nan])
     def test_step_size_must_be_positive(self, lr):
         cohort = start_client(plain_config(), 6, [np.zeros((2, 8))], np.random.default_rng(0), make_shard())
         with pytest.raises(InvalidParams, match="step size"):
-            cl.run_local_epochs(cohort, 1, None, lr)
+            cl.run_local_epochs(cohort, lr)
 
     def test_loss_trend_downward(self):
         shard = make_shard(count=600, seed=23)
@@ -245,7 +261,7 @@ class TestRunLocalEpochs:
         cohort = start_client(cl.ClientConfig(aug_sigma=0.1), 8, layers, rng, shard)
         losses = []
         for _ in range(20):
-            cl.run_local_epochs(cohort, 1, 64, 0.02)
+            cl.run_local_epochs(cohort, 0.02)
             losses.append(ssl.loss(values(cohort)[0], shard.covariance()))
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
@@ -255,8 +271,8 @@ class TestRunLocalEpochs:
         def run():
             rng = np.random.default_rng(77)
             layers = cl.init_layers([8, 2], np.random.default_rng(1), 0.05)
-            cohort = start_client(cl.ClientConfig(aug_sigma=0.1), 5, layers, rng, shard)
-            cl.run_local_epochs(cohort, 3, 32, 0.02)
+            cohort = start_client(cl.ClientConfig(aug_sigma=0.1, local_epochs=3, batch_size=32), 5, layers, rng, shard)
+            cl.run_local_epochs(cohort, 0.02)
             (layer,) = cohort.models[0]
             return layer.indices.copy(), layer.codebook.centers.copy()
 
@@ -269,8 +285,8 @@ class TestRunLocalEpochs:
         shard = make_shard(seed=33)
         rng = np.random.default_rng(41)
         layers = cl.init_layers([8, 2], rng, 0.05)
-        cohort = start_client(cl.ClientConfig(aug_sigma=0.1), 4, layers, rng, shard)
-        cl.run_local_epochs(cohort, 2, 64, 0.02)
+        cohort = start_client(cl.ClientConfig(aug_sigma=0.1, local_epochs=2), 4, layers, rng, shard)
+        cl.run_local_epochs(cohort, 0.02)
         for layer in cohort.models[0]:
             assert isinstance(layer, qk.QuantizedTensor)
             assert layer.codebook.plan.rates == (4,)
@@ -288,9 +304,9 @@ class TestRunLocalEpochs:
                 for i in range(15):
                     w = sgd(w, shard.samples, 2, 64, 0.03 / math.sqrt(i + 1), 0.1, rng)
                 return ssl.loss(w, shard.covariance())
-            cohort = start_client(cl.ClientConfig(aug_sigma=0.1), 12, layers, rng, shard)
+            cohort = start_client(cl.ClientConfig(aug_sigma=0.1, local_epochs=2), 12, layers, rng, shard)
             for i in range(15):
-                cl.run_local_epochs(cohort, 2, 64, 0.03 / math.sqrt(i + 1))
+                cl.run_local_epochs(cohort, 0.03 / math.sqrt(i + 1))
             return ssl.loss(values(cohort)[0], shard.covariance())
 
     # identical seeds and schedule; rng streams diverge once quantization
@@ -308,9 +324,9 @@ class TestRunLocalEpochs:
         for r in rates:
             rng = np.random.default_rng(83)
             layers = cl.init_layers([8, 2], np.random.default_rng(4), 0.1 / math.sqrt(8))
-            cfg = cl.ClientConfig(grad_extra_bits=0, aug_sigma=0.1)
+            cfg = cl.ClientConfig(grad_extra_bits=0, aug_sigma=0.1, local_epochs=16)
             cohort = start_client(cfg, r, layers, rng, shard)
-            stats = cl.run_local_epochs(cohort, 16, 64, 0.02)
+            stats = cl.run_local_epochs(cohort, 0.02)
             assert len(stats) >= 200
             ratios.append(stats.mean_grad_error() / np.mean(stats.grad_norm_sq))
         per_bit = 2.0 ** (-np.polyfit(rates, np.log2(ratios), 1)[0])

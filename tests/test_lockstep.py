@@ -47,14 +47,14 @@ def _assert_same_model(a: list[qk.QuantizedTensor], b: list[qk.QuantizedTensor])
 _local_update = cl.local_update
 
 
-def _checked_update(cohort: cl.Cohort, grads, lr):
-    """``cl.local_update``, after which each layer of the next step's weights
-    is its quantized layer's values, byte for byte."""
-    eps_w_sq = _local_update(cohort, grads, lr)
-    for w, q in zip(cohort.weights, cohort.model, strict=True):
-        values = qk.dequantize(q)
-        assert w.shape == values.shape and w.tobytes() == values.tobytes()
-    return eps_w_sq
+def _checked_update(weights, grads, lr, cohort: cl.Cohort):
+    """``cl.local_update``, whose next step's weights are each its quantized
+    layer's values, byte for byte."""
+    model, values, eps_w_sq = _local_update(weights, grads, lr, cohort)
+    for w, q in zip(values, model, strict=True):
+        decoded = qk.dequantize(q)
+        assert w.shape == decoded.shape and w.tobytes() == decoded.tobytes()
+    return model, values, eps_w_sq
 
 
 def _assert_same_stats(a: cl.QuantErrorStats, b: cl.QuantErrorStats):
@@ -81,17 +81,16 @@ def test_lockstep_round_matches_each_client_alone(seed, bits, kinds, sizes, batc
     dims = [D, 3] if model == "linear" else [D, 5, 3]
     init = cl.init_layers(dims, np.random.default_rng(seed), 0.3)
     cfg = cl.ClientConfig(aug_sigma=sigma, activation="identity" if model == "linear" else "relu",
-                          quantize_activations=model != "linear")
+                          quantize_activations=model != "linear", local_epochs=2, batch_size=batch_size)
     bits = dict(zip(ids, bits))
     alone = {k: start_client(cfg, bits[k], init, np.random.default_rng([seed, k]), shards[k]) for k in ids}
 
     saved = cl.LOCKSTEP_ELEMENTS
     cl.LOCKSTEP_ELEMENTS, cl.local_update = group_cap, _checked_update
     try:
-        cohorts = cl.start_clients(cfg, init, bits, {k: np.random.default_rng([seed, k]) for k in ids}, shards,
-                                   batch_size)
-        stats, sent = step_round(cohorts, ServerState(bits, seed=seed), 2, batch_size, 0.05)
-        owns = {k: cl.run_local_epochs(alone[k], 2, batch_size, 0.05) for k in ids}
+        cohorts = cl.start_clients(cfg, init, bits, {k: np.random.default_rng([seed, k]) for k in ids}, shards)
+        stats, sent = step_round(cohorts, ServerState(bits, seed=seed), 0.05)
+        owns = {k: cl.run_local_epochs(alone[k], 0.05) for k in ids}
     finally:
         cl.LOCKSTEP_ELEMENTS, cl.local_update = saved, _local_update
 
@@ -107,9 +106,9 @@ def test_lockstep_returns_client_steps_summed():
     shards = {k: _shard(k, 20, "normal", k) for k in (1, 2, 3)}
     init = cl.init_layers([D, 3], np.random.default_rng(0), 0.3)
     bits = {1: 3, 2: 3, 3: 6}
-    (cohort,) = cl.start_clients(cl.ClientConfig(), init, bits, {k: np.random.default_rng(b) for k, b in bits.items()},
-                                 shards, 8)
-    stats = cl.run_local_epochs(cohort, 2, 8, 0.05)
+    (cohort,) = cl.start_clients(cl.ClientConfig(local_epochs=2, batch_size=8), init, bits,
+                                 {k: np.random.default_rng(b) for k, b in bits.items()}, shards)
+    stats = cl.run_local_epochs(cohort, 0.05)
     assert stats.grad_error_sq.shape == (3, 6)  # three clients, 2 epochs of 3 batches
     assert len(stats) == 18
 
@@ -126,8 +125,8 @@ def test_start_clients_forms_cohorts_by_shard_size_in_id_order(monkeypatch):
 
     def start(cap):
         monkeypatch.setattr(cl, "LOCKSTEP_ELEMENTS", cap)
-        return cl.start_clients(cl.ClientConfig(), init, bits, {k: np.random.default_rng(k) for k in bits}, shards,
-                                None)
+        return cl.start_clients(cl.ClientConfig(batch_size=None), init, bits,
+                                {k: np.random.default_rng(k) for k in bits}, shards)
 
     assert [c.ids for c in start(cl.LOCKSTEP_ELEMENTS)] == [(1, 3, 4), (2, 5)]
     cohorts = start(2 * 20 * D)
@@ -136,11 +135,50 @@ def test_start_clients_forms_cohorts_by_shard_size_in_id_order(monkeypatch):
         assert c.bits == tuple(bits[k] for k in c.ids)
         assert c.shards == [shards[k] for k in c.ids]
         assert c.grad_bits == tuple(bits[k] + 2 for k in c.ids)
-        assert c.weights == [] and c.model == []
         for k, model, rng in zip(c.ids, c.models, c.rngs, strict=True):
             own = start_client(cl.ClientConfig(), bits[k], init, np.random.default_rng(k), shards[k])
             _assert_same_model(model, own.models[0])
             assert rng.random() == own.rngs[0].random()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.sampled_from([1, 5, 12, 30]), min_size=1, max_size=6),
+    dims=st.lists(st.integers(1, 12), min_size=2, max_size=3),
+    batch_size=st.one_of(st.none(), st.integers(1, 40)),
+    cap=st.integers(1, 2500),
+)
+def test_every_cohort_step_trains_within_the_cap(seed, sizes, dims, batch_size, cap):
+    # Each step's batch (clients x step rows) times the widest layer holds
+    # at most LOCKSTEP_ELEMENTS elements, or its cohort is one client: a
+    # cohort trains only at the batch size its cap was checked at.
+    rng = np.random.default_rng(seed)
+    shards = {k: DataShard(k, rng.normal(size=(rows, dims[0])), np.zeros(rows, dtype=np.uint32))
+              for k, rows in enumerate(sizes, start=1)}
+    init = cl.init_layers(dims, rng, 0.3)
+    widest = max(max(w.shape) for w in init)
+    steps = []
+    forward = cl.quantized_forward
+
+    def spy(batch, weights, cohort):
+        steps.append((batch.shape, len(cohort.ids)))
+        return forward(batch, weights, cohort)
+
+    saved = cl.LOCKSTEP_ELEMENTS
+    cl.LOCKSTEP_ELEMENTS, cl.quantized_forward = cap, spy
+    try:
+        cohorts = cl.start_clients(cl.ClientConfig(batch_size=batch_size), init, dict.fromkeys(shards, 3),
+                                   {k: np.random.default_rng([seed, k]) for k in shards}, shards)
+        for c in cohorts:
+            cl.run_local_epochs(c, 0.05)
+    finally:
+        cl.LOCKSTEP_ELEMENTS, cl.quantized_forward = saved, forward
+    assert sorted(k for c in cohorts for k in c.ids) == sorted(shards)
+    assert len(steps) >= len(cohorts)
+    for (clients, rows, _), members in steps:
+        assert clients == members
+        assert clients == 1 or clients * rows * widest <= cap, (clients, rows, widest, cap)
 
 
 def _mixed_shards():
@@ -151,8 +189,8 @@ def _mixed_shards():
 def _start(shards, batch_size):
     init = cl.init_layers([D, 3], np.random.default_rng(0), 0.3)
     bits = {k: 2 + k for k in shards}
-    return cl.start_clients(cl.ClientConfig(), init, bits, {k: np.random.default_rng(k) for k in bits}, shards,
-                            batch_size)
+    return cl.start_clients(cl.ClientConfig(local_epochs=2, batch_size=batch_size), init, bits,
+                            {k: np.random.default_rng(k) for k in bits}, shards)
 
 
 def test_a_full_batch_cohort_holds_its_shards_samples_in_one_stack():
@@ -179,22 +217,22 @@ def test_a_minibatch_cohort_keeps_its_shards_arrays():
             assert shard.samples is arrays[k]
 
 
-@pytest.mark.parametrize("formed_for", [None, 8])
-def test_a_full_batch_step_trains_on_the_stack_in_place(formed_for, monkeypatch):
+@pytest.mark.parametrize("batch_size", [None, 64])
+def test_a_full_batch_step_trains_on_the_stack_in_place(batch_size, monkeypatch):
     # Every step's batch is the cohort's stack itself, not a copy, and no
-    # step writes to it; a cohort formed for minibatches stacks its shards
-    # at its first full-batch round.
-    cohorts = _start(_mixed_shards(), formed_for)
+    # step writes to it; a batch size of at least the shards' rows is full
+    # batch too.
+    cohorts = _start(_mixed_shards(), batch_size)
     batches = []
     forward = cl.quantized_forward
 
-    def spy(batch, cohort):
+    def spy(batch, weights, cohort):
         batches.append((batch, cohort))
-        return forward(batch, cohort)
+        return forward(batch, weights, cohort)
 
     monkeypatch.setattr(cl, "quantized_forward", spy)
     for c in cohorts:
-        cl.run_local_epochs(c, 2, None, 0.05)
+        cl.run_local_epochs(c, 0.05)
         assert c.samples is not None
         assert all(np.shares_memory(shard.samples, c.samples) for shard in c.shards)
     assert len(batches) == 2 * len(cohorts)
@@ -208,18 +246,17 @@ def test_a_trained_cohort_keeps_only_its_clients_compact_models(monkeypatch):
     shards = {k: _shard(k, 20, "normal", k) for k in (1, 2, 3)}
     init = cl.init_layers([D, 5, 3], np.random.default_rng(0), 0.3)
     bits = {1: 3, 2: 9, 3: 6}
-    (cohort,) = cl.start_clients(cl.ClientConfig(), init, bits, {k: np.random.default_rng(k) for k in bits}, shards,
-                                 8)
+    (cohort,) = cl.start_clients(cl.ClientConfig(local_epochs=2, batch_size=8), init, bits,
+                                 {k: np.random.default_rng(k) for k in bits}, shards)
     last = []
 
-    def spy(cohort, grads, lr):
-        eps_w_sq = _local_update(cohort, grads, lr)
-        last[:] = cohort.weights
-        return eps_w_sq
+    def spy(weights, grads, lr, cohort):
+        model, values, eps_w_sq = _local_update(weights, grads, lr, cohort)
+        last[:] = values
+        return model, values, eps_w_sq
 
     monkeypatch.setattr(cl, "local_update", spy)
-    cl.run_local_epochs(cohort, 2, 8, 0.05)
-    assert cohort.weights == [] and cohort.model == []
+    cl.run_local_epochs(cohort, 0.05)
     assert len(cohort.models) == 3
     for r, (b, model) in enumerate(zip(cohort.bits, cohort.models)):
         # Row r of the last step's batch, in the dtype its bitwidth needs.

@@ -34,9 +34,7 @@ class TestConfig:
     def test_minimal_defaults(self):
         cfg = config_from_dict(minimal())
         assert cfg.client == cl.ClientConfig(grad_extra_bits=2, activation="identity", aug_sigma=0.1,
-                                             quantize_activations=False)
-        assert cfg.local_epochs == 1
-        assert cfg.batch_size == 64
+                                             quantize_activations=False, local_epochs=1, batch_size=64)
         assert cfg.m == 2  # defaults to n_clients
         assert cfg.model_layers == (32, 2)
         assert cfg.lr_kind == "inverse_sqrt"
@@ -98,6 +96,18 @@ class TestConfig:
         # TypeError on null or a number and took a list of pairs.
         with pytest.raises(ValidationError, match=f"^{key} must be"):
             config_from_dict(minimal(**over))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("local_epochs", 0, r"local_epochs \(E\) must be an integer >= 1"),
+        ("local_epochs", 1.5, r"local_epochs \(E\) must be an integer >= 1"),
+        ("batch_size", 0, r"batch_size must be null \(full batch\) or an integer >= 1"),
+        ("batch_size", True, r"batch_size must be null \(full batch\) or an integer >= 1"),
+    ], ids=["epochs-zero", "epochs-real", "batch-zero", "batch-bool"])
+    def test_the_local_recipe_is_checked_before_its_client_config(self, key, value, message):
+        # ClientConfig checks these too, with InvalidParams; the config
+        # file's own message comes first.
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            config_from_dict(minimal(**{key: value}))
 
     def test_bitwidth_above_cap_rejected(self):
         # Validation only: a 2^32-center codebook is never built.
@@ -221,9 +231,9 @@ class TestRunExperiment:
         real = exp.cl.local_update
         seen = []
 
-        def spy(cohort, grads, lr):
+        def spy(weights, grads, lr, cohort):
             seen.extend([lr] * len(cohort.rngs))  # one step per client in the cohort
-            return real(cohort, grads, lr)
+            return real(weights, grads, lr, cohort)
 
         monkeypatch.setattr(exp.cl, "local_update", spy)
         cfg = config_from_dict(small_run_dict(
@@ -292,10 +302,10 @@ class TestDivergence:
                 x[5, 1] = np.inf
             shards[k] = DataShard(k, x, np.zeros(20, dtype=np.uint32))
         bits = dict.fromkeys(shards, 4)
-        cohorts = cl.start_clients(cl.ClientConfig(), init, bits, {k: np.random.default_rng(k) for k in shards},
-                                   shards, 8)
+        cohorts = cl.start_clients(cl.ClientConfig(batch_size=8), init, bits,
+                                   {k: np.random.default_rng(k) for k in shards}, shards)
         with pytest.raises(Diverged) as info:
-            exp.step_round(cohorts, sv.ServerState(bits, seed=0), 1, 8, 0.05)
+            exp.step_round(cohorts, sv.ServerState(bits, seed=0), 0.05)
         assert (info.value.round, info.value.client, info.value.phase) == (1, 2, "client update")
         assert isinstance(info.value.__cause__, NonFiniteInput)
 

@@ -3,13 +3,14 @@ and reports each traced set-up stage, each stage of a client step, the
 server's re-quantization and its whole round; each stage's working set,
 cold and with the fit-plan cache warm, and each run's highest traced
 memory stay within their committed budgets. Its call counts repeat from
-one fresh process to the next."""
+one fresh process to the next and stay within their committed budgets."""
 
 import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "step_memory.py"
@@ -44,6 +45,13 @@ WARM_BUDGET_KIB = {
 # with the cohort (a call serves four clients of linear-fullbatch-16c)
 # still answers to a whole-run bound. Same tolerance and same rule.
 PEAK_BUDGET_KIB = {"linear-fullbatch-16c": 3025, "linear-minibatch": 882, "relu-actq": 2030}
+# The Python ``call`` and C ``c_call`` events of each warm run at --tiny
+# (``--calls``), exact: the counts repeat, so there is no tolerance. A
+# rise fails; a change that lowers a count lowers its budget with it.
+# The counts hold only under the interpreter and numpy they were taken
+# with (Python 3.12 inlines comprehensions, for one).
+CALL_BUDGET_VERSIONS = ("3.11.7", "2.4.6")  # Python, numpy
+CALL_BUDGET = {"linear-fullbatch-16c": (11304, 13031), "linear-minibatch": (5754, 7668), "relu-actq": (3285, 4253)}
 
 
 def allowed_kib(budget: int) -> float:
@@ -81,13 +89,32 @@ def test_each_run_peak_stays_within_its_budget(rows):
     assert not over, "; ".join(over)
 
 
-def test_call_counts_repeat_in_fresh_processes():
+@pytest.fixture(scope="module")
+def call_runs():
+    """Two fresh runs of ``--calls --tiny``: their outputs."""
     runs = [subprocess.run([sys.executable, str(TOOL), "--calls", "--tiny"], capture_output=True, text=True,
                            timeout=300) for _ in range(2)]
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
-    assert runs[0].stdout == runs[1].stdout
-    rows = [line.split() for line in runs[0].stdout.splitlines()[1:]]
+    return [proc.stdout for proc in runs]
+
+
+def test_call_counts_repeat_in_fresh_processes(call_runs):
+    assert call_runs[0] == call_runs[1]
+    rows = [line.split() for line in call_runs[0].splitlines()[1:]]
     assert [r[0] for r in rows] == list(WORKLOADS)
     for _, calls, c_calls, python in rows:
         assert int(calls) > 0 and int(c_calls) > 0 and python == platform.python_version()
+
+
+def test_call_counts_stay_within_their_budgets(call_runs):
+    versions = (platform.python_version(), np.__version__)
+    if versions != CALL_BUDGET_VERSIONS:
+        pytest.skip(f"call budgets were taken under Python {CALL_BUDGET_VERSIONS[0]} and numpy "
+                    f"{CALL_BUDGET_VERSIONS[1]}; this is Python {versions[0]} and numpy {versions[1]}")
+    over = []
+    for w, calls, c_calls, _ in (line.split() for line in call_runs[0].splitlines()[1:]):
+        for column, count, budget in zip(("calls", "c_calls"), (calls, c_calls), CALL_BUDGET[w]):
+            if int(count) > budget:
+                over.append(f"{w} {column}: {count} against a budget of {budget}")
+    assert not over, "; ".join(over)
