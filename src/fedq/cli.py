@@ -96,21 +96,22 @@ def _cmd_oracle(args) -> int:
     if not (math.isfinite(args.eps_scale) and args.eps_scale >= 0):
         raise InvalidParams(f"--eps-scale must be a finite number >= 0, got {args.eps_scale}")
     cfg = load_config(args.config)
+    m = cfg.model_layers[-1]
     shards = generate_all_shards(cfg.data)
     xbar = global_covariance(shards)
     eig = sslcore.sym_eig(xbar)
-    floor = sslcore.optimal_loss(xbar, cfg.m)
+    floor = sslcore.optimal_loss(xbar, m)
     print(f"global covariance: d={cfg.data.d}, top eigenvalues "
           + ", ".join(f"{v:.6g}" for v in eig.eigenvalues[: min(6, cfg.data.d)]))
-    print(f"optimal rank-{cfg.m} loss (trailing eigenvalue energy): {floor:.12g}")
+    print(f"optimal rank-{m} loss (trailing eigenvalue energy): {floor:.12g}")
     for s in shards:
         print(f"client {s.client_id}: optimal loss "
-              f"{sslcore.optimal_loss(s.covariance(), cfg.m):.12g}")
+              f"{sslcore.optimal_loss(s.covariance(), m):.12g}")
     # An overflowing perturbation would otherwise end in a misleading rank error.
     try:
         with np.errstate(over="raise", invalid="raise"):
             records = analysis.local_vs_global_representability_report(
-                shards, cfg.m, eps_scale=args.eps_scale,
+                shards, m, eps_scale=args.eps_scale,
                 rng=np.random.default_rng(cfg.training_seed),
             )
     except FloatingPointError as e:

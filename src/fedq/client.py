@@ -9,8 +9,9 @@ once, for that batch size: clients whose shards hold the same number of
 rows train as one ``Cohort``, where the client is the leading axis of
 every weight, minibatch, activation and gradient, and each quantizer
 fit is one call over the clients' ragged codebooks. A cohort holds only
-what lasts the run: its clients' streams, shards and stored models; a
-round's weight values stay local to ``run_local_epochs``.
+what lasts the run: its clients' streams, samples and stored models; a
+round's weight values stay local to ``run_local_epochs``. This module
+is the only one that reads a cohort's samples.
 Each SGD step runs the forward/backward pass on the values of the
 quantized weights (quantizing gradients with fresh quantile codebooks,
 and optionally activations with fresh tanh codebooks), applies the
@@ -124,21 +125,20 @@ class Cohort:
 
     Row r of every batched tensor (weights, minibatch, activations,
     gradients, codebooks) belongs to client ``ids[r]``, whose bitwidth
-    is ``bits[r]``, stream ``rngs[r]`` and shard ``shards[r]``; the
-    shards hold the same number of rows. A full-batch cohort's samples
-    live in ``samples``, one (clients, rows, d) array, every step's batch,
-    with each shard's ``samples`` a view of its row; else it is None.
-    ``models[r]`` is the client's stored model between rounds, one
-    QuantizedTensor per layer in its compact dtype.
+    is ``bits[r]``, stream ``rngs[r]`` and (rows, d) sample matrix
+    ``samples[r]``; every client holds the same number of rows. A
+    full-batch cohort's ``samples`` is one (clients, rows, d) array,
+    every step's batch; a minibatch cohort's is a list of its shards'
+    own arrays. ``models[r]`` is the client's stored model between
+    rounds, one QuantizedTensor per layer in its compact dtype.
     """
 
     config: ClientConfig
     ids: tuple[int, ...]
     bits: tuple[int, ...]
     rngs: list[np.random.Generator]
-    shards: list[DataShard]
+    samples: np.ndarray | list[np.ndarray]
     models: list[list[qk.QuantizedTensor]]
-    samples: np.ndarray | None = None
 
     @cached_property
     def grad_bits(self) -> tuple[int, ...]:
@@ -216,9 +216,9 @@ def quantize_for_clients(layers: list[np.ndarray], bits: tuple[int, ...],
 
 
 def stack_samples(shards: list[DataShard]) -> np.ndarray:
-    """The shards' samples as one (C, rows, d) float64 array, copied in one
-    shard at a time; each shard's ``samples`` becomes its row of the stack,
-    so no moment holds two copies of the data."""
+    """The shards' samples adopted into one (C, rows, d) float64 array, copied
+    in one shard at a time: each shard's ``samples`` becomes a view of its
+    row, so no moment holds two copies of the data."""
     stack = np.empty((len(shards),) + shards[0].samples.shape)
     for row, shard in zip(stack, shards):
         row[...] = shard.samples
@@ -234,7 +234,10 @@ def start_clients(config: ClientConfig, init: list[np.ndarray], bits: dict[int, 
     training. Clients whose shards hold the same number of rows form
     cohorts in ascending id, as many per cohort as LOCKSTEP_ELEMENTS
     allows at ``config.batch_size``, the one batch size they ever train
-    at; a full-batch cohort stacks its samples."""
+    at. A minibatch cohort holds its shards' own sample arrays; a
+    full-batch cohort adopts them into one stack, and each shard's
+    ``samples`` becomes a view of its row, so a second call on the same
+    shards leaves the first one's stacks viewed by no shard."""
     ids = sorted(bits)
     models, _ = quantize_for_clients(init, tuple(bits[k] for k in ids), [rngs[k] for k in ids])
     model_of = dict(zip(ids, models))
@@ -248,8 +251,9 @@ def start_clients(config: ClientConfig, init: list[np.ndarray], bits: dict[int, 
         n = max(1, LOCKSTEP_ELEMENTS // (size * widest))
         for g in (same[i:i + n] for i in range(0, len(same), n)):
             own = [shards[k] for k in g]
-            cohorts.append(Cohort(config, tuple(g), tuple(bits[k] for k in g), [rngs[k] for k in g], own,
-                                  [model_of[k] for k in g], samples=stack_samples(own) if size == rows else None))
+            cohorts.append(Cohort(config, tuple(g), tuple(bits[k] for k in g), [rngs[k] for k in g],
+                                  stack_samples(own) if size == rows else [s.samples for s in own],
+                                  [model_of[k] for k in g]))
     return cohorts
 
 
@@ -363,27 +367,28 @@ def run_local_epochs(cohort: Cohort, lr: float) -> QuantErrorStats:
     """One communication round of local training, for a cohort in lockstep.
 
     Each client trains the config's E epochs of SGD at step size ``lr``
-    on its own shard, starting from its stored model; every client takes
-    the same steps and each step runs as one batch over the clients.
-    Minibatches of the config's B rows are drawn by per-epoch
-    permutation from each client's own stream; B None or >= |D_k| means
-    full-batch passes in natural order, on the cohort's stacked
-    ``samples`` in place. Each step's weight values and batched model
-    live only here; the trained models become ``cohort.models``.
+    on its own samples, starting from its stored model; every client
+    takes the same steps and each step runs as one batch over the
+    clients. Minibatches of the config's B rows are drawn by per-epoch
+    permutation from each client's own stream into a reused buffer; B
+    None or >= |D_k| means full-batch passes in natural order, on the
+    cohort's stacked ``samples`` in place. Each step's weight values
+    and batched model live only here; the trained models become
+    ``cohort.models``.
     Returns the round's quantization-error statistics, a (3, clients,
     steps) array.
     """
     if not lr > 0:
         raise InvalidParams(f"step size must be positive, got {lr}")
     cfg = cohort.config
-    xs = [shard.samples for shard in cohort.shards]
+    xs = cohort.samples
     rows = xs[0].shape[0]
     weights = [np.array(layer) for layer in zip(*([qk.dequantize(w) for w in m] for m in cohort.models))]
     size = min(cfg.batch_size or rows, rows)
     per_epoch = -(-rows // size)
     stats = np.empty((3, len(xs), cfg.local_epochs * per_epoch))  # (eps_g_sq, eps_w_sq, g_sq), client, step
     # Minibatch rows are gathered into a reused buffer, one row block per client.
-    buffers = ({rows: cohort.samples} if size == rows else
+    buffers = ({rows: xs} if size == rows else
                {n: np.empty((len(xs), n, xs[0].shape[1])) for n in {size, rows % size or size}})
     for e in range(cfg.local_epochs):
         orders = None if size == rows else [rng.permutation(rows) for rng in cohort.rngs]

@@ -28,8 +28,8 @@ _METRIC_KEYS = {"moreau", "representability"}
 
 @dataclass(frozen=True)
 class MetricFlags:
-    moreau: bool
-    representability: bool
+    moreau: bool = True
+    representability: bool = True
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,11 @@ class ExperimentConfig:
     covariance estimate, resolved once the shards exist. ``client``
     holds the training settings that every client shares, the local
     epochs and batch size included; clients differ only in
-    ``bitwidths`` and their shards.
+    ``bitwidths`` and their shards. Each fact has one field: the client
+    count is ``data.n``, the representation width ``model_layers[-1]``
+    and the data seed ``data.seed``.
     """
 
-    n_clients: int
     bitwidths: tuple[int, ...]
     rounds: int
     data: DataGenParams
@@ -51,15 +52,13 @@ class ExperimentConfig:
     lr_kind: str
     lr_base: float | None
     model_layers: tuple[int, ...]
-    m: int
-    data_seed: int
     training_seed: int
     metrics: MetricFlags
     output_dir: str
 
     def to_json_dict(self) -> dict:
         return {
-            "n_clients": self.n_clients,
+            "n_clients": self.data.n,
             "d": self.data.d,
             "bitwidths": list(self.bitwidths),
             "rounds": self.rounds,
@@ -69,12 +68,13 @@ class ExperimentConfig:
             "aug_sigma": self.client.aug_sigma,
             "quantize_activations": self.client.quantize_activations,
             "lr": {"kind": self.lr_kind, "base": self.lr_base},
-            "model": {"layers": list(self.model_layers), "activation": self.client.activation, "m": self.m},
+            "model": {"layers": list(self.model_layers), "activation": self.client.activation,
+                      "m": self.model_layers[-1]},
             "data": {
                 "frequent_count": self.data.frequent_count,
                 "infrequent_exponent": self.data.infrequent_exponent,
             },
-            "seeds": {"data": self.data_seed, "training": self.training_seed},
+            "seeds": {"data": self.data.seed, "training": self.training_seed},
             "metrics": asdict(self.metrics),
             "output_dir": self.output_dir,
         }
@@ -122,20 +122,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(all(_is_int(b) and b >= 1 for b in bitwidths),
              "every bitwidth s_k must be an integer >= 1")
 
-    grad_extra = raw.get("grad_extra_bits", 2)
+    grad_extra = raw.get("grad_extra_bits", ClientConfig.grad_extra_bits)
     _require(_is_int(grad_extra) and grad_extra >= 0, "grad_extra_bits must be >= 0")
     # Gradients use rate s_k + grad_extra_bits; each rate r allocates 2^r centers.
     _require(max(bitwidths) + grad_extra <= MAX_RATE,
              f"max(bitwidths) + grad_extra_bits must be <= {MAX_RATE}, "
              f"got {max(bitwidths)} + {grad_extra}")
-    epochs = raw.get("local_epochs", 1)
+    epochs = raw.get("local_epochs", ClientConfig.local_epochs)
     _require(_is_int(epochs) and epochs >= 1, "local_epochs (E) must be an integer >= 1")
-    batch = raw.get("batch_size", 64)
+    batch = raw.get("batch_size", ClientConfig.batch_size)
     _require(batch is None or (_is_int(batch) and batch >= 1),
              "batch_size must be null (full batch) or an integer >= 1")
-    aug_sigma = raw.get("aug_sigma", 0.1)
+    aug_sigma = raw.get("aug_sigma", ClientConfig.aug_sigma)
     _require(_is_real(aug_sigma) and aug_sigma >= 0, "aug_sigma must be a real number >= 0")
-    qact = raw.get("quantize_activations", False)
+    qact = raw.get("quantize_activations", ClientConfig.quantize_activations)
     _require(isinstance(qact, bool), "quantize_activations must be boolean")
 
     lr = _object(raw.get("lr", {}), _LR_KEYS, "lr")
@@ -155,43 +155,34 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(all(_is_int(x) and x >= 1 for x in layers), "model widths must be >= 1")
     _require(layers[0] == d, "model.layers must start at the data dimension d")
     _require(layers[-1] == m, "model.layers must end at the representation dim m")
-    activation = model.get("activation", "identity")
+    activation = model.get("activation", ClientConfig.activation)
     _require(activation in ACTIVATIONS, f"model.activation must be {' or '.join(ACTIVATIONS)}")
 
     data = _object(raw.get("data", {}), _DATA_KEYS, "data")
-    frequent_count = data.get("frequent_count", 2000)
+    frequent_count = data.get("frequent_count", DataGenParams.frequent_count)
     _require(_is_int(frequent_count), "data.frequent_count must be an integer")
-    infrequent_exponent = data.get("infrequent_exponent", 0.3)
+    infrequent_exponent = data.get("infrequent_exponent", DataGenParams.infrequent_exponent)
     _require(_is_real(infrequent_exponent), "data.infrequent_exponent must be a real number")
     seeds = _object(raw.get("seeds", {}), _SEED_KEYS, "seeds")
-    data_seed = seeds.get("data", 0)
+    data_seed = seeds.get("data", DataGenParams.seed)
     train_seed = seeds.get("training", 1)
     # np.random.SeedSequence takes only non-negative entropy.
     _require(_is_int(data_seed) and data_seed >= 0, "seeds.data must be an integer >= 0")
     _require(_is_int(train_seed) and train_seed >= 0, "seeds.training must be an integer >= 0")
 
-    metrics = _object(raw.get("metrics", {}), _METRIC_KEYS, "metrics")
-    moreau = metrics.get("moreau", True)
-    _require(isinstance(moreau, bool), "metrics.moreau must be boolean")
-    representability = metrics.get("representability", True)
-    _require(isinstance(representability, bool), "metrics.representability must be boolean")
-    flags = MetricFlags(moreau=moreau, representability=representability)
+    flags = MetricFlags(**_object(raw.get("metrics", {}), _METRIC_KEYS, "metrics"))
+    for key, on in asdict(flags).items():
+        _require(isinstance(on, bool), f"metrics.{key} must be boolean")
 
     try:
-        gen = DataGenParams(
-            n=n,
-            d=d,
-            frequent_count=frequent_count,
-            infrequent_exponent=infrequent_exponent,
-            seed=data_seed,
-        )
+        gen = DataGenParams(n=n, d=d, frequent_count=frequent_count, infrequent_exponent=infrequent_exponent,
+                            seed=data_seed)
     except InvalidParams as e:
         raise ValidationError(f"data section invalid: {e}") from e
     output_dir = raw.get("output_dir", "runs/out")
     _require(isinstance(output_dir, str), "output_dir must be a string")
 
     return ExperimentConfig(
-        n_clients=n,
         bitwidths=tuple(bitwidths),
         rounds=rounds,
         data=gen,
@@ -200,8 +191,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         lr_kind=lr_kind,
         lr_base=None if lr_base is None else float(lr_base),
         model_layers=tuple(layers),
-        m=m,
-        data_seed=data_seed,
         training_seed=train_seed,
         metrics=flags,
         output_dir=output_dir,

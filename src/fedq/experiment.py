@@ -3,13 +3,14 @@
 A run is bulk-synchronous: every round t (``step_round``), every client
 trains its config's E local epochs on its own RNG stream at the round's
 one step size alpha_t, in the cohorts ``client.start_clients`` formed,
-the server de-quantizes / aggregates / re-quantizes, and one
-``MetricsRecord`` is computed on the full-precision aggregate. The
-records are the run's only per-round history: each holds its round's
-alpha_t and the clients' per-step error energies next to the metrics.
-metrics.csv gains one row per record and is flushed immediately, so an
-aborted run leaves all completed rounds on disk. Row 0 snapshots the quantized
-initialization before any training.
+the server de-quantizes / aggregates by the shard sizes it was given at
+the start / re-quantizes, and one ``MetricsRecord`` is computed on the
+full-precision aggregate. The records are the run's only per-round
+history: each holds its round's alpha_t and the clients' per-step error
+energies next to the metrics. metrics.csv gains one row per record and
+is flushed immediately, so an aborted run leaves all completed rounds
+on disk. Row 0 snapshots the quantized initialization before any
+training.
 
 Timing is written to a separate timings.csv: metrics.csv must be
 byte-identical across reruns, which wall-clock numbers would break.
@@ -109,8 +110,9 @@ def step_round(cohorts: list[cl.Cohort], server: ServerState,
 
     Each cohort trains in lockstep (``cl.run_local_epochs``): its
     config's local epochs at the round's step size ``lr``. Then the
-    server de-quantizes, aggregates by shard size and re-quantizes per
-    client, and every cohort takes its clients' new models.
+    server de-quantizes the sent models, aggregates them by the shard
+    sizes it holds and re-quantizes per client, and every cohort takes
+    its clients' new models.
     Returns each client's error stats for the round and the models the
     clients sent. Both phases name the server's next round in Diverged;
     a client update names the lowest client id whose values were
@@ -128,7 +130,7 @@ def step_round(cohorts: list[cl.Cohort], server: ServerState,
                 raise Diverged(server.round_counter + 1, cohort.ids[e.row], "client update") from e
             stats.update((k, batch[r]) for r, k in enumerate(cohort.ids))
         sent = stored_models(cohorts)
-        received = server.run_round(sent, {k: s.size for c in cohorts for k, s in zip(c.ids, c.shards)})
+        received = server.run_round(sent)
     for cohort in cohorts:
         cohort.models = [received[k] for k in cohort.ids]
     return stats, sent
@@ -144,7 +146,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     shards = generate_all_shards(cfg.data)
     client_ids = [s.client_id for s in shards]
-    shard_by_id = {s.client_id: s for s in shards}
+    shard_by_id = dict(zip(client_ids, shards))
+    counts = [s.size for s in shards]  # |D_k|, for the server and the row-0 aggregate alike
     xbar = global_covariance(shards)
 
     lr_base = resolve_lr_base(cfg, xbar)
@@ -157,10 +160,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     bits = dict(zip(client_ids, cfg.bitwidths))
     cohorts = cl.start_clients(cfg.client, init_layers, bits,
                                {k: client_rng(cfg.training_seed, k) for k in client_ids}, shard_by_id)
-    server = ServerState(bits, seed=cfg.training_seed)
-    init_global = aggregate([[qk.dequantize(w) for w in m] for m in stored_models(cohorts).values()],
-                            [shard_by_id[k].size for k in client_ids])
-    repr_dims = cfg.n_clients if cfg.metrics.representability else 0
+    server = ServerState(bits, dict(zip(client_ids, counts)), cfg.training_seed)
+    init_global = aggregate([[qk.dequantize(w) for w in m] for m in stored_models(cohorts).values()], counts)
+    repr_dims = cfg.data.n if cfg.metrics.representability else 0
 
     def global_metrics(global_model: list[np.ndarray]) -> tuple[float, float, list[float]]:
         # Loss / surrogate / representability are defined for the linear
@@ -170,11 +172,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         w = global_model[0]
         gl = sslcore.loss(w, xbar)
         mo = moreau_grad_surrogate(w, xbar, tp) if tp is not None else math.nan
-        rep = (
-            list(sslcore.representability(w)[: cfg.n_clients])
-            if cfg.metrics.representability
-            else []
-        )
+        rep = list(sslcore.representability(w)[:repr_dims]) if repr_dims else []
         return gl, mo, rep
 
     out_dir = Path(cfg.output_dir)
@@ -227,10 +225,5 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             stats, sent = step_round(cohorts, server, alpha)
             emit(t, alpha, server.global_model, sent, stats, server.requant_error, t0)
 
-    return ExperimentResult(
-        records=records,
-        xbar=xbar,
-        init_global=init_global,
-        final_global=[layer.copy() for layer in server.global_model],
-        output_dir=out_dir,
-    )
+    return ExperimentResult(records=records, xbar=xbar, init_global=init_global,
+                            final_global=[layer.copy() for layer in server.global_model], output_dir=out_dir)

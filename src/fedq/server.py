@@ -10,9 +10,10 @@ sizes to bound the working set. The full-precision aggregate is
 retained between rounds for metrics; only clients are
 bitwidth-constrained.
 
-Aggregation weights are the correctly rounded |D_k|/|D|, and summation
-runs in ascending client-id order, so results do not depend on the
-order in which clients report.
+Aggregation weights are the correctly rounded |D_k|/|D| of the shard
+sizes the server takes once, at construction; a round's uplink is the
+client models alone. Summation runs in ascending client-id order, so
+results do not depend on the order in which clients report.
 """
 
 from dataclasses import dataclass
@@ -64,10 +65,20 @@ def requantize_for_client(
     return cl.quantize_for_clients(global_model, bits, rngs)
 
 
+def _wrong_ids(what: str, expected: set, got: set, nonpositive: set = frozenset()) -> str:
+    """The ids that ``got`` misses or adds to ``expected``, and those of
+    ``nonpositive``, one phrase per kind."""
+    kinds = (("missing", expected - got), ("unexpected", got - expected), ("non-positive", nonpositive))
+    return ", ".join(f"{label} {what} of clients {sorted(bad)}" for label, bad in kinds if bad)
+
+
 @dataclass
 class ServerState:
     """Aggregation state across rounds.
 
+    ``client_bitwidths`` and ``sample_counts`` hold each client's s_k and
+    shard size |D_k| for the whole run; construction checks once that
+    they name the same ids and that every count is positive.
     ``requant_error`` holds the last completed round's {client_id:
     ||eps_r||^2}. Per-client re-quantization draws come from streams
     derived from (seed, round, client), so rounds are reproducible no
@@ -75,39 +86,38 @@ class ServerState:
     """
 
     client_bitwidths: dict[int, int]
+    sample_counts: dict[int, int]
     seed: int
     global_model: list[np.ndarray] | None = None
     round_counter: int = 0
     requant_error: dict[int, float] | None = None
 
-    def _round_rng(self, client_id: int) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(self.round_counter, client_id))
-        )
+    def __post_init__(self):
+        counts = self.sample_counts
+        nonpositive = {k for k in counts if counts[k] <= 0}
+        if nonpositive or set(counts) != set(self.client_bitwidths):
+            raise InvalidParams("the server needs one positive sample count per client and no other; "
+                                + _wrong_ids("sample counts", set(self.client_bitwidths), set(counts), nonpositive))
 
-    def run_round(
-        self,
-        client_models: dict[int, list[qk.QuantizedTensor]],
-        sample_counts: dict[int, int],
-    ) -> dict[int, list[qk.QuantizedTensor]]:
-        """Dequantize, aggregate, and re-quantize for every client.
+    def _round_rng(self, client_id: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(self.round_counter, client_id)))
+
+    def run_round(self, client_models: dict[int, list[qk.QuantizedTensor]]) -> dict[int, list[qk.QuantizedTensor]]:
+        """Dequantize, aggregate by the run's sample counts, and re-quantize
+        for every client.
 
         Full participation is assumed: every registered client and no
-        other must report, otherwise MissingClient names the missing and
-        unexpected ids of the models and of the counts. The aggregate is
-        kept in ``global_model`` at full precision. A non-finite aggregate
-        raises Diverged naming the (1-based) round and the client.
+        other must report a model, otherwise MissingClient names the
+        missing and unexpected ids. The aggregate is kept in
+        ``global_model`` at full precision. A non-finite aggregate raises
+        Diverged naming the (1-based) round and the client.
         """
         expected = sorted(self.client_bitwidths)
-        wrong = []
-        for what, ids in (("models", client_models), ("sample counts", sample_counts)):
-            for label, bad in (("missing", set(expected) - set(ids)), ("unexpected", set(ids) - set(expected))):
-                if bad:
-                    wrong.append(f"{label} {what} of clients {sorted(bad)}")
-        if wrong:
-            raise MissingClient(f"round requires all clients and no others; {', '.join(wrong)}")
+        if set(client_models) != set(self.client_bitwidths):
+            raise MissingClient("round requires all clients and no others; "
+                                + _wrong_ids("models", set(self.client_bitwidths), set(client_models)))
         self.global_model = aggregate(dequantize_client_models([client_models[k] for k in expected]),
-                                      [sample_counts[k] for k in expected])
+                                      [self.sample_counts[k] for k in expected])
         try:
             models, eps_r_sq = requantize_for_client(
                 self.global_model, tuple(self.client_bitwidths[k] for k in expected),

@@ -123,7 +123,7 @@ def test_criterion_4_epoch_scaling_of_requant_error():
     def mean_eps_r(epochs: int) -> float:
         rngs = {k: np.random.default_rng(np.random.SeedSequence(entropy=505, spawn_key=(epochs, k))) for k in (1, 2)}
         cohorts = cl.start_clients(cl.ClientConfig(), init, {1: 5, 2: 5}, rngs, shards)
-        server = ServerState({1: 5, 2: 5}, seed=606)
+        server = ServerState({1: 5, 2: 5}, {k: s.size for k, s in shards.items()}, seed=606)
         # matched warm start: identical E=1 rounds reach steady state, then
         # the E under test controls the drift accumulated between aggregations
         for _ in range(20):
@@ -194,7 +194,7 @@ def test_criterion_6_convergence_surrogate(tmp_path):
     tp.G_q = gq
 
     phi0 = an.prox_solve(res.init_global[0], res.xbar, tp).envelope
-    w_star = ssl.closed_form_optimum(res.xbar, cfg.m)
+    w_star = ssl.closed_form_optimum(res.xbar, cfg.model_layers[-1])
     phi_min = an.prox_solve(w_star, res.xbar, tp).envelope
     rhs = an.convergence_bound_rhs(tp, list(alphas), cfg.client.local_epochs, phi0, max(phi_min, 0.0))
 
@@ -255,7 +255,7 @@ def test_criterion_8_heterogeneous_bitwidth_sanity():
     for seed in range(5):
         rngs = {k: np.random.default_rng(np.random.SeedSequence(entropy=809 + seed, spawn_key=(k,))) for k in (1, 2)}
         cohorts = cl.start_clients(cl.ClientConfig(), init, {1: 4, 2: 8}, rngs, shards)
-        server = ServerState({1: 4, 2: 8}, seed=810 + seed)
+        server = ServerState({1: 4, 2: 8}, dict.fromkeys(shards, shard.size), seed=810 + seed)
         errs = {1: [], 2: []}
         for t in range(20):
             round_stats, _ = step_round(cohorts, server, 0.02 / math.sqrt(t + 1))
@@ -309,10 +309,10 @@ def test_criterion_10_aggregation_correctness():
         3: [quantize_one(w, tanh_codebook(w, 5), rng)],
     }
     counts = {1: 10, 2: 30, 3: 60}
-    s1 = ServerState({1: 4, 2: 6, 3: 5}, seed=7)
-    s1.run_round(dict(sorted(models.items())), counts)
-    s2 = ServerState({1: 4, 2: 6, 3: 5}, seed=7)
-    s2.run_round(dict(sorted(models.items(), reverse=True)), counts)
+    s1 = ServerState({1: 4, 2: 6, 3: 5}, counts, seed=7)
+    s1.run_round(dict(sorted(models.items())))
+    s2 = ServerState({1: 4, 2: 6, 3: 5}, counts, seed=7)
+    s2.run_round(dict(sorted(models.items(), reverse=True)))
     perm_gap = float(np.max(np.abs(s1.global_model[0] - s2.global_model[0])))
 
     fixed = sv.aggregate([[w], [w], [w]], [10, 20, 30])

@@ -83,13 +83,16 @@ def test_lockstep_round_matches_each_client_alone(seed, bits, kinds, sizes, batc
     cfg = cl.ClientConfig(aug_sigma=sigma, activation="identity" if model == "linear" else "relu",
                           quantize_activations=model != "linear", local_epochs=2, batch_size=batch_size)
     bits = dict(zip(ids, bits))
-    alone = {k: start_client(cfg, bits[k], init, np.random.default_rng([seed, k]), shards[k]) for k in ids}
+    # A full-batch cohort adopts its shards' arrays, so the clients alone
+    # train on copies of the shards, not on the shards the cohorts stack.
+    alone = {k: start_client(cfg, bits[k], init, np.random.default_rng([seed, k]),
+                             DataShard(k, shards[k].samples.copy(), shards[k].labels)) for k in ids}
 
     saved = cl.LOCKSTEP_ELEMENTS
     cl.LOCKSTEP_ELEMENTS, cl.local_update = group_cap, _checked_update
     try:
         cohorts = cl.start_clients(cfg, init, bits, {k: np.random.default_rng([seed, k]) for k in ids}, shards)
-        stats, sent = step_round(cohorts, ServerState(bits, seed=seed), 0.05)
+        stats, sent = step_round(cohorts, ServerState(bits, {k: s.size for k, s in shards.items()}, seed=seed), 0.05)
         owns = {k: cl.run_local_epochs(alone[k], 0.05) for k in ids}
     finally:
         cl.LOCKSTEP_ELEMENTS, cl.local_update = saved, _local_update
@@ -133,7 +136,7 @@ def test_start_clients_forms_cohorts_by_shard_size_in_id_order(monkeypatch):
     assert [c.ids for c in cohorts] == [(1, 3), (4,), (2,), (5,)]
     for c in cohorts:
         assert c.bits == tuple(bits[k] for k in c.ids)
-        assert c.shards == [shards[k] for k in c.ids]
+        assert [x.tobytes() for x in c.samples] == [shards[k].samples.tobytes() for k in c.ids]
         assert c.grad_bits == tuple(bits[k] + 2 for k in c.ids)
         for k, model, rng in zip(c.ids, c.models, c.rngs, strict=True):
             own = start_client(cl.ClientConfig(), bits[k], init, np.random.default_rng(k), shards[k])
@@ -199,11 +202,12 @@ def test_a_full_batch_cohort_holds_its_shards_samples_in_one_stack():
     cohorts = _start(shards, None)
     assert [c.ids for c in cohorts] == [(1, 3, 4), (2, 5)]
     for c in cohorts:
-        assert c.samples.shape == (len(c.ids),) + c.shards[0].samples.shape and c.samples.dtype == np.float64
-        for r, (k, shard) in enumerate(zip(c.ids, c.shards, strict=True)):
+        assert c.samples.shape == (len(c.ids), shards[c.ids[0]].size, D) and c.samples.dtype == np.float64
+        for r, k in enumerate(c.ids):
             # Each shard's samples is its row of the stack, with the bytes and
             # covariance it had as an array of its own.
-            assert shard is shards[k] and np.shares_memory(shard.samples, c.samples)
+            shard = shards[k]
+            assert np.shares_memory(shard.samples, c.samples) and shard.samples.base is c.samples
             assert shard.samples.tobytes() == c.samples[r].tobytes() == twins[k].samples.tobytes()
             assert shard.covariance().tobytes() == twins[k].covariance().tobytes()
 
@@ -212,9 +216,9 @@ def test_a_minibatch_cohort_keeps_its_shards_arrays():
     shards = _mixed_shards()
     arrays = {k: s.samples for k, s in shards.items()}
     for c in _start(shards, 8):
-        assert c.samples is None
-        for k, shard in zip(c.ids, c.shards, strict=True):
-            assert shard.samples is arrays[k]
+        assert len(c.samples) == len(c.ids)
+        for k, x in zip(c.ids, c.samples, strict=True):
+            assert x is arrays[k] and shards[k].samples is arrays[k]
 
 
 @pytest.mark.parametrize("batch_size", [None, 64])
@@ -222,7 +226,8 @@ def test_a_full_batch_step_trains_on_the_stack_in_place(batch_size, monkeypatch)
     # Every step's batch is the cohort's stack itself, not a copy, and no
     # step writes to it; a batch size of at least the shards' rows is full
     # batch too.
-    cohorts = _start(_mixed_shards(), batch_size)
+    shards = _mixed_shards()
+    cohorts = _start(shards, batch_size)
     batches = []
     forward = cl.quantized_forward
 
@@ -233,13 +238,12 @@ def test_a_full_batch_step_trains_on_the_stack_in_place(batch_size, monkeypatch)
     monkeypatch.setattr(cl, "quantized_forward", spy)
     for c in cohorts:
         cl.run_local_epochs(c, 0.05)
-        assert c.samples is not None
-        assert all(np.shares_memory(shard.samples, c.samples) for shard in c.shards)
+        assert all(np.shares_memory(shards[k].samples, c.samples) for k in c.ids)
     assert len(batches) == 2 * len(cohorts)
     for batch, cohort in batches:
         assert batch is cohort.samples
-        for row, shard in zip(batch, cohort.shards, strict=True):
-            assert row.tobytes() == _shard(shard.client_id, shard.size, "normal", shard.client_id).samples.tobytes()
+        for row, k in zip(batch, cohort.ids, strict=True):
+            assert row.tobytes() == _shard(k, shards[k].size, "normal", k).samples.tobytes()
 
 
 def test_a_trained_cohort_keeps_only_its_clients_compact_models(monkeypatch):

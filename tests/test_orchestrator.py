@@ -35,8 +35,8 @@ class TestConfig:
         cfg = config_from_dict(minimal())
         assert cfg.client == cl.ClientConfig(grad_extra_bits=2, activation="identity", aug_sigma=0.1,
                                              quantize_activations=False, local_epochs=1, batch_size=64)
-        assert cfg.m == 2  # defaults to n_clients
-        assert cfg.model_layers == (32, 2)
+        assert cfg.model_layers == (32, 2)  # m defaults to n_clients
+        assert cfg.data.n == 2 and cfg.data.seed == 0
         assert cfg.lr_kind == "inverse_sqrt"
         assert cfg.lr_base is None
         assert cfg.data.frequent_count == 2000
@@ -210,11 +210,11 @@ class TestRunExperiment:
         real = sv.ServerState.run_round
         calls = {"n": 0}
 
-        def boom(self, models, counts):
+        def boom(self, models):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise RuntimeError("injected failure at round 3")
-            return real(self, models, counts)
+            return real(self, models)
 
         monkeypatch.setattr(sv.ServerState, "run_round", boom)
         with pytest.raises(RuntimeError):
@@ -305,7 +305,7 @@ class TestDivergence:
         cohorts = cl.start_clients(cl.ClientConfig(batch_size=8), init, bits,
                                    {k: np.random.default_rng(k) for k in shards}, shards)
         with pytest.raises(Diverged) as info:
-            exp.step_round(cohorts, sv.ServerState(bits, seed=0), 0.05)
+            exp.step_round(cohorts, sv.ServerState(bits, dict.fromkeys(shards, 20), seed=0), 0.05)
         assert (info.value.round, info.value.client, info.value.phase) == (1, 2, "client update")
         assert isinstance(info.value.__cause__, NonFiniteInput)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fedq import client as cl
 from fedq import quantkit as qk
 from fedq import server as sv
-from fedq.errors import Diverged, EmptyInput, MissingClient, NonFiniteInput, ShapeMismatch
+from fedq.errors import Diverged, EmptyInput, InvalidParams, MissingClient, NonFiniteInput, ShapeMismatch
 
 from oracle import expected_sq_error, fit_and_quantize_one, quantize_one, tanh_codebook
 
@@ -56,9 +56,9 @@ class TestDequantize:
         rng = np.random.default_rng(8)
         a = quantized(rng.normal(size=(2, 4)), 4, 1)
         b = quantized(rng.normal(size=(2, 5)), 4, 1)
-        server = sv.ServerState({1: 4, 2: 4}, seed=0)
+        server = sv.ServerState({1: 4, 2: 4}, {1: 10, 2: 10}, seed=0)
         with pytest.raises(ShapeMismatch):
-            server.run_round({1: [a], 2: [b]}, {1: 10, 2: 10})
+            server.run_round({1: [a], 2: [b]})
 
 
 class TestAggregate:
@@ -128,15 +128,38 @@ class TestRequantize:
         assert np.all(np.abs(acc - w) <= tol)
 
 
+class TestServerState:
+    @pytest.mark.parametrize("counts, message", [
+        ({1: 50}, "missing sample counts of clients [2]"),
+        ({1: 50, 2: 50, 3: 50, 5: 50}, "unexpected sample counts of clients [3, 5]"),
+        ({1: 0, 2: 50}, "non-positive sample counts of clients [1]"),
+        ({2: -3}, "missing sample counts of clients [1], non-positive sample counts of clients [2]"),
+    ], ids=["missing", "unexpected", "zero", "missing-and-negative"])
+    def test_names_the_wrong_sample_counts_at_construction(self, counts, message):
+        # The shard sizes are fixed for the run: checked once, when the
+        # server takes them, never again in a round.
+        with pytest.raises(InvalidParams) as info:
+            sv.ServerState({1: 6, 2: 6}, counts, seed=99)
+        assert str(info.value) == ("the server needs one positive sample count per client and no other; "
+                                   + message)
+
+    def test_rounds_weight_by_the_counts_taken_at_construction(self):
+        one, three = (quantized(np.full((1, 2), v), 6, 1) for v in (0.0, 4.0))
+        server = sv.ServerState({1: 6, 2: 6}, {1: 3, 2: 1}, seed=99)
+        server.run_round({1: [one], 2: [three]})
+        assert server.global_model[0].tolist() == [[1.0, 1.0]]
+
+
 class TestRunRound:
     def make_server(self, bitwidths):
-        return sv.ServerState(dict(enumerate(bitwidths, start=1)), seed=99)
+        return sv.ServerState(dict(enumerate(bitwidths, start=1)), dict.fromkeys(range(1, len(bitwidths) + 1), 50),
+                              seed=99)
 
     def test_single_client_reduces_to_requantize(self):
         rng = np.random.default_rng(13)
         q = quantized(rng.normal(size=(2, 4)), 6, 14)
         server = self.make_server([6])
-        out = server.run_round({1: [q]}, {1: 50})
+        out = server.run_round({1: [q]})
         np.testing.assert_array_equal(server.global_model[0], qk.dequantize(q))
         # dequantized output lives on a tanh codebook over the same range
         assert out[1][0].codebook.plan.rates == (6,)
@@ -147,17 +170,17 @@ class TestRunRound:
         q = quantized(rng.normal(size=(2, 4)), 6, 16)
         server = self.make_server([6, 6])
         with pytest.raises(MissingClient):
-            server.run_round({1: [q]}, {1: 50})
+            server.run_round({1: [q]})
 
     @pytest.mark.parametrize("ids, message", [
-        (([1, 2], [1]), "missing sample counts of clients [2]"),
-        (([1, 2, 3], [1, 2, 3]), "unexpected models of clients [3], unexpected sample counts of clients [3]"),
+        ([1], "missing models of clients [2]"),
+        ([1, 2, 3], "unexpected models of clients [3]"),
     ], ids=["missing", "unexpected"])
     def test_names_the_wrong_ids_of_each_kind(self, ids, message):
         q = quantized(np.random.default_rng(15).normal(size=(2, 4)), 6, 16)
         server = self.make_server([6, 6])
         with pytest.raises(MissingClient) as info:
-            server.run_round({k: [q] for k in ids[0]}, {k: 50 for k in ids[1]})
+            server.run_round({k: [q] for k in ids})
         assert str(info.value) == f"round requires all clients and no others; {message}"
         assert server.round_counter == 0 and server.global_model is None
 
@@ -167,9 +190,9 @@ class TestRunRound:
         # indices, centers and ||eps_r||^2.
         rng = np.random.default_rng(seed)
         models = {k: [quantized(rng.normal(size=s), b, k) for s in shapes] for k, b in bitwidths.items()}
-        server = sv.ServerState(bitwidths, seed=5)
+        server = sv.ServerState(bitwidths, {k: 7 + 2 * i for i, k in enumerate(bitwidths)}, seed=5)
         streams = {k: server._round_rng(k) for k in bitwidths}
-        out = server.run_round(models, {k: 7 + 2 * i for i, k in enumerate(bitwidths)})
+        out = server.run_round(models)
         assert list(out) == sorted(bitwidths)
         for k, b in bitwidths.items():
             eps_r_sq = 0.0
@@ -211,10 +234,10 @@ class TestRunRound:
         }
         counts = {1: 10, 2: 30, 3: 60}
 
-        s1 = sv.ServerState({1: 4, 2: 6, 3: 5}, seed=7)
-        s1.run_round(dict(sorted(models.items())), counts)
-        s2 = sv.ServerState({1: 4, 2: 6, 3: 5}, seed=7)
-        s2.run_round(dict(sorted(models.items(), reverse=True)), counts)
+        s1 = sv.ServerState({1: 4, 2: 6, 3: 5}, counts, seed=7)
+        s1.run_round(dict(sorted(models.items())))
+        s2 = sv.ServerState({1: 4, 2: 6, 3: 5}, counts, seed=7)
+        s2.run_round(dict(sorted(models.items(), reverse=True)))
         np.testing.assert_allclose(s1.global_model[0], s2.global_model[0], atol=1e-12)
 
     def test_identical_center_aligned_clients_pass_through(self):
@@ -225,12 +248,12 @@ class TestRunRound:
         w = rng.normal(size=(2, 4))
         q = quantized(w, 5, 26)
         vals = qk.dequantize(q)
-        server = sv.ServerState({1: 5, 2: 5}, seed=8)
+        server = sv.ServerState({1: 5, 2: 5}, {1: 10, 2: 10}, seed=8)
         models = {
             1: [quantized(vals, 5, 27)],
             2: [quantized(vals, 5, 28)],
         }
-        out = server.run_round(models, {1: 10, 2: 10})
+        out = server.run_round(models)
         assert server.requant_error == {1: 0.0, 2: 0.0}
         for k in (1, 2):
             np.testing.assert_array_equal(qk.dequantize(out[k][0]), vals)
@@ -238,10 +261,8 @@ class TestRunRound:
     def test_requant_error_logged_per_client(self):
         rng = np.random.default_rng(21)
         w = rng.normal(size=(2, 4))
-        server = sv.ServerState({1: 4, 2: 8}, seed=3)
-        server.run_round(
-            {1: [quantized(w, 4, 22)], 2: [quantized(w, 8, 23)]}, {1: 5, 2: 5}
-        )
+        server = sv.ServerState({1: 4, 2: 8}, {1: 5, 2: 5}, seed=3)
+        server.run_round({1: [quantized(w, 4, 22)], 2: [quantized(w, 8, 23)]})
         log = server.requant_error
         assert set(log) == {1, 2}
         assert log[1] >= 0.0 and log[2] >= 0.0
@@ -250,9 +271,9 @@ class TestRunRound:
         # Ids 3 and 7 at two bitwidths: the client is id 3, not row 0 + 1.
         cb = qk.Codebooks(qk.fit_plan(0, (1,)), np.array([0.0, np.inf]), np.array([False]))
         q = qk.QuantizedTensor((2,), np.array([0, 1], dtype=np.uint8), cb)
-        server = sv.ServerState({3: 4, 7: 8}, seed=3)
+        server = sv.ServerState({3: 4, 7: 8}, {3: 5, 7: 5}, seed=3)
         with pytest.raises(Diverged, match="round 1, client 3") as info:
-            server.run_round({7: [q], 3: [q]}, {3: 5, 7: 5})
+            server.run_round({7: [q], 3: [q]})
         assert (info.value.round, info.value.client, info.value.phase) == (
             1, 3, "server requantize")
         assert isinstance(info.value.__cause__, NonFiniteInput)
@@ -262,7 +283,7 @@ class TestRunRound:
         cb = qk.Codebooks(qk.fit_plan(0, (1,)), np.array([0.0, np.inf]), np.array([False]))
         q = qk.QuantizedTensor((32, 32), np.tile(np.array([0, 1], dtype=np.uint8), 512), cb)
         ids = (4, 6, 9, 12, 15, 17, 23, 25, 31)
-        server = sv.ServerState(dict(zip(ids, (8, 5, 4) * 3)), seed=3)
+        server = sv.ServerState(dict(zip(ids, (8, 5, 4) * 3)), dict.fromkeys(ids, 5), seed=3)
         with pytest.raises(Diverged, match="round 1, client 4") as info:
-            server.run_round({k: [q] for k in reversed(ids)}, dict.fromkeys(ids, 5))
+            server.run_round({k: [q] for k in reversed(ids)})
         assert (info.value.client, info.value.phase) == (4, "server requantize")

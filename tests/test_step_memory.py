@@ -51,7 +51,7 @@ PEAK_BUDGET_KIB = {"linear-fullbatch-16c": 3025, "linear-minibatch": 882, "relu-
 # The counts hold only under the interpreter and numpy they were taken
 # with (Python 3.12 inlines comprehensions, for one).
 CALL_BUDGET_VERSIONS = ("3.11.7", "2.4.6")  # Python, numpy
-CALL_BUDGET = {"linear-fullbatch-16c": (11304, 13031), "linear-minibatch": (5754, 7668), "relu-actq": (3285, 4253)}
+CALL_BUDGET = {"linear-fullbatch-16c": (11242, 13031), "linear-minibatch": (5744, 7668), "relu-actq": (3281, 4253)}
 
 
 def allowed_kib(budget: int) -> float:

@@ -23,7 +23,11 @@ first call of a stage also fills the fit-plan cache, so ``warm_kib`` is
 with the cache left warm: the working set without the one-time fill.
 numpy reports its array buffers to ``tracemalloc``; memory that
 bypasses it (BLAS scratch, the interpreter) is not counted, so these
-are not RSS. ``--tiny`` runs the smoke-test sizes.
+are not RSS. Each wrapper's ``args`` tuple holds the stage's arguments
+for the whole call, so memory that a stage releases early does not
+show in ``added_kib``: ``quantized_backward``'s ``del upstream`` frees
+the raw upstream gradient in an unwrapped run, but not here.
+``--tiny`` runs the smoke-test sizes.
 
 ``--calls`` counts calls instead: per workload, the Python ``call`` and
 C ``c_call`` events that ``sys.setprofile`` sees over the second of two
