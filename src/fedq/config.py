@@ -146,14 +146,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
              "lr.base must be a positive real number or null for auto")
 
     model = _object(raw.get("model", {}), _MODEL_KEYS, "model")
-    m = model.get("m", n)
-    _require(_is_int(m) and 1 <= m <= d, "model.m must be an integer in [1, d]")
     layers = model.get("layers")
     if layers is None:
-        layers = [d, m]
+        layers = [d, model.get("m", n)]
     _require(isinstance(layers, list) and len(layers) >= 2, "model.layers must list >= 2 widths")
     _require(all(_is_int(x) and x >= 1 for x in layers), "model widths must be >= 1")
     _require(layers[0] == d, "model.layers must start at the data dimension d")
+    m = model.get("m", layers[-1])  # without layers or m, the width is n_clients
+    _require(_is_int(m) and 1 <= m <= d, "model.m must be an integer in [1, d]")
     _require(layers[-1] == m, "model.layers must end at the representation dim m")
     activation = model.get("activation", ClientConfig.activation)
     _require(activation in ACTIVATIONS, f"model.activation must be {' or '.join(ACTIVATIONS)}")

@@ -3,14 +3,15 @@
 A run is bulk-synchronous: every round t (``step_round``), every client
 trains its config's E local epochs on its own RNG stream at the round's
 one step size alpha_t, in the cohorts ``client.start_clients`` formed,
-the server de-quantizes / aggregates by the shard sizes it was given at
+the server de-quantizes / aggregates by the FedAvg shares it fixed at
 the start / re-quantizes, and one ``MetricsRecord`` is computed on the
 full-precision aggregate. The records are the run's only per-round
 history: each holds its round's alpha_t and the clients' per-step error
 energies next to the metrics. metrics.csv gains one row per record and
 is flushed immediately, so an aborted run leaves all completed rounds
 on disk. Row 0 snapshots the quantized initialization before any
-training.
+training, aggregated by the same shares. The linear-only metrics
+(losses, surrogate, representability) are NaN for a deep encoder.
 
 Timing is written to a separate timings.csv: metrics.csv must be
 byte-identical across reruns, which wall-clock numbers would break.
@@ -110,8 +111,8 @@ def step_round(cohorts: list[cl.Cohort], server: ServerState,
 
     Each cohort trains in lockstep (``cl.run_local_epochs``): its
     config's local epochs at the round's step size ``lr``. Then the
-    server de-quantizes the sent models, aggregates them by the shard
-    sizes it holds and re-quantizes per client, and every cohort takes
+    server de-quantizes the sent models, aggregates them by the FedAvg
+    shares it holds and re-quantizes per client, and every cohort takes
     its clients' new models.
     Returns each client's error stats for the round and the models the
     clients sent. Both phases name the server's next round in Diverged;
@@ -147,7 +148,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     shards = generate_all_shards(cfg.data)
     client_ids = [s.client_id for s in shards]
     shard_by_id = dict(zip(client_ids, shards))
-    counts = [s.size for s in shards]  # |D_k|, for the server and the row-0 aggregate alike
     xbar = global_covariance(shards)
 
     lr_base = resolve_lr_base(cfg, xbar)
@@ -160,14 +160,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     bits = dict(zip(client_ids, cfg.bitwidths))
     cohorts = cl.start_clients(cfg.client, init_layers, bits,
                                {k: client_rng(cfg.training_seed, k) for k in client_ids}, shard_by_id)
-    server = ServerState(bits, dict(zip(client_ids, counts)), cfg.training_seed)
-    init_global = aggregate([[qk.dequantize(w) for w in m] for m in stored_models(cohorts).values()], counts)
+    server = ServerState(bits, dict(zip(client_ids, [s.size for s in shards])), cfg.training_seed)
+    init_models = stored_models(cohorts)
+    init_global = aggregate([[qk.dequantize(w) for w in m] for m in init_models.values()], server.shares)
     repr_dims = cfg.data.n if cfg.metrics.representability else 0
+    # Loss / surrogate / representability are defined for the linear
+    # theory path; deep encoders get NaN placeholders in those columns.
+    linear = len(cfg.model_layers) == 2
 
     def global_metrics(global_model: list[np.ndarray]) -> tuple[float, float, list[float]]:
-        # Loss / surrogate / representability are defined for the linear
-        # theory path; deep encoders get NaN placeholders in those columns.
-        if len(global_model) != 1:
+        if not linear:
             return math.nan, math.nan, [math.nan] * repr_dims
         w = global_model[0]
         gl = sslcore.loss(w, xbar)
@@ -198,11 +200,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 round=t,
                 alpha=alpha,
                 global_loss=gl,
-                local_loss={
-                    k: sslcore.loss(qk.dequantize(m[0]), shard_by_id[k].covariance())
-                    if len(m) == 1 else math.nan
-                    for k, m in models.items()
-                },
+                local_loss={k: sslcore.loss(qk.dequantize(m[0]), shard_by_id[k].covariance())
+                            for k, m in models.items()} if linear else dict.fromkeys(models, math.nan),
                 stats=stats,
                 eps_r=eps_r,
                 moreau=mo,
@@ -217,7 +216,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 tfile.flush()
 
         # Row 0: the quantized init, before any training.
-        emit(0, math.nan, init_global, stored_models(cohorts),
+        emit(0, math.nan, init_global, init_models,
              dict.fromkeys(client_ids, cl.QuantErrorStats(np.empty((3, 0)))), dict.fromkeys(client_ids, 0.0))
         for t in range(1, cfg.rounds + 1):
             t0 = time.perf_counter()

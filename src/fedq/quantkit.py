@@ -200,10 +200,9 @@ def _repair_strictly_increasing(centers: np.ndarray) -> np.ndarray:
 
     Enforces out[i] = max(centers[i], out[i-1] + scale) via a cumulative
     maximum on the ramp-shifted sequence (the loop-free form of that
-    recurrence).
+    recurrence). ``_finish`` calls it only on the centers of a
+    non-constant row that hold a non-increasing adjacent pair.
     """
-    if (centers[1:] > centers[:-1]).all():
-        return centers
     scale = float(np.spacing(max(abs(centers[0]), abs(centers[-1]), 1.0)))
     ramp = scale * np.arange(centers.shape[0])
     return np.maximum.accumulate(centers - ramp) + ramp

@@ -10,13 +10,15 @@ sizes to bound the working set. The full-precision aggregate is
 retained between rounds for metrics; only clients are
 bitwidth-constrained.
 
-Aggregation weights are the correctly rounded |D_k|/|D| of the shard
-sizes the server takes once, at construction; a round's uplink is the
-client models alone. Summation runs in ascending client-id order, so
+``ServerState`` takes the shard sizes once and fixes the round's client
+layout at construction: the ascending client ids, their bitwidths and
+their FedAvg shares |D_k|/|D|, each correctly rounded. A round's uplink
+is the client models alone, and ``aggregate`` is the plain sum of the
+models weighted by those shares, in ascending client-id order, so
 results do not depend on the order in which clients report.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,27 +34,18 @@ def dequantize_client_models(models: list[list[qk.QuantizedTensor]]) -> list[lis
     return [[qk.dequantize(layer) for layer in model] for model in models]
 
 
-def aggregate(models: list[list[np.ndarray]], sample_counts: list[int]) -> list[np.ndarray]:
-    """Per-layer weighted mean with weights |D_k| / |D|.
-
-    Each weight is the integer quotient c / total, which Python rounds
-    correctly (the float nearest the exact ratio).
-    """
+def aggregate(models: list[list[np.ndarray]], shares: tuple[float, ...]) -> list[np.ndarray]:
+    """Per-layer weighted sum: model k scaled by ``shares[k]``, its FedAvg
+    share |D_k| / |D| (``ServerState.shares``)."""
     if not models:
         raise EmptyInput("no models to aggregate")
-    if len(models) != len(sample_counts):
-        raise InvalidParams("one sample count per model required")
-    if any(c <= 0 for c in sample_counts):
-        raise InvalidParams("sample counts must be positive")
-    total = sum(sample_counts)
     shapes = [layer.shape for layer in models[0]]
     agg = [np.zeros(s) for s in shapes]
-    for model, c in zip(models, sample_counts):
+    for model, share in zip(models, shares, strict=True):
         if [layer.shape for layer in model] != shapes:
             raise ShapeMismatch("model layer shapes disagree")
-        w = c / total
         for out, layer in zip(agg, model):
-            out += w * layer
+            out += share * layer
     return agg
 
 
@@ -78,7 +71,10 @@ class ServerState:
 
     ``client_bitwidths`` and ``sample_counts`` hold each client's s_k and
     shard size |D_k| for the whole run; construction checks once that
-    they name the same ids and that every count is positive.
+    they name the same ids and that every count is positive, and fixes
+    the round's client layout: ``ids`` ascending, their ``bits`` and
+    their FedAvg ``shares`` |D_k| / |D|, each the integer ratio that
+    Python rounds correctly (the float nearest the exact ratio).
     ``requant_error`` holds the last completed round's {client_id:
     ||eps_r||^2}. Per-client re-quantization draws come from streams
     derived from (seed, round, client), so rounds are reproducible no
@@ -91,6 +87,9 @@ class ServerState:
     global_model: list[np.ndarray] | None = None
     round_counter: int = 0
     requant_error: dict[int, float] | None = None
+    ids: tuple[int, ...] = field(init=False)
+    bits: tuple[int, ...] = field(init=False)
+    shares: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         counts = self.sample_counts
@@ -98,13 +97,17 @@ class ServerState:
         if nonpositive or set(counts) != set(self.client_bitwidths):
             raise InvalidParams("the server needs one positive sample count per client and no other; "
                                 + _wrong_ids("sample counts", set(self.client_bitwidths), set(counts), nonpositive))
+        self.ids = tuple(sorted(counts))
+        self.bits = tuple([self.client_bitwidths[k] for k in self.ids])
+        total = sum(counts.values())
+        self.shares = tuple([counts[k] / total for k in self.ids])
 
     def _round_rng(self, client_id: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(self.round_counter, client_id)))
 
     def run_round(self, client_models: dict[int, list[qk.QuantizedTensor]]) -> dict[int, list[qk.QuantizedTensor]]:
-        """Dequantize, aggregate by the run's sample counts, and re-quantize
-        for every client.
+        """Dequantize, aggregate by the run's shares, and re-quantize for
+        every client.
 
         Full participation is assumed: every registered client and no
         other must report a model, otherwise MissingClient names the
@@ -112,18 +115,15 @@ class ServerState:
         ``global_model`` at full precision. A non-finite aggregate raises
         Diverged naming the (1-based) round and the client.
         """
-        expected = sorted(self.client_bitwidths)
-        if set(client_models) != set(self.client_bitwidths):
+        ids = self.ids
+        if set(client_models) != set(ids):
             raise MissingClient("round requires all clients and no others; "
-                                + _wrong_ids("models", set(self.client_bitwidths), set(client_models)))
-        self.global_model = aggregate(dequantize_client_models([client_models[k] for k in expected]),
-                                      [self.sample_counts[k] for k in expected])
+                                + _wrong_ids("models", set(ids), set(client_models)))
+        self.global_model = aggregate(dequantize_client_models([client_models[k] for k in ids]), self.shares)
         try:
-            models, eps_r_sq = requantize_for_client(
-                self.global_model, tuple(self.client_bitwidths[k] for k in expected),
-                [self._round_rng(k) for k in expected])
+            models, eps_r_sq = requantize_for_client(self.global_model, self.bits, [self._round_rng(k) for k in ids])
         except NonFiniteInput as e:
-            raise Diverged(self.round_counter + 1, expected[e.row], "server requantize") from e
-        self.requant_error = dict(zip(expected, eps_r_sq.tolist()))
+            raise Diverged(self.round_counter + 1, ids[e.row], "server requantize") from e
+        self.requant_error = dict(zip(ids, eps_r_sq.tolist()))
         self.round_counter += 1
-        return dict(zip(expected, models))
+        return dict(zip(ids, models))

@@ -315,9 +315,10 @@ def test_criterion_10_aggregation_correctness():
     s2.run_round(dict(sorted(models.items(), reverse=True)))
     perm_gap = float(np.max(np.abs(s1.global_model[0] - s2.global_model[0])))
 
-    fixed = sv.aggregate([[w], [w], [w]], [10, 20, 30])
+    fixed = sv.aggregate([[w], [w], [w]], ServerState({1: 4, 2: 6, 3: 5}, {1: 10, 2: 20, 3: 30}, seed=7).shares)
     fixed_gap = float(np.max(np.abs(fixed[0] - w)))
-    exact = sv.aggregate([[np.array([[0.0]])], [np.array([[4.0]])]], [3, 1])[0][0, 0]
+    three_one = ServerState({1: 4, 2: 6}, {1: 3, 2: 1}, seed=7).shares
+    exact = sv.aggregate([[np.array([[0.0]])], [np.array([[4.0]])]], three_one)[0][0, 0]
 
     elapsed = time.perf_counter() - t0
     ok = perm_gap <= 1e-12 and fixed_gap <= 1e-12 and exact == 1.0 and elapsed < 5

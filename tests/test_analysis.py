@@ -335,3 +335,30 @@ class TestReprReport:
         )
         text = an.format_repr_report(recs)
         assert "measured" in text and "global" in text
+
+
+TP = an.TheoryParams(rho=4.0, rho_bar=8.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda _: an.TheoryParams.from_covariance(np.zeros((3, 3))), "covariance has zero spectral norm"),
+    (lambda _: an.convergence_bound_rhs(TP, [0.1], 0, 5.0, 1.0), "epochs must be >= 1"),
+    (lambda _: an.convergence_bound_rhs(TP, [0.1, 0.0], 1, 5.0, 1.0), "step sizes must be positive"),
+    (lambda _: an.weighted_running_average([1.0, 2.0], [1.0]), "values and weights must be nonempty and aligned"),
+    (lambda _: an.weighted_running_average([], []), "values and weights must be nonempty and aligned"),
+    (lambda _: an.gq_estimate([0.1], [0.1, 0.1]), "error and alpha records must be nonempty and aligned"),
+    (lambda _: an.gq_estimate([], []), "error and alpha records must be nonempty and aligned"),
+    (lambda _: an.gq_estimate([0.1, 0.1], [0.1, -0.1]), "step sizes must be positive"),
+    (lambda _: an.fit_slope([1.0], [2.0]), "need at least two points"),
+    (lambda tmp_path: an.write_probe_csv([], tmp_path / "probe.csv"), "no probe rows"),
+    (lambda _: an.representability_lower_bound(np.eye(3), np.ones((2, 3)), np.ones((2, 2)), 0),
+     "w_opt and eps must be m x d with d matching X"),
+    (lambda _: an.representability_lower_bound(np.eye(3), np.ones((2, 4)), np.ones((2, 4)), 0),
+     "w_opt and eps must be m x d with d matching X"),
+    (lambda _: an.local_vs_global_representability_report([], 2, 0.1), "no shards"),
+], ids=["zero-covariance", "epochs-zero", "step-zero", "average-misaligned", "average-empty", "gq-misaligned",
+        "gq-empty", "gq-step-negative", "slope-one-point", "probe-no-rows", "bound-eps-shape", "bound-d-mismatch",
+        "report-no-shards"])
+def test_rejects_bad_input_with_its_reason(call, message, tmp_path):
+    with pytest.raises(InvalidParams, match=message):
+        call(tmp_path)

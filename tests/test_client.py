@@ -331,3 +331,9 @@ class TestRunLocalEpochs:
             ratios.append(stats.mean_grad_error() / np.mean(stats.grad_norm_sq))
         per_bit = 2.0 ** (-np.polyfit(rates, np.log2(ratios), 1)[0])
         assert 2.5 <= per_bit <= 6.0, (ratios, per_bit)
+
+
+@pytest.mark.parametrize("dims", [[], [4]], ids=["none", "one"])
+def test_init_layers_needs_an_input_and_an_output_width(dims):
+    with pytest.raises(InvalidParams, match="need at least input and output widths"):
+        cl.init_layers(dims, np.random.default_rng(0), 0.1)

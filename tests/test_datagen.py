@@ -10,7 +10,7 @@ import pytest
 from fedq import datagen as dg
 from fedq.cli import cli_dispatch
 from fedq.config import load_config
-from fedq.errors import DimensionMismatch, InvalidParams
+from fedq.errors import DimensionMismatch, EmptyInput, InvalidParams
 
 # README's FQDS header: magic, version u32, client u32, rows u64, d u64, little-endian.
 FQDS_HEADER = struct.Struct("<4sIIQQ")
@@ -223,3 +223,21 @@ def test_datagen_command_exports_the_shards_a_run_generates(tmp_path):
     for (_, samples, labels), shard in zip(files, shards):
         np.testing.assert_array_equal(samples, shard.samples)
         np.testing.assert_array_equal(labels, shard.labels)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: dg.DataGenParams(n=0), InvalidParams, "n must be >= 1"),
+    (lambda: dg.DataGenParams(infrequent_exponent=0.0), InvalidParams, r"infrequent_exponent must be in \(0, 1\)"),
+    (lambda: dg.DataGenParams(infrequent_exponent=1.0), InvalidParams, r"infrequent_exponent must be in \(0, 1\)"),
+    (lambda: dg.DataShard(1, np.zeros(4), np.zeros(4)), InvalidParams, "samples must be a 2-D matrix"),
+    (lambda: dg.DataShard(1, np.zeros((4, 2)), np.zeros(3)), InvalidParams, "labels length must equal sample count"),
+    (lambda: dg.generate_shard(dg.DataGenParams(), 0), InvalidParams, r"client index 0 outside \[1, 4\]"),
+    (lambda: dg.generate_shard(dg.DataGenParams(), 5), InvalidParams, r"client index 5 outside \[1, 4\]"),
+    (lambda: dg.empirical_covariance(dg.DataShard(1, np.zeros((0, 3)), np.zeros(0))), EmptyInput,
+     "shard has no samples"),
+    (lambda: dg.global_covariance([]), EmptyInput, "no shards"),
+], ids=["n-zero", "beta-zero", "beta-one", "samples-1d", "labels-short", "client-zero", "client-past-n",
+        "empty-shard", "no-shards"])
+def test_rejects_bad_input_with_its_reason(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

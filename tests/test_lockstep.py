@@ -121,25 +121,33 @@ def test_start_clients_forms_cohorts_by_shard_size_in_id_order(monkeypatch):
     # 1 has the lowest id), then the 21-row ones; a cap of two 20 x 6
     # activation batches splits 1, 3, 4 after two clients and leaves each
     # 21-row client alone.
+    # Each call adopts shards of its own: a full-batch cohort stacks the
+    # shards it is given, so a later call must not re-adopt them.
     sizes = {1: 20, 2: 21, 3: 20, 4: 20, 5: 21}
     shards = {k: _shard(k, n, "normal", k) for k, n in sizes.items()}
     init = cl.init_layers([D, 3], np.random.default_rng(0), 0.3)
     bits = {1: 2, 2: 3, 3: 4, 4: 5, 5: 6}
 
-    def start(cap):
+    def copy(k):
+        return DataShard(k, shards[k].samples.copy(), shards[k].labels)
+
+    def start(cap, given):
         monkeypatch.setattr(cl, "LOCKSTEP_ELEMENTS", cap)
         return cl.start_clients(cl.ClientConfig(batch_size=None), init, bits,
-                                {k: np.random.default_rng(k) for k in bits}, shards)
+                                {k: np.random.default_rng(k) for k in bits}, given)
 
-    assert [c.ids for c in start(cl.LOCKSTEP_ELEMENTS)] == [(1, 3, 4), (2, 5)]
-    cohorts = start(2 * 20 * D)
-    assert [c.ids for c in cohorts] == [(1, 3), (4,), (2,), (5,)]
+    for cap, ids in ((cl.LOCKSTEP_ELEMENTS, [(1, 3, 4), (2, 5)]), (2 * 20 * D, [(1, 3), (4,), (2,), (5,)])):
+        given = {k: copy(k) for k in shards}
+        cohorts = start(cap, given)
+        assert [c.ids for c in cohorts] == ids
+        for c in cohorts:
+            assert all(np.shares_memory(given[k].samples, c.samples) for k in c.ids)
     for c in cohorts:
         assert c.bits == tuple(bits[k] for k in c.ids)
         assert [x.tobytes() for x in c.samples] == [shards[k].samples.tobytes() for k in c.ids]
         assert c.grad_bits == tuple(bits[k] + 2 for k in c.ids)
         for k, model, rng in zip(c.ids, c.models, c.rngs, strict=True):
-            own = start_client(cl.ClientConfig(), bits[k], init, np.random.default_rng(k), shards[k])
+            own = start_client(cl.ClientConfig(), bits[k], init, np.random.default_rng(k), copy(k))
             _assert_same_model(model, own.models[0])
             assert rng.random() == own.rngs[0].random()
 
@@ -173,8 +181,15 @@ def test_every_cohort_step_trains_within_the_cap(seed, sizes, dims, batch_size, 
     try:
         cohorts = cl.start_clients(cl.ClientConfig(batch_size=batch_size), init, dict.fromkeys(shards, 3),
                                    {k: np.random.default_rng([seed, k]) for k in shards}, shards)
-        for c in cohorts:
-            cl.run_local_epochs(c, 0.05)
+        # Random shards can diverge at this step size. As in step_round,
+        # the quantizer reports it: that ends the cohort's training, after
+        # the steps it took were recorded.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in cohorts:
+                try:
+                    cl.run_local_epochs(c, 0.05)
+                except NonFiniteInput:
+                    pass
     finally:
         cl.LOCKSTEP_ELEMENTS, cl.quantized_forward = saved, forward
     assert sorted(k for c in cohorts for k in c.ids) == sorted(shards)

@@ -125,6 +125,29 @@ class TestConfig:
         with pytest.raises(ValidationError, match="model.layers"):
             config_from_dict(minimal(model={"layers": [16, 2], "m": 2}))
 
+    def test_m_defaults_to_the_width_layers_ends_at(self):
+        raw = {"n_clients": 2, "d": 8, "bitwidths": [4, 8], "rounds": 1, "model": {"layers": [8, 3]}}
+        cfg = config_from_dict(raw)
+        assert cfg.model_layers == (8, 3) and cfg.to_json_dict()["model"]["m"] == 3
+
+    @pytest.mark.parametrize("model, message", [
+        ({"layers": [8, 3], "m": 2}, "model.layers must end at the representation dim m"),
+        ({"layers": [8, 16, 9]}, "model.m must be an integer in \\[1, d\\]"),
+        ({"m": 9}, "model.m must be an integer in \\[1, d\\]"),
+    ], ids=["disagree", "wider-than-d", "m-wider-than-d"])
+    def test_m_and_layers_are_checked_together(self, model, message):
+        with pytest.raises(ValidationError, match=message):
+            config_from_dict({"n_clients": 2, "d": 8, "bitwidths": [4, 8], "rounds": 1, "model": model})
+
+    @pytest.mark.parametrize("data, message", [
+        ({"frequent_count": 0}, "frequent_count must be positive"),
+        ({"infrequent_exponent": 1.5}, r"infrequent_exponent must be in \(0, 1\)"),
+        ({"frequent_count": 1}, "total infrequent samples must stay below frequent_count"),
+    ], ids=["no-frequent", "beta-past-one", "infrequent-exceeds-frequent"])
+    def test_data_section_invalid_names_the_reason(self, data, message):
+        with pytest.raises(ValidationError, match=f"data section invalid: {message}"):
+            config_from_dict(minimal(data=data))
+
     def test_parse_error_has_location(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n_clients": 2,\n  "oops"\n}')
@@ -290,6 +313,11 @@ def diverging_run_dict(tmp_path):
     }
 
 
+    def test_auto_lr_rejects_a_zero_covariance(self):
+        with pytest.raises(ValidationError, match="cannot auto-scale lr: global covariance is zero"):
+            exp.resolve_lr_base(config_from_dict(minimal()), np.zeros((32, 32)))
+
+
 class TestDivergence:
     # No np.errstate here: tier-1 turns RuntimeWarnings into errors, so an
     # overflow warning escaping the run would replace Diverged.
@@ -386,6 +414,12 @@ class TestCli:
         assert "rounds: 0 .. 3" in out
         long_csv = tmp_path / "run" / "metrics_long.csv"
         assert long_csv.read_text().splitlines()[0] == "round,metric,value"
+
+    def test_report_of_a_header_only_file_exits_1(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("round,global_loss,moreau\n")
+        assert cli_dispatch(["report", "--metrics", str(metrics)]) == 1
+        assert "metrics file has no data rows" in capsys.readouterr().err
 
     def test_run_threads_flag_deterministic(self, tmp_path, capsys):
         # Clients train in id order on one thread: CLI reruns are

@@ -483,3 +483,16 @@ class TestEmpiricalMse:
         assert all(a >= b for a, b in zip(mses, mses[1:]))
         drops = [math.log2(a) - math.log2(b) for a, b in zip(mses, mses[1:])]
         assert all(1.3 <= d <= 2.6 for d in drops), drops
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: qk.build_uniform_codebook(-np.inf, 1.0, 3), "range endpoints must be finite"),
+    (lambda: qk.build_uniform_codebook(0.0, np.nan, 3), "range endpoints must be finite"),
+    (lambda: qk.empirical_mse(qk.build_uniform_codebook(0.0, 1.0, 2), np.ones(4), np.random.default_rng(0), 0),
+     "draws must be >= 1"),
+    (lambda: qk.empirical_mse(qk.build_uniform_codebook(0.0, 1.0, 2), np.ones(0), np.random.default_rng(0), 1),
+     "samples must be nonempty"),
+], ids=["uniform-inf", "uniform-nan", "mse-no-draws", "mse-no-samples"])
+def test_rejects_bad_input_with_its_reason(call, message):
+    with pytest.raises(InvalidParams, match=message):
+        call()

@@ -61,34 +61,32 @@ class TestDequantize:
             server.run_round({1: [a], 2: [b]})
 
 
+def shares(counts):
+    """The FedAvg shares a server fixes for clients 1..n of ``counts``."""
+    return sv.ServerState(dict.fromkeys(range(1, len(counts) + 1), 4), dict(enumerate(counts, start=1)), seed=0).shares
+
+
 class TestAggregate:
     def test_identical_models_fixed_point(self):
         w = np.array([[1.0, -2.0], [0.5, 3.0]])
-        out = sv.aggregate([[w], [w], [w]], [10, 20, 30])
+        out = sv.aggregate([[w], [w], [w]], shares([10, 20, 30]))
         np.testing.assert_allclose(out[0], w, atol=1e-12)
 
     def test_equal_scalars(self):
-        out = sv.aggregate([[np.array([[0.0]])], [np.array([[2.0]])]], [5, 5])
+        out = sv.aggregate([[np.array([[0.0]])], [np.array([[2.0]])]], shares([5, 5]))
         assert out[0][0, 0] == 1.0
 
     def test_three_one_weighting(self):
-        out = sv.aggregate([[np.array([[0.0]])], [np.array([[4.0]])]], [3, 1])
+        out = sv.aggregate([[np.array([[0.0]])], [np.array([[4.0]])]], shares([3, 1]))
         assert out[0][0, 0] == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
-            sv.aggregate([], [])
+            sv.aggregate([], ())
 
-    @settings(max_examples=300, deadline=None)
-    @given(counts=st.lists(st.integers(1, 2**40), min_size=1, max_size=12))
-    def test_weights_are_correctly_rounded_ratios(self, counts):
-        # One-hot models: entry k of the aggregate is client k's weight alone.
-        n = len(counts)
-        models = [[np.eye(n)[k]] for k in range(n)]
-        out = sv.aggregate(models, counts)[0]
-        total = sum(counts)
-        for k, c in enumerate(counts):
-            assert out[k] == float(Fraction(c, total))
+    def test_one_share_per_model_required(self):
+        with pytest.raises(ValueError):
+            sv.aggregate([[np.zeros(2)], [np.zeros(2)]], (1.0,))
 
 
 class TestRequantize:
@@ -129,6 +127,26 @@ class TestRequantize:
 
 
 class TestServerState:
+    @settings(max_examples=300, deadline=None)
+    @given(counts=st.dictionaries(st.integers(-50, 50), st.integers(1, 2**40), min_size=2, max_size=12)
+           .filter(lambda counts: len(set(counts.values())) > 1))
+    def test_shares_are_correctly_rounded_ratios(self, counts):
+        server = sv.ServerState(dict.fromkeys(counts, 4), counts, seed=0)
+        total = sum(counts.values())
+        assert server.ids == tuple(sorted(counts))
+        for k, share in zip(server.ids, server.shares, strict=True):
+            assert share == counts[k] / total == float(Fraction(counts[k], total))
+        # One-hot models: entry k of the aggregate is client k's share alone.
+        n = len(counts)
+        out = sv.aggregate([[np.eye(n)[k]] for k in range(n)], server.shares)[0]
+        assert out.tolist() == list(server.shares)
+
+    def test_fixes_the_client_layout_at_construction(self):
+        server = sv.ServerState({5: 8, 2: 4, 9: 6}, {9: 1, 5: 1, 2: 2}, seed=0)
+        assert (server.ids, server.bits, server.shares) == ((2, 5, 9), (4, 8, 6), (0.5, 0.25, 0.25))
+        with pytest.raises(TypeError):
+            sv.ServerState({1: 4}, {1: 1}, seed=0, shares=(1.0,))
+
     @pytest.mark.parametrize("counts, message", [
         ({1: 50}, "missing sample counts of clients [2]"),
         ({1: 50, 2: 50, 3: 50, 5: 50}, "unexpected sample counts of clients [3, 5]"),

@@ -275,3 +275,18 @@ def test_spectral_norm_matches_eigh():
     rng = np.random.default_rng(15)
     x = random_psd(rng, 12)
     assert ssl.spectral_norm(x) == pytest.approx(np.linalg.eigvalsh(x).max(), rel=1e-8)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ssl.sym_eig(np.zeros((2, 3))), DimensionMismatch, "expected a square matrix"),
+    (lambda: ssl.orthonormal_row_basis(np.ones(3)), DimensionMismatch, "feature matrix must be 2-D"),
+    # A finite nonzero matrix always keeps its longest row, so only
+    # non-finite rows fail every tolerance.
+    (lambda: ssl.orthonormal_row_basis(np.array([[np.inf, 0.0], [0.0, 1.0]])), ZeroMatrix,
+     "all rows numerically zero or dependent"),
+    (lambda: ssl.orthonormal_row_basis(np.array([[np.nan, 1.0]])), ZeroMatrix,
+     "all rows numerically zero or dependent"),
+], ids=["eig-not-square", "basis-1d", "basis-inf", "basis-nan"])
+def test_rejects_bad_input_with_its_reason(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -51,7 +51,7 @@ PEAK_BUDGET_KIB = {"linear-fullbatch-16c": 3025, "linear-minibatch": 882, "relu-
 # The counts hold only under the interpreter and numpy they were taken
 # with (Python 3.12 inlines comprehensions, for one).
 CALL_BUDGET_VERSIONS = ("3.11.7", "2.4.6")  # Python, numpy
-CALL_BUDGET = {"linear-fullbatch-16c": (11242, 13031), "linear-minibatch": (5744, 7668), "relu-actq": (3281, 4253)}
+CALL_BUDGET = {"linear-fullbatch-16c": (11104, 12947), "linear-minibatch": (5713, 7642), "relu-actq": (3231, 4181)}
 
 
 def allowed_kib(budget: int) -> float:
@@ -99,12 +99,24 @@ def call_runs():
     return [proc.stdout for proc in runs]
 
 
+def totals(output: str) -> list[list[str]]:
+    """The workload rows of a ``--calls`` output: name, calls, c_calls, Python."""
+    return [line.split() for line in output.splitlines()[1:] if not line.startswith(" ")]
+
+
 def test_call_counts_repeat_in_fresh_processes(call_runs):
+    # Stage rows included: each workload's total row is followed by one
+    # row per stage, the calls made inside its calls (the innermost stage
+    # under way takes each), so the rows add up to at most the total.
     assert call_runs[0] == call_runs[1]
     rows = [line.split() for line in call_runs[0].splitlines()[1:]]
-    assert [r[0] for r in rows] == list(WORKLOADS)
-    for _, calls, c_calls, python in rows:
+    assert [r[0] for r in totals(call_runs[0])] == list(WORKLOADS)
+    for i in range(0, len(rows), len(STAGES) + 1):
+        (_, calls, c_calls, python), *split = rows[i:i + len(STAGES) + 1]
         assert int(calls) > 0 and int(c_calls) > 0 and python == platform.python_version()
+        assert [r[0] for r in split] == list(STAGES)
+        assert sum(int(r[1]) for r in split) <= int(calls) and sum(int(r[2]) for r in split) <= int(c_calls)
+        assert all(int(r[2]) > 0 for r in split)
 
 
 def test_call_counts_stay_within_their_budgets(call_runs):
@@ -113,7 +125,7 @@ def test_call_counts_stay_within_their_budgets(call_runs):
         pytest.skip(f"call budgets were taken under Python {CALL_BUDGET_VERSIONS[0]} and numpy "
                     f"{CALL_BUDGET_VERSIONS[1]}; this is Python {versions[0]} and numpy {versions[1]}")
     over = []
-    for w, calls, c_calls, _ in (line.split() for line in call_runs[0].splitlines()[1:]):
+    for w, calls, c_calls, _ in totals(call_runs[0]):
         for column, count, budget in zip(("calls", "c_calls"), (calls, c_calls), CALL_BUDGET[w]):
             if int(count) > budget:
                 over.append(f"{w} {column}: {count} against a budget of {budget}")

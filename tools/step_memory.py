@@ -33,6 +33,10 @@ the raw upstream gradient in an unwrapped run, but not here.
 C ``c_call`` events that ``sys.setprofile`` sees over the second of two
 runs in a fresh process (caches warm, nothing traced), with the Python
 version that ran them, since the counts depend on the interpreter.
+Under each workload's total, an indented row per stage gives the calls
+made inside that stage's calls, the innermost stage under way taking
+each; the profile function spots the stages by their code objects, so
+no wrapper adds calls to the total.
 """
 
 import argparse
@@ -57,6 +61,14 @@ def load_workloads():
     return module
 
 
+def stage_owners() -> dict:
+    """The module or class that defines each stage, by the first name of
+    its ``STAGES`` entry."""
+    from fedq import client, experiment, server
+
+    return {"experiment": experiment, "client": client, "server": server, "ServerState": server.ServerState}
+
+
 def measure(raw: dict) -> dict[str, list[int]]:
     """Run the config ``raw`` cold, then warm; per stage [calls, peak,
     added] of the cold run and the warm run's added, in bytes."""
@@ -67,9 +79,9 @@ def measure(raw: dict) -> dict[str, list[int]]:
 
 def traced_run(raw: dict) -> dict[str, list[int]]:
     """Run the config ``raw``; per stage [calls, peak, added] in bytes."""
-    from fedq import client, config, experiment, server
+    from fedq import config, experiment
 
-    modules = {"experiment": experiment, "client": client, "server": server, "ServerState": server.ServerState}
+    modules = stage_owners()
     stats = {name: [0, 0, 0] for _, name in STAGES}
     originals = {name: getattr(modules[m], name) for m, name in STAGES}
     running = []  # [traced at entry, highest peak so far] of each stage call under way, outermost first
@@ -108,15 +120,26 @@ def traced_run(raw: dict) -> dict[str, list[int]]:
     return stats
 
 
-def count_calls(raw: dict) -> tuple[int, int]:
-    """Run the config ``raw`` twice; the Python and C calls of the second run."""
+def count_calls(raw: dict) -> tuple[int, int, dict[str, list[int]]]:
+    """Run the config ``raw`` twice; the Python and C calls of the second
+    run, and per stage [calls, c_calls] of those made inside its calls."""
     from fedq import config, experiment
 
+    modules = stage_owners()
+    stages = {getattr(modules[m], name).__code__: name for m, name in STAGES}
     counts = {"call": 0, "c_call": 0}
+    split = {name: {"call": 0, "c_call": 0} for _, name in STAGES}
+    running = []  # (frame, split counts) of each stage call under way, innermost last
 
     def profile(frame, event, arg):
         if event in counts:
             counts[event] += 1
+            if running:
+                running[-1][1][event] += 1
+            if event == "call" and frame.f_code in stages:
+                running.append((frame, split[stages[frame.f_code]]))
+        elif event == "return" and running and running[-1][0] is frame:
+            running.pop()
 
     with tempfile.TemporaryDirectory() as out:
         cfg = config.config_from_dict(dict(raw, output_dir=out))
@@ -126,7 +149,7 @@ def count_calls(raw: dict) -> tuple[int, int]:
             experiment.run_experiment(cfg)
         finally:
             sys.setprofile(None)
-    return counts["call"], counts["c_call"]
+    return counts["call"], counts["c_call"], {name: [c["call"], c["c_call"]] for name, c in split.items()}
 
 
 def main() -> int:
@@ -152,8 +175,10 @@ def main() -> int:
     (w,) = names
     raw = workloads.make_config(w, workloads.DEFAULT_SEED, tiny=args.tiny)
     if args.calls:
-        calls, c_calls = count_calls(raw)
+        calls, c_calls, split = count_calls(raw)
         print(f"{w:<22} {calls:>9} {c_calls:>9} {platform.python_version():>8}")
+        for name, (stage_calls, stage_c_calls) in split.items():
+            print(f" {name:<21} {stage_calls:>9} {stage_c_calls:>9}")
         return 0
     stats = measure(raw)
     for name, (calls, peak, added, warm) in stats.items():
