@@ -176,8 +176,10 @@ def gq_estimate(
 
     Finds the smallest G_q such that ||eps_w||^2 <= alpha_t G_q^2 and
     ||eps_r||^2 <= alpha_t G_q^2 hold on at least ``coverage`` of the
-    recorded steps (both error families pooled).
+    recorded steps (both error families pooled), ``coverage`` in (0, 1].
     """
+    if not 0.0 < coverage <= 1.0:
+        raise InvalidParams(f"coverage must be in (0, 1], got {coverage}")
     err = np.concatenate([
         np.asarray(weight_error_sq, dtype=np.float64),
         np.asarray(requant_error_sq, dtype=np.float64),
@@ -191,7 +193,7 @@ def gq_estimate(
     if np.any(alpha <= 0):
         raise InvalidParams("step sizes must be positive")
     ratios = np.sort(err / alpha)
-    k = min(len(ratios) - 1, max(0, math.ceil(coverage * len(ratios)) - 1))
+    k = math.ceil(coverage * len(ratios)) - 1
     return float(np.sqrt(ratios[k]))
 
 
@@ -207,24 +209,15 @@ class ProbeConfig:
     Long enough that every rate reaches its steady state; error means
     taken over trajectories that are still climbing at the coarsest rate
     conflate convergence speed with quantization error and distort the
-    fitted slopes.
+    fitted slopes. ``client`` is the local recipe and ``data`` the one
+    client's shard; each checks its own fields.
     """
 
-    d: int = 8
+    client: cl.ClientConfig = cl.ClientConfig(grad_extra_bits=0, local_epochs=30)
+    data: DataGenParams = DataGenParams(n=1, d=8, frequent_count=256, seed=20240)
     m: int = 2
-    frequent_count: int = 256
-    epochs: int = 30
-    batch_size: int = 64
     lr: float = 0.02
-    aug_sigma: float = 0.1
-    grad_extra_bits: int = 0
-    data_seed: int = 20240
     train_seed: int = 77
-
-
-def _probe_shard(cfg: ProbeConfig) -> DataShard:
-    params = DataGenParams(n=1, d=cfg.d, frequent_count=cfg.frequent_count, seed=cfg.data_seed)
-    return generate_shard(params, 1)
 
 
 def probe_run(rate: int, cfg: ProbeConfig, lr: float | None = None,
@@ -235,13 +228,11 @@ def probe_run(rate: int, cfg: ProbeConfig, lr: float | None = None,
     seeds, so runs at different rates differ only through quantization.
     """
     if shard is None:
-        shard = _probe_shard(cfg)
+        shard = generate_shard(cfg.data, 1)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.train_seed, spawn_key=(rate,)))
     init_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.train_seed, spawn_key=(0, 1)))
-    layers = cl.init_layers([cfg.d, cfg.m], init_rng, 0.1 / math.sqrt(cfg.d))
-    client = cl.ClientConfig(grad_extra_bits=cfg.grad_extra_bits, aug_sigma=cfg.aug_sigma,
-                             local_epochs=cfg.epochs, batch_size=cfg.batch_size)
-    (cohort,) = cl.start_clients(client, layers, {1: rate}, {1: rng}, {1: shard})
+    layers = cl.init_layers([cfg.data.d, cfg.m], init_rng, 0.1 / math.sqrt(cfg.data.d))
+    (cohort,) = cl.start_clients(cfg.client, layers, {1: rate}, {1: rng}, {1: shard})
     return cl.run_local_epochs(cohort, lr if lr is not None else cfg.lr)[0]
 
 
@@ -255,7 +246,7 @@ def rate_sweep_probe(rates: list[int], cfg: ProbeConfig | None = None) -> list[d
     if len(rates) < 3:
         raise InvalidParams("need at least 3 rates to fit a slope")
     cfg = cfg or ProbeConfig()
-    shard = _probe_shard(cfg)
+    shard = generate_shard(cfg.data, 1)
     rows = []
     for rate in rates:
         stats = probe_run(int(rate), cfg, shard=shard)
@@ -272,7 +263,7 @@ def rate_sweep_probe(rates: list[int], cfg: ProbeConfig | None = None) -> list[d
 def alpha_sweep_probe(alphas: list[float], rate: int, cfg: ProbeConfig | None = None) -> list[dict]:
     """Mean ||eps_w||^2 under different constant step sizes at a fixed rate."""
     cfg = cfg or ProbeConfig()
-    shard = _probe_shard(cfg)
+    shard = generate_shard(cfg.data, 1)
     rows = []
     for a in alphas:
         stats = probe_run(int(rate), cfg, lr=float(a), shard=shard)

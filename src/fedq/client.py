@@ -38,7 +38,7 @@ import numpy as np
 
 from . import quantkit as qk
 from .datagen import DataShard
-from .errors import DimensionMismatch, InvalidParams, NonFiniteInput, StateMismatch
+from .errors import DimensionMismatch, InvalidParams, NonFiniteInput, StateMismatch, _is_int, _is_real, _must
 
 ACTIVATIONS = ("identity", "relu")
 
@@ -99,6 +99,9 @@ class ClientConfig:
     off for the linear theory path. Each round, every client trains
     ``local_epochs`` epochs on minibatches of ``batch_size`` rows; None,
     or a size of at least the shard's rows, means full-batch steps.
+    Each field's type and range are checked here, and only here: counts
+    are ints and not bools, ``aug_sigma`` is a finite real, stored as a
+    float.
     """
 
     grad_extra_bits: int = 2
@@ -109,14 +112,14 @@ class ClientConfig:
     batch_size: int | None = 64
 
     def __post_init__(self):
-        if self.grad_extra_bits < 0:
-            raise InvalidParams("grad_extra_bits must be >= 0")
-        if self.activation not in ACTIVATIONS:
-            raise InvalidParams(f"unknown activation {self.activation!r}")
-        if self.local_epochs < 1:
-            raise InvalidParams("local_epochs must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise InvalidParams("batch_size must be None (full batch) or >= 1")
+        _must(_is_int(self.grad_extra_bits) and self.grad_extra_bits >= 0, "grad_extra_bits", "an integer >= 0")
+        _must(self.activation in ACTIVATIONS, "activation", " or ".join(ACTIVATIONS))
+        _must(_is_real(self.aug_sigma) and self.aug_sigma >= 0, "aug_sigma", "a real number >= 0")
+        _must(isinstance(self.quantize_activations, bool), "quantize_activations", "boolean")
+        _must(_is_int(self.local_epochs) and self.local_epochs >= 1, "local_epochs", "an integer >= 1")
+        _must(self.batch_size is None or (_is_int(self.batch_size) and self.batch_size >= 1),
+              "batch_size", "None (full batch) or an integer >= 1")
+        object.__setattr__(self, "aug_sigma", float(self.aug_sigma))
 
 
 @dataclass

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, InvalidParams
+from .errors import DimensionMismatch, EmptyInput, InvalidParams, _is_int, _is_real, _must
 
 _MAGIC = b"FQDS"
 _VERSION = 1
@@ -34,7 +34,9 @@ class DataGenParams:
     """Knobs of the synthetic-data construction.
 
     ``infrequent_count``, ``tau`` and ``mu`` are derived from ``d`` and
-    ``infrequent_exponent``; note tau * mu == 1 by construction.
+    ``infrequent_exponent``; note tau * mu == 1 by construction. Each
+    field's type and range are checked here, and only here: counts and
+    the seed are ints and not bools, the exponent a finite real.
     """
 
     n: int = 4
@@ -44,19 +46,16 @@ class DataGenParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParams("n must be >= 1")
-        if self.n > self.d:
-            raise InvalidParams(f"need n <= d, got n={self.n}, d={self.d}")
-        if self.frequent_count < 1:
-            raise InvalidParams("frequent_count must be positive")
-        if not 0.0 < self.infrequent_exponent < 1.0:
-            raise InvalidParams("infrequent_exponent must be in (0, 1)")
-        if self.n * self.infrequent_count > self.frequent_count:
-            raise InvalidParams(
-                "total infrequent samples must stay below frequent_count "
-                f"(n * ceil(d^beta) = {self.n * self.infrequent_count} > {self.frequent_count})"
-            )
+        _must(_is_int(self.n) and self.n >= 1, "n", "an integer >= 1")
+        _must(_is_int(self.d) and self.d >= 1, "d", "an integer >= 1")
+        _must(self.n <= self.d, "n", f"at most d = {self.d}")
+        _must(_is_int(self.frequent_count) and self.frequent_count >= 1, "frequent_count", "an integer >= 1")
+        _must(_is_real(self.infrequent_exponent) and 0.0 < self.infrequent_exponent < 1.0,
+              "infrequent_exponent", "in (0, 1)")
+        # np.random.SeedSequence takes only non-negative entropy.
+        _must(_is_int(self.seed) and self.seed >= 0, "seed", "an integer >= 0")
+        _must(self.n * self.infrequent_count <= self.frequent_count, "frequent_count",
+              f"at least the n * ceil(d^infrequent_exponent) = {self.n * self.infrequent_count} infrequent samples")
 
     @property
     def infrequent_count(self) -> int:

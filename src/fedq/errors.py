@@ -1,4 +1,6 @@
-"""Exception types shared across the simulator."""
+"""Exception types, and the value checks of settings, shared across the simulator."""
+
+import math
 
 
 class FedqError(Exception):
@@ -42,7 +44,7 @@ class InvalidParams(FedqError):
 
 
 class NonFiniteInput(InvalidParams):
-    """A tensor handed to a quantizer holds NaN or +-inf.
+    """A tensor handed to a quantizer, or a feature matrix, holds NaN or +-inf.
 
     ``row`` is the first such row of a batch (0 for a single tensor).
     """
@@ -87,3 +89,20 @@ class ParseError(FedqError):
 
 class ValidationError(FedqError):
     """Configuration violates an invariant; message names the field."""
+
+
+def _is_int(x) -> bool:
+    # bool is an int subclass; JSON true/false must not pass integer checks
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    # JSON true/false and Infinity/NaN must not pass as numbers either
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _must(ok: bool, field: str, rule: str):
+    """Raise InvalidParams("<field> must be <rule>") unless ``ok``; a settings
+    type checks its fields this way, and config swaps the field for its JSON key."""
+    if not ok:
+        raise InvalidParams(f"{field} must be {rule}")

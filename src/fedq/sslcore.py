@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams, NegativeEigenvalue, NoConvergence, NotSymmetric, ZeroMatrix
+from .errors import (DimensionMismatch, InvalidParams, NegativeEigenvalue, NoConvergence, NonFiniteInput, NotSymmetric,
+                     ZeroMatrix)
 
 SYMMETRY_TOL = 1e-9
 EIG_CLAMP = 1e-9
@@ -123,6 +124,10 @@ def orthonormal_row_basis(w: np.ndarray) -> np.ndarray:
     if w.ndim != 2:
         raise DimensionMismatch("feature matrix must be 2-D")
     scale = float(np.linalg.norm(w))
+    # A NaN or inf entry makes the norm non-finite, so only then are the
+    # entries read; finite rows whose norm overflows go on to ZeroMatrix.
+    if not scale < np.inf and not np.isfinite(w).all():
+        raise NonFiniteInput("feature matrix holds NaN or inf", row=int(np.argmin(np.isfinite(w).all(axis=1))))
     if scale == 0.0:
         raise ZeroMatrix("feature matrix has no nonzero rows")
     tol = RANK_TOL * scale

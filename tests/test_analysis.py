@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedq import analysis as an
+from fedq import client as cl
 from fedq import datagen as dg
 from fedq import sslcore as ssl
 from fedq.errors import InvalidCoordinate, InvalidParams, NoConvergence
@@ -222,7 +223,7 @@ class TestGqEstimate:
         assert 0.1 * gq**2 >= 0.09
 
     def test_rate_monotonicity_on_probe(self):
-        cfg = an.ProbeConfig(frequent_count=256, epochs=4)
+        cfg = an.ProbeConfig(client=cl.ClientConfig(grad_extra_bits=0, local_epochs=4))
         g5 = an.probe_run(5, cfg)
         g6 = an.probe_run(6, cfg)
         n5, n6 = len(g5), len(g6)
@@ -241,7 +242,7 @@ class TestProbes:
         assert weights[-1] < weights[0]
 
     def test_high_rate_limit(self):
-        cfg = an.ProbeConfig(frequent_count=256, epochs=4)
+        cfg = an.ProbeConfig(client=cl.ClientConfig(grad_extra_bits=0, local_epochs=4))
         stats = an.probe_run(16, cfg)
         g_scale = np.mean(stats.grad_norm_sq)
         assert np.mean(stats.grad_error_sq) < 1e-6 * g_scale
@@ -349,6 +350,10 @@ TP = an.TheoryParams(rho=4.0, rho_bar=8.0)
     (lambda _: an.gq_estimate([0.1], [0.1, 0.1]), "error and alpha records must be nonempty and aligned"),
     (lambda _: an.gq_estimate([], []), "error and alpha records must be nonempty and aligned"),
     (lambda _: an.gq_estimate([0.1, 0.1], [0.1, -0.1]), "step sizes must be positive"),
+    # Clamped, 0 would take the smallest ratio and 1.5 the largest.
+    (lambda _: an.gq_estimate([0.1], [0.1], coverage=0.0), r"coverage must be in \(0, 1\], got 0.0"),
+    (lambda _: an.gq_estimate([0.1], [0.1], coverage=1.5), r"coverage must be in \(0, 1\], got 1.5"),
+    (lambda _: an.gq_estimate([0.1], [0.1], coverage=math.nan), r"coverage must be in \(0, 1\], got nan"),
     (lambda _: an.fit_slope([1.0], [2.0]), "need at least two points"),
     (lambda tmp_path: an.write_probe_csv([], tmp_path / "probe.csv"), "no probe rows"),
     (lambda _: an.representability_lower_bound(np.eye(3), np.ones((2, 3)), np.ones((2, 2)), 0),
@@ -357,7 +362,7 @@ TP = an.TheoryParams(rho=4.0, rho_bar=8.0)
      "w_opt and eps must be m x d with d matching X"),
     (lambda _: an.local_vs_global_representability_report([], 2, 0.1), "no shards"),
 ], ids=["zero-covariance", "epochs-zero", "step-zero", "average-misaligned", "average-empty", "gq-misaligned",
-        "gq-empty", "gq-step-negative", "slope-one-point", "probe-no-rows", "bound-eps-shape", "bound-d-mismatch",
+        "gq-empty", "gq-step-negative", "gq-coverage-zero", "gq-coverage-past-one", "gq-coverage-nan", "slope-one-point", "probe-no-rows", "bound-eps-shape", "bound-d-mismatch",
         "report-no-shards"])
 def test_rejects_bad_input_with_its_reason(call, message, tmp_path):
     with pytest.raises(InvalidParams, match=message):

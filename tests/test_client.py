@@ -57,15 +57,29 @@ def unquantized(monkeypatch):
 
 class TestClientConfig:
     @pytest.mark.parametrize("over, message", [
-        ({"local_epochs": 0}, "local_epochs must be >= 1"),
+        ({"local_epochs": 0}, "local_epochs must be an integer >= 1"),
         ({"batch_size": 0}, "batch_size must be None"),
-        ({"grad_extra_bits": -1}, "grad_extra_bits must be >= 0"),
-        ({"activation": "tanh"}, "unknown activation"),
-    ], ids=["local_epochs", "batch_size", "grad_extra_bits", "activation"])
+        ({"grad_extra_bits": -1}, "grad_extra_bits must be an integer >= 0"),
+        ({"activation": "tanh"}, "activation must be identity or relu"),
+        # sigma > 0.0 is False for NaN and -1, so either would train with
+        # no augmentation noise instead of failing.
+        ({"aug_sigma": math.nan}, "aug_sigma must be a real number >= 0"),
+        ({"aug_sigma": -1.0}, "aug_sigma must be a real number >= 0"),
+        ({"local_epochs": 1.5}, "local_epochs must be an integer >= 1"),
+        ({"batch_size": True}, "batch_size must be None"),
+        ({"batch_size": 2.5}, "batch_size must be None"),
+        ({"grad_extra_bits": True}, "grad_extra_bits must be an integer >= 0"),
+        ({"quantize_activations": 1}, "quantize_activations must be boolean"),
+    ], ids=["local_epochs", "batch_size", "grad_extra_bits", "activation", "sigma-nan", "sigma-negative",
+            "epochs-real", "batch-bool", "batch-real", "extra-bits-bool", "qact-int"])
     def test_rejects_a_setting_no_client_can_train_with(self, over, message):
         # Checked once, here: a round never checks its cohort's recipe again.
         with pytest.raises(InvalidParams, match=message):
             cl.ClientConfig(**over)
+
+    def test_stores_aug_sigma_as_a_float(self):
+        sigma = cl.ClientConfig(aug_sigma=1).aug_sigma
+        assert type(sigma) is float and sigma == 1.0
 
 
 class TestForward:

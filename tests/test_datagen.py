@@ -226,7 +226,15 @@ def test_datagen_command_exports_the_shards_a_run_generates(tmp_path):
 
 
 @pytest.mark.parametrize("make, error, message", [
-    (lambda: dg.DataGenParams(n=0), InvalidParams, "n must be >= 1"),
+    (lambda: dg.DataGenParams(n=0), InvalidParams, "n must be an integer >= 1"),
+    (lambda: dg.DataGenParams(n=True), InvalidParams, "n must be an integer >= 1"),
+    (lambda: dg.DataGenParams(d=8.5), InvalidParams, "d must be an integer >= 1"),
+    (lambda: dg.DataGenParams(n=5, d=4), InvalidParams, "n must be at most d = 4"),
+    (lambda: dg.DataGenParams(frequent_count=2500.5), InvalidParams, "frequent_count must be an integer >= 1"),
+    (lambda: dg.DataGenParams(n=4, d=256, frequent_count=10), InvalidParams,
+     r"frequent_count must be at least the n \* ceil\(d\^infrequent_exponent\) = 24 infrequent samples"),
+    # A negative seed would fail only later, inside SeedSequence, with a ValueError.
+    (lambda: dg.DataGenParams(seed=-1), InvalidParams, "seed must be an integer >= 0"),
     (lambda: dg.DataGenParams(infrequent_exponent=0.0), InvalidParams, r"infrequent_exponent must be in \(0, 1\)"),
     (lambda: dg.DataGenParams(infrequent_exponent=1.0), InvalidParams, r"infrequent_exponent must be in \(0, 1\)"),
     (lambda: dg.DataShard(1, np.zeros(4), np.zeros(4)), InvalidParams, "samples must be a 2-D matrix"),
@@ -236,7 +244,8 @@ def test_datagen_command_exports_the_shards_a_run_generates(tmp_path):
     (lambda: dg.empirical_covariance(dg.DataShard(1, np.zeros((0, 3)), np.zeros(0))), EmptyInput,
      "shard has no samples"),
     (lambda: dg.global_covariance([]), EmptyInput, "no shards"),
-], ids=["n-zero", "beta-zero", "beta-one", "samples-1d", "labels-short", "client-zero", "client-past-n",
+], ids=["n-zero", "n-bool", "d-real", "n-past-d", "frequent-real", "infrequent-exceeds-frequent", "seed-negative",
+        "beta-zero", "beta-one", "samples-1d", "labels-short", "client-zero", "client-past-n",
         "empty-shard", "no-shards"])
 def test_rejects_bad_input_with_its_reason(make, error, message):
     with pytest.raises(error, match=message):

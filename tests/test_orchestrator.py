@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedq import client as cl
 from fedq import experiment as exp
@@ -22,6 +24,74 @@ def minimal(**over):
     raw = {"n_clients": 2, "d": 32, "bitwidths": [4, 8], "rounds": 10}
     raw.update(over)
     return raw
+
+
+# Keys a drawn config may leave to their defaults, as "section.key".
+OPTIONAL = ["local_epochs", "batch_size", "aug_sigma", "quantize_activations", "lr.kind", "lr.base", "model.layers",
+            "model.activation", "model.m", "data.frequent_count", "data.infrequent_exponent", "seeds.data",
+            "seeds.training", "metrics.moreau", "metrics.representability", "output_dir"]
+
+
+@st.composite
+def raw_configs(draw):
+    """A valid raw config; some optional keys are left out."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(n, 16))
+    m = draw(st.integers(1, d))
+    raw = {
+        "n_clients": n,
+        "d": d,
+        "bitwidths": draw(st.lists(st.integers(1, MAX_RATE - 4), min_size=n, max_size=n)),
+        "rounds": draw(st.integers(1, 50)),
+        "grad_extra_bits": draw(st.integers(0, 4)),
+        "local_epochs": draw(st.integers(1, 5)),
+        "batch_size": draw(st.none() | st.integers(1, 256)),
+        "aug_sigma": draw(st.integers(0, 3) | st.floats(0.0, 3.0)),
+        "quantize_activations": draw(st.booleans()),
+        "lr": {"kind": draw(st.sampled_from(["constant", "inverse_sqrt"])),
+               "base": draw(st.none() | st.floats(1e-6, 1.0))},
+        "model": {"layers": [d, *draw(st.lists(st.integers(1, 8), max_size=2)), m],
+                  "activation": draw(st.sampled_from(cl.ACTIVATIONS)), "m": m},
+        # at least n * d frequent samples cover n * ceil(d^beta) for any beta < 1
+        "data": {"frequent_count": draw(st.integers(n * d, 4000)),
+                 "infrequent_exponent": draw(st.floats(0.01, 0.99))},
+        "seeds": {"data": draw(st.integers(0, 2**64)), "training": draw(st.integers(0, 2**64))},
+        "metrics": {"moreau": draw(st.booleans()), "representability": draw(st.booleans())},
+        "output_dir": draw(st.text(max_size=8)),
+    }
+    for path in draw(st.sets(st.sampled_from(OPTIONAL))):
+        section, _, key = path.partition(".")
+        del (raw[section] if key else raw)[key or section]
+    return raw
+
+
+def bad_values(full: dict) -> dict:
+    """For each key of a complete config, values it must reject whatever the rest holds."""
+    n, d, m = full["n_clients"], full["d"], full["model"]["m"]
+    return {
+        "n_clients": [0, True, 2.0, "2", None, d + 1],
+        "d": [0, True, 8.5, "16", None, n - 1],
+        "bitwidths": [None, "4", [0] * n, [True] * n, [2.5] * n, [4] * (n + 1), [MAX_RATE + 1] * n],
+        "rounds": [0, True, 1.5, None],
+        "grad_extra_bits": [-1, True, 0.5, None, MAX_RATE],
+        "local_epochs": [0, True, 1.5, None],
+        "batch_size": [0, True, 2.5, "64"],
+        "aug_sigma": [-1.0, math.nan, math.inf, True, "0.1", None],
+        "quantize_activations": [0, 1, "true", None],
+        "lr": [None, 5, []],
+        "lr.kind": ["linear", 1, None],
+        "lr.base": [0, -0.1, True, math.nan, math.inf, "0.1"],
+        "model.layers": [[], [d], "x", [d, 0], [d, True], [d, 2.5], [d + 1, m], [d, d + 1]],
+        "model.activation": ["tanh", 1, None],
+        "model.m": [0, d + 1, True, 1.5, None],
+        "data.frequent_count": [0, -1, 2500.5, True, "100", None],
+        "data.infrequent_exponent": [0.0, 1.0, 1.5, math.nan, "0.3", True, None],
+        "seeds.data": [-1, True, 1.5, "0", None],
+        "seeds.training": [-1, True, 1.5, None],
+        "metrics.moreau": [0, 1, "false", None],
+        "metrics.representability": [0, 1, "false", None],
+        "output_dir": [5, None, ["a"]],
+    }
 
 
 def write_cfg(tmp_path, name="cfg.json", **over):
@@ -90,22 +160,25 @@ class TestConfig:
     def test_no_silent_coercion(self, over, key):
         # JSON true loaded as 1.0, Infinity passed, 100.5 samples and
         # output_dir 5 reached the run, and a negative seed reached
-        # np.random.SeedSequence; each must name its field instead. Config
-        # is also the only check of lr.kind and model.activation. A section
-        # that is not a JSON object must not become one: dict() raised
-        # TypeError on null or a number and took a list of pairs.
+        # np.random.SeedSequence; each must name its JSON key instead,
+        # whether config checks it (lr.kind, seeds.training, output_dir)
+        # or the type that holds it (ClientConfig: aug_sigma and
+        # model.activation; DataGenParams: data.* and seeds.data). A
+        # section that is not a JSON object must not become one: dict()
+        # raised TypeError on null or a number and took a list of pairs.
         with pytest.raises(ValidationError, match=f"^{key} must be"):
             config_from_dict(minimal(**over))
 
     @pytest.mark.parametrize("key, value, message", [
-        ("local_epochs", 0, r"local_epochs \(E\) must be an integer >= 1"),
-        ("local_epochs", 1.5, r"local_epochs \(E\) must be an integer >= 1"),
-        ("batch_size", 0, r"batch_size must be null \(full batch\) or an integer >= 1"),
-        ("batch_size", True, r"batch_size must be null \(full batch\) or an integer >= 1"),
+        ("local_epochs", 0, r"local_epochs must be an integer >= 1"),
+        ("local_epochs", 1.5, r"local_epochs must be an integer >= 1"),
+        ("batch_size", 0, r"batch_size must be None \(full batch\) or an integer >= 1"),
+        ("batch_size", True, r"batch_size must be None \(full batch\) or an integer >= 1"),
     ], ids=["epochs-zero", "epochs-real", "batch-zero", "batch-bool"])
     def test_the_local_recipe_is_checked_before_its_client_config(self, key, value, message):
-        # ClientConfig checks these too, with InvalidParams; the config
-        # file's own message comes first.
+        # ClientConfig alone checks these, as it is built, so no client
+        # config ever holds them; config re-raises its InvalidParams as a
+        # ValidationError that names the JSON key.
         with pytest.raises(ValidationError, match=f"^{message}$"):
             config_from_dict(minimal(**{key: value}))
 
@@ -140,13 +213,29 @@ class TestConfig:
             config_from_dict({"n_clients": 2, "d": 8, "bitwidths": [4, 8], "rounds": 1, "model": model})
 
     @pytest.mark.parametrize("data, message", [
-        ({"frequent_count": 0}, "frequent_count must be positive"),
-        ({"infrequent_exponent": 1.5}, r"infrequent_exponent must be in \(0, 1\)"),
-        ({"frequent_count": 1}, "total infrequent samples must stay below frequent_count"),
+        ({"frequent_count": 0}, "data.frequent_count must be an integer >= 1"),
+        ({"infrequent_exponent": 1.5}, r"data.infrequent_exponent must be in \(0, 1\)"),
+        ({"frequent_count": 1},
+         r"data.frequent_count must be at least the n \* ceil\(d\^infrequent_exponent\) = 6 infrequent samples"),
     ], ids=["no-frequent", "beta-past-one", "infrequent-exceeds-frequent"])
     def test_data_section_invalid_names_the_reason(self, data, message):
-        with pytest.raises(ValidationError, match=f"data section invalid: {message}"):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             config_from_dict(minimal(data=data))
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw=raw_configs(), data=st.data())
+    def test_a_config_echoes_itself_and_names_any_bad_key(self, raw, data):
+        cfg = config_from_dict(raw)
+        full = cfg.to_json_dict()
+        assert config_from_dict(full) == cfg
+        # One bad value must fail as a ValidationError; a TypeError,
+        # ValueError or the types' own InvalidParams must not escape.
+        bad = bad_values(full)
+        path = data.draw(st.sampled_from(sorted(bad)))
+        section, _, key = path.partition(".")
+        (full[section] if key else full)[key or section] = data.draw(st.sampled_from(bad[path]))
+        with pytest.raises(ValidationError):
+            config_from_dict(full)
 
     def test_parse_error_has_location(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -10,6 +10,7 @@ from fedq.errors import (
     DimensionMismatch,
     InvalidParams,
     NegativeEigenvalue,
+    NonFiniteInput,
     NotSymmetric,
     ZeroMatrix,
 )
@@ -280,13 +281,16 @@ def test_spectral_norm_matches_eigh():
 @pytest.mark.parametrize("call, error, message", [
     (lambda: ssl.sym_eig(np.zeros((2, 3))), DimensionMismatch, "expected a square matrix"),
     (lambda: ssl.orthonormal_row_basis(np.ones(3)), DimensionMismatch, "feature matrix must be 2-D"),
-    # A finite nonzero matrix always keeps its longest row, so only
-    # non-finite rows fail every tolerance.
-    (lambda: ssl.orthonormal_row_basis(np.array([[np.inf, 0.0], [0.0, 1.0]])), ZeroMatrix,
-     "all rows numerically zero or dependent"),
-    (lambda: ssl.orthonormal_row_basis(np.array([[np.nan, 1.0]])), ZeroMatrix,
-     "all rows numerically zero or dependent"),
-], ids=["eig-not-square", "basis-1d", "basis-inf", "basis-nan"])
+    (lambda: ssl.orthonormal_row_basis(np.array([[np.inf, 0.0], [0.0, 1.0]])), NonFiniteInput,
+     "feature matrix holds NaN or inf"),
+    (lambda: ssl.orthonormal_row_basis(np.array([[np.nan, 1.0]])), NonFiniteInput,
+     "feature matrix holds NaN or inf"),
+    # A finite matrix keeps its longest row unless the norms overflow:
+    # then every row fails an infinite tolerance.
+    pytest.param(lambda: ssl.orthonormal_row_basis(np.array([[1e200, 0.0], [0.0, 1e200]])), ZeroMatrix,
+                 "all rows numerically zero or dependent",
+                 marks=pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")),
+], ids=["eig-not-square", "basis-1d", "basis-inf", "basis-nan", "basis-overflow"])
 def test_rejects_bad_input_with_its_reason(call, error, message):
     with pytest.raises(error, match=message):
         call()
