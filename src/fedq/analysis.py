@@ -24,20 +24,18 @@ from .datagen import DataGenParams, DataShard, generate_shard, global_covariance
 from .errors import InvalidCoordinate, InvalidParams, NoConvergence
 
 
-@dataclass
+@dataclass(frozen=True)
 class TheoryParams:
     """Constants of the weak-convexity analysis.
 
     ``rho`` must dominate four times the spectral norm of the global
-    covariance; ``rho_bar`` strictly dominates ``rho``. G bounds the
-    gradient norm, G_q the quantization-noise scale; both are estimated
-    from measurements when used in the bound.
+    covariance; ``rho_bar`` strictly dominates ``rho``. The gradient
+    bound G and the noise scale G_q are measurements of a run, so
+    ``convergence_bound_rhs`` takes them with each call.
     """
 
     rho: float
     rho_bar: float
-    G: float = 0.0
-    G_q: float = 0.0
 
     def __post_init__(self):
         if not (self.rho_bar > self.rho > 0.0):
@@ -132,14 +130,17 @@ def convergence_bound_rhs(
     epochs: int,
     phi0: float,
     phi_min: float,
+    G: float,
+    G_q: float,
 ) -> float:
     """Evaluable right side of the convergence bound.
 
     ``schedule`` lists the per-round step sizes, ``epochs`` the local
     epochs per round, ``phi0`` the envelope at the quantized init and
-    ``phi_min`` its (approximate) minimum. G and G_q are taken from
-    ``tp``; with measured values plugged in this upper-bounds the
-    alpha-weighted average of the squared surrogate over the run.
+    ``phi_min`` its (approximate) minimum; G bounds the gradient norm
+    and G_q the quantization-noise scale. With measured G and G_q this
+    upper-bounds the alpha-weighted average of the squared surrogate
+    over the run.
     """
     if not schedule:
         raise InvalidParams("schedule must be nonempty")
@@ -152,7 +153,7 @@ def convergence_bound_rhs(
         raise InvalidParams("step sizes must be positive")
     s1 = float(a.sum())
     s2 = float((a * a).sum())
-    num = phi0 - phi_min + tp.rho_bar * (tp.G**2 * s2 + 3.0 * tp.G_q**2 * s1)
+    num = phi0 - phi_min + tp.rho_bar * (G**2 * s2 + 3.0 * G_q**2 * s1)
     return (epochs * tp.rho_bar / (tp.rho_bar - tp.rho)) * num / (tp.rho_bar * s1)
 
 
@@ -165,21 +166,17 @@ def weighted_running_average(values, weights) -> np.ndarray:
     return np.cumsum(w * v) / np.cumsum(w)
 
 
-def gq_estimate(
-    weight_error_sq,
-    weight_alphas,
-    requant_error_sq=(),
-    requant_alphas=(),
-    coverage: float = 0.99,
-) -> float:
+# Share of the recorded steps whose errors G_q must cover.
+GQ_COVERAGE = 0.99
+
+
+def gq_estimate(weight_error_sq, weight_alphas, requant_error_sq=(), requant_alphas=()) -> float:
     """Smallest noise scale G_q consistent with the recorded errors.
 
     Finds the smallest G_q such that ||eps_w||^2 <= alpha_t G_q^2 and
-    ||eps_r||^2 <= alpha_t G_q^2 hold on at least ``coverage`` of the
-    recorded steps (both error families pooled), ``coverage`` in (0, 1].
+    ||eps_r||^2 <= alpha_t G_q^2 hold on at least ``GQ_COVERAGE`` of the
+    recorded steps (both error families pooled).
     """
-    if not 0.0 < coverage <= 1.0:
-        raise InvalidParams(f"coverage must be in (0, 1], got {coverage}")
     err = np.concatenate([
         np.asarray(weight_error_sq, dtype=np.float64),
         np.asarray(requant_error_sq, dtype=np.float64),
@@ -193,7 +190,7 @@ def gq_estimate(
     if np.any(alpha <= 0):
         raise InvalidParams("step sizes must be positive")
     ratios = np.sort(err / alpha)
-    k = math.ceil(coverage * len(ratios)) - 1
+    k = math.ceil(GQ_COVERAGE * len(ratios)) - 1
     return float(np.sqrt(ratios[k]))
 
 
@@ -202,41 +199,33 @@ def gq_estimate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Shape of the instrumented training runs used by the variance probes.
-
-    Long enough that every rate reaches its steady state; error means
-    taken over trajectories that are still climbing at the coarsest rate
-    conflate convergence speed with quantization error and distort the
-    fitted slopes. ``client`` is the local recipe and ``data`` the one
-    client's shard; each checks its own fields.
-    """
-
-    client: cl.ClientConfig = cl.ClientConfig(grad_extra_bits=0, local_epochs=30)
-    data: DataGenParams = DataGenParams(n=1, d=8, frequent_count=256, seed=20240)
-    m: int = 2
-    lr: float = 0.02
-    train_seed: int = 77
+# The probe: one client on one shard. It runs long enough that every
+# rate reaches its steady state; error means taken over trajectories
+# that are still climbing at the coarsest rate conflate convergence
+# speed with quantization error and distort the fitted slopes.
+PROBE_CLIENT = cl.ClientConfig(grad_extra_bits=0, local_epochs=30)
+PROBE_DATA = DataGenParams(n=1, d=8, frequent_count=256, seed=20240)
+PROBE_WIDTH = 2
+PROBE_LR = 0.02
+PROBE_SEED = 77
 
 
-def probe_run(rate: int, cfg: ProbeConfig, lr: float | None = None,
-              shard: DataShard | None = None) -> cl.QuantErrorStats:
-    """Train one client at the given rate and return its error stats.
+def probe_run(rate: int, lr: float = PROBE_LR, shard: DataShard | None = None) -> cl.QuantErrorStats:
+    """Train the probe client at the given rate and return its error stats.
 
     Data, initialization, and minibatch order are fixed by the probe
     seeds, so runs at different rates differ only through quantization.
     """
     if shard is None:
-        shard = generate_shard(cfg.data, 1)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.train_seed, spawn_key=(rate,)))
-    init_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.train_seed, spawn_key=(0, 1)))
-    layers = cl.init_layers([cfg.data.d, cfg.m], init_rng, 0.1 / math.sqrt(cfg.data.d))
-    (cohort,) = cl.start_clients(cfg.client, layers, {1: rate}, {1: rng}, {1: shard})
-    return cl.run_local_epochs(cohort, lr if lr is not None else cfg.lr)[0]
+        shard = generate_shard(PROBE_DATA, 1)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=PROBE_SEED, spawn_key=(rate,)))
+    init_rng = np.random.default_rng(np.random.SeedSequence(entropy=PROBE_SEED, spawn_key=(0, 1)))
+    layers = cl.init_layers([PROBE_DATA.d, PROBE_WIDTH], init_rng, 0.1 / math.sqrt(PROBE_DATA.d))
+    (cohort,) = cl.start_clients(PROBE_CLIENT, layers, {1: rate}, {1: rng}, {1: shard})
+    return cl.run_local_epochs(cohort, lr)[0]
 
 
-def rate_sweep_probe(rates: list[int], cfg: ProbeConfig | None = None) -> list[dict]:
+def rate_sweep_probe(rates: list[int]) -> list[dict]:
     """Error energies vs quantization rate on matched runs.
 
     Returns one row per rate with the mean ||eps_g||^2 and
@@ -245,11 +234,10 @@ def rate_sweep_probe(rates: list[int], cfg: ProbeConfig | None = None) -> list[d
     """
     if len(rates) < 3:
         raise InvalidParams("need at least 3 rates to fit a slope")
-    cfg = cfg or ProbeConfig()
-    shard = generate_shard(cfg.data, 1)
+    shard = generate_shard(PROBE_DATA, 1)
     rows = []
     for rate in rates:
-        stats = probe_run(int(rate), cfg, shard=shard)
+        stats = probe_run(int(rate), shard=shard)
         rows.append(
             {
                 "rate": int(rate),
@@ -260,13 +248,12 @@ def rate_sweep_probe(rates: list[int], cfg: ProbeConfig | None = None) -> list[d
     return rows
 
 
-def alpha_sweep_probe(alphas: list[float], rate: int, cfg: ProbeConfig | None = None) -> list[dict]:
+def alpha_sweep_probe(alphas: list[float], rate: int) -> list[dict]:
     """Mean ||eps_w||^2 under different constant step sizes at a fixed rate."""
-    cfg = cfg or ProbeConfig()
-    shard = generate_shard(cfg.data, 1)
+    shard = generate_shard(PROBE_DATA, 1)
     rows = []
     for a in alphas:
-        stats = probe_run(int(rate), cfg, lr=float(a), shard=shard)
+        stats = probe_run(int(rate), lr=float(a), shard=shard)
         rows.append({"alpha": float(a), "mean_weight_error_sq": stats.mean_weight_error()})
     return rows
 
@@ -294,7 +281,7 @@ def write_probe_csv(rows: list[dict], path) -> None:
             ) + "\n")
 
 
-def rate_slope(rows: list[dict], key: str = "mean_grad_error_sq") -> float:
+def rate_slope(rows: list[dict], key: str) -> float:
     """log2(error) per bit; the rate-distortion exponent estimate."""
     return fit_slope([r["rate"] for r in rows], [math.log2(r[key]) for r in rows])
 
@@ -351,7 +338,7 @@ def local_vs_global_representability_report(
     shards: list[DataShard],
     m: int,
     eps_scale: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> list[ReprRecord]:
     """Representability of perturbed local and global optima, with bounds.
 
@@ -362,7 +349,6 @@ def local_vs_global_representability_report(
     """
     if not shards:
         raise InvalidParams("no shards")
-    rng = rng or np.random.default_rng(0)
     n = len(shards)
     scopes = [(f"client {s.client_id}", s.covariance()) for s in shards]
     scopes.append(("global", global_covariance(shards)))

@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, quantkit, sslcore
 from .config import load_config
 from .datagen import generate_all_shards, global_covariance, write_dataset
-from .errors import FedqError, InvalidParams
+from .errors import FedqError, InvalidParams, ParseError
 from .experiment import run_experiment
 
 
@@ -124,7 +124,14 @@ def _cmd_oracle(args) -> int:
 def _cmd_report(args) -> int:
     path = Path(args.metrics)
     with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
+        reader = csv.reader(f)
+        header = next(reader, [])
+        rows = []
+        for fields in filter(None, reader):  # csv.DictReader's rule: blank lines are no rows
+            if len(fields) != len(header):
+                raise ParseError(f"{path}:{reader.line_num}: row has {len(fields)} fields, "
+                                 f"the header {len(header)}")
+            rows.append(dict(zip(header, fields)))
     if not rows:
         print("metrics file has no data rows", file=sys.stderr)
         return 1

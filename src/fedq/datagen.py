@@ -48,6 +48,7 @@ class DataGenParams:
     def __post_init__(self):
         _must(_is_int(self.n) and self.n >= 1, "n", "an integer >= 1")
         _must(_is_int(self.d) and self.d >= 1, "d", "an integer >= 1")
+        _must(_is_real(self.d), "d", "within float range")  # so d ** infrequent_exponent is a float
         _must(self.n <= self.d, "n", f"at most d = {self.d}")
         _must(_is_int(self.frequent_count) and self.frequent_count >= 1, "frequent_count", "an integer >= 1")
         _must(_is_real(self.infrequent_exponent) and 0.0 < self.infrequent_exponent < 1.0,
@@ -82,7 +83,7 @@ class DataShard:
     client_id: int
     samples: np.ndarray
     labels: np.ndarray
-    covariance_cache: np.ndarray | None = field(default=None, repr=False)
+    covariance_cache: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.samples.ndim != 2:
@@ -109,20 +110,18 @@ def client_rng(seed: int, client_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(client_id,)))
 
 
-def generate_shard(params: DataGenParams, k: int, noise: bool = True) -> DataShard:
+def generate_shard(params: DataGenParams, k: int) -> DataShard:
     """Build client k's dataset (k is 1-based).
 
     frequent_count samples each of classes 2k-1 and 2k, plus
     infrequent_count samples of class 2i-1 for every other client i
     (none of class 2i), drawn from ``client_rng(params.seed, k)`` class
-    by class into one preallocated sample matrix. ``noise=False``
-    disables the mu-scaled Gaussian term, exposing the bare class
-    construction for tests.
+    by class into one preallocated sample matrix.
     """
     if not 1 <= k <= params.n:
         raise InvalidParams(f"client index {k} outside [1, {params.n}]")
     rng = client_rng(params.seed, k)
-    mu = params.mu if noise else 0.0
+    mu = params.mu
     classes = [2 * k - 1, 2 * k] + [2 * i - 1 for i in range(1, params.n + 1) if i != k]
     counts = [params.frequent_count] * 2 + [params.infrequent_count] * (params.n - 1)
     samples = np.zeros((sum(counts), params.d))

@@ -1,6 +1,7 @@
 """Exception types, and the value checks of settings, shared across the simulator."""
 
 import math
+import sys
 
 
 class FedqError(Exception):
@@ -84,7 +85,7 @@ class MissingClient(FedqError):
 
 
 class ParseError(FedqError):
-    """Configuration file could not be parsed."""
+    """A config file, or a metrics file given to ``fedq report``, could not be parsed."""
 
 
 class ValidationError(FedqError):
@@ -97,8 +98,8 @@ def _is_int(x) -> bool:
 
 
 def _is_real(x) -> bool:
-    # JSON true/false and Infinity/NaN must not pass as numbers either
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    # JSON true/false, Infinity/NaN and integers past float range must not pass as numbers either
+    return (isinstance(x, float) and math.isfinite(x)) or (_is_int(x) and abs(x) <= sys.float_info.max)
 
 
 def _must(ok: bool, field: str, rule: str):

@@ -393,7 +393,7 @@ def _verified(rows, n_le, cbs: Codebooks) -> np.ndarray:
     return n_le
 
 
-def _searched(centers: np.ndarray, values: np.ndarray, start: int = 0) -> np.ndarray:
+def _searched(centers: np.ndarray, values: np.ndarray, start: int) -> np.ndarray:
     """Kernel bracket of ``values`` in the codebook ``centers``: one plus
     the count of its interior centers <= x, plus ``start``, the
     codebook's offset in a batch's concatenated centers."""

@@ -84,9 +84,9 @@ class ServerState:
     client_bitwidths: dict[int, int]
     sample_counts: dict[int, int]
     seed: int
-    global_model: list[np.ndarray] | None = None
-    round_counter: int = 0
-    requant_error: dict[int, float] | None = None
+    global_model: list[np.ndarray] | None = field(default=None, init=False)
+    round_counter: int = field(default=0, init=False)
+    requant_error: dict[int, float] | None = field(default=None, init=False)
     ids: tuple[int, ...] = field(init=False)
     bits: tuple[int, ...] = field(init=False)
     shares: tuple[float, ...] = field(init=False)

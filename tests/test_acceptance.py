@@ -190,13 +190,12 @@ def test_criterion_6_convergence_surrogate(tmp_path):
     r_errs = [r.eps_r[k] for r in rounds for k in sorted(r.eps_r)]
     r_alphas = [r.alpha for r in rounds for _ in r.eps_r]
     gq = an.gq_estimate(w_errs, w_alphas, r_errs, r_alphas)
-    tp.G = g_est
-    tp.G_q = gq
 
     phi0 = an.prox_solve(res.init_global[0], res.xbar, tp).envelope
     w_star = ssl.closed_form_optimum(res.xbar, cfg.model_layers[-1])
     phi_min = an.prox_solve(w_star, res.xbar, tp).envelope
-    rhs = an.convergence_bound_rhs(tp, list(alphas), cfg.client.local_epochs, phi0, max(phi_min, 0.0))
+    rhs = an.convergence_bound_rhs(tp, list(alphas), cfg.client.local_epochs, phi0, max(phi_min, 0.0),
+                                   G=g_est, G_q=gq)
 
     # golden trend pinned alongside: the reference run's loss drops 4x
     loss_ratio = res.records[-1].global_loss / res.records[0].global_loss

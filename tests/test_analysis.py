@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedq import analysis as an
-from fedq import client as cl
 from fedq import datagen as dg
 from fedq import sslcore as ssl
 from fedq.errors import InvalidCoordinate, InvalidParams, NoConvergence
+
+from conftest import examples
 
 
 def random_psd(rng, d):
@@ -132,7 +133,7 @@ def assert_matches_reference(w, x, tp):
 
 
 class TestProxSolveBitIdentical:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=examples(120), deadline=None)
     # The 16 x 64 aggregate of a full-batch run with 16 clients.
     @example(seed=7, d=64, m_frac=0.24, x_log10=0.0, w_log10=-2.0)
     # The 4 x 32 aggregate of a minibatch run with 4 clients.
@@ -175,24 +176,25 @@ class TestProxSolveBitIdentical:
 class TestConvergenceBoundRhs:
     def test_vanishes_with_horizon(self):
         # with alpha_t ~ 1/sqrt(t) and G_q = 0 the bound decays ~ log T / sqrt(T)
-        tp = an.TheoryParams(rho=4.0, rho_bar=8.0, G=3.0, G_q=0.0)
-        short = an.convergence_bound_rhs(tp, [1 / math.sqrt(t + 1) for t in range(100)], 2, 5.0, 1.0)
-        long = an.convergence_bound_rhs(tp, [1 / math.sqrt(t + 1) for t in range(100_000)], 2, 5.0, 1.0)
+        tp = an.TheoryParams(rho=4.0, rho_bar=8.0)
+        short = an.convergence_bound_rhs(tp, [1 / math.sqrt(t + 1) for t in range(100)], 2, 5.0, 1.0, G=3.0, G_q=0.0)
+        long = an.convergence_bound_rhs(tp, [1 / math.sqrt(t + 1) for t in range(100_000)], 2, 5.0, 1.0,
+                                        G=3.0, G_q=0.0)
         assert long < 0.1 * short
 
     def test_linear_in_epochs(self):
-        tp = an.TheoryParams(rho=4.0, rho_bar=8.0, G=3.0, G_q=0.5)
+        tp = an.TheoryParams(rho=4.0, rho_bar=8.0)
         sched = [0.1] * 20
-        one = an.convergence_bound_rhs(tp, sched, 1, 5.0, 1.0)
-        two = an.convergence_bound_rhs(tp, sched, 2, 5.0, 1.0)
+        one = an.convergence_bound_rhs(tp, sched, 1, 5.0, 1.0, G=3.0, G_q=0.5)
+        two = an.convergence_bound_rhs(tp, sched, 2, 5.0, 1.0, G=3.0, G_q=0.5)
         assert two == pytest.approx(2 * one)
 
     def test_preconditions(self):
         tp = an.TheoryParams(rho=4.0, rho_bar=8.0)
         with pytest.raises(InvalidParams):
-            an.convergence_bound_rhs(tp, [], 1, 5.0, 1.0)
+            an.convergence_bound_rhs(tp, [], 1, 5.0, 1.0, G=0.0, G_q=0.0)
         with pytest.raises(InvalidParams):
-            an.convergence_bound_rhs(tp, [0.1], 1, 0.5, 1.0)
+            an.convergence_bound_rhs(tp, [0.1], 1, 0.5, 1.0, G=0.0, G_q=0.0)
 
 
 class TestWeightedRunningAverage:
@@ -223,12 +225,11 @@ class TestGqEstimate:
         assert 0.1 * gq**2 >= 0.09
 
     def test_rate_monotonicity_on_probe(self):
-        cfg = an.ProbeConfig(client=cl.ClientConfig(grad_extra_bits=0, local_epochs=4))
-        g5 = an.probe_run(5, cfg)
-        g6 = an.probe_run(6, cfg)
+        g5 = an.probe_run(5)
+        g6 = an.probe_run(6)
         n5, n6 = len(g5), len(g6)
-        q5 = an.gq_estimate(g5.weight_error_sq, [cfg.lr] * n5)
-        q6 = an.gq_estimate(g6.weight_error_sq, [cfg.lr] * n6)
+        q5 = an.gq_estimate(g5.weight_error_sq, [an.PROBE_LR] * n5)
+        q6 = an.gq_estimate(g6.weight_error_sq, [an.PROBE_LR] * n6)
         assert q6 <= q5
 
 
@@ -242,8 +243,7 @@ class TestProbes:
         assert weights[-1] < weights[0]
 
     def test_high_rate_limit(self):
-        cfg = an.ProbeConfig(client=cl.ClientConfig(grad_extra_bits=0, local_epochs=4))
-        stats = an.probe_run(16, cfg)
+        stats = an.probe_run(16)
         g_scale = np.mean(stats.grad_norm_sq)
         assert np.mean(stats.grad_error_sq) < 1e-6 * g_scale
         assert np.mean(stats.weight_error_sq) < 1e-6 * g_scale
@@ -316,7 +316,7 @@ class TestReprReport:
     def test_single_client_local_equals_global(self):
         params = dg.DataGenParams(n=1, d=8, frequent_count=200, seed=70)
         shards = [dg.generate_shard(params, 1)]
-        recs = an.local_vs_global_representability_report(shards, 1, 0.0)
+        recs = an.local_vs_global_representability_report(shards, 1, 0.0, np.random.default_rng(0))
         local = [r for r in recs if r.scope == "client 1"]
         glob = [r for r in recs if r.scope == "global"]
         assert local[0].measured == pytest.approx(glob[0].measured)
@@ -325,14 +325,14 @@ class TestReprReport:
     def test_support_coords_well_represented(self):
         params = dg.DataGenParams(n=2, d=32, frequent_count=1000, seed=71)
         shards = dg.generate_all_shards(params)
-        recs = an.local_vs_global_representability_report(shards, 2, 0.0)
+        recs = an.local_vs_global_representability_report(shards, 2, 0.0, np.random.default_rng(0))
         assert all(r.measured > 0.5 for r in recs)
         assert all(0.0 <= r.measured <= 1.0 + 1e-10 for r in recs)
 
     def test_report_formats(self):
         params = dg.DataGenParams(n=1, d=8, frequent_count=100, seed=72)
         recs = an.local_vs_global_representability_report(
-            [dg.generate_shard(params, 1)], 1, 0.1
+            [dg.generate_shard(params, 1)], 1, 0.1, np.random.default_rng(0)
         )
         text = an.format_repr_report(recs)
         assert "measured" in text and "global" in text
@@ -343,26 +343,22 @@ TP = an.TheoryParams(rho=4.0, rho_bar=8.0)
 
 @pytest.mark.parametrize("call, message", [
     (lambda _: an.TheoryParams.from_covariance(np.zeros((3, 3))), "covariance has zero spectral norm"),
-    (lambda _: an.convergence_bound_rhs(TP, [0.1], 0, 5.0, 1.0), "epochs must be >= 1"),
-    (lambda _: an.convergence_bound_rhs(TP, [0.1, 0.0], 1, 5.0, 1.0), "step sizes must be positive"),
+    (lambda _: an.convergence_bound_rhs(TP, [0.1], 0, 5.0, 1.0, G=0.0, G_q=0.0), "epochs must be >= 1"),
+    (lambda _: an.convergence_bound_rhs(TP, [0.1, 0.0], 1, 5.0, 1.0, G=0.0, G_q=0.0), "step sizes must be positive"),
     (lambda _: an.weighted_running_average([1.0, 2.0], [1.0]), "values and weights must be nonempty and aligned"),
     (lambda _: an.weighted_running_average([], []), "values and weights must be nonempty and aligned"),
     (lambda _: an.gq_estimate([0.1], [0.1, 0.1]), "error and alpha records must be nonempty and aligned"),
     (lambda _: an.gq_estimate([], []), "error and alpha records must be nonempty and aligned"),
     (lambda _: an.gq_estimate([0.1, 0.1], [0.1, -0.1]), "step sizes must be positive"),
-    # Clamped, 0 would take the smallest ratio and 1.5 the largest.
-    (lambda _: an.gq_estimate([0.1], [0.1], coverage=0.0), r"coverage must be in \(0, 1\], got 0.0"),
-    (lambda _: an.gq_estimate([0.1], [0.1], coverage=1.5), r"coverage must be in \(0, 1\], got 1.5"),
-    (lambda _: an.gq_estimate([0.1], [0.1], coverage=math.nan), r"coverage must be in \(0, 1\], got nan"),
     (lambda _: an.fit_slope([1.0], [2.0]), "need at least two points"),
     (lambda tmp_path: an.write_probe_csv([], tmp_path / "probe.csv"), "no probe rows"),
     (lambda _: an.representability_lower_bound(np.eye(3), np.ones((2, 3)), np.ones((2, 2)), 0),
      "w_opt and eps must be m x d with d matching X"),
     (lambda _: an.representability_lower_bound(np.eye(3), np.ones((2, 4)), np.ones((2, 4)), 0),
      "w_opt and eps must be m x d with d matching X"),
-    (lambda _: an.local_vs_global_representability_report([], 2, 0.1), "no shards"),
+    (lambda _: an.local_vs_global_representability_report([], 2, 0.1, np.random.default_rng(0)), "no shards"),
 ], ids=["zero-covariance", "epochs-zero", "step-zero", "average-misaligned", "average-empty", "gq-misaligned",
-        "gq-empty", "gq-step-negative", "gq-coverage-zero", "gq-coverage-past-one", "gq-coverage-nan", "slope-one-point", "probe-no-rows", "bound-eps-shape", "bound-d-mismatch",
+        "gq-empty", "gq-step-negative", "slope-one-point", "probe-no-rows", "bound-eps-shape", "bound-d-mismatch",
         "report-no-shards"])
 def test_rejects_bad_input_with_its_reason(call, message, tmp_path):
     with pytest.raises(InvalidParams, match=message):

@@ -54,9 +54,11 @@ def test_invalid_params():
         dg.DataGenParams(n=4, d=256, frequent_count=10)  # infrequent exceeds frequent
 
 
-def test_noise_free_construction():
+def test_noise_free_construction(monkeypatch):
     p = dg.DataGenParams(n=2, d=8, frequent_count=50, seed=1)
-    shard = dg.generate_shard(p, 1, noise=False)
+    # mu = 0 scales the Gaussian term away, exposing the bare class construction
+    monkeypatch.setattr(dg.DataGenParams, "mu", property(lambda self: 0.0))
+    shard = dg.generate_shard(p, 1)
     class1 = shard.samples[shard.labels == 1]
     assert np.all(class1[:, 0] == 1.0)
     assert set(np.unique(class1[:, 1])) <= {0.0, -p.tau}
@@ -229,6 +231,8 @@ def test_datagen_command_exports_the_shards_a_run_generates(tmp_path):
     (lambda: dg.DataGenParams(n=0), InvalidParams, "n must be an integer >= 1"),
     (lambda: dg.DataGenParams(n=True), InvalidParams, "n must be an integer >= 1"),
     (lambda: dg.DataGenParams(d=8.5), InvalidParams, "d must be an integer >= 1"),
+    # d ** infrequent_exponent raised OverflowError for a d past float range.
+    (lambda: dg.DataGenParams(d=10**399), InvalidParams, "d must be within float range"),
     (lambda: dg.DataGenParams(n=5, d=4), InvalidParams, "n must be at most d = 4"),
     (lambda: dg.DataGenParams(frequent_count=2500.5), InvalidParams, "frequent_count must be an integer >= 1"),
     (lambda: dg.DataGenParams(n=4, d=256, frequent_count=10), InvalidParams,
@@ -244,7 +248,7 @@ def test_datagen_command_exports_the_shards_a_run_generates(tmp_path):
     (lambda: dg.empirical_covariance(dg.DataShard(1, np.zeros((0, 3)), np.zeros(0))), EmptyInput,
      "shard has no samples"),
     (lambda: dg.global_covariance([]), EmptyInput, "no shards"),
-], ids=["n-zero", "n-bool", "d-real", "n-past-d", "frequent-real", "infrequent-exceeds-frequent", "seed-negative",
+], ids=["n-zero", "n-bool", "d-real", "d-past-float-range", "n-past-d", "frequent-real", "infrequent-exceeds-frequent", "seed-negative",
         "beta-zero", "beta-one", "samples-1d", "labels-short", "client-zero", "client-past-n",
         "empty-shard", "no-shards"])
 def test_rejects_bad_input_with_its_reason(make, error, message):

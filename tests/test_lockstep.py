@@ -20,6 +20,7 @@ from fedq.errors import NonFiniteInput
 from fedq.experiment import step_round
 from fedq.server import ServerState
 
+from conftest import examples
 from oracle import fit_and_quantize_one, quantile_codebook, reference_bracket, start_client, tanh_codebook
 
 D = 6
@@ -62,7 +63,7 @@ def _assert_same_stats(a: cl.QuantErrorStats, b: cl.QuantErrorStats):
         assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     bits=st.lists(st.integers(1, 8), min_size=1, max_size=4),
@@ -152,7 +153,7 @@ def test_start_clients_forms_cohorts_by_shard_size_in_id_order(monkeypatch):
             assert rng.random() == own.rngs[0].random()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     sizes=st.lists(st.sampled_from([1, 5, 12, 30]), min_size=1, max_size=6),
@@ -398,7 +399,7 @@ def _row(seed, kind, n):
     return np.full(n, r.normal())  # constant: a degenerate row
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     compander=st.sampled_from(["tanh", "quantile"]),
@@ -428,7 +429,7 @@ def test_ragged_fit_matches_each_row_searched(seed, compander, rates, kinds, n):
         assert rngs[r].random() == twins[r].random()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     compander=st.sampled_from(["tanh", "quantile"]),

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from fedq import client as cl
 from fedq import experiment as exp
+from fedq import quantkit as qk
 from fedq import server as sv
 from fedq.cli import cli_dispatch
 from fedq.config import config_from_dict, load_config
@@ -18,6 +20,8 @@ from fedq.datagen import DataShard
 from fedq.errors import Diverged, NonFiniteInput, ParseError, ValidationError
 from fedq.quantkit import MAX_RATE
 from fedq.experiment import run_experiment
+
+from conftest import examples
 
 
 def minimal(**over):
@@ -65,27 +69,31 @@ def raw_configs(draw):
     return raw
 
 
+# 400 digits: past float range, so float() of it raises OverflowError.
+HUGE = 10**399
+
+
 def bad_values(full: dict) -> dict:
     """For each key of a complete config, values it must reject whatever the rest holds."""
     n, d, m = full["n_clients"], full["d"], full["model"]["m"]
     return {
-        "n_clients": [0, True, 2.0, "2", None, d + 1],
-        "d": [0, True, 8.5, "16", None, n - 1],
-        "bitwidths": [None, "4", [0] * n, [True] * n, [2.5] * n, [4] * (n + 1), [MAX_RATE + 1] * n],
+        "n_clients": [0, True, 2.0, "2", None, d + 1, HUGE],
+        "d": [0, True, 8.5, "16", None, n - 1, HUGE],
+        "bitwidths": [None, "4", [0] * n, [True] * n, [2.5] * n, [4] * (n + 1), [MAX_RATE + 1] * n, [HUGE] * n],
         "rounds": [0, True, 1.5, None],
-        "grad_extra_bits": [-1, True, 0.5, None, MAX_RATE],
+        "grad_extra_bits": [-1, True, 0.5, None, MAX_RATE, HUGE],
         "local_epochs": [0, True, 1.5, None],
         "batch_size": [0, True, 2.5, "64"],
-        "aug_sigma": [-1.0, math.nan, math.inf, True, "0.1", None],
+        "aug_sigma": [-1.0, math.nan, math.inf, True, "0.1", None, HUGE],
         "quantize_activations": [0, 1, "true", None],
         "lr": [None, 5, []],
         "lr.kind": ["linear", 1, None],
-        "lr.base": [0, -0.1, True, math.nan, math.inf, "0.1"],
+        "lr.base": [0, -0.1, True, math.nan, math.inf, "0.1", HUGE],
         "model.layers": [[], [d], "x", [d, 0], [d, True], [d, 2.5], [d + 1, m], [d, d + 1]],
         "model.activation": ["tanh", 1, None],
-        "model.m": [0, d + 1, True, 1.5, None],
+        "model.m": [0, d + 1, True, 1.5, None, HUGE],
         "data.frequent_count": [0, -1, 2500.5, True, "100", None],
-        "data.infrequent_exponent": [0.0, 1.0, 1.5, math.nan, "0.3", True, None],
+        "data.infrequent_exponent": [0.0, 1.0, 1.5, math.nan, "0.3", True, None, HUGE],
         "seeds.data": [-1, True, 1.5, "0", None],
         "seeds.training": [-1, True, 1.5, None],
         "metrics.moreau": [0, 1, "false", None],
@@ -156,11 +164,15 @@ class TestConfig:
           for section, pairs in (("lr", [["kind", "constant"]]), ("model", []),
                                  ("data", [["frequent_count", 300]]), ("metrics", [["moreau", False]]))
           for value in (None, pairs, 5)],
+        ({"aug_sigma": HUGE}, "aug_sigma"),
+        ({"lr": {"base": HUGE}}, "lr.base"),
+        ({"d": HUGE}, "d"),
     ])
     def test_no_silent_coercion(self, over, key):
         # JSON true loaded as 1.0, Infinity passed, 100.5 samples and
-        # output_dir 5 reached the run, and a negative seed reached
-        # np.random.SeedSequence; each must name its JSON key instead,
+        # output_dir 5 reached the run, a negative seed reached
+        # np.random.SeedSequence, and an integer past float range raised
+        # OverflowError; each must name its JSON key instead,
         # whether config checks it (lr.kind, seeds.training, output_dir)
         # or the type that holds it (ClientConfig: aug_sigma and
         # model.activation; DataGenParams: data.* and seeds.data). A
@@ -222,7 +234,7 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             config_from_dict(minimal(data=data))
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(raw=raw_configs(), data=st.data())
     def test_a_config_echoes_itself_and_names_any_bad_key(self, raw, data):
         cfg = config_from_dict(raw)
@@ -370,6 +382,37 @@ class TestRunExperiment:
         e8 = np.mean([r.stats[2].mean_weight_error() for r in res.records[1:]])
         assert e8 < e4
 
+    def test_unequal_shards_aggregate_by_their_exact_fedavg_shares(self, tmp_path, monkeypatch):
+        # Every generated shard has the same size, so only cut shards can
+        # show the shares: init_global must be the sum, in ascending
+        # client id, of each dequantized init model scaled by the float
+        # nearest |D_k| / |D|.
+        sizes = {1: 100, 2: 61, 3: 25}
+        total = sum(sizes.values())
+        # these sizes tell the correctly rounded share from c * (1 / total)
+        assert all(c / total != c * (1 / total) for c in sizes.values())
+        real_shards = exp.generate_all_shards
+        monkeypatch.setattr(exp, "generate_all_shards", lambda params: [
+            DataShard(s.client_id, s.samples[:sizes[s.client_id]], s.labels[:sizes[s.client_id]])
+            for s in real_shards(params)])
+        real_stored = exp.stored_models
+        inits = []
+
+        def spy(cohorts):
+            models = real_stored(cohorts)
+            if not inits:  # the first call stores the quantized init, before any training
+                inits.append({k: qk.dequantize(m[0]) for k, m in models.items()})
+            return models
+
+        monkeypatch.setattr(exp, "stored_models", spy)
+        res = run_experiment(config_from_dict(small_run_dict(
+            tmp_path, n_clients=3, bitwidths=[4, 6, 8], rounds=1,
+            metrics={"moreau": False, "representability": False})))
+        expected = np.zeros_like(res.init_global[0])
+        for k in sorted(sizes):
+            expected += float(Fraction(sizes[k], total)) * inits[0][k]
+        assert res.init_global[0].tobytes() == expected.tobytes()
+
     def test_model_stays_quantized_between_rounds(self, tmp_path):
         cfg = config_from_dict(small_run_dict(tmp_path, rounds=2))
         res = run_experiment(cfg)
@@ -509,6 +552,14 @@ class TestCli:
         metrics.write_text("round,global_loss,moreau\n")
         assert cli_dispatch(["report", "--metrics", str(metrics)]) == 1
         assert "metrics file has no data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, count", [("1,1.2", 2), ("1,1.2,2.4,9", 4)], ids=["short", "long"])
+    def test_report_names_a_row_whose_field_count_differs_from_the_header(self, tmp_path, capsys, row, count):
+        # such a row escaped as a TypeError from float(None) or float([...])
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text(f"round,global_loss,moreau\n0,1.5,2.5\n{row}\n")
+        assert cli_dispatch(["report", "--metrics", str(metrics)]) == 1
+        assert capsys.readouterr().err == f"error: {metrics}:3: row has {count} fields, the header 3\n"
 
     def test_run_threads_flag_deterministic(self, tmp_path, capsys):
         # Clients train in id order on one thread: CLI reruns are

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fedq import quantkit as qk
 from fedq.errors import DegenerateRange, InvalidParams, NonFiniteInput
 
+from conftest import examples
 from oracle import (degenerate_codebook, expected_sq_error, fit_and_quantize_one, quantile_codebook, quantize_one,
                     reference_bracket, tanh_codebook)
 
@@ -142,7 +143,7 @@ _ENDPOINTS = st.one_of(
 
 
 class TestTanhGridMatchesLinspace:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=examples(400), deadline=None)
     @given(a=_ENDPOINTS, b=_ENDPOINTS, rate=st.integers(1, 10))
     @example(a=20.0, b=25.0, rate=4)
     @example(a=-25.0, b=-19.5, rate=10)
@@ -250,7 +251,7 @@ class TestStochasticQuantize:
             qk.bracket(np.array([[0.5, -0.5], [0.25, np.nan]]), two)
         assert info.value.row == 1
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rate=st.integers(1, 6))
     def test_requantize_is_idempotent(self, seed, rate):
         r = np.random.default_rng(seed)
@@ -286,7 +287,7 @@ class TestFitAndQuantize:
         with pytest.raises(InvalidParams, match="identity"):
             fit_and_quantize_one(np.ones(3), 4, "identity", rng)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         rate=st.integers(1, 10),
@@ -371,7 +372,7 @@ class TestFittedBrackets:
     """fit_and_quantize takes each element's bracket from the fit rather
     than a search; the two must agree exactly."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(**_BRACKET_CASES)
     @example(seed=0, rate=10, compander="tanh", kind="saturated high", n=2048, log_scale=0.0)
     @example(seed=1, rate=10, compander="tanh", kind="near-constant", n=2048, log_scale=2.0)
@@ -393,7 +394,7 @@ class TestFittedBrackets:
         np.testing.assert_array_equal(_n_le(compander, x, cb.centers), reference_bracket(cb.centers, x))
         np.testing.assert_array_equal(qk.bracket(x, cb)[1][0], reference_bracket(cb.centers, x))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(**_BRACKET_CASES)
     def test_fit_matches_searched_sequence(self, seed, rate, compander, kind, n, log_scale):
         x = _bracket_input(seed, kind, n, log_scale)

@@ -13,6 +13,7 @@ from fedq import quantkit as qk
 from fedq import server as sv
 from fedq.errors import Diverged, EmptyInput, InvalidParams, MissingClient, NonFiniteInput, ShapeMismatch
 
+from conftest import examples
 from oracle import expected_sq_error, fit_and_quantize_one, quantize_one, tanh_codebook
 
 
@@ -127,7 +128,7 @@ class TestRequantize:
 
 
 class TestServerState:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(counts=st.dictionaries(st.integers(-50, 50), st.integers(1, 2**40), min_size=2, max_size=12)
            .filter(lambda counts: len(set(counts.values())) > 1))
     def test_shares_are_correctly_rounded_ratios(self, counts):

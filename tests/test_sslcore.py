@@ -15,6 +15,7 @@ from fedq.errors import (
     ZeroMatrix,
 )
 
+from conftest import examples
 from oracle import reconstruct, stochastic_grad
 
 
@@ -249,7 +250,7 @@ class TestRepresentability:
         np.testing.assert_allclose(r, [1.0, 0.0, 0.0])
         assert ssl.orthonormal_row_basis(w).shape[0] == 1
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6))
     def test_bounds_and_rank_sum(self, seed, m):
         rng = np.random.default_rng(seed)
@@ -260,7 +261,7 @@ class TestRepresentability:
         rank = ssl.orthonormal_row_basis(w).shape[0]
         assert abs(r.sum() - rank) < 1e-8
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(-100.0, 100.0))
     def test_scale_invariance(self, seed, scale):
         if abs(scale) < 1e-6:
