@@ -21,7 +21,7 @@ import numpy as np
 from . import client as cl
 from . import sslcore
 from .datagen import DataGenParams, DataShard, generate_shard, global_covariance
-from .errors import InvalidCoordinate, InvalidParams, NoConvergence
+from .errors import InvalidParams, NoConvergence
 
 
 @dataclass(frozen=True)
@@ -295,34 +295,29 @@ def loglog_slope(xs, ys) -> float:
 # ---------------------------------------------------------------------------
 
 
-def representability_lower_bound(
-    x: np.ndarray,
-    w_opt: np.ndarray,
-    eps: np.ndarray,
-    j: int,
-) -> float:
-    """Eigenvalue-perturbation lower bound on representability entry j.
+def representability_lower_bounds(x: np.ndarray, w_opt: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Eigenvalue-perturbation lower bounds on the representability vector.
 
     For a model eps away from the optimum w* built from the full top
     spectrum of X, entry j of the representability vector is at least
 
         (X_jj + 2 (w*^T eps)_jj + ||eps e_j||^2)
-        / (lambda_1(X) + ||2 w*^T eps + eps^T eps||_F).
+        / (lambda_1(X) + ||2 w*^T eps + eps^T eps||_F),
 
-    The bound is certified when w* spans the full spectrum (m = d); for
-    m < d it is reported but not guaranteed.
+    returned for every j in [0, d). The denominator is formed once; each
+    numerator is summed in the order written, term by term. The bound is
+    certified when w* spans the full spectrum (m = d); for m < d it is
+    reported but not guaranteed.
     """
     d = x.shape[0]
-    if not 0 <= j < d:
-        raise InvalidCoordinate(f"coordinate {j} outside [0, {d})")
     if w_opt.shape[1] != d or eps.shape != w_opt.shape:
         raise InvalidParams("w_opt and eps must be m x d with d matching X")
     cross = w_opt.T @ eps
-    num = float(x[j, j]) + 2.0 * float(cross[j, j]) + float(eps[:, j] @ eps[:, j])
     pert = 2.0 * cross + eps.T @ eps
     lam1 = float(sslcore.sym_eig(x).eigenvalues[0])
     den = lam1 + float(np.linalg.norm(pert))
-    return num / den
+    num = [float(x[j, j]) + 2.0 * float(cross[j, j]) + float(eps[:, j] @ eps[:, j]) for j in range(d)]
+    return np.array(num) / den
 
 
 @dataclass(frozen=True)
@@ -362,16 +357,9 @@ def local_vs_global_representability_report(
         else:
             eps = np.zeros_like(w_opt)
         r = sslcore.representability(w_opt + eps)
-        for j in range(n):
-            records.append(
-                ReprRecord(
-                    scope=scope,
-                    coord=j,
-                    measured=float(r[j]),
-                    bound=representability_lower_bound(cov, w_opt, eps, j),
-                    eps_norm=float(np.linalg.norm(eps)),
-                )
-            )
+        bounds = representability_lower_bounds(cov, w_opt, eps)
+        eps_norm = float(np.linalg.norm(eps))
+        records.extend(ReprRecord(scope, j, float(r[j]), float(bounds[j]), eps_norm) for j in range(n))
     return records
 
 

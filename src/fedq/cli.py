@@ -135,6 +135,8 @@ def _cmd_report(args) -> int:
     if not rows:
         print("metrics file has no data rows", file=sys.stderr)
         return 1
+    if "round" not in header:
+        raise ParseError(f"{path}: the header has no round column")
     first, last = rows[0], rows[-1]
     print(f"rounds: {first['round']} .. {last['round']}")
     for col in rows[0]:

@@ -72,10 +72,6 @@ class Diverged(FedqError):
         )
 
 
-class InvalidCoordinate(InvalidParams):
-    """Coordinate index out of range."""
-
-
 class EmptyInput(FedqError):
     """Operation requires at least one element."""
 

@@ -18,7 +18,7 @@ models weighted by those shares, in ascending client-id order, so
 results do not depend on the order in which clients report.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -69,20 +69,21 @@ def _wrong_ids(what: str, expected: set, got: set, nonpositive: set = frozenset(
 class ServerState:
     """Aggregation state across rounds.
 
-    ``client_bitwidths`` and ``sample_counts`` hold each client's s_k and
-    shard size |D_k| for the whole run; construction checks once that
-    they name the same ids and that every count is positive, and fixes
-    the round's client layout: ``ids`` ascending, their ``bits`` and
-    their FedAvg ``shares`` |D_k| / |D|, each the integer ratio that
-    Python rounds correctly (the float nearest the exact ratio).
+    Construction takes each client's s_k (``client_bitwidths``) and shard
+    size |D_k| (``sample_counts``) for the whole run, checks once that
+    they name the same ids and that every count is positive, and keeps
+    only the round's client layout it derives from them: ``ids``
+    ascending, their ``bits`` and their FedAvg ``shares`` |D_k| / |D|,
+    each the integer ratio that Python rounds correctly (the float
+    nearest the exact ratio).
     ``requant_error`` holds the last completed round's {client_id:
     ||eps_r||^2}. Per-client re-quantization draws come from streams
     derived from (seed, round, client), so rounds are reproducible no
     matter how the surrounding harness schedules work.
     """
 
-    client_bitwidths: dict[int, int]
-    sample_counts: dict[int, int]
+    client_bitwidths: InitVar[dict[int, int]]
+    sample_counts: InitVar[dict[int, int]]
     seed: int
     global_model: list[np.ndarray] | None = field(default=None, init=False)
     round_counter: int = field(default=0, init=False)
@@ -91,14 +92,13 @@ class ServerState:
     bits: tuple[int, ...] = field(init=False)
     shares: tuple[float, ...] = field(init=False)
 
-    def __post_init__(self):
-        counts = self.sample_counts
+    def __post_init__(self, client_bitwidths: dict[int, int], counts: dict[int, int]):
         nonpositive = {k for k in counts if counts[k] <= 0}
-        if nonpositive or set(counts) != set(self.client_bitwidths):
+        if nonpositive or set(counts) != set(client_bitwidths):
             raise InvalidParams("the server needs one positive sample count per client and no other; "
-                                + _wrong_ids("sample counts", set(self.client_bitwidths), set(counts), nonpositive))
+                                + _wrong_ids("sample counts", set(client_bitwidths), set(counts), nonpositive))
         self.ids = tuple(sorted(counts))
-        self.bits = tuple([self.client_bitwidths[k] for k in self.ids])
+        self.bits = tuple([client_bitwidths[k] for k in self.ids])
         total = sum(counts.values())
         self.shares = tuple([counts[k] / total for k in self.ids])
 

@@ -2,13 +2,15 @@
 
 Each test prints a `[acceptance] criterion N: PASS/FAIL` line (visible
 with `pytest -s` or on failure). All runs are seeded, so outcomes are
-reproducible; statistical tolerances (3-sigma tests) hold for the
-frozen seeds.
+reproducible. Criterion 1's statistics each state the rate at which an
+unbiased quantizer fails them; the other statistical tolerances hold
+for the frozen seeds.
 """
 
 import math
 import time
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -48,6 +50,27 @@ def reference_instance_dict(out_dir: str, **over):
     return raw
 
 
+# Criterion 1's false-alarm rate per statistic. For an unbiased quantizer each
+# z of a 1e5-draw mean is N(0, 1) to within the central limit, and the z of
+# different scalars are independent, so each statistic below has a known null
+# distribution and a cutoff that it exceeds with this probability. The
+# criterion, five statistics, false-alarms with probability at most 0.005.
+UNBIASED_FALSE_ALARM = 0.001
+
+
+def unbiasedness_cutoffs(k: int) -> tuple[float, float, float]:
+    """Cutoffs, each exceeded with probability ``UNBIASED_FALSE_ALARM`` by
+    unbiased draws: |sqrt(n) * mean z| of any one group of n z-tests (3.29);
+    sum z^2 of all k, the upper quantile of chi^2_k by Wilson-Hilferty
+    (381.46 at k = 300, against the exact 381.43); and the largest |z| of the
+    k, Sidak-corrected for k tests (4.65 at k = 300)."""
+    a, normal = UNBIASED_FALSE_ALARM, NormalDist()
+    mean_cut = normal.inv_cdf(1.0 - a / 2.0)
+    chi2_cut = k * (1.0 - 2.0 / (9 * k) + normal.inv_cdf(1.0 - a) * math.sqrt(2.0 / (9 * k))) ** 3
+    max_cut = normal.inv_cdf(1.0 - (1.0 - (1.0 - a) ** (1.0 / k)) / 2.0)
+    return mean_cut, chi2_cut, max_cut
+
+
 def test_criterion_1_quantizer_unbiasedness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(999)
@@ -58,10 +81,11 @@ def test_criterion_1_quantizer_unbiasedness():
         "quantile": quantile_codebook(data, 4),
     }
     draws = 100_000
-    worst = 0.0
+    zs = {}
     for name, cb in books.items():
         lo, hi = cb.centers[0], cb.centers[-1]
         xs = rng.uniform(lo, hi, size=100)
+        zs[name] = []
         for x in xs:
             var = float(expected_sq_error(np.array([x]), cb.centers)[0])
             q = quantize_one(np.full(draws, x), cb, rng)
@@ -69,14 +93,24 @@ def test_criterion_1_quantizer_unbiasedness():
             if var == 0.0:
                 assert mean == x, f"{name}: draw at a center must be exact"
                 continue
-            z = abs(mean - x) / math.sqrt(var / draws)
-            worst = max(worst, z)
+            zs[name].append((mean - x) / math.sqrt(var / draws))
+    z = np.concatenate([np.asarray(v) for v in zs.values()])
+    mean_cut, chi2_cut, max_cut = unbiasedness_cutoffs(z.size)
+    # A bias shifts every z of its codebook type the same way: each type's
+    # mean signed z, in standard errors, sees it before any one z does.
+    type_means = {name: math.fsum(v) / math.sqrt(len(v)) for name, v in zs.items()}
+    sum_sq = float(z @ z)
+    worst = float(np.max(np.abs(z)))
     elapsed = time.perf_counter() - t0
     check(
         1,
         "quantizer unbiasedness",
-        worst <= 3.0 and elapsed < 10.0,
-        f"worst z={worst:.2f} (3 codebook types x 100 scalars x 1e5 draws), {elapsed:.1f}s",
+        all(abs(t) <= mean_cut for t in type_means.values())
+        and sum_sq <= chi2_cut and worst <= max_cut and elapsed < 10.0,
+        "mean z in se: " + ", ".join(f"{name} {t:+.2f}" for name, t in type_means.items())
+        + f" (|.|<={mean_cut:.2f}); sum z^2={sum_sq:.1f} (<={chi2_cut:.1f}); worst |z|={worst:.2f} "
+        f"(<={max_cut:.2f}); {z.size} z-tests (3 codebook types x 100 scalars x 1e5 draws), "
+        f"each statistic false-alarms at {UNBIASED_FALSE_ALARM}, {elapsed:.1f}s",
     )
 
 
@@ -231,10 +265,9 @@ def test_criterion_7_representability_bound():
                 eps = rng.standard_normal(w_star.shape)
                 eps *= eps_scale * scale_base / float(np.linalg.norm(eps))
                 r = ssl.representability(w_star + eps)
-                for j in range(params.n):
-                    bound = an.representability_lower_bound(x, w_star, eps, j)
-                    worst_margin = min(worst_margin, r[j] - bound)
-                    trials += 1
+                bounds = an.representability_lower_bounds(x, w_star, eps)
+                worst_margin = min(worst_margin, float(np.min(r[: params.n] - bounds[: params.n])))
+                trials += params.n
     elapsed = time.perf_counter() - t0
     check(
         7,

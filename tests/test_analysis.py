@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fedq import analysis as an
 from fedq import datagen as dg
 from fedq import sslcore as ssl
-from fedq.errors import InvalidCoordinate, InvalidParams, NoConvergence
+from fedq.errors import InvalidParams, NoConvergence
 
 from conftest import examples
 
@@ -271,13 +271,27 @@ class TestProbes:
         assert lines[1] == "3,0.25"
 
 
+def reference_representability_lower_bound(x, w_opt, eps, j):
+    """The bound on entry j alone, as first written: one call per coordinate.
+
+    Kept as the bit-for-bit reference for ``representability_lower_bounds``,
+    which forms the denominator once and each numerator by this expression.
+    """
+    cross = w_opt.T @ eps
+    num = float(x[j, j]) + 2.0 * float(cross[j, j]) + float(eps[:, j] @ eps[:, j])
+    pert = 2.0 * cross + eps.T @ eps
+    lam1 = float(ssl.sym_eig(x).eigenvalues[0])
+    den = lam1 + float(np.linalg.norm(pert))
+    return num / den
+
+
 class TestRepresentabilityBound:
     def test_unperturbed_diagonal(self):
         x = np.diag([4.0, 2.0, 1.0])
         w = ssl.closed_form_optimum(x, 3)
-        b = an.representability_lower_bound(x, w, np.zeros_like(w), 1)
-        assert b == pytest.approx(2.0 / 4.0)
-        assert b <= 1.0
+        b = an.representability_lower_bounds(x, w, np.zeros_like(w))
+        assert b.tolist() == pytest.approx([1.0, 2.0 / 4.0, 1.0 / 4.0])
+        assert np.all(b <= 1.0)
 
     def test_bound_below_measured_full_span(self):
         rng = np.random.default_rng(60)
@@ -287,9 +301,9 @@ class TestRepresentabilityBound:
             eps = rng.normal(size=w.shape)
             eps *= 0.02 * np.linalg.norm(w) / np.linalg.norm(eps)
             r = ssl.representability(w + eps)
-            for j in range(3):
-                b = an.representability_lower_bound(x, w, eps, j)
-                assert b <= r[j] + 1e-9
+            b = an.representability_lower_bounds(x, w, eps)
+            assert b.shape == (8,)
+            assert np.all(b <= r + 1e-9)
 
     def test_vanishing_perturbation_limit(self):
         rng = np.random.default_rng(61)
@@ -301,15 +315,42 @@ class TestRepresentabilityBound:
         gaps = []
         for scale in (1e-1, 1e-3, 1e-6):
             e = eps * (scale / np.linalg.norm(eps))
-            gaps.append(abs(an.representability_lower_bound(x, w, e, 2) - target))
+            gaps.append(abs(an.representability_lower_bounds(x, w, e)[2] - target))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-5
 
-    def test_invalid_coordinate(self):
-        x = np.eye(3)
-        w = np.eye(3)
-        with pytest.raises(InvalidCoordinate):
-            an.representability_lower_bound(x, w, np.zeros((3, 3)), 3)
+    @settings(max_examples=examples(100), deadline=None)
+    # Criterion 7's full-span 32 x 32 optimum.
+    @example(seed=717, d=32, m_frac=1.0, x_log10=0.0, eps_log10=-1.0)
+    # The oracle's rank-2 optimum of an 8-dimensional covariance, unperturbed.
+    @example(seed=42, d=8, m_frac=0.2, x_log10=0.0, eps_log10=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 40),
+        m_frac=st.floats(0.0, 1.0),
+        x_log10=st.floats(-3.0, 3.0),
+        eps_log10=st.none() | st.floats(-8.0, 1.0),
+    )
+    def test_every_entry_matches_the_per_coordinate_reference(self, seed, d, m_frac, x_log10, eps_log10):
+        rng = np.random.default_rng(seed)
+        m = 1 + min(d - 1, int(m_frac * d))
+        x = 10.0**x_log10 * random_psd(rng, d)
+        w = ssl.closed_form_optimum(x, m)
+        eps = np.zeros_like(w) if eps_log10 is None else 10.0**eps_log10 * rng.normal(size=w.shape)
+        bounds = an.representability_lower_bounds(x, w, eps)
+        assert bounds.shape == (d,)
+        assert [b.hex() for b in bounds.tolist()] == [
+            reference_representability_lower_bound(x, w, eps, j).hex() for j in range(d)
+        ]
+
+    def test_one_call_makes_one_eigendecomposition(self):
+        rng = np.random.default_rng(62)
+        x = random_psd(rng, 12)
+        w = ssl.closed_form_optimum(x, 12)
+        eps = 0.01 * rng.normal(size=w.shape)
+        with mock.patch.object(ssl, "sym_eig", wraps=ssl.sym_eig) as sym_eig:
+            an.representability_lower_bounds(x, w, eps)
+        assert sym_eig.call_count == 1
 
 
 class TestReprReport:
@@ -337,6 +378,20 @@ class TestReprReport:
         text = an.format_repr_report(recs)
         assert "measured" in text and "global" in text
 
+    def test_one_bound_call_per_scope_keeps_the_first_n_entries(self):
+        params = dg.DataGenParams(n=3, d=8, frequent_count=200, seed=73)
+        shards = dg.generate_all_shards(params)
+        with mock.patch.object(an, "representability_lower_bounds",
+                               wraps=an.representability_lower_bounds) as bounds:
+            recs = an.local_vs_global_representability_report(shards, 2, 0.1, np.random.default_rng(0))
+        assert bounds.call_count == 4  # three clients and the global scope
+        assert [(r.scope, r.coord) for r in recs] == [
+            (scope, j) for scope in ("client 1", "client 2", "client 3", "global") for j in range(3)
+        ]
+        for call, scope in zip(bounds.call_args_list, ("client 1", "client 2", "client 3", "global")):
+            full = an.representability_lower_bounds(*call.args)
+            assert [r.bound for r in recs if r.scope == scope] == full[:3].tolist()
+
 
 TP = an.TheoryParams(rho=4.0, rho_bar=8.0)
 
@@ -352,9 +407,9 @@ TP = an.TheoryParams(rho=4.0, rho_bar=8.0)
     (lambda _: an.gq_estimate([0.1, 0.1], [0.1, -0.1]), "step sizes must be positive"),
     (lambda _: an.fit_slope([1.0], [2.0]), "need at least two points"),
     (lambda tmp_path: an.write_probe_csv([], tmp_path / "probe.csv"), "no probe rows"),
-    (lambda _: an.representability_lower_bound(np.eye(3), np.ones((2, 3)), np.ones((2, 2)), 0),
+    (lambda _: an.representability_lower_bounds(np.eye(3), np.ones((2, 3)), np.ones((2, 2))),
      "w_opt and eps must be m x d with d matching X"),
-    (lambda _: an.representability_lower_bound(np.eye(3), np.ones((2, 4)), np.ones((2, 4)), 0),
+    (lambda _: an.representability_lower_bounds(np.eye(3), np.ones((2, 4)), np.ones((2, 4))),
      "w_opt and eps must be m x d with d matching X"),
     (lambda _: an.local_vs_global_representability_report([], 2, 0.1, np.random.default_rng(0)), "no shards"),
 ], ids=["zero-covariance", "epochs-zero", "step-zero", "average-misaligned", "average-empty", "gq-misaligned",

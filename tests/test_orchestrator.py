@@ -561,6 +561,13 @@ class TestCli:
         assert cli_dispatch(["report", "--metrics", str(metrics)]) == 1
         assert capsys.readouterr().err == f"error: {metrics}:3: row has {count} fields, the header 3\n"
 
+    def test_report_names_a_file_whose_header_has_no_round_column(self, tmp_path, capsys):
+        # it escaped as a KeyError from first['round']
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("step,loss\n0,1.5\n")
+        assert cli_dispatch(["report", "--metrics", str(metrics)]) == 1
+        assert capsys.readouterr().err == f"error: {metrics}: the header has no round column\n"
+
     def test_run_threads_flag_deterministic(self, tmp_path, capsys):
         # Clients train in id order on one thread: CLI reruns are
         # byte-identical, and there is no thread-count flag to vary.

@@ -145,6 +145,8 @@ class TestServerState:
     def test_fixes_the_client_layout_at_construction(self):
         server = sv.ServerState({5: 8, 2: 4, 9: 6}, {9: 1, 5: 1, 2: 2}, seed=0)
         assert (server.ids, server.bits, server.shares) == ((2, 5, 9), (4, 8, 6), (0.5, 0.25, 0.25))
+        # The layout is the one holder: the inputs it came from are not kept.
+        assert not hasattr(server, "client_bitwidths") and not hasattr(server, "sample_counts")
         with pytest.raises(TypeError):
             sv.ServerState({1: 4}, {1: 1}, seed=0, shares=(1.0,))
 
