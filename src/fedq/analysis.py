@@ -20,41 +20,42 @@ import numpy as np
 
 from . import client as cl
 from . import sslcore
-from .datagen import DataGenParams, DataShard, generate_shard, global_covariance
+from .datagen import DataGenParams, DataShard, generate_shard
 from .errors import InvalidParams, NoConvergence
 
 
 @dataclass(frozen=True)
 class TheoryParams:
-    """Constants of the weak-convexity analysis.
+    """Constants of the weak-convexity analysis, all read from lambda_1
+    of the global covariance.
 
-    ``rho`` must dominate four times the spectral norm of the global
-    covariance; ``rho_bar`` strictly dominates ``rho``. The gradient
-    bound G and the noise scale G_q are measurements of a run, so
+    ``rho`` = 4 lambda_1 (1 + 0.01) dominates four times the spectral
+    norm. The smoothing parameter ``rho_bar`` = 1.1 rho: any value
+    above rho is admissible, and keeping the margin small makes the
+    surrogate sharp enough to separate the near-saddle start from the
+    quantization-noise floor near the optimum. The gradient bound G and
+    the noise scale G_q are measurements of a run, so
     ``convergence_bound_rhs`` takes them with each call.
     """
 
-    rho: float
-    rho_bar: float
+    lam1: float
 
     def __post_init__(self):
         if not (self.rho_bar > self.rho > 0.0):
-            raise InvalidParams("need rho_bar > rho > 0")
+            raise InvalidParams(f"need rho_bar > rho > 0, got lambda_1 = {self.lam1!r}")
+
+    @property
+    def rho(self) -> float:
+        return 4.0 * self.lam1 * (1.0 + 0.01)
+
+    @property
+    def rho_bar(self) -> float:
+        return 1.1 * self.rho
 
     @classmethod
     def from_covariance(cls, xbar: np.ndarray) -> "TheoryParams":
-        """Set rho = 4 ||X|| (1 + 0.01) from a power-iteration estimate.
-
-        The smoothing parameter is rho_bar = 1.1 rho: any value above rho
-        is admissible, and keeping the margin small makes the surrogate
-        sharp enough to separate the near-saddle start from the
-        quantization-noise floor near the optimum.
-        """
-        norm = sslcore.spectral_norm(xbar)
-        rho = 4.0 * norm * (1.0 + 0.01)
-        if rho <= 0.0:
-            raise InvalidParams("covariance has zero spectral norm")
-        return cls(rho=rho, rho_bar=1.1 * rho)
+        """lambda_1 of ``xbar`` by power iteration (``sslcore.spectral_norm``)."""
+        return cls(sslcore.spectral_norm(xbar))
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,8 @@ def prox_solve(w: np.ndarray, xbar: np.ndarray, tp: TheoryParams) -> ProxResult:
     """Approximate prox point of the global objective at ``w``.
 
     Minimizes L(y) + (rho_bar / 2) ||y - w||^2 by gradient descent from
-    y = w with step 1 / (rho_bar + 16 lambda_1). Steps that would
+    y = w with step 1 / (rho_bar + 16 lambda_1); ``tp`` holds lambda_1,
+    so it must come from ``xbar``. Steps that would
     increase the inner objective are rejected with a halved step; ten
     consecutive rejections raise NoConvergence, so accepted iterates are
     non-increasing by construction. At most 2000 steps; stops once a
@@ -78,9 +80,9 @@ def prox_solve(w: np.ndarray, xbar: np.ndarray, tp: TheoryParams) -> ProxResult:
     near-stationarity surrogate rho_bar * ||w - prox(w)||.
     """
     w = np.asarray(w, dtype=np.float64)
-    lam1 = sslcore.spectral_norm(xbar)
-    step = 1.0 / (tp.rho_bar + 16.0 * max(lam1, 0.0))
-    half_rho = 0.5 * tp.rho_bar
+    rho_bar = tp.rho_bar
+    step = 1.0 / (rho_bar + 16.0 * tp.lam1)
+    half_rho = 0.5 * rho_bar
     add_all = partial(np.add.reduce, axis=None)  # ndarray.sum, less its Python wrapper
     r_sq = sslcore.residual(w, xbar)  # checks the shapes; a buffer from here on
     r, r_new = np.empty_like(r_sq), np.empty_like(r_sq)
@@ -99,7 +101,7 @@ def prox_solve(w: np.ndarray, xbar: np.ndarray, tp: TheoryParams) -> ProxResult:
     for _ in range(2000):
         if not rejections:  # a rejected step leaves y, r and diff, so g and ||g|| stand
             sslcore.grad(y, xbar, r, out=g)
-            g += np.multiply(diff, tp.rho_bar, out=scaled)
+            g += np.multiply(diff, rho_bar, out=scaled)
             gf = g.ravel()  # ||g|| exactly as np.linalg.norm forms it
             g_norm = math.sqrt(gf.dot(gf))
         if step * g_norm < 1e-10:
@@ -115,7 +117,7 @@ def prox_solve(w: np.ndarray, xbar: np.ndarray, tp: TheoryParams) -> ProxResult:
         rejections = 0
         obj = obj_new
         y, r, diff, y_new, r_new, diff_new = y_new, r_new, diff_new, y, r, diff
-    surrogate = tp.rho_bar * float(np.linalg.norm(w - y))
+    surrogate = rho_bar * float(np.linalg.norm(w - y))
     return ProxResult(y, obj, surrogate)
 
 
@@ -295,7 +297,8 @@ def loglog_slope(xs, ys) -> float:
 # ---------------------------------------------------------------------------
 
 
-def representability_lower_bounds(x: np.ndarray, w_opt: np.ndarray, eps: np.ndarray) -> np.ndarray:
+def representability_lower_bounds(x: np.ndarray, eig: sslcore.EigenDecomposition, w_opt: np.ndarray,
+                                  eps: np.ndarray) -> np.ndarray:
     """Eigenvalue-perturbation lower bounds on the representability vector.
 
     For a model eps away from the optimum w* built from the full top
@@ -304,7 +307,8 @@ def representability_lower_bounds(x: np.ndarray, w_opt: np.ndarray, eps: np.ndar
         (X_jj + 2 (w*^T eps)_jj + ||eps e_j||^2)
         / (lambda_1(X) + ||2 w*^T eps + eps^T eps||_F),
 
-    returned for every j in [0, d). The denominator is formed once; each
+    returned for every j in [0, d), with lambda_1(X) read from
+    ``eig = sslcore.sym_eig(x)``. The denominator is formed once; each
     numerator is summed in the order written, term by term. The bound is
     certified when w* spans the full spectrum (m = d); for m < d it is
     reported but not guaranteed.
@@ -314,7 +318,7 @@ def representability_lower_bounds(x: np.ndarray, w_opt: np.ndarray, eps: np.ndar
         raise InvalidParams("w_opt and eps must be m x d with d matching X")
     cross = w_opt.T @ eps
     pert = 2.0 * cross + eps.T @ eps
-    lam1 = float(sslcore.sym_eig(x).eigenvalues[0])
+    lam1 = float(eig.eigenvalues[0])
     den = lam1 + float(np.linalg.norm(pert))
     num = [float(x[j, j]) + 2.0 * float(cross[j, j]) + float(eps[:, j] @ eps[:, j]) for j in range(d)]
     return np.array(num) / den
@@ -329,27 +333,25 @@ class ReprRecord:
     eps_norm: float
 
 
-def local_vs_global_representability_report(
-    shards: list[DataShard],
-    m: int,
-    eps_scale: float,
-    rng: np.random.Generator,
-) -> list[ReprRecord]:
+def local_vs_global_representability_report(shards: list[DataShard], xbar: np.ndarray,
+                                            eigs: list[sslcore.EigenDecomposition], m: int, eps_scale: float,
+                                            rng: np.random.Generator) -> list[ReprRecord]:
     """Representability of perturbed local and global optima, with bounds.
 
-    For every client covariance and for the global covariance, builds
-    the rank-m optimum, perturbs it by a random matrix of norm
+    For every client covariance and for the global covariance ``xbar``,
+    builds the rank-m optimum, perturbs it by a random matrix of norm
     eps_scale * ||w*||, and reports measured representability and the
-    perturbation bound on the first n coordinates.
+    perturbation bound on the first n coordinates. ``eigs`` holds
+    ``sslcore.sym_eig`` of each shard's covariance, in order, then of
+    ``xbar``.
     """
     if not shards:
         raise InvalidParams("no shards")
     n = len(shards)
-    scopes = [(f"client {s.client_id}", s.covariance()) for s in shards]
-    scopes.append(("global", global_covariance(shards)))
+    scopes = [(f"client {s.client_id}", s.covariance()) for s in shards] + [("global", xbar)]
     records = []
-    for scope, cov in scopes:
-        w_opt = sslcore.closed_form_optimum(cov, m)
+    for (scope, cov), eig in zip(scopes, eigs, strict=True):
+        w_opt = sslcore.closed_form_optimum(eig, m)
         if eps_scale > 0.0:
             eps = rng.standard_normal(w_opt.shape)
             # numpy scalars, so an overflowing scale obeys np.errstate
@@ -357,7 +359,7 @@ def local_vs_global_representability_report(
         else:
             eps = np.zeros_like(w_opt)
         r = sslcore.representability(w_opt + eps)
-        bounds = representability_lower_bounds(cov, w_opt, eps)
+        bounds = representability_lower_bounds(cov, eig, w_opt, eps)
         eps_norm = float(np.linalg.norm(eps))
         records.extend(ReprRecord(scope, j, float(r[j]), float(bounds[j]), eps_norm) for j in range(n))
     return records

@@ -99,19 +99,18 @@ def _cmd_oracle(args) -> int:
     m = cfg.model_layers[-1]
     shards = generate_all_shards(cfg.data)
     xbar = global_covariance(shards)
-    eig = sslcore.sym_eig(xbar)
-    floor = sslcore.optimal_loss(xbar, m)
+    # One decomposition per covariance, each client's then the global one.
+    eigs = [sslcore.sym_eig(x) for x in [s.covariance() for s in shards] + [xbar]]
     print(f"global covariance: d={cfg.data.d}, top eigenvalues "
-          + ", ".join(f"{v:.6g}" for v in eig.eigenvalues[: min(6, cfg.data.d)]))
-    print(f"optimal rank-{m} loss (trailing eigenvalue energy): {floor:.12g}")
-    for s in shards:
-        print(f"client {s.client_id}: optimal loss "
-              f"{sslcore.optimal_loss(s.covariance(), m):.12g}")
+          + ", ".join(f"{v:.6g}" for v in eigs[-1].eigenvalues[: min(6, cfg.data.d)]))
+    print(f"optimal rank-{m} loss (trailing eigenvalue energy): {sslcore.optimal_loss(eigs[-1], m):.12g}")
+    for s, eig in zip(shards, eigs):
+        print(f"client {s.client_id}: optimal loss {sslcore.optimal_loss(eig, m):.12g}")
     # An overflowing perturbation would otherwise end in a misleading rank error.
     try:
         with np.errstate(over="raise", invalid="raise"):
             records = analysis.local_vs_global_representability_report(
-                shards, m, eps_scale=args.eps_scale,
+                shards, xbar, eigs, m, eps_scale=args.eps_scale,
                 rng=np.random.default_rng(cfg.training_seed),
             )
     except FloatingPointError as e:
@@ -133,8 +132,7 @@ def _cmd_report(args) -> int:
                                  f"the header {len(header)}")
             rows.append(dict(zip(header, fields)))
     if not rows:
-        print("metrics file has no data rows", file=sys.stderr)
-        return 1
+        raise ParseError(f"{path}: metrics file has no data rows")
     if "round" not in header:
         raise ParseError(f"{path}: the header has no round column")
     first, last = rows[0], rows[-1]

@@ -31,7 +31,7 @@ from . import sslcore
 from .config import ExperimentConfig
 from .datagen import client_rng, generate_all_shards, global_covariance
 from .analysis import TheoryParams, moreau_grad_surrogate
-from .errors import Diverged, NonFiniteInput, ValidationError
+from .errors import Diverged, NonFiniteInput
 from .server import ServerState, aggregate
 
 AUTO_LR_COEFF = 0.05
@@ -90,16 +90,6 @@ def _metrics_row(rec: MetricsRecord, client_ids: list[int]) -> str:
     return ",".join(vals)
 
 
-def resolve_lr_base(cfg: ExperimentConfig, xbar: np.ndarray) -> float:
-    """Configured base rate, or 0.05 / lambda_max(Xbar) when auto."""
-    if cfg.lr_base is not None:
-        return cfg.lr_base
-    lam = sslcore.spectral_norm(xbar)
-    if lam <= 0.0:
-        raise ValidationError("cannot auto-scale lr: global covariance is zero")
-    return AUTO_LR_COEFF / lam
-
-
 def stored_models(cohorts: list[cl.Cohort]) -> dict[int, list[qk.QuantizedTensor]]:
     """Each client's stored model, in ascending client id."""
     return dict(sorted((k, m) for c in cohorts for k, m in zip(c.ids, c.models)))
@@ -150,8 +140,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     shard_by_id = dict(zip(client_ids, shards))
     xbar = global_covariance(shards)
 
-    lr_base = resolve_lr_base(cfg, xbar)
-    tp = TheoryParams.from_covariance(xbar) if cfg.metrics.moreau else None
+    # The run's one power iteration: the auto step size and the Moreau surrogate read lambda_1(Xbar).
+    tp = TheoryParams.from_covariance(xbar)
+    lr_base = AUTO_LR_COEFF / tp.lam1 if cfg.lr_base is None else cfg.lr_base
 
     # Shared full-precision init, then per-client quantization at s_k.
     init_layers = cl.init_layers(
@@ -173,7 +164,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             return math.nan, math.nan, [math.nan] * repr_dims
         w = global_model[0]
         gl = sslcore.loss(w, xbar)
-        mo = moreau_grad_surrogate(w, xbar, tp) if tp is not None else math.nan
+        mo = moreau_grad_surrogate(w, xbar, tp) if cfg.metrics.moreau else math.nan
         rep = list(sslcore.representability(w)[:repr_dims]) if repr_dims else []
         return gl, mo, rep
 

@@ -90,14 +90,13 @@ def sym_eig(x: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(vals, vecs * signs)
 
 
-def closed_form_optimum(x: np.ndarray, m: int) -> np.ndarray:
-    """Eckart-Young minimizer of ``loss``: rows sqrt(lambda_i) v_i^T.
+def closed_form_optimum(eig: EigenDecomposition, m: int) -> np.ndarray:
+    """Eckart-Young minimizer of ``loss`` at X, ``eig = sym_eig(X)``: rows sqrt(lambda_i) v_i^T.
 
     ``m`` is the representation rank. Eigenvalues in [-EIG_CLAMP, 0) are
     treated as exact zeros (they arise from roundoff in PSD inputs);
     anything more negative raises NegativeEigenvalue.
     """
-    eig = sym_eig(x)
     d = eig.eigenvalues.shape[0]
     if not 1 <= m <= d:
         raise InvalidParams(f"rank m={m} outside [1, {d}]")
@@ -108,9 +107,8 @@ def closed_form_optimum(x: np.ndarray, m: int) -> np.ndarray:
     return np.sqrt(top)[:, None] * eig.eigenvectors[:, :m].T
 
 
-def optimal_loss(x: np.ndarray, m: int) -> float:
-    """Sum of squared trailing eigenvalues: the Eckart-Young loss floor."""
-    eig = sym_eig(x)
+def optimal_loss(eig: EigenDecomposition, m: int) -> float:
+    """Sum of squared trailing eigenvalues of ``eig``: the Eckart-Young loss floor."""
     tail = eig.eigenvalues[m:]
     return float(np.sum(tail * tail))
 
@@ -158,11 +156,16 @@ def representability(w: np.ndarray) -> np.ndarray:
 def spectral_norm(x: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a symmetric matrix by power iteration.
 
-    At most 100 steps; stops once successive norms agree to 1e-10 relative.
+    Starts from ones / sqrt(d), or from x's largest column x e_j when x
+    maps that to zero (x^2 e_j = 0 only if x e_j = 0, so only a zero
+    matrix gives 0.0). At most 100 steps; stops once successive norms
+    agree to 1e-10 relative.
     """
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
     v = np.ones(d) / np.sqrt(d)
+    if not (x @ v).any():
+        v = x[:, np.argmax(np.linalg.norm(x, axis=0))]
     last = 0.0
     for _ in range(100):
         v = x @ v

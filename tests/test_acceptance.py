@@ -187,7 +187,7 @@ def test_criterion_5_oracle_equivalence_high_rate():
     params = dg.DataGenParams(n=1, d=8, frequent_count=512, seed=515)
     shard = dg.generate_shard(params, 1)
     x = shard.covariance()
-    floor = ssl.optimal_loss(x, 2)
+    floor = ssl.optimal_loss(ssl.sym_eig(x), 2)
     lr = 0.05 / ssl.spectral_norm(x)
     layers = cl.init_layers([8, 2], np.random.default_rng(9), 0.1 / math.sqrt(8))
     cfg = cl.ClientConfig(grad_extra_bits=0, aug_sigma=0.0, batch_size=None)
@@ -226,7 +226,7 @@ def test_criterion_6_convergence_surrogate(tmp_path):
     gq = an.gq_estimate(w_errs, w_alphas, r_errs, r_alphas)
 
     phi0 = an.prox_solve(res.init_global[0], res.xbar, tp).envelope
-    w_star = ssl.closed_form_optimum(res.xbar, cfg.model_layers[-1])
+    w_star = ssl.closed_form_optimum(ssl.sym_eig(res.xbar), cfg.model_layers[-1])
     phi_min = an.prox_solve(w_star, res.xbar, tp).envelope
     rhs = an.convergence_bound_rhs(tp, list(alphas), cfg.client.local_epochs, phi0, max(phi_min, 0.0),
                                    G=g_est, G_q=gq)
@@ -258,14 +258,15 @@ def test_criterion_7_representability_bound():
     worst_margin = math.inf
     trials = 0
     for x in scopes:
-        w_star = ssl.closed_form_optimum(x, 32)
+        eig = ssl.sym_eig(x)
+        w_star = ssl.closed_form_optimum(eig, 32)
         scale_base = float(np.linalg.norm(w_star))
         for eps_scale in (0.001, 0.01, 0.1):
             for _ in range(100):
                 eps = rng.standard_normal(w_star.shape)
                 eps *= eps_scale * scale_base / float(np.linalg.norm(eps))
                 r = ssl.representability(w_star + eps)
-                bounds = an.representability_lower_bounds(x, w_star, eps)
+                bounds = an.representability_lower_bounds(x, eig, w_star, eps)
                 worst_margin = min(worst_margin, float(np.min(r[: params.n] - bounds[: params.n])))
                 trials += params.n
     elapsed = time.perf_counter() - t0

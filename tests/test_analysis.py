@@ -1,6 +1,7 @@
 """Moreau surrogate, bound evaluation, variance probes, representability bounds."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -32,18 +33,21 @@ def setup():
 class TestTheoryParams:
     def test_rho_dominates_spectral_norm(self, setup):
         _, x, tp = setup
-        assert tp.rho >= 4.0 * ssl.spectral_norm(x)
+        assert tp.lam1 == ssl.spectral_norm(x)
+        assert tp.rho >= 4.0 * tp.lam1
         assert tp.rho_bar > tp.rho
 
-    def test_invalid_ordering(self):
-        with pytest.raises(InvalidParams):
-            an.TheoryParams(rho=2.0, rho_bar=1.0)
+    # rho and rho_bar are 0, NaN or both inf
+    @pytest.mark.parametrize("lam1", [0.0, math.nan, 1e308], ids=["zero", "nan", "overflow"])
+    def test_rejects_a_lambda_1_with_no_rho_bar_above_rho(self, lam1):
+        with pytest.raises(InvalidParams, match=re.escape(f"need rho_bar > rho > 0, got lambda_1 = {lam1!r}")):
+            an.TheoryParams(lam1)
 
 
 class TestProxSurrogate:
     def test_near_zero_at_optimum(self, setup):
         _, x, tp = setup
-        w = ssl.closed_form_optimum(x, 3)
+        w = ssl.closed_form_optimum(ssl.sym_eig(x), 3)
         s = an.moreau_grad_surrogate(w, x, tp)
         assert s < 1e-4 * tp.rho_bar * np.linalg.norm(w)
 
@@ -53,7 +57,7 @@ class TestProxSurrogate:
 
     def test_near_beats_far(self, setup):
         rng, x, tp = setup
-        w_opt = ssl.closed_form_optimum(x, 3)
+        w_opt = ssl.closed_form_optimum(ssl.sym_eig(x), 3)
         direction = rng.normal(size=w_opt.shape)
         direction /= np.linalg.norm(direction)
         near = an.moreau_grad_surrogate(w_opt + 0.05 * direction, x, tp)
@@ -176,21 +180,21 @@ class TestProxSolveBitIdentical:
 class TestConvergenceBoundRhs:
     def test_vanishes_with_horizon(self):
         # with alpha_t ~ 1/sqrt(t) and G_q = 0 the bound decays ~ log T / sqrt(T)
-        tp = an.TheoryParams(rho=4.0, rho_bar=8.0)
+        tp = an.TheoryParams(1.0)
         short = an.convergence_bound_rhs(tp, [1 / math.sqrt(t + 1) for t in range(100)], 2, 5.0, 1.0, G=3.0, G_q=0.0)
         long = an.convergence_bound_rhs(tp, [1 / math.sqrt(t + 1) for t in range(100_000)], 2, 5.0, 1.0,
                                         G=3.0, G_q=0.0)
         assert long < 0.1 * short
 
     def test_linear_in_epochs(self):
-        tp = an.TheoryParams(rho=4.0, rho_bar=8.0)
+        tp = an.TheoryParams(1.0)
         sched = [0.1] * 20
         one = an.convergence_bound_rhs(tp, sched, 1, 5.0, 1.0, G=3.0, G_q=0.5)
         two = an.convergence_bound_rhs(tp, sched, 2, 5.0, 1.0, G=3.0, G_q=0.5)
         assert two == pytest.approx(2 * one)
 
     def test_preconditions(self):
-        tp = an.TheoryParams(rho=4.0, rho_bar=8.0)
+        tp = an.TheoryParams(1.0)
         with pytest.raises(InvalidParams):
             an.convergence_bound_rhs(tp, [], 1, 5.0, 1.0, G=0.0, G_q=0.0)
         with pytest.raises(InvalidParams):
@@ -288,34 +292,36 @@ def reference_representability_lower_bound(x, w_opt, eps, j):
 class TestRepresentabilityBound:
     def test_unperturbed_diagonal(self):
         x = np.diag([4.0, 2.0, 1.0])
-        w = ssl.closed_form_optimum(x, 3)
-        b = an.representability_lower_bounds(x, w, np.zeros_like(w))
+        eig = ssl.sym_eig(x)
+        w = ssl.closed_form_optimum(eig, 3)
+        b = an.representability_lower_bounds(x, eig, w, np.zeros_like(w))
         assert b.tolist() == pytest.approx([1.0, 2.0 / 4.0, 1.0 / 4.0])
         assert np.all(b <= 1.0)
 
     def test_bound_below_measured_full_span(self):
         rng = np.random.default_rng(60)
         x = random_psd(rng, 8)
-        w = ssl.closed_form_optimum(x, 8)
+        eig = ssl.sym_eig(x)
+        w = ssl.closed_form_optimum(eig, 8)
         for _ in range(50):
             eps = rng.normal(size=w.shape)
             eps *= 0.02 * np.linalg.norm(w) / np.linalg.norm(eps)
             r = ssl.representability(w + eps)
-            b = an.representability_lower_bounds(x, w, eps)
+            b = an.representability_lower_bounds(x, eig, w, eps)
             assert b.shape == (8,)
             assert np.all(b <= r + 1e-9)
 
     def test_vanishing_perturbation_limit(self):
         rng = np.random.default_rng(61)
         x = random_psd(rng, 5)
-        w = ssl.closed_form_optimum(x, 5)
-        lam1 = ssl.sym_eig(x).eigenvalues[0]
-        target = x[2, 2] / lam1
+        eig = ssl.sym_eig(x)
+        w = ssl.closed_form_optimum(eig, 5)
+        target = x[2, 2] / eig.eigenvalues[0]
         eps = rng.normal(size=w.shape)
         gaps = []
         for scale in (1e-1, 1e-3, 1e-6):
             e = eps * (scale / np.linalg.norm(eps))
-            gaps.append(abs(an.representability_lower_bounds(x, w, e)[2] - target))
+            gaps.append(abs(an.representability_lower_bounds(x, eig, w, e)[2] - target))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-5
 
@@ -335,29 +341,38 @@ class TestRepresentabilityBound:
         rng = np.random.default_rng(seed)
         m = 1 + min(d - 1, int(m_frac * d))
         x = 10.0**x_log10 * random_psd(rng, d)
-        w = ssl.closed_form_optimum(x, m)
+        eig = ssl.sym_eig(x)
+        w = ssl.closed_form_optimum(eig, m)
         eps = np.zeros_like(w) if eps_log10 is None else 10.0**eps_log10 * rng.normal(size=w.shape)
-        bounds = an.representability_lower_bounds(x, w, eps)
+        bounds = an.representability_lower_bounds(x, eig, w, eps)
         assert bounds.shape == (d,)
         assert [b.hex() for b in bounds.tolist()] == [
             reference_representability_lower_bound(x, w, eps, j).hex() for j in range(d)
         ]
 
-    def test_one_call_makes_one_eigendecomposition(self):
+    def test_reads_lambda_1_from_the_decomposition_it_is_given(self):
         rng = np.random.default_rng(62)
         x = random_psd(rng, 12)
-        w = ssl.closed_form_optimum(x, 12)
+        eig = ssl.sym_eig(x)
+        w = ssl.closed_form_optimum(eig, 12)
         eps = 0.01 * rng.normal(size=w.shape)
         with mock.patch.object(ssl, "sym_eig", wraps=ssl.sym_eig) as sym_eig:
-            an.representability_lower_bounds(x, w, eps)
-        assert sym_eig.call_count == 1
+            an.representability_lower_bounds(x, eig, w, eps)
+        assert sym_eig.call_count == 0
+
+
+def repr_report(shards, m, eps_scale, rng):
+    """The report on ``shards``, with their covariances decomposed as ``fedq oracle`` does."""
+    xbar = dg.global_covariance(shards)
+    eigs = [ssl.sym_eig(x) for x in [s.covariance() for s in shards] + [xbar]]
+    return an.local_vs_global_representability_report(shards, xbar, eigs, m, eps_scale, rng)
 
 
 class TestReprReport:
     def test_single_client_local_equals_global(self):
         params = dg.DataGenParams(n=1, d=8, frequent_count=200, seed=70)
         shards = [dg.generate_shard(params, 1)]
-        recs = an.local_vs_global_representability_report(shards, 1, 0.0, np.random.default_rng(0))
+        recs = repr_report(shards, 1, 0.0, np.random.default_rng(0))
         local = [r for r in recs if r.scope == "client 1"]
         glob = [r for r in recs if r.scope == "global"]
         assert local[0].measured == pytest.approx(glob[0].measured)
@@ -366,15 +381,13 @@ class TestReprReport:
     def test_support_coords_well_represented(self):
         params = dg.DataGenParams(n=2, d=32, frequent_count=1000, seed=71)
         shards = dg.generate_all_shards(params)
-        recs = an.local_vs_global_representability_report(shards, 2, 0.0, np.random.default_rng(0))
+        recs = repr_report(shards, 2, 0.0, np.random.default_rng(0))
         assert all(r.measured > 0.5 for r in recs)
         assert all(0.0 <= r.measured <= 1.0 + 1e-10 for r in recs)
 
     def test_report_formats(self):
         params = dg.DataGenParams(n=1, d=8, frequent_count=100, seed=72)
-        recs = an.local_vs_global_representability_report(
-            [dg.generate_shard(params, 1)], 1, 0.1, np.random.default_rng(0)
-        )
+        recs = repr_report([dg.generate_shard(params, 1)], 1, 0.1, np.random.default_rng(0))
         text = an.format_repr_report(recs)
         assert "measured" in text and "global" in text
 
@@ -383,7 +396,7 @@ class TestReprReport:
         shards = dg.generate_all_shards(params)
         with mock.patch.object(an, "representability_lower_bounds",
                                wraps=an.representability_lower_bounds) as bounds:
-            recs = an.local_vs_global_representability_report(shards, 2, 0.1, np.random.default_rng(0))
+            recs = repr_report(shards, 2, 0.1, np.random.default_rng(0))
         assert bounds.call_count == 4  # three clients and the global scope
         assert [(r.scope, r.coord) for r in recs] == [
             (scope, j) for scope in ("client 1", "client 2", "client 3", "global") for j in range(3)
@@ -393,11 +406,11 @@ class TestReprReport:
             assert [r.bound for r in recs if r.scope == scope] == full[:3].tolist()
 
 
-TP = an.TheoryParams(rho=4.0, rho_bar=8.0)
+TP = an.TheoryParams(1.0)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda _: an.TheoryParams.from_covariance(np.zeros((3, 3))), "covariance has zero spectral norm"),
+    (lambda _: an.TheoryParams.from_covariance(np.zeros((3, 3))), "need rho_bar > rho > 0, got lambda_1 = 0.0"),
     (lambda _: an.convergence_bound_rhs(TP, [0.1], 0, 5.0, 1.0, G=0.0, G_q=0.0), "epochs must be >= 1"),
     (lambda _: an.convergence_bound_rhs(TP, [0.1, 0.0], 1, 5.0, 1.0, G=0.0, G_q=0.0), "step sizes must be positive"),
     (lambda _: an.weighted_running_average([1.0, 2.0], [1.0]), "values and weights must be nonempty and aligned"),
@@ -407,11 +420,12 @@ TP = an.TheoryParams(rho=4.0, rho_bar=8.0)
     (lambda _: an.gq_estimate([0.1, 0.1], [0.1, -0.1]), "step sizes must be positive"),
     (lambda _: an.fit_slope([1.0], [2.0]), "need at least two points"),
     (lambda tmp_path: an.write_probe_csv([], tmp_path / "probe.csv"), "no probe rows"),
-    (lambda _: an.representability_lower_bounds(np.eye(3), np.ones((2, 3)), np.ones((2, 2))),
+    (lambda _: an.representability_lower_bounds(np.eye(3), ssl.sym_eig(np.eye(3)), np.ones((2, 3)), np.ones((2, 2))),
      "w_opt and eps must be m x d with d matching X"),
-    (lambda _: an.representability_lower_bounds(np.eye(3), np.ones((2, 4)), np.ones((2, 4))),
+    (lambda _: an.representability_lower_bounds(np.eye(3), ssl.sym_eig(np.eye(3)), np.ones((2, 4)), np.ones((2, 4))),
      "w_opt and eps must be m x d with d matching X"),
-    (lambda _: an.local_vs_global_representability_report([], 2, 0.1, np.random.default_rng(0)), "no shards"),
+    (lambda _: an.local_vs_global_representability_report([], np.eye(3), [], 2, 0.1, np.random.default_rng(0)),
+     "no shards"),
 ], ids=["zero-covariance", "epochs-zero", "step-zero", "average-misaligned", "average-empty", "gq-misaligned",
         "gq-empty", "gq-step-negative", "slope-one-point", "probe-no-rows", "bound-eps-shape", "bound-d-mismatch",
         "report-no-shards"])

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fedq import client as cl
 from fedq import experiment as exp
 from fedq import quantkit as qk
 from fedq import server as sv
+from fedq import sslcore as ssl
 from fedq.cli import cli_dispatch
 from fedq.config import config_from_dict, load_config
 from fedq.datagen import DataShard
@@ -418,6 +420,16 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         assert res.records[-1].round == 2
 
+    def test_power_iterates_the_global_covariance_once(self, tmp_path):
+        # lambda_1 gives the auto step size and every round's Moreau surrogate
+        cfg = config_from_dict(small_run_dict(tmp_path))
+        with mock.patch.object(ssl, "spectral_norm", wraps=ssl.spectral_norm) as spectral_norm:
+            res = run_experiment(cfg)
+        assert spectral_norm.call_count == 1
+        echo = json.loads((res.output_dir / "config_echo.json").read_text())
+        assert echo["lr"]["base"] == exp.AUTO_LR_COEFF / ssl.spectral_norm(res.xbar)
+        assert all(math.isfinite(r.moreau) for r in res.records)
+
     def test_deep_relu_encoder_runs(self, tmp_path):
         cfg = config_from_dict(
             small_run_dict(
@@ -443,11 +455,6 @@ def diverging_run_dict(tmp_path):
         "lr": {"base": 5},
         "output_dir": str(tmp_path / "run"),
     }
-
-
-    def test_auto_lr_rejects_a_zero_covariance(self):
-        with pytest.raises(ValidationError, match="cannot auto-scale lr: global covariance is zero"):
-            exp.resolve_lr_base(config_from_dict(minimal()), np.zeros((32, 32)))
 
 
 class TestDivergence:
@@ -551,7 +558,7 @@ class TestCli:
         metrics = tmp_path / "metrics.csv"
         metrics.write_text("round,global_loss,moreau\n")
         assert cli_dispatch(["report", "--metrics", str(metrics)]) == 1
-        assert "metrics file has no data rows" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {metrics}: metrics file has no data rows\n"
 
     @pytest.mark.parametrize("row, count", [("1,1.2", 2), ("1,1.2,2.4,9", 4)], ids=["short", "long"])
     def test_report_names_a_row_whose_field_count_differs_from_the_header(self, tmp_path, capsys, row, count):
@@ -642,11 +649,19 @@ class TestCli:
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines() if l.startswith("optimal rank-2 loss"))
         reported = float(line.rsplit(":", 1)[1])
-        from fedq import datagen as dg, sslcore as ssl
+        from fedq import datagen as dg
         cfg = load_config(cfg_path)
         xbar = dg.global_covariance(dg.generate_all_shards(cfg.data))
         tail = ssl.sym_eig(xbar).eigenvalues[2:]
         assert reported == pytest.approx(float(np.sum(tail**2)), rel=1e-8)
+
+    def test_oracle_decomposes_each_covariance_once(self, tmp_path, capsys):
+        # two clients' covariances and the global one
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_run_dict(tmp_path, d=8)))
+        with mock.patch.object(ssl, "sym_eig", wraps=ssl.sym_eig) as sym_eig:
+            assert cli_dispatch(["oracle", "--config", str(cfg_path), "--eps-scale", "0.1"]) == 0
+        assert sym_eig.call_count == 3
 
     @pytest.mark.parametrize("scale", ["-1", "nan", "inf", "1e300", "1.7e308"])
     def test_oracle_rejects_bad_eps_scale(self, tmp_path, capsys, scale):

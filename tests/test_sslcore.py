@@ -182,27 +182,27 @@ class TestSymEig:
 
 class TestClosedFormOptimum:
     def test_diag_rank_one(self):
-        w = ssl.closed_form_optimum(np.diag([4.0, 1.0]), 1)
+        w = ssl.closed_form_optimum(ssl.sym_eig(np.diag([4.0, 1.0])), 1)
         np.testing.assert_allclose(np.abs(w), [[2.0, 0.0]], atol=1e-12)
         assert ssl.loss(w, np.diag([4.0, 1.0])) == pytest.approx(1.0)
 
     def test_full_rank_recovers(self):
         rng = np.random.default_rng(11)
         x = random_psd(rng, 5)
-        w = ssl.closed_form_optimum(x, 5)
+        w = ssl.closed_form_optimum(ssl.sym_eig(x), 5)
         assert ssl.loss(w, x) < 1e-16 * np.linalg.norm(x) ** 2 + 1e-20
 
     def test_eckart_young_value(self):
         rng = np.random.default_rng(12)
         x = random_psd(rng, 6)
-        w = ssl.closed_form_optimum(x, 3)
+        w = ssl.closed_form_optimum(ssl.sym_eig(x), 3)
         tail = ssl.sym_eig(x).eigenvalues[3:]
         np.testing.assert_allclose(ssl.loss(w, x), np.sum(tail**2), rtol=1e-8)
 
     def test_local_optimality_under_perturbation(self):
         rng = np.random.default_rng(13)
         x = random_psd(rng, 6)
-        w = ssl.closed_form_optimum(x, 3)
+        w = ssl.closed_form_optimum(ssl.sym_eig(x), 3)
         base = ssl.loss(w, x)
         for _ in range(1000):
             delta = rng.normal(size=w.shape)
@@ -211,18 +211,18 @@ class TestClosedFormOptimum:
 
     def test_small_negative_eigenvalues_clamped(self):
         x = np.diag([1.0, -1e-12])
-        w = ssl.closed_form_optimum(x, 2)
+        w = ssl.closed_form_optimum(ssl.sym_eig(x), 2)
         assert np.all(np.isfinite(w))
         np.testing.assert_array_equal(w[1], 0.0)  # roundoff below EIG_CLAMP counts as an exact zero
 
     def test_negative_eigenvalue_beyond_clamp_raises(self):
         # -1e-6 is not roundoff of a PSD input: the covariance is wrong
         with pytest.raises(NegativeEigenvalue, match="below"):
-            ssl.closed_form_optimum(np.diag([1.0, -1e-6]), 2)
+            ssl.closed_form_optimum(ssl.sym_eig(np.diag([1.0, -1e-6])), 2)
 
     def test_rank_bounds(self):
         with pytest.raises(InvalidParams):
-            ssl.closed_form_optimum(np.eye(3), 4)
+            ssl.closed_form_optimum(ssl.sym_eig(np.eye(3)), 4)
 
 
 class TestRepresentability:
@@ -277,6 +277,14 @@ def test_spectral_norm_matches_eigh():
     rng = np.random.default_rng(15)
     x = random_psd(rng, 12)
     assert ssl.spectral_norm(x) == pytest.approx(np.linalg.eigvalsh(x).max(), rel=1e-8)
+
+
+@pytest.mark.parametrize("x, lam1", [
+    (np.array([[1.0, -1.0], [-1.0, 1.0]]), 2.0),  # ones / sqrt(2) spans its kernel
+    (np.zeros((3, 3)), 0.0),
+], ids=["start-in-kernel", "zero"])
+def test_spectral_norm_is_zero_only_for_a_zero_matrix(x, lam1):
+    assert ssl.spectral_norm(x) == lam1
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -51,7 +51,7 @@ PEAK_BUDGET_KIB = {"linear-fullbatch-16c": 3025, "linear-minibatch": 882, "relu-
 # The counts hold only under the interpreter and numpy they were taken
 # with (Python 3.12 inlines comprehensions, for one).
 CALL_BUDGET_VERSIONS = ("3.11.7", "2.4.6")  # Python, numpy
-CALL_BUDGET = {"linear-fullbatch-16c": (11104, 12947), "linear-minibatch": (5713, 7642), "relu-actq": (3231, 4181)}
+CALL_BUDGET = {"linear-fullbatch-16c": (11010, 12725), "linear-minibatch": (5566, 7297), "relu-actq": (3195, 4097)}
 
 
 def allowed_kib(budget: int) -> float:
