@@ -125,6 +125,9 @@ def _cmd_report(args) -> int:
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, [])
+        twice = [col for i, col in enumerate(header) if col in header[:i]]
+        if twice:  # a dict row would keep only the last of them
+            raise ParseError(f"{path}: the header names column {twice[0]!r} twice")
         rows = []
         for fields in filter(None, reader):  # csv.DictReader's rule: blank lines are no rows
             if len(fields) != len(header):
@@ -135,6 +138,9 @@ def _cmd_report(args) -> int:
         raise ParseError(f"{path}: metrics file has no data rows")
     if "round" not in header:
         raise ParseError(f"{path}: the header has no round column")
+    out = args.out or str(path.with_name(path.stem + "_long.csv"))
+    if Path(out).exists() and path.samefile(out):
+        raise InvalidParams(f"--out {out} is the --metrics file; its long copy would overwrite it")
     first, last = rows[0], rows[-1]
     print(f"rounds: {first['round']} .. {last['round']}")
     for col in rows[0]:
@@ -146,7 +152,6 @@ def _cmd_report(args) -> int:
             continue
         if not (math.isnan(a) and math.isnan(b)):
             print(f"{col:>24}: {a:.6g} -> {b:.6g}")
-    out = args.out or str(path.with_name(path.stem + "_long.csv"))
     with open(out, "w", newline="\n") as f:
         f.write("round,metric,value\n")
         for row in rows:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import quantkit as qk
 from .datagen import DataShard
-from .errors import DimensionMismatch, InvalidParams, NonFiniteInput, StateMismatch, _is_int, _is_real, _must
+from .errors import DimensionMismatch, InvalidParams, NonFiniteInput, _is_int, _is_real, _must
 
 ACTIVATIONS = ("identity", "relu")
 
@@ -304,7 +304,7 @@ def quantized_backward(fstate: ForwardState, upstream: np.ndarray, weights: list
     ||g||^2 summed over layers), the energies one per client.
     """
     if upstream.shape != fstate.outputs.shape:
-        raise StateMismatch(
+        raise DimensionMismatch(
             f"upstream shape {upstream.shape} does not match forward output {fstate.outputs.shape}"
         )
     fstate.outputs = None

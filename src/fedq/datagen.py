@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, InvalidParams, _is_int, _is_real, _must
+from .errors import DimensionMismatch, InvalidParams, _is_int, _is_real, _must
 
 _MAGIC = b"FQDS"
 _VERSION = 1
@@ -147,7 +147,7 @@ def generate_all_shards(params: DataGenParams) -> list[DataShard]:
 def empirical_covariance(shard: DataShard) -> np.ndarray:
     """Second-moment matrix (1/|D_k|) * sum_i x_i x_i^T (uncentered)."""
     if shard.size == 0:
-        raise EmptyInput("shard has no samples")
+        raise InvalidParams("shard has no samples")
     x = shard.samples
     cov = x.T @ x / x.shape[0]
     return 0.5 * (cov + cov.T)
@@ -159,7 +159,7 @@ def global_covariance(shards: list[DataShard]) -> np.ndarray:
     Equals the pooled covariance of the concatenated samples.
     """
     if not shards:
-        raise EmptyInput("no shards")
+        raise InvalidParams("no shards")
     d = shards[0].dim
     total = sum(s.size for s in shards)
     out = np.zeros((d, d))

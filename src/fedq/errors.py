@@ -8,40 +8,20 @@ class FedqError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DegenerateRange(FedqError):
-    """Quantization range narrower than the supported epsilon."""
-
-
 class DimensionMismatch(FedqError):
-    """Operands have incompatible dimensions."""
-
-
-class ShapeMismatch(DimensionMismatch):
-    """Model layer shapes disagree."""
-
-
-class StateMismatch(FedqError):
-    """Forward/backward state does not match the supplied batch."""
-
-
-class NotSymmetric(FedqError):
-    """Matrix is not symmetric within tolerance."""
+    """Operands have incompatible dimensions or shapes: layers across
+    models, a gradient against its forward output, matrices in a product."""
 
 
 class NoConvergence(FedqError):
     """Iterative solver failed to converge."""
 
 
-class NegativeEigenvalue(FedqError):
-    """A selected eigenvalue is negative beyond tolerance."""
-
-
-class ZeroMatrix(FedqError):
-    """Matrix has no nonzero rows."""
-
-
 class InvalidParams(FedqError):
-    """Parameter values violate a documented precondition."""
+    """An input violates a documented precondition: a setting out of range,
+    an empty or degenerate operand (no shards, a zero or asymmetric matrix,
+    a range narrower than the quantizer's epsilon), or a round without
+    every client."""
 
 
 class NonFiniteInput(InvalidParams):
@@ -70,14 +50,6 @@ class Diverged(FedqError):
             f"training diverged in round {round}, client {client}, during {phase}: "
             "non-finite values reached the quantizer"
         )
-
-
-class EmptyInput(FedqError):
-    """Operation requires at least one element."""
-
-
-class MissingClient(FedqError):
-    """A round ran without full client participation."""
 
 
 class ParseError(FedqError):

@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateRange, InvalidParams, NonFiniteInput
+from .errors import InvalidParams, NonFiniteInput
 
 # Ranges narrower than this collapse to a degenerate single-value codebook.
 RANGE_EPS = 1e-12
@@ -232,7 +232,7 @@ def build_uniform_codebook(lo: float, hi: float, rate: int) -> Codebooks:
     """K = 2^rate equispaced centers over [lo, hi], endpoints included,
     as one row.
 
-    Raises DegenerateRange when the requested range is narrower than
+    Raises InvalidParams when the requested range is narrower than
     RANGE_EPS; an explicit range that narrow is a caller error.
     """
     lo = float(lo)
@@ -240,7 +240,7 @@ def build_uniform_codebook(lo: float, hi: float, rate: int) -> Codebooks:
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise InvalidParams("range endpoints must be finite")
     if hi - lo < RANGE_EPS:
-        raise DegenerateRange(f"range [{lo}, {hi}] narrower than {RANGE_EPS}")
+        raise InvalidParams(f"range [{lo}, {hi}] narrower than {RANGE_EPS}")
     plan = fit_plan(0, (int(rate),))
     return Codebooks(plan, np.linspace(lo, hi, plan.offsets[-1]), np.array([False]))
 

@@ -24,9 +24,7 @@ import numpy as np
 
 from . import client as cl
 from . import quantkit as qk
-from .errors import (
-    Diverged, EmptyInput, InvalidParams, MissingClient, NonFiniteInput, ShapeMismatch,
-)
+from .errors import Diverged, DimensionMismatch, InvalidParams, NonFiniteInput
 
 
 def dequantize_client_models(models: list[list[qk.QuantizedTensor]]) -> list[list[np.ndarray]]:
@@ -38,14 +36,17 @@ def aggregate(models: list[list[np.ndarray]], shares: tuple[float, ...]) -> list
     """Per-layer weighted sum: model k scaled by ``shares[k]``, its FedAvg
     share |D_k| / |D| (``ServerState.shares``)."""
     if not models:
-        raise EmptyInput("no models to aggregate")
+        raise InvalidParams("no models to aggregate")
     shapes = [layer.shape for layer in models[0]]
     agg = [np.zeros(s) for s in shapes]
-    for model, share in zip(models, shares, strict=True):
-        if [layer.shape for layer in model] != shapes:
-            raise ShapeMismatch("model layer shapes disagree")
-        for out, layer in zip(agg, model):
-            out += share * layer
+    try:
+        for model, share in zip(models, shares, strict=True):
+            if [layer.shape for layer in model] != shapes:
+                raise DimensionMismatch("model layer shapes disagree")
+            for out, layer in zip(agg, model):
+                out += share * layer
+    except ValueError as e:  # from zip: the two lengths differ
+        raise DimensionMismatch(f"{len(models)} models but {len(shares)} shares") from e
     return agg
 
 
@@ -110,14 +111,14 @@ class ServerState:
         every client.
 
         Full participation is assumed: every registered client and no
-        other must report a model, otherwise MissingClient names the
+        other must report a model, otherwise InvalidParams names the
         missing and unexpected ids. The aggregate is kept in
         ``global_model`` at full precision. A non-finite aggregate raises
         Diverged naming the (1-based) round and the client.
         """
         ids = self.ids
         if set(client_models) != set(ids):
-            raise MissingClient("round requires all clients and no others; "
+            raise InvalidParams("round requires all clients and no others; "
                                 + _wrong_ids("models", set(ids), set(client_models)))
         self.global_model = aggregate(dequantize_client_models([client_models[k] for k in ids]), self.shares)
         try:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InvalidParams, NegativeEigenvalue, NoConvergence, NonFiniteInput, NotSymmetric,
-                     ZeroMatrix)
+from .errors import DimensionMismatch, InvalidParams, NoConvergence, NonFiniteInput
 
 SYMMETRY_TOL = 1e-9
 EIG_CLAMP = 1e-9
@@ -67,7 +66,7 @@ def sym_eig(x: np.ndarray) -> EigenDecomposition:
 
     Eigenvalues come out descending and each eigenvector's
     largest-magnitude component is made positive, so the output is
-    reproducible across runs. Raises NotSymmetric when the input's
+    reproducible across runs. Raises InvalidParams when the input's
     asymmetry exceeds 1e-9 and NoConvergence if the underlying QR
     iteration fails.
     """
@@ -75,7 +74,7 @@ def sym_eig(x: np.ndarray) -> EigenDecomposition:
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise DimensionMismatch("expected a square matrix")
     if x.size and float(np.max(np.abs(x - x.T))) > SYMMETRY_TOL:
-        raise NotSymmetric(f"asymmetry exceeds {SYMMETRY_TOL}")
+        raise InvalidParams(f"asymmetry exceeds {SYMMETRY_TOL}")
     xs = 0.5 * (x + x.T)
     try:
         vals, vecs = np.linalg.eigh(xs)
@@ -95,14 +94,14 @@ def closed_form_optimum(eig: EigenDecomposition, m: int) -> np.ndarray:
 
     ``m`` is the representation rank. Eigenvalues in [-EIG_CLAMP, 0) are
     treated as exact zeros (they arise from roundoff in PSD inputs);
-    anything more negative raises NegativeEigenvalue.
+    anything more negative raises InvalidParams.
     """
     d = eig.eigenvalues.shape[0]
     if not 1 <= m <= d:
         raise InvalidParams(f"rank m={m} outside [1, {d}]")
     top = eig.eigenvalues[:m].copy()
     if np.any(top < -EIG_CLAMP):
-        raise NegativeEigenvalue(f"eigenvalue {top.min():.3e} below -{EIG_CLAMP}")
+        raise InvalidParams(f"eigenvalue {top.min():.3e} below -{EIG_CLAMP}")
     np.clip(top, 0.0, None, out=top)
     return np.sqrt(top)[:, None] * eig.eigenvectors[:, :m].T
 
@@ -123,11 +122,11 @@ def orthonormal_row_basis(w: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("feature matrix must be 2-D")
     scale = float(np.linalg.norm(w))
     # A NaN or inf entry makes the norm non-finite, so only then are the
-    # entries read; finite rows whose norm overflows go on to ZeroMatrix.
+    # entries read; a finite matrix whose norm overflows drops every row below.
     if not scale < np.inf and not np.isfinite(w).all():
         raise NonFiniteInput("feature matrix holds NaN or inf", row=int(np.argmin(np.isfinite(w).all(axis=1))))
     if scale == 0.0:
-        raise ZeroMatrix("feature matrix has no nonzero rows")
+        raise InvalidParams("feature matrix has no nonzero rows")
     tol = RANK_TOL * scale
     basis: list[np.ndarray] = []
     for row in w:
@@ -139,7 +138,7 @@ def orthonormal_row_basis(w: np.ndarray) -> np.ndarray:
         if norm > tol:
             basis.append(v / norm)
     if not basis:
-        raise ZeroMatrix("all rows numerically zero or dependent")
+        raise InvalidParams("all rows numerically zero or dependent")
     return np.vstack(basis)
 
 

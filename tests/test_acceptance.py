@@ -3,8 +3,9 @@
 Each test prints a `[acceptance] criterion N: PASS/FAIL` line (visible
 with `pytest -s` or on failure). All runs are seeded, so outcomes are
 reproducible. Criterion 1's statistics each state the rate at which an
-unbiased quantizer fails them; the other statistical tolerances hold
-for the frozen seeds.
+unbiased quantizer fails them, and criterion 5's bound also holds at 20
+shifted seed sets; the other statistical tolerances hold for the frozen
+seeds.
 """
 
 import math
@@ -25,7 +26,7 @@ from fedq.config import config_from_dict
 from fedq.experiment import run_experiment, step_round
 from fedq.server import ServerState
 
-from oracle import expected_sq_error, quantile_codebook, quantize_one, start_client, tanh_codebook
+from oracle import expected_sq_error, quantile_codebook, quantize_one, sgd, start_client, tanh_codebook
 
 
 def check(criterion: int, label: str, ok: bool, detail: str = ""):
@@ -183,24 +184,30 @@ def test_criterion_4_epoch_scaling_of_requant_error():
 
 
 def test_criterion_5_oracle_equivalence_high_rate():
+    """The R=16 client against ``oracle.sgd`` from the client's own
+    dequantized start model: full batch, no augmentation, the same lr
+    and number of steps, so the gap in loss is the quantization's alone."""
     t0 = time.perf_counter()
     params = dg.DataGenParams(n=1, d=8, frequent_count=512, seed=515)
     shard = dg.generate_shard(params, 1)
     x = shard.covariance()
-    floor = ssl.optimal_loss(ssl.sym_eig(x), 2)
     lr = 0.05 / ssl.spectral_norm(x)
     layers = cl.init_layers([8, 2], np.random.default_rng(9), 0.1 / math.sqrt(8))
     cfg = cl.ClientConfig(grad_extra_bits=0, aug_sigma=0.0, batch_size=None)
     cohort = start_client(cfg, 16, layers, np.random.default_rng(616), shard)
+    start = qk.dequantize(cohort.models[0][0])
     for _ in range(2000):
         cl.run_local_epochs(cohort, lr)
-    gap = ssl.loss(qk.dequantize(cohort.models[0][0]), x) - floor
+    oracle = sgd(start, shard.samples, 2000, None, lr, 0.0, None)
+    gap = ssl.loss(qk.dequantize(cohort.models[0][0]), x) - ssl.loss(oracle, x)
     elapsed = time.perf_counter() - t0
+    # At R=16 the gap reads 6.9e-9 here and at most 2.2e-5 over the 20 seed
+    # sets shifted by 1000 s (s = 1..20); at R=8 it reads 1.25e-4 here.
     check(
         5,
         "oracle equivalence at R=16",
-        abs(gap) <= 1e-3 and elapsed < 30,
-        f"|loss - EckartYoung| = {abs(gap):.2e} after 2000 steps, {elapsed:.1f}s",
+        abs(gap) <= 1e-4 and elapsed < 30,
+        f"|L_q - L_oracle| = {abs(gap):.2e} after 2000 steps, {elapsed:.1f}s",
     )
 
 

@@ -10,7 +10,7 @@ from fedq import client as cl
 from fedq import datagen as dg
 from fedq import quantkit as qk
 from fedq import sslcore as ssl
-from fedq.errors import InvalidParams, StateMismatch
+from fedq.errors import DimensionMismatch, InvalidParams
 
 from oracle import (
     expected_sq_error, fit_and_quantize_one, quantile_codebook, quantize_one, sgd, start_client, stochastic_grad,
@@ -204,7 +204,8 @@ class TestBackward:
         rng = np.random.default_rng(10)
         w = rng.normal(size=(2, 4))
         fs = cl.quantized_forward(rng.normal(size=(1, 6, 4)), batched([w]), alone(plain_config(), rng))
-        with pytest.raises(StateMismatch):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^upstream shape \(1, 5, 2\) does not match forward output \(1, 6, 2\)$"):
             cl.quantized_backward(fs, np.zeros((1, 5, 2)), batched([w]), alone(plain_config(), rng))
 
 

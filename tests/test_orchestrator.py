@@ -575,6 +575,27 @@ class TestCli:
         assert cli_dispatch(["report", "--metrics", str(metrics)]) == 1
         assert capsys.readouterr().err == f"error: {metrics}: the header has no round column\n"
 
+    def test_report_names_a_column_the_header_names_twice(self, tmp_path, capsys):
+        # dict(zip(header, fields)) kept only the last 'a', so the first went missing
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("round,a,a\n0,1.5,2.5\n")
+        assert cli_dispatch(["report", "--metrics", str(metrics)]) == 1
+        assert capsys.readouterr().err == f"error: {metrics}: the header names column 'a' twice\n"
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_report_refuses_an_out_that_is_its_input(self, tmp_path, capsys, link):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("round,global_loss\n0,1.5\n1,1.25\n")
+        before = metrics.read_bytes()
+        out = tmp_path / "alias.csv" if link else metrics
+        if link:
+            out.symlink_to(metrics)
+        assert cli_dispatch(["report", "--metrics", str(metrics), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {out} is the --metrics file; its long copy would overwrite it\n"
+        assert metrics.read_bytes() == before
+
     def test_run_threads_flag_deterministic(self, tmp_path, capsys):
         # Clients train in id order on one thread: CLI reruns are
         # byte-identical, and there is no thread-count flag to vary.

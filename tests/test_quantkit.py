@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedq import quantkit as qk
-from fedq.errors import DegenerateRange, InvalidParams, NonFiniteInput
+from fedq.errors import InvalidParams, NonFiniteInput
 
 from conftest import examples
 from oracle import (degenerate_codebook, expected_sq_error, fit_and_quantize_one, quantile_codebook, quantize_one,
@@ -36,7 +36,7 @@ class TestUniformCodebook:
         np.testing.assert_allclose(np.diff(cb.centers), 6.0 / 7.0)
 
     def test_degenerate_range_raises(self):
-        with pytest.raises(DegenerateRange):
+        with pytest.raises(InvalidParams, match=r"^range \[1\.0, 1\.0000000000001\] narrower than 1e-12$"):
             qk.build_uniform_codebook(1.0, 1.0 + 1e-13, 4)
 
     def test_bad_rate(self):
