@@ -2,7 +2,6 @@
 
 Subcommands:
     run        execute a configured experiment, writing metrics.csv
-    datagen    export the synthetic shards of a config to disk
     quantprobe rate-distortion sweep on clipped-Gaussian data
     oracle     closed-form optimum, loss floor, representability report
     report     summarize a metrics.csv and emit a long-format copy
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import analysis, quantkit, sslcore
 from .config import load_config
-from .datagen import generate_all_shards, global_covariance, write_dataset
+from .datagen import generate_all_shards, global_covariance
 from .errors import FedqError, InvalidParams, ParseError
 from .experiment import run_experiment
 
@@ -66,13 +65,6 @@ def _cmd_run(args) -> int:
     last = result.records[-1]
     print(f"completed {cfg.rounds} rounds; metrics at {result.output_dir}/metrics.csv")
     print(f"global loss: {result.records[0].global_loss:.6g} -> {last.global_loss:.6g}")
-    return 0
-
-
-def _cmd_datagen(args) -> int:
-    cfg = load_config(args.config)
-    paths = write_dataset(args.out, cfg.data)
-    print(f"wrote {len(paths)} shard files to {args.out}")
     return 0
 
 
@@ -171,11 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True)
     run.add_argument("--out", default=None, help="override output_dir")
     run.set_defaults(fn=_cmd_run)
-
-    dg = sub.add_parser("datagen", help="export shard files")
-    dg.add_argument("--config", required=True)
-    dg.add_argument("--out", required=True)
-    dg.set_defaults(fn=_cmd_datagen)
 
     qp = sub.add_parser("quantprobe", help="rate-distortion sweep")
     qp.add_argument("--rates", default="3..8", help="e.g. 3..8 or 3,5,7")

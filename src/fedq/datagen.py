@@ -10,23 +10,16 @@ noise shrinks with d.
 
 Shard generation is deterministic per (params, client, seed): each
 client draws from its own RNG stream derived from the base seed, so
-shards can be generated in parallel in any order. ``write_dataset``
-exports them for outside tools; nothing in fedq reads them back.
+shards can be generated in parallel in any order. A shard holds only
+its samples, laid out class by class (see ``generate_shard``).
 """
 
-import json
 import math
-import struct
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams, _is_int, _is_real, _must
-
-_MAGIC = b"FQDS"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIIQQ")
 
 
 @dataclass(frozen=True)
@@ -73,23 +66,15 @@ class DataGenParams:
 
 @dataclass
 class DataShard:
-    """One client's sample matrix with class labels.
-
-    Labels are class ids in [1, 2n]; SSL training ignores them but they
-    support class-count audits and downstream tasks. The empirical
-    covariance is cached on first use.
-    """
+    """One client's samples, one row each; the covariance is cached on first use."""
 
     client_id: int
     samples: np.ndarray
-    labels: np.ndarray
     covariance_cache: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.samples.ndim != 2:
             raise InvalidParams("samples must be a 2-D matrix")
-        if self.samples.shape[0] != self.labels.shape[0]:
-            raise InvalidParams("labels length must equal sample count")
 
     @property
     def size(self) -> int:
@@ -115,8 +100,9 @@ def generate_shard(params: DataGenParams, k: int) -> DataShard:
 
     frequent_count samples each of classes 2k-1 and 2k, plus
     infrequent_count samples of class 2i-1 for every other client i
-    (none of class 2i), drawn from ``client_rng(params.seed, k)`` class
-    by class into one preallocated sample matrix.
+    (none of class 2i), in that row order, drawn from
+    ``client_rng(params.seed, k)`` class by class into one preallocated
+    sample matrix.
     """
     if not 1 <= k <= params.n:
         raise InvalidParams(f"client index {k} outside [1, {params.n}]")
@@ -137,7 +123,7 @@ def generate_shard(params: DataGenParams, k: int) -> DataShard:
         z *= mu  # the rounding of x += mu * z
         x += z
         del z  # before the next class draws its own
-    return DataShard(k, samples, np.repeat(np.array(classes, dtype=np.uint32), counts))
+    return DataShard(k, samples)
 
 
 def generate_all_shards(params: DataGenParams) -> list[DataShard]:
@@ -168,30 +154,3 @@ def global_covariance(shards: list[DataShard]) -> np.ndarray:
             raise DimensionMismatch(f"shard {s.client_id} has d={s.dim}, expected {d}")
         out += (s.size / total) * s.covariance()
     return out
-
-
-def write_shard(path: Path | str, shard: DataShard) -> None:
-    """Binary shard file: FQDS header, row-major float64 samples, u32 labels."""
-    path = Path(path)
-    with open(path, "wb") as f:
-        rows, d = shard.samples.shape
-        f.write(_HEADER.pack(_MAGIC, _VERSION, shard.client_id, rows, d))
-        f.write(np.ascontiguousarray(shard.samples, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(shard.labels, dtype="<u4").tobytes())
-
-
-def write_dataset(out_dir: Path | str, params: DataGenParams) -> list[Path]:
-    """Write one file per client plus a params sidecar; returns the paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for shard in generate_all_shards(params):
-        p = out_dir / f"client_{shard.client_id:03d}.fqds"
-        write_shard(p, shard)
-        paths.append(p)
-    meta = asdict(params)
-    meta["infrequent_count"] = params.infrequent_count
-    meta["tau"] = params.tau
-    meta["mu"] = params.mu
-    (out_dir / "datagen.json").write_text(json.dumps(meta, indent=2) + "\n")
-    return paths

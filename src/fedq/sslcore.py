@@ -120,14 +120,21 @@ def orthonormal_row_basis(w: np.ndarray) -> np.ndarray:
     """
     if w.ndim != 2:
         raise DimensionMismatch("feature matrix must be 2-D")
-    scale = float(np.linalg.norm(w))
+    with np.errstate(over="ignore"):  # an overflowing norm is mended below
+        scale = float(np.linalg.norm(w))
     # A NaN or inf entry makes the norm non-finite, so only then are the
-    # entries read; a finite matrix whose norm overflows drops every row below.
-    if not scale < np.inf and not np.isfinite(w).all():
-        raise NonFiniteInput("feature matrix holds NaN or inf", row=int(np.argmin(np.isfinite(w).all(axis=1))))
+    # entries read. A finite matrix whose norm overflows is scaled by its
+    # largest entry: the same span, with a finite norm and row norms.
+    if not scale < np.inf:
+        if not np.isfinite(w).all():
+            raise NonFiniteInput("feature matrix holds NaN or inf", row=int(np.argmin(np.isfinite(w).all(axis=1))))
+        w = w / np.max(np.abs(w))
+        scale = float(np.linalg.norm(w))
     if scale == 0.0:
         raise InvalidParams("feature matrix has no nonzero rows")
     tol = RANK_TOL * scale
+    # Until a row joins the basis each row is its own residual, and the
+    # longest has norm >= scale / sqrt(rows) > tol: the basis is never empty.
     basis: list[np.ndarray] = []
     for row in w:
         v = row.astype(np.float64, copy=True)
@@ -137,8 +144,6 @@ def orthonormal_row_basis(w: np.ndarray) -> np.ndarray:
         norm = float(np.linalg.norm(v))
         if norm > tol:
             basis.append(v / norm)
-    if not basis:
-        raise InvalidParams("all rows numerically zero or dependent")
     return np.vstack(basis)
 
 
@@ -158,7 +163,8 @@ def spectral_norm(x: np.ndarray) -> float:
     Starts from ones / sqrt(d), or from x's largest column x e_j when x
     maps that to zero (x^2 e_j = 0 only if x e_j = 0, so only a zero
     matrix gives 0.0). At most 100 steps; stops once successive norms
-    agree to 1e-10 relative.
+    agree to 1e-10 relative, a test that a power-of-two scale of x
+    leaves unchanged, so spectral_norm(s x) == s spectral_norm(x).
     """
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
@@ -172,7 +178,7 @@ def spectral_norm(x: np.ndarray) -> float:
         if norm == 0.0:
             return 0.0
         v /= norm
-        if abs(norm - last) <= 1e-10 * max(norm, 1.0):
+        if abs(norm - last) <= 1e-10 * norm:
             last = norm
             break
         last = norm

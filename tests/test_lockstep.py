@@ -34,7 +34,7 @@ def _shard(k, rows, kind, seed):
         x[x == 0.0] = r.choice([-0.0, 0.0], size=int((x == 0.0).sum()))
     elif kind == "zeros":  # zero data: an all-zero upstream gradient row
         x = np.zeros((rows, D))
-    return DataShard(k, x, np.zeros(rows, dtype=np.uint32))
+    return DataShard(k, x)
 
 
 def _assert_same_model(a: list[qk.QuantizedTensor], b: list[qk.QuantizedTensor]):
@@ -87,7 +87,7 @@ def test_lockstep_round_matches_each_client_alone(seed, bits, kinds, sizes, batc
     # A full-batch cohort adopts its shards' arrays, so the clients alone
     # train on copies of the shards, not on the shards the cohorts stack.
     alone = {k: start_client(cfg, bits[k], init, np.random.default_rng([seed, k]),
-                             DataShard(k, shards[k].samples.copy(), shards[k].labels)) for k in ids}
+                             DataShard(k, shards[k].samples.copy())) for k in ids}
 
     saved = cl.LOCKSTEP_ELEMENTS
     cl.LOCKSTEP_ELEMENTS, cl.local_update = group_cap, _checked_update
@@ -130,7 +130,7 @@ def test_start_clients_forms_cohorts_by_shard_size_in_id_order(monkeypatch):
     bits = {1: 2, 2: 3, 3: 4, 4: 5, 5: 6}
 
     def copy(k):
-        return DataShard(k, shards[k].samples.copy(), shards[k].labels)
+        return DataShard(k, shards[k].samples.copy())
 
     def start(cap, given):
         monkeypatch.setattr(cl, "LOCKSTEP_ELEMENTS", cap)
@@ -166,7 +166,7 @@ def test_every_cohort_step_trains_within_the_cap(seed, sizes, dims, batch_size, 
     # at most LOCKSTEP_ELEMENTS elements, or its cohort is one client: a
     # cohort trains only at the batch size its cap was checked at.
     rng = np.random.default_rng(seed)
-    shards = {k: DataShard(k, rng.normal(size=(rows, dims[0])), np.zeros(rows, dtype=np.uint32))
+    shards = {k: DataShard(k, rng.normal(size=(rows, dims[0])))
               for k, rows in enumerate(sizes, start=1)}
     init = cl.init_layers(dims, rng, 0.3)
     widest = max(max(w.shape) for w in init)
@@ -214,7 +214,7 @@ def _start(shards, batch_size):
 
 def test_a_full_batch_cohort_holds_its_shards_samples_in_one_stack():
     shards = _mixed_shards()
-    twins = {k: DataShard(k, s.samples.copy(), s.labels) for k, s in shards.items()}
+    twins = {k: DataShard(k, s.samples.copy()) for k, s in shards.items()}
     cohorts = _start(shards, None)
     assert [c.ids for c in cohorts] == [(1, 3, 4), (2, 5)]
     for c in cohorts:

@@ -395,7 +395,7 @@ class TestRunExperiment:
         assert all(c / total != c * (1 / total) for c in sizes.values())
         real_shards = exp.generate_all_shards
         monkeypatch.setattr(exp, "generate_all_shards", lambda params: [
-            DataShard(s.client_id, s.samples[:sizes[s.client_id]], s.labels[:sizes[s.client_id]])
+            DataShard(s.client_id, s.samples[:sizes[s.client_id]])
             for s in real_shards(params)])
         real_stored = exp.stored_models
         inits = []
@@ -467,7 +467,7 @@ class TestDivergence:
             x = np.random.default_rng(k).normal(size=(20, 6))
             if k == 2:
                 x[5, 1] = np.inf
-            shards[k] = DataShard(k, x, np.zeros(20, dtype=np.uint32))
+            shards[k] = DataShard(k, x)
         bits = dict.fromkeys(shards, 4)
         cohorts = cl.start_clients(cl.ClientConfig(batch_size=8), init, bits,
                                    {k: np.random.default_rng(k) for k in shards}, shards)

@@ -186,6 +186,27 @@ class TestQuantileCodebook:
         assert np.all(np.diff(cb.centers) > 0)
         assert cb.centers[-1] <= values.max()
 
+    @settings(max_examples=examples(100), deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rates=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+           n=st.integers(2, 48), log_scale=st.floats(-3.0, 3.0), s=st.sampled_from([2.0, 0.25, 8.0]))
+    def test_power_of_two_scale_commutes_with_the_fit(self, seed, rates, n, log_scale, s):
+        # Distinct integers times one scale: no row is degenerate and no
+        # center needs repair, so every step of the fit and of the rounding
+        # either scales by s exactly or compares two values that both did.
+        r = np.random.default_rng(seed)
+        x = np.stack([r.choice(2 * 10**6, n, replace=False) - 10**6 for _ in rates]) * 10.0**log_scale
+        rates = tuple(rates)
+        cb, n_le = qk.fit_codebook(x, rates, "quantile")
+        cb_s, n_le_s = qk.fit_codebook(s * x, rates, "quantile")
+        assert not cb.degenerate.any() and not cb_s.degenerate.any()
+        np.testing.assert_array_equal(n_le_s, n_le)
+        np.testing.assert_array_equal(cb_s.centers, s * cb.centers)
+        rngs = [np.random.default_rng([seed, i]) for i in range(len(rates))]
+        twins = copy.deepcopy(rngs)
+        q = qk.stochastic_quantize(x, (cb, n_le), rngs)
+        q_s = qk.stochastic_quantize(s * x, (cb_s, n_le_s), twins)
+        np.testing.assert_array_equal(q_s.indices, q.indices)
+
 
 class TestStochasticQuantize:
     def test_probability_split(self, rng):

@@ -26,18 +26,18 @@ STAGES = ("generate_all_shards", "start_clients", "quantized_forward", "ssl_upst
 # behind that one-time fill. Tiny sizes cut rounds, which leaves every
 # step and server stage's column equal to the full-size one; on
 # linear-minibatch and relu-actq they also cut the shards to a tenth, so
-# generate_all_shards reads 476 there against 4623 at full size. A change
+# generate_all_shards reads 471 there against 4578 at full size. A change
 # that raises a budget says so, and why, in CHANGES.md; one that lowers a
 # stage's working set lowers its budget with it.
 BUDGET_KIB = {
-    "linear-fullbatch-16c": (1571, 446, 95, 331, 488, 172, 232, 254),
-    "linear-minibatch": (474, 41, 9, 34, 197, 28, 29, 34),
-    "relu-actq": (474, 346, 674, 34, 949, 344, 336, 358),
+    "linear-fullbatch-16c": (1558, 446, 95, 331, 488, 172, 232, 254),
+    "linear-minibatch": (471, 41, 9, 34, 197, 28, 29, 34),
+    "relu-actq": (471, 346, 674, 34, 949, 344, 336, 358),
 }
 WARM_BUDGET_KIB = {
-    "linear-fullbatch-16c": (1567, 419, 95, 331, 318, 172, 232, 254),
-    "linear-minibatch": (474, 29, 9, 34, 50, 28, 29, 34),
-    "relu-actq": (474, 337, 664, 34, 589, 344, 336, 358),
+    "linear-fullbatch-16c": (1554, 419, 95, 331, 318, 172, 232, 254),
+    "linear-minibatch": (470, 29, 9, 34, 50, 28, 29, 34),
+    "relu-actq": (470, 337, 664, 34, 589, 344, 336, 358),
 }
 # The highest traced memory of each run at --tiny (the most peak_kib of
 # any stage, fresh process), in KiB: what the process holds at once, the
@@ -51,7 +51,7 @@ PEAK_BUDGET_KIB = {"linear-fullbatch-16c": 3025, "linear-minibatch": 882, "relu-
 # The counts hold only under the interpreter and numpy they were taken
 # with (Python 3.12 inlines comprehensions, for one).
 CALL_BUDGET_VERSIONS = ("3.11.7", "2.4.6")  # Python, numpy
-CALL_BUDGET = {"linear-fullbatch-16c": (11010, 12725), "linear-minibatch": (5566, 7297), "relu-actq": (3195, 4097)}
+CALL_BUDGET = {"linear-fullbatch-16c": (10974, 12683), "linear-minibatch": (5563, 7282), "relu-actq": (3183, 4073)}
 
 
 def allowed_kib(budget: int) -> float:

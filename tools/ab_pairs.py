@@ -9,14 +9,15 @@ tree's own benchmark, from its root), the parent first in even pairs
 and the change first in odd ones, so drift of the machine's speed hits
 both sides alike. One invocation gives one sample per end-to-end
 metric: the median of its runs. The script prints, per metric, the
-median and quartiles of each side and the pairs the change won, and
-writes every pair plus that summary as JSON to ``--out`` under the key
+median and quartiles of each side, the pairs the change won and a
+verdict (see ``verdict``), and writes every pair plus that summary as
+JSON to ``--out`` under the key
 "<workload>@seed<S>" (other keys in the file are kept), with the
 machine: platform, Python, CPU count, numpy version and the BLAS numpy
 was built against. A comma-separated ``--workload`` list runs the
 workloads one after another, all pairs of one before the next. Metric
-names and directions come from the change tree's ``BENCHMARK.json``. It
-only reads ``perfbench/``.
+names, directions and bounds come from the change tree's
+``BENCHMARK.json``. It only reads ``perfbench/``.
 """
 
 import argparse
@@ -60,7 +61,44 @@ def machine() -> dict:
             "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")}}
 
 
-def run_pairs(args, workload: str, seconds: float, better: dict) -> dict:
+def verdict(s: dict, bound: float) -> str:
+    """One metric's summary ``s`` read by the claim rule, ``bound`` its relative bound.
+
+    "gain": the change won at least 9 of 10 pairs and its median is better
+    than the parent's by more than the parent's interquartile distance;
+    "worse than bound": its median is worse by more than ``bound`` of the
+    parent's; "unresolved": neither, and the parent's interquartile
+    distance exceeds ``bound`` of its median; otherwise "within bound".
+    """
+    parent, change = s["parent"], s["change"]
+    better_by = parent["median"] - change["median"]
+    if s["better"] == "higher":
+        better_by = -better_by
+    spread = parent["q3"] - parent["q1"]
+    if 10 * s["change_won"] >= 9 * s["pairs"] and better_by > spread:
+        return "gain"
+    if -better_by > bound * parent["median"]:
+        return "worse than bound"
+    if spread > bound * parent["median"]:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(pairs: list[dict], metrics: dict) -> dict:
+    """Per metric of ``metrics`` ({name: (better, bound)}): each side's
+    quartiles, the pairs the change won, and the verdict."""
+    summary = {}
+    for name, (direction, bound) in metrics.items():
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        won = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(parent, change))
+        summary[name] = {"better": direction, "parent": quartiles(parent), "change": quartiles(change),
+                         "change_won": won, "pairs": len(pairs)}
+        summary[name]["verdict"] = verdict(summary[name], bound)
+    return summary
+
+
+def run_pairs(args, workload: str, seconds: float, metrics: dict) -> dict:
     pairs = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -69,21 +107,15 @@ def run_pairs(args, workload: str, seconds: float, better: dict) -> dict:
             pair[side] = invoke(getattr(args, side), workload, args.seed, seconds)
         pairs.append(pair)
         print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): "
-              + "  ".join(f"{m} {pair['parent'][m]:.4g} -> {pair['change'][m]:.4g}" for m in better),
+              + "  ".join(f"{m} {pair['parent'][m]:.4g} -> {pair['change'][m]:.4g}" for m in metrics),
               flush=True)
 
-    summary = {}
-    for name, direction in better.items():
-        parent = [p["parent"][name] for p in pairs]
-        change = [p["change"][name] for p in pairs]
-        won = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(parent, change))
-        summary[name] = {"better": direction, "parent": quartiles(parent), "change": quartiles(change),
-                         "change_won": won, "pairs": len(pairs)}
-        s = summary[name]
+    summary = summarize(pairs, metrics)
+    for name, s in summary.items():
         print(f"{workload} {name:<16} parent {s['parent']['median']:.4g} [{s['parent']['q1']:.4g}, "
               f"{s['parent']['q3']:.4g}]  change {s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
               f"{s['change']['q3']:.4g}]  ratio {s['change']['median'] / s['parent']['median']:.3f}"
-              f"  change won {won}/{len(pairs)}", flush=True)
+              f"  change won {s['change_won']}/{s['pairs']}  {s['verdict']}", flush=True)
     return {"workload": workload, "seed": args.seed, "seconds": seconds, "machine": machine(),
             "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "summary": summary, "pairs": pairs}
@@ -101,10 +133,10 @@ def main() -> int:
     args = ap.parse_args()
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
 
     for workload in args.workload.split(","):
-        result = run_pairs(args, workload, seconds, better)
+        result = run_pairs(args, workload, seconds, metrics)
         if args.out is not None:
             data = json.loads(args.out.read_text()) if args.out.exists() else {}
             data[f"{workload}@seed{args.seed}"] = result
