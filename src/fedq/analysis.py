@@ -284,7 +284,10 @@ def write_probe_csv(rows: list[dict], path) -> None:
 
 
 def rate_slope(rows: list[dict], key: str) -> float:
-    """log2(error) per bit; the rate-distortion exponent estimate."""
+    """log2(error) per bit; the rate-distortion exponent estimate. Every error must be > 0."""
+    bad = next((r for r in rows if not r[key] > 0), None)
+    if bad is not None:
+        raise InvalidParams(f"{key} must be > 0 to take its log2, got {bad[key]} at rate {bad['rate']}")
     return fit_slope([r["rate"] for r in rows], [math.log2(r[key]) for r in rows])
 
 

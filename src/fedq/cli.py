@@ -2,7 +2,8 @@
 
 Subcommands:
     run        execute a configured experiment, writing metrics.csv
-    quantprobe rate-distortion sweep on clipped-Gaussian data
+    quantprobe exact rate-distortion sweep of the tanh and quantile
+               companders on clipped-Gaussian data
     oracle     closed-form optimum, loss floor, representability report
     report     summarize a metrics.csv and emit a long-format copy
 """
@@ -23,8 +24,7 @@ from .errors import FedqError, InvalidParams, ParseError
 from .experiment import run_experiment
 
 
-# quantprobe draws N(0,1) samples clipped to [-CLIP, CLIP].
-CLIP = 3.0
+CLIP = 3.0  # quantprobe's N(0,1) samples are clipped to [-CLIP, CLIP]
 
 
 def _parse_rates(expr: str) -> list[int]:
@@ -42,19 +42,21 @@ def _parse_rates(expr: str) -> list[int]:
     return rates
 
 
-def clipped_gaussian_mse_sweep(rates: list[int], samples: int, seed: int, draws: int) -> list[dict]:
-    """Uniform-codebook MSE per rate on N(0,1) samples clipped to [-CLIP, CLIP].
+def clipped_gaussian_mse_sweep(rates: list[int], samples: int, seed: int) -> list[dict]:
+    """Expected MSE per rate of the tanh and quantile codebooks fitted to
+    N(0,1) samples clipped to [-CLIP, CLIP], as training fits them.
 
-    One ``{"rate", "mse"}`` row per rate, the probe-row format of
-    ``analysis.write_probe_csv`` and ``analysis.rate_slope``.
+    One ``{"rate", "tanh_mse", "quantile_mse"}`` row per rate, the
+    probe-row format of ``analysis.write_probe_csv`` and
+    ``analysis.rate_slope``. Each MSE is exact given the fit
+    (``quantkit.expected_error``), so nothing is drawn after the samples.
     """
-    rng = np.random.default_rng(seed)
-    data = np.clip(rng.standard_normal(samples), -CLIP, CLIP)
-    rows = []
-    for rate in rates:
-        cb = quantkit.build_uniform_codebook(-CLIP, CLIP, rate)
-        rows.append({"rate": rate, "mse": quantkit.empirical_mse(cb, data, rng, draws=draws)})
-    return rows
+    data = np.clip(np.random.default_rng(seed).standard_normal((1, samples)), -CLIP, CLIP)
+
+    def mse(rate: int, compander: str) -> float:
+        return float(quantkit.expected_error(data, quantkit.fit_codebook(data, (rate,), compander))[0]) / samples
+
+    return [{"rate": r, "tanh_mse": mse(r, "tanh"), "quantile_mse": mse(r, "quantile")} for r in rates]
 
 
 def _cmd_run(args) -> int:
@@ -70,17 +72,17 @@ def _cmd_run(args) -> int:
 
 def _cmd_quantprobe(args) -> int:
     rates = _parse_rates(args.rates)
-    if args.samples < 1:
-        raise InvalidParams(f"--samples must be >= 1, got {args.samples}")
+    # With no more samples than centers a fit can hold every sample: zero error, no slope.
+    if args.samples <= 1 << max(rates):
+        raise InvalidParams(f"--samples must exceed 2^{max(rates)} = {1 << max(rates)}, the centers "
+                            f"of the highest rate in --rates, got {args.samples}")
     if args.seed < 0:
         raise InvalidParams(f"--seed must be >= 0, got {args.seed}")
-    if args.draws < 1:
-        raise InvalidParams(f"--draws must be >= 1, got {args.draws}")
-    rows = clipped_gaussian_mse_sweep(rates, args.samples, seed=args.seed, draws=args.draws)
+    rows = clipped_gaussian_mse_sweep(rates, args.samples, seed=args.seed)
     out = Path(args.out)
     analysis.write_probe_csv(rows, out)
-    slope = analysis.rate_slope(rows, "mse")
-    print(f"wrote {out}; log2(mse) slope per bit: {slope:.3f}")
+    slopes = ", ".join(f"{c} {analysis.rate_slope(rows, f'{c}_mse'):.3f}" for c in ("tanh", "quantile"))
+    print(f"wrote {out}; log2(mse) slope per bit: {slopes}")
     return 0
 
 
@@ -167,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     qp = sub.add_parser("quantprobe", help="rate-distortion sweep")
     qp.add_argument("--rates", default="3..8", help="e.g. 3..8 or 3,5,7")
     qp.add_argument("--samples", type=int, default=1_000_000)
-    qp.add_argument("--draws", type=int, default=4)
     qp.add_argument("--seed", type=int, default=0)
     qp.add_argument("--out", required=True)
     qp.set_defaults(fn=_cmd_quantprobe)

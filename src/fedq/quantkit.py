@@ -6,9 +6,8 @@ rounded stochastically to one of the two bracketing centers so the
 quantization noise has zero mean inside the codebook range, and
 dequantization is an exact table lookup.
 
-Three builders cover the schemes used in training:
+Two builders cover the schemes used in training:
 
-- uniform centers over an explicit range (identity compander),
 - tanh-companded centers fitted to a tensor (used for weights and
   activations),
 - empirical-quantile centers fitted to a tensor (used for gradients).
@@ -21,8 +20,8 @@ order.
 of a batch's leading axis, concatenated at the offsets of a ``FitPlan``.
 Clients training in lockstep each own a row at their own rate; each row
 draws from its own Generator exactly what it would draw alone, and one
-kernel call rounds every row. A single tensor's codebook, uniform or
-stored with a client's tensor, is a batch of one row.
+kernel call rounds every row. A single tensor's codebook, stored with
+a client's tensor, is a batch of one row.
 
 Rounding needs each element's bracket ``n_le``: the number of centers
 <= the value, kept in [1, K - 1]. ``stochastic_quantize`` takes a fit
@@ -30,10 +29,9 @@ Rounding needs each element's bracket ``n_le``: the number of centers
 fit, from the tanh-space grid (``tanh_n_le``) or the element's rank
 (``quantile_n_le``), checks each guess against the centers with the
 row's ends opened to -inf and +inf and searches the misses; small tanh
-batches are searched outright, row by row. ``bracket`` searches them for
-codebooks not fitted to the values. Either way every bracket lies in its
-row, the kernel rounds with it and never searches, and the indices are
-those of a search.
+batches are searched outright, row by row. Either way every bracket lies
+in its row, the kernel rounds with it and never searches, and the
+indices are those of a search.
 """
 
 import math
@@ -66,8 +64,7 @@ class FitPlan:
 
     Row r's K_r centers are ``first[r]:last[r] + 1`` of the concatenated
     centers. It all depends on (n, rates) alone; building it checks the
-    rates. Only a fit reads n: a uniform codebook, fitted to nothing,
-    has n = 0.
+    rates. Only a fit reads n.
     """
 
     def __init__(self, n: int, rates: tuple[int, ...]):
@@ -228,23 +225,6 @@ def _finish(plan: FitPlan, rows: np.ndarray, centers: np.ndarray, spans: list[fl
     return Codebooks(plan, centers, (ends[1] - ends[0] < RANGE_EPS).ravel())
 
 
-def build_uniform_codebook(lo: float, hi: float, rate: int) -> Codebooks:
-    """K = 2^rate equispaced centers over [lo, hi], endpoints included,
-    as one row.
-
-    Raises InvalidParams when the requested range is narrower than
-    RANGE_EPS; an explicit range that narrow is a caller error.
-    """
-    lo = float(lo)
-    hi = float(hi)
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise InvalidParams("range endpoints must be finite")
-    if hi - lo < RANGE_EPS:
-        raise InvalidParams(f"range [{lo}, {hi}] narrower than {RANGE_EPS}")
-    plan = fit_plan(0, (int(rate),))
-    return Codebooks(plan, np.linspace(lo, hi, plan.offsets[-1]), np.array([False]))
-
-
 def build_tanh_codebook(rows: np.ndarray, plan: FitPlan) -> Codebooks:
     """Companding codebook: uniform levels in tanh space, mapped back.
 
@@ -336,9 +316,8 @@ def stochastic_quantize(x: np.ndarray, fit: tuple[Codebooks, np.ndarray], rngs: 
     probability (x - c_j)/(c_{j+1} - c_j) and c_j otherwise, which makes
     the in-range quantization error zero-mean.
 
-    ``fit`` is ``(Codebooks, n_le)`` from ``fit_codebook``, or from
-    ``bracket`` for codebooks not fitted to ``x``. Row r of the leading
-    axis draws from ``rngs[r]``.
+    ``fit`` is ``(Codebooks, n_le)`` from ``fit_codebook``. Row r of the
+    leading axis draws from ``rngs[r]``.
     """
     cbs, n_le = fit
     x = np.asarray(x, dtype=np.float64)
@@ -358,17 +337,6 @@ def unstack(q: QuantizedTensor) -> list[QuantizedTensor]:
     return [QuantizedTensor(q.shape[1:], local[r].astype(dtype), Codebooks(
                 fit_plan(plan.n, (rate,)), cbs.centers[a:b + 1], cbs.degenerate[r:r + 1]))
             for r, (rate, dtype, (a, b)) in enumerate(zip(plan.rates, plan.index_dtypes, plan.first_last))]
-
-
-def bracket(x: np.ndarray, cbs: Codebooks) -> tuple[Codebooks, np.ndarray]:
-    """The fit of codebooks not fitted to ``x``: each row's brackets,
-    searched. NaN has no bracket and raises NonFiniteInput naming its
-    row; +-inf brackets at an end."""
-    rows = np.asarray(x, dtype=np.float64).reshape(len(cbs.plan.rates), -1)
-    nan = np.isnan(rows).any(axis=1)
-    if nan.any():
-        raise NonFiniteInput("cannot quantize NaN", row=int(nan.argmax()))
-    return cbs, _searched_rows(rows, cbs)
 
 
 def _verified(rows, n_le, cbs: Codebooks) -> np.ndarray:
@@ -489,23 +457,24 @@ def error_energy(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return err.reshape(len(err), -1).sum(axis=1)
 
 
-def empirical_mse(cb: Codebooks, samples: np.ndarray, rng: np.random.Generator, draws: int) -> float:
-    """Monte-Carlo estimate of the mean squared quantization error of the
-    one-row codebook ``cb``.
+def expected_error(x: np.ndarray, fit: tuple[Codebooks, np.ndarray]) -> np.ndarray:
+    """Expected ||Q(x) - x||^2 of each row of the leading axis under
+    ``stochastic_quantize`` with ``fit``: the mean of ``error_energy``.
 
-    Brackets ``samples`` once, quantizes them ``draws`` times with fresh
-    randomness and averages the squared reconstruction error. Samples
-    beyond the end centers incur deterministic clamping bias on top of
-    the rounding variance.
+    Inside its row's range an element bracketed by c_j <= x <= c_{j+1}
+    contributes (x - c_j)(c_{j+1} - x); an element beyond an end center
+    clamps to it and contributes the squared distance. A degenerate row
+    maps every element to its first center: sum (x - c_first)^2.
     """
-    if draws < 1:
-        raise InvalidParams("draws must be >= 1")
-    flat = np.ascontiguousarray(samples, dtype=np.float64).ravel()
-    if flat.size == 0:
-        raise InvalidParams("samples must be nonempty")
-    fit = bracket(flat, cb)  # the kernel never writes to its brackets
-    total = 0.0
-    for _ in range(draws):
-        err = dequantize(stochastic_quantize(flat, fit, [rng])) - flat
-        total += float(np.mean(err * err))
-    return total / draws
+    cbs, n_le = fit
+    rows = np.asarray(x, dtype=np.float64).reshape(len(cbs.plan.rates), -1)
+    lo, hi = cbs.centers.take(n_le - 1), cbs.centers.take(n_le)
+    ends = cbs.centers.take(cbs.plan.end_pairs)
+    if cbs.is_degenerate:
+        dead = cbs.degenerate
+        lo[dead] = hi[dead] = ends[1][dead] = ends[0][dead]
+    inside = np.clip(rows, ends[0], ends[1])
+    err = rows - inside
+    err *= err
+    err += (inside - lo) * (hi - inside)
+    return err.sum(axis=1)

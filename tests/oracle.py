@@ -1,5 +1,7 @@
 """Reference formulas the tests check the quantizer, the client and the
-eigensolver against, and single-tensor shorthands for the batched APIs."""
+eigensolver against, single-tensor shorthands for the batched APIs, and
+codebooks fitted to nothing: uniform and degenerate ones, quantized with
+brackets searched by ``reference_bracket``."""
 
 import numpy as np
 
@@ -19,6 +21,14 @@ def quantile_codebook(x, rate):
     return qk.build_quantile_codebook(rows, qk.sort_rows(rows, plan)[0], plan)
 
 
+def uniform_codebook(lo, hi, rate):
+    """K = 2^rate equispaced centers over [lo, hi], ends included, as one
+    row (``np.linspace``). Nothing checks the range: the caller makes
+    it finite and wider than RANGE_EPS."""
+    plan = qk.fit_plan(0, (rate,))
+    return qk.Codebooks(plan, np.linspace(lo, hi, plan.offsets[-1]), np.array([False]))
+
+
 def degenerate_codebook(value, rate):
     """K copies of one center in one row: what a fit to constant input
     holds. Strict increase is waived; quantization maps every element to
@@ -29,10 +39,11 @@ def degenerate_codebook(value, rate):
 
 def quantize_one(x, cb, rng):
     """``qk.stochastic_quantize`` of one tensor with a one-row codebook not
-    fitted to it, its brackets searched by ``qk.bracket``: the tensor as a
-    client stores it."""
+    fitted to it, its brackets searched by ``reference_bracket``: the
+    tensor as a client stores it."""
     x = np.asarray(x, dtype=np.float64)[None]
-    return qk.unstack(qk.stochastic_quantize(x, qk.bracket(x, cb), [rng]))[0]
+    fit = (cb, reference_bracket(cb.centers, x.reshape(1, -1)))
+    return qk.unstack(qk.stochastic_quantize(x, fit, [rng]))[0]
 
 
 def fit_and_quantize_one(x, rate, compander, rng):

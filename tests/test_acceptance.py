@@ -26,7 +26,8 @@ from fedq.config import config_from_dict
 from fedq.experiment import run_experiment, step_round
 from fedq.server import ServerState
 
-from oracle import expected_sq_error, quantile_codebook, quantize_one, sgd, start_client, tanh_codebook
+from oracle import (expected_sq_error, quantile_codebook, quantize_one, sgd, start_client, tanh_codebook,
+                    uniform_codebook)
 
 
 def check(criterion: int, label: str, ok: bool, detail: str = ""):
@@ -77,7 +78,7 @@ def test_criterion_1_quantizer_unbiasedness():
     rng = np.random.default_rng(999)
     data = rng.normal(size=20_000)
     books = {
-        "uniform": qk.build_uniform_codebook(-3.0, 3.0, 4),
+        "uniform": uniform_codebook(-3.0, 3.0, 4),
         "tanh": tanh_codebook(data, 4),
         "quantile": quantile_codebook(data, 4),
     }
@@ -118,18 +119,20 @@ def test_criterion_1_quantizer_unbiasedness():
 def test_criterion_2_rate_distortion_scaling():
     t0 = time.perf_counter()
     rates = [3, 4, 5, 6, 7]
-    # the same sweep `fedq quantprobe` runs
-    rows = clipped_gaussian_mse_sweep(rates, 1_000_000, seed=0, draws=4)
-    probe_slope = an.rate_slope(rows, "mse")
+    # the same sweep `fedq quantprobe` runs: both companders training fits
+    rows = clipped_gaussian_mse_sweep(rates, 1_000_000, seed=0)
+    tanh_slope = an.rate_slope(rows, "tanh_mse")
+    quantile_slope = an.rate_slope(rows, "quantile_mse")
     in_training = an.rate_sweep_probe(rates)
     training_slope = an.rate_slope(in_training, "mean_grad_error_sq")
     elapsed = time.perf_counter() - t0
-    ok = (-2.6 <= probe_slope <= -1.3) and (-2.6 <= training_slope <= -1.3) and elapsed < 120
+    ok = all(-2.6 <= s <= -1.3 for s in (tanh_slope, quantile_slope, training_slope)) and elapsed < 120
     check(
         2,
         "rate-distortion scaling",
         ok,
-        f"quantprobe slope={probe_slope:.2f}, in-training eps_g slope={training_slope:.2f}, {elapsed:.1f}s",
+        f"quantprobe slopes: tanh={tanh_slope:.2f}, quantile={quantile_slope:.2f}; "
+        f"in-training eps_g slope={training_slope:.2f}, {elapsed:.1f}s",
     )
 
 

@@ -419,6 +419,8 @@ TP = an.TheoryParams(1.0)
     (lambda _: an.gq_estimate([], []), "error and alpha records must be nonempty and aligned"),
     (lambda _: an.gq_estimate([0.1, 0.1], [0.1, -0.1]), "step sizes must be positive"),
     (lambda _: an.fit_slope([1.0], [2.0]), "need at least two points"),
+    (lambda _: an.rate_slope([{"rate": 3, "mse": 0.5}, {"rate": 4, "mse": 0.0}], "mse"),
+     r"^mse must be > 0 to take its log2, got 0\.0 at rate 4$"),
     (lambda tmp_path: an.write_probe_csv([], tmp_path / "probe.csv"), "no probe rows"),
     (lambda _: an.representability_lower_bounds(np.eye(3), ssl.sym_eig(np.eye(3)), np.ones((2, 3)), np.ones((2, 2))),
      "w_opt and eps must be m x d with d matching X"),
@@ -427,7 +429,7 @@ TP = an.TheoryParams(1.0)
     (lambda _: an.local_vs_global_representability_report([], np.eye(3), [], 2, 0.1, np.random.default_rng(0)),
      "no shards"),
 ], ids=["zero-covariance", "epochs-zero", "step-zero", "average-misaligned", "average-empty", "gq-misaligned",
-        "gq-empty", "gq-step-negative", "slope-one-point", "probe-no-rows", "bound-eps-shape", "bound-d-mismatch",
+        "gq-empty", "gq-step-negative", "slope-one-point", "slope-zero-error", "probe-no-rows", "bound-eps-shape", "bound-d-mismatch",
         "report-no-shards"])
 def test_rejects_bad_input_with_its_reason(call, message, tmp_path):
     with pytest.raises(InvalidParams, match=message):

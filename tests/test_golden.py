@@ -41,7 +41,7 @@ METRICS_SHA256 = {
     "relu-actq": "fbd765756d56a721f599f0c7f9f34b85f94202cedc79c376db188f36dc9660a7",
 }
 
-QUANTPROBE_SHA256 = "544f23f660949b4ed7d1178cde4b9e9c42fccc5b7abc7aea74ff35b0af3876e3"
+QUANTPROBE_SHA256 = "9b669f02dc2b94a6e23c28c70f2b27195bec9d74bd9e1bd174e8657752fce4da"
 
 
 def _sha256(path) -> str:

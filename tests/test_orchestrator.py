@@ -635,13 +635,12 @@ class TestCli:
         assert err.startswith("error:") and "--seed" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("draws", ["-1", "0"])
+    @pytest.mark.parametrize("draws", ["-1", "0", "4"])
     def test_quantprobe_rejects_bad_draws(self, tmp_path, capsys, draws):
+        # The sweep's errors are exact, so there is no number of draws to set.
         out = tmp_path / "probe.csv"
-        argv = ["quantprobe", "--rates", "3..4", "--draws", draws, "--out", str(out)]
-        assert cli_dispatch(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "--draws" in err
+        assert cli_dispatch(["quantprobe", "--rates", "3..4", "--draws", draws, "--out", str(out)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("samples", ["-1", "0"])
@@ -653,13 +652,25 @@ class TestCli:
         assert err.startswith("error:") and "--samples" in err
         assert not out.exists()
 
+    def test_quantprobe_needs_more_samples_than_centers(self, tmp_path, capsys):
+        # With no more samples than 2^8 centers a fit can hold every sample.
+        out = tmp_path / "probe.csv"
+        argv = ["quantprobe", "--rates", "3..8", "--samples", "256", "--out", str(out)]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--samples" in err and "2^8 = 256" in err
+        assert not out.exists()
+        argv[argv.index("256")] = "257"
+        assert cli_dispatch(argv) == 0
+        assert len(out.read_text().splitlines()) == 7
+
     def test_quantprobe_csv_format(self, tmp_path, capsys):
         out = tmp_path / "probe.csv"
         assert cli_dispatch([
             "quantprobe", "--rates", "3..6", "--samples", "20000", "--out", str(out)
         ]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "rate,mse"
+        assert lines[0] == "rate,tanh_mse,quantile_mse"
         assert len(lines) == 5
         assert [int(l.split(",")[0]) for l in lines[1:]] == [3, 4, 5, 6]
 
