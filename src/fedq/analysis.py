@@ -148,10 +148,10 @@ def convergence_bound_rhs(
         raise InvalidParams("schedule must be nonempty")
     if epochs < 1:
         raise InvalidParams("epochs must be >= 1")
-    if phi0 < phi_min:
+    if not phi0 >= phi_min:
         raise InvalidParams("phi0 must be >= phi_min")
     a = np.asarray(schedule, dtype=np.float64)
-    if np.any(a <= 0):
+    if not np.all(a > 0):
         raise InvalidParams("step sizes must be positive")
     s1 = float(a.sum())
     s2 = float((a * a).sum())
@@ -189,7 +189,7 @@ def gq_estimate(weight_error_sq, weight_alphas, requant_error_sq=(), requant_alp
     ])
     if err.shape != alpha.shape or err.size == 0:
         raise InvalidParams("error and alpha records must be nonempty and aligned")
-    if np.any(alpha <= 0):
+    if not np.all(alpha > 0):
         raise InvalidParams("step sizes must be positive")
     ratios = np.sort(err / alpha)
     k = math.ceil(GQ_COVERAGE * len(ratios)) - 1

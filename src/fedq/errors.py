@@ -25,7 +25,8 @@ class InvalidParams(FedqError):
 
 
 class NonFiniteInput(InvalidParams):
-    """A tensor handed to a quantizer, or a feature matrix, holds NaN or +-inf.
+    """A tensor handed to a quantizer, a feature matrix or a matrix to
+    decompose holds NaN or +-inf.
 
     ``row`` is the first such row of a batch (0 for a single tensor).
     """

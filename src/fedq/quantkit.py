@@ -28,10 +28,9 @@ Rounding needs each element's bracket ``n_le``: the number of centers
 ``(Codebooks, n_le)``. ``fit_codebook`` guesses the brackets from the
 fit, from the tanh-space grid (``tanh_n_le``) or the element's rank
 (``quantile_n_le``), checks each guess against the centers with the
-row's ends opened to -inf and +inf and searches the misses; small tanh
-batches are searched outright, row by row. Either way every bracket lies
-in its row, the kernel rounds with it and never searches, and the
-indices are those of a search.
+row's ends opened to -inf and +inf and searches the misses. So every
+bracket lies in its row, the kernel rounds with it and never searches,
+and the indices are those of a search.
 """
 
 import math
@@ -48,15 +47,6 @@ RANGE_EPS = 1e-12
 
 # Largest codebook rate: 2^24 float64 centers (128 MiB), uint32 indices.
 MAX_RATE = 24
-
-# Fitted tanh batches of TANH_GUESS_MIN elements or more guess their
-# brackets from the grid in one pass, smaller ones search them row by row;
-# quantile rows always guess them from the ranks. Guess against search
-# (numpy 2.4, 2-vCPU AVX-512 x86-64, one thread): a row of 1024 elements
-# 34-40 against 16-19 us; of 2048, 47-55 against 35-38 us at rate 5, 49-65
-# against 110 us at rate 8; of 4096, 56 against 106 us; 16 rows of 1024 at
-# rates 4-8, 178 against 943 us.
-TANH_GUESS_MIN = 2048
 
 
 class FitPlan:
@@ -178,7 +168,7 @@ def as_rows(values, rates: tuple[int, ...]) -> tuple[np.ndarray, FitPlan]:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise InvalidParams("cannot build a codebook from an empty tensor")
-    rows = np.ascontiguousarray(values.reshape(len(rates), -1))
+    rows = values.reshape(len(rates), -1)
     return rows, fit_plan(rows.shape[1], rates)
 
 
@@ -370,11 +360,6 @@ def _searched(centers: np.ndarray, values: np.ndarray, start: int) -> np.ndarray
     return n_le
 
 
-def _searched_rows(rows: np.ndarray, cbs: Codebooks) -> np.ndarray:
-    """Kernel bracket of each element of the (C, n) ``rows``, searched row by row."""
-    return np.array([_searched(cbs.centers[a:b + 1], row, a) for (a, b), row in zip(cbs.plan.first_last, rows)])
-
-
 def tanh_n_le(rows: np.ndarray, cbs: Codebooks) -> np.ndarray:
     """Kernel bracket of each element of the (C, n) ``rows``, for tanh
     codebooks fitted to them: the count of centers <= x kept in
@@ -423,14 +408,14 @@ def fit_codebook(x: np.ndarray, rates: tuple[int, ...], compander: str) -> tuple
     Row r of the leading axis is fitted at ``rates[r]``. Returns the
     codebooks and each element's kernel bracket (the count of centers
     <= the element kept in [1, K - 1], plus the row's offset): guessed
-    from the ranks in quantile rows and from the grid in tanh batches of
-    TANH_GUESS_MIN elements or more, searched in smaller tanh batches. A
-    degenerate row's brackets lie in its row but are never read.
+    from the grid in tanh rows and from the ranks in quantile rows, then
+    checked and searched where missed. A degenerate row's brackets lie in
+    its row but are never read.
     """
     rows, plan = as_rows(x, rates)
     if compander == "tanh":
         cbs = build_tanh_codebook(rows, plan)
-        return cbs, tanh_n_le(rows, cbs) if rows.size >= TANH_GUESS_MIN else _searched_rows(rows, cbs)
+        return cbs, tanh_n_le(rows, cbs)
     if compander == "quantile":
         sorted_rows, order = sort_rows(rows, plan)
         cbs = build_quantile_codebook(rows, sorted_rows, plan)

@@ -66,14 +66,19 @@ def sym_eig(x: np.ndarray) -> EigenDecomposition:
 
     Eigenvalues come out descending and each eigenvector's
     largest-magnitude component is made positive, so the output is
-    reproducible across runs. Raises InvalidParams when the input's
-    asymmetry exceeds 1e-9 and NoConvergence if the underlying QR
-    iteration fails.
+    reproducible across runs. Raises NonFiniteInput naming the first row
+    that holds NaN or inf, InvalidParams when the input's asymmetry
+    exceeds 1e-9 and NoConvergence if the underlying QR iteration fails.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise DimensionMismatch("expected a square matrix")
-    if x.size and float(np.max(np.abs(x - x.T))) > SYMMETRY_TOL:
+    with np.errstate(invalid="ignore", over="ignore"):
+        asymmetry = float(np.max(np.abs(x - x.T), initial=0.0))
+    # A NaN or inf entry makes the asymmetry non-finite, so only then are the entries read.
+    if not asymmetry < np.inf and not np.isfinite(x).all():
+        raise NonFiniteInput("matrix holds NaN or inf", row=int(np.argmin(np.isfinite(x).all(axis=1))))
+    if asymmetry > SYMMETRY_TOL:
         raise InvalidParams(f"asymmetry exceeds {SYMMETRY_TOL}")
     xs = 0.5 * (x + x.T)
     try:

@@ -200,6 +200,15 @@ class TestConvergenceBoundRhs:
         with pytest.raises(InvalidParams):
             an.convergence_bound_rhs(tp, [0.1], 1, 0.5, 1.0, G=0.0, G_q=0.0)
 
+    @pytest.mark.parametrize("schedule, phi0, phi_min, message", [
+        ([0.1], math.nan, 1.0, "phi0 must be >= phi_min"),
+        ([0.1], 5.0, math.nan, "phi0 must be >= phi_min"),
+        ([0.1, math.nan], 5.0, 1.0, "step sizes must be positive"),
+    ], ids=["phi0", "phi_min", "step"])
+    def test_nan_fails_its_precondition(self, schedule, phi0, phi_min, message):
+        with pytest.raises(InvalidParams, match=message):
+            an.convergence_bound_rhs(an.TheoryParams(1.0), schedule, 1, phi0, phi_min, G=0.0, G_q=0.0)
+
 
 class TestWeightedRunningAverage:
     def test_constant_weights_is_mean(self):
@@ -223,6 +232,10 @@ class TestGqEstimate:
         assert gq > 0.0
         # the estimate must actually cover >= 99% of steps
         assert np.mean(errs <= 0.1 * gq**2) >= 0.99
+
+    def test_a_nan_step_size_is_rejected(self):
+        with pytest.raises(InvalidParams, match="step sizes must be positive"):
+            an.gq_estimate([0.01, 0.01], [0.1, math.nan])
 
     def test_covers_requant_family_too(self):
         gq = an.gq_estimate([0.01] * 50, [0.1] * 50, [0.09] * 50, [0.1] * 50)

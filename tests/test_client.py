@@ -352,3 +352,15 @@ class TestRunLocalEpochs:
 def test_init_layers_needs_an_input_and_an_output_width(dims):
     with pytest.raises(InvalidParams, match="need at least input and output widths"):
         cl.init_layers(dims, np.random.default_rng(0), 0.1)
+
+
+@pytest.mark.parametrize("shapes, message", [
+    ([(4, 6)], "shard 1 has d=8, the first layer takes 6"),
+    ([(5, 8), (3, 4)], "layer 1 takes width 4, layer 0 gives 5"),
+], ids=["shard", "layer"])
+def test_start_clients_checks_every_width(shapes, message):
+    layers = [np.ones(s) for s in shapes]
+    rng = np.random.default_rng(0)
+    with pytest.raises(DimensionMismatch, match=message):
+        cl.start_clients(plain_config(), layers, {1: 4}, {1: rng}, {1: make_shard()})
+    assert rng.random() == np.random.default_rng(0).random()  # raised before any draw

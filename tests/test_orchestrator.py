@@ -596,6 +596,24 @@ class TestCli:
         assert captured.err == f"error: --out {out} is the --metrics file; its long copy would overwrite it\n"
         assert metrics.read_bytes() == before
 
+    def test_report_skips_a_non_numeric_column_in_the_summary_only(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("round,global_loss,label\n0,1.5,a\n1,1.25,b\n")
+        assert cli_dispatch(["report", "--metrics", str(metrics)]) == 0
+        out = tmp_path / "metrics_long.csv"
+        assert capsys.readouterr().out == (f"rounds: 0 .. 1\n{'global_loss':>24}: 1.5 -> 1.25\n"
+                                           f"long-format copy: {out}\n")
+        assert out.read_text() == ("round,metric,value\n0,global_loss,1.5\n0,label,a\n"
+                                   "1,global_loss,1.25\n1,label,b\n")
+
+    def test_run_under_a_regular_file_exits_1_with_one_io_error_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_run_dict(tmp_path)))
+        (tmp_path / "file").write_text("")
+        assert cli_dispatch(["run", "--config", str(cfg_path), "--out", str(tmp_path / "file" / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_run_threads_flag_deterministic(self, tmp_path, capsys):
         # Clients train in id order on one thread: CLI reruns are
         # byte-identical, and there is no thread-count flag to vary.

@@ -226,9 +226,7 @@ class TestRunRound:
             assert server.requant_error[k] == eps_r_sq
 
     def test_each_client_gets_a_fit_of_its_own(self):
-        # One chunk, on a layer whose tanh brackets are searched and on one
-        # where they are guessed.
-        assert 4 * 8 * 32 < qk.TANH_GUESS_MIN <= 4 * 64 * 64  # a batch of 4 rows
+        # One chunk of four clients, on a small layer and a large one.
         self.assert_each_client_fit_alone({2: 4, 3: 8, 5: 4, 9: 6}, [(8, 32), (64, 64)], 29)
 
     def test_clients_beyond_one_chunk_each_get_a_fit_of_their_own(self, monkeypatch):

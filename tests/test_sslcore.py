@@ -308,3 +308,22 @@ def test_spectral_norm_commutes_with_a_power_of_two_scale(s, lam1):
 def test_rejects_bad_input_with_its_reason(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("entry, value", [((1, 1), np.nan), ((2, 0), np.nan), ((1, 2), np.inf),
+                                          ((2, 2), -np.inf)], ids=["nan-diagonal", "nan", "inf", "inf-diagonal"])
+def test_sym_eig_names_the_first_non_finite_row(entry, value):
+    # NaN fails every comparison, so an asymmetry test alone lets it through
+    # as NaN eigenpairs.
+    x = np.eye(3)
+    x[entry] = value
+    with pytest.raises(NonFiniteInput, match="matrix holds NaN or inf") as e:
+        ssl.sym_eig(x)
+    assert e.value.row == entry[0]
+
+
+def test_sym_eig_rejects_a_finite_asymmetry_that_overflows():
+    x = np.zeros((2, 2))
+    x[0, 1], x[1, 0] = 1e308, -1e308
+    with pytest.raises(InvalidParams, match="asymmetry exceeds"):
+        ssl.sym_eig(x)
