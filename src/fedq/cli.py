@@ -11,6 +11,7 @@ Subcommands:
 import argparse
 import csv
 import dataclasses
+import io
 import math
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, quantkit, sslcore
-from .config import load_config
+from .config import load_config, read_utf8
 from .datagen import generate_all_shards, global_covariance
 from .errors import FedqError, InvalidParams, ParseError
 from .experiment import run_experiment
@@ -116,18 +117,17 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_report(args) -> int:
     path = Path(args.metrics)
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, [])
-        twice = [col for i, col in enumerate(header) if col in header[:i]]
-        if twice:  # a dict row would keep only the last of them
-            raise ParseError(f"{path}: the header names column {twice[0]!r} twice")
-        rows = []
-        for fields in filter(None, reader):  # csv.DictReader's rule: blank lines are no rows
-            if len(fields) != len(header):
-                raise ParseError(f"{path}:{reader.line_num}: row has {len(fields)} fields, "
-                                 f"the header {len(header)}")
-            rows.append(dict(zip(header, fields)))
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    header = next(reader, [])
+    twice = [col for i, col in enumerate(header) if col in header[:i]]
+    if twice:  # a dict row would keep only the last of them
+        raise ParseError(f"{path}: the header names column {twice[0]!r} twice")
+    rows = []
+    for fields in filter(None, reader):  # csv.DictReader's rule: blank lines are no rows
+        if len(fields) != len(header):
+            raise ParseError(f"{path}:{reader.line_num}: row has {len(fields)} fields, "
+                             f"the header {len(header)}")
+        rows.append(dict(zip(header, fields)))
     if not rows:
         raise ParseError(f"{path}: metrics file has no data rows")
     if "round" not in header:

@@ -24,8 +24,8 @@ _TOP_KEYS = {
     "seeds", "metrics", "output_dir",
 }
 _LR_KEYS = {"kind", "base"}
-_MODEL_KEYS = {"layers", "activation", "m"}
-_DATA_KEYS = {"frequent_count", "infrequent_exponent"}
+_MODEL_KEYS = {"layers", "activation"}
+_DATA_KEYS = {"frequent_count"}
 _SEED_KEYS = {"data", "training"}
 _METRIC_KEYS = {"moreau", "representability"}
 
@@ -72,12 +72,8 @@ class ExperimentConfig:
             "aug_sigma": self.client.aug_sigma,
             "quantize_activations": self.client.quantize_activations,
             "lr": {"kind": self.lr_kind, "base": self.lr_base},
-            "model": {"layers": list(self.model_layers), "activation": self.client.activation,
-                      "m": self.model_layers[-1]},
-            "data": {
-                "frequent_count": self.data.frequent_count,
-                "infrequent_exponent": self.data.infrequent_exponent,
-            },
+            "model": {"layers": list(self.model_layers), "activation": self.client.activation},
+            "data": {"frequent_count": self.data.frequent_count},
             "seeds": {"data": self.data.seed, "training": self.training_seed},
             "metrics": asdict(self.metrics),
             "output_dir": self.output_dir,
@@ -118,8 +114,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     seeds = _object(raw.get("seeds", {}), _SEED_KEYS, "seeds")
     flags = MetricFlags(**_object(raw.get("metrics", {}), _METRIC_KEYS, "metrics"))
 
-    gen = _built(DataGenParams, {"n": "n_clients", "seed": "seeds.data", "frequent_count": "data.frequent_count",
-                                 "infrequent_exponent": "data.infrequent_exponent"},
+    gen = _built(DataGenParams, {"n": "n_clients", "seed": "seeds.data", "frequent_count": "data.frequent_count"},
                  n=raw["n_clients"], d=raw["d"], seed=seeds.get("data", DataGenParams.seed), **data)
     client = _built(ClientConfig, {"activation": "model.activation"},
                     activation=model.get("activation", ClientConfig.activation),
@@ -143,15 +138,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(lr_base is None or (_is_real(lr_base) and lr_base > 0),
              "lr.base must be a positive real number or null for auto")
 
-    layers = model.get("layers")
-    if layers is None:
-        layers = [d, model.get("m", n)]
+    # Without layers, one linear layer to n_clients; the representation width is layers[-1].
+    layers = [d, n] if model.get("layers") is None else model["layers"]
     _require(isinstance(layers, list) and len(layers) >= 2, "model.layers must list >= 2 widths")
     _require(all(_is_int(x) and x >= 1 for x in layers), "model widths must be >= 1")
     _require(layers[0] == d, "model.layers must start at the data dimension d")
-    m = model.get("m", layers[-1])  # without layers or m, the width is n_clients
-    _require(_is_int(m) and 1 <= m <= d, "model.m must be an integer in [1, d]")
-    _require(layers[-1] == m, "model.layers must end at the representation dim m")
+    _require(layers[-1] <= d, "model.layers must end at a representation width in [1, d]")
 
     train_seed = seeds.get("training", 1)
     # np.random.SeedSequence takes only non-negative entropy.
@@ -175,15 +167,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
 
 
+def read_utf8(path: Path) -> str:
+    """The text of ``path``; an unreadable or non-UTF-8 file is a ParseError that names the file."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 at byte offset {e.start}: {e.reason}") from e
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a JSON config file."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as e:
-        raise ParseError(f"cannot read config {path}: {e}") from e
-    try:
-        raw = json.loads(text)
+        raw = json.loads(read_utf8(path))
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     return config_from_dict(raw)

@@ -4,9 +4,9 @@ Each of n clients owns a shard skewed toward two dominant classes:
 client k's frequent samples are built around +/- e_k with tau-scaled
 random interference on the other support coordinates and isotropic
 Gaussian noise, while a much smaller number of samples from the other
-clients' odd classes leak in. The scales are tied to the ambient
-dimension, tau = d^(1/5) and mu = d^(-1/5), so interference grows and
-noise shrinks with d.
+clients' odd classes leak in, ceil(d^INFREQUENT_EXPONENT) per class.
+The scales are tied to the ambient dimension, tau = d^(1/5) and
+mu = d^(-1/5), so interference grows and noise shrinks with d.
 
 Shard generation is deterministic per (params, client, seed): each
 client draws from its own RNG stream derived from the base seed, so
@@ -21,39 +21,37 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams, _is_int, _is_real, _must
 
+INFREQUENT_EXPONENT = 0.3
+
 
 @dataclass(frozen=True)
 class DataGenParams:
     """Knobs of the synthetic-data construction.
 
-    ``infrequent_count``, ``tau`` and ``mu`` are derived from ``d`` and
-    ``infrequent_exponent``; note tau * mu == 1 by construction. Each
-    field's type and range are checked here, and only here: counts and
-    the seed are ints and not bools, the exponent a finite real.
+    ``infrequent_count``, ``tau`` and ``mu`` are derived from ``d``; note
+    tau * mu == 1 by construction. Each field's type and range are checked
+    here, and only here: counts and the seed are ints and not bools.
     """
 
     n: int = 4
     d: int = 32
     frequent_count: int = 2000
-    infrequent_exponent: float = 0.3
     seed: int = 0
 
     def __post_init__(self):
         _must(_is_int(self.n) and self.n >= 1, "n", "an integer >= 1")
         _must(_is_int(self.d) and self.d >= 1, "d", "an integer >= 1")
-        _must(_is_real(self.d), "d", "within float range")  # so d ** infrequent_exponent is a float
+        _must(_is_real(self.d), "d", "within float range")  # so d ** INFREQUENT_EXPONENT is a float
         _must(self.n <= self.d, "n", f"at most d = {self.d}")
         _must(_is_int(self.frequent_count) and self.frequent_count >= 1, "frequent_count", "an integer >= 1")
-        _must(_is_real(self.infrequent_exponent) and 0.0 < self.infrequent_exponent < 1.0,
-              "infrequent_exponent", "in (0, 1)")
         # np.random.SeedSequence takes only non-negative entropy.
         _must(_is_int(self.seed) and self.seed >= 0, "seed", "an integer >= 0")
         _must(self.n * self.infrequent_count <= self.frequent_count, "frequent_count",
-              f"at least the n * ceil(d^infrequent_exponent) = {self.n * self.infrequent_count} infrequent samples")
+              f"at least the n * ceil(d^{INFREQUENT_EXPONENT}) = {self.n * self.infrequent_count} infrequent samples")
 
     @property
     def infrequent_count(self) -> int:
-        return math.ceil(self.d**self.infrequent_exponent)
+        return math.ceil(self.d**INFREQUENT_EXPONENT)
 
     @property
     def tau(self) -> float:

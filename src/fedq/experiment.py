@@ -31,7 +31,7 @@ from . import sslcore
 from .config import ExperimentConfig
 from .datagen import client_rng, generate_all_shards, global_covariance
 from .analysis import TheoryParams, moreau_grad_surrogate
-from .errors import Diverged, NonFiniteInput
+from .errors import Diverged, NoConvergence, NonFiniteInput
 from .server import ServerState, aggregate
 
 AUTO_LR_COEFF = 0.05
@@ -159,12 +159,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # theory path; deep encoders get NaN placeholders in those columns.
     linear = len(cfg.model_layers) == 2
 
-    def global_metrics(global_model: list[np.ndarray]) -> tuple[float, float, list[float]]:
+    def global_metrics(t: int, global_model: list[np.ndarray]) -> tuple[float, float, list[float]]:
         if not linear:
             return math.nan, math.nan, [math.nan] * repr_dims
         w = global_model[0]
         gl = sslcore.loss(w, xbar)
-        mo = moreau_grad_surrogate(w, xbar, tp) if cfg.metrics.moreau else math.nan
+        try:
+            mo = moreau_grad_surrogate(w, xbar, tp) if cfg.metrics.moreau else math.nan
+        except NoConvergence as e:
+            raise NoConvergence(f"round {t}, moreau metric: {e}") from e
         rep = list(sslcore.representability(w)[:repr_dims]) if repr_dims else []
         return gl, mo, rep
 
@@ -186,7 +189,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         tfile.flush()
 
         def emit(t, alpha, global_model, models, stats, eps_r, t0=None):
-            gl, mo, rep = global_metrics(global_model)
+            gl, mo, rep = global_metrics(t, global_model)
             rec = MetricsRecord(
                 round=t,
                 alpha=alpha,

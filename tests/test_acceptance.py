@@ -44,7 +44,7 @@ def reference_instance_dict(out_dir: str, **over):
         "rounds": 50,
         "local_epochs": 2,
         "batch_size": 64,
-        "model": {"m": 2},
+        "model": {"layers": [8, 2]},
         "seeds": {"data": 42, "training": 43},
         "output_dir": out_dir,
     }

@@ -24,7 +24,7 @@ def test_scales_for_d32():
 
 
 def test_infrequent_count_ceiling():
-    p = dg.DataGenParams(n=2, d=32, infrequent_exponent=0.3)
+    p = dg.DataGenParams(n=2, d=32)
     assert p.infrequent_count == int(np.ceil(32**0.3))
 
 
@@ -169,16 +169,14 @@ def test_top_eigenvalues_dominate():
     (lambda: dg.DataGenParams(n=0), InvalidParams, "n must be an integer >= 1"),
     (lambda: dg.DataGenParams(n=True), InvalidParams, "n must be an integer >= 1"),
     (lambda: dg.DataGenParams(d=8.5), InvalidParams, "d must be an integer >= 1"),
-    # d ** infrequent_exponent raised OverflowError for a d past float range.
+    # d ** 0.3 raised OverflowError for a d past float range.
     (lambda: dg.DataGenParams(d=10**399), InvalidParams, "d must be within float range"),
     (lambda: dg.DataGenParams(n=5, d=4), InvalidParams, "n must be at most d = 4"),
     (lambda: dg.DataGenParams(frequent_count=2500.5), InvalidParams, "frequent_count must be an integer >= 1"),
     (lambda: dg.DataGenParams(n=4, d=256, frequent_count=10), InvalidParams,
-     r"frequent_count must be at least the n \* ceil\(d\^infrequent_exponent\) = 24 infrequent samples"),
+     r"frequent_count must be at least the n \* ceil\(d\^0.3\) = 24 infrequent samples"),
     # A negative seed would fail only later, inside SeedSequence, with a ValueError.
     (lambda: dg.DataGenParams(seed=-1), InvalidParams, "seed must be an integer >= 0"),
-    (lambda: dg.DataGenParams(infrequent_exponent=0.0), InvalidParams, r"infrequent_exponent must be in \(0, 1\)"),
-    (lambda: dg.DataGenParams(infrequent_exponent=1.0), InvalidParams, r"infrequent_exponent must be in \(0, 1\)"),
     (lambda: dg.DataShard(1, np.zeros(4)), InvalidParams, "samples must be a 2-D matrix"),
     (lambda: dg.generate_shard(dg.DataGenParams(), 0), InvalidParams, r"client index 0 outside \[1, 4\]"),
     (lambda: dg.generate_shard(dg.DataGenParams(), 5), InvalidParams, r"client index 5 outside \[1, 4\]"),
@@ -186,7 +184,7 @@ def test_top_eigenvalues_dominate():
      "^shard has no samples$"),
     (lambda: dg.global_covariance([]), InvalidParams, "^no shards$"),
 ], ids=["n-zero", "n-bool", "d-real", "d-past-float-range", "n-past-d", "frequent-real", "infrequent-exceeds-frequent", "seed-negative",
-        "beta-zero", "beta-one", "samples-1d", "client-zero", "client-past-n",
+        "samples-1d", "client-zero", "client-past-n",
         "empty-shard", "no-shards"])
 def test_rejects_bad_input_with_its_reason(make, error, message):
     with pytest.raises(error, match=message):

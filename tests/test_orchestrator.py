@@ -16,10 +16,10 @@ from fedq import experiment as exp
 from fedq import quantkit as qk
 from fedq import server as sv
 from fedq import sslcore as ssl
-from fedq.cli import cli_dispatch
+from fedq.cli import cli_dispatch, main
 from fedq.config import config_from_dict, load_config
 from fedq.datagen import DataShard
-from fedq.errors import Diverged, NonFiniteInput, ParseError, ValidationError
+from fedq.errors import Diverged, NoConvergence, NonFiniteInput, ParseError, ValidationError
 from fedq.quantkit import MAX_RATE
 from fedq.experiment import run_experiment
 
@@ -34,8 +34,8 @@ def minimal(**over):
 
 # Keys a drawn config may leave to their defaults, as "section.key".
 OPTIONAL = ["local_epochs", "batch_size", "aug_sigma", "quantize_activations", "lr.kind", "lr.base", "model.layers",
-            "model.activation", "model.m", "data.frequent_count", "data.infrequent_exponent", "seeds.data",
-            "seeds.training", "metrics.moreau", "metrics.representability", "output_dir"]
+            "model.activation", "data.frequent_count", "seeds.data", "seeds.training", "metrics.moreau",
+            "metrics.representability", "output_dir"]
 
 
 @st.composite
@@ -57,10 +57,9 @@ def raw_configs(draw):
         "lr": {"kind": draw(st.sampled_from(["constant", "inverse_sqrt"])),
                "base": draw(st.none() | st.floats(1e-6, 1.0))},
         "model": {"layers": [d, *draw(st.lists(st.integers(1, 8), max_size=2)), m],
-                  "activation": draw(st.sampled_from(cl.ACTIVATIONS)), "m": m},
-        # at least n * d frequent samples cover n * ceil(d^beta) for any beta < 1
-        "data": {"frequent_count": draw(st.integers(n * d, 4000)),
-                 "infrequent_exponent": draw(st.floats(0.01, 0.99))},
+                  "activation": draw(st.sampled_from(cl.ACTIVATIONS))},
+        # at least n * d frequent samples cover the n * ceil(d^0.3) infrequent ones
+        "data": {"frequent_count": draw(st.integers(n * d, 4000))},
         "seeds": {"data": draw(st.integers(0, 2**64)), "training": draw(st.integers(0, 2**64))},
         "metrics": {"moreau": draw(st.booleans()), "representability": draw(st.booleans())},
         "output_dir": draw(st.text(max_size=8)),
@@ -77,7 +76,7 @@ HUGE = 10**399
 
 def bad_values(full: dict) -> dict:
     """For each key of a complete config, values it must reject whatever the rest holds."""
-    n, d, m = full["n_clients"], full["d"], full["model"]["m"]
+    n, d, m = full["n_clients"], full["d"], full["model"]["layers"][-1]
     return {
         "n_clients": [0, True, 2.0, "2", None, d + 1, HUGE],
         "d": [0, True, 8.5, "16", None, n - 1, HUGE],
@@ -93,9 +92,7 @@ def bad_values(full: dict) -> dict:
         "lr.base": [0, -0.1, True, math.nan, math.inf, "0.1", HUGE],
         "model.layers": [[], [d], "x", [d, 0], [d, True], [d, 2.5], [d + 1, m], [d, d + 1]],
         "model.activation": ["tanh", 1, None],
-        "model.m": [0, d + 1, True, 1.5, None, HUGE],
         "data.frequent_count": [0, -1, 2500.5, True, "100", None],
-        "data.infrequent_exponent": [0.0, 1.0, 1.5, math.nan, "0.3", True, None, HUGE],
         "seeds.data": [-1, True, 1.5, "0", None],
         "seeds.training": [-1, True, 1.5, None],
         "metrics.moreau": [0, 1, "false", None],
@@ -138,6 +135,11 @@ class TestConfig:
         # the step size is decided per round; a client has no switch for it
         with pytest.raises(ValidationError, match="unknown key.*constant_within_round"):
             config_from_dict(minimal(lr={"constant_within_round": True}))
+        # model.layers[-1] is the representation width, and the infrequent exponent a constant
+        with pytest.raises(ValidationError, match=r"^unknown key\(s\) \['m'\] in model$"):
+            config_from_dict(minimal(model={"layers": [32, 2], "m": 2}))
+        with pytest.raises(ValidationError, match=r"^unknown key\(s\) \['infrequent_exponent'\] in data$"):
+            config_from_dict(minimal(data={"infrequent_exponent": 0.3}))
 
     @pytest.mark.parametrize("key", ["moreau", "representability"])
     @pytest.mark.parametrize("value", ["false", 0, 1])
@@ -152,8 +154,8 @@ class TestConfig:
         ({"lr": {"base": True}}, "lr.base"),
         ({"lr": {"base": math.inf}}, "lr.base"),
         ({"data": {"frequent_count": 100.5}}, "data.frequent_count"),
-        ({"data": {"infrequent_exponent": "0.3"}}, "data.infrequent_exponent"),
-        ({"data": {"infrequent_exponent": math.nan}}, "data.infrequent_exponent"),
+        ({"data": {"frequent_count": True}}, "data.frequent_count"),
+        ({"data": {"frequent_count": "100"}}, "data.frequent_count"),
         ({"output_dir": 5}, "output_dir"),
         ({"seeds": {"data": -1}}, "seeds.data"),
         ({"seeds": {"training": -1}}, "seeds.training"),
@@ -210,28 +212,31 @@ class TestConfig:
 
     def test_layer_chain_must_match_dims(self):
         with pytest.raises(ValidationError, match="model.layers"):
-            config_from_dict(minimal(model={"layers": [16, 2], "m": 2}))
+            config_from_dict(minimal(model={"layers": [16, 2]}))
 
     def test_m_defaults_to_the_width_layers_ends_at(self):
-        raw = {"n_clients": 2, "d": 8, "bitwidths": [4, 8], "rounds": 1, "model": {"layers": [8, 3]}}
-        cfg = config_from_dict(raw)
-        assert cfg.model_layers == (8, 3) and cfg.to_json_dict()["model"]["m"] == 3
+        # the representation width is model.layers[-1]; without layers it is n_clients
+        raw = {"n_clients": 2, "d": 8, "bitwidths": [4, 8], "rounds": 1}
+        assert config_from_dict(raw).model_layers == (8, 2)  # one linear layer to n_clients
+        cfg = config_from_dict({**raw, "model": {"layers": [8, 3]}})
+        assert cfg.model_layers == (8, 3)
+        assert cfg.to_json_dict()["model"] == {"layers": [8, 3], "activation": "identity"}
 
+    # model.m is no key: a config that sets it fails as unknown, whatever its layers say
     @pytest.mark.parametrize("model, message", [
-        ({"layers": [8, 3], "m": 2}, "model.layers must end at the representation dim m"),
-        ({"layers": [8, 16, 9]}, "model.m must be an integer in \\[1, d\\]"),
-        ({"m": 9}, "model.m must be an integer in \\[1, d\\]"),
+        ({"layers": [8, 3], "m": 2}, r"unknown key\(s\) \['m'\] in model"),
+        ({"layers": [8, 16, 9]}, r"model.layers must end at a representation width in \[1, d\]"),
+        ({"m": 9}, r"unknown key\(s\) \['m'\] in model"),
     ], ids=["disagree", "wider-than-d", "m-wider-than-d"])
     def test_m_and_layers_are_checked_together(self, model, message):
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             config_from_dict({"n_clients": 2, "d": 8, "bitwidths": [4, 8], "rounds": 1, "model": model})
 
     @pytest.mark.parametrize("data, message", [
         ({"frequent_count": 0}, "data.frequent_count must be an integer >= 1"),
-        ({"infrequent_exponent": 1.5}, r"data.infrequent_exponent must be in \(0, 1\)"),
         ({"frequent_count": 1},
-         r"data.frequent_count must be at least the n \* ceil\(d\^infrequent_exponent\) = 6 infrequent samples"),
-    ], ids=["no-frequent", "beta-past-one", "infrequent-exceeds-frequent"])
+         r"data.frequent_count must be at least the n \* ceil\(d\^0.3\) = 6 infrequent samples"),
+    ], ids=["no-frequent", "infrequent-exceeds-frequent"])
     def test_data_section_invalid_names_the_reason(self, data, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             config_from_dict(minimal(data=data))
@@ -266,7 +271,7 @@ def small_run_dict(tmp_path, **over):
         "rounds": 3,
         "local_epochs": 1,
         "batch_size": 32,
-        "model": {"m": 2},
+        "model": {"layers": [8, 2]},
         "data": {"frequent_count": 64},
         "seeds": {"data": 11, "training": 12},
         "output_dir": str(tmp_path / "run"),
@@ -436,7 +441,7 @@ class TestRunExperiment:
                 tmp_path,
                 rounds=2,
                 quantize_activations=True,
-                model={"layers": [8, 4, 2], "activation": "relu", "m": 2},
+                model={"layers": [8, 4, 2], "activation": "relu"},
                 lr={"base": 0.02},
             )
         )
@@ -515,6 +520,16 @@ class TestDivergence:
         metrics = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in metrics[1:]] == ["0", "1"]
 
+    def test_a_moreau_solve_that_fails_names_its_round_and_keeps_rows(self, tmp_path):
+        # A huge constant step drives the global model where the prox's halving guard gives up.
+        raw = {"n_clients": 2, "d": 4, "bitwidths": [2, 2], "rounds": 3, "aug_sigma": 0,
+               "lr": {"kind": "constant", "base": 1e6}, "data": {"frequent_count": 8},
+               "output_dir": str(tmp_path / "run")}
+        with pytest.raises(NoConvergence, match="^round 1, moreau metric: prox objective increased"):
+            run_experiment(config_from_dict(raw))
+        metrics = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in metrics[1:]] == ["0"]
+
     def test_round_number_comes_from_the_server(self, tmp_path, monkeypatch):
         real = exp.cl.run_local_epochs
         calls = itertools.count(1)
@@ -536,6 +551,21 @@ class TestCli:
     def test_missing_required_arg_exits_2(self, capsys):
         assert cli_dispatch(["run"]) == 2
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, code", [([], 2), (["--config", "missing.json"], 1)], ids=["usage", "unreadable"])
+    def test_main_exits_with_the_dispatch_code(self, monkeypatch, tmp_path, capsys, args, code):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.argv", ["fedq", "run", *args])
+        with pytest.raises(SystemExit) as e:
+            main()
+        assert e.value.code == code
+
+    @pytest.mark.parametrize("command, flag", [("run", "--config"), ("oracle", "--config"), ("report", "--metrics")])
+    def test_a_file_that_is_not_utf8_names_its_first_bad_byte(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"n_clients": 2,\xff\xfe}')
+        assert cli_dispatch([command, flag, str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 at byte offset 16: invalid start byte\n"
 
     def test_unreadable_config_exits_1(self, tmp_path, capsys):
         assert cli_dispatch(["run", "--config", str(tmp_path / "nope.json")]) == 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedq import sslcore as ssl
-from fedq.errors import DimensionMismatch, InvalidParams, NonFiniteInput
+from fedq.errors import DimensionMismatch, InvalidParams, NoConvergence, NonFiniteInput
 
 from conftest import examples
 from oracle import reconstruct, stochastic_grad
@@ -320,6 +320,16 @@ def test_sym_eig_names_the_first_non_finite_row(entry, value):
     with pytest.raises(NonFiniteInput, match="matrix holds NaN or inf") as e:
         ssl.sym_eig(x)
     assert e.value.row == entry[0]
+
+
+def test_sym_eig_reports_a_failed_eigensolve_as_no_convergence(monkeypatch):
+    def fail(x):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence, match="^Eigenvalues did not converge$") as e:
+        ssl.sym_eig(np.eye(2))
+    assert isinstance(e.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_sym_eig_rejects_a_finite_asymmetry_that_overflows():
