@@ -63,18 +63,26 @@ _FITTERS = {
     "quantile": lambda x: quantile_codebook(x, 4),
     "fit-tanh": lambda x: fit_and_quantize_one(x, 4, "tanh", np.random.default_rng(0)),
     "fit-quantile": lambda x: fit_and_quantize_one(x, 4, "quantile", np.random.default_rng(0)),
+    "batch-tanh": lambda x: qk.fit_codebook(x, (4,) * len(x), "tanh"),
+    "batch-quantile": lambda x: qk.fit_codebook(x, (4,) * len(x), "quantile"),
 }
 
 
 class TestInputGuards:
     @pytest.mark.parametrize("fitter", list(_FITTERS))
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [pytest.param(math.nan, id="nan"), pytest.param(-math.nan, id="-nan"),
+                                     pytest.param(math.inf, id="inf"), pytest.param(-math.inf, id="-inf")])
     def test_non_finite_input_rejected(self, fitter, bad):
-        x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
-        x[1, 2] = bad
-        with pytest.raises(InvalidParams, match="non-finite") as info:
-            _FITTERS[fitter](x)
-        assert isinstance(info.value, NonFiniteInput)
+        # A packed-key sort puts a negative NaN first, argsort puts it
+        # last; either way it is an end of its row, and the error names it.
+        for n in (4, 512):  # argsort and packed-key quantile rows
+            x = np.linspace(-1.0, 1.0, 3 * n).reshape(3, n)
+            x[1, 2] = bad
+            x[2, 1] = bad
+            with pytest.raises(InvalidParams, match="non-finite") as info:
+                _FITTERS[fitter](x)
+            assert isinstance(info.value, NonFiniteInput)
+            assert info.value.row == (1 if fitter.startswith("batch") else 0)
 
     @pytest.mark.parametrize("fitter", list(_FITTERS))
     def test_empty_input_rejected(self, fitter):
@@ -204,6 +212,51 @@ class TestQuantileCodebook:
         q = qk.stochastic_quantize(x, (cb, n_le), rngs)
         q_s = qk.stochastic_quantize(s * x, (cb_s, n_le_s), twins)
         np.testing.assert_array_equal(q_s.indices, q.indices)
+
+
+def _sort_input(seed, kind, c, n):
+    """(c, n) rows that are hard to sort by packed keys."""
+    r = np.random.default_rng(seed)
+    if kind == "ties":
+        return np.round(r.normal(size=(c, n)) * 2.0) / 2.0
+    if kind == "signed zeros":
+        return r.choice([-0.0, 0.0, 0.0, -0.0, 1.0, -0.5], size=(c, n))
+    if kind == "constant":
+        return np.full((c, n), r.normal())
+    if kind == "near-ties":  # a few values, each moved by 0-2 ulps up or down
+        x = r.choice(r.normal(size=4) * 10.0 ** r.integers(-300, 300, size=4), size=(c, n))
+        for _ in range(2):
+            step = np.nextafter(x, r.choice([-np.inf, np.inf], size=(c, n)))
+            x = np.where(r.random((c, n)) < 0.5, step, x)
+        return x
+    return r.normal(size=(c, n))
+
+
+class TestSortRows:
+    @settings(max_examples=examples(60), deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["normal", "ties", "signed zeros", "constant",
+                                                                "near-ties"]),
+           c=st.integers(1, 3), n=st.sampled_from([1, 511, 512, 1500, 4096, 65536, 65537]))
+    @example(seed=0, kind="near-ties", c=3, n=512)  # packed keys misorder 1-ulp pairs: argsort re-sorts
+    def test_sorted_and_its_argsort(self, seed, kind, c, n):
+        rows = _sort_input(seed, kind, c, n)
+        plan = qk.fit_plan(n, (4,) * c)
+        out, order = qk.sort_rows(rows, plan)
+        assert np.all(out[:, 1:] >= out[:, :-1])
+        assert out.tobytes() == rows.take(order).tobytes()
+        np.testing.assert_array_equal(np.sort(order - plan.row_base, axis=1), np.broadcast_to(np.arange(n), (c, n)))
+        np.testing.assert_array_equal(out, np.sort(rows, axis=1))
+        if 512 <= n <= 65536 and kind != "near-ties":  # packed keys: -0.0 first, then ties in column order
+            np.testing.assert_array_equal(order - plan.row_base, np.lexsort((~np.signbit(rows), rows), axis=1))
+
+    def test_near_ties_fall_back_to_argsort(self):
+        # Keys share all but their low 9 bits: column order puts the larger first.
+        rows = np.ones((2, 512))
+        rows[1, 0] = np.nextafter(1.0, 2.0)
+        plan = qk.fit_plan(512, (4, 4))
+        out, order = qk.sort_rows(rows, plan)
+        assert out[1, -1] == rows[1, 0] and out[1, 0] == 1.0
+        np.testing.assert_array_equal(order[0], np.arange(512))
 
 
 class TestStochasticQuantize:
