@@ -12,16 +12,16 @@ Two builders cover the schemes used in training:
   activations),
 - empirical-quantile centers fitted to a tensor (used for gradients).
 
-Codebooks are immutable and shareable; quantization is pure given the
-caller's RNG stream, consuming one uniform per element in row-major
-order.
+Fitted codebooks are frozen and shareable; quantization is pure given
+the caller's RNG stream, consuming one uniform per element of a live row
+in row-major order, and none for a degenerate (constant) row.
 
 ``Codebooks`` is the one codebook type: ragged codebooks, one per row
 of a batch's leading axis, concatenated at the offsets of a ``FitPlan``.
 Clients training in lockstep each own a row at their own rate; each row
 draws from its own Generator exactly what it would draw alone, and one
-kernel call rounds every row. A single tensor's codebook, stored with
-a client's tensor, is a batch of one row.
+kernel call rounds every live row. A single tensor's codebook, stored
+with a client's tensor, is a batch of one row.
 
 Rounding needs each element's bracket ``n_le``: the number of centers
 <= the value, kept in [1, K - 1]. ``stochastic_quantize`` takes a fit
@@ -117,21 +117,19 @@ def fit_plan(n: int, rates: tuple[int, ...]) -> FitPlan:
 @dataclass(frozen=True)
 class Codebooks:
     """Sorted quantization centers, one codebook per row of a batch,
-    concatenated in ``centers`` at ``plan.offsets``; construction freezes
-    ``centers``.
+    concatenated in ``centers`` at ``plan.offsets``.
 
     Row r holds 2^rates[r] strictly increasing centers, except where
     ``degenerate[r]`` marks a row whose centers span less than RANGE_EPS,
     the fallback built from (near-)constant input: it draws nothing and
-    maps every element to its index 0. The builders establish these facts.
+    maps every element to its index 0. The builders establish these facts;
+    ``_finish`` freezes the centers it fits, and ``unstack``'s rows are
+    read-only views of them. Hand-built codebooks are the caller's.
     """
 
     plan: FitPlan
     centers: np.ndarray
     degenerate: np.ndarray
-
-    def __post_init__(self):
-        self.centers.setflags(write=False)
 
     @property
     def is_degenerate(self) -> bool:  # any row
@@ -169,15 +167,6 @@ def _codebook_size(rate: int) -> int:
     return 1 << int(rate)
 
 
-def as_rows(values, rates: tuple[int, ...]) -> tuple[np.ndarray, FitPlan]:
-    """``values`` as (C, n) float64 rows, one per rate, and their plan."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise InvalidParams("cannot build a codebook from an empty tensor")
-    rows = values.reshape(len(rates), -1)
-    return rows, fit_plan(rows.shape[1], rates)
-
-
 def _spans(lo: np.ndarray, hi: np.ndarray) -> list[float]:
     """Each row's max - min, after checking every entry is finite: a NaN
     or infinite entry is an extremum and makes their sum non-finite."""
@@ -203,21 +192,21 @@ def _repair_strictly_increasing(centers: np.ndarray) -> np.ndarray:
 
 def _finish(plan: FitPlan, rows: np.ndarray, centers: np.ndarray, spans: list[float]) -> Codebooks:
     """Collapse (near-)constant rows to their midpoint, repair rows with
-    duplicate centers, and flag degenerate rows. A row is degenerate when
-    its centers span less than RANGE_EPS: a constant row, or one whose
-    quantiles collapsed (all but a few values equal)."""
-    constant = [span < RANGE_EPS for span in spans]
-    if any(constant):
-        collapsed = np.array(constant)[plan.row_of]
+    duplicate centers, flag degenerate rows and freeze the centers. A row
+    is degenerate when its centers span less than RANGE_EPS: a constant
+    row, or one whose quantiles collapsed (all but a few values equal)."""
+    if min(spans) < RANGE_EPS:
+        collapsed = (np.array(spans) < RANGE_EPS)[plan.row_of]
         centers[collapsed] = (0.5 * (rows.min(axis=1) + rows.max(axis=1)))[plan.row_of[collapsed]]
     increasing = centers[1:] > centers[:-1]
     increasing |= plan.across
     if np.count_nonzero(increasing) < increasing.size:
         for r in sorted(set(plan.row_of[np.flatnonzero(~increasing)].tolist())):
-            if not constant[r]:
+            if spans[r] >= RANGE_EPS:
                 part = slice(plan.first[r], plan.last[r] + 1)
                 centers[part] = _repair_strictly_increasing(centers[part])
     ends = centers.take(plan.end_pairs)
+    centers.setflags(write=False)
     return Codebooks(plan, centers, (ends[1] - ends[0] < RANGE_EPS).ravel())
 
 
@@ -308,21 +297,6 @@ def build_quantile_codebook(rows: np.ndarray, sorted_rows: np.ndarray, plan: Fit
     return _finish(plan, rows, centers, spans)
 
 
-def _draw_rows(rows: np.ndarray, cb: Codebooks, rngs: list, n_le: np.ndarray) -> np.ndarray:
-    """Indices into ``cb.centers``; a degenerate row draws nothing and maps to its index 0."""
-    if np.count_nonzero(cb.degenerate):
-        live = np.flatnonzero(~cb.degenerate)
-        idx = np.repeat(cb.plan.first, rows.shape[1]).reshape(rows.shape)
-        if live.size:
-            idx[live] = _draw_rows(rows[live], Codebooks(cb.plan, cb.centers, cb.degenerate[live]),
-                                   [rngs[r] for r in live], n_le[live]).reshape(live.size, -1)
-        return idx.ravel()
-    uniforms = np.empty(rows.shape)
-    for u, rng in zip(uniforms, rngs):
-        rng.random(out=u)
-    return _kernels.stochastic_round(rows.ravel(), cb.centers, uniforms.ravel(), n_le.ravel())
-
-
 def stochastic_quantize(x: np.ndarray, fit: tuple[Codebooks, np.ndarray], rngs: list) -> QuantizedTensor:
     """Quantize a batch with randomized rounding to bracketing centers.
 
@@ -332,11 +306,26 @@ def stochastic_quantize(x: np.ndarray, fit: tuple[Codebooks, np.ndarray], rngs: 
     the in-range quantization error zero-mean.
 
     ``fit`` is ``(Codebooks, n_le)`` from ``fit_codebook``. Row r of the
-    leading axis draws from ``rngs[r]``.
+    leading axis draws from ``rngs[r]``; a degenerate row draws nothing and
+    maps to its index 0, so a batch of only such rows makes no kernel call.
     """
     cbs, n_le = fit
     x = np.asarray(x, dtype=np.float64)
-    return QuantizedTensor(x.shape, _draw_rows(x.reshape(len(rngs), -1), cbs, rngs, n_le), cbs)
+    rows, indices = x.reshape(len(rngs), -1), None
+    if np.count_nonzero(cbs.degenerate):
+        live = np.flatnonzero(~cbs.degenerate)
+        indices = np.repeat(cbs.plan.first, rows.shape[1])
+        rows, n_le, rngs = rows[live], n_le[live], [rngs[r] for r in live]
+    if rngs:
+        uniforms = np.empty(rows.shape)
+        for u, rng in zip(uniforms, rngs):
+            rng.random(out=u)
+        drawn = _kernels.stochastic_round(rows.ravel(), cbs.centers, uniforms.ravel(), n_le.ravel())
+        if indices is None:
+            indices = drawn
+        else:
+            indices.reshape(len(cbs.degenerate), -1)[live] = drawn.reshape(rows.shape)
+    return QuantizedTensor(x.shape, indices, cbs)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
@@ -372,16 +361,8 @@ def _verified(rows, n_le, cbs: Codebooks) -> np.ndarray:
         for r in np.flatnonzero(miss.any(axis=1)):
             a, b = plan.first_last[r]
             m = np.flatnonzero(miss[r])
-            n_le[r, m] = _searched(cbs.centers[a:b + 1], rows[r, m], a)
-    return n_le
-
-
-def _searched(centers: np.ndarray, values: np.ndarray, start: int) -> np.ndarray:
-    """Kernel bracket of ``values`` in the codebook ``centers``: one plus
-    the count of its interior centers <= x, plus ``start``, the
-    codebook's offset in a batch's concatenated centers."""
-    n_le = centers[1:-1].searchsorted(values, side="right")
-    n_le += start + 1
+            # One plus the count of the row's interior centers <= x, plus its offset.
+            n_le[r, m] = cbs.centers[a + 1:b].searchsorted(rows[r, m], side="right") + (a + 1)
     return n_le
 
 
@@ -435,9 +416,13 @@ def fit_codebook(x: np.ndarray, rates: tuple[int, ...], compander: str) -> tuple
     <= the element kept in [1, K - 1], plus the row's offset): guessed
     from the grid in tanh rows and from the ranks in quantile rows, then
     checked and searched where missed. A degenerate row's brackets lie in
-    its row but are never read.
+    its row but are never read. Empty input is rejected.
     """
-    rows, plan = as_rows(x, rates)
+    rows = np.asarray(x, dtype=np.float64)
+    if rows.size == 0:
+        raise InvalidParams("cannot build a codebook from an empty tensor")
+    rows = rows.reshape(len(rates), -1)
+    plan = fit_plan(rows.shape[1], rates)
     if compander == "tanh":
         cbs = build_tanh_codebook(rows, plan)
         return cbs, tanh_n_le(rows, cbs)

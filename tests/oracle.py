@@ -1,7 +1,8 @@
 """Reference formulas the tests check the quantizer, the client and the
-eigensolver against, single-tensor shorthands for the batched APIs, and
-codebooks fitted to nothing: uniform and degenerate ones, quantized with
-brackets searched by ``reference_bracket``."""
+eigensolver against, single-tensor shorthands for the batched APIs (a
+fitted codebook comes from ``qk.fit_codebook``, frozen), and codebooks
+fitted to nothing: uniform and degenerate ones, built by hand and so left
+writable, quantized with brackets searched by ``reference_bracket``."""
 
 import numpy as np
 
@@ -10,15 +11,15 @@ from fedq import quantkit as qk
 
 
 def tanh_codebook(x, rate):
-    """The tanh codebook fitted to one tensor: a batch of one."""
-    rows, plan = qk.as_rows(np.reshape(x, (1, -1)), (rate,))
-    return qk.build_tanh_codebook(rows, plan)
+    """The tanh codebook that ``qk.fit_codebook`` fits to one tensor: a
+    batch of one."""
+    return qk.fit_codebook(np.reshape(x, (1, -1)), (rate,), "tanh")[0]
 
 
 def quantile_codebook(x, rate):
-    """The quantile codebook fitted to one tensor: a batch of one."""
-    rows, plan = qk.as_rows(np.reshape(x, (1, -1)), (rate,))
-    return qk.build_quantile_codebook(rows, qk.sort_rows(rows, plan)[0], plan)
+    """The quantile codebook that ``qk.fit_codebook`` fits to one tensor:
+    a batch of one."""
+    return qk.fit_codebook(np.reshape(x, (1, -1)), (rate,), "quantile")[0]
 
 
 def uniform_codebook(lo, hi, rate):

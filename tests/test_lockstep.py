@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedq import client as cl
@@ -405,6 +405,11 @@ def _row(seed, kind, n):
                    min_size=5, max_size=5),
     n=st.sampled_from([1, 7, 128, 129, 600]),
 )
+# Every row degenerate: nothing is drawn and the kernel is not called.
+@example(seed=5, compander="tanh", rates=[3, 1, 6], kinds=["constant"] * 5, n=128)
+# Degenerate rows between live ones: the live rows alone draw and round.
+@example(seed=9, compander="quantile", rates=[4, 2, 7, 3, 5],
+         kinds=["normal", "constant", "constant", "cauchy", "constant"], n=129)
 def test_ragged_fit_matches_each_row_searched(seed, compander, rates, kinds, n):
     x = np.stack([_row(seed + r, kinds[r], n) for r in range(len(rates))])
     rngs = [np.random.default_rng([seed, r]) for r in range(len(rates))]

@@ -51,7 +51,7 @@ PEAK_BUDGET_KIB = {"linear-fullbatch-16c": 3025, "linear-minibatch": 882, "relu-
 # The counts hold only under the interpreter and numpy they were taken
 # with (Python 3.12 inlines comprehensions, for one).
 CALL_BUDGET_VERSIONS = ("3.11.7", "2.4.6")  # Python, numpy
-CALL_BUDGET = {"linear-fullbatch-16c": (10949, 12622), "linear-minibatch": (5504, 7189), "relu-actq": (3126, 3997)}
+CALL_BUDGET = {"linear-fullbatch-16c": (10629, 12510), "linear-minibatch": (5304, 7169), "relu-actq": (2834, 3973)}
 
 
 def allowed_kib(budget: int) -> float:
